@@ -11,7 +11,6 @@ from .errors import ConfigError, ParameterError, ShapeError, TraceError
 from .numerics import (
     GridSignal,
     argmax_tiebreak,
-    circular_conv,
     circular_shift,
     lp_norm,
     softmax_rows,

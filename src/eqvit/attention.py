@@ -17,7 +17,7 @@ from itertools import product
 import numpy as np
 
 from .errors import ParameterError, ShapeError
-from .numerics import argmax_with_tie, freeze, require_finite, softmax_rows
+from .numerics import argmax_with_tie, freeze, require_finite, softmax_rows, stable_sum
 from .tokenizer import TokenMatrix
 from .trace import WSA, SelectionTrace
 
@@ -26,16 +26,12 @@ ORIGINAL = "original"
 ADAPTIVE = "adaptive"
 
 
-def _stable_sum(values: np.ndarray) -> float:
-    return float(np.sum(np.sort(values, axis=None)))
-
-
 # Window scoring functionals; each is exactly invariant to any permutation
 # of the candidate energies so scores transfer bit-for-bit across shifts.
 WINDOW_FNS = {
     "max": lambda v: float(np.max(v)),
-    "sum": _stable_sum,
-    "l2": lambda v: float(np.sqrt(np.sum(np.sort(np.square(v), axis=None)))),
+    "sum": stable_sum,
+    "l2": lambda v: float(np.sqrt(stable_sum(np.square(v)))),
 }
 
 

@@ -13,25 +13,32 @@ Suites:
 
 Every suite draws from a PCG64 stream derived from (seed, suite index), so
 a run is a pure function of its SuiteConfig and reports are byte-stable.
-Failures serialize a counterexample payload that `replay` re-executes.
+
+The six trial-based suites (lemma1 through end2end) are rows of one
+property table, run by one loop: a payload sampler, one check (payload ->
+divergence, agree, tied) and a tolerance.  `replay` and the ablation search
+call the same checks, so a replayed counterexample cannot drift from the
+suite that found it.
 """
 
 from __future__ import annotations
 
 import dataclasses
+from collections.abc import Callable, Iterator
 from dataclasses import dataclass, field
+from functools import partial
 from itertools import product
 from math import prod
 
 import numpy as np
 
-from .attention import AttentionParams, RpeTable, WindowConfig, a_wsa
+from .attention import ADAPTIVE, AttentionParams, RpeTable, WindowConfig, a_wsa
 from .errors import ConfigError
 from .merging import MergeConfig, a_pmerge, pmerge, pmerge_conv_fullrate
 from .metrics import ShiftSampler, c_cons, mascc, s_cons_zeropad, synthetic_inputs
-from .numerics import GridSignal, circular_shift, project_rows
-from .pipeline import SWITCHES, Model, ModelConfig, build_model
-from .tokenizer import PatchEmbedConfig, TokenMatrix, a_token, lemma1_oracle, reshape_patches
+from .numerics import GridSignal, circular_shift
+from .pipeline import SWITCHES, Model, ModelConfig, build_model, check_seed, forward
+from .tokenizer import PatchEmbedConfig, TokenMatrix, a_token, lemma1_sides
 
 SUITES = ("lemma1", "claim1", "claim2", "claim3", "apmerge", "end2end", "metrics", "ablation")
 PROOF_SUITES = SUITES[:4]
@@ -84,6 +91,7 @@ class SuiteConfig:
     lemma_l: tuple[int, ...] = (1, 2, 3, 4)
 
     def __post_init__(self):
+        check_seed(self.seed)
         for s in self.suites:
             if s not in SUITES:
                 raise ConfigError(f"unknown suite {s!r}, choose from {SUITES}")
@@ -167,7 +175,7 @@ def _counterexample(suite: str, tolerance: float, divergence: float, payload: di
         "suite": suite,
         "tolerance": tolerance,
         "divergence": divergence,
-        "payload": payload,
+        "payload": {k: v.tolist() if isinstance(v, np.ndarray) else v for k, v in payload.items()},
     }
 
 
@@ -175,196 +183,106 @@ def sentinel(config: SuiteConfig) -> dict:
     return {"kind": "sentinel", "status": "pass", "suites": list(config.suites)}
 
 
-# ---------------------------------------------------------------- lemma1 --
+# ------------------------------------------------------------- properties --
 
 
-def _lemma1_divergence(payload: dict) -> float:
-    x = GridSignal(np.asarray(payload["x"]))
-    cfg = PatchEmbedConfig(payload["l"], np.asarray(payload["embed"]))
-    m = int(payload["m"])
-    l = cfg.patch_len
-    left = project_rows(
-        reshape_patches(circular_shift(x, 1), l, m), cfg.embed
-    )
-    right = project_rows(reshape_patches(x, l, (m + 1) % l), cfg.embed)
-    grid = (x.shape[0] // l,)
-    rotated = TokenMatrix(right, grid).shift((m + 1) // l)
-    return _max_abs(left, rotated.data)
+@dataclass(frozen=True)
+class Property:
+    """One trial-based suite: its trials, their check, and its bound.
+
+    `sample(sc)` yields (payload, shared) per trial: the payload holds every
+    input the check reads, `shared` the objects built once per suite from its
+    fixed fields, or None.  `check(payload, shared=None)` builds what it is
+    not given, as replay does, and returns (divergence, agree, tied); `agree`
+    is False when labels differ.  A trial passes when it agrees within
+    `tolerance`; tied trials are counted, not asserted.
+    """
+
+    sample: Callable[[SuiteConfig], Iterator[tuple[dict, object]]]
+    check: Callable[..., tuple[float, bool, bool]]
+    tolerance: float
 
 
-def run_lemma1(sc: SuiteConfig) -> SuiteResult:
+def _lemma1_trials(sc: SuiteConfig):
     rng = sc.rng("lemma1")
-    per_pair = sc.suite_trials("lemma1")
-    trials = passes = 0
-    max_div = 0.0
-    worst = None
     for n in sc.lemma_n:
         for l in sc.lemma_l:
             if n % l:
                 continue
             embed = rng.uniform(-0.5, 0.5, size=(l * 2, 5))
             cfg = PatchEmbedConfig(l, embed)
-            for _ in range(per_pair):
-                x = GridSignal(rng.uniform(-1.0, 1.0, size=(n, 2)))
+            for _ in range(sc.suite_trials("lemma1")):
+                x = rng.uniform(-1.0, 1.0, size=(n, 2))
                 for m in range(l):
-                    trials += 1
-                    if lemma1_oracle(x, cfg, m):
-                        passes += 1
-                    else:
-                        payload = {
-                            "n": n,
-                            "l": l,
-                            "m": m,
-                            "x": x.data.tolist(),
-                            "embed": embed.tolist(),
-                        }
-                        div = _lemma1_divergence(payload)
-                        max_div = max(max_div, div)
-                        if worst is None:
-                            worst = _counterexample("lemma1", TOL_EXACT, div, payload)
-    return SuiteResult(
-        name="lemma1",
-        trials=trials,
-        passes=passes,
-        failures=trials - passes,
-        max_divergence=max_div,
-        tie_count=0,
-        counterexample=worst,
-    )
+                    yield {"n": n, "l": l, "m": m, "x": x, "embed": embed}, cfg
 
 
-# ---------------------------------------------------------------- claim1 --
+def _lemma1_check(payload: dict, cfg: PatchEmbedConfig | None = None):
+    cfg = cfg or PatchEmbedConfig(payload["l"], np.asarray(payload["embed"]))
+    left, right = lemma1_sides(GridSignal(np.asarray(payload["x"])), cfg, payload["m"])
+    return _max_abs(left, right), True, False
 
 
-def _claim1_divergence(payload: dict) -> float:
-    x = GridSignal(np.asarray(payload["x"]))
-    cfg = PatchEmbedConfig(
-        payload["l"], np.asarray(payload["embed"]), payload["invariant_fn"]
-    )
-    base, _ = a_token(x, cfg)
-    shifted, _ = a_token(circular_shift(x, int(payload["shift"])), cfg)
-    return _best_alignment(shifted, base)
-
-
-def run_claim1(sc: SuiteConfig, n: int = 64, l: int = 4) -> SuiteResult:
+def _claim1_trials(sc: SuiteConfig):
     rng = sc.rng("claim1")
-    trials = sc.suite_trials("claim1")
-    passes = failures = ties = 0
-    max_div = 0.0
-    worst = None
+    n, l = 64, 4  # signal length, patch length
     embed = rng.uniform(-0.5, 0.5, size=(l * 2, 8))
     cfg = PatchEmbedConfig(l, embed)
-    for _ in range(trials):
-        x = GridSignal(rng.uniform(-1.0, 1.0, size=(n, 2)))
-        shift = int(rng.integers(0, n))
-        base, tb = a_token(x, cfg)
-        out, ts = a_token(circular_shift(x, shift), cfg)
-        if tb.any_tied or ts.any_tied:
-            ties += 1
-            continue
-        div = _best_alignment(out, base)
-        max_div = max(max_div, div)
-        if div <= TOL_EXACT:
-            passes += 1
-        else:
-            failures += 1
-            if worst is None:
-                payload = {
-                    "l": l,
-                    "invariant_fn": cfg.invariant_fn,
-                    "x": x.data.tolist(),
-                    "embed": embed.tolist(),
-                    "shift": shift,
-                }
-                worst = _counterexample("claim1", TOL_EXACT, div, payload)
-    return SuiteResult("claim1", trials, passes, failures, max_div, ties, counterexample=worst)
+    fixed = {"l": l, "invariant_fn": cfg.invariant_fn, "embed": embed}
+    for _ in range(sc.suite_trials("claim1")):
+        x = rng.uniform(-1.0, 1.0, size=(n, 2))
+        yield {**fixed, "x": x, "shift": int(rng.integers(0, n))}, cfg
 
 
-# ---------------------------------------------------------------- claim2 --
-
-
-def _claim2_parts(payload: dict):
-    t = TokenMatrix(np.asarray(payload["t"]), tuple(payload["grid"]))
-    wcfg = WindowConfig(payload["window"], payload["energy_p"], payload["energy_fn"])
-    params = AttentionParams(
-        np.asarray(payload["e_q"]), np.asarray(payload["e_k"]), np.asarray(payload["e_v"])
+def _claim1_check(payload: dict, cfg: PatchEmbedConfig | None = None):
+    cfg = cfg or PatchEmbedConfig(
+        payload["l"], np.asarray(payload["embed"]), payload["invariant_fn"]
     )
+    x = GridSignal(np.asarray(payload["x"]))
+    base, tb = a_token(x, cfg)
+    out, ts = a_token(circular_shift(x, int(payload["shift"])), cfg)
+    return _best_alignment(out, base), True, tb.any_tied or ts.any_tied
+
+
+def _window_attention(payload: dict) -> tuple[WindowConfig, AttentionParams, RpeTable]:
+    wcfg = WindowConfig(payload["window"], payload["energy_p"], payload["energy_fn"])
+    params = AttentionParams(*(np.asarray(payload[k]) for k in ("e_q", "e_k", "e_v")))
     table = payload["rpe_table"]
     rpe = RpeTable.none() if table is None else RpeTable(payload["rpe_kind"], np.asarray(table))
-    return t, wcfg, params, rpe
+    return wcfg, params, rpe
 
 
-def _claim2_divergence(payload: dict) -> float:
-    t, wcfg, params, rpe = _claim2_parts(payload)
-    base, _ = a_wsa(t, wcfg, params, rpe)
-    shifted, _ = a_wsa(t.shift(tuple(payload["shift"])), wcfg, params, rpe)
-    return _best_alignment(shifted, base, step=wcfg.window)
-
-
-def run_claim2(sc: SuiteConfig, m: int = 16, w: int = 4, d: int = 8) -> SuiteResult:
+def _claim2_trials(sc: SuiteConfig):
     rng = sc.rng("claim2")
-    trials = sc.suite_trials("claim2")
-    passes = failures = ties = 0
-    max_div = 0.0
-    worst = None
-    wcfg = WindowConfig(w)
-    params = AttentionParams(
-        rng.uniform(-0.5, 0.5, (d, d)),
-        rng.uniform(-0.5, 0.5, (d, d)),
-        rng.uniform(-0.5, 0.5, (d, d)),
-    )
-    rpe = RpeTable.adaptive(rng.uniform(-0.5, 0.5, w))
-    for _ in range(trials):
-        t = TokenMatrix(rng.uniform(-1.0, 1.0, (m, d)), (m,))
-        shift = int(rng.integers(0, m))
-        base, tb = a_wsa(t, wcfg, params, rpe)
-        out, ts = a_wsa(t.shift(shift), wcfg, params, rpe)
-        if tb.any_tied or ts.any_tied:
-            ties += 1
-            continue
-        div = _best_alignment(out, base, step=w)
-        max_div = max(max_div, div)
-        if div <= TOL_ROUTE:
-            passes += 1
-        else:
-            failures += 1
-            if worst is None:
-                payload = {
-                    "grid": [m],
-                    "t": t.data.tolist(),
-                    "window": w,
-                    "energy_p": wcfg.energy_p,
-                    "energy_fn": wcfg.energy_fn,
-                    "e_q": params.e_q.tolist(),
-                    "e_k": params.e_k.tolist(),
-                    "e_v": params.e_v.tolist(),
-                    "rpe_kind": rpe.kind,
-                    "rpe_table": rpe.table.tolist(),
-                    "shift": [shift],
-                }
-                worst = _counterexample("claim2", TOL_ROUTE, div, payload)
-    return SuiteResult("claim2", trials, passes, failures, max_div, ties, counterexample=worst)
+    m, w, d = 16, 4, 8  # tokens, window, token dimension
+    fixed = {
+        "grid": [m],
+        "window": w,
+        "energy_p": 2.0,
+        "energy_fn": "max",
+        "e_q": rng.uniform(-0.5, 0.5, (d, d)),
+        "e_k": rng.uniform(-0.5, 0.5, (d, d)),
+        "e_v": rng.uniform(-0.5, 0.5, (d, d)),
+        "rpe_kind": ADAPTIVE,
+        "rpe_table": rng.uniform(-0.5, 0.5, w),
+    }
+    parts = _window_attention(fixed)
+    for _ in range(sc.suite_trials("claim2")):
+        t = rng.uniform(-1.0, 1.0, (m, d))
+        yield {**fixed, "t": t, "shift": [int(rng.integers(0, m))]}, parts
 
 
-# ---------------------------------------------------------------- claim3 --
-
-
-def _claim3_divergence(payload: dict) -> float:
+def _claim2_check(payload: dict, parts=None):
+    wcfg, params, rpe = parts or _window_attention(payload)
     t = TokenMatrix(np.asarray(payload["t"]), tuple(payload["grid"]))
-    cfg = MergeConfig(payload["factor"], np.asarray(payload["embed"]))
-    merged = pmerge(t, cfg)
-    full = pmerge_conv_fullrate(t, cfg)
-    phase_zero = full.grid()[tuple(slice(0, None, cfg.factor) for _ in t.grid_shape)]
-    return _max_abs(merged.grid(), phase_zero)
+    base, tb = a_wsa(t, wcfg, params, rpe)
+    out, ts = a_wsa(t.shift(tuple(payload["shift"])), wcfg, params, rpe)
+    return _best_alignment(out, base, step=wcfg.window), True, tb.any_tied or ts.any_tied
 
 
-def run_claim3(sc: SuiteConfig) -> SuiteResult:
+def _claim3_trials(sc: SuiteConfig):
     rng = sc.rng("claim3")
-    trials = sc.suite_trials("claim3")
-    passes = failures = 0
-    max_div = 0.0
-    worst = None
-    for i in range(trials):
+    for i in range(sc.suite_trials("claim3")):
         if i % 2:
             grid = (4, 4) if i % 4 == 1 else (6, 6)
             p = 2
@@ -372,149 +290,117 @@ def run_claim3(sc: SuiteConfig) -> SuiteResult:
             grid = (int(rng.choice([8, 12, 16])),)
             p = int(rng.choice([2, 4]))
         d = int(rng.integers(2, 7))
-        rows = p ** len(grid) * d
-        t = TokenMatrix(rng.uniform(-1.0, 1.0, (prod(grid), d)), grid)
-        embed = rng.uniform(-0.5, 0.5, (rows, 2 * d))
-        payload = {
-            "grid": list(grid),
-            "t": t.data.tolist(),
-            "factor": p,
-            "embed": embed.tolist(),
-        }
-        div = _claim3_divergence(payload)
-        max_div = max(max_div, div)
-        if div <= TOL_ROUTE:
-            passes += 1
-        else:
-            failures += 1
-            if worst is None:
-                worst = _counterexample("claim3", TOL_ROUTE, div, payload)
-    return SuiteResult("claim3", trials, passes, failures, max_div, 0, counterexample=worst)
+        t = rng.uniform(-1.0, 1.0, (prod(grid), d))
+        embed = rng.uniform(-0.5, 0.5, (p ** len(grid) * d, 2 * d))
+        yield {"grid": list(grid), "t": t, "factor": p, "embed": embed}, None
 
 
-# --------------------------------------------------------------- apmerge --
-
-
-def _apmerge_divergence(payload: dict) -> float:
+def _claim3_check(payload: dict, _shared=None):
     t = TokenMatrix(np.asarray(payload["t"]), tuple(payload["grid"]))
-    cfg = MergeConfig(payload["factor"], np.asarray(payload["embed"]), payload["energy_p"])
-    base, _ = a_pmerge(t, cfg)
-    shifted, _ = a_pmerge(t.shift(tuple(payload["shift"])), cfg)
-    return _best_alignment(shifted, base)
+    cfg = MergeConfig(payload["factor"], np.asarray(payload["embed"]))
+    full = pmerge_conv_fullrate(t, cfg)
+    phase_zero = full.grid()[tuple(slice(0, None, cfg.factor) for _ in t.grid_shape)]
+    return _max_abs(pmerge(t, cfg).grid(), phase_zero), True, False
 
 
-def run_apmerge(sc: SuiteConfig) -> SuiteResult:
+def _apmerge_trials(sc: SuiteConfig):
     rng = sc.rng("apmerge")
-    trials = sc.suite_trials("apmerge")
-    passes = failures = ties = 0
-    max_div = 0.0
-    worst = None
-    for i in range(trials):
+    for i in range(sc.suite_trials("apmerge")):
         rank = 2 if i % 3 == 2 else 1
         grid = (8, 8) if rank == 2 else (int(rng.choice([8, 12, 16])),)
-        p = 2
         d = int(rng.integers(2, 7))
-        t = TokenMatrix(rng.uniform(-1.0, 1.0, (prod(grid), d)), grid)
-        embed = rng.uniform(-0.5, 0.5, (p**rank * d, 2 * d))
-        cfg = MergeConfig(p, embed)
-        shift = tuple(int(rng.integers(0, g)) for g in grid)
-        base, tb = a_pmerge(t, cfg)
-        out, ts = a_pmerge(t.shift(shift), cfg)
-        if tb.any_tied or ts.any_tied:
-            ties += 1
-            continue
-        div = _best_alignment(out, base)
-        max_div = max(max_div, div)
-        if div <= TOL_EXACT:
-            passes += 1
-        else:
-            failures += 1
-            if worst is None:
-                payload = {
-                    "grid": list(grid),
-                    "t": t.data.tolist(),
-                    "factor": p,
-                    "embed": embed.tolist(),
-                    "energy_p": cfg.energy_p,
-                    "shift": list(shift),
-                }
-                worst = _counterexample("apmerge", TOL_EXACT, div, payload)
-    return SuiteResult("apmerge", trials, passes, failures, max_div, ties, counterexample=worst)
+        t = rng.uniform(-1.0, 1.0, (prod(grid), d))
+        embed = rng.uniform(-0.5, 0.5, (2**rank * d, 2 * d))
+        payload = {"grid": list(grid), "t": t, "factor": 2, "embed": embed, "energy_p": 2.0}
+        payload["shift"] = [int(rng.integers(0, g)) for g in grid]
+        yield payload, None
 
 
-# --------------------------------------------------------------- end2end --
+def _apmerge_check(payload: dict, _shared=None):
+    t = TokenMatrix(np.asarray(payload["t"]), tuple(payload["grid"]))
+    cfg = MergeConfig(payload["factor"], np.asarray(payload["embed"]), payload["energy_p"])
+    base, tb = a_pmerge(t, cfg)
+    out, ts = a_pmerge(t.shift(tuple(payload["shift"])), cfg)
+    return _best_alignment(out, base), True, tb.any_tied or ts.any_tied
 
 
-def _pair_divergences(model: Model, x: GridSignal, off_a, off_b):
-    """Invariance and equivariance divergences for one shift pair."""
-    logits_a, label_a, tr_a = model.classify(circular_shift(x, off_a))
-    logits_b, label_b, tr_b = model.classify(circular_shift(x, off_b))
-    inv_div = _max_abs(logits_a, logits_b)
-    map_a, dr_a = model.encode_decode(circular_shift(x, off_a))
-    map_b, dr_b = model.encode_decode(circular_shift(x, off_b))
-    axes = tuple(range(x.rank))
-    back_a = np.roll(map_a, off_a, axis=axes)
-    back_b = np.roll(map_b, off_b, axis=axes)
-    eq_div = _max_abs(back_a, back_b)
-    labels_ok = label_a == label_b and bool(
-        np.all(np.argmax(back_a, axis=-1) == np.argmax(back_b, axis=-1))
-    )
-    tied = tr_a.any_tied or tr_b.any_tied or dr_a.any_tied or dr_b.any_tied
-    return inv_div, eq_div, labels_ok, tied
-
-
-def _end2end_divergence(payload: dict) -> float:
-    model = build_model(ModelConfig.from_dict(payload["model_config"]))
-    x = GridSignal(np.asarray(payload["input"]))
-    off_a, off_b = tuple(payload["shift_a"]), tuple(payload["shift_b"])
-    if payload["check"] == "classify":
-        logits_a, _, _ = model.classify(circular_shift(x, off_a))
-        logits_b, _, _ = model.classify(circular_shift(x, off_b))
-        return _max_abs(logits_a, logits_b)
-    inv_div, eq_div, _, _ = _pair_divergences(model, x, off_a, off_b)
-    return eq_div if payload["check"] == "decode" else max(inv_div, eq_div)
-
-
-def run_end2end(sc: SuiteConfig) -> SuiteResult:
+def _end2end_trials(sc: SuiteConfig):
     cfg = sc.resolved_model()
     model = build_model(cfg)
     trials = sc.suite_trials("end2end")
     pairs = 5
-    n_inputs = -(-trials // pairs)
     inputs = synthetic_inputs(
-        cfg.input_shape, cfg.channels, n_inputs, sc.derived_seed("end2end", 1)
+        cfg.input_shape, cfg.channels, -(-trials // pairs), sc.derived_seed("end2end", 1)
     )
     sampler = ShiftSampler.for_shape(cfg.input_shape, pairs, sc.derived_seed("end2end", 2))
-    offsets = sampler.sample_pairs(len(inputs))
-    passes = failures = ties = done = 0
+    offsets = sampler.sample_pairs(len(inputs)).tolist()
+    fixed = {"model_config": cfg.to_dict(), "check": "both"}
+    for k in range(trials):
+        i, j = divmod(k, pairs)
+        off_a, off_b = offsets[i][j]
+        yield {**fixed, "input": inputs[i].data, "shift_a": off_a, "shift_b": off_b}, model
+
+
+def _end2end_divergence(payload: dict, model: Model | None = None):
+    """end2end and ablation check: one input at two shifts through both heads.
+
+    Logits and labels must agree.  Check "both" also compares the decoded
+    maps, each rotated back by its shift, and their per-position argmax.
+    """
+    if payload["check"] not in ("classify", "both"):
+        raise ConfigError(f"end2end check must be 'classify' or 'both', not {payload['check']!r}")
+    model = model or build_model(ModelConfig.from_dict(payload["model_config"]))
+    x = GridSignal(np.asarray(payload["input"]))
+    off_a, off_b = tuple(payload["shift_a"]), tuple(payload["shift_b"])
+    logits_a, label_a, map_a, trace_a = forward(model, circular_shift(x, off_a))
+    logits_b, label_b, map_b, trace_b = forward(model, circular_shift(x, off_b))
+    div = _max_abs(logits_a, logits_b)
+    agree = label_a == label_b
+    if payload["check"] == "both":
+        axes = tuple(range(x.rank))
+        back_a, back_b = np.roll(map_a, off_a, axis=axes), np.roll(map_b, off_b, axis=axes)
+        div = max(div, _max_abs(back_a, back_b))
+        agree = agree and bool(np.all(np.argmax(back_a, -1) == np.argmax(back_b, -1)))
+    return div, agree, trace_a.any_tied or trace_b.any_tied
+
+
+PROPERTIES = {
+    "lemma1": Property(_lemma1_trials, _lemma1_check, TOL_EXACT),
+    "claim1": Property(_claim1_trials, _claim1_check, TOL_EXACT),
+    "claim2": Property(_claim2_trials, _claim2_check, TOL_ROUTE),
+    "claim3": Property(_claim3_trials, _claim3_check, TOL_ROUTE),
+    "apmerge": Property(_apmerge_trials, _apmerge_check, TOL_EXACT),
+    "end2end": Property(_end2end_trials, _end2end_divergence, TOL_END2END),
+}
+
+
+def _run_property(name: str, sc: SuiteConfig) -> SuiteResult:
+    """Run every trial of a property suite; keep the first failure as counterexample."""
+    prop = PROPERTIES[name]
+    trials = passes = ties = 0
     max_div = 0.0
     worst = None
-    for i, x in enumerate(inputs):
-        for pair in offsets[i]:
-            if done == trials:
-                break
-            done += 1
-            off_a, off_b = (tuple(int(o) for o in p) for p in pair)
-            inv_div, eq_div, labels_ok, tied = _pair_divergences(model, x, off_a, off_b)
-            div = max(inv_div, eq_div)
-            if tied:
-                ties += 1
-                continue
-            max_div = max(max_div, div)
-            if div <= TOL_END2END and labels_ok:
-                passes += 1
-            else:
-                failures += 1
-                if worst is None:
-                    payload = {
-                        "model_config": cfg.to_dict(),
-                        "input": x.data.tolist(),
-                        "shift_a": list(off_a),
-                        "shift_b": list(off_b),
-                        "check": "both",
-                    }
-                    worst = _counterexample("end2end", TOL_END2END, div, payload)
-    return SuiteResult("end2end", done, passes, failures, max_div, ties, counterexample=worst)
+    for payload, shared in prop.sample(sc):
+        trials += 1
+        div, agree, tied = prop.check(payload, shared)
+        if tied:
+            ties += 1
+            continue
+        max_div = max(max_div, div)
+        if agree and div <= prop.tolerance:
+            passes += 1
+        elif worst is None:
+            worst = _counterexample(name, prop.tolerance, div, payload)
+    failures = trials - ties - passes
+    return SuiteResult(name, trials, passes, failures, max_div, ties, counterexample=worst)
+
+
+run_lemma1 = partial(_run_property, "lemma1")
+run_claim1 = partial(_run_property, "claim1")
+run_claim2 = partial(_run_property, "claim2")
+run_claim3 = partial(_run_property, "claim3")
+run_apmerge = partial(_run_property, "apmerge")
+run_end2end = partial(_run_property, "end2end")
 
 
 # --------------------------------------------------------------- metrics --
@@ -584,28 +470,21 @@ def _ablation_search(
     model = build_model(cfg)
     rng = np.random.default_rng([sc.seed, _SEED_INDEX["ablation"], SWITCHES.index(switch)])
     shape, channels = cfg.input_shape, cfg.channels
+    fixed = {"model_config": cfg.to_dict(), "check": "classify"}
     found = None
-    used = 0
-    ties = 0
-    for t in range(budget):
-        used = t + 1
-        x = GridSignal(rng.uniform(-1.0, 1.0, size=(*shape, channels)))
-        off_a = tuple(int(rng.integers(0, n // 2)) for n in shape)
-        off_b = tuple(int(rng.integers(0, n // 2)) for n in shape)
-        logits_a, label_a, tr_a = model.classify(circular_shift(x, off_a))
-        logits_b, label_b, tr_b = model.classify(circular_shift(x, off_b))
-        if tr_a.any_tied or tr_b.any_tied:
+    used = ties = 0
+    for used in range(1, budget + 1):
+        payload = {
+            **fixed,
+            "input": rng.uniform(-1.0, 1.0, size=(*shape, channels)),
+            "shift_a": [int(rng.integers(0, n // 2)) for n in shape],
+            "shift_b": [int(rng.integers(0, n // 2)) for n in shape],
+        }
+        div, agree, tied = _end2end_divergence(payload, model)
+        if tied:
             ties += 1
             continue
-        div = _max_abs(logits_a, logits_b)
-        if div > TOL_END2END or label_a != label_b:
-            payload = {
-                "model_config": cfg.to_dict(),
-                "input": x.data.tolist(),
-                "shift_a": list(off_a),
-                "shift_b": list(off_b),
-                "check": "classify",
-            }
+        if div > TOL_END2END or not agree:
             found = _counterexample("ablation", TOL_END2END, div, payload)
             break
     summary = {"switch": switch, "found": found is not None, "trials": used, "ties": ties}
@@ -658,16 +537,6 @@ _RUNNERS = {
     "ablation": run_ablation,
 }
 
-_REPLAYERS = {
-    "lemma1": _lemma1_divergence,
-    "claim1": _claim1_divergence,
-    "claim2": _claim2_divergence,
-    "claim3": _claim3_divergence,
-    "apmerge": _apmerge_divergence,
-    "end2end": _end2end_divergence,
-    "ablation": _end2end_divergence,
-}
-
 
 def run_suites(sc: SuiteConfig) -> tuple[dict, list[SuiteResult]]:
     """Execute the selected suites in canonical order; return (report, results)."""
@@ -691,20 +560,37 @@ def replay(document: dict) -> tuple[int, str]:
     """Re-execute a replay file; (exit code, human-readable line).
 
     Sentinels from passing runs exit 0.  Counterexamples recompute their
-    divergence from the serialized payload: still past tolerance exits 1,
-    no longer failing exits 0.
+    divergence from the serialized payload with the suite's own check
+    (ablation ones with the end2end check): still past tolerance exits 1,
+    no longer failing exits 0.  A malformed document raises ConfigError
+    before any check runs.
     """
+    if not isinstance(document, dict):
+        raise ConfigError(f"replay file must hold a JSON object, not {type(document).__name__}")
     kind = document.get("kind")
     if kind == "sentinel":
         return 0, "sentinel from a passing run; nothing to reproduce"
     if kind != "counterexample":
         raise ConfigError(f"replay file has unknown kind {kind!r}")
     suite = document.get("suite")
-    if suite not in _REPLAYERS:
+    if suite not in PROPERTIES and suite != "ablation":
         raise ConfigError(f"replay file names unknown suite {suite!r}")
+    prop = PROPERTIES["end2end" if suite == "ablation" else suite]
+    for key in ("tolerance", "divergence"):
+        value = document.get(key)
+        if isinstance(value, bool) or not isinstance(value, (int, float)):
+            raise ConfigError(f"replay file needs a numeric {key!r}")
+    payload = document.get("payload")
+    if not isinstance(payload, dict):
+        raise ConfigError("replay file needs a payload object")
+    # The payload schema is whatever the suite's sampler writes.
+    written, _ = next(prop.sample(SuiteConfig(trials=1)))
+    missing = sorted(set(written) - set(payload))
+    if missing:
+        raise ConfigError(f"{suite} payload lacks keys {missing}")
     recorded = float(document["divergence"])
     tolerance = float(document["tolerance"])
-    div = _REPLAYERS[suite](document["payload"])
+    div, _, _ = prop.check(payload)
     drift = abs(div - recorded)
     if div > tolerance:
         return 1, (

@@ -1,7 +1,7 @@
 """Double-precision kernel for signals on circular grids.
 
 Everything downstream reduces to a handful of operations defined here:
-circular shifts, circular convolution, row-wise softmax, lp norms, and a
+circular shifts, row-wise softmax, order-stable sums and lp norms, and a
 deterministic argmax.  All functions are pure; arrays held by the wrapper
 types are frozen so results can be shared without defensive copies.
 """
@@ -94,28 +94,6 @@ def circular_shift(signal: GridSignal, off) -> GridSignal:
     return GridSignal(rolled)
 
 
-def circular_conv(signal: GridSignal, kernel) -> GridSignal:
-    """Circular correlation of a rank-1 single-channel signal with a kernel.
-
-    out[n] = sum_l signal[(n + l) mod N] * kernel[l], so the kernel slides
-    forward from each output index and wraps around the end.
-    """
-    if signal.rank != 1 or signal.channels != 1:
-        raise ShapeError("circular_conv expects a rank-1 signal with one channel")
-    taps = np.asarray(kernel, dtype=np.float64)
-    if taps.ndim != 1:
-        raise ShapeError(f"kernel must be rank 1, got ndim={taps.ndim}")
-    n, p = signal.shape[0], taps.shape[0]
-    if not 1 <= p <= n:
-        raise ShapeError(f"kernel length {p} must be in [1, {n}]")
-    x = signal.data[:, 0]
-    out = np.zeros(n)
-    # Fixed tap order keeps the accumulation identical for shifted inputs.
-    for l in range(p):
-        out += taps[l] * np.roll(x, -l)
-    return GridSignal(out[:, np.newaxis])
-
-
 def softmax_rows(matrix: np.ndarray) -> np.ndarray:
     """Row-wise softmax with max subtraction for overflow safety."""
     m = np.asarray(matrix, dtype=np.float64)
@@ -126,20 +104,29 @@ def softmax_rows(matrix: np.ndarray) -> np.ndarray:
     return e / e.sum(axis=1, keepdims=True)
 
 
+def stable_sum(values) -> float:
+    """Sum of all entries, accumulated in sorted order.
+
+    Sorting first makes the sum bit-identical for any permutation of the
+    values; grid rotations permute candidates, so selection scores must
+    agree exactly across an input shift.
+    """
+    return float(np.sum(np.sort(values, axis=None)))
+
+
 def lp_norm(values, p: float) -> float:
     """lp norm (sum_i |v_i|^p)^(1/p) over all entries of `values`.
 
-    Magnitudes are sorted before accumulation, so the result is bit-identical
+    The powers are summed by `stable_sum`, so the result is bit-identical
     for any permutation of the input.  Adaptive selections compare these
     norms across rotated views and rely on that exactness.
     """
     if p < 1:
         raise ParameterError(f"lp_norm requires p >= 1, got {p}")
-    mags = np.sort(np.abs(np.asarray(values, dtype=np.float64)), axis=None)
+    mags = np.abs(np.asarray(values, dtype=np.float64))
     if mags.size == 0:
         raise ShapeError("lp_norm of an empty array")
-    total = float(np.sum(mags**p))
-    return total ** (1.0 / p)
+    return stable_sum(mags**p) ** (1.0 / p)
 
 
 def project_rows(rows: np.ndarray, matrix: np.ndarray) -> np.ndarray:

@@ -8,6 +8,7 @@ Two heads over one encoder:
   encode_decode same encoder, then a decoder that scatters features back
                 through the recorded merge phases and window offsets to a
                 zero-filled map at the input resolution.
+  forward       both heads from one encoder pass.
 
 Every adaptive block can be swapped for its fixed baseline through a config
 switch, which is how the ablation suites demonstrate that each one is
@@ -18,7 +19,6 @@ from __future__ import annotations
 
 import dataclasses
 from dataclasses import dataclass
-from math import prod
 
 import numpy as np
 
@@ -36,7 +36,7 @@ from .attention import (
 )
 from .errors import ConfigError, ShapeError
 from .merging import MergeConfig, a_pmerge, pmerge, unpool
-from .numerics import GridSignal, Offset, argmax_tiebreak, freeze, require_finite
+from .numerics import GridSignal, argmax_tiebreak, freeze, require_finite
 from .tokenizer import (
     INVARIANT_FNS,
     PatchEmbedConfig,
@@ -44,9 +44,30 @@ from .tokenizer import (
     a_token,
     token,
 )
-from .trace import MERGE, WSA, SelectionTrace, TraceEntry
+from .trace import MERGE, SelectionTrace, TraceEntry
 
 SWITCHES = ("a_token", "a_wsa", "a_pmerge", "adaptive_rpe")
+
+
+def _is_int(value) -> bool:
+    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+
+
+# JSON value checks per annotated field type.  windows and merge_factors also
+# take a bare int, which is broadcast over the stages.
+_FIELD_CHECKS = {
+    "int": _is_int,
+    "float": lambda v: _is_int(v) or isinstance(v, float),
+    "str": lambda v: isinstance(v, str),
+    "bool": lambda v: isinstance(v, bool),
+    "tuple[int, ...]": lambda v: isinstance(v, (list, tuple)) and all(map(_is_int, v)),
+}
+
+
+def check_seed(seed) -> None:
+    """Weight and suite streams take non-negative integer seeds only."""
+    if not _is_int(seed) or seed < 0:
+        raise ConfigError(f"seed must be a non-negative integer, got {seed!r}")
 
 
 def _per_stage(value, depth: int, name: str) -> tuple[int, ...]:
@@ -87,6 +108,7 @@ class ModelConfig:
     seed: int = 0
 
     def __post_init__(self):
+        check_seed(self.seed)
         shape = tuple(int(n) for n in self.input_shape)
         object.__setattr__(self, "input_shape", shape)
         if len(shape) not in (1, 2) or min(shape) < 1:
@@ -163,15 +185,18 @@ class ModelConfig:
 
     @classmethod
     def from_dict(cls, d: dict) -> ModelConfig:
-        known = {f.name for f in dataclasses.fields(cls)}
-        unknown = set(d) - known
+        """Config from a JSON object; unknown keys and mistyped values raise ConfigError."""
+        if not isinstance(d, dict):
+            raise ConfigError(f"model config must be a JSON object, got {type(d).__name__}")
+        types = {f.name: f.type for f in dataclasses.fields(cls)}
+        unknown = set(d) - set(types)
         if unknown:
             raise ConfigError(f"unknown config keys {sorted(unknown)}")
-        kwargs = dict(d)
-        for key in ("input_shape", "windows", "merge_factors"):
-            if key in kwargs and isinstance(kwargs[key], list):
-                kwargs[key] = tuple(kwargs[key])
-        return cls(**kwargs)
+        for key, value in d.items():
+            per_stage_int = key in ("windows", "merge_factors") and _is_int(value)
+            if not (_FIELD_CHECKS[types[key]](value) or per_stage_int):
+                raise ConfigError(f"config key {key!r} has a value of the wrong type: {value!r}")
+        return cls(**{k: tuple(v) if isinstance(v, list) else v for k, v in d.items()})
 
 
 @dataclass(frozen=True)
@@ -274,67 +299,73 @@ def build_model(cfg: ModelConfig) -> Model:
     return Model(config=cfg, weights=weights)
 
 
-@dataclass(frozen=True)
-class _StageRecord:
-    # Decoder bookkeeping: offsets are None when the baseline twin ran.
-    wsa_offset: Offset | None
-    merge_phase: Offset | None
-    pre_merge_grid: tuple[int, ...]
-    factor: int
-
-
-def _check_input(cfg: ModelConfig, x: GridSignal) -> None:
+def _encode(model: Model, x: GridSignal) -> tuple[TokenMatrix, SelectionTrace]:
+    cfg = model.config
     if x.shape != cfg.input_shape or x.channels != cfg.channels:
         raise ShapeError(
             f"input {x.shape} x{x.channels}ch does not match "
             f"config {cfg.input_shape} x{cfg.channels}ch"
         )
-
-
-def _encode(model: Model, x: GridSignal):
-    cfg = model.config
-    _check_input(cfg, x)
     trace = SelectionTrace()
     if cfg.a_token:
         tokens, tr = a_token(x, model.weights.patch)
         trace.extend(tr)
-        token_offset = tr.entries[0].offset
     else:
         tokens = token(x, model.weights.patch)
-        token_offset = (0,) * cfg.rank
 
-    records = []
     for s in range(cfg.depth):
         sw = model.weights.stages[s]
         wcfg = WindowConfig(cfg.windows[s], cfg.energy_p, cfg.window_energy_fn)
         if cfg.a_wsa:
             tokens, tr = a_wsa(tokens, wcfg, sw.attn, sw.rpe)
             trace.extend(tr)
-            wsa_offset = tr.entries[0].offset
         else:
             tokens = wsa(tokens, wcfg, sw.attn, sw.rpe)
-            wsa_offset = None
-        pre_merge_grid = tokens.grid_shape
         if cfg.a_pmerge:
             tokens, tr = a_pmerge(tokens, sw.merge)
             trace.extend(tr)
-            phase = tr.entries[0].offset
         else:
             tokens = pmerge(tokens, sw.merge)
-            phase = None
-        records.append(_StageRecord(wsa_offset, phase, pre_merge_grid, sw.merge.factor))
 
     if cfg.depth > 0:
         tokens = sa(tokens, model.weights.global_attn, model.weights.global_rpe)
-    return tokens, trace, records, token_offset
+    return tokens, trace
+
+
+def _head(model: Model, tokens: TokenMatrix) -> tuple[np.ndarray, int]:
+    logits = tokens.data.mean(axis=0) @ model.weights.head
+    return logits, argmax_tiebreak(logits)
+
+
+def _decode(cfg: ModelConfig, tokens: TokenMatrix, trace: SelectionTrace) -> np.ndarray:
+    """Scatter tokens back to the input resolution along the encoder's trace.
+
+    The switches say what the trace holds: a token offset if a_token, then
+    per stage a window offset if a_wsa and a merge phase if a_pmerge (a fixed
+    merge keeps phase 0).
+    """
+    entries = list(trace)
+    zero = (0,) * cfg.rank
+    token_offset = entries.pop(0).offset if cfg.a_token else zero
+    per_stage = int(cfg.a_wsa) + int(cfg.a_pmerge)
+    grids = cfg.stage_grids()
+    feats = tokens
+    for s in reversed(range(cfg.depth)):
+        stage = entries[s * per_stage : (s + 1) * per_stage]
+        if not cfg.a_pmerge:
+            stage.append(TraceEntry(MERGE, zero))
+        feats = unpool(feats, SelectionTrace(stage), cfg.merge_factors[s], grids[s])
+
+    out = np.zeros((*cfg.input_shape, feats.dim))
+    out[tuple(slice(o, None, cfg.patch_len) for o in token_offset)] = feats.grid()
+    return out
 
 
 def classify(model: Model, x: GridSignal) -> tuple[np.ndarray, int, SelectionTrace]:
     """Mean-pooled logits, the argmax label, and the selection trace."""
-    tokens, trace, _, _ = _encode(model, x)
-    pooled = tokens.data.mean(axis=0)
-    logits = pooled @ model.weights.head
-    return logits, argmax_tiebreak(logits), trace
+    tokens, trace = _encode(model, x)
+    logits, label = _head(model, tokens)
+    return logits, label, trace
 
 
 def encode_decode(model: Model, x: GridSignal) -> tuple[np.ndarray, SelectionTrace]:
@@ -345,17 +376,14 @@ def encode_decode(model: Model, x: GridSignal) -> tuple[np.ndarray, SelectionTra
     window alignment by rotating the grid back.  Finally each token's
     features land at its patch anchor; all other positions stay zero.
     """
-    cfg = model.config
-    tokens, trace, records, token_offset = _encode(model, x)
-    feats = tokens
-    for rec in reversed(records):
-        entries = []
-        if rec.wsa_offset is not None:
-            entries.append(TraceEntry(WSA, rec.wsa_offset, False))
-        phase = rec.merge_phase if rec.merge_phase is not None else (0,) * cfg.rank
-        entries.append(TraceEntry(MERGE, phase, False))
-        feats = unpool(feats, SelectionTrace(entries), rec.factor, rec.pre_merge_grid)
+    tokens, trace = _encode(model, x)
+    return _decode(model.config, tokens, trace), trace
 
-    out = np.zeros((*cfg.input_shape, feats.dim))
-    out[tuple(slice(o, None, cfg.patch_len) for o in token_offset)] = feats.grid()
-    return out, trace
+
+def forward(
+    model: Model, x: GridSignal
+) -> tuple[np.ndarray, int, np.ndarray, SelectionTrace]:
+    """classify and encode_decode from one encoder pass: logits, label, map, trace."""
+    tokens, trace = _encode(model, x)
+    logits, label = _head(model, tokens)
+    return logits, label, _decode(model.config, tokens, trace), trace

@@ -26,6 +26,7 @@ from .numerics import (
     freeze,
     project_rows,
     require_finite,
+    stable_sum,
 )
 from .trace import TOKEN, SelectionTrace
 
@@ -34,17 +35,10 @@ def _row_l2(tokens: np.ndarray) -> np.ndarray:
     return np.sqrt(np.einsum("md,md->m", tokens, tokens))
 
 
-def _stable_sum(values: np.ndarray) -> float:
-    # Sorting first makes the sum bit-identical for any permutation of the
-    # values; token-grid rotations permute rows, so candidate energies must
-    # agree exactly across an input shift.
-    return float(np.sum(np.sort(values)))
-
-
 INVARIANT_FNS = {
-    "sum_l2": lambda t: _stable_sum(_row_l2(t)),
+    "sum_l2": lambda t: stable_sum(_row_l2(t)),
     "max_l2": lambda t: float(np.max(_row_l2(t))),
-    "sum_l1": lambda t: _stable_sum(np.abs(t).sum(axis=1)),
+    "sum_l1": lambda t: stable_sum(np.abs(t).sum(axis=1)),
 }
 
 
@@ -209,13 +203,14 @@ def a_token(x: GridSignal, cfg: PatchEmbedConfig) -> tuple[TokenMatrix, Selectio
     return tokens, SelectionTrace.single(TOKEN, offsets[idx], tied)
 
 
-def lemma1_oracle(x: GridSignal, cfg: PatchEmbedConfig, off, axis: int = 0) -> bool:
-    """Exact interchange of a unit signal shift with offset tokenization.
+def lemma1_sides(
+    x: GridSignal, cfg: PatchEmbedConfig, off, axis: int = 0
+) -> tuple[np.ndarray, np.ndarray]:
+    """Both sides of the unit-shift/tokenization interchange.
 
-    Tokenizing the once-shifted signal at patch offset `off` must equal
-    tokenizing the original at the cyclically advanced offset and rotating
-    the token grid by the carry along `axis`.  Returns True on bitwise
-    equality.
+    Left: the once-shifted signal tokenized at patch offset `off`.  Right:
+    the original tokenized at the cyclically advanced offset, with the token
+    grid rotated by the carry along `axis`.
     """
     _check_embed(x, cfg)
     if not 0 <= axis < x.rank:
@@ -233,5 +228,11 @@ def lemma1_oracle(x: GridSignal, cfg: PatchEmbedConfig, off, axis: int = 0) -> b
     )
     right = project_rows(reshape_patches(x, cfg.patch_len, advanced), cfg.embed)
     grid = token_grid_shape(x, cfg.patch_len)
-    rotated = TokenMatrix(right, grid).shift(carry)
-    return bool(np.array_equal(left, rotated.data))
+    return left, TokenMatrix(right, grid).shift(carry).data
+
+
+def lemma1_oracle(x: GridSignal, cfg: PatchEmbedConfig, off, axis: int = 0) -> bool:
+    """Exact interchange of a unit signal shift with offset tokenization:
+    True when both `lemma1_sides` are bitwise equal."""
+    left, right = lemma1_sides(x, cfg, off, axis)
+    return bool(np.array_equal(left, right))

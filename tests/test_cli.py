@@ -1,12 +1,15 @@
 """CLI behavior: exit codes, report/replay files, seed resolution."""
 
 import json
+import os
 import re
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
+import eqvit
 from eqvit.cli import ENV_SEED, main
 
 
@@ -158,6 +161,44 @@ def test_bad_env_seed(tmp_path, monkeypatch, capsys):
     assert ENV_SEED in capsys.readouterr().err
 
 
+def test_negative_seed_flag(tmp_path, capsys):
+    code, _ = run_cli(tmp_path, "--suite", "claim1", "--trials", "2", "--seed", "-1")
+    assert code == 2
+    assert capsys.readouterr().err.startswith("error: seed must be a non-negative integer")
+
+
+def test_negative_env_seed(tmp_path, monkeypatch, capsys):
+    monkeypatch.setenv(ENV_SEED, "-3")
+    code, _ = run_cli(tmp_path, "--suite", "claim1", "--trials", "2")
+    assert code == 2
+    assert capsys.readouterr().err.startswith("error: seed must be a non-negative integer")
+
+
+@pytest.mark.parametrize("doc", [{"seed": -1}, {"patch_len": "4"}, {"channels": 2.5}, []])
+def test_bad_config_document(tmp_path, capsys, doc):
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(doc))
+    code, _ = run_cli(tmp_path, "--config", str(bad), "--suite", "claim1", "--trials", "2")
+    assert code == 2
+    assert capsys.readouterr().err.startswith("error: ")
+
+
+@pytest.mark.parametrize(
+    "doc",
+    [
+        [],
+        {"kind": "counterexample", "suite": "claim1", "tolerance": 0.0, "divergence": 1.0},
+        {"kind": "counterexample", "suite": "claim1", "tolerance": 0.0, "divergence": 1.0,
+         "payload": {"l": 4}},
+    ],
+)
+def test_malformed_replay_document(tmp_path, capsys, doc):
+    path = tmp_path / "bad.replay.json"
+    path.write_text(json.dumps(doc))
+    assert main(["replay", str(path)]) == 2
+    assert capsys.readouterr().err.startswith("error: ")
+
+
 def test_replay_missing_file(tmp_path, capsys):
     assert main(["replay", str(tmp_path / "gone.json")]) == 2
     assert "cannot read replay file" in capsys.readouterr().err
@@ -171,11 +212,15 @@ def test_unknown_suite_flag_rejected(capsys):
 
 def test_module_entry_point(tmp_path):
     out = tmp_path / "report.json"
+    # The child imports the same eqvit as this process, installed or not.
+    src = str(Path(eqvit.__file__).parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     proc = subprocess.run(
         [sys.executable, "-m", "eqvit", "run", "--suite", "claim3",
          "--trials", "3", "--out", str(out)],
         capture_output=True,
         text=True,
+        env={**os.environ, "PYTHONPATH": path},
     )
     assert proc.returncode == 0, proc.stderr
     assert "suite claim3" in proc.stdout

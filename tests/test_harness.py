@@ -1,16 +1,21 @@
 """Suite runners: determinism, counterexample payloads, replay semantics."""
 
+import json
+
 import numpy as np
 import pytest
 
+from eqvit import pipeline
 from eqvit.errors import ConfigError
 from eqvit.harness import (
     ABLATION_SEARCH_MODEL,
     DEFAULT_TRIALS,
     PROOF_SUITES,
+    PROPERTIES,
     SUITES,
     SuiteConfig,
     _best_alignment,
+    _counterexample,
     replay,
     run_ablation,
     run_apmerge,
@@ -50,6 +55,10 @@ def test_suite_config_validation():
         SuiteConfig(disable=("a_bias",))
     with pytest.raises(ConfigError):
         SuiteConfig(trials=0)
+    with pytest.raises(ConfigError):
+        SuiteConfig(seed=-1)
+    with pytest.raises(ConfigError):
+        SuiteConfig(seed=1.5)
 
 
 def test_suite_config_dedups_preserving_order():
@@ -163,6 +172,20 @@ def test_end2end_suite_catches_disabled_tokenizer():
     assert "reproduced" in line
 
 
+def test_end2end_encodes_each_shift_once(monkeypatch):
+    calls = []
+    encode = pipeline._encode
+
+    def counted(model, x):
+        calls.append(1)
+        return encode(model, x)
+
+    monkeypatch.setattr(pipeline, "_encode", counted)
+    res = run_end2end(SuiteConfig(trials=5))
+    assert res.trials == 5
+    assert len(calls) == 10
+
+
 # ---------------------------------------------------------------- metrics --
 
 
@@ -249,11 +272,41 @@ def test_replay_rejects_malformed_documents():
         replay({"kind": "counterexample", "suite": "claim9"})
 
 
+@pytest.mark.parametrize("name", list(PROPERTIES))
+def test_first_payload_replays_with_zero_drift(name):
+    prop = PROPERTIES[name]
+    payload, shared = next(prop.sample(SuiteConfig(trials=1)))
+    div, _, _ = prop.check(payload, shared)
+    # A tolerance below the divergence makes replay reproduce and report drift.
+    doc = json.loads(json.dumps(_counterexample(name, div - 1.0, div, payload)))
+    code, line = replay(doc)
+    assert code == 1
+    assert "drift 0.000e+00" in line
+
+
+@pytest.mark.parametrize(
+    "doc",
+    [
+        [],
+        {"kind": "counterexample", "suite": "claim1", "tolerance": 0.0, "divergence": 1.0},
+        {"kind": "counterexample", "suite": "claim1", "tolerance": "0", "divergence": 1.0,
+         "payload": {}},
+        {"kind": "counterexample", "suite": "claim1", "tolerance": 0.0, "divergence": 1.0,
+         "payload": {"l": 4}},
+        {"kind": "counterexample", "suite": "ablation", "tolerance": 0.0, "divergence": 1.0,
+         "payload": {**end2end_payload(ModelConfig()), "check": "decode"}},
+    ],
+)
+def test_replay_rejects_malformed_counterexamples(doc):
+    with pytest.raises(ConfigError):
+        replay(doc)
+
+
 def test_replay_reproduces_crafted_failure_with_zero_drift():
     payload = end2end_payload(ModelConfig().disable("a_token"))
     from eqvit.harness import _end2end_divergence
 
-    div = _end2end_divergence(payload)
+    div, _, _ = _end2end_divergence(payload)
     assert div > 1e-9
     doc = {
         "kind": "counterexample",

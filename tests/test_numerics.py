@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from eqvit import GridSignal, circular_conv, circular_shift, lp_norm, softmax_rows
+from eqvit import GridSignal, circular_shift, lp_norm, softmax_rows
 from eqvit.errors import ParameterError, ShapeError
 from eqvit.numerics import (
     argmax_tiebreak,
@@ -30,12 +30,6 @@ def shift_oracle(data: np.ndarray, offs) -> np.ndarray:
         src = tuple((i + o) % n for i, o, n in zip(idx, offs, data.shape))
         out[idx] = data[src]
     return out
-
-
-def conv_oracle(x: np.ndarray, h: np.ndarray) -> np.ndarray:
-    """Brute-force circular correlation: out[n] = sum_l x[(n+l) mod N] h[l]."""
-    n, p = len(x), len(h)
-    return np.array([sum(x[(i + l) % n] * h[l] for l in range(p)) for i in range(n)])
 
 
 def sig1(values) -> GridSignal:
@@ -102,58 +96,6 @@ def test_as_offset_scalar_only_for_rank1():
         as_offset(3, 2)
     with pytest.raises(ShapeError):
         as_offset((1, 2, 3), 2)
-
-
-# ----------------------------------------------------------- circular_conv --
-
-
-def test_conv_impulse_example():
-    a, b = 0.7, -1.3
-    out = circular_conv(sig1([1, 0, 0, 0]), [a, b])
-    assert np.array_equal(out.data[:, 0], [a, 0, 0, b])
-
-
-def test_conv_identity_kernel():
-    x = sig1([5, -2, 9])
-    assert np.array_equal(circular_conv(x, [1.0]).data, x.data)
-
-
-def test_conv_boxcar_example():
-    out = circular_conv(sig1([1, 2, 3, 4]), [1, 1])
-    assert np.array_equal(out.data[:, 0], [3, 5, 7, 5])
-
-
-def test_conv_matches_oracle():
-    rng = np.random.default_rng(5)
-    x = rng.uniform(-2, 2, 9)
-    h = rng.uniform(-2, 2, 4)
-    out = circular_conv(sig1(x), h)
-    assert np.allclose(out.data[:, 0], conv_oracle(x, h), atol=1e-14, rtol=0)
-
-
-@settings(max_examples=30)
-@given(st.data())
-def test_conv_commutes_with_shift(data):
-    n = data.draw(st.integers(1, 12))
-    x = data.draw(st.lists(st.floats(-10, 10), min_size=n, max_size=n))
-    p = data.draw(st.integers(1, n))
-    h = data.draw(st.lists(st.floats(-10, 10), min_size=p, max_size=p))
-    m = data.draw(st.integers(-15, 15))
-    s = sig1(x)
-    left = circular_conv(circular_shift(s, m), h).data
-    right = circular_shift(circular_conv(s, h), m).data
-    assert np.max(np.abs(left - right)) <= 1e-14
-
-
-def test_conv_rejects_bad_shapes():
-    with pytest.raises(ShapeError):
-        circular_conv(sig1([1, 2]), [1, 1, 1])
-    with pytest.raises(ShapeError):
-        circular_conv(GridSignal(np.zeros((2, 2, 1))), [1])
-    with pytest.raises(ShapeError):
-        circular_conv(GridSignal(np.zeros((4, 2))), [1])
-    with pytest.raises(ShapeError):
-        circular_conv(sig1([1, 2, 3]), [[1, 2]])
 
 
 # ------------------------------------------------------------ softmax_rows --

@@ -7,7 +7,7 @@ import pytest
 
 from eqvit import GridSignal, circular_shift
 from eqvit.errors import ConfigError, ShapeError
-from eqvit.pipeline import SWITCHES, ModelConfig, build_model
+from eqvit.pipeline import SWITCHES, ModelConfig, build_model, classify, encode_decode, forward
 from eqvit.tokenizer import a_token
 from eqvit.trace import MERGE, TOKEN, WSA
 
@@ -61,6 +61,20 @@ def test_config_dict_round_trip():
     assert ModelConfig.from_dict(cfg.to_dict()) == cfg
     with pytest.raises(ConfigError):
         ModelConfig.from_dict({"input_shape": [64], "dropout": 0.1})
+
+
+@pytest.mark.parametrize(
+    "doc",
+    [[], {"patch_len": "4"}, {"channels": 2.5}, {"seed": -1}, {"a_token": 1},
+     {"windows": [4.0, 4]}],
+)
+def test_from_dict_rejects_bad_documents(doc):
+    with pytest.raises(ConfigError):
+        ModelConfig.from_dict(doc)
+
+
+def test_from_dict_broadcasts_bare_stage_ints():
+    assert ModelConfig.from_dict({"windows": 4, "merge_factors": 2}) == ModelConfig()
 
 
 def test_disable_and_effective_rpe():
@@ -192,6 +206,23 @@ def test_classify_rejects_wrong_shape():
         model.classify(GridSignal(np.zeros((32, 2))))
     with pytest.raises(ShapeError):
         model.classify(GridSignal(np.zeros((64, 3))))
+
+
+# ----------------------------------------------------------------- forward --
+
+
+@pytest.mark.parametrize("shape", [(64,), (32, 32)])
+@pytest.mark.parametrize("off", [None, *SWITCHES])
+def test_forward_matches_both_heads_bit_for_bit(shape, off):
+    cfg = ModelConfig(input_shape=shape, seed=3)
+    model = build_model(cfg.disable(off) if off else cfg)
+    x = rand_input(model.config, 11)
+    logits, label, out, trace = forward(model, x)
+    c_logits, c_label, c_trace = classify(model, x)
+    d_out, d_trace = encode_decode(model, x)
+    assert np.array_equal(logits, c_logits) and label == c_label
+    assert np.array_equal(out, d_out)
+    assert trace.entries == c_trace.entries == d_trace.entries
 
 
 # ----------------------------------------------------------- encode_decode --
