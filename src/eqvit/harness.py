@@ -33,7 +33,7 @@ from math import prod
 import numpy as np
 
 from .attention import ADAPTIVE, AttentionParams, RpeTable, WindowConfig, a_wsa
-from .errors import ConfigError
+from .errors import ConfigError, ParameterError, ShapeError, TraceError
 from .merging import MergeConfig, a_pmerge, pmerge, pmerge_conv_fullrate
 from .metrics import ShiftSampler, c_cons, mascc, s_cons_zeropad, synthetic_inputs
 from .numerics import GridSignal, circular_shift
@@ -167,6 +167,14 @@ def _best_alignment(shifted: TokenMatrix, base: TokenMatrix, step: int = 1) -> f
     """Smallest max-abs difference over grid rotations of `base` by `step`."""
     candidates = product(*(range(0, g, step) for g in base.grid_shape))
     return min(_max_abs(shifted.data, base.shift(r).data) for r in candidates)
+
+
+def _json_kind(value) -> tuple[str, int]:
+    """(NumPy dtype kind, rank) of a payload value; a ragged list has neither."""
+    try:
+        return np.asarray(value).dtype.kind, np.ndim(value)
+    except ValueError:
+        return "ragged", -1
 
 
 def _counterexample(suite: str, tolerance: float, divergence: float, payload: dict) -> dict:
@@ -563,7 +571,7 @@ def replay(document: dict) -> tuple[int, str]:
     divergence from the serialized payload with the suite's own check
     (ablation ones with the end2end check): still past tolerance exits 1,
     no longer failing exits 0.  A malformed document raises ConfigError
-    before any check runs.
+    before any check runs, and so does a payload its check cannot decode.
     """
     if not isinstance(document, dict):
         raise ConfigError(f"replay file must hold a JSON object, not {type(document).__name__}")
@@ -577,20 +585,26 @@ def replay(document: dict) -> tuple[int, str]:
         raise ConfigError(f"replay file names unknown suite {suite!r}")
     prop = PROPERTIES["end2end" if suite == "ablation" else suite]
     for key in ("tolerance", "divergence"):
-        value = document.get(key)
-        if isinstance(value, bool) or not isinstance(value, (int, float)):
+        if _json_kind(document.get(key)) not in (("f", 0), ("i", 0)):
             raise ConfigError(f"replay file needs a numeric {key!r}")
     payload = document.get("payload")
     if not isinstance(payload, dict):
         raise ConfigError("replay file needs a payload object")
-    # The payload schema is whatever the suite's sampler writes.
+    # The payload schema is what the suite's sampler writes; ints may stand for floats.
     written, _ = next(prop.sample(SuiteConfig(trials=1)))
     missing = sorted(set(written) - set(payload))
     if missing:
         raise ConfigError(f"{suite} payload lacks keys {missing}")
+    for key, value in written.items():
+        want, got = _json_kind(value), _json_kind(payload[key])
+        if got != want and (want[0], got) != ("f", ("i", want[1])):
+            raise ConfigError(f"{suite} payload {key!r} has (dtype kind, rank) {got}, not {want}")
     recorded = float(document["divergence"])
     tolerance = float(document["tolerance"])
-    div, _, _ = prop.check(payload)
+    try:
+        div, _, _ = prop.check(payload)
+    except (ShapeError, ParameterError, TraceError) as err:
+        raise ConfigError(f"{suite} payload does not decode: {err}") from err
     drift = abs(div - recorded)
     if div > tolerance:
         return 1, (

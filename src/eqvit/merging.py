@@ -82,7 +82,7 @@ def pmerge(tokens: TokenMatrix, cfg: MergeConfig) -> TokenMatrix:
     _check_merge(tokens, cfg)
     rows = _group_rows(tokens, cfg.factor)
     grid = tuple(g // cfg.factor for g in tokens.grid_shape)
-    return TokenMatrix(project_rows(rows, cfg.embed), grid)
+    return TokenMatrix._fresh(project_rows(rows, cfg.embed), grid)
 
 
 def pmerge_conv_fullrate(tokens: TokenMatrix, cfg: MergeConfig) -> TokenMatrix:
@@ -101,7 +101,7 @@ def pmerge_conv_fullrate(tokens: TokenMatrix, cfg: MergeConfig) -> TokenMatrix:
     for i, delta in enumerate(product(range(cfg.factor), repeat=tokens.rank)):
         block = cfg.embed[i * d : (i + 1) * d, :]
         out += project_rows(tokens.shift(delta).data, block)
-    return TokenMatrix(out, tokens.grid_shape)
+    return TokenMatrix._fresh(out, tokens.grid_shape)
 
 
 def aps(
@@ -130,7 +130,7 @@ def aps(
     idx, tied = argmax_with_tie(scores)
     out_grid = tuple(g // factor for g in tokens.grid_shape)
     comp = comps[idx].reshape(prod(out_grid), tokens.dim)
-    return TokenMatrix(comp, out_grid), phases[idx], tied
+    return TokenMatrix._fresh(comp, out_grid), phases[idx], tied
 
 
 def a_pmerge(tokens: TokenMatrix, cfg: MergeConfig) -> tuple[TokenMatrix, SelectionTrace]:
@@ -175,7 +175,7 @@ def unpool(
         )
     out = np.zeros((*target_grid, tokens.dim))
     out[tuple(slice(k, None, factor) for k in phase)] = tokens.grid()
-    result = TokenMatrix(out.reshape(prod(target_grid), tokens.dim), target_grid)
+    result = TokenMatrix._fresh(out.reshape(prod(target_grid), tokens.dim), target_grid)
     for entry in reversed(trace.of_kind(WSA)):
         result = result.shift(tuple(-o for o in entry.offset))
     return result

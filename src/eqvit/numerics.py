@@ -3,12 +3,14 @@
 Everything downstream reduces to a handful of operations defined here:
 circular shifts, row-wise softmax, order-stable sums and lp norms, and a
 deterministic argmax.  All functions are pure; arrays held by the wrapper
-types are frozen so results can be shared without defensive copies.
+types are frozen so results can be shared without defensive copies.  Finite
+values are checked once, at the boundary (`GridSignal`, the weight classes).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -64,6 +66,7 @@ class GridSignal:
             )
         if min(arr.shape) < 1:
             raise ShapeError("every axis must have length >= 1")
+        require_finite(arr, "signal")
         object.__setattr__(self, "data", freeze(arr))
 
     @classmethod
@@ -94,14 +97,23 @@ def circular_shift(signal: GridSignal, off) -> GridSignal:
     return GridSignal(rolled)
 
 
+@lru_cache(maxsize=1024)
+def rotation_index(grid: tuple[int, ...], offset: Offset) -> np.ndarray:
+    """Row-major index k -> (k + offset) mod grid; gathering by it rolls by -offset."""
+    axes = [(np.arange(g) + o) % g for g, o in zip(grid, offset)]
+    index = np.ravel_multi_index(np.ix_(*axes), grid).ravel()
+    index.setflags(write=False)
+    return index
+
+
 def softmax_rows(matrix: np.ndarray) -> np.ndarray:
-    """Row-wise softmax with max subtraction for overflow safety."""
+    """Softmax over the last axis (ndim >= 2) with max subtraction for overflow safety."""
     m = np.asarray(matrix, dtype=np.float64)
-    if m.ndim != 2:
-        raise ShapeError(f"softmax_rows expects a matrix, got ndim={m.ndim}")
-    shifted = m - m.max(axis=1, keepdims=True)
+    if m.ndim < 2:
+        raise ShapeError(f"softmax_rows expects ndim >= 2, got ndim={m.ndim}")
+    shifted = m - m.max(axis=-1, keepdims=True)
     e = np.exp(shifted)
-    return e / e.sum(axis=1, keepdims=True)
+    return e / e.sum(axis=-1, keepdims=True)
 
 
 def stable_sum(values) -> float:

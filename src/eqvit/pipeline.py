@@ -329,6 +329,7 @@ def _encode(model: Model, x: GridSignal) -> tuple[TokenMatrix, SelectionTrace]:
 
     if cfg.depth > 0:
         tokens = sa(tokens, model.weights.global_attn, model.weights.global_rpe)
+    require_finite(tokens.data, "encoder output")
     return tokens, trace
 
 

@@ -5,7 +5,8 @@ A signal of length N is cut into non-overlapping patches of length L
 The fixed grid anchored at 0 is not shift-equivariant; the adaptive variant
 re-anchors the grid at whichever of the L (or L x L) circular offsets
 maximizes a shift-invariant energy functional, which restores equivariance
-up to a token-grid rotation.
+up to a token-grid rotation.  A caller's `TokenMatrix` is validated; the ops'
+own results skip that (`TokenMatrix._fresh`) and the encoder checks its output.
 """
 
 from __future__ import annotations
@@ -26,6 +27,7 @@ from .numerics import (
     freeze,
     project_rows,
     require_finite,
+    rotation_index,
     stable_sum,
 )
 from .trace import TOKEN, SelectionTrace
@@ -66,6 +68,15 @@ class TokenMatrix:
         object.__setattr__(self, "data", freeze(arr))
         object.__setattr__(self, "grid_shape", grid)
 
+    @classmethod
+    def _fresh(cls, data: np.ndarray, grid_shape: tuple[int, ...]) -> TokenMatrix:
+        """Wrap a float64 matrix an op just computed: frozen in place, unchecked."""
+        data = np.ascontiguousarray(data)
+        data.setflags(write=False)
+        tokens = object.__new__(cls)
+        vars(tokens).update(data=data, grid_shape=grid_shape)
+        return tokens
+
     @property
     def count(self) -> int:
         return self.data.shape[0]
@@ -84,9 +95,8 @@ class TokenMatrix:
 
     def shift(self, off) -> TokenMatrix:
         """Circularly rotate the token grid: out[k] = self[(k + off) mod G]."""
-        offs = as_offset(off, self.rank)
-        rolled = np.roll(self.grid(), [-o for o in offs], axis=tuple(range(self.rank)))
-        return TokenMatrix(rolled.reshape(self.count, self.dim), self.grid_shape)
+        index = rotation_index(self.grid_shape, as_offset(off, self.rank))
+        return TokenMatrix._fresh(self.data[index], self.grid_shape)
 
 
 @dataclass(frozen=True)
@@ -159,7 +169,7 @@ def token(x: GridSignal, cfg: PatchEmbedConfig) -> TokenMatrix:
     """Fixed-grid tokenization: patches anchored at offset 0, projected."""
     _check_embed(x, cfg)
     rows = reshape_patches(x, cfg.patch_len)
-    return TokenMatrix(project_rows(rows, cfg.embed), token_grid_shape(x, cfg.patch_len))
+    return TokenMatrix._fresh(project_rows(rows, cfg.embed), token_grid_shape(x, cfg.patch_len))
 
 
 def _full_rate_embed(x: GridSignal, cfg: PatchEmbedConfig) -> np.ndarray:
@@ -167,16 +177,12 @@ def _full_rate_embed(x: GridSignal, cfg: PatchEmbedConfig) -> np.ndarray:
 
     All candidate offsets are strided slices of this one product, so the
     candidates seen for an input and for its shift are gathers of bitwise
-    identical values.
+    identical values.  One gather builds the patches, taps in row-major order.
     """
-    axes = tuple(range(x.rank))
-    blocks = [
-        np.roll(x.data, [-d for d in delta], axis=axes)
-        for delta in product(range(cfg.patch_len), repeat=x.rank)
-    ]
-    patches = np.concatenate(blocks, axis=-1)
-    flat = patches.reshape(-1, patches.shape[-1])
-    return project_rows(flat, cfg.embed).reshape(*x.shape, cfg.dim)
+    taps = product(range(cfg.patch_len), repeat=x.rank)
+    index = np.stack([rotation_index(x.shape, delta) for delta in taps], axis=1)
+    patches = x.data.reshape(-1, x.channels)[index]
+    return project_rows(patches.reshape(len(index), -1), cfg.embed).reshape(*x.shape, cfg.dim)
 
 
 def a_token(x: GridSignal, cfg: PatchEmbedConfig) -> tuple[TokenMatrix, SelectionTrace]:
@@ -199,7 +205,7 @@ def a_token(x: GridSignal, cfg: PatchEmbedConfig) -> tuple[TokenMatrix, Selectio
         candidates.append(cand)
         scores.append(energy(cand))
     idx, tied = argmax_with_tie(scores)
-    tokens = TokenMatrix(candidates[idx], grid)
+    tokens = TokenMatrix._fresh(candidates[idx], grid)
     return tokens, SelectionTrace.single(TOKEN, offsets[idx], tied)
 
 

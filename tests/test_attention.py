@@ -269,6 +269,47 @@ def test_wsa_identical_windows_identical_outputs():
     assert np.array_equal(out[:2], out[2:])
 
 
+def wsa_window_loop(t: TokenMatrix, w: int, params: AttentionParams, rpe) -> np.ndarray:
+    """wsa as one `sa` call per window, rows gathered and scattered by explicit index."""
+    out = np.zeros((t.count, params.dim_out))
+    for anchor in product(*(range(0, g, w) for g in t.grid_shape)):
+        cells = [
+            tuple(a + d for a, d in zip(anchor, delta))
+            for delta in product(range(w), repeat=t.rank)
+        ]
+        rows = [int(np.ravel_multi_index(c, t.grid_shape)) for c in cells]
+        out[rows] = sa(TokenMatrix(t.data[rows], (w,) * t.rank), params, rpe).data
+    return out
+
+
+@pytest.mark.parametrize("kind", ["none", "original", "adaptive"])
+@pytest.mark.parametrize(
+    "grid, w, d", [((16,), 4, 8), ((12,), 3, 5), ((8, 8), 4, 16), ((6, 6), 2, 5)]
+)
+def test_wsa_matches_per_window_sa_bit_for_bit(grid, w, d, kind):
+    rng = np.random.default_rng(19)
+    t = TokenMatrix(rng.uniform(-1, 1, (int(np.prod(grid)), d)), grid)
+    params = rand_params(rng, d)
+    rank = len(grid)
+    tables = {
+        "none": None,
+        "original": rng.uniform(-0.5, 0.5, (2 * w - 1,) * rank),
+        "adaptive": rng.uniform(-0.5, 0.5, (w,) * rank),
+    }
+    rpe = RpeTable.none() if kind == "none" else RpeTable(kind, tables[kind])
+    out = wsa(t, WindowConfig(w), params, rpe).data
+    assert np.array_equal(out, wsa_window_loop(t, w, params, rpe))
+
+
+def test_attention_outputs_are_read_only():
+    rng = np.random.default_rng(20)
+    t = TokenMatrix(rng.uniform(-1, 1, (8, 3)), (8,))
+    params = rand_params(rng, 3)
+    for out in (sa(t, params), wsa(t, WindowConfig(4), params)):
+        with pytest.raises(ValueError):
+            out.data[0, 0] = 1.0
+
+
 def test_wsa_checks_divisibility():
     rng = np.random.default_rng(18)
     t = TokenMatrix(rng.uniform(-1, 1, (6, 3)), (6,))

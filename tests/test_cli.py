@@ -11,6 +11,7 @@ import pytest
 
 import eqvit
 from eqvit.cli import ENV_SEED, main
+from eqvit.harness import PROPERTIES, SuiteConfig, _counterexample
 
 
 def run_cli(tmp_path, *argv):
@@ -197,6 +198,20 @@ def test_malformed_replay_document(tmp_path, capsys, doc):
     path.write_text(json.dumps(doc))
     assert main(["replay", str(path)]) == 2
     assert capsys.readouterr().err.startswith("error: ")
+
+
+@pytest.mark.parametrize("x", ['"abc"', "NaN", "[[NaN, 0.5]]", "[[1.0, 2.0], [3.0]]"])
+def test_replay_rejects_bad_payload_values(tmp_path, capsys, x):
+    # A claim1 counterexample file whose input is replaced by a bad value.
+    payload, _ = next(PROPERTIES["claim1"].sample(SuiteConfig(trials=1)))
+    text = json.dumps(_counterexample("claim1", 0.0, 1.0, payload))
+    x_field = '"x": ' + json.dumps(payload["x"].tolist())
+    assert x_field in text
+    path = tmp_path / "bad.replay.json"
+    path.write_text(text.replace(x_field, '"x": ' + x))
+    assert main(["replay", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: claim1 payload") and "Traceback" not in err
 
 
 def test_replay_missing_file(tmp_path, capsys):

@@ -295,6 +295,12 @@ def test_first_payload_replays_with_zero_drift(name):
          "payload": {"l": 4}},
         {"kind": "counterexample", "suite": "ablation", "tolerance": 0.0, "divergence": 1.0,
          "payload": {**end2end_payload(ModelConfig()), "check": "decode"}},
+        {"kind": "counterexample", "suite": "end2end", "tolerance": 0.0, "divergence": 1.0,
+         "payload": {**end2end_payload(ModelConfig()), "shift_a": [1, 2]}},
+        {"kind": "counterexample", "suite": "end2end", "tolerance": 0.0, "divergence": 1.0,
+         "payload": {**end2end_payload(ModelConfig()), "input": [[float("nan"), 0.0]] * 64}},
+        {"kind": "counterexample", "suite": "claim2", "tolerance": 0.0, "divergence": 1.0,
+         "payload": {**next(PROPERTIES["claim2"].sample(SuiteConfig()))[0], "window": 2.5}},
     ],
 )
 def test_replay_rejects_malformed_counterexamples(doc):

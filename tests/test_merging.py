@@ -305,3 +305,12 @@ def test_unpool_trace_errors():
         unpool(z, merge_trace((0, 0)), 2, 4)  # rank mismatch
     with pytest.raises(TraceError):
         unpool(z, merge_trace((0,)), 2, 6)  # 6/2 != 2 tokens
+
+
+def test_merge_outputs_are_read_only():
+    rng = np.random.default_rng(16)
+    t = TokenMatrix(rng.uniform(-1, 1, (8, 3)), (8,))
+    merged, trace = a_pmerge(t, MergeConfig(2, rng.uniform(-0.5, 0.5, (6, 6))))
+    for out in (merged, unpool(merged, trace, 2, (8,))):
+        with pytest.raises(ValueError):
+            out.data[0, 0] = 1.0

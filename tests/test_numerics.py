@@ -19,6 +19,7 @@ from eqvit.numerics import (
     as_offset,
     freeze,
     project_rows,
+    rotation_index,
 )
 
 
@@ -89,6 +90,24 @@ def test_shift_offset_rank_checked():
         circular_shift(y, 1)
 
 
+@pytest.mark.parametrize("grid", [(7,), (3, 5)])
+def test_rotation_gather_equals_roll_at_every_offset(grid):
+    rng = np.random.default_rng(3)
+    rows = rng.uniform(-1, 1, (int(np.prod(grid)), 4))
+    axes = tuple(range(len(grid)))
+    for off in np.ndindex(*(2 * g + 1 for g in grid)):
+        off = tuple(o - g for o, g in zip(off, grid))  # -g .. g on each axis
+        rolled = np.roll(rows.reshape(*grid, 4), [-o for o in off], axis=axes)
+        assert np.array_equal(rows[rotation_index(grid, off)], rolled.reshape(rows.shape))
+
+
+def test_rotation_index_is_cached_read_only():
+    index = rotation_index((4, 4), (1, 2))
+    assert index is rotation_index((4, 4), (1, 2))
+    with pytest.raises(ValueError):
+        index[0] = 3
+
+
 def test_as_offset_scalar_only_for_rank1():
     assert as_offset(3, 1) == (3,)
     assert as_offset((1, 2), 2) == (1, 2)
@@ -136,6 +155,12 @@ def test_softmax_invariant_to_row_constant(row, c):
     base = softmax_rows(np.array([row]))
     shifted = softmax_rows(np.array([row]) + c)
     assert np.max(np.abs(base - shifted)) <= 1e-12
+
+
+def test_softmax_stack_matches_each_matrix_bit_for_bit():
+    stack = np.random.default_rng(4).uniform(-30, 30, (5, 4, 7))
+    out = softmax_rows(stack)
+    assert all(np.array_equal(out[i], softmax_rows(stack[i])) for i in range(5))
 
 
 def test_softmax_requires_matrix():
@@ -231,6 +256,16 @@ def test_gridsignal_rejects_bad_ranks():
         GridSignal.from_values(np.zeros((2, 2, 2)))
     with pytest.raises(ShapeError):
         GridSignal(np.zeros((0, 3)))
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_gridsignal_rejects_non_finite_data(bad):
+    data = np.zeros((4, 2))
+    data[2, 1] = bad
+    with pytest.raises(ParameterError):
+        GridSignal(data)
+    with pytest.raises(ParameterError):
+        GridSignal.from_values(data[:, 1].reshape(2, 2))
 
 
 def test_frozen_arrays_are_read_only():

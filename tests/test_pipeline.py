@@ -1,14 +1,15 @@
 """Composed models: weight determinism, trace accounting, end-to-end laws."""
 
+from collections import Counter
 from itertools import product
 
 import numpy as np
 import pytest
 
-from eqvit import GridSignal, circular_shift
-from eqvit.errors import ConfigError, ShapeError
+from eqvit import GridSignal, attention, circular_shift, pipeline
+from eqvit.errors import ConfigError, ParameterError, ShapeError
 from eqvit.pipeline import SWITCHES, ModelConfig, build_model, classify, encode_decode, forward
-from eqvit.tokenizer import a_token
+from eqvit.tokenizer import TokenMatrix, a_token
 from eqvit.trace import MERGE, TOKEN, WSA
 
 
@@ -223,6 +224,45 @@ def test_forward_matches_both_heads_bit_for_bit(shape, off):
     assert np.array_equal(logits, c_logits) and label == c_label
     assert np.array_equal(out, d_out)
     assert trace.entries == c_trace.entries == d_trace.entries
+
+
+@pytest.mark.parametrize("shape", [(64,), (32, 32)])
+def test_overflowing_input_raises_instead_of_returning_nan(shape):
+    model = build_model(ModelConfig(input_shape=shape))
+    x = GridSignal(1e300 * rand_input(model.config, 12).data)
+    for head in (forward, classify, encode_decode):
+        with np.errstate(all="ignore"), pytest.raises(ParameterError):
+            head(model, x)
+
+
+@pytest.mark.parametrize("shape", [(64,), (32, 32)])
+def test_forward_overhead_stays_out(monkeypatch, shape):
+    # Intermediate token matrices skip validation, grid rotations are index
+    # gathers, and each window stage is one stacked attention call.
+    model = build_model(ModelConfig(input_shape=shape))
+    x = rand_input(model.config, 13)
+    calls = Counter()
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+
+        return wrapper
+
+    validate = counted("validate", TokenMatrix.__post_init__)
+    monkeypatch.setattr(TokenMatrix, "__post_init__", validate)
+    monkeypatch.setattr(np, "roll", counted("roll", np.roll))
+    monkeypatch.setattr(pipeline, "sa", counted("sa", pipeline.sa))
+    monkeypatch.setattr(attention, "_attend", counted("kernel", attention._attend))
+    monkeypatch.setattr(attention, "softmax_rows", counted("softmax", attention.softmax_rows))
+    classify(model, x)
+    encode_decode(model, x)
+    passes = 2
+    assert calls["validate"] == 0
+    assert calls["roll"] == 0
+    assert calls["sa"] == passes
+    assert calls["kernel"] == calls["softmax"] == passes * (model.config.depth + 1)
 
 
 # ----------------------------------------------------------- encode_decode --

@@ -4,6 +4,8 @@ reshape_oracle_* re-derive the patch matrix with explicit mod-index loops so
 the vectorized reshape path is pinned by independent code.
 """
 
+from itertools import product
+
 import numpy as np
 import pytest
 
@@ -13,6 +15,7 @@ from eqvit.tokenizer import (
     INVARIANT_FNS,
     PatchEmbedConfig,
     TokenMatrix,
+    _full_rate_embed,
     a_token,
     lemma1_oracle,
     reshape_patches,
@@ -204,6 +207,21 @@ def test_a_token_energy_choices_all_align():
         base, _ = a_token(x, cfg)
         out, _ = a_token(circular_shift(x, 5), cfg)
         assert any(np.array_equal(out.data, base.shift(r).data) for r in range(4))
+
+
+@pytest.mark.parametrize("shape, l", [((12,), 3), ((64,), 4), ((8, 12), 2), ((16, 16), 4)])
+def test_full_rate_embed_equals_roll_and_concatenate(shape, l):
+    rng = np.random.default_rng(31)
+    x = GridSignal(rng.uniform(-1, 1, (*shape, 2)))
+    cfg = PatchEmbedConfig(l, rng.uniform(-0.5, 0.5, (l ** len(shape) * 2, 8)))
+    axes = tuple(range(len(shape)))
+    blocks = [
+        np.roll(x.data, [-d for d in delta], axis=axes)
+        for delta in product(range(l), repeat=len(shape))
+    ]
+    patches = np.concatenate(blocks, axis=-1)
+    rolled = np.einsum("mk,kd->md", patches.reshape(-1, patches.shape[-1]), cfg.embed)
+    assert np.array_equal(_full_rate_embed(x, cfg), rolled.reshape(*shape, 8))
 
 
 # ----------------------------------------------------------- lemma1_oracle --
