@@ -168,9 +168,7 @@ def _attend(x: np.ndarray, params: AttentionParams, rpe: RpeTable | None, grid) 
     The stacked `@` runs one GEMM per set, bit-identical to that set alone."""
     if x.shape[-1] != params.dim_in:
         raise ShapeError(f"tokens of dim {x.shape[-1]} vs projections of dim {params.dim_in}")
-    q = x @ params.e_q
-    k = x @ params.e_k
-    v = x @ params.e_v
+    q, k, v = (x @ e for e in (params.e_q, params.e_k, params.e_v))
     logits = (q @ k.swapaxes(-1, -2)) * params.scale
     bias = position_bias(RpeTable.none() if rpe is None else rpe, grid)
     if bias is not None:
@@ -220,7 +218,7 @@ def window_energy(tokens: TokenMatrix, cfg: WindowConfig) -> np.ndarray:
     norms = np.sum(np.abs(tokens.data) ** cfg.energy_p, axis=1) ** (1.0 / cfg.energy_p)
     acc = np.zeros_like(norms)
     for delta in product(range(cfg.window), repeat=tokens.rank):
-        acc += norms[rotation_index(tokens.grid_shape, delta)]
+        acc += norms.take(rotation_index(tokens.grid_shape, delta))
     return acc.reshape(tokens.grid_shape) / float(cfg.window**tokens.rank)
 
 

@@ -36,7 +36,7 @@ from .attention import ADAPTIVE, AttentionParams, RpeTable, WindowConfig, a_wsa
 from .errors import ConfigError, ParameterError, ShapeError, TraceError
 from .merging import MergeConfig, a_pmerge, pmerge, pmerge_conv_fullrate
 from .metrics import ShiftSampler, c_cons, mascc, s_cons_zeropad, synthetic_inputs
-from .numerics import GridSignal, circular_shift
+from .numerics import GridSignal, circular_shift, require_finite
 from .pipeline import SWITCHES, Model, ModelConfig, build_model, check_seed, forward
 from .tokenizer import PatchEmbedConfig, TokenMatrix, a_token, lemma1_sides
 
@@ -169,12 +169,12 @@ def _best_alignment(shifted: TokenMatrix, base: TokenMatrix, step: int = 1) -> f
     return min(_max_abs(shifted.data, base.shift(r).data) for r in candidates)
 
 
-def _json_kind(value) -> tuple[str, int]:
-    """(NumPy dtype kind, rank) of a payload value; a ragged list has neither."""
+def _json_kind(value) -> tuple[str, bool]:
+    """(NumPy dtype kind, is a list) of a payload value; a ragged list has no kind."""
     try:
-        return np.asarray(value).dtype.kind, np.ndim(value)
+        return np.asarray(value).dtype.kind, np.ndim(value) > 0
     except ValueError:
-        return "ragged", -1
+        return "ragged", True
 
 
 def _counterexample(suite: str, tolerance: float, divergence: float, payload: dict) -> dict:
@@ -571,7 +571,7 @@ def replay(document: dict) -> tuple[int, str]:
     divergence from the serialized payload with the suite's own check
     (ablation ones with the end2end check): still past tolerance exits 1,
     no longer failing exits 0.  A malformed document raises ConfigError
-    before any check runs, and so does a payload its check cannot decode.
+    before any check runs, and so does a payload its check rejects or overflows on.
     """
     if not isinstance(document, dict):
         raise ConfigError(f"replay file must hold a JSON object, not {type(document).__name__}")
@@ -585,12 +585,13 @@ def replay(document: dict) -> tuple[int, str]:
         raise ConfigError(f"replay file names unknown suite {suite!r}")
     prop = PROPERTIES["end2end" if suite == "ablation" else suite]
     for key in ("tolerance", "divergence"):
-        if _json_kind(document.get(key)) not in (("f", 0), ("i", 0)):
+        if _json_kind(document.get(key)) not in (("f", False), ("i", False)):
             raise ConfigError(f"replay file needs a numeric {key!r}")
     payload = document.get("payload")
     if not isinstance(payload, dict):
         raise ConfigError("replay file needs a payload object")
-    # The payload schema is what the suite's sampler writes; ints may stand for floats.
+    # Each value has the JSON kind the sampler writes (ints may stand for floats);
+    # a wrong shape surfaces as ShapeError from the check.
     written, _ = next(prop.sample(SuiteConfig(trials=1)))
     missing = sorted(set(written) - set(payload))
     if missing:
@@ -598,13 +599,14 @@ def replay(document: dict) -> tuple[int, str]:
     for key, value in written.items():
         want, got = _json_kind(value), _json_kind(payload[key])
         if got != want and (want[0], got) != ("f", ("i", want[1])):
-            raise ConfigError(f"{suite} payload {key!r} has (dtype kind, rank) {got}, not {want}")
+            raise ConfigError(f"{suite} payload {key!r} has (kind, is list) {got}, not {want}")
     recorded = float(document["divergence"])
     tolerance = float(document["tolerance"])
     try:
         div, _, _ = prop.check(payload)
+        require_finite(np.asarray(div), "its divergence")
     except (ShapeError, ParameterError, TraceError) as err:
-        raise ConfigError(f"{suite} payload does not decode: {err}") from err
+        raise ConfigError(f"{suite} payload cannot be checked: {err}") from err
     drift = abs(div - recorded)
     if div > tolerance:
         return 1, (

@@ -92,9 +92,9 @@ class GridSignal:
 
 def circular_shift(signal: GridSignal, off) -> GridSignal:
     """Rotate grid indices: out[n] = signal[(n + off) mod shape], per axis."""
-    offs = as_offset(off, signal.rank)
-    rolled = np.roll(signal.data, shift=[-o for o in offs], axis=tuple(range(signal.rank)))
-    return GridSignal(rolled)
+    index = rotation_index(signal.shape, as_offset(off, signal.rank))
+    rows = signal.data.reshape(-1, signal.channels).take(index, axis=0)
+    return GridSignal(rows.reshape(signal.data.shape))
 
 
 @lru_cache(maxsize=1024)

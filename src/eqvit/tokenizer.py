@@ -96,7 +96,7 @@ class TokenMatrix:
     def shift(self, off) -> TokenMatrix:
         """Circularly rotate the token grid: out[k] = self[(k + off) mod G]."""
         index = rotation_index(self.grid_shape, as_offset(off, self.rank))
-        return TokenMatrix._fresh(self.data[index], self.grid_shape)
+        return TokenMatrix._fresh(self.data.take(index, axis=0), self.grid_shape)
 
 
 @dataclass(frozen=True)
@@ -181,7 +181,7 @@ def _full_rate_embed(x: GridSignal, cfg: PatchEmbedConfig) -> np.ndarray:
     """
     taps = product(range(cfg.patch_len), repeat=x.rank)
     index = np.stack([rotation_index(x.shape, delta) for delta in taps], axis=1)
-    patches = x.data.reshape(-1, x.channels)[index]
+    patches = x.data.reshape(-1, x.channels).take(index, axis=0)
     return project_rows(patches.reshape(len(index), -1), cfg.embed).reshape(*x.shape, cfg.dim)
 
 

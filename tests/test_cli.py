@@ -214,6 +214,32 @@ def test_replay_rejects_bad_payload_values(tmp_path, capsys, x):
     assert err.startswith("error: claim1 payload") and "Traceback" not in err
 
 
+def test_replay_rejects_overflowing_payload(tmp_path, capsys):
+    # Finite but huge tokens overflow the attention scores to NaN: an error, not a
+    # failure that no longer reproduces.
+    payload, _ = next(PROPERTIES["claim2"].sample(SuiteConfig(trials=1)))
+    payload["t"] = payload["t"] * 1e200
+    path = tmp_path / "big.replay.json"
+    path.write_text(json.dumps(_counterexample("claim2", 0.0, 1.0, payload)))
+    assert main(["replay", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: claim2 payload") and "Traceback" not in err
+
+
+def test_2d_counterexample_replays(tmp_path, capsys):
+    config = tmp_path / "2d.json"
+    config.write_text(json.dumps({"input_shape": [32, 32]}))
+    code, _ = run_cli(
+        tmp_path, "--config", str(config), "--suite", "end2end", "--disable", "a_wsa",
+        "--trials", "2",
+    )
+    assert code == 1
+    replay_file = tmp_path / "report.replay.json"
+    assert len(json.loads(replay_file.read_text())["payload"]["shift_a"]) == 2
+    assert main(["replay", str(replay_file)]) == 1
+    assert "reproduced divergence" in capsys.readouterr().out
+
+
 def test_replay_missing_file(tmp_path, capsys):
     assert main(["replay", str(tmp_path / "gone.json")]) == 2
     assert "cannot read replay file" in capsys.readouterr().err
