@@ -30,9 +30,7 @@ from .attention import (
     WINDOW_FNS,
     WindowConfig,
     a_wsa,
-    adaptive_rpe_matrix,
     position_bias,
-    rpe_matrix,
     sa,
     window_energy,
     wsa,

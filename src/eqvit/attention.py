@@ -12,13 +12,14 @@ the same tokens regardless of how the input was shifted.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from itertools import product
 
 import numpy as np
 
 from .errors import ParameterError, ShapeError
-from .numerics import argmax_with_tie, freeze, require_finite, rotation_index, stable_sum
-from .numerics import softmax_rows
+from .numerics import best_phase, blocks, freeze, require_finite, rotation_index
+from .numerics import softmax_rows, stable_sum, unblocks
 from .tokenizer import TokenMatrix
 from .trace import WSA, SelectionTrace
 
@@ -108,59 +109,37 @@ class RpeTable:
         return cls(ADAPTIVE, table)
 
 
-def rpe_matrix(rpe: RpeTable, m: int) -> np.ndarray:
-    """Conventional M x M bias: entry (i, j) reads the table at i - j.
-
-    The table has length 2M - 1 and is indexed with an offset of M - 1 so
-    signed distances -(M-1)..M-1 all resolve.
-    """
-    if rpe.kind != ORIGINAL:
-        raise ParameterError(f"rpe_matrix needs kind 'original', got {rpe.kind!r}")
-    if rpe.table.ndim != 1 or rpe.table.shape[0] != 2 * m - 1:
-        raise ShapeError(f"table shape {rpe.table.shape} does not fit M={m}")
-    pos = np.arange(m)
-    return rpe.table[np.subtract.outer(pos, pos) + m - 1]
-
-
-def adaptive_rpe_matrix(rpe: RpeTable, m: int) -> np.ndarray:
-    """Circular M x M bias: entry (i, j) reads the table at (i - j) mod M.
-
-    The result is circulant, which is what makes full self-attention commute
-    with token rotation.
-    """
-    if rpe.kind != ADAPTIVE:
-        raise ParameterError(f"adaptive_rpe_matrix needs kind 'adaptive', got {rpe.kind!r}")
-    if rpe.table.ndim != 1 or rpe.table.shape[0] != m:
-        raise ShapeError(f"table shape {rpe.table.shape} does not fit M={m}")
-    pos = np.arange(m)
-    return rpe.table[np.mod(np.subtract.outer(pos, pos), m)]
-
-
 def position_bias(rpe: RpeTable, grid_shape: tuple[int, ...]) -> np.ndarray | None:
     """Bias matrix over all tokens of a grid, or None for kind 'none'.
 
-    Rank-2 grids apply the rank-1 indexing rule independently per axis on a
-    2-D table.
+    Entry (i, j) reads the table at the per-axis distance from token j to
+    token i.  The circular kind wraps each distance mod G, so its table is
+    G-shaped and the bias circulant, which is what makes self-attention
+    commute with token rotation.  The conventional kind offsets each signed
+    distance by G - 1 into a (2G - 1)-shaped table.
     """
     if rpe.kind == NONE:
         return None
-    if len(grid_shape) == 1:
-        if rpe.kind == ORIGINAL:
-            return rpe_matrix(rpe, grid_shape[0])
-        return adaptive_rpe_matrix(rpe, grid_shape[0])
-    gh, gw = grid_shape
-    if rpe.table.ndim != 2:
-        raise ShapeError("rank-2 grid needs a rank-2 rpe table")
-    ph, pw = np.divmod(np.arange(gh * gw), gw)
-    dh = np.subtract.outer(ph, ph)
-    dw = np.subtract.outer(pw, pw)
-    if rpe.kind == ADAPTIVE:
-        if rpe.table.shape != (gh, gw):
-            raise ShapeError(f"table shape {rpe.table.shape} does not fit grid {grid_shape}")
-        return rpe.table[np.mod(dh, gh), np.mod(dw, gw)]
-    if rpe.table.shape != (2 * gh - 1, 2 * gw - 1):
-        raise ShapeError(f"table shape {rpe.table.shape} does not fit grid {grid_shape}")
-    return rpe.table[dh + gh - 1, dw + gw - 1]
+    grid = tuple(grid_shape)
+    shape, index = _bias_index(grid, rpe.kind)
+    if rpe.table.shape != shape:
+        raise ShapeError(f"table shape {rpe.table.shape} does not fit grid {grid}")
+    return rpe.table.take(index)
+
+
+@lru_cache(maxsize=256)
+def _bias_index(grid: tuple[int, ...], kind: str) -> tuple[tuple[int, ...], np.ndarray]:
+    """(table shape, read-only flat table index of every token pair) for `position_bias`."""
+    pos = np.indices(grid).reshape(len(grid), -1)
+    dist = pos[:, :, np.newaxis] - pos[:, np.newaxis, :]
+    sizes = np.array(grid)[:, np.newaxis, np.newaxis]
+    if kind == ADAPTIVE:
+        shape, dist = grid, dist % sizes
+    else:
+        shape, dist = tuple(2 * g - 1 for g in grid), dist + sizes - 1
+    index = np.ravel_multi_index(tuple(dist), shape)
+    index.setflags(write=False)
+    return shape, index
 
 
 def _attend(x: np.ndarray, params: AttentionParams, rpe: RpeTable | None, grid) -> np.ndarray:
@@ -222,16 +201,6 @@ def window_energy(tokens: TokenMatrix, cfg: WindowConfig) -> np.ndarray:
     return acc.reshape(tokens.grid_shape) / float(cfg.window**tokens.rank)
 
 
-def _window_blocks(tokens: TokenMatrix, w: int) -> np.ndarray:
-    """Partition the grid into W-blocks, shape (num_windows, W**rank, D)."""
-    d = tokens.dim
-    if tokens.rank == 1:
-        return tokens.data.reshape(-1, w, d)
-    gh, gw = tokens.grid_shape
-    blocks = tokens.grid().reshape(gh // w, w, gw // w, w, d)
-    return blocks.transpose(0, 2, 1, 3, 4).reshape(-1, w * w, d)
-
-
 def wsa(
     tokens: TokenMatrix,
     cfg: WindowConfig,
@@ -246,13 +215,8 @@ def wsa(
     """
     _check_window(tokens, cfg)
     w = cfg.window
-    stacked = _attend(_window_blocks(tokens, w), params, rpe, (w,) * tokens.rank)
-    d_out = params.dim_out
-    if tokens.rank == 1:
-        return TokenMatrix._fresh(stacked.reshape(tokens.count, d_out), tokens.grid_shape)
-    gh, gw = tokens.grid_shape
-    tiles = stacked.reshape(gh // w, gw // w, w, w, d_out)
-    data = tiles.transpose(0, 2, 1, 3, 4).reshape(tokens.count, d_out)
+    stacked = _attend(blocks(tokens.grid(), w), params, rpe, (w,) * tokens.rank)
+    data = unblocks(stacked, tokens.grid_shape, w).reshape(tokens.count, -1)
     return TokenMatrix._fresh(data, tokens.grid_shape)
 
 
@@ -269,15 +233,7 @@ def a_wsa(
     rotates the token grid to the winning anchor, and runs wsa there.  The
     output lives on the rotated grid; the chosen offset is recorded.
     """
-    _check_window(tokens, cfg)
-    w = cfg.window
     energies = window_energy(tokens, cfg)
-    score = WINDOW_FNS[cfg.energy_fn]
-    offsets = list(product(range(w), repeat=tokens.rank))
-    scores = [
-        score(energies[tuple(slice(o, None, w) for o in offs)]) for offs in offsets
-    ]
-    idx, tied = argmax_with_tie(scores)
-    best = offsets[idx]
+    best, _, tied = best_phase(energies, cfg.window, tokens.rank, WINDOW_FNS[cfg.energy_fn])
     out = wsa(tokens.shift(best), cfg, params, rpe)
     return out, SelectionTrace.single(WSA, best, tied)

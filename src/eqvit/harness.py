@@ -570,7 +570,8 @@ def replay(document: dict) -> tuple[int, str]:
     Sentinels from passing runs exit 0.  Counterexamples recompute their
     divergence from the serialized payload with the suite's own check
     (ablation ones with the end2end check): still past tolerance exits 1,
-    no longer failing exits 0.  A malformed document raises ConfigError
+    no longer failing exits 0, and so does a recomputed trial that ties, which
+    the suites count and never assert.  A malformed document raises ConfigError
     before any check runs, and so does a payload its check rejects or overflows on.
     """
     if not isinstance(document, dict):
@@ -603,10 +604,12 @@ def replay(document: dict) -> tuple[int, str]:
     recorded = float(document["divergence"])
     tolerance = float(document["tolerance"])
     try:
-        div, _, _ = prop.check(payload)
+        div, _, tied = prop.check(payload)
         require_finite(np.asarray(div), "its divergence")
     except (ShapeError, ParameterError, TraceError) as err:
         raise ConfigError(f"{suite} payload cannot be checked: {err}") from err
+    if tied:
+        return 0, f"{suite}: trial is tied (divergence {div:.6e}); tied trials are not asserted"
     drift = abs(div - recorded)
     if div > tolerance:
         return 1, (

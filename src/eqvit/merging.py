@@ -20,8 +20,8 @@ import numpy as np
 from .errors import ParameterError, ShapeError, TraceError
 from .numerics import (
     Offset,
-    argmax_with_tie,
-    as_offset,
+    best_phase,
+    blocks,
     freeze,
     lp_norm,
     project_rows,
@@ -67,21 +67,12 @@ def _check_merge(tokens: TokenMatrix, cfg: MergeConfig) -> None:
         )
 
 
-def _group_rows(tokens: TokenMatrix, p: int) -> np.ndarray:
-    """Non-overlapping P-groups flattened row-major over (position, channel)."""
-    d = tokens.dim
-    if tokens.rank == 1:
-        return tokens.data.reshape(-1, p * d)
-    gh, gw = tokens.grid_shape
-    tiles = tokens.grid().reshape(gh // p, p, gw // p, p, d)
-    return tiles.transpose(0, 2, 1, 3, 4).reshape((gh // p) * (gw // p), p * p * d)
-
-
 def pmerge(tokens: TokenMatrix, cfg: MergeConfig) -> TokenMatrix:
-    """Strided patch merging: project each non-overlapping P-group."""
+    """Strided patch merging: project each non-overlapping P-group, flattened
+    row-major over (position, channel)."""
     _check_merge(tokens, cfg)
-    rows = _group_rows(tokens, cfg.factor)
     grid = tuple(g // cfg.factor for g in tokens.grid_shape)
+    rows = blocks(tokens.grid(), cfg.factor).reshape(prod(grid), -1)
     return TokenMatrix._fresh(project_rows(rows, cfg.embed), grid)
 
 
@@ -119,18 +110,11 @@ def aps(
     for g in tokens.grid_shape:
         if g % factor:
             raise ShapeError(f"grid axis {g} is not divisible by factor {factor}")
-    grid = tokens.grid()
-    phases = list(product(range(factor), repeat=tokens.rank))
-    comps = []
-    scores = []
-    for phase in phases:
-        comp = grid[tuple(slice(k, None, factor) for k in phase)]
-        comps.append(comp)
-        scores.append(lp_norm(comp, energy_p))
-    idx, tied = argmax_with_tie(scores)
+    phase, comp, tied = best_phase(
+        tokens.grid(), factor, tokens.rank, lambda c: lp_norm(c, energy_p)
+    )
     out_grid = tuple(g // factor for g in tokens.grid_shape)
-    comp = comps[idx].reshape(prod(out_grid), tokens.dim)
-    return TokenMatrix._fresh(comp, out_grid), phases[idx], tied
+    return TokenMatrix._fresh(comp.reshape(prod(out_grid), tokens.dim), out_grid), phase, tied
 
 
 def a_pmerge(tokens: TokenMatrix, cfg: MergeConfig) -> tuple[TokenMatrix, SelectionTrace]:

@@ -1,16 +1,19 @@
 """Double-precision kernel for signals on circular grids.
 
 Everything downstream reduces to a handful of operations defined here:
-circular shifts, row-wise softmax, order-stable sums and lp norms, and a
-deterministic argmax.  All functions are pure; arrays held by the wrapper
-types are frozen so results can be shared without defensive copies.  Finite
-values are checked once, at the boundary (`GridSignal`, the weight classes).
+circular shifts, block tiling, polyphase selection, row-wise softmax,
+order-stable sums and lp norms, and a deterministic argmax.  Each grid
+operation is written once for any grid rank.  All functions are pure; arrays
+held by the wrapper types are frozen so results can be shared without
+defensive copies.  Finite values are checked once, at the boundary
+(`GridSignal`, the weight classes).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import product
 
 import numpy as np
 
@@ -104,6 +107,49 @@ def rotation_index(grid: tuple[int, ...], offset: Offset) -> np.ndarray:
     index = np.ravel_multi_index(np.ix_(*axes), grid).ravel()
     index.setflags(write=False)
     return index
+
+
+def blocks(arr: np.ndarray, b: int) -> np.ndarray:
+    """Tile (*grid, C) into (blocks, b**rank, C): non-overlapping b-blocks
+    row-major over the grid, positions row-major within each block.
+
+    A pure reshape and transpose; every grid axis must be divisible by `b`.
+    """
+    split, order, _ = _tiling(arr.shape[:-1], b)
+    c = arr.shape[-1]
+    return arr.reshape(*split, c).transpose(order).reshape(-1, b ** (len(split) // 2), c)
+
+
+def unblocks(stack: np.ndarray, grid: tuple[int, ...], b: int) -> np.ndarray:
+    """Inverse of `blocks`: (blocks, b**rank, C) back to (*grid, C)."""
+    split, _, inverse = _tiling(tuple(grid), b)
+    c = stack.shape[-1]
+    return stack.reshape(*split[::2], *split[1::2], c).transpose(inverse).reshape(*grid, c)
+
+
+@lru_cache(maxsize=256)
+def _tiling(grid: tuple[int, ...], b: int) -> tuple[tuple[int, ...], ...]:
+    """Each grid axis split into (blocks, b), the transpose that moves every
+    block axis before every in-block axis (channels last), and its inverse.
+    Cached: building these tuples costs more than the reshapes they drive."""
+    rank = len(grid)
+    split = tuple(n for g in grid for n in (g // b, b))
+    order = (*range(0, 2 * rank, 2), *range(1, 2 * rank, 2), 2 * rank)
+    inverse = (*(a for axis in range(rank) for a in (axis, rank + axis)), 2 * rank)
+    return split, order, inverse
+
+
+def best_phase(grid: np.ndarray, b: int, rank: int, score) -> tuple[Offset, np.ndarray, bool]:
+    """Polyphase selection: the stride-`b` component with the highest score.
+
+    Components are the strided subgrids of the leading `rank` axes at each
+    phase in row-major order, scored by `score`; returns (phase, component,
+    tied).  Exact ties resolve to the lowest phase and are flagged.
+    """
+    phases = list(product(range(b), repeat=rank))
+    comps = [grid[tuple(slice(k, None, b) for k in phase)] for phase in phases]
+    idx, tied = argmax_with_tie([score(comp) for comp in comps])
+    return phases[idx], comps[idx], tied
 
 
 def softmax_rows(matrix: np.ndarray) -> np.ndarray:

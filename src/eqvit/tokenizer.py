@@ -21,8 +21,9 @@ from .errors import ParameterError, ShapeError
 from .numerics import (
     GridSignal,
     Offset,
-    argmax_with_tie,
     as_offset,
+    best_phase,
+    blocks,
     circular_shift,
     freeze,
     project_rows,
@@ -156,13 +157,7 @@ def reshape_patches(x: GridSignal, patch_len: int, off=None) -> np.ndarray:
     offs = (0,) * x.rank if off is None else as_offset(off, x.rank)
     if any(not 0 <= o < patch_len for o in offs):
         raise ParameterError(f"offset {offs} outside [0, {patch_len})")
-    shifted = circular_shift(x, offs).data
-    if x.rank == 1:
-        return shifted.reshape(grid[0], patch_len * x.channels)
-    tiles = shifted.reshape(grid[0], patch_len, grid[1], patch_len, x.channels)
-    return tiles.transpose(0, 2, 1, 3, 4).reshape(
-        grid[0] * grid[1], patch_len * patch_len * x.channels
-    )
+    return blocks(circular_shift(x, offs).data, patch_len).reshape(prod(grid), -1)
 
 
 def token(x: GridSignal, cfg: PatchEmbedConfig) -> TokenMatrix:
@@ -194,19 +189,12 @@ def a_token(x: GridSignal, cfg: PatchEmbedConfig) -> tuple[TokenMatrix, Selectio
     """
     _check_embed(x, cfg)
     grid = token_grid_shape(x, cfg.patch_len)
-    full = _full_rate_embed(x, cfg)
     energy = INVARIANT_FNS[cfg.invariant_fn]
-    offsets = list(product(range(cfg.patch_len), repeat=x.rank))
-    candidates = []
-    scores = []
-    for offs in offsets:
-        sub = full[tuple(slice(o, None, cfg.patch_len) for o in offs)]
-        cand = sub.reshape(-1, cfg.dim)
-        candidates.append(cand)
-        scores.append(energy(cand))
-    idx, tied = argmax_with_tie(scores)
-    tokens = TokenMatrix._fresh(candidates[idx], grid)
-    return tokens, SelectionTrace.single(TOKEN, offsets[idx], tied)
+    offset, sub, tied = best_phase(
+        _full_rate_embed(x, cfg), cfg.patch_len, x.rank, lambda s: energy(s.reshape(-1, cfg.dim))
+    )
+    tokens = TokenMatrix._fresh(sub.reshape(-1, cfg.dim), grid)
+    return tokens, SelectionTrace.single(TOKEN, offset, tied)
 
 
 def lemma1_sides(

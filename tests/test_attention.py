@@ -15,9 +15,7 @@ from eqvit.attention import (
     WINDOW_FNS,
     WindowConfig,
     a_wsa,
-    adaptive_rpe_matrix,
     position_bias,
-    rpe_matrix,
     sa,
     window_energy,
     wsa,
@@ -85,7 +83,7 @@ def test_sa_with_bias_matches_oracle():
     t = TokenMatrix(rng.uniform(-1, 1, (4, 3)), (4,))
     params = rand_params(rng, 3)
     rpe = RpeTable.adaptive(rng.uniform(-1, 1, 4))
-    bias = adaptive_rpe_matrix(rpe, 4)
+    bias = position_bias(rpe, (4,))
     assert np.allclose(
         sa(t, params, rpe).data, sa_oracle(t.data, params, bias), atol=1e-12, rtol=0
     )
@@ -114,17 +112,17 @@ def test_sa_checks_dims():
 
 def test_rpe_matrix_m2_layout():
     b = np.array([10.0, 20.0, 30.0])  # distances -1, 0, +1
-    assert np.array_equal(rpe_matrix(RpeTable.original(b), 2), [[20, 10], [30, 20]])
+    assert np.array_equal(position_bias(RpeTable.original(b), (2,)), [[20, 10], [30, 20]])
 
 
 def test_rpe_matrix_m1():
-    assert np.array_equal(rpe_matrix(RpeTable.original(np.array([5.0])), 1), [[5.0]])
+    assert np.array_equal(position_bias(RpeTable.original(np.array([5.0])), (1,)), [[5.0]])
 
 
 def test_rpe_matrix_extreme_distance():
     rng = np.random.default_rng(7)
     b = rng.uniform(-1, 1, 7)
-    mat = rpe_matrix(RpeTable.original(b), 4)
+    mat = position_bias(RpeTable.original(b), (4,))
     assert mat[0, 3] == b[0]  # distance -3 sits at the table's low end
     assert mat[3, 0] == b[6]
 
@@ -132,7 +130,7 @@ def test_rpe_matrix_extreme_distance():
 def test_adaptive_rpe_matrix_wraps_distance():
     rng = np.random.default_rng(8)
     b = rng.uniform(-1, 1, 4)
-    mat = adaptive_rpe_matrix(RpeTable.adaptive(b), 4)
+    mat = position_bias(RpeTable.adaptive(b), (4,))
     assert mat[0, 3] == b[1]  # (0 - 3) mod 4
     assert np.array_equal(np.diag(mat), np.full(4, b[0]))
 
@@ -140,23 +138,24 @@ def test_adaptive_rpe_matrix_wraps_distance():
 def test_adaptive_rpe_matrix_is_circulant():
     rng = np.random.default_rng(9)
     b = rng.uniform(-1, 1, 3)
-    mat = adaptive_rpe_matrix(RpeTable.adaptive(b), 3)
+    mat = position_bias(RpeTable.adaptive(b), (3,))
     for i in range(3):
         assert np.array_equal(mat[i], np.roll(mat[0], i))
 
 
 def test_position_bias_rank2_lookup_rule():
     rng = np.random.default_rng(10)
-    gh, gw = 3, 4
-    adaptive = RpeTable.adaptive(rng.uniform(-1, 1, (gh, gw)))
-    original = RpeTable.original(rng.uniform(-1, 1, (2 * gh - 1, 2 * gw - 1)))
-    ba = position_bias(adaptive, (gh, gw))
-    bo = position_bias(original, (gh, gw))
-    for i, j in product(range(gh * gw), repeat=2):
-        ih, iw = divmod(i, gw)
-        jh, jw = divmod(j, gw)
-        assert ba[i, j] == adaptive.table[(ih - jh) % gh, (iw - jw) % gw]
-        assert bo[i, j] == original.table[ih - jh + gh - 1, iw - jw + gw - 1]
+    for gh, gw in ((3, 4), (1, 4)):
+        adaptive = RpeTable.adaptive(rng.uniform(-1, 1, (gh, gw)))
+        original = RpeTable.original(rng.uniform(-1, 1, (2 * gh - 1, 2 * gw - 1)))
+        ba = position_bias(adaptive, (gh, gw))
+        bo = position_bias(original, (gh, gw))
+        assert ba.shape == bo.shape == (gh * gw, gh * gw)
+        for i, j in product(range(gh * gw), repeat=2):
+            ih, iw = divmod(i, gw)
+            jh, jw = divmod(j, gw)
+            assert ba[i, j] == adaptive.table[(ih - jh) % gh, (iw - jw) % gw]
+            assert bo[i, j] == original.table[ih - jh + gh - 1, iw - jw + gw - 1]
 
 
 def test_position_bias_none_is_none():
@@ -168,14 +167,14 @@ def test_bias_table_validation():
         RpeTable("fancy", np.zeros(3))
     with pytest.raises(ParameterError):
         RpeTable("none", np.zeros(3))
-    with pytest.raises(ParameterError):
-        rpe_matrix(RpeTable.adaptive(np.zeros(4)), 4)
-    with pytest.raises(ParameterError):
-        adaptive_rpe_matrix(RpeTable.original(np.zeros(7)), 4)
     with pytest.raises(ShapeError):
-        rpe_matrix(RpeTable.original(np.zeros(6)), 4)
+        position_bias(RpeTable.original(np.zeros(6)), (4,))
     with pytest.raises(ShapeError):
-        adaptive_rpe_matrix(RpeTable.adaptive(np.zeros(3)), 4)
+        position_bias(RpeTable.adaptive(np.zeros(3)), (4,))
+    with pytest.raises(ShapeError):
+        position_bias(RpeTable.original(np.zeros(4)), (4,))
+    with pytest.raises(ShapeError):
+        position_bias(RpeTable.original(np.zeros((3, 5))), (2, 4))
     with pytest.raises(ShapeError):
         position_bias(RpeTable.adaptive(np.zeros(4)), (2, 2))
     with pytest.raises(ShapeError):
@@ -284,7 +283,8 @@ def wsa_window_loop(t: TokenMatrix, w: int, params: AttentionParams, rpe) -> np.
 
 @pytest.mark.parametrize("kind", ["none", "original", "adaptive"])
 @pytest.mark.parametrize(
-    "grid, w, d", [((16,), 4, 8), ((12,), 3, 5), ((8, 8), 4, 16), ((6, 6), 2, 5)]
+    "grid, w, d",
+    [((16,), 4, 8), ((12,), 3, 5), ((8, 8), 4, 16), ((6, 6), 2, 5), ((4, 8), 2, 5), ((8, 4), 4, 3)],
 )
 def test_wsa_matches_per_window_sa_bit_for_bit(grid, w, d, kind):
     rng = np.random.default_rng(19)
@@ -327,6 +327,18 @@ def test_a_wsa_selects_highest_energy_anchor():
     assert trace.entries[0].kind == WSA
     assert trace.entries[0].offset == (1,)
     assert np.array_equal(out.data, wsa(t.shift(1), WindowConfig(2), params).data)
+
+
+def test_a_wsa_constant_tokens_tie_to_anchor_zero():
+    rng = np.random.default_rng(23)
+    params = rand_params(rng, 3)
+    cfg = WindowConfig(2)
+    for grid in ((8,), (4, 4)):
+        t = TokenMatrix(np.ones((int(np.prod(grid)), 3)), grid)
+        out, trace = a_wsa(t, cfg, params)
+        assert trace.entries[0].offset == (0,) * len(grid)
+        assert trace.entries[0].tied
+        assert np.array_equal(out.data, wsa(t, cfg, params).data)
 
 
 def test_a_wsa_aligns_under_rotation():

@@ -226,6 +226,17 @@ def test_replay_rejects_overflowing_payload(tmp_path, capsys):
     assert err.startswith("error: claim2 payload") and "Traceback" not in err
 
 
+def test_replay_of_tied_trial_exits_zero(tmp_path, capsys):
+    # Scaled by 1e308 every patch energy overflows to inf, so all offsets tie and
+    # the recomputed trial is not asserted, as in the suite itself.
+    payload, _ = next(PROPERTIES["claim1"].sample(SuiteConfig(trials=1)))
+    payload["x"] = payload["x"] * 1e308
+    path = tmp_path / "tied.replay.json"
+    path.write_text(json.dumps(_counterexample("claim1", 0.0, 1.0, payload)))
+    assert main(["replay", str(path)]) == 0
+    assert "tied" in capsys.readouterr().out
+
+
 def test_2d_counterexample_replays(tmp_path, capsys):
     config = tmp_path / "2d.json"
     config.write_text(json.dumps({"input_shape": [32, 32]}))

@@ -73,6 +73,11 @@ def test_pmerge_rank2_grouping_order():
     t = TokenMatrix(np.arange(8.0).reshape(4, 2), (2, 2))
     out = pmerge(t, MergeConfig(2, np.eye(8)))
     assert np.array_equal(out.data, [[0, 1, 2, 3, 4, 5, 6, 7]])
+    # Two tiles side by side on a 2x4 grid: rows (0, 1, 4, 5), then (2, 3, 6, 7).
+    t = TokenMatrix(np.arange(16.0).reshape(8, 2), (2, 4))
+    out = pmerge(t, MergeConfig(2, np.eye(8)))
+    assert out.grid_shape == (1, 2)
+    assert np.array_equal(out.data, [[0, 1, 2, 3, 8, 9, 10, 11], [4, 5, 6, 7, 12, 13, 14, 15]])
 
 
 def test_pmerge_is_not_shift_equivariant():

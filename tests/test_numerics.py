@@ -5,6 +5,7 @@ independent of the vectorized implementations they pin down.
 """
 
 import math
+from itertools import product
 
 import numpy as np
 import pytest
@@ -17,9 +18,11 @@ from eqvit.numerics import (
     argmax_tiebreak,
     argmax_with_tie,
     as_offset,
+    blocks,
     freeze,
     project_rows,
     rotation_index,
+    unblocks,
 )
 
 
@@ -275,3 +278,17 @@ def test_frozen_arrays_are_read_only():
     x = GridSignal(np.ones((3, 1)))
     with pytest.raises(ValueError):
         x.data[0, 0] = 2.0
+
+
+def test_blocks_layout_and_inverse():
+    # Blocks row-major over the grid, positions row-major within each block.
+    rng = np.random.default_rng(31)
+    for grid, b in (((6,), 3), ((4, 8), 2), ((8, 4), 4), ((2, 6), 2)):
+        arr = rng.uniform(-1, 1, (*grid, 3))
+        stack = blocks(arr, b)
+        anchors = product(*(range(0, g, b) for g in grid))
+        for k, anchor in enumerate(anchors):
+            for i, delta in enumerate(product(range(b), repeat=len(grid))):
+                cell = tuple(a + d for a, d in zip(anchor, delta))
+                assert np.array_equal(stack[k, i], arr[cell])
+        assert np.array_equal(unblocks(stack, grid, b), arr)
