@@ -6,7 +6,8 @@ circular table indexes distance mod M, is circulant, and commutes with
 rotation.  Window attention runs independent self-attention per
 non-overlapping block; the adaptive variant first rotates the token grid to
 the window anchor with the highest pooled token energy so that blocks cover
-the same tokens regardless of how the input was shifted.
+the same tokens regardless of how the input was shifted.  Every op takes a
+batched `TokenMatrix` too, and the adaptive one picks an anchor per sample.
 """
 
 from __future__ import annotations
@@ -18,22 +19,23 @@ from itertools import product
 import numpy as np
 
 from .errors import ParameterError, ShapeError
-from .numerics import best_phase, blocks, freeze, require_finite, rotation_index
+from .numerics import best_phase, blocks, freeze, require_finite, rotate_rows, rotation_index
 from .numerics import softmax_rows, stable_sum, unblocks
 from .tokenizer import TokenMatrix
-from .trace import WSA, SelectionTrace
+from .trace import WSA, BatchTrace, SelectionTrace, selections
 
 NONE = "none"
 ORIGINAL = "original"
 ADAPTIVE = "adaptive"
 
 
-# Window scoring functionals; each is exactly invariant to any permutation
+# Window scoring functionals, reducing the last axis (one candidate's
+# energies, or a stack of them); each is exactly invariant to any permutation
 # of the candidate energies so scores transfer bit-for-bit across shifts.
 WINDOW_FNS = {
-    "max": lambda v: float(np.max(v)),
-    "sum": stable_sum,
-    "l2": lambda v: float(np.sqrt(stable_sum(np.square(v)))),
+    "max": lambda v: np.max(v, axis=-1),
+    "sum": lambda v: stable_sum(v, axis=-1),
+    "l2": lambda v: np.sqrt(stable_sum(np.square(v), axis=-1)),
 }
 
 
@@ -144,7 +146,8 @@ def _bias_index(grid: tuple[int, ...], kind: str) -> tuple[tuple[int, ...], np.n
 
 def _attend(x: np.ndarray, params: AttentionParams, rpe: RpeTable | None, grid) -> np.ndarray:
     """Attention within each (M, D) set of a stack on one `grid`, bias built once.
-    The stacked `@` runs one GEMM per set, bit-identical to that set alone."""
+    The stacked `@` runs one GEMM per set, bit-identical to that set alone, so
+    the leading axes (samples, windows) never enter a GEMM's M dimension."""
     if x.shape[-1] != params.dim_in:
         raise ShapeError(f"tokens of dim {x.shape[-1]} vs projections of dim {params.dim_in}")
     q, k, v = (x @ e for e in (params.e_q, params.e_k, params.e_v))
@@ -156,7 +159,7 @@ def _attend(x: np.ndarray, params: AttentionParams, rpe: RpeTable | None, grid) 
 
 
 def sa(tokens: TokenMatrix, params: AttentionParams, rpe: RpeTable | None = None) -> TokenMatrix:
-    """Scaled dot-product self-attention over all tokens, optional bias."""
+    """Scaled dot-product self-attention over all tokens (of each sample), optional bias."""
     grid = tokens.grid_shape
     return TokenMatrix._fresh(_attend(tokens.data, params, rpe, grid), grid)
 
@@ -191,14 +194,15 @@ def window_energy(tokens: TokenMatrix, cfg: WindowConfig) -> np.ndarray:
 
     Entry k averages the lp norms of the tokens in the circular window of
     edge W starting at k.  Accumulation order over the window taps is fixed,
-    so a grid rotation of the tokens rotates this grid bit-exactly.
+    so a grid rotation of the tokens rotates this grid bit-exactly.  A batch
+    gives (B, *grid).
     """
     _check_window(tokens, cfg)
-    norms = np.sum(np.abs(tokens.data) ** cfg.energy_p, axis=1) ** (1.0 / cfg.energy_p)
+    norms = np.sum(np.abs(tokens.data) ** cfg.energy_p, axis=-1) ** (1.0 / cfg.energy_p)
     acc = np.zeros_like(norms)
     for delta in product(range(cfg.window), repeat=tokens.rank):
-        acc += norms.take(rotation_index(tokens.grid_shape, delta))
-    return acc.reshape(tokens.grid_shape) / float(cfg.window**tokens.rank)
+        acc += norms.take(rotation_index(tokens.grid_shape, delta), axis=-1)
+    return acc.reshape(tokens.grid().shape[:-1]) / float(cfg.window**tokens.rank)
 
 
 def wsa(
@@ -215,8 +219,9 @@ def wsa(
     """
     _check_window(tokens, cfg)
     w = cfg.window
-    stacked = _attend(blocks(tokens.grid(), w), params, rpe, (w,) * tokens.rank)
-    data = unblocks(stacked, tokens.grid_shape, w).reshape(tokens.count, -1)
+    windows = blocks(tokens.grid(), w, lead=tokens.data.ndim - 2)
+    stacked = _attend(windows, params, rpe, (w,) * tokens.rank)
+    data = unblocks(stacked, tokens.grid_shape, w).reshape(*tokens.data.shape[:-1], -1)
     return TokenMatrix._fresh(data, tokens.grid_shape)
 
 
@@ -225,15 +230,23 @@ def a_wsa(
     cfg: WindowConfig,
     params: AttentionParams,
     rpe: RpeTable | None = None,
-) -> tuple[TokenMatrix, SelectionTrace]:
+) -> tuple[TokenMatrix, SelectionTrace | BatchTrace]:
     """Window self-attention aligned to the best-energy window anchor.
 
     Scores each of the W (rank 2: W x W) candidate anchors by applying the
     configured functional to the window energies sampled at that phase,
     rotates the token grid to the winning anchor, and runs wsa there.  The
-    output lives on the rotated grid; the chosen offset is recorded.
+    output lives on the rotated grid; the chosen offset is recorded.  A batch
+    picks and rotates per sample and returns a `BatchTrace`.
     """
     energies = window_energy(tokens, cfg)
-    best, _, tied = best_phase(energies, cfg.window, tokens.rank, WINDOW_FNS[cfg.energy_fn])
-    out = wsa(tokens.shift(best), cfg, params, rpe)
-    return out, SelectionTrace.single(WSA, best, tied)
+    score = WINDOW_FNS[cfg.energy_fn]
+    offsets, _, tied = best_phase(
+        energies.reshape(-1, *tokens.grid_shape, 1),
+        cfg.window,
+        tokens.rank,
+        lambda comps: score(comps[..., 0]),
+    )
+    rotated = rotate_rows(tokens.stack(), tokens.grid_shape, offsets)
+    out = wsa(tokens.like(rotated, tokens.grid_shape), cfg, params, rpe)
+    return out, selections(WSA, offsets, tied, tokens.batched)

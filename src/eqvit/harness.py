@@ -15,10 +15,12 @@ Every suite draws from a PCG64 stream derived from (seed, suite index), so
 a run is a pure function of its SuiteConfig and reports are byte-stable.
 
 The six trial-based suites (lemma1 through end2end) are rows of one
-property table, run by one loop: a payload sampler, one check (payload ->
-divergence, agree, tied) and a tolerance.  `replay` and the ablation search
-call the same checks, so a replayed counterexample cannot drift from the
-suite that found it.
+property table, run by one loop: a payload sampler, one check (payloads ->
+divergence, agree, tied per payload) and a tolerance.  The loop hands the
+check its trials in order-preserving chunks of at most `TRIAL_BATCH`, and
+the claim1, claim2 and end2end checks run each chunk as one batch through
+the model ops.  `replay` and the ablation search call the same checks, so a
+replayed counterexample cannot drift from the suite that found it.
 """
 
 from __future__ import annotations
@@ -27,7 +29,7 @@ import dataclasses
 from collections.abc import Callable, Iterator
 from dataclasses import dataclass, field
 from functools import partial
-from itertools import product
+from itertools import count, product, repeat
 from math import prod
 
 import numpy as np
@@ -35,9 +37,10 @@ import numpy as np
 from .attention import ADAPTIVE, AttentionParams, RpeTable, WindowConfig, a_wsa
 from .errors import ConfigError, ParameterError, ShapeError, TraceError
 from .merging import MergeConfig, a_pmerge, pmerge, pmerge_conv_fullrate
-from .metrics import ShiftSampler, c_cons, mascc, s_cons_zeropad, synthetic_inputs
-from .numerics import GridSignal, circular_shift, require_finite
-from .pipeline import SWITCHES, Model, ModelConfig, build_model, check_seed, forward
+from .metrics import ShiftSampler, c_cons, consistency, s_cons_zeropad, synthetic_inputs
+from .numerics import GridSignal, as_offset, circular_shift, max_abs_rows, require_finite
+from .numerics import rotate_rows, rotation_index
+from .pipeline import MAX_BATCH, SWITCHES, Model, ModelConfig, build_model, check_seed, forward
 from .tokenizer import PatchEmbedConfig, TokenMatrix, a_token, lemma1_sides
 
 SUITES = ("lemma1", "claim1", "claim2", "claim3", "apmerge", "end2end", "metrics", "ablation")
@@ -62,6 +65,10 @@ DEFAULT_TRIALS = {
 }
 
 _SEED_INDEX = {name: i + 1 for i, name in enumerate(SUITES)}
+
+# Trials per check call; a batched check runs at most two model inputs per
+# trial, so no batch exceeds `MAX_BATCH`.
+TRIAL_BATCH = MAX_BATCH // 2
 
 # Search model for the ablation suite.  The window must not be a multiple of
 # the merge stride: aligned window attention rotates token grids by window
@@ -163,10 +170,19 @@ def _max_abs(a: np.ndarray, b: np.ndarray) -> float:
     return float(np.max(np.abs(a - b)))
 
 
-def _best_alignment(shifted: TokenMatrix, base: TokenMatrix, step: int = 1) -> float:
-    """Smallest max-abs difference over grid rotations of `base` by `step`."""
-    candidates = product(*(range(0, g, step) for g in base.grid_shape))
-    return min(_max_abs(shifted.data, base.shift(r).data) for r in candidates)
+def _best_alignment(shifted: TokenMatrix, base: TokenMatrix, step: int = 1):
+    """Smallest max-abs difference over grid rotations of `base` by `step`,
+    per sample of a batch (a float for one token matrix)."""
+    rotations = list(product(*(range(0, g, step) for g in base.grid_shape)))
+    a, b = shifted.stack(), base.stack()
+    divs = np.empty((len(a), len(rotations)))
+    for j, r in enumerate(rotations):
+        rotated = b.take(rotation_index(base.grid_shape, r), axis=1)
+        divs[:, j] = np.abs(a - rotated).reshape(len(a), -1).max(axis=-1)
+    # As Python's `min`: a NaN candidate (an overflowed payload) is skipped
+    # unless it comes first.
+    best = np.where(np.isnan(divs[:, 0]), divs[:, 0], np.fmin.reduce(divs, axis=1))
+    return best if base.batched else float(best[0])
 
 
 def _json_kind(value) -> tuple[str, bool]:
@@ -200,15 +216,26 @@ class Property:
 
     `sample(sc)` yields (payload, shared) per trial: the payload holds every
     input the check reads, `shared` the objects built once per suite from its
-    fixed fields, or None.  `check(payload, shared=None)` builds what it is
-    not given, as replay does, and returns (divergence, agree, tied); `agree`
-    is False when labels differ.  A trial passes when it agrees within
-    `tolerance`; tied trials are counted, not asserted.
+    fixed fields, or None.  `check(payloads, shared=None)` takes a list of
+    payloads that share those fixed fields, builds what it is not given, as
+    replay does, and returns (divergence, agree, tied) arrays with one entry
+    per payload; `agree` is False when labels differ.  A trial passes when
+    it agrees within `tolerance`; tied trials are counted, not asserted.
     """
 
     sample: Callable[[SuiteConfig], Iterator[tuple[dict, object]]]
-    check: Callable[..., tuple[float, bool, bool]]
+    check: Callable[..., tuple[np.ndarray, np.ndarray, np.ndarray]]
     tolerance: float
+
+
+def _per_trial(check) -> Callable[..., tuple[np.ndarray, np.ndarray, np.ndarray]]:
+    """A check over a list of payloads from one that takes a single payload."""
+
+    def batch(payloads: list[dict], shared=None):
+        results = [check(payload, shared) for payload in payloads]
+        return tuple(np.array(column) for column in zip(*results))
+
+    return batch
 
 
 def _lemma1_trials(sc: SuiteConfig):
@@ -242,14 +269,15 @@ def _claim1_trials(sc: SuiteConfig):
         yield {**fixed, "x": x, "shift": int(rng.integers(0, n))}, cfg
 
 
-def _claim1_check(payload: dict, cfg: PatchEmbedConfig | None = None):
-    cfg = cfg or PatchEmbedConfig(
-        payload["l"], np.asarray(payload["embed"]), payload["invariant_fn"]
-    )
-    x = GridSignal(np.asarray(payload["x"]))
-    base, tb = a_token(x, cfg)
-    out, ts = a_token(circular_shift(x, int(payload["shift"])), cfg)
-    return _best_alignment(out, base), True, tb.any_tied or ts.any_tied
+def _claim1_check(payloads: list[dict], cfg: PatchEmbedConfig | None = None):
+    """Each input and its shift as two `a_token` batches."""
+    first = payloads[0]
+    cfg = cfg or PatchEmbedConfig(first["l"], np.asarray(first["embed"]), first["invariant_fn"])
+    xs = [GridSignal(np.asarray(p["x"])) for p in payloads]
+    base, tb = a_token(xs, cfg)
+    out, ts = a_token([circular_shift(x, int(p["shift"])) for x, p in zip(xs, payloads)], cfg)
+    n = len(payloads)
+    return _best_alignment(out, base), np.ones(n, bool), tb.any_tied(n) | ts.any_tied(n)
 
 
 def _window_attention(payload: dict) -> tuple[WindowConfig, AttentionParams, RpeTable]:
@@ -280,12 +308,18 @@ def _claim2_trials(sc: SuiteConfig):
         yield {**fixed, "t": t, "shift": [int(rng.integers(0, m))]}, parts
 
 
-def _claim2_check(payload: dict, parts=None):
-    wcfg, params, rpe = parts or _window_attention(payload)
-    t = TokenMatrix(np.asarray(payload["t"]), tuple(payload["grid"]))
+def _claim2_check(payloads: list[dict], parts=None):
+    """The token matrices and their shifts as two `a_wsa` batches."""
+    wcfg, params, rpe = parts or _window_attention(payloads[0])
+    grid = tuple(payloads[0]["grid"])
+    mats = [TokenMatrix(np.asarray(p["t"]), grid).data for p in payloads]
+    shifts = np.array([as_offset(tuple(p["shift"]), len(grid)) for p in payloads])
+    t = TokenMatrix._fresh(np.stack(mats), grid)
     base, tb = a_wsa(t, wcfg, params, rpe)
-    out, ts = a_wsa(t.shift(tuple(payload["shift"])), wcfg, params, rpe)
-    return _best_alignment(out, base, step=wcfg.window), True, tb.any_tied or ts.any_tied
+    out, ts = a_wsa(TokenMatrix._fresh(rotate_rows(t.data, grid, shifts), grid), wcfg, params, rpe)
+    n = len(payloads)
+    div = _best_alignment(out, base, step=wcfg.window)
+    return div, np.ones(n, bool), tb.any_tied(n) | ts.any_tied(n)
 
 
 def _claim3_trials(sc: SuiteConfig):
@@ -349,37 +383,55 @@ def _end2end_trials(sc: SuiteConfig):
         yield {**fixed, "input": inputs[i].data, "shift_a": off_a, "shift_b": off_b}, model
 
 
-def _end2end_divergence(payload: dict, model: Model | None = None):
-    """end2end and ablation check: one input at two shifts through both heads.
+def _end2end_divergence(payloads: list[dict], model: Model | None = None):
+    """end2end and ablation check: each input at two shifts through both heads,
+    all shifted inputs as one `forward` batch.
 
     Logits and labels must agree.  Check "both" also compares the decoded
     maps, each rotated back by its shift, and their per-position argmax.
     """
-    if payload["check"] not in ("classify", "both"):
-        raise ConfigError(f"end2end check must be 'classify' or 'both', not {payload['check']!r}")
-    model = model or build_model(ModelConfig.from_dict(payload["model_config"]))
-    x = GridSignal(np.asarray(payload["input"]))
-    off_a, off_b = tuple(payload["shift_a"]), tuple(payload["shift_b"])
-    logits_a, label_a, map_a, trace_a = forward(model, circular_shift(x, off_a))
-    logits_b, label_b, map_b, trace_b = forward(model, circular_shift(x, off_b))
-    div = _max_abs(logits_a, logits_b)
-    agree = label_a == label_b
-    if payload["check"] == "both":
-        axes = tuple(range(x.rank))
-        back_a, back_b = np.roll(map_a, off_a, axis=axes), np.roll(map_b, off_b, axis=axes)
-        div = max(div, _max_abs(back_a, back_b))
-        agree = agree and bool(np.all(np.argmax(back_a, -1) == np.argmax(back_b, -1)))
-    return div, agree, trace_a.any_tied or trace_b.any_tied
+    check = payloads[0]["check"]
+    if check not in ("classify", "both"):
+        raise ConfigError(f"end2end check must be 'classify' or 'both', not {check!r}")
+    model = model or build_model(ModelConfig.from_dict(payloads[0]["model_config"]))
+    cfg, n = model.config, len(payloads)
+    xs = [GridSignal(np.asarray(p["input"])) for p in payloads]
+    offs = np.array([as_offset(p[k], cfg.rank) for k in ("shift_a", "shift_b") for p in payloads])
+    shifted = [circular_shift(x, tuple(off)) for x, off in zip(xs + xs, offs.tolist())]
+    logits, labels, maps, trace = forward(model, shifted)
+    div = max_abs_rows(logits[:n], logits[n:])
+    agree = labels[:n] == labels[n:]
+    if check == "both":
+        back = rotate_rows(maps.reshape(2 * n, -1, maps.shape[-1]), cfg.input_shape, -offs)
+        div = np.maximum(div, max_abs_rows(back[:n], back[n:]))
+        agree &= np.all(np.argmax(back[:n], -1) == np.argmax(back[n:], -1), axis=-1)
+    tied = trace.any_tied(2 * n)
+    return div, agree, tied[:n] | tied[n:]
 
 
 PROPERTIES = {
-    "lemma1": Property(_lemma1_trials, _lemma1_check, TOL_EXACT),
+    "lemma1": Property(_lemma1_trials, _per_trial(_lemma1_check), TOL_EXACT),
     "claim1": Property(_claim1_trials, _claim1_check, TOL_EXACT),
     "claim2": Property(_claim2_trials, _claim2_check, TOL_ROUTE),
-    "claim3": Property(_claim3_trials, _claim3_check, TOL_ROUTE),
-    "apmerge": Property(_apmerge_trials, _apmerge_check, TOL_EXACT),
+    "claim3": Property(_claim3_trials, _per_trial(_claim3_check), TOL_ROUTE),
+    "apmerge": Property(_apmerge_trials, _per_trial(_apmerge_check), TOL_EXACT),
     "end2end": Property(_end2end_trials, _end2end_divergence, TOL_END2END),
 }
+
+
+def _chunks(trials: Iterator[tuple[dict, object]], sizes) -> Iterator[tuple[list[dict], object]]:
+    """Consecutive (payloads, shared) chunks in trial order.  A chunk holds at
+    most the next of `sizes` trials, all with one shared object."""
+    sizes = iter(sizes)
+    payloads, shared, limit = [], None, next(sizes)
+    for payload, obj in trials:
+        if payloads and (obj is not shared or len(payloads) == limit):
+            yield payloads, shared
+            payloads, limit = [], next(sizes)
+        payloads.append(payload)
+        shared = obj
+    if payloads:
+        yield payloads, shared
 
 
 def _run_property(name: str, sc: SuiteConfig) -> SuiteResult:
@@ -388,17 +440,18 @@ def _run_property(name: str, sc: SuiteConfig) -> SuiteResult:
     trials = passes = ties = 0
     max_div = 0.0
     worst = None
-    for payload, shared in prop.sample(sc):
-        trials += 1
-        div, agree, tied = prop.check(payload, shared)
-        if tied:
-            ties += 1
-            continue
-        max_div = max(max_div, div)
-        if agree and div <= prop.tolerance:
-            passes += 1
-        elif worst is None:
-            worst = _counterexample(name, prop.tolerance, div, payload)
+    for payloads, shared in _chunks(prop.sample(sc), repeat(TRIAL_BATCH)):
+        divs, agrees, tieds = (a.tolist() for a in prop.check(payloads, shared))
+        for payload, div, agree, tied in zip(payloads, divs, agrees, tieds):
+            trials += 1
+            if tied:
+                ties += 1
+                continue
+            max_div = max(max_div, div)
+            if agree and div <= prop.tolerance:
+                passes += 1
+            elif worst is None:
+                worst = _counterexample(name, prop.tolerance, div, payload)
     failures = trials - ties - passes
     return SuiteResult(name, trials, passes, failures, max_div, ties, counterexample=worst)
 
@@ -432,8 +485,7 @@ def run_metrics(sc: SuiteConfig) -> SuiteResult:
         cfg.input_shape, cfg.channels, count, sc.derived_seed("metrics", 1)
     )
     sampler = ShiftSampler.for_shape(cfg.input_shape, pairs, sc.derived_seed("metrics", 2))
-    rep_c = c_cons(model, inputs, sampler)
-    rep_m = mascc(model, inputs, sampler)
+    rep_c, rep_m = consistency(model, inputs, sampler)
     rep_s = s_cons_zeropad(model, inputs, sampler)
     fully_adaptive = cfg.a_token and cfg.a_wsa and cfg.a_pmerge and cfg.adaptive_rpe
     trials = rep_c.trials + rep_m.trials + rep_s.trials
@@ -479,21 +531,31 @@ def _ablation_search(
     rng = np.random.default_rng([sc.seed, _SEED_INDEX["ablation"], SWITCHES.index(switch)])
     shape, channels = cfg.input_shape, cfg.channels
     fixed = {"model_config": cfg.to_dict(), "check": "classify"}
+
+    def trials():
+        for _ in range(budget):
+            yield {
+                **fixed,
+                "input": rng.uniform(-1.0, 1.0, size=(*shape, channels)),
+                "shift_a": [int(rng.integers(0, n // 2)) for n in shape],
+                "shift_b": [int(rng.integers(0, n // 2)) for n in shape],
+            }, model
+
+    # Chunks double from one trial, so a counterexample found early costs
+    # little more than trial-by-trial search; the draws stay in trial order.
+    sizes = (min(2**k, TRIAL_BATCH) for k in count())
     found = None
     used = ties = 0
-    for used in range(1, budget + 1):
-        payload = {
-            **fixed,
-            "input": rng.uniform(-1.0, 1.0, size=(*shape, channels)),
-            "shift_a": [int(rng.integers(0, n // 2)) for n in shape],
-            "shift_b": [int(rng.integers(0, n // 2)) for n in shape],
-        }
-        div, agree, tied = _end2end_divergence(payload, model)
-        if tied:
-            ties += 1
-            continue
-        if div > TOL_END2END or not agree:
-            found = _counterexample("ablation", TOL_END2END, div, payload)
+    for payloads, _ in _chunks(trials(), sizes):
+        divs, agrees, tieds = (a.tolist() for a in _end2end_divergence(payloads, model))
+        for payload, div, agree, tied in zip(payloads, divs, agrees, tieds):
+            used += 1
+            if tied:
+                ties += 1
+            elif div > TOL_END2END or not agree:
+                found = _counterexample("ablation", TOL_END2END, div, payload)
+                break
+        if found is not None:
             break
     summary = {"switch": switch, "found": found is not None, "trials": used, "ties": ties}
     if found is not None:
@@ -604,7 +666,11 @@ def replay(document: dict) -> tuple[int, str]:
     recorded = float(document["divergence"])
     tolerance = float(document["tolerance"])
     try:
-        div, _, tied = prop.check(payload)
+        # Payloads scaled toward the float range overflow inside the ops; the
+        # outcome below says what that means, so NumPy's warnings are noise.
+        with np.errstate(over="ignore", invalid="ignore"):
+            divs, _, tieds = prop.check([payload])
+        div, tied = float(divs[0]), bool(tieds[0])
         require_finite(np.asarray(div), "its divergence")
     except (ShapeError, ParameterError, TraceError) as err:
         raise ConfigError(f"{suite} payload cannot be checked: {err}") from err

@@ -6,7 +6,8 @@ stride-P subsample of a full-rate circular convolution, which is what the
 full-rate form computes: project the group anchored at every grid position.
 Polyphase selection then keeps whichever of the P (or P x P) downsampling
 phases carries the most energy, so a rotation of the token grid changes
-which phase wins instead of changing the values.
+which phase wins instead of changing the values.  Every op takes a batched
+`TokenMatrix` too, with one phase per sample.
 """
 
 from __future__ import annotations
@@ -26,9 +27,10 @@ from .numerics import (
     lp_norm,
     project_rows,
     require_finite,
+    scatter_phases,
 )
 from .tokenizer import TokenMatrix
-from .trace import MERGE, WSA, SelectionTrace
+from .trace import MERGE, WSA, BatchTrace, SelectionTrace
 
 
 @dataclass(frozen=True)
@@ -72,8 +74,9 @@ def pmerge(tokens: TokenMatrix, cfg: MergeConfig) -> TokenMatrix:
     row-major over (position, channel)."""
     _check_merge(tokens, cfg)
     grid = tuple(g // cfg.factor for g in tokens.grid_shape)
-    rows = blocks(tokens.grid(), cfg.factor).reshape(prod(grid), -1)
-    return TokenMatrix._fresh(project_rows(rows, cfg.embed), grid)
+    rows = blocks(tokens.grid(), cfg.factor, tokens.data.ndim - 2).reshape(-1, cfg.embed.shape[0])
+    out = project_rows(rows, cfg.embed)
+    return TokenMatrix._fresh(out.reshape(*tokens.data.shape[:-2], prod(grid), -1), grid)
 
 
 def pmerge_conv_fullrate(tokens: TokenMatrix, cfg: MergeConfig) -> TokenMatrix:
@@ -85,51 +88,61 @@ def pmerge_conv_fullrate(tokens: TokenMatrix, cfg: MergeConfig) -> TokenMatrix:
     """
     _check_merge(tokens, cfg)
     d = tokens.dim
-    out = np.zeros((tokens.count, cfg.dim_out))
+    out = np.zeros((tokens.data.size // d, cfg.dim_out))
     # One tap per in-group position, row-major; each tap contributes the
     # matching row block of the merge projection.  Fixed order keeps the
     # accumulation exact under grid rotation.
     for i, delta in enumerate(product(range(cfg.factor), repeat=tokens.rank)):
         block = cfg.embed[i * d : (i + 1) * d, :]
-        out += project_rows(tokens.shift(delta).data, block)
-    return TokenMatrix._fresh(out, tokens.grid_shape)
+        out += project_rows(tokens.shift(delta).data.reshape(-1, d), block)
+    return TokenMatrix._fresh(out.reshape(*tokens.data.shape[:-1], -1), tokens.grid_shape)
 
 
 def aps(
     tokens: TokenMatrix, factor: int, energy_p: float = 2.0
-) -> tuple[TokenMatrix, Offset, bool]:
+) -> tuple[TokenMatrix, Offset | np.ndarray, bool | np.ndarray]:
     """Keep the stride-`factor` polyphase component with the largest norm.
 
     Components are the strided subgrids at each of the factor (rank 2:
     factor x factor) phases; each is scored by the lp norm pooled over all
     its entries and channels.  Exact ties resolve to the lowest row-major
-    phase and are flagged.
+    phase and are flagged.  A batch selects per sample and returns (B, rank)
+    phases and (B,) flags.
     """
     if factor < 1:
         raise ParameterError(f"factor must be >= 1, got {factor}")
     for g in tokens.grid_shape:
         if g % factor:
             raise ShapeError(f"grid axis {g} is not divisible by factor {factor}")
-    phase, comp, tied = best_phase(
-        tokens.grid(), factor, tokens.rank, lambda c: lp_norm(c, energy_p)
+    phases, comp, tied = best_phase(
+        tokens.stack().reshape(-1, *tokens.grid_shape, tokens.dim),
+        factor,
+        tokens.rank,
+        lambda comps: lp_norm(comps.reshape(len(comps), -1), energy_p, axis=-1),
     )
-    out_grid = tuple(g // factor for g in tokens.grid_shape)
-    return TokenMatrix._fresh(comp.reshape(prod(out_grid), tokens.dim), out_grid), phase, tied
+    out = tokens.like(comp, tuple(g // factor for g in tokens.grid_shape))
+    if tokens.batched:
+        return out, phases, tied
+    return out, tuple(phases[0].tolist()), bool(tied[0])
 
 
-def a_pmerge(tokens: TokenMatrix, cfg: MergeConfig) -> tuple[TokenMatrix, SelectionTrace]:
+def a_pmerge(
+    tokens: TokenMatrix, cfg: MergeConfig
+) -> tuple[TokenMatrix, SelectionTrace | BatchTrace]:
     """Patch merging with energy-selected downsampling phase.
 
     Runs the full-rate convolution form and keeps the polyphase component
-    with the largest pooled norm, recording the phase.
+    with the largest pooled norm, recording the phase (per sample of a batch).
     """
     full = pmerge_conv_fullrate(tokens, cfg)
-    comp, phase, tied = aps(full, cfg.factor, cfg.energy_p)
-    return comp, SelectionTrace.single(MERGE, phase, tied)
+    comp, phases, tied = aps(full, cfg.factor, cfg.energy_p)
+    if tokens.batched:
+        return comp, BatchTrace.single(MERGE, phases, tied)
+    return comp, SelectionTrace.single(MERGE, phases, tied)
 
 
 def unpool(
-    tokens: TokenMatrix, trace: SelectionTrace, factor: int, target_grid
+    tokens: TokenMatrix, trace: SelectionTrace | BatchTrace, factor: int, target_grid
 ) -> TokenMatrix:
     """Invert one merge stage: scatter tokens back to their recorded phase.
 
@@ -137,19 +150,23 @@ def unpool(
     which receive the rows of `tokens`.  Any window offsets recorded in the
     same trace are then un-applied in reverse order, so the result is
     aligned with the grid the stage originally consumed.  Re-anchoring the
-    token grid to the input resolution is the pipeline's job.
+    token grid to the input resolution is the pipeline's job.  A batch of
+    tokens takes a `BatchTrace` and un-applies each sample's own choices.
     """
     if isinstance(target_grid, (int, np.integer)):
         target_grid = (int(target_grid),)
     target_grid = tuple(int(g) for g in target_grid)
     if len(target_grid) != tokens.rank:
         raise TraceError(f"target grid {target_grid} has wrong rank for the tokens")
+    if isinstance(trace, SelectionTrace):
+        trace = BatchTrace.of(trace)
     merges = trace.of_kind(MERGE)
     if len(merges) != 1:
         raise TraceError(f"expected exactly one merge entry, found {len(merges)}")
-    phase = merges[0].offset
-    if len(phase) != tokens.rank or any(not 0 <= k < factor for k in phase):
-        raise TraceError(f"phase {phase} does not fit factor {factor}")
+    phases = merges[0].offsets
+    stack = tokens.stack()
+    if phases.shape != (len(stack), tokens.rank) or not all(0 <= k < factor for k in phases.flat):
+        raise TraceError(f"phases {phases.tolist()} do not fit factor {factor}")
     if tuple(g // factor for g in target_grid) != tokens.grid_shape or any(
         g % factor for g in target_grid
     ):
@@ -157,9 +174,9 @@ def unpool(
             f"target grid {target_grid} with factor {factor} "
             f"does not refine token grid {tokens.grid_shape}"
         )
-    out = np.zeros((*target_grid, tokens.dim))
-    out[tuple(slice(k, None, factor) for k in phase)] = tokens.grid()
-    result = TokenMatrix._fresh(out.reshape(prod(target_grid), tokens.dim), target_grid)
-    for entry in reversed(trace.of_kind(WSA)):
-        result = result.shift(tuple(-o for o in entry.offset))
-    return result
+    # Un-rotating by each window offset moves every scattered row by that
+    # offset; rotations commute, so one scatter lands them in place.
+    for entry in trace.of_kind(WSA):
+        phases = phases + entry.offsets
+    out = scatter_phases(stack, target_grid, factor, phases)
+    return tokens.like(out.reshape(len(stack), -1, tokens.dim), target_grid)

@@ -5,6 +5,8 @@ label.  mascc does the per-position analogue for dense maps: decode both
 shifted inputs, rotate the maps back, and compare argmax labels everywhere.
 s_cons_zeropad repeats the label check with standard zero-filling shifts,
 where circular reasoning no longer applies and scores drop below 1.
+`consistency` gives c_cons and mascc from one pass over the shifted inputs.
+A built model runs its shifted inputs as batches.
 """
 
 from __future__ import annotations
@@ -15,7 +17,8 @@ from statistics import fmean
 import numpy as np
 
 from .errors import ParameterError, ShapeError
-from .numerics import GridSignal, Offset, as_offset, circular_shift
+from .numerics import GridSignal, Offset, as_offset, circular_shift, max_abs_rows, rotate_rows
+from .pipeline import MAX_BATCH, Model, forward
 
 
 @dataclass(frozen=True)
@@ -131,39 +134,69 @@ def shift_zeropad(x: GridSignal, off) -> GridSignal:
     out = np.zeros_like(x.data)
     src = x.data[tuple(slice(o, None) for o in offs)]
     out[tuple(slice(0, s) for s in src.shape[: x.rank])] = src
-    return GridSignal(out)
+    return GridSignal._fresh(out)
 
 
-def _label_metric(metric, model, inputs, sampler: ShiftSampler, shifter) -> ConsistencyReport:
-    records = []
+def _run(model, signals: list[GridSignal], dense: bool):
+    """(logits, labels, maps, tied) of each signal.  A built `Model` runs them
+    as one batched `forward`; any other model object through its own
+    `encode_decode` (dense) or `classify`, one signal at a time."""
+    if isinstance(model, Model):
+        logits, labels, maps, trace = forward(model, signals)
+        return logits, labels, maps, trace.any_tied(len(signals))
+    if dense:
+        maps, traces = zip(*(model.encode_decode(x) for x in signals))
+        return None, None, np.stack(maps), np.array([t.any_tied for t in traces])
+    logits, labels, traces = zip(*(model.classify(x) for x in signals))
+    return np.stack(logits), np.array(labels), None, np.array([t.any_tied for t in traces])
+
+
+def _reports(model, inputs, sampler: ShiftSampler, shifter, metrics) -> list[ConsistencyReport]:
+    """One report per named metric over the same sampled shift pairs; both
+    shifts of every pair are encoded once, MAX_BATCH inputs at a time.
+
+    A label metric (c_cons, s_cons_zeropad) compares the two labels and
+    logits; mascc compares the decoded maps, each rotated back by its own
+    input shift, position by position.
+    """
     all_pairs = sampler.sample_pairs(len(inputs))
+    pairs = []
     for i, x in enumerate(inputs):
         sampler.check_shape(x.shape)
-        for pair in all_pairs[i]:
-            off_a, off_b = (tuple(int(o) for o in p) for p in pair)
-            logits_a, label_a, trace_a = model.classify(shifter(x, off_a))
-            logits_b, label_b, trace_b = model.classify(shifter(x, off_b))
-            records.append(
-                TrialRecord(
-                    input_id=i,
-                    shift_a=off_a,
-                    shift_b=off_b,
-                    agreement=1.0 if label_a == label_b else 0.0,
-                    divergence=float(np.max(np.abs(logits_a - logits_b))),
-                    tied=trace_a.any_tied or trace_b.any_tied,
-                )
+        pairs.extend((i, *(tuple(p) for p in pair)) for pair in all_pairs[i].tolist())
+    dense = "mascc" in metrics
+    records = {m: [] for m in metrics}
+    for start in range(0, len(pairs), MAX_BATCH // 2):
+        chunk = pairs[start : start + MAX_BATCH // 2]
+        signals = [shifter(inputs[i], off) for i, *offs in chunk for off in offs]
+        logits, labels, maps, tied = _run(model, signals, dense)
+        tied = (tied[0::2] | tied[1::2]).tolist()
+        for m in metrics:
+            if m == "mascc":
+                offs = np.array([off for _, *pair in chunk for off in pair])
+                rows = maps.reshape(len(maps), -1, maps.shape[-1])
+                back = rotate_rows(rows, maps.shape[1:-1], -offs)
+                same = np.argmax(back[0::2], -1) == np.argmax(back[1::2], -1)
+                agreement = np.mean(same, axis=-1)
+                divergence = max_abs_rows(back[0::2], back[1::2])
+            else:
+                agreement = np.where(labels[0::2] == labels[1::2], 1.0, 0.0)
+                divergence = max_abs_rows(logits[0::2], logits[1::2])
+            records[m].extend(
+                TrialRecord(*pair, a, d, t)
+                for pair, a, d, t in zip(chunk, agreement.tolist(), divergence.tolist(), tied)
             )
-    return ConsistencyReport.from_records(metric, records)
+    return [ConsistencyReport.from_records(m, records[m]) for m in metrics]
 
 
 def c_cons(model, inputs, sampler: ShiftSampler) -> ConsistencyReport:
     """Label agreement between two random circular shifts of each input."""
-    return _label_metric("c_cons", model, inputs, sampler, circular_shift)
+    return _reports(model, inputs, sampler, circular_shift, ("c_cons",))[0]
 
 
 def s_cons_zeropad(model, inputs, sampler: ShiftSampler) -> ConsistencyReport:
     """Label agreement under standard zero-filling shifts."""
-    return _label_metric("s_cons_zeropad", model, inputs, sampler, shift_zeropad)
+    return _reports(model, inputs, sampler, shift_zeropad, ("s_cons_zeropad",))[0]
 
 
 def mascc(model, inputs, sampler: ShiftSampler) -> ConsistencyReport:
@@ -172,30 +205,16 @@ def mascc(model, inputs, sampler: ShiftSampler) -> ConsistencyReport:
     Each decoded map is rotated back by its own input shift before
     comparison, so a perfectly equivariant model scores exactly 1.0.
     """
-    records = []
-    all_pairs = sampler.sample_pairs(len(inputs))
-    for i, x in enumerate(inputs):
-        sampler.check_shape(x.shape)
-        axes = tuple(range(x.rank))
-        for pair in all_pairs[i]:
-            off_a, off_b = (tuple(int(o) for o in p) for p in pair)
-            map_a, trace_a = model.encode_decode(circular_shift(x, off_a))
-            map_b, trace_b = model.encode_decode(circular_shift(x, off_b))
-            back_a = np.roll(map_a, off_a, axis=axes)
-            back_b = np.roll(map_b, off_b, axis=axes)
-            labels_a = np.argmax(back_a, axis=-1)
-            labels_b = np.argmax(back_b, axis=-1)
-            records.append(
-                TrialRecord(
-                    input_id=i,
-                    shift_a=off_a,
-                    shift_b=off_b,
-                    agreement=float(np.mean(labels_a == labels_b)),
-                    divergence=float(np.max(np.abs(back_a - back_b))),
-                    tied=trace_a.any_tied or trace_b.any_tied,
-                )
-            )
-    return ConsistencyReport.from_records("mascc", records)
+    return _reports(model, inputs, sampler, circular_shift, ("mascc",))[0]
+
+
+def consistency(
+    model, inputs, sampler: ShiftSampler
+) -> tuple[ConsistencyReport, ConsistencyReport]:
+    """c_cons and mascc from one encoder pass per shifted input: the two
+    metrics sample the same pairs, so each shift is encoded once for both."""
+    rep_c, rep_m = _reports(model, inputs, sampler, circular_shift, ("c_cons", "mascc"))
+    return rep_c, rep_m
 
 
 def synthetic_inputs(

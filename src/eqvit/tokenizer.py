@@ -7,6 +7,11 @@ re-anchors the grid at whichever of the L (or L x L) circular offsets
 maximizes a shift-invariant energy functional, which restores equivariance
 up to a token-grid rotation.  A caller's `TokenMatrix` is validated; the ops'
 own results skip that (`TokenMatrix._fresh`) and the encoder checks its output.
+
+Every op also takes a batch: a sequence of signals, or a `TokenMatrix` whose
+data is a (B, M, D) stack.  One sample is the B=1 call of the same kernel,
+and each sample of a batch gets its own selection, bit-identical to its
+call alone.
 """
 
 from __future__ import annotations
@@ -30,18 +35,20 @@ from .numerics import (
     require_finite,
     rotation_index,
     stable_sum,
+    stack_signals,
 )
-from .trace import TOKEN, SelectionTrace
+from .trace import TOKEN, BatchTrace, SelectionTrace, selections
 
 
 def _row_l2(tokens: np.ndarray) -> np.ndarray:
-    return np.sqrt(np.einsum("md,md->m", tokens, tokens))
+    return np.sqrt(np.einsum("...md,...md->...m", tokens, tokens))
 
 
+# Token energies of a (B, M, D) stack, one score per sample.
 INVARIANT_FNS = {
-    "sum_l2": lambda t: stable_sum(_row_l2(t)),
-    "max_l2": lambda t: float(np.max(_row_l2(t))),
-    "sum_l1": lambda t: stable_sum(np.abs(t).sum(axis=1)),
+    "sum_l2": lambda t: stable_sum(_row_l2(t), axis=-1),
+    "max_l2": lambda t: np.max(_row_l2(t), axis=-1),
+    "sum_l1": lambda t: stable_sum(np.abs(t).sum(axis=-1), axis=-1),
 }
 
 
@@ -50,7 +57,8 @@ class TokenMatrix:
     """M tokens of dimension D laid out row-major over a circular grid.
 
     grid_shape is (M,) for rank-1 models or (Gh, Gw) for rank-2 ones;
-    its product always equals the number of rows.
+    its product always equals the number of rows.  A batch of B token
+    matrices on one grid holds a (B, M, D) stack.
     """
 
     data: np.ndarray
@@ -58,14 +66,14 @@ class TokenMatrix:
 
     def __post_init__(self):
         arr = np.asarray(self.data, dtype=np.float64)
-        if arr.ndim != 2:
-            raise ShapeError(f"token matrix must be rank 2, got ndim={arr.ndim}")
+        if arr.ndim not in (2, 3):
+            raise ShapeError(f"token matrix must be (M, D) or (B, M, D), got ndim={arr.ndim}")
         require_finite(arr, "token matrix")
         grid = tuple(int(g) for g in self.grid_shape)
         if len(grid) not in (1, 2) or min(grid) < 1:
             raise ShapeError(f"bad token grid shape {grid}")
-        if prod(grid) != arr.shape[0]:
-            raise ShapeError(f"grid {grid} does not hold {arr.shape[0]} tokens")
+        if prod(grid) != arr.shape[-2]:
+            raise ShapeError(f"grid {grid} does not hold {arr.shape[-2]} tokens")
         object.__setattr__(self, "data", freeze(arr))
         object.__setattr__(self, "grid_shape", grid)
 
@@ -80,24 +88,37 @@ class TokenMatrix:
 
     @property
     def count(self) -> int:
-        return self.data.shape[0]
+        return self.data.shape[-2]
 
     @property
     def dim(self) -> int:
-        return self.data.shape[1]
+        return self.data.shape[-1]
 
     @property
     def rank(self) -> int:
         return len(self.grid_shape)
 
+    @property
+    def batched(self) -> bool:
+        return self.data.ndim == 3
+
     def grid(self) -> np.ndarray:
-        """View of the tokens shaped (*grid_shape, D)."""
-        return self.data.reshape(*self.grid_shape, self.dim)
+        """View of the tokens shaped (*grid_shape, D), or (B, *grid_shape, D)."""
+        return self.data.reshape(*self.data.shape[:-2], *self.grid_shape, self.dim)
+
+    def stack(self) -> np.ndarray:
+        """The tokens as a (B, M, D) stack; one matrix is a stack of one."""
+        return self.data if self.batched else self.data[np.newaxis]
 
     def shift(self, off) -> TokenMatrix:
-        """Circularly rotate the token grid: out[k] = self[(k + off) mod G]."""
+        """Circularly rotate the token grid: out[k] = self[(k + off) mod G],
+        the same offset for every sample of a batch."""
         index = rotation_index(self.grid_shape, as_offset(off, self.rank))
-        return TokenMatrix._fresh(self.data.take(index, axis=0), self.grid_shape)
+        return TokenMatrix._fresh(self.data.take(index, axis=-2), self.grid_shape)
+
+    def like(self, stack: np.ndarray, grid_shape: tuple[int, ...]) -> TokenMatrix:
+        """A (B, M', D') stack an op computed from these tokens, batched as they are."""
+        return TokenMatrix._fresh(stack if self.batched else stack[0], grid_shape)
 
 
 @dataclass(frozen=True)
@@ -131,20 +152,25 @@ class PatchEmbedConfig:
         return self.embed.shape[1]
 
 
-def token_grid_shape(x: GridSignal, patch_len: int) -> tuple[int, ...]:
-    for n in x.shape:
+def _token_grid(shape: tuple[int, ...], patch_len: int) -> tuple[int, ...]:
+    for n in shape:
         if n % patch_len:
             raise ShapeError(f"axis length {n} is not divisible by patch_len {patch_len}")
-    return tuple(n // patch_len for n in x.shape)
+    return tuple(n // patch_len for n in shape)
 
 
-def _check_embed(x: GridSignal, cfg: PatchEmbedConfig) -> None:
-    expect = cfg.patch_len**x.rank * x.channels
+def _signal_stack(x, cfg: PatchEmbedConfig) -> tuple[np.ndarray, bool]:
+    """(B, *grid, C) stack of one signal or a sequence of them, whether it was
+    a batch; checks that the embed fits the patches."""
+    batched = not isinstance(x, GridSignal)
+    stack = stack_signals(x) if batched else x.data[np.newaxis]
+    expect = cfg.patch_len ** (stack.ndim - 2) * stack.shape[-1]
     if cfg.embed.shape[0] != expect:
         raise ShapeError(
             f"embed expects rows of width {cfg.embed.shape[0]}, "
             f"patches have {expect} entries"
         )
+    return stack, batched
 
 
 def reshape_patches(x: GridSignal, patch_len: int, off=None) -> np.ndarray:
@@ -153,48 +179,63 @@ def reshape_patches(x: GridSignal, patch_len: int, off=None) -> np.ndarray:
     Each row flattens a patch row-major over (position, channel).  Rows
     enumerate patches row-major over the token grid.
     """
-    grid = token_grid_shape(x, patch_len)
+    grid = _token_grid(x.shape, patch_len)
     offs = (0,) * x.rank if off is None else as_offset(off, x.rank)
     if any(not 0 <= o < patch_len for o in offs):
         raise ParameterError(f"offset {offs} outside [0, {patch_len})")
     return blocks(circular_shift(x, offs).data, patch_len).reshape(prod(grid), -1)
 
 
-def token(x: GridSignal, cfg: PatchEmbedConfig) -> TokenMatrix:
-    """Fixed-grid tokenization: patches anchored at offset 0, projected."""
-    _check_embed(x, cfg)
-    rows = reshape_patches(x, cfg.patch_len)
-    return TokenMatrix._fresh(project_rows(rows, cfg.embed), token_grid_shape(x, cfg.patch_len))
+def _project(stack: np.ndarray, embed: np.ndarray) -> np.ndarray:
+    """(B, M, K) rows @ embed as one einsum over all B * M rows, (B, M, D')."""
+    b, m, k = stack.shape
+    return project_rows(stack.reshape(b * m, k), embed).reshape(b, m, -1)
 
 
-def _full_rate_embed(x: GridSignal, cfg: PatchEmbedConfig) -> np.ndarray:
-    """Project the patch anchored at every grid position, shape (*grid, D).
+def token(x, cfg: PatchEmbedConfig) -> TokenMatrix:
+    """Fixed-grid tokenization: patches anchored at offset 0, projected.
+    `x` is one signal or a sequence of them (a batch)."""
+    stack, batched = _signal_stack(x, cfg)
+    grid = _token_grid(stack.shape[1:-1], cfg.patch_len)
+    rows = blocks(stack, cfg.patch_len, lead=1).reshape(len(stack), prod(grid), -1)
+    tokens = _project(rows, cfg.embed)
+    return TokenMatrix._fresh(tokens if batched else tokens[0], grid)
+
+
+def _full_rate_embed(x, cfg: PatchEmbedConfig) -> np.ndarray:
+    """Project the patch anchored at every grid position, shape (*grid, D),
+    or (B, *grid, D) for a sequence of signals.
 
     All candidate offsets are strided slices of this one product, so the
     candidates seen for an input and for its shift are gathers of bitwise
     identical values.  One gather builds the patches, taps in row-major order.
     """
-    taps = product(range(cfg.patch_len), repeat=x.rank)
-    index = np.stack([rotation_index(x.shape, delta) for delta in taps], axis=1)
-    patches = x.data.reshape(-1, x.channels).take(index, axis=0)
-    return project_rows(patches.reshape(len(index), -1), cfg.embed).reshape(*x.shape, cfg.dim)
+    stack, batched = _signal_stack(x, cfg)
+    b, *shape, c = stack.shape
+    shape = tuple(shape)
+    taps = product(range(cfg.patch_len), repeat=len(shape))
+    index = np.stack([rotation_index(shape, delta) for delta in taps], axis=1)
+    patches = stack.reshape(b, -1, c).take(index, axis=1)
+    full = _project(patches.reshape(b, len(index), -1), cfg.embed).reshape(b, *shape, cfg.dim)
+    return full if batched else full[0]
 
 
-def a_token(x: GridSignal, cfg: PatchEmbedConfig) -> tuple[TokenMatrix, SelectionTrace]:
+def a_token(x, cfg: PatchEmbedConfig) -> tuple[TokenMatrix, SelectionTrace | BatchTrace]:
     """Energy-aligned tokenization.
 
     Scores every circular patch offset with the configured invariant
     functional and tokenizes at the best one; exact score ties resolve to
-    the lowest row-major offset and are flagged in the trace.
+    the lowest row-major offset and are flagged in the trace.  `x` is one
+    signal, or a sequence of them for a (B, M, D) batch and a `BatchTrace`.
     """
-    _check_embed(x, cfg)
-    grid = token_grid_shape(x, cfg.patch_len)
+    batched = not isinstance(x, GridSignal)
+    full = _full_rate_embed(x, cfg)
+    stack = full if batched else full[np.newaxis]
+    grid = _token_grid(stack.shape[1:-1], cfg.patch_len)
     energy = INVARIANT_FNS[cfg.invariant_fn]
-    offset, sub, tied = best_phase(
-        _full_rate_embed(x, cfg), cfg.patch_len, x.rank, lambda s: energy(s.reshape(-1, cfg.dim))
-    )
-    tokens = TokenMatrix._fresh(sub.reshape(-1, cfg.dim), grid)
-    return tokens, SelectionTrace.single(TOKEN, offset, tied)
+    offsets, sub, tied = best_phase(stack, cfg.patch_len, len(grid), energy)
+    tokens = TokenMatrix._fresh(sub if batched else sub[0], grid)
+    return tokens, selections(TOKEN, offsets, tied, batched)
 
 
 def lemma1_sides(
@@ -206,7 +247,7 @@ def lemma1_sides(
     the original tokenized at the cyclically advanced offset, with the token
     grid rotated by the carry along `axis`.
     """
-    _check_embed(x, cfg)
+    _signal_stack(x, cfg)
     if not 0 <= axis < x.rank:
         raise ParameterError(f"axis {axis} out of range for rank {x.rank}")
     offs = as_offset(off, x.rank)
@@ -221,7 +262,7 @@ def lemma1_sides(
         (offs[a] + 1) // cfg.patch_len if a == axis else 0 for a in range(x.rank)
     )
     right = project_rows(reshape_patches(x, cfg.patch_len, advanced), cfg.embed)
-    grid = token_grid_shape(x, cfg.patch_len)
+    grid = _token_grid(x.shape, cfg.patch_len)
     return left, TokenMatrix(right, grid).shift(carry).data
 
 

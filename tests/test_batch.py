@@ -1,0 +1,428 @@
+"""Batched kernels against their one-sample calls, and suites against
+per-trial reference loops over the public one-sample API."""
+
+import dataclasses
+from itertools import product
+
+import numpy as np
+import pytest
+
+from eqvit import GridSignal, circular_shift
+from eqvit.attention import AttentionParams, RpeTable, WindowConfig, a_wsa, sa, window_energy, wsa
+from eqvit.harness import (
+    ABLATION_SEARCH_MODEL,
+    PROPERTIES,
+    TOL_END2END,
+    SuiteConfig,
+    _counterexample,
+    run_ablation,
+    run_claim1,
+    run_claim2,
+    run_end2end,
+    run_metrics,
+)
+from eqvit.errors import ShapeError
+from eqvit.merging import MergeConfig, a_pmerge, aps, pmerge, pmerge_conv_fullrate, unpool
+from eqvit.metrics import (
+    ShiftSampler,
+    c_cons,
+    mascc,
+    s_cons_zeropad,
+    shift_zeropad,
+    synthetic_inputs,
+)
+from eqvit.numerics import lp_norm, stable_sum
+from eqvit.pipeline import SWITCHES, ModelConfig, build_model, classify, encode_decode, forward
+from eqvit.tokenizer import PatchEmbedConfig, TokenMatrix, _full_rate_embed, a_token, token
+from eqvit.trace import BatchTrace, SelectionTrace
+
+
+def same(a, b) -> bool:
+    a, b = np.asarray(a), np.asarray(b)
+    return a.shape == b.shape and a.dtype == b.dtype and a.tobytes() == b.tobytes()
+
+
+def samples(rng, shape, count, dim):
+    """Noise, plus a zero and a constant sample whose selections all tie."""
+    out = [rng.uniform(-1, 1, (*shape, dim)) for _ in range(count - 2)]
+    return [np.zeros((*shape, dim)), *out, np.full((*shape, dim), 0.5)]
+
+
+def batch_of(mats, grid) -> TokenMatrix:
+    return TokenMatrix(np.stack([m.data for m in mats]), grid)
+
+
+def assert_batch_equals_singles(batched, singles):
+    """A batched (tokens, trace) result against the one-sample results."""
+    tokens, trace = batched
+    assert tokens.batched and not singles[0][0].batched
+    for i, (one, one_trace) in enumerate(singles):
+        assert same(tokens.data[i], one.data)
+        assert trace.sample(i).entries == one_trace.entries
+
+
+TOKEN_GRIDS = [(16,), (4, 4), (4, 8), (32, 32)]
+
+
+@pytest.mark.parametrize("grid", TOKEN_GRIDS)
+def test_token_ops_batch_equals_singles(grid):
+    rng = np.random.default_rng(1)
+    d, m = 4, int(np.prod(grid))
+    mats = [TokenMatrix(a.reshape(m, d), grid) for a in samples(rng, grid, 5, d)]
+    batch = batch_of(mats, grid)
+    params = AttentionParams(*(rng.uniform(-0.5, 0.5, (d, d)) for _ in range(3)))
+    for w, energy_fn in product((2, 4), ("max", "sum", "l2")):
+        cfg = WindowConfig(w, 2.0, energy_fn)
+        bias = [
+            RpeTable.none(),
+            RpeTable.original(rng.uniform(-0.5, 0.5, (2 * w - 1,) * len(grid))),
+            RpeTable.adaptive(rng.uniform(-0.5, 0.5, (w,) * len(grid))),
+        ]
+        energies = window_energy(batch, cfg)
+        for i, t in enumerate(mats):
+            assert same(energies[i], window_energy(t, cfg))
+        for rpe in bias:
+            singles = [a_wsa(t, cfg, params, rpe) for t in mats]
+            assert_batch_equals_singles(a_wsa(batch, cfg, params, rpe), singles)
+            out = wsa(batch, cfg, params, rpe)
+            for i, t in enumerate(mats):
+                assert same(out.data[i], wsa(t, cfg, params, rpe).data)
+    full_grid_bias = RpeTable.adaptive(rng.uniform(-0.5, 0.5, grid))
+    out = sa(batch, params, full_grid_bias)
+    assert all(same(out.data[i], sa(t, params, full_grid_bias).data) for i, t in enumerate(mats))
+    for p, energy_p in product((2, 4), (1.0, 2.0, 3.0)):
+        merge = MergeConfig(p, rng.uniform(-0.5, 0.5, (p ** len(grid) * d, 2 * d)), energy_p)
+        for op in (pmerge, pmerge_conv_fullrate):
+            out = op(batch, merge)
+            assert all(same(out.data[i], op(t, merge).data) for i, t in enumerate(mats))
+        merged, trace = a_pmerge(batch, merge)
+        singles = [a_pmerge(t, merge) for t in mats]
+        assert_batch_equals_singles((merged, trace), singles)
+        comps, phases, tied = aps(batch, p, energy_p)
+        for i, t in enumerate(mats):
+            one, phase, one_tied = aps(t, p, energy_p)
+            assert same(comps.data[i], one.data)
+            assert tuple(phases[i].tolist()) == phase and bool(tied[i]) == one_tied
+        restored = unpool(merged, trace, p, grid)
+        for i, (one, one_trace) in enumerate(singles):
+            assert same(restored.data[i], unpool(one, one_trace, p, grid).data)
+
+
+@pytest.mark.parametrize("shape, patch", [((16,), 4), ((8, 8), 2), ((16, 32), 4), ((32, 32), 4)])
+@pytest.mark.parametrize("energy", ["sum_l2", "max_l2", "sum_l1"])
+def test_tokenizer_batch_equals_singles(shape, patch, energy):
+    rng = np.random.default_rng(2)
+    xs = [GridSignal(a) for a in samples(rng, shape, 5, 2)]
+    cfg = PatchEmbedConfig(patch, rng.uniform(-0.5, 0.5, (patch ** len(shape) * 2, 8)), energy)
+    assert_batch_equals_singles(a_token(xs, cfg), [a_token(x, cfg) for x in xs])
+    tokens, full = token(xs, cfg), _full_rate_embed(xs, cfg)
+    for i, x in enumerate(xs):
+        assert same(tokens.data[i], token(x, cfg).data)
+        assert same(full[i], _full_rate_embed(x, cfg))
+
+
+def test_scorers_reduce_rows_like_single_calls():
+    rng = np.random.default_rng(3)
+    for n in (1, 3, 8, 9, 17, 130):
+        rows = rng.uniform(0, 3, (6, n)) * 10.0 ** rng.uniform(-3, 3, (6, 1))
+        # A strided stack must reduce each row as that row alone.
+        for stack in (rows, np.asfortranarray(rows)):
+            sums = stable_sum(stack, axis=-1)
+            assert all(same(sums[i], stable_sum(r)) for i, r in enumerate(rows))
+            for p in (1.0, 2.0, 3.0):
+                norms = lp_norm(stack, p, axis=-1)
+                assert all(same(norms[i], lp_norm(r, p)) for i, r in enumerate(rows))
+
+
+MODELS = [
+    ModelConfig(),
+    ModelConfig(input_shape=(16, 32), windows=(2, 2)),
+    ModelConfig(input_shape=(32, 32), channels=2),
+]
+
+
+@pytest.mark.parametrize("cfg", MODELS, ids=["1d", "2d-16x32", "2d-32x32"])
+@pytest.mark.parametrize("off", [None, *SWITCHES])
+def test_forward_batch_equals_single_heads(cfg, off):
+    model = build_model(cfg.disable(off) if off else cfg)
+    rng = np.random.default_rng(4)
+    xs = [GridSignal(a) for a in samples(rng, cfg.input_shape, 4, cfg.channels)]
+    logits, labels, maps, trace = forward(model, xs)
+    assert isinstance(trace, BatchTrace)
+    for i, x in enumerate(xs):
+        c_logits, c_label, c_trace = classify(model, x)
+        d_map, d_trace = encode_decode(model, x)
+        assert same(logits[i], c_logits) and int(labels[i]) == c_label
+        assert same(maps[i], d_map)
+        assert trace.sample(i).entries == c_trace.entries == d_trace.entries
+    assert trace.any_tied(len(xs))[[0, -1]].all()
+
+
+@pytest.mark.parametrize("rpe", ["none", "original"])
+def test_forward_batch_equals_single_heads_per_rpe(rpe):
+    model = build_model(ModelConfig(rpe_kind=rpe))
+    xs = [GridSignal(a) for a in samples(np.random.default_rng(5), (64,), 4, 2)]
+    logits, labels, maps, _ = forward(model, xs)
+    for i, x in enumerate(xs):
+        c_logits, c_label, _ = classify(model, x)
+        assert same(logits[i], c_logits) and same(maps[i], encode_decode(model, x)[0])
+
+
+@pytest.mark.parametrize("shape", [(64,), (32, 32)])
+def test_batch_outputs_do_not_depend_on_batch_order_or_company(shape):
+    model = build_model(ModelConfig(input_shape=shape))
+    rng = np.random.default_rng(6)
+    count = 64 if shape == (64,) else 16
+    xs = [GridSignal(a) for a in samples(rng, shape, count, 2)]
+    logits, labels, maps, trace = forward(model, xs)
+    r_logits, r_labels, r_maps, r_trace = forward(model, xs[::-1])
+    assert same(r_logits, logits[::-1]) and same(r_labels, labels[::-1])
+    assert same(r_maps, maps[::-1])
+    reversed_traces = [r_trace.sample(i) for i in range(count)]
+    assert reversed_traces == [trace.sample(i) for i in range(count)][::-1]
+    k = count // 2
+    alone = forward(model, [xs[k]])
+    assert same(alone[0][0], logits[k]) and same(alone[2][0], maps[k])
+    assert alone[3].sample(0) == trace.sample(k)
+
+
+def test_batch_of_token_matrices_validates():
+    TokenMatrix(np.zeros((3, 4, 2)), (4,))
+    with pytest.raises(ShapeError):
+        TokenMatrix(np.zeros((3, 5, 2)), (4,))
+    with pytest.raises(ShapeError):
+        TokenMatrix(np.zeros((1, 3, 4, 2)), (4,))
+
+
+def test_signal_batches_need_one_shape():
+    model = build_model(ModelConfig())
+    with pytest.raises(ShapeError):
+        forward(model, [])
+    xs = [GridSignal(np.full((64, 2), v)) for v in (0.5, -1.0)]
+    assert same(forward(model, (x for x in xs))[2], forward(model, xs)[2])
+    cfg = PatchEmbedConfig(4, np.zeros((8, 3)))
+    with pytest.raises(ShapeError):
+        a_token([GridSignal(np.zeros((16, 2))), GridSignal(np.zeros((32, 2)))], cfg)
+
+
+# ------------------------------------------------- suites vs reference loops --
+
+
+def max_abs(a, b) -> float:
+    return float(np.max(np.abs(a - b)))
+
+
+def reference_row(name, results, tolerance):
+    """The suite row and first counterexample from per-trial (payload, div, agree, tied)."""
+    trials = passes = ties = 0
+    max_div, worst = 0.0, None
+    for payload, div, agree, tied in results:
+        trials += 1
+        if tied:
+            ties += 1
+            continue
+        max_div = max(max_div, div)
+        if agree and div <= tolerance:
+            passes += 1
+        elif worst is None:
+            worst = _counterexample(name, tolerance, div, payload)
+    row = {"name": name, "trials": trials, "passes": passes, "failures": trials - ties - passes,
+           "max_divergence": max_div, "tie_count": ties}
+    if worst is not None:
+        row["counterexample"] = True
+    return row, worst
+
+
+def best_alignment(shifted: TokenMatrix, base: TokenMatrix, step: int = 1) -> float:
+    candidates = product(*(range(0, g, step) for g in base.grid_shape))
+    return min(max_abs(shifted.data, base.shift(r).data) for r in candidates)
+
+
+def claim1_reference(sc):
+    for payload, cfg in PROPERTIES["claim1"].sample(sc):
+        x = GridSignal(payload["x"])
+        base, tb = a_token(x, cfg)
+        out, ts = a_token(circular_shift(x, payload["shift"]), cfg)
+        yield payload, best_alignment(out, base), True, tb.any_tied or ts.any_tied
+
+
+def claim2_reference(sc):
+    for payload, (wcfg, params, rpe) in PROPERTIES["claim2"].sample(sc):
+        t = TokenMatrix(payload["t"], tuple(payload["grid"]))
+        base, tb = a_wsa(t, wcfg, params, rpe)
+        out, ts = a_wsa(t.shift(tuple(payload["shift"])), wcfg, params, rpe)
+        yield payload, best_alignment(out, base, wcfg.window), True, tb.any_tied or ts.any_tied
+
+
+def end2end_reference(payload, model):
+    """One trial through the one-sample heads, as the suite read before batching."""
+    x = GridSignal(payload["input"])
+    off_a, off_b = tuple(payload["shift_a"]), tuple(payload["shift_b"])
+    logits_a, label_a, trace_a = classify(model, circular_shift(x, off_a))
+    logits_b, label_b, trace_b = classify(model, circular_shift(x, off_b))
+    div, agree = max_abs(logits_a, logits_b), label_a == label_b
+    if payload["check"] == "both":
+        axes = tuple(range(x.rank))
+        back_a = np.roll(encode_decode(model, circular_shift(x, off_a))[0], off_a, axis=axes)
+        back_b = np.roll(encode_decode(model, circular_shift(x, off_b))[0], off_b, axis=axes)
+        div = max(div, max_abs(back_a, back_b))
+        agree = agree and bool(np.all(np.argmax(back_a, -1) == np.argmax(back_b, -1)))
+    return div, agree, trace_a.any_tied or trace_b.any_tied
+
+
+@pytest.mark.parametrize(
+    "run, reference, tolerance",
+    [(run_claim1, claim1_reference, 0.0), (run_claim2, claim2_reference, 1e-12)],
+)
+def test_claim_suites_equal_per_trial_reference(run, reference, tolerance):
+    sc = SuiteConfig(trials=25)
+    result = run(sc)
+    row, worst = reference_row(result.name, reference(sc), tolerance)
+    assert result.row() == row and result.counterexample == worst
+
+
+@pytest.mark.parametrize(
+    "model_cfg, disable",
+    [
+        (ModelConfig(), ()),
+        (ModelConfig(), ("a_pmerge",)),
+        (ModelConfig(input_shape=(32, 32)), ("a_wsa",)),
+    ],
+)
+def test_end2end_suite_equals_per_trial_reference(model_cfg, disable):
+    sc = SuiteConfig(model=model_cfg, trials=25, disable=disable)
+    result = run_end2end(sc)
+    trials = ((p, *end2end_reference(p, model)) for p, model in PROPERTIES["end2end"].sample(sc))
+    row, worst = reference_row("end2end", trials, TOL_END2END)
+    assert result.row() == row and result.counterexample == worst
+    if disable == ("a_wsa",):
+        assert worst is not None  # the 2-D counterexample is the first failing trial
+
+
+class OneSample:
+    """A model seen only through its one-sample heads."""
+
+    def __init__(self, model):
+        self.model = model
+
+    def classify(self, x):
+        return classify(self.model, x)
+
+    def encode_decode(self, x):
+        return encode_decode(self.model, x)
+
+
+def label_reference(model, inputs, sampler, shifter):
+    records = []
+    for i, x in enumerate(inputs):
+        for pair in sampler.sample_pairs(len(inputs))[i]:
+            off_a, off_b = (tuple(int(o) for o in p) for p in pair)
+            logits_a, label_a, trace_a = classify(model, shifter(x, off_a))
+            logits_b, label_b, trace_b = classify(model, shifter(x, off_b))
+            agree = 1.0 if label_a == label_b else 0.0
+            records.append((agree, max_abs(logits_a, logits_b), trace_a.any_tied or trace_b.any_tied))
+    return records
+
+
+def mascc_reference(model, inputs, sampler):
+    records = []
+    for i, x in enumerate(inputs):
+        axes = tuple(range(x.rank))
+        for pair in sampler.sample_pairs(len(inputs))[i]:
+            off_a, off_b = (tuple(int(o) for o in p) for p in pair)
+            map_a, trace_a = encode_decode(model, circular_shift(x, off_a))
+            map_b, trace_b = encode_decode(model, circular_shift(x, off_b))
+            back_a, back_b = np.roll(map_a, off_a, axis=axes), np.roll(map_b, off_b, axis=axes)
+            agree = float(np.mean(np.argmax(back_a, -1) == np.argmax(back_b, -1)))
+            records.append((agree, max_abs(back_a, back_b), trace_a.any_tied or trace_b.any_tied))
+    return records
+
+
+@pytest.mark.parametrize("shape", [(64,), (16, 32)])
+def test_metrics_equal_per_sample_reference(shape):
+    cfg = ModelConfig(input_shape=shape, windows=(4, 4) if shape == (64,) else (2, 2))
+    model = build_model(cfg)
+    inputs = synthetic_inputs(shape, cfg.channels, 6, seed=3)
+    sampler = ShiftSampler.for_shape(shape, 5, seed=4)
+    expected = {
+        "c_cons": label_reference(model, inputs, sampler, circular_shift),
+        "s_cons_zeropad": label_reference(model, inputs, sampler, shift_zeropad),
+        "mascc": mascc_reference(model, inputs, sampler),
+    }
+    for metric in (c_cons, s_cons_zeropad, mascc):
+        for rep in (metric(model, inputs, sampler), metric(OneSample(model), inputs, sampler)):
+            got = [(r.agreement, r.divergence, r.tied) for r in rep.records]
+            assert got == expected[metric.__name__]
+
+
+def test_metrics_suite_equals_per_sample_metrics():
+    sc = SuiteConfig(trials=25)
+    model = OneSample(build_model(sc.resolved_model()))
+    cfg = sc.resolved_model()
+    inputs = synthetic_inputs(cfg.input_shape, cfg.channels, 5, sc.derived_seed("metrics", 1))
+    sampler = ShiftSampler.for_shape(cfg.input_shape, 5, sc.derived_seed("metrics", 2))
+    extra = run_metrics(sc).extra
+    for metric in (c_cons, mascc, s_cons_zeropad):
+        summary = metric(model, inputs, sampler).summary()
+        assert {k: extra[metric.__name__][k] for k in summary} == summary
+
+
+def test_metrics_suite_encodes_each_shift_once(monkeypatch):
+    from eqvit import pipeline
+
+    calls = []
+    encode = pipeline._encode
+
+    def counted(model, x):
+        calls.append(len(x))
+        return encode(model, x)
+
+    monkeypatch.setattr(pipeline, "_encode", counted)
+    run_metrics(SuiteConfig(trials=25))
+    # 5 inputs x 5 pairs x 2 shifts, once for c_cons and mascc and once zero-padded.
+    assert sum(calls) == 2 * 50 and max(calls) <= pipeline.MAX_BATCH
+
+
+def ablation_reference(sc, switch, budget):
+    cfg = dataclasses.replace(ABLATION_SEARCH_MODEL, seed=sc.seed).disable(switch)
+    model = build_model(cfg)
+    rng = np.random.default_rng([sc.seed, 8, SWITCHES.index(switch)])
+    ties = 0
+    for used in range(1, budget + 1):
+        payload = {
+            "model_config": cfg.to_dict(),
+            "check": "classify",
+            "input": rng.uniform(-1.0, 1.0, size=(*cfg.input_shape, cfg.channels)),
+            "shift_a": [int(rng.integers(0, n // 2)) for n in cfg.input_shape],
+            "shift_b": [int(rng.integers(0, n // 2)) for n in cfg.input_shape],
+        }
+        div, agree, tied = end2end_reference(payload, model)
+        if tied:
+            ties += 1
+        elif div > TOL_END2END or not agree:
+            return used, ties, _counterexample("ablation", TOL_END2END, div, payload)
+    return budget, ties, None
+
+
+@pytest.mark.parametrize("seed, budget", [(0, 25), (5, 25), (11, 25), (11, 3)])
+def test_ablation_equals_trial_by_trial_search(seed, budget):
+    # Searches stop in growing chunks of trials: at seed 5 adaptive_rpe first
+    # fails at trial 3 and at seed 11 a_wsa at trial 5, inside later chunks;
+    # a budget of 3 leaves that a_wsa search without a counterexample.
+    sc = SuiteConfig(seed=seed, trials=budget)
+    result = run_ablation(sc)
+    examples = []
+    for summary, switch in zip(result.extra["switches"], SWITCHES):
+        used, ties, found = ablation_reference(sc, switch, budget)
+        assert (summary["trials"], summary["ties"]) == (used, ties)
+        assert summary["found"] == (found is not None)
+        if found is not None:
+            examples.append(found)
+            assert summary["divergence"] == found["divergence"]
+    assert result.counterexample == (examples[0] if examples else None)
+    assert result.failures == sum(not s["found"] for s in result.extra["switches"])
+
+
+def test_trace_of_one_sample_round_trips():
+    trace = SelectionTrace.single("wsa", (2, 1), True)
+    assert BatchTrace.of(trace).sample(0) == trace

@@ -5,6 +5,7 @@ import os
 import re
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import pytest
@@ -235,6 +236,21 @@ def test_replay_of_tied_trial_exits_zero(tmp_path, capsys):
     path.write_text(json.dumps(_counterexample("claim1", 0.0, 1.0, payload)))
     assert main(["replay", str(path)]) == 0
     assert "tied" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize(
+    "suite, key, scale, code", [("claim1", "x", 1e308, 0), ("claim2", "t", 1e200, 2)]
+)
+def test_overflowing_replays_emit_no_warnings(tmp_path, capsys, suite, key, scale, code):
+    # The verdicts above, with NumPy's overflow warnings turned into errors.
+    payload, _ = next(PROPERTIES[suite].sample(SuiteConfig(trials=1)))
+    payload[key] = payload[key] * scale
+    path = tmp_path / "big.replay.json"
+    path.write_text(json.dumps(_counterexample(suite, 0.0, 1.0, payload)))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(["replay", str(path)]) == code
+    assert "Warning" not in capsys.readouterr().err
 
 
 def test_2d_counterexample_replays(tmp_path, capsys):

@@ -176,14 +176,15 @@ def test_end2end_encodes_each_shift_once(monkeypatch):
     calls = []
     encode = pipeline._encode
 
-    def counted(model, x):
-        calls.append(1)
-        return encode(model, x)
+    def counted(model, signals):
+        calls.append(len(signals))
+        return encode(model, signals)
 
     monkeypatch.setattr(pipeline, "_encode", counted)
     res = run_end2end(SuiteConfig(trials=5))
     assert res.trials == 5
-    assert len(calls) == 10
+    # Both shifts of all five trials go through the encoder once, as one batch.
+    assert calls == [10]
 
 
 # ---------------------------------------------------------------- metrics --
@@ -276,7 +277,8 @@ def test_replay_rejects_malformed_documents():
 def test_first_payload_replays_with_zero_drift(name):
     prop = PROPERTIES[name]
     payload, shared = next(prop.sample(SuiteConfig(trials=1)))
-    div, _, _ = prop.check(payload, shared)
+    divs, _, _ = prop.check([payload], shared)
+    div = float(divs[0])
     # A tolerance below the divergence makes replay reproduce and report drift.
     doc = json.loads(json.dumps(_counterexample(name, div - 1.0, div, payload)))
     code, line = replay(doc)
@@ -312,7 +314,8 @@ def test_replay_reproduces_crafted_failure_with_zero_drift():
     payload = end2end_payload(ModelConfig().disable("a_token"))
     from eqvit.harness import _end2end_divergence
 
-    div, _, _ = _end2end_divergence(payload)
+    divs, _, _ = _end2end_divergence([payload])
+    div = float(divs[0])
     assert div > 1e-9
     doc = {
         "kind": "counterexample",

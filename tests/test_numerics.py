@@ -243,6 +243,17 @@ def test_argmax_rejects_empty():
 # ------------------------------------------------------- wrappers / freeze --
 
 
+@pytest.mark.parametrize("shape, off", [((7, 2), (3,)), ((4, 6, 3), (1, -2))])
+def test_circular_shift_result_is_read_only_and_equals_roll(shape, off):
+    x = GridSignal(np.random.default_rng(8).uniform(-1, 1, shape))
+    out = circular_shift(x, off)
+    rolled = np.roll(x.data, [-o for o in off], axis=tuple(range(len(off))))
+    assert np.array_equal(out.data, rolled)
+    with pytest.raises(ValueError):
+        out.data[0] = 1.0
+    assert not np.shares_memory(out.data, x.data)
+
+
 def test_gridsignal_shapes_and_properties():
     x = GridSignal(np.zeros((6, 2)))
     assert x.shape == (6,) and x.rank == 1 and x.channels == 2

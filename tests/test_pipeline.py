@@ -263,6 +263,13 @@ def test_forward_overhead_stays_out(monkeypatch, shape):
     assert calls["roll"] == 0
     assert calls["sa"] == passes
     assert calls["kernel"] == calls["softmax"] == passes * (model.config.depth + 1)
+    # One batched forward over a stack of samples is one pass: each window
+    # stage and the global attention run once for the whole batch.
+    calls.clear()
+    forward(model, [rand_input(model.config, seed) for seed in range(8)])
+    assert calls["validate"] == calls["roll"] == 0
+    assert calls["sa"] == 1
+    assert calls["kernel"] == calls["softmax"] == model.config.depth + 1
 
 
 # ----------------------------------------------------------- encode_decode --
