@@ -15,12 +15,13 @@ Every suite draws from a PCG64 stream derived from (seed, suite index), so
 a run is a pure function of its SuiteConfig and reports are byte-stable.
 
 The six trial-based suites (lemma1 through end2end) are rows of one
-property table, run by one loop: a payload sampler, one check (payloads ->
-divergence, agree, tied per payload) and a tolerance.  The loop hands the
-check its trials in order-preserving chunks of at most `TRIAL_BATCH`, and
-the claim1, claim2 and end2end checks run each chunk as one batch through
-the model ops.  `replay` and the ablation search call the same checks, so a
-replayed counterexample cannot drift from the suite that found it.
+property table, run by one loop: a payload sampler, a batch key, one check
+(payloads -> divergence, agree, tied per payload) and a tolerance.  The loop
+groups a suite's trials by shared object and key, hands the check each group
+in trial-ordered batches of at most `TRIAL_BATCH`, and every check runs its
+batch through the batched ops; the first failing trial in trial order is
+the counterexample.  `replay` and the ablation search call the same checks,
+so a replayed counterexample cannot drift from the suite that found it.
 """
 
 from __future__ import annotations
@@ -29,7 +30,7 @@ import dataclasses
 from collections.abc import Callable, Iterator
 from dataclasses import dataclass, field
 from functools import partial
-from itertools import count, product, repeat
+from itertools import count, islice, product
 from math import prod
 
 import numpy as np
@@ -41,6 +42,7 @@ from .metrics import ShiftSampler, c_cons, consistency, s_cons_zeropad, syntheti
 from .numerics import GridSignal, as_offset, circular_shift, max_abs_rows, require_finite
 from .numerics import rotate_rows, rotation_index
 from .pipeline import MAX_BATCH, SWITCHES, Model, ModelConfig, build_model, check_seed, forward
+from .pipeline import is_finite_number
 from .tokenizer import PatchEmbedConfig, TokenMatrix, a_token, lemma1_sides
 
 SUITES = ("lemma1", "claim1", "claim2", "claim3", "apmerge", "end2end", "metrics", "ablation")
@@ -111,6 +113,14 @@ class SuiteConfig:
         object.__setattr__(self, "disable", tuple(dict.fromkeys(self.disable)))
         object.__setattr__(self, "lemma_n", tuple(int(n) for n in self.lemma_n))
         object.__setattr__(self, "lemma_l", tuple(int(l) for l in self.lemma_l))
+        if min(self.lemma_n + self.lemma_l, default=1) < 1:
+            raise ConfigError("lemma1 sizes n and l must be >= 1")
+        pairs = product(self.lemma_n, self.lemma_l)
+        if "lemma1" in self.suites and all(n % l for n, l in pairs):
+            raise ConfigError(
+                f"lemma1 needs a patch length l that divides a signal length n, "
+                f"got n {list(self.lemma_n)} and l {list(self.lemma_l)}"
+            )
 
     def resolved_model(self) -> ModelConfig:
         cfg = dataclasses.replace(self.model, seed=self.seed)
@@ -166,10 +176,6 @@ class SuiteResult:
         return row
 
 
-def _max_abs(a: np.ndarray, b: np.ndarray) -> float:
-    return float(np.max(np.abs(a - b)))
-
-
 def _best_alignment(shifted: TokenMatrix, base: TokenMatrix, step: int = 1):
     """Smallest max-abs difference over grid rotations of `base` by `step`,
     per sample of a batch (a float for one token matrix)."""
@@ -216,26 +222,18 @@ class Property:
 
     `sample(sc)` yields (payload, shared) per trial: the payload holds every
     input the check reads, `shared` the objects built once per suite from its
-    fixed fields, or None.  `check(payloads, shared=None)` takes a list of
-    payloads that share those fixed fields, builds what it is not given, as
-    replay does, and returns (divergence, agree, tied) arrays with one entry
-    per payload; `agree` is False when labels differ.  A trial passes when
-    it agrees within `tolerance`; tied trials are counted, not asserted.
+    fixed fields, or None.  `key(payload)` holds the payload fields that fix
+    shapes and scalars.  `check(payloads, shared=None)` takes a list of
+    payloads with one shared object and one key, builds what it is not given,
+    as replay does, and returns (divergence, agree, tied) arrays with one
+    entry per payload; `agree` is False when labels differ.  A trial passes
+    when it agrees within `tolerance`; tied trials are counted, not asserted.
     """
 
     sample: Callable[[SuiteConfig], Iterator[tuple[dict, object]]]
     check: Callable[..., tuple[np.ndarray, np.ndarray, np.ndarray]]
     tolerance: float
-
-
-def _per_trial(check) -> Callable[..., tuple[np.ndarray, np.ndarray, np.ndarray]]:
-    """A check over a list of payloads from one that takes a single payload."""
-
-    def batch(payloads: list[dict], shared=None):
-        results = [check(payload, shared) for payload in payloads]
-        return tuple(np.array(column) for column in zip(*results))
-
-    return batch
+    key: Callable[[dict], tuple] = lambda payload: ()
 
 
 def _lemma1_trials(sc: SuiteConfig):
@@ -252,10 +250,17 @@ def _lemma1_trials(sc: SuiteConfig):
                     yield {"n": n, "l": l, "m": m, "x": x, "embed": embed}, cfg
 
 
-def _lemma1_check(payload: dict, cfg: PatchEmbedConfig | None = None):
-    cfg = cfg or PatchEmbedConfig(payload["l"], np.asarray(payload["embed"]))
-    left, right = lemma1_sides(GridSignal(np.asarray(payload["x"])), cfg, payload["m"])
-    return _max_abs(left, right), True, False
+def _lemma1_check(payloads: list[dict], cfg: PatchEmbedConfig | None = None):
+    """Both sides of the interchange for every input as one `lemma1_sides` batch."""
+    first = payloads[0]
+    cfg = cfg or PatchEmbedConfig(first["l"], np.asarray(first["embed"]))
+    # The sampler hands one input to each of its l offsets: validate it once.
+    signals = {id(p["x"]): p["x"] for p in payloads}
+    signals = {k: GridSignal(np.asarray(x)) for k, x in signals.items()}
+    xs = [signals[id(p["x"])] for p in payloads]
+    left, right = lemma1_sides(xs, cfg, [p["m"] for p in payloads])
+    n = len(payloads)
+    return max_abs_rows(left, right), np.ones(n, bool), np.zeros(n, bool)
 
 
 def _claim1_trials(sc: SuiteConfig):
@@ -337,12 +342,24 @@ def _claim3_trials(sc: SuiteConfig):
         yield {"grid": list(grid), "t": t, "factor": p, "embed": embed}, None
 
 
-def _claim3_check(payload: dict, _shared=None):
-    t = TokenMatrix(np.asarray(payload["t"]), tuple(payload["grid"]))
-    cfg = MergeConfig(payload["factor"], np.asarray(payload["embed"]))
-    full = pmerge_conv_fullrate(t, cfg)
-    phase_zero = full.grid()[tuple(slice(0, None, cfg.factor) for _ in t.grid_shape)]
-    return _max_abs(pmerge(t, cfg).grid(), phase_zero), True, False
+def _merge_inputs(payloads: list[dict]) -> tuple[TokenMatrix, np.ndarray]:
+    """The payloads' token matrices as one batch, and their (B, K, D') merge embeds."""
+    t, embeds = (
+        np.stack([np.asarray(p[key], dtype=np.float64) for p in payloads]) for key in ("t", "embed")
+    )
+    if t.ndim != 3 or embeds.ndim != 3:
+        raise ShapeError("payload 't' and 'embed' must be matrices")
+    return TokenMatrix(t, tuple(payloads[0]["grid"])), embeds
+
+
+def _claim3_check(payloads: list[dict], _shared=None):
+    """Both merge routes over the token matrices as one batch, one embed per sample."""
+    t, embeds = _merge_inputs(payloads)
+    cfg = MergeConfig(payloads[0]["factor"], embeds)
+    full = pmerge_conv_fullrate(t, cfg).grid()
+    phase_zero = full[(slice(None), *(slice(0, None, cfg.factor) for _ in t.grid_shape))]
+    n = len(payloads)
+    return max_abs_rows(pmerge(t, cfg).grid(), phase_zero), np.ones(n, bool), np.zeros(n, bool)
 
 
 def _apmerge_trials(sc: SuiteConfig):
@@ -358,12 +375,17 @@ def _apmerge_trials(sc: SuiteConfig):
         yield payload, None
 
 
-def _apmerge_check(payload: dict, _shared=None):
-    t = TokenMatrix(np.asarray(payload["t"]), tuple(payload["grid"]))
-    cfg = MergeConfig(payload["factor"], np.asarray(payload["embed"]), payload["energy_p"])
-    base, tb = a_pmerge(t, cfg)
-    out, ts = a_pmerge(t.shift(tuple(payload["shift"])), cfg)
-    return _best_alignment(out, base), True, tb.any_tied or ts.any_tied
+def _apmerge_check(payloads: list[dict], _shared=None):
+    """The token matrices and their shifts as one `a_pmerge` batch."""
+    t, embeds = _merge_inputs(payloads)
+    first, grid, n = payloads[0], t.grid_shape, len(payloads)
+    shifts = np.array([as_offset(p["shift"], len(grid)) for p in payloads])
+    both = TokenMatrix._fresh(np.concatenate([t.data, rotate_rows(t.data, grid, shifts)]), grid)
+    cfg = MergeConfig(first["factor"], np.concatenate([embeds, embeds]), first["energy_p"])
+    out, trace = a_pmerge(both, cfg)
+    base, shifted = (out.like(half, out.grid_shape) for half in (out.data[:n], out.data[n:]))
+    tied = trace.any_tied(2 * n)
+    return _best_alignment(shifted, base), np.ones(n, bool), tied[:n] | tied[n:]
 
 
 def _end2end_trials(sc: SuiteConfig):
@@ -410,39 +432,66 @@ def _end2end_divergence(payloads: list[dict], model: Model | None = None):
 
 
 PROPERTIES = {
-    "lemma1": Property(_lemma1_trials, _per_trial(_lemma1_check), TOL_EXACT),
+    "lemma1": Property(
+        _lemma1_trials, _lemma1_check, TOL_EXACT, lambda p: (p["l"], np.shape(p["x"]))
+    ),
     "claim1": Property(_claim1_trials, _claim1_check, TOL_EXACT),
     "claim2": Property(_claim2_trials, _claim2_check, TOL_ROUTE),
-    "claim3": Property(_claim3_trials, _per_trial(_claim3_check), TOL_ROUTE),
-    "apmerge": Property(_apmerge_trials, _per_trial(_apmerge_check), TOL_EXACT),
+    "claim3": Property(
+        _claim3_trials,
+        _claim3_check,
+        TOL_ROUTE,
+        lambda p: (tuple(p["grid"]), np.shape(p["t"]), p["factor"]),
+    ),
+    "apmerge": Property(
+        _apmerge_trials,
+        _apmerge_check,
+        TOL_EXACT,
+        lambda p: (tuple(p["grid"]), np.shape(p["t"]), p["factor"], p["energy_p"]),
+    ),
     "end2end": Property(_end2end_trials, _end2end_divergence, TOL_END2END),
 }
 
 
-def _chunks(trials: Iterator[tuple[dict, object]], sizes) -> Iterator[tuple[list[dict], object]]:
-    """Consecutive (payloads, shared) chunks in trial order.  A chunk holds at
-    most the next of `sizes` trials, all with one shared object."""
-    sizes = iter(sizes)
-    payloads, shared, limit = [], None, next(sizes)
-    for payload, obj in trials:
-        if payloads and (obj is not shared or len(payloads) == limit):
-            yield payloads, shared
-            payloads, limit = [], next(sizes)
+def _chunks(items: Iterator, sizes) -> Iterator[list]:
+    """Consecutive chunks of `items` in order, the k-th of at most the k-th of `sizes`."""
+    items = iter(items)
+    for size in sizes:
+        chunk = list(islice(items, size))
+        if not chunk:
+            return
+        yield chunk
+
+
+def _batches(prop: Property, sc: SuiteConfig) -> Iterator[tuple[list[int], list[dict], object]]:
+    """(trial indices, payloads, shared) batches of at most `TRIAL_BATCH` trials
+    with one shared object and one key, each in trial order.  A batch is handed
+    out once full and the partial ones after the last trial, so trials of one
+    key batch together however the suite interleaves its keys."""
+    pending: dict[tuple, tuple[list[int], list[dict], object]] = {}
+    for i, (payload, shared) in enumerate(prop.sample(sc)):
+        # A pending batch holds its shared object, so no other one takes its id.
+        key = (id(shared), prop.key(payload))
+        indices, payloads, _ = pending.setdefault(key, ([], [], shared))
+        indices.append(i)
         payloads.append(payload)
-        shared = obj
-    if payloads:
-        yield payloads, shared
+        if len(indices) == TRIAL_BATCH:
+            yield pending.pop(key)
+    yield from pending.values()
 
 
 def _run_property(name: str, sc: SuiteConfig) -> SuiteResult:
-    """Run every trial of a property suite; keep the first failure as counterexample."""
+    """Run every trial of a property suite in batches; keep the failing trial
+    that comes first in trial order as counterexample."""
     prop = PROPERTIES[name]
     trials = passes = ties = 0
     max_div = 0.0
-    worst = None
-    for payloads, shared in _chunks(prop.sample(sc), repeat(TRIAL_BATCH)):
-        divs, agrees, tieds = (a.tolist() for a in prop.check(payloads, shared))
-        for payload, div, agree, tied in zip(payloads, divs, agrees, tieds):
+    first = None  # (trial index, divergence, payload)
+    # Counts and the maximum do not depend on the order batches run in:
+    # divergences are never -0.0, and a NaN one never raises the maximum.
+    for indices, payloads, shared in _batches(prop, sc):
+        columns = (a.tolist() for a in prop.check(payloads, shared))
+        for i, payload, div, agree, tied in zip(indices, payloads, *columns):
             trials += 1
             if tied:
                 ties += 1
@@ -450,9 +499,10 @@ def _run_property(name: str, sc: SuiteConfig) -> SuiteResult:
             max_div = max(max_div, div)
             if agree and div <= prop.tolerance:
                 passes += 1
-            elif worst is None:
-                worst = _counterexample(name, prop.tolerance, div, payload)
+            elif first is None or i < first[0]:
+                first = (i, div, payload)
     failures = trials - ties - passes
+    worst = None if first is None else _counterexample(name, prop.tolerance, *first[1:])
     return SuiteResult(name, trials, passes, failures, max_div, ties, counterexample=worst)
 
 
@@ -539,14 +589,14 @@ def _ablation_search(
                 "input": rng.uniform(-1.0, 1.0, size=(*shape, channels)),
                 "shift_a": [int(rng.integers(0, n // 2)) for n in shape],
                 "shift_b": [int(rng.integers(0, n // 2)) for n in shape],
-            }, model
+            }
 
     # Chunks double from one trial, so a counterexample found early costs
     # little more than trial-by-trial search; the draws stay in trial order.
     sizes = (min(2**k, TRIAL_BATCH) for k in count())
     found = None
     used = ties = 0
-    for payloads, _ in _chunks(trials(), sizes):
+    for payloads in _chunks(trials(), sizes):
         divs, agrees, tieds = (a.tolist() for a in _end2end_divergence(payloads, model))
         for payload, div, agree, tied in zip(payloads, divs, agrees, tieds):
             used += 1
@@ -650,6 +700,8 @@ def replay(document: dict) -> tuple[int, str]:
     for key in ("tolerance", "divergence"):
         if _json_kind(document.get(key)) not in (("f", False), ("i", False)):
             raise ConfigError(f"replay file needs a numeric {key!r}")
+        if not is_finite_number(document[key]):
+            raise ConfigError(f"replay file {key!r} must be finite, not {document[key]!r}")
     payload = document.get("payload")
     if not isinstance(payload, dict):
         raise ConfigError("replay file needs a payload object")
@@ -663,6 +715,8 @@ def replay(document: dict) -> tuple[int, str]:
         want, got = _json_kind(value), _json_kind(payload[key])
         if got != want and (want[0], got) != ("f", ("i", want[1])):
             raise ConfigError(f"{suite} payload {key!r} has (kind, is list) {got}, not {want}")
+        if got in (("f", False), ("i", False)) and not is_finite_number(payload[key]):
+            raise ConfigError(f"{suite} payload {key!r} must be finite, not {payload[key]!r}")
     recorded = float(document["divergence"])
     tolerance = float(document["tolerance"])
     try:

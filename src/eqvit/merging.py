@@ -35,7 +35,11 @@ from .trace import MERGE, WSA, BatchTrace, SelectionTrace
 
 @dataclass(frozen=True)
 class MergeConfig:
-    """Merge stride P, the (P**rank * D) x D~ projection, and the norm order."""
+    """Merge stride P, the (P**rank * D) x D~ projection, and the norm order.
+
+    `embed` may also be a (B, P**rank * D, D~) stack, one projection per
+    sample of a batch of B token matrices.
+    """
 
     factor: int
     embed: np.ndarray
@@ -47,14 +51,14 @@ class MergeConfig:
         if self.energy_p < 1:
             raise ParameterError(f"energy_p must be >= 1, got {self.energy_p}")
         arr = np.asarray(self.embed, dtype=np.float64)
-        if arr.ndim != 2:
-            raise ShapeError("embed must be a matrix")
+        if arr.ndim not in (2, 3):
+            raise ShapeError("embed must be a matrix or a stack of matrices")
         require_finite(arr, "embed")
         object.__setattr__(self, "embed", freeze(arr))
 
     @property
     def dim_out(self) -> int:
-        return self.embed.shape[1]
+        return self.embed.shape[-1]
 
 
 def _check_merge(tokens: TokenMatrix, cfg: MergeConfig) -> None:
@@ -62,11 +66,13 @@ def _check_merge(tokens: TokenMatrix, cfg: MergeConfig) -> None:
         if g % cfg.factor:
             raise ShapeError(f"grid axis {g} is not divisible by factor {cfg.factor}")
     expect = cfg.factor**tokens.rank * tokens.dim
-    if cfg.embed.shape[0] != expect:
+    if cfg.embed.shape[-2] != expect:
         raise ShapeError(
-            f"merge embed expects rows of width {cfg.embed.shape[0]}, "
+            f"merge embed expects rows of width {cfg.embed.shape[-2]}, "
             f"token groups have {expect} entries"
         )
+    if cfg.embed.ndim == 3 and (not tokens.batched or len(cfg.embed) != len(tokens.data)):
+        raise ShapeError(f"{len(cfg.embed)} merge embeds for tokens of shape {tokens.data.shape}")
 
 
 def pmerge(tokens: TokenMatrix, cfg: MergeConfig) -> TokenMatrix:
@@ -74,9 +80,9 @@ def pmerge(tokens: TokenMatrix, cfg: MergeConfig) -> TokenMatrix:
     row-major over (position, channel)."""
     _check_merge(tokens, cfg)
     grid = tuple(g // cfg.factor for g in tokens.grid_shape)
-    rows = blocks(tokens.grid(), cfg.factor, tokens.data.ndim - 2).reshape(-1, cfg.embed.shape[0])
-    out = project_rows(rows, cfg.embed)
-    return TokenMatrix._fresh(out.reshape(*tokens.data.shape[:-2], prod(grid), -1), grid)
+    lead = tokens.data.shape[:-2]
+    rows = blocks(tokens.grid(), cfg.factor, len(lead)).reshape(*lead, prod(grid), -1)
+    return TokenMatrix._fresh(project_rows(rows, cfg.embed), grid)
 
 
 def pmerge_conv_fullrate(tokens: TokenMatrix, cfg: MergeConfig) -> TokenMatrix:
@@ -88,14 +94,14 @@ def pmerge_conv_fullrate(tokens: TokenMatrix, cfg: MergeConfig) -> TokenMatrix:
     """
     _check_merge(tokens, cfg)
     d = tokens.dim
-    out = np.zeros((tokens.data.size // d, cfg.dim_out))
+    out = np.zeros((*tokens.data.shape[:-1], cfg.dim_out))
     # One tap per in-group position, row-major; each tap contributes the
     # matching row block of the merge projection.  Fixed order keeps the
     # accumulation exact under grid rotation.
     for i, delta in enumerate(product(range(cfg.factor), repeat=tokens.rank)):
-        block = cfg.embed[i * d : (i + 1) * d, :]
-        out += project_rows(tokens.shift(delta).data.reshape(-1, d), block)
-    return TokenMatrix._fresh(out.reshape(*tokens.data.shape[:-1], -1), tokens.grid_shape)
+        block = cfg.embed[..., i * d : (i + 1) * d, :]
+        out += project_rows(tokens.shift(delta).data, block)
+    return TokenMatrix._fresh(out, tokens.grid_shape)
 
 
 def aps(

@@ -285,14 +285,21 @@ def project_rows(rows: np.ndarray, matrix: np.ndarray) -> np.ndarray:
     of the output bit-for-bit.  BLAS matmul does not guarantee that (edge
     rows can take a different microkernel), and the adaptive ops compare
     projected rows across rotated views exactly.
+
+    A (B, M, K) stack of rows takes one (K, D) matrix for every sample, or a
+    (B, K, D) stack with one matrix per sample; each sample gets the bits of
+    its own (M, K) call.
     """
     r = np.asarray(rows, dtype=np.float64)
     m = np.asarray(matrix, dtype=np.float64)
-    if r.ndim != 2 or m.ndim != 2:
-        raise ShapeError("project_rows expects two matrices")
-    if r.shape[1] != m.shape[0]:
-        raise ShapeError(f"cannot project rows of width {r.shape[1]} with a {m.shape} matrix")
-    return np.einsum("mk,kd->md", r, m)
+    if r.ndim == m.ndim == 2 and r.shape[1] == m.shape[0]:
+        return np.einsum("mk,kd->md", r, m)
+    stacked = m.ndim == 3 and len(m) == len(r)
+    if r.ndim != 3 or not (m.ndim == 2 or stacked) or r.shape[2] != m.shape[-2]:
+        raise ShapeError(f"cannot project rows of shape {r.shape} with a {m.shape} matrix")
+    if stacked:
+        return np.einsum("bmk,bkd->bmd", r, m)
+    return np.einsum("mk,kd->md", r.reshape(-1, r.shape[2]), m).reshape(*r.shape[:2], -1)
 
 
 def argmax_tiebreak(scores) -> int:

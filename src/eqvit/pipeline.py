@@ -21,6 +21,7 @@ needed for shift invariance.
 from __future__ import annotations
 
 import dataclasses
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -58,6 +59,9 @@ SWITCHES = ("a_token", "a_wsa", "a_pmerge", "adaptive_rpe")
 # trial by trial; 32 is about 8% faster and holds 2.5 MB more.
 MAX_BATCH = 16
 
+# Token dimensions double at every stage, so no deeper model could be built.
+MAX_DEPTH = 32
+
 
 def _is_int(value) -> bool:
     return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
@@ -72,6 +76,14 @@ _FIELD_CHECKS = {
     "bool": lambda v: isinstance(v, bool),
     "tuple[int, ...]": lambda v: isinstance(v, (list, tuple)) and all(map(_is_int, v)),
 }
+
+
+def is_finite_number(value) -> bool:
+    """Whether a number is a finite float; an int too large for a float is not."""
+    try:
+        return math.isfinite(value)
+    except OverflowError:
+        return False
 
 
 def check_seed(seed) -> None:
@@ -126,8 +138,8 @@ class ModelConfig:
         for name in ("channels", "patch_len", "embed_dim", "num_classes"):
             if getattr(self, name) < 1:
                 raise ConfigError(f"{name} must be >= 1")
-        if self.depth < 0:
-            raise ConfigError("depth must be >= 0")
+        if not 0 <= self.depth <= MAX_DEPTH:
+            raise ConfigError(f"depth must be in [0, {MAX_DEPTH}]")
         object.__setattr__(self, "windows", _per_stage(self.windows, self.depth, "windows"))
         object.__setattr__(
             self, "merge_factors", _per_stage(self.merge_factors, self.depth, "merge_factors")
@@ -138,8 +150,8 @@ class ModelConfig:
             raise ConfigError(f"unknown token_energy {self.token_energy!r}")
         if self.window_energy_fn not in WINDOW_FNS:
             raise ConfigError(f"unknown window_energy_fn {self.window_energy_fn!r}")
-        if self.energy_p < 1:
-            raise ConfigError("energy_p must be >= 1")
+        if not is_finite_number(self.energy_p) or self.energy_p < 1:
+            raise ConfigError(f"energy_p must be a finite number >= 1, got {self.energy_p!r}")
         for n in shape:
             if n % self.patch_len:
                 raise ConfigError(f"axis {n} is not divisible by patch_len {self.patch_len}")

@@ -17,7 +17,8 @@ call alone.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import product
+from functools import lru_cache
+from itertools import chain, product
 from math import prod
 
 import numpy as np
@@ -29,7 +30,6 @@ from .numerics import (
     as_offset,
     best_phase,
     blocks,
-    circular_shift,
     freeze,
     project_rows,
     require_finite,
@@ -183,13 +183,18 @@ def reshape_patches(x: GridSignal, patch_len: int, off=None) -> np.ndarray:
     offs = (0,) * x.rank if off is None else as_offset(off, x.rank)
     if any(not 0 <= o < patch_len for o in offs):
         raise ParameterError(f"offset {offs} outside [0, {patch_len})")
-    return blocks(circular_shift(x, offs).data, patch_len).reshape(prod(grid), -1)
+    rows = x.data.reshape(-1, x.channels).take(_patch_positions(x.shape, patch_len, offs), axis=0)
+    return rows.reshape(prod(grid), -1)
 
 
-def _project(stack: np.ndarray, embed: np.ndarray) -> np.ndarray:
-    """(B, M, K) rows @ embed as one einsum over all B * M rows, (B, M, D')."""
-    b, m, k = stack.shape
-    return project_rows(stack.reshape(b * m, k), embed).reshape(b, m, -1)
+@lru_cache(maxsize=1024)
+def _patch_positions(shape: tuple[int, ...], patch_len: int, off: Offset) -> np.ndarray:
+    """(M, L**rank) flat signal positions of the patches of the signal
+    shifted by `off`: gathering its rows by them gives `reshape_patches`."""
+    positions = rotation_index(shape, off).reshape(*shape, 1)
+    index = blocks(positions, patch_len).reshape(-1, patch_len ** len(shape))
+    index.setflags(write=False)
+    return index
 
 
 def token(x, cfg: PatchEmbedConfig) -> TokenMatrix:
@@ -198,7 +203,7 @@ def token(x, cfg: PatchEmbedConfig) -> TokenMatrix:
     stack, batched = _signal_stack(x, cfg)
     grid = _token_grid(stack.shape[1:-1], cfg.patch_len)
     rows = blocks(stack, cfg.patch_len, lead=1).reshape(len(stack), prod(grid), -1)
-    tokens = _project(rows, cfg.embed)
+    tokens = project_rows(rows, cfg.embed)
     return TokenMatrix._fresh(tokens if batched else tokens[0], grid)
 
 
@@ -216,7 +221,7 @@ def _full_rate_embed(x, cfg: PatchEmbedConfig) -> np.ndarray:
     taps = product(range(cfg.patch_len), repeat=len(shape))
     index = np.stack([rotation_index(shape, delta) for delta in taps], axis=1)
     patches = stack.reshape(b, -1, c).take(index, axis=1)
-    full = _project(patches.reshape(b, len(index), -1), cfg.embed).reshape(b, *shape, cfg.dim)
+    full = project_rows(patches.reshape(b, len(index), -1), cfg.embed).reshape(b, *shape, cfg.dim)
     return full if batched else full[0]
 
 
@@ -238,32 +243,45 @@ def a_token(x, cfg: PatchEmbedConfig) -> tuple[TokenMatrix, SelectionTrace | Bat
     return tokens, selections(TOKEN, offsets, tied, batched)
 
 
-def lemma1_sides(
-    x: GridSignal, cfg: PatchEmbedConfig, off, axis: int = 0
-) -> tuple[np.ndarray, np.ndarray]:
+def lemma1_sides(x, cfg: PatchEmbedConfig, off, axis: int = 0) -> tuple[np.ndarray, np.ndarray]:
     """Both sides of the unit-shift/tokenization interchange.
 
     Left: the once-shifted signal tokenized at patch offset `off`.  Right:
     the original tokenized at the cyclically advanced offset, with the token
-    grid rotated by the carry along `axis`.
+    grid rotated by the carry along `axis`.  `x` is one signal and `off` its
+    offset, giving two (M, D) sides, or a sequence of B signals and (B, rank)
+    offsets, giving two (B, M, D) stacks.
     """
-    _signal_stack(x, cfg)
-    if not 0 <= axis < x.rank:
-        raise ParameterError(f"axis {axis} out of range for rank {x.rank}")
-    offs = as_offset(off, x.rank)
-    unit = tuple(1 if a == axis else 0 for a in range(x.rank))
-    shifted = circular_shift(x, unit)
-    left = project_rows(reshape_patches(shifted, cfg.patch_len, offs), cfg.embed)
+    stack, batched = _signal_stack(x, cfg)
+    b, *shape, c = stack.shape
+    shape = tuple(shape)
+    _token_grid(shape, cfg.patch_len)
+    if not 0 <= axis < len(shape):
+        raise ParameterError(f"axis {axis} out of range for rank {len(shape)}")
+    offs = [as_offset(o, len(shape)) for o in off] if batched else [as_offset(off, len(shape))]
+    if len(offs) != b:
+        raise ShapeError(f"{len(offs)} offsets for {b} signals")
+    if any(not 0 <= o < cfg.patch_len for o in chain.from_iterable(offs)):
+        raise ParameterError(f"offsets {offs} outside [0, {cfg.patch_len})")
+    index = np.stack([_lemma1_index(shape, cfg.patch_len, o, axis) for o in offs], axis=1)
+    index = index + prod(shape) * np.arange(b)[:, np.newaxis, np.newaxis]
+    sides = stack.reshape(-1, c).take(index, axis=0).reshape(2, b, index.shape[2], -1)
+    left, right = (project_rows(side, cfg.embed) for side in sides)
+    return (left, right) if batched else (left[0], right[0])
 
-    advanced = tuple(
-        (o + 1) % cfg.patch_len if a == axis else o for a, o in enumerate(offs)
-    )
-    carry: Offset = tuple(
-        (offs[a] + 1) // cfg.patch_len if a == axis else 0 for a in range(x.rank)
-    )
-    right = project_rows(reshape_patches(x, cfg.patch_len, advanced), cfg.embed)
-    grid = _token_grid(x.shape, cfg.patch_len)
-    return left, TokenMatrix(right, grid).shift(carry).data
+
+@lru_cache(maxsize=1024)
+def _lemma1_index(shape: tuple[int, ...], patch_len: int, off: Offset, axis: int) -> np.ndarray:
+    """(2, M, L**rank) flat signal positions of the patch rows of both sides."""
+    unit = tuple(1 if a == axis else 0 for a in range(len(shape)))
+    left = _patch_positions(shape, patch_len, tuple(o + u for o, u in zip(off, unit)))
+    advanced = tuple((o + u) % patch_len for o, u in zip(off, unit))
+    carry = tuple((o + u) // patch_len for o, u in zip(off, unit))
+    grid = _token_grid(shape, patch_len)
+    right = _patch_positions(shape, patch_len, advanced).take(rotation_index(grid, carry), axis=0)
+    index = np.stack([left, right])
+    index.setflags(write=False)
+    return index
 
 
 def lemma1_oracle(x: GridSignal, cfg: PatchEmbedConfig, off, axis: int = 0) -> bool:

@@ -13,15 +13,20 @@ from eqvit.harness import (
     ABLATION_SEARCH_MODEL,
     PROPERTIES,
     TOL_END2END,
+    TRIAL_BATCH,
+    Property,
     SuiteConfig,
     _counterexample,
     run_ablation,
+    run_apmerge,
     run_claim1,
     run_claim2,
+    run_claim3,
     run_end2end,
+    run_lemma1,
     run_metrics,
 )
-from eqvit.errors import ShapeError
+from eqvit.errors import ParameterError, ShapeError
 from eqvit.merging import MergeConfig, a_pmerge, aps, pmerge, pmerge_conv_fullrate, unpool
 from eqvit.metrics import (
     ShiftSampler,
@@ -31,9 +36,17 @@ from eqvit.metrics import (
     shift_zeropad,
     synthetic_inputs,
 )
-from eqvit.numerics import lp_norm, stable_sum
+from eqvit.numerics import lp_norm, project_rows, stable_sum
 from eqvit.pipeline import SWITCHES, ModelConfig, build_model, classify, encode_decode, forward
-from eqvit.tokenizer import PatchEmbedConfig, TokenMatrix, _full_rate_embed, a_token, token
+from eqvit.tokenizer import (
+    PatchEmbedConfig,
+    TokenMatrix,
+    _full_rate_embed,
+    a_token,
+    lemma1_sides,
+    reshape_patches,
+    token,
+)
 from eqvit.trace import BatchTrace, SelectionTrace
 
 
@@ -119,6 +132,65 @@ def test_tokenizer_batch_equals_singles(shape, patch, energy):
     for i, x in enumerate(xs):
         assert same(tokens.data[i], token(x, cfg).data)
         assert same(full[i], _full_rate_embed(x, cfg))
+
+
+@pytest.mark.parametrize(
+    "shape, patch, axis",
+    [((12,), 3, 0), ((8,), 1, 0), ((8, 8), 2, 0), ((8, 8), 2, 1), ((4, 8), 4, 1)],
+)
+def test_lemma1_sides_batch_equals_singles(shape, patch, axis):
+    rng = np.random.default_rng(6)
+    xs = [GridSignal(a) for a in samples(rng, shape, 6, 2)]
+    cfg = PatchEmbedConfig(patch, rng.uniform(-0.5, 0.5, (patch ** len(shape) * 2, 5)))
+    offs = [tuple(rng.integers(0, patch, len(shape)).tolist()) for _ in xs]
+    left, right = lemma1_sides(xs, cfg, offs, axis)
+    unit = tuple(int(a == axis) for a in range(len(shape)))
+    grid = tuple(n // patch for n in shape)
+    for i, (x, off) in enumerate(zip(xs, offs)):
+        one_left, one_right = lemma1_sides(x, cfg, off, axis)
+        assert same(left[i], one_left) and same(right[i], one_right)
+        # Each side as its definition composes it from the public ops.
+        advanced = tuple((o + u) % patch for o, u in zip(off, unit))
+        carry = tuple((o + u) // patch for o, u in zip(off, unit))
+        shifted = reshape_patches(circular_shift(x, unit), patch, off)
+        assert same(one_left, project_rows(shifted, cfg.embed))
+        rows = project_rows(reshape_patches(x, patch, advanced), cfg.embed)
+        assert same(one_right, TokenMatrix(rows, grid).shift(carry).data)
+        assert same(one_left, one_right)
+
+
+def test_lemma1_sides_checks_offsets():
+    xs = [GridSignal(np.zeros((8, 2)))] * 2
+    cfg = PatchEmbedConfig(2, np.ones((4, 3)))
+    with pytest.raises(ShapeError):
+        lemma1_sides(xs, cfg, [0])
+    with pytest.raises(ParameterError):
+        lemma1_sides(xs, cfg, [0, 2])
+    with pytest.raises(ParameterError):
+        lemma1_sides(xs[0], cfg, -1)
+    with pytest.raises(ParameterError):
+        lemma1_sides(xs, cfg, [0, 1], axis=1)
+
+
+@pytest.mark.parametrize("grid", [(8,), (12,), (4, 4), (8, 8)])
+@pytest.mark.parametrize("energy_p", [1.0, 2.0, 3.0])
+def test_per_sample_merge_embeds_equal_single_calls(grid, energy_p):
+    rng = np.random.default_rng(7)
+    d, p, m = 3, 2, int(np.prod(grid))
+    mats = [TokenMatrix(a.reshape(m, d), grid) for a in samples(rng, grid, 6, d)]
+    embeds = [rng.uniform(-0.5, 0.5, (p ** len(grid) * d, 2 * d)) for _ in mats]
+    singles = [MergeConfig(p, e, energy_p) for e in embeds]
+    batch, stacked = batch_of(mats, grid), MergeConfig(p, np.stack(embeds), energy_p)
+    for op in (pmerge, pmerge_conv_fullrate):
+        out = op(batch, stacked)
+        assert all(same(out.data[i], op(t, c).data) for i, (t, c) in enumerate(zip(mats, singles)))
+    pairs = zip(mats, singles)
+    assert_batch_equals_singles(a_pmerge(batch, stacked), [a_pmerge(t, c) for t, c in pairs])
+    # A stack of embeds needs a batch with one sample per embed.
+    with pytest.raises(ShapeError):
+        pmerge(mats[0], stacked)
+    with pytest.raises(ShapeError):
+        pmerge_conv_fullrate(batch_of(mats[:2], grid), stacked)
 
 
 def test_scorers_reduce_rows_like_single_calls():
@@ -254,6 +326,30 @@ def claim2_reference(sc):
         yield payload, best_alignment(out, base, wcfg.window), True, tb.any_tied or ts.any_tied
 
 
+def lemma1_reference(sc):
+    for payload, cfg in PROPERTIES["lemma1"].sample(sc):
+        left, right = lemma1_sides(GridSignal(payload["x"]), cfg, payload["m"])
+        yield payload, max_abs(left, right), True, False
+
+
+def claim3_reference(sc):
+    for payload, _ in PROPERTIES["claim3"].sample(sc):
+        t = TokenMatrix(payload["t"], tuple(payload["grid"]))
+        cfg = MergeConfig(payload["factor"], payload["embed"])
+        full = pmerge_conv_fullrate(t, cfg).grid()
+        phase_zero = full[tuple(slice(0, None, cfg.factor) for _ in t.grid_shape)]
+        yield payload, max_abs(pmerge(t, cfg).grid(), phase_zero), True, False
+
+
+def apmerge_reference(sc):
+    for payload, _ in PROPERTIES["apmerge"].sample(sc):
+        t = TokenMatrix(payload["t"], tuple(payload["grid"]))
+        cfg = MergeConfig(payload["factor"], payload["embed"], payload["energy_p"])
+        base, tb = a_pmerge(t, cfg)
+        out, ts = a_pmerge(t.shift(tuple(payload["shift"])), cfg)
+        yield payload, best_alignment(out, base), True, tb.any_tied or ts.any_tied
+
+
 def end2end_reference(payload, model):
     """One trial through the one-sample heads, as the suite read before batching."""
     x = GridSignal(payload["input"])
@@ -272,13 +368,49 @@ def end2end_reference(payload, model):
 
 @pytest.mark.parametrize(
     "run, reference, tolerance",
-    [(run_claim1, claim1_reference, 0.0), (run_claim2, claim2_reference, 1e-12)],
+    [
+        (run_claim1, claim1_reference, 0.0),
+        (run_claim2, claim2_reference, 1e-12),
+        (run_lemma1, lemma1_reference, 0.0),
+        (run_claim3, claim3_reference, 1e-12),
+        (run_apmerge, apmerge_reference, 0.0),
+    ],
 )
 def test_claim_suites_equal_per_trial_reference(run, reference, tolerance):
     sc = SuiteConfig(trials=25)
     result = run(sc)
     row, worst = reference_row(result.name, reference(sc), tolerance)
     assert result.row() == row and result.counterexample == worst
+
+
+def test_runner_reports_first_failing_trial_in_trial_order(monkeypatch):
+    # Trial 0 fails in batch "a", which fills only at the end; batch "b" holds
+    # the next TRIAL_BATCH trials, fills first and fails too.
+    keys = ["a", *["b"] * TRIAL_BATCH, "a", "a"]
+    divs = [3.0, *[5.0] * TRIAL_BATCH, 0.0, 9.0]
+    tied = [False] * (TRIAL_BATCH + 2) + [True]
+
+    def sample(sc):
+        for i, key in enumerate(keys):
+            yield {"i": i, "key": key}, None
+
+    calls = []
+
+    def check(payloads, shared=None):
+        idx = [p["i"] for p in payloads]
+        calls.append(idx)
+        agree = np.ones(len(idx), bool)
+        return np.array([divs[i] for i in idx]), agree, np.array([tied[i] for i in idx])
+
+    monkeypatch.setitem(PROPERTIES, "lemma1", Property(sample, check, 1.0, lambda p: (p["key"],)))
+    result = run_lemma1(SuiteConfig(suites=("lemma1",)))
+    b = list(range(1, TRIAL_BATCH + 1))
+    assert calls == [b, [0, TRIAL_BATCH + 1, TRIAL_BATCH + 2]]
+    assert result.row() == {
+        "name": "lemma1", "trials": TRIAL_BATCH + 3, "passes": 1, "failures": TRIAL_BATCH + 1,
+        "max_divergence": 5.0, "tie_count": 1, "counterexample": True,
+    }
+    assert result.counterexample == _counterexample("lemma1", 1.0, 3.0, {"i": 0, "key": "a"})
 
 
 @pytest.mark.parametrize(

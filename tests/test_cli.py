@@ -135,6 +135,50 @@ def test_prove_defaults_to_oracle_suites(tmp_path):
 # -------------------------------------------------------------- exit code 2 --
 
 
+@pytest.mark.parametrize(
+    "sizes",
+    [
+        ["--n", "8", "--l", "0"],  # a zero patch length divides nothing
+        ["--n", "0"],
+        ["--n", "-4", "--l", "2"],
+        ["--n", "8", "--l", "-2"],
+        ["--n", "5", "--l", "2"],  # no pair to run: 0 trials would pass
+    ],
+)
+def test_prove_rejects_bad_lemma1_sizes(tmp_path, capsys, sizes):
+    out = tmp_path / "proof.json"
+    assert main(["prove", "--suite", "lemma1", *sizes, "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: lemma1") and "Traceback" not in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("value", ["NaN", "Infinity", "-Infinity", "1e999"])
+def test_non_finite_energy_p_is_a_config_error(tmp_path, capsys, value):
+    # Python's json reads all four; NaN failed every end2end trial and Infinity
+    # tied every one, so neither may reach a run.
+    bad = tmp_path / "bad.json"
+    bad.write_text('{"energy_p": %s}' % value)
+    code, out = run_cli(tmp_path, "--config", str(bad), "--suite", "end2end", "--trials", "5")
+    assert code == 2
+    assert capsys.readouterr().err.startswith("error: energy_p must be a finite number")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "key, value", [("tolerance", "NaN"), ("tolerance", "Infinity"), ("divergence", "-Infinity")]
+)
+def test_replay_rejects_non_finite_numbers(tmp_path, capsys, key, value):
+    payload, _ = next(PROPERTIES["claim1"].sample(SuiteConfig(trials=1)))
+    doc = _counterexample("claim1", 0.0, 1.0, payload)
+    doc[key] = float(value.lower().replace("infinity", "inf"))
+    path = tmp_path / "bad.replay.json"
+    path.write_text(json.dumps(doc))
+    assert value in path.read_text()
+    assert main(["replay", str(path)]) == 2
+    assert capsys.readouterr().err.startswith(f"error: replay file {key!r} must be finite")
+
+
 def test_missing_config_file_is_a_config_error(tmp_path, capsys):
     code, _ = run_cli(tmp_path, "--config", str(tmp_path / "nope.json"))
     assert code == 2

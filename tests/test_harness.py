@@ -61,6 +61,42 @@ def test_suite_config_validation():
         SuiteConfig(seed=1.5)
 
 
+@pytest.mark.parametrize(
+    "sizes",
+    [{"lemma_l": (0,)}, {"lemma_n": (0, 4)}, {"lemma_n": (-4,)}, {"lemma_l": (2, -1)},
+     {"lemma_n": (5,), "lemma_l": (2,)}, {"lemma_n": ()}],
+)
+def test_suite_config_rejects_bad_lemma1_sizes(sizes):
+    with pytest.raises(ConfigError):
+        SuiteConfig(suites=("lemma1",), **sizes)
+
+
+def test_lemma1_pairs_matter_only_to_a_lemma1_run():
+    assert SuiteConfig(suites=("claim1",), lemma_n=(5,), lemma_l=(2,)).lemma_n == (5,)
+    with pytest.raises(ConfigError):
+        SuiteConfig(suites=("claim1",), lemma_l=(0,))
+
+
+@pytest.mark.parametrize(
+    "key, value",
+    [("tolerance", float("nan")), ("divergence", float("inf")), ("tolerance", -float("inf"))],
+)
+def test_replay_rejects_non_finite_document_numbers(key, value):
+    payload, _ = next(PROPERTIES["claim1"].sample(SuiteConfig(trials=1)))
+    doc = {**_counterexample("claim1", 0.0, 1.0, payload), key: value}
+    with pytest.raises(ConfigError, match="must be finite"):
+        replay(doc)
+
+
+@pytest.mark.parametrize("suite, key", [("apmerge", "energy_p"), ("claim2", "energy_p")])
+@pytest.mark.parametrize("value", [float("nan"), float("inf")])
+def test_replay_rejects_non_finite_payload_numbers(suite, key, value):
+    payload, _ = next(PROPERTIES[suite].sample(SuiteConfig(trials=1)))
+    doc = _counterexample(suite, 0.0, 1.0, {**payload, key: value})
+    with pytest.raises(ConfigError, match="must be finite"):
+        replay(doc)
+
+
 def test_suite_config_dedups_preserving_order():
     sc = SuiteConfig(suites=("claim2", "claim1", "claim2"), disable=("a_wsa", "a_wsa"))
     assert sc.suites == ("claim2", "claim1")

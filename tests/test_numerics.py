@@ -220,6 +220,22 @@ def test_project_rows_checks_shapes():
         project_rows(np.zeros((2, 3)), np.zeros((4, 2)))
 
 
+def test_project_rows_stacks_take_one_or_b_matrices():
+    rng = np.random.default_rng(4)
+    rows, mats = rng.uniform(-1, 1, (3, 5, 4)), rng.uniform(-1, 1, (3, 4, 2))
+    shared = project_rows(rows, mats[0])
+    per_sample = project_rows(rows, mats)
+    for i in range(3):
+        assert project_rows(rows[i], mats[0]).tobytes() == shared[i].tobytes()
+        assert project_rows(rows[i], mats[i]).tobytes() == per_sample[i].tobytes()
+    with pytest.raises(ShapeError):
+        project_rows(rows, mats[:2])  # one matrix per sample
+    with pytest.raises(ShapeError):
+        project_rows(rows[0], mats)  # a stack of matrices needs a stack of rows
+    with pytest.raises(ShapeError):
+        project_rows(rows, rng.uniform(-1, 1, (3, 3, 2)))
+
+
 # ------------------------------------------------------------------ argmax --
 
 

@@ -1,10 +1,14 @@
 """Composed models: weight determinism, trace accounting, end-to-end laws."""
 
+import dataclasses
+import math
 from collections import Counter
 from itertools import product
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from eqvit import GridSignal, attention, circular_shift, pipeline
 from eqvit.errors import ConfigError, ParameterError, ShapeError
@@ -72,6 +76,55 @@ def test_config_dict_round_trip():
 def test_from_dict_rejects_bad_documents(doc):
     with pytest.raises(ConfigError):
         ModelConfig.from_dict(doc)
+
+
+@pytest.mark.parametrize(
+    "doc",
+    [{"energy_p": math.nan}, {"energy_p": math.inf}, {"energy_p": -math.inf},
+     {"energy_p": 10**400}, {"depth": 10**12, "windows": 1, "merge_factors": 1}],
+    ids=["nan", "inf", "-inf", "int-past-float", "huge-depth"],
+)
+def test_from_dict_rejects_non_finite_and_unbuildable_numbers(doc):
+    with pytest.raises(ConfigError):
+        ModelConfig.from_dict(doc)
+
+
+# JSON documents near the config's own shape: a valid config with a few
+# fields replaced, and documents of its keys and a few strangers.  Values run
+# from small sizes to ints past the float range, NaN and infinities, the
+# names the string fields accept, and nested lists and objects.
+_FIELDS = [f.name for f in dataclasses.fields(ModelConfig)]
+_JSON_SCALARS = (
+    st.none()
+    | st.booleans()
+    | st.integers(-2, 70)
+    | st.integers()
+    | st.sampled_from([2**63, 10**400, -(10**400)])
+    | st.floats(allow_nan=True, allow_infinity=True)
+    | st.sampled_from(["adaptive", "original", "none", "sum_l2", "max", "l2", ""])
+)
+_JSON = st.recursive(
+    _JSON_SCALARS,
+    lambda inner: st.lists(inner, max_size=4) | st.dictionaries(st.text(max_size=3), inner, max_size=3),
+    max_leaves=8,
+)
+_EDITED_DEFAULTS = st.dictionaries(st.sampled_from(_FIELDS), _JSON, max_size=3).map(
+    lambda edits: {**ModelConfig().to_dict(), **edits}
+)
+_CONFIG_DOCS = st.dictionaries(st.sampled_from(_FIELDS) | st.text(max_size=4), _JSON, max_size=8)
+
+
+@settings(max_examples=200, deadline=None)
+@given(_EDITED_DEFAULTS | _CONFIG_DOCS | _JSON)
+@example({"energy_p": math.nan})
+@example({"depth": 10**12, "windows": 1})
+def test_from_dict_returns_or_raises_config_error(doc):
+    try:
+        cfg = ModelConfig.from_dict(doc)
+    except ConfigError:
+        return
+    assert math.isfinite(cfg.energy_p) and cfg.energy_p >= 1
+    assert ModelConfig.from_dict(cfg.to_dict()) == cfg
 
 
 def test_from_dict_broadcasts_bare_stage_ints():
