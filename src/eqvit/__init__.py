@@ -10,7 +10,6 @@ and by randomized property tests at desk scale.
 from .errors import ConfigError, ParameterError, ShapeError, TraceError
 from .numerics import (
     GridSignal,
-    argmax_tiebreak,
     circular_shift,
     lp_norm,
     softmax_rows,

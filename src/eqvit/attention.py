@@ -7,7 +7,8 @@ rotation.  Window attention runs independent self-attention per
 non-overlapping block; the adaptive variant first rotates the token grid to
 the window anchor with the highest pooled token energy so that blocks cover
 the same tokens regardless of how the input was shifted.  Every op takes a
-batched `TokenMatrix` too, and the adaptive one picks an anchor per sample.
+batched `TokenMatrix` too.  The adaptive one picks an anchor per sample and
+returns (tokens, SelectionTrace), the trace one per-sample entry.
 """
 
 from __future__ import annotations
@@ -19,10 +20,10 @@ from itertools import product
 import numpy as np
 
 from .errors import ParameterError, ShapeError
-from .numerics import best_phase, blocks, freeze, require_finite, rotate_rows, rotation_index
-from .numerics import softmax_rows, stable_sum, unblocks
+from .numerics import best_phase, blocks, freeze, require_finite, require_norm_order, rotate_rows
+from .numerics import rotation_index, softmax_rows, stable_sum, unblocks, weight_array
 from .tokenizer import TokenMatrix
-from .trace import WSA, BatchTrace, SelectionTrace, selections
+from .trace import WSA, SelectionTrace
 
 NONE = "none"
 ORIGINAL = "original"
@@ -48,13 +49,7 @@ class AttentionParams:
     e_v: np.ndarray
 
     def __post_init__(self):
-        mats = {}
-        for name in ("e_q", "e_k", "e_v"):
-            arr = np.asarray(getattr(self, name), dtype=np.float64)
-            if arr.ndim != 2:
-                raise ShapeError(f"{name} must be a matrix")
-            require_finite(arr, name)
-            mats[name] = freeze(arr)
+        mats = {name: weight_array(getattr(self, name), name) for name in ("e_q", "e_k", "e_v")}
         if not (mats["e_q"].shape == mats["e_k"].shape == mats["e_v"].shape):
             raise ShapeError("projection matrices must share one D x D' shape")
         for name, arr in mats.items():
@@ -175,8 +170,7 @@ class WindowConfig:
     def __post_init__(self):
         if self.window < 1:
             raise ParameterError(f"window must be >= 1, got {self.window}")
-        if self.energy_p < 1:
-            raise ParameterError(f"energy_p must be >= 1, got {self.energy_p}")
+        require_norm_order(self.energy_p)
         if self.energy_fn not in WINDOW_FNS:
             raise ParameterError(
                 f"unknown energy_fn {self.energy_fn!r}, choose from {sorted(WINDOW_FNS)}"
@@ -230,14 +224,14 @@ def a_wsa(
     cfg: WindowConfig,
     params: AttentionParams,
     rpe: RpeTable | None = None,
-) -> tuple[TokenMatrix, SelectionTrace | BatchTrace]:
+) -> tuple[TokenMatrix, SelectionTrace]:
     """Window self-attention aligned to the best-energy window anchor.
 
     Scores each of the W (rank 2: W x W) candidate anchors by applying the
     configured functional to the window energies sampled at that phase,
     rotates the token grid to the winning anchor, and runs wsa there.  The
     output lives on the rotated grid; the chosen offset is recorded.  A batch
-    picks and rotates per sample and returns a `BatchTrace`.
+    picks and rotates per sample, one trace offset per sample.
     """
     energies = window_energy(tokens, cfg)
     score = WINDOW_FNS[cfg.energy_fn]
@@ -249,4 +243,4 @@ def a_wsa(
     )
     rotated = rotate_rows(tokens.stack(), tokens.grid_shape, offsets)
     out = wsa(tokens.like(rotated, tokens.grid_shape), cfg, params, rpe)
-    return out, selections(WSA, offsets, tied, tokens.batched)
+    return out, SelectionTrace.single(WSA, offsets, tied)

@@ -191,12 +191,12 @@ def _best_alignment(shifted: TokenMatrix, base: TokenMatrix, step: int = 1):
     return best if base.batched else float(best[0])
 
 
-def _json_kind(value) -> tuple[str, bool]:
-    """(NumPy dtype kind, is a list) of a payload value; a ragged list has no kind."""
+def _json_kind(value) -> tuple[str, int]:
+    """(NumPy dtype kind, list depth) of a payload value; a ragged list has no kind."""
     try:
-        return np.asarray(value).dtype.kind, np.ndim(value) > 0
+        return np.asarray(value).dtype.kind, np.ndim(value)
     except ValueError:
-        return "ragged", True
+        return "ragged", 1
 
 
 def _counterexample(suite: str, tolerance: float, divergence: float, payload: dict) -> dict:
@@ -282,7 +282,7 @@ def _claim1_check(payloads: list[dict], cfg: PatchEmbedConfig | None = None):
     base, tb = a_token(xs, cfg)
     out, ts = a_token([circular_shift(x, int(p["shift"])) for x, p in zip(xs, payloads)], cfg)
     n = len(payloads)
-    return _best_alignment(out, base), np.ones(n, bool), tb.any_tied(n) | ts.any_tied(n)
+    return _best_alignment(out, base), np.ones(n, bool), tb.tied | ts.tied
 
 
 def _window_attention(payload: dict) -> tuple[WindowConfig, AttentionParams, RpeTable]:
@@ -324,7 +324,7 @@ def _claim2_check(payloads: list[dict], parts=None):
     out, ts = a_wsa(TokenMatrix._fresh(rotate_rows(t.data, grid, shifts), grid), wcfg, params, rpe)
     n = len(payloads)
     div = _best_alignment(out, base, step=wcfg.window)
-    return div, np.ones(n, bool), tb.any_tied(n) | ts.any_tied(n)
+    return div, np.ones(n, bool), tb.tied | ts.tied
 
 
 def _claim3_trials(sc: SuiteConfig):
@@ -384,7 +384,7 @@ def _apmerge_check(payloads: list[dict], _shared=None):
     cfg = MergeConfig(first["factor"], np.concatenate([embeds, embeds]), first["energy_p"])
     out, trace = a_pmerge(both, cfg)
     base, shifted = (out.like(half, out.grid_shape) for half in (out.data[:n], out.data[n:]))
-    tied = trace.any_tied(2 * n)
+    tied = trace.tied
     return _best_alignment(shifted, base), np.ones(n, bool), tied[:n] | tied[n:]
 
 
@@ -427,7 +427,7 @@ def _end2end_divergence(payloads: list[dict], model: Model | None = None):
         back = rotate_rows(maps.reshape(2 * n, -1, maps.shape[-1]), cfg.input_shape, -offs)
         div = np.maximum(div, max_abs_rows(back[:n], back[n:]))
         agree &= np.all(np.argmax(back[:n], -1) == np.argmax(back[n:], -1), axis=-1)
-    tied = trace.any_tied(2 * n)
+    tied = trace.tied
     return div, agree, tied[:n] | tied[n:]
 
 
@@ -698,24 +698,28 @@ def replay(document: dict) -> tuple[int, str]:
         raise ConfigError(f"replay file names unknown suite {suite!r}")
     prop = PROPERTIES["end2end" if suite == "ablation" else suite]
     for key in ("tolerance", "divergence"):
-        if _json_kind(document.get(key)) not in (("f", False), ("i", False)):
+        if _json_kind(document.get(key)) not in (("f", 0), ("i", 0)):
             raise ConfigError(f"replay file needs a numeric {key!r}")
         if not is_finite_number(document[key]):
             raise ConfigError(f"replay file {key!r} must be finite, not {document[key]!r}")
     payload = document.get("payload")
     if not isinstance(payload, dict):
         raise ConfigError("replay file needs a payload object")
-    # Each value has the JSON kind the sampler writes (ints may stand for floats);
-    # a wrong shape surfaces as ShapeError from the check.
+    # Each value has the JSON kind the sampler writes (ints may stand for floats).
+    # Integer offsets and grids keep its list depth too; float arrays may be of
+    # another rank (a 2-D model's inputs), and a wrong shape surfaces as
+    # ShapeError from the check.
     written, _ = next(prop.sample(SuiteConfig(trials=1)))
     missing = sorted(set(written) - set(payload))
     if missing:
         raise ConfigError(f"{suite} payload lacks keys {missing}")
     for key, value in written.items():
         want, got = _json_kind(value), _json_kind(payload[key])
-        if got != want and (want[0], got) != ("f", ("i", want[1])):
-            raise ConfigError(f"{suite} payload {key!r} has (kind, is list) {got}, not {want}")
-        if got in (("f", False), ("i", False)) and not is_finite_number(payload[key]):
+        kind_ok = got[0] == want[0] or (want[0], got[0]) == ("f", "i")
+        depth_ok = got[1] == want[1] if want[0] == "i" else (got[1] > 0) == (want[1] > 0)
+        if not (kind_ok and depth_ok):
+            raise ConfigError(f"{suite} payload {key!r} has (kind, depth) {got}, not {want}")
+        if got in (("f", 0), ("i", 0)) and not is_finite_number(payload[key]):
             raise ConfigError(f"{suite} payload {key!r} must be finite, not {payload[key]!r}")
     recorded = float(document["divergence"])
     tolerance = float(document["tolerance"])

@@ -7,7 +7,8 @@ full-rate form computes: project the group anchored at every grid position.
 Polyphase selection then keeps whichever of the P (or P x P) downsampling
 phases carries the most energy, so a rotation of the token grid changes
 which phase wins instead of changing the values.  Every op takes a batched
-`TokenMatrix` too, with one phase per sample.
+`TokenMatrix` too.  `aps` and `a_pmerge` return (tokens, SelectionTrace) with
+one phase per sample, and `unpool` reads that trace back.
 """
 
 from __future__ import annotations
@@ -20,17 +21,16 @@ import numpy as np
 
 from .errors import ParameterError, ShapeError, TraceError
 from .numerics import (
-    Offset,
     best_phase,
     blocks,
-    freeze,
     lp_norm,
     project_rows,
-    require_finite,
+    require_norm_order,
     scatter_phases,
+    weight_array,
 )
 from .tokenizer import TokenMatrix
-from .trace import MERGE, WSA, BatchTrace, SelectionTrace
+from .trace import MERGE, WSA, SelectionTrace
 
 
 @dataclass(frozen=True)
@@ -48,13 +48,8 @@ class MergeConfig:
     def __post_init__(self):
         if self.factor < 1:
             raise ParameterError(f"factor must be >= 1, got {self.factor}")
-        if self.energy_p < 1:
-            raise ParameterError(f"energy_p must be >= 1, got {self.energy_p}")
-        arr = np.asarray(self.embed, dtype=np.float64)
-        if arr.ndim not in (2, 3):
-            raise ShapeError("embed must be a matrix or a stack of matrices")
-        require_finite(arr, "embed")
-        object.__setattr__(self, "embed", freeze(arr))
+        require_norm_order(self.energy_p)
+        object.__setattr__(self, "embed", weight_array(self.embed, "embed", (2, 3)))
 
     @property
     def dim_out(self) -> int:
@@ -106,14 +101,14 @@ def pmerge_conv_fullrate(tokens: TokenMatrix, cfg: MergeConfig) -> TokenMatrix:
 
 def aps(
     tokens: TokenMatrix, factor: int, energy_p: float = 2.0
-) -> tuple[TokenMatrix, Offset | np.ndarray, bool | np.ndarray]:
+) -> tuple[TokenMatrix, SelectionTrace]:
     """Keep the stride-`factor` polyphase component with the largest norm.
 
     Components are the strided subgrids at each of the factor (rank 2:
     factor x factor) phases; each is scored by the lp norm pooled over all
     its entries and channels.  Exact ties resolve to the lowest row-major
-    phase and are flagged.  A batch selects per sample and returns (B, rank)
-    phases and (B,) flags.
+    phase and are flagged.  A batch selects per sample; the trace holds one
+    phase per sample.
     """
     if factor < 1:
         raise ParameterError(f"factor must be >= 1, got {factor}")
@@ -127,29 +122,19 @@ def aps(
         lambda comps: lp_norm(comps.reshape(len(comps), -1), energy_p, axis=-1),
     )
     out = tokens.like(comp, tuple(g // factor for g in tokens.grid_shape))
-    if tokens.batched:
-        return out, phases, tied
-    return out, tuple(phases[0].tolist()), bool(tied[0])
+    return out, SelectionTrace.single(MERGE, phases, tied)
 
 
-def a_pmerge(
-    tokens: TokenMatrix, cfg: MergeConfig
-) -> tuple[TokenMatrix, SelectionTrace | BatchTrace]:
+def a_pmerge(tokens: TokenMatrix, cfg: MergeConfig) -> tuple[TokenMatrix, SelectionTrace]:
     """Patch merging with energy-selected downsampling phase.
 
     Runs the full-rate convolution form and keeps the polyphase component
     with the largest pooled norm, recording the phase (per sample of a batch).
     """
-    full = pmerge_conv_fullrate(tokens, cfg)
-    comp, phases, tied = aps(full, cfg.factor, cfg.energy_p)
-    if tokens.batched:
-        return comp, BatchTrace.single(MERGE, phases, tied)
-    return comp, SelectionTrace.single(MERGE, phases, tied)
+    return aps(pmerge_conv_fullrate(tokens, cfg), cfg.factor, cfg.energy_p)
 
 
-def unpool(
-    tokens: TokenMatrix, trace: SelectionTrace | BatchTrace, factor: int, target_grid
-) -> TokenMatrix:
+def unpool(tokens: TokenMatrix, trace: SelectionTrace, factor: int, target_grid) -> TokenMatrix:
     """Invert one merge stage: scatter tokens back to their recorded phase.
 
     The output grid is zero-filled except at positions phase + factor * i,
@@ -157,15 +142,13 @@ def unpool(
     same trace are then un-applied in reverse order, so the result is
     aligned with the grid the stage originally consumed.  Re-anchoring the
     token grid to the input resolution is the pipeline's job.  A batch of
-    tokens takes a `BatchTrace` and un-applies each sample's own choices.
+    tokens un-applies each sample's own choices.
     """
     if isinstance(target_grid, (int, np.integer)):
         target_grid = (int(target_grid),)
     target_grid = tuple(int(g) for g in target_grid)
     if len(target_grid) != tokens.rank:
         raise TraceError(f"target grid {target_grid} has wrong rank for the tokens")
-    if isinstance(trace, SelectionTrace):
-        trace = BatchTrace.of(trace)
     merges = trace.of_kind(MERGE)
     if len(merges) != 1:
         raise TraceError(f"expected exactly one merge entry, found {len(merges)}")

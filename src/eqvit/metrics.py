@@ -143,7 +143,7 @@ def _run(model, signals: list[GridSignal], dense: bool):
     `encode_decode` (dense) or `classify`, one signal at a time."""
     if isinstance(model, Model):
         logits, labels, maps, trace = forward(model, signals)
-        return logits, labels, maps, trace.any_tied(len(signals))
+        return logits, labels, maps, trace.tied
     if dense:
         maps, traces = zip(*(model.encode_decode(x) for x in signals))
         return None, None, np.stack(maps), np.array([t.any_tied for t in traces])

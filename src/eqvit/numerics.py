@@ -37,6 +37,23 @@ def require_finite(arr: np.ndarray, name: str) -> None:
         raise ParameterError(f"{name} must contain only finite entries")
 
 
+def weight_array(values, name: str, ndims: tuple[int, ...] = (2,)) -> np.ndarray:
+    """`values` as a frozen float64 weight array: a matrix (or any rank in
+    `ndims`), no axis of length 0, every entry finite."""
+    arr = np.asarray(values, dtype=np.float64)
+    if arr.ndim not in ndims or 0 in arr.shape:
+        ranks = " or ".join(map(str, ndims))
+        raise ShapeError(f"{name} must be a non-empty array of rank {ranks}, got shape {arr.shape}")
+    require_finite(arr, name)
+    return freeze(arr)
+
+
+def require_norm_order(p, name: str = "energy_p") -> None:
+    """An lp norm order is a finite number >= 1; NaN and inf are not."""
+    if not 1 <= p < np.inf:
+        raise ParameterError(f"{name} must be a finite number >= 1, got {p}")
+
+
 def as_offset(off, rank: int) -> Offset:
     """Normalize an offset into a tuple with one integer per grid axis.
 
@@ -259,8 +276,7 @@ def lp_norm(values, p: float, axis: int | None = None):
     for any permutation of the input.  Adaptive selections compare these
     norms across rotated views and rely on that exactness.
     """
-    if p < 1:
-        raise ParameterError(f"lp_norm requires p >= 1, got {p}")
+    require_norm_order(p, "lp_norm order p")
     mags = np.abs(np.asarray(values, dtype=np.float64))
     if mags.size == 0:
         raise ShapeError("lp_norm of an empty array")
@@ -300,22 +316,6 @@ def project_rows(rows: np.ndarray, matrix: np.ndarray) -> np.ndarray:
     if stacked:
         return np.einsum("bmk,bkd->bmd", r, m)
     return np.einsum("mk,kd->md", r.reshape(-1, r.shape[2]), m).reshape(*r.shape[:2], -1)
-
-
-def argmax_tiebreak(scores) -> int:
-    """Index of the maximum entry; exact ties resolve to the lowest index."""
-    arr = np.asarray(scores, dtype=np.float64).ravel()
-    if arr.size == 0:
-        raise ParameterError("argmax of an empty score list")
-    return int(np.argmax(arr))
-
-
-def argmax_with_tie(scores) -> tuple[int, bool]:
-    """argmax_tiebreak plus a flag for exact ties among distinct entries."""
-    arr = np.asarray(scores, dtype=np.float64).ravel()
-    argmax_tiebreak(arr)  # rejects an empty list
-    idx, tied = argmax_rows(arr[np.newaxis])
-    return int(idx[0]), bool(tied[0])
 
 
 def argmax_rows(scores: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

@@ -11,7 +11,9 @@ Two heads over one encoder:
   forward       both heads from one encoder pass, for one input or a batch.
 
 The encoder runs on one input or on a batch of them, with one selection per
-sample; each sample's outputs are bit-identical to its run alone.
+sample; each sample's outputs are bit-identical to its run alone.  Its
+`SelectionTrace` is one format for both: every adaptive op appends one entry
+of per-sample offsets and tie flags, and the decoder reads it as it is.
 
 Every adaptive block can be swapped for its fixed baseline through a config
 switch, which is how the ablation suites demonstrate that each one is
@@ -40,7 +42,7 @@ from .attention import (
 )
 from .errors import ConfigError, ShapeError
 from .merging import MergeConfig, a_pmerge, pmerge, unpool
-from .numerics import GridSignal, freeze, require_finite, scatter_phases
+from .numerics import GridSignal, require_finite, scatter_phases, weight_array
 from .tokenizer import (
     INVARIANT_FNS,
     PatchEmbedConfig,
@@ -48,7 +50,7 @@ from .tokenizer import (
     a_token,
     token,
 )
-from .trace import MERGE, BatchEntry, BatchTrace, SelectionTrace
+from .trace import MERGE, SelectionTrace, TraceEntry
 
 SWITCHES = ("a_token", "a_wsa", "a_pmerge", "adaptive_rpe")
 
@@ -237,9 +239,7 @@ class ModelWeights:
     head: np.ndarray
 
     def __post_init__(self):
-        arr = np.asarray(self.head, dtype=np.float64)
-        require_finite(arr, "head")
-        object.__setattr__(self, "head", freeze(arr))
+        object.__setattr__(self, "head", weight_array(self.head, "head"))
         object.__setattr__(self, "stages", tuple(self.stages))
 
 
@@ -321,7 +321,7 @@ def build_model(cfg: ModelConfig) -> Model:
     return Model(config=cfg, weights=weights)
 
 
-def _encode(model: Model, x) -> tuple[TokenMatrix, SelectionTrace | BatchTrace]:
+def _encode(model: Model, x) -> tuple[TokenMatrix, SelectionTrace]:
     """Encoder over one signal, or over a sequence of them as one batch."""
     cfg = model.config
     batched = not isinstance(x, GridSignal)
@@ -333,7 +333,7 @@ def _encode(model: Model, x) -> tuple[TokenMatrix, SelectionTrace | BatchTrace]:
                 f"input {signal.shape} x{signal.channels}ch does not match "
                 f"config {cfg.input_shape} x{cfg.channels}ch"
             )
-    trace = BatchTrace() if batched else SelectionTrace()
+    trace = SelectionTrace(len(x) if batched else 1)
     if cfg.a_token:
         tokens, tr = a_token(x, model.weights.patch)
         trace.extend(tr)
@@ -368,9 +368,7 @@ def _head(model: Model, tokens: TokenMatrix) -> tuple[np.ndarray, np.ndarray]:
     return logits, np.argmax(logits, axis=-1)
 
 
-def _decode(
-    cfg: ModelConfig, tokens: TokenMatrix, trace: SelectionTrace | BatchTrace
-) -> np.ndarray:
+def _decode(cfg: ModelConfig, tokens: TokenMatrix, trace: SelectionTrace) -> np.ndarray:
     """Scatter tokens back to the input resolution along the encoder's trace,
     (B, *input_shape, D).
 
@@ -378,8 +376,8 @@ def _decode(
     per stage a window offset if a_wsa and a merge phase if a_pmerge (a fixed
     merge keeps phase 0).
     """
-    entries = list(BatchTrace.of(trace) if isinstance(trace, SelectionTrace) else trace)
-    batch = len(tokens.stack())
+    entries = list(trace)
+    batch = trace.size
     zero = np.zeros((batch, cfg.rank), dtype=np.int64)
     token_offsets = entries.pop(0).offsets if cfg.a_token else zero
     per_stage = int(cfg.a_wsa) + int(cfg.a_pmerge)
@@ -388,8 +386,8 @@ def _decode(
     for s in reversed(range(cfg.depth)):
         stage = entries[s * per_stage : (s + 1) * per_stage]
         if not cfg.a_pmerge:
-            stage.append(BatchEntry(MERGE, zero, np.zeros(batch, dtype=bool)))
-        feats = unpool(feats, BatchTrace(stage), cfg.merge_factors[s], grids[s])
+            stage.append(TraceEntry(MERGE, zero, np.zeros(batch, dtype=bool)))
+        feats = unpool(feats, SelectionTrace(batch, stage), cfg.merge_factors[s], grids[s])
     return scatter_phases(feats.stack(), cfg.input_shape, cfg.patch_len, token_offsets)
 
 
@@ -417,7 +415,7 @@ def forward(model: Model, x):
 
     `x` is one signal, or a sequence of B signals of the model's input shape,
     which gives (B, classes) logits, (B,) labels, (B, *shape, D) maps and a
-    `BatchTrace`; each sample's outputs are bit-identical to its call alone.
+    trace of size B; each sample's outputs are bit-identical to its call alone.
     """
     tokens, trace = _encode(model, x)
     logits, labels = _head(model, tokens)

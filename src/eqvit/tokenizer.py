@@ -11,7 +11,8 @@ own results skip that (`TokenMatrix._fresh`) and the encoder checks its output.
 Every op also takes a batch: a sequence of signals, or a `TokenMatrix` whose
 data is a (B, M, D) stack.  One sample is the B=1 call of the same kernel,
 and each sample of a batch gets its own selection, bit-identical to its
-call alone.
+call alone.  `a_token` returns (tokens, SelectionTrace) for one signal and
+for a batch alike; the trace holds one offset and tie flag per sample.
 """
 
 from __future__ import annotations
@@ -36,8 +37,9 @@ from .numerics import (
     rotation_index,
     stable_sum,
     stack_signals,
+    weight_array,
 )
-from .trace import TOKEN, BatchTrace, SelectionTrace, selections
+from .trace import TOKEN, SelectionTrace
 
 
 def _row_l2(tokens: np.ndarray) -> np.ndarray:
@@ -136,16 +138,12 @@ class PatchEmbedConfig:
     def __post_init__(self):
         if self.patch_len < 1:
             raise ParameterError(f"patch_len must be >= 1, got {self.patch_len}")
-        arr = np.asarray(self.embed, dtype=np.float64)
-        if arr.ndim != 2:
-            raise ShapeError("embed must be a matrix")
-        require_finite(arr, "embed")
+        object.__setattr__(self, "embed", weight_array(self.embed, "embed"))
         if self.invariant_fn not in INVARIANT_FNS:
             raise ParameterError(
                 f"unknown invariant_fn {self.invariant_fn!r}, "
                 f"choose from {sorted(INVARIANT_FNS)}"
             )
-        object.__setattr__(self, "embed", freeze(arr))
 
     @property
     def dim(self) -> int:
@@ -225,13 +223,14 @@ def _full_rate_embed(x, cfg: PatchEmbedConfig) -> np.ndarray:
     return full if batched else full[0]
 
 
-def a_token(x, cfg: PatchEmbedConfig) -> tuple[TokenMatrix, SelectionTrace | BatchTrace]:
+def a_token(x, cfg: PatchEmbedConfig) -> tuple[TokenMatrix, SelectionTrace]:
     """Energy-aligned tokenization.
 
     Scores every circular patch offset with the configured invariant
     functional and tokenizes at the best one; exact score ties resolve to
     the lowest row-major offset and are flagged in the trace.  `x` is one
-    signal, or a sequence of them for a (B, M, D) batch and a `BatchTrace`.
+    signal, or a sequence of B signals for a (B, M, D) batch; the trace
+    holds one offset per sample either way.
     """
     batched = not isinstance(x, GridSignal)
     full = _full_rate_embed(x, cfg)
@@ -240,7 +239,7 @@ def a_token(x, cfg: PatchEmbedConfig) -> tuple[TokenMatrix, SelectionTrace | Bat
     energy = INVARIANT_FNS[cfg.invariant_fn]
     offsets, sub, tied = best_phase(stack, cfg.patch_len, len(grid), energy)
     tokens = TokenMatrix._fresh(sub if batched else sub[0], grid)
-    return tokens, selections(TOKEN, offsets, tied, batched)
+    return tokens, SelectionTrace.single(TOKEN, offsets, tied)
 
 
 def lemma1_sides(x, cfg: PatchEmbedConfig, off, axis: int = 0) -> tuple[np.ndarray, np.ndarray]:

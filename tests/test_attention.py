@@ -325,7 +325,7 @@ def test_a_wsa_selects_highest_energy_anchor():
     # Anchor 0 windows score max 3; anchor 1 windows (tokens {1,2}, {3,0})
     # score max 5.
     assert trace.entries[0].kind == WSA
-    assert trace.entries[0].offset == (1,)
+    assert trace.entries[0].offsets.tolist() == [[1]]
     assert np.array_equal(out.data, wsa(t.shift(1), WindowConfig(2), params).data)
 
 
@@ -336,8 +336,8 @@ def test_a_wsa_constant_tokens_tie_to_anchor_zero():
     for grid in ((8,), (4, 4)):
         t = TokenMatrix(np.ones((int(np.prod(grid)), 3)), grid)
         out, trace = a_wsa(t, cfg, params)
-        assert trace.entries[0].offset == (0,) * len(grid)
-        assert trace.entries[0].tied
+        assert trace.entries[0].offsets.tolist() == [[0] * len(grid)]
+        assert trace.entries[0].tied.tolist() == [True]
         assert np.array_equal(out.data, wsa(t, cfg, params).data)
 
 
@@ -380,7 +380,7 @@ def test_a_wsa_single_window_degenerates_to_sa():
     t = TokenMatrix(rng.uniform(-1, 1, (4, 3)), (4,))
     params = rand_params(rng, 3)
     out, trace = a_wsa(t, WindowConfig(4), params)
-    off = trace.entries[0].offset[0]
+    off = int(trace.entries[0].offsets[0, 0])
     assert np.array_equal(out.data, sa(t.shift(off), params).data)
 
 
@@ -394,6 +394,9 @@ def test_attention_params_validation():
         AttentionParams(np.zeros(2), np.zeros(2), np.zeros(2))
     with pytest.raises(ParameterError):
         AttentionParams(np.full((2, 2), np.nan), np.zeros((2, 2)), np.zeros((2, 2)))
+    for empty in ([[]] * 8, np.zeros((0, 2))):
+        with pytest.raises(ShapeError):
+            AttentionParams(empty, empty, empty)
     p = AttentionParams(np.zeros((3, 4)), np.zeros((3, 4)), np.zeros((3, 4)))
     assert p.dim_in == 3 and p.dim_out == 4 and p.scale == 0.5
 
@@ -401,7 +404,8 @@ def test_attention_params_validation():
 def test_window_config_validation():
     with pytest.raises(ParameterError):
         WindowConfig(0)
-    with pytest.raises(ParameterError):
-        WindowConfig(2, energy_p=0.5)
+    for p in (0.5, np.nan, np.inf):
+        with pytest.raises(ParameterError):
+            WindowConfig(2, energy_p=p)
     with pytest.raises(ParameterError):
         WindowConfig(2, energy_fn="median")

@@ -47,7 +47,7 @@ from eqvit.tokenizer import (
     reshape_patches,
     token,
 )
-from eqvit.trace import BatchTrace, SelectionTrace
+from eqvit.trace import WSA, SelectionTrace
 
 
 def same(a, b) -> bool:
@@ -71,7 +71,7 @@ def assert_batch_equals_singles(batched, singles):
     assert tokens.batched and not singles[0][0].batched
     for i, (one, one_trace) in enumerate(singles):
         assert same(tokens.data[i], one.data)
-        assert trace.sample(i).entries == one_trace.entries
+        assert trace.sample(i) == one_trace
 
 
 TOKEN_GRIDS = [(16,), (4, 4), (4, 8), (32, 32)]
@@ -111,11 +111,7 @@ def test_token_ops_batch_equals_singles(grid):
         merged, trace = a_pmerge(batch, merge)
         singles = [a_pmerge(t, merge) for t in mats]
         assert_batch_equals_singles((merged, trace), singles)
-        comps, phases, tied = aps(batch, p, energy_p)
-        for i, t in enumerate(mats):
-            one, phase, one_tied = aps(t, p, energy_p)
-            assert same(comps.data[i], one.data)
-            assert tuple(phases[i].tolist()) == phase and bool(tied[i]) == one_tied
+        assert_batch_equals_singles(aps(batch, p, energy_p), [aps(t, p, energy_p) for t in mats])
         restored = unpool(merged, trace, p, grid)
         for i, (one, one_trace) in enumerate(singles):
             assert same(restored.data[i], unpool(one, one_trace, p, grid).data)
@@ -220,14 +216,14 @@ def test_forward_batch_equals_single_heads(cfg, off):
     rng = np.random.default_rng(4)
     xs = [GridSignal(a) for a in samples(rng, cfg.input_shape, 4, cfg.channels)]
     logits, labels, maps, trace = forward(model, xs)
-    assert isinstance(trace, BatchTrace)
+    assert trace.size == len(xs)
     for i, x in enumerate(xs):
         c_logits, c_label, c_trace = classify(model, x)
         d_map, d_trace = encode_decode(model, x)
         assert same(logits[i], c_logits) and int(labels[i]) == c_label
         assert same(maps[i], d_map)
-        assert trace.sample(i).entries == c_trace.entries == d_trace.entries
-    assert trace.any_tied(len(xs))[[0, -1]].all()
+        assert trace.sample(i) == c_trace == d_trace
+    assert trace.tied[[0, -1]].all()
 
 
 @pytest.mark.parametrize("rpe", ["none", "original"])
@@ -556,5 +552,5 @@ def test_ablation_equals_trial_by_trial_search(seed, budget):
 
 
 def test_trace_of_one_sample_round_trips():
-    trace = SelectionTrace.single("wsa", (2, 1), True)
-    assert BatchTrace.of(trace).sample(0) == trace
+    trace = SelectionTrace.single(WSA, [(2, 1)], [True])
+    assert trace.size == 1 and trace.sample(0) == trace

@@ -259,6 +259,23 @@ def test_replay_rejects_bad_payload_values(tmp_path, capsys, x):
     assert err.startswith("error: claim1 payload") and "Traceback" not in err
 
 
+@pytest.mark.parametrize(
+    "suite, keys",
+    [("lemma1", ["embed"]), ("claim1", ["embed"]), ("claim2", ["e_q", "e_k", "e_v"]),
+     ("claim3", ["embed"])],
+)
+def test_replay_rejects_empty_weight_matrices(tmp_path, capsys, suite, keys):
+    # Weights with zero columns are bad configuration, not a reproduced failure.
+    payload, _ = next(PROPERTIES[suite].sample(SuiteConfig(trials=1)))
+    for key in keys:
+        payload[key] = [[]] * len(payload[key])
+    path = tmp_path / "empty.replay.json"
+    path.write_text(json.dumps(_counterexample(suite, 0.0, 1.0, payload)))
+    assert main(["replay", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {suite} payload") and "Traceback" not in err
+
+
 def test_replay_rejects_overflowing_payload(tmp_path, capsys):
     # Finite but huge tokens overflow the attention scores to NaN: an error, not a
     # failure that no longer reproduces.

@@ -4,6 +4,8 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from eqvit import pipeline
 from eqvit.errors import ConfigError
@@ -339,6 +341,10 @@ def test_first_payload_replays_with_zero_drift(name):
          "payload": {**end2end_payload(ModelConfig()), "input": [[float("nan"), 0.0]] * 64}},
         {"kind": "counterexample", "suite": "claim2", "tolerance": 0.0, "divergence": 1.0,
          "payload": {**next(PROPERTIES["claim2"].sample(SuiteConfig()))[0], "window": 2.5}},
+        {"kind": "counterexample", "suite": "end2end", "tolerance": 0.0, "divergence": 1.0,
+         "payload": {**end2end_payload(ModelConfig()), "shift_a": [[0]]}},
+        {"kind": "counterexample", "suite": "apmerge", "tolerance": 0.0, "divergence": 1.0,
+         "payload": {**next(PROPERTIES["apmerge"].sample(SuiteConfig()))[0], "grid": [[16]]}},
     ],
 )
 def test_replay_rejects_malformed_counterexamples(doc):
@@ -377,3 +383,52 @@ def test_replay_passes_once_config_is_fixed():
     code, line = replay(doc)
     assert code == 0
     assert "no longer exceeds" in line
+
+
+# Each suite's first sampled payload as written to a replay file, then damaged
+# one way: a value replaced by arbitrary JSON, one (nested) list entry set to
+# an edge number, or a (nested) list truncated.
+_WRITTEN = {
+    name: json.dumps(_counterexample(name, 0.0, 1.0, next(prop.sample(SuiteConfig(trials=1)))[0]))
+    for name, prop in PROPERTIES.items()
+}
+_JSON = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=3),
+    lambda inner: st.lists(inner, max_size=4) | st.dictionaries(st.text(max_size=3), inner, max_size=3),
+    max_leaves=8,
+)
+_EDGES = [0, -1, 2**63, 1e308, float("nan")]
+
+
+def _damage(data, value):
+    """The list `value` with one entry, at a depth `data` draws, set to an edge
+    number or truncated."""
+    node = value
+    while node:
+        i = data.draw(st.integers(0, len(node) - 1))
+        if isinstance(node[i], list) and data.draw(st.booleans()):
+            node = node[i]
+        elif data.draw(st.booleans()):
+            node[i] = data.draw(st.sampled_from(_EDGES))
+            return value
+        else:
+            break
+    del node[data.draw(st.integers(0, len(node))):]
+    return value
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_damaged_replay_exits_zero_or_one_or_raises_config_error(data):
+    doc = json.loads(_WRITTEN[data.draw(st.sampled_from(sorted(_WRITTEN)))])
+    payload = doc["payload"]
+    key = data.draw(st.sampled_from(sorted(payload)))
+    if isinstance(payload[key], list) and data.draw(st.booleans()):
+        payload[key] = _damage(data, payload[key])
+    else:
+        payload[key] = data.draw(_JSON)
+    try:
+        code, _ = replay(doc)
+    except ConfigError:
+        return
+    assert code in (0, 1)

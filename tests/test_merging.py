@@ -101,8 +101,12 @@ def test_pmerge_validation():
         pmerge(t, MergeConfig(2, np.ones((5, 2))))
     with pytest.raises(ParameterError):
         MergeConfig(0, np.ones((2, 2)))
-    with pytest.raises(ParameterError):
-        MergeConfig(2, np.ones((2, 2)), energy_p=0.0)
+    for p in (0.0, np.nan, np.inf):
+        with pytest.raises(ParameterError):
+            MergeConfig(2, np.ones((2, 2)), energy_p=p)
+    for empty in (np.zeros((4, 0)), np.zeros((3, 4, 0)), np.zeros((0, 2))):
+        with pytest.raises(ShapeError):
+            MergeConfig(2, empty)
 
 
 # ---------------------------------------------------------- fullrate route --
@@ -158,21 +162,21 @@ def test_fullrate_rotates_bit_exactly():
 
 
 def test_aps_selects_larger_component():
-    out, phase, tied = aps(col([4, 1, 2, 3]), 2)
-    assert phase == (0,) and not tied
+    out, trace = aps(col([4, 1, 2, 3]), 2)
+    assert trace.entries[0].offsets.tolist() == [[0]] and not trace.any_tied
     assert np.array_equal(out.data[:, 0], [4, 2])
 
 
 def test_aps_constant_ties_to_phase_zero():
-    out, phase, tied = aps(col([2, 2, 2, 2]), 2)
-    assert phase == (0,) and tied
+    out, trace = aps(col([2, 2, 2, 2]), 2)
+    assert trace.entries[0].offsets.tolist() == [[0]] and trace.any_tied
     assert np.array_equal(out.data[:, 0], [2, 2])
 
 
 def test_aps_selection_follows_shift():
-    base, phase0, _ = aps(col([4, 1, 2, 3]), 2)
-    out, phase1, _ = aps(col([4, 1, 2, 3]).shift(1), 2)
-    assert phase1 == (1,)
+    base, _ = aps(col([4, 1, 2, 3]), 2)
+    out, trace = aps(col([4, 1, 2, 3]).shift(1), 2)
+    assert trace.entries[0].offsets.tolist() == [[1]]
     assert sorted(out.data[:, 0]) == sorted(base.data[:, 0])
     assert np.array_equal(out.data, base.shift(1).data)
 
@@ -180,9 +184,10 @@ def test_aps_selection_follows_shift():
 def test_aps_rank2_phases():
     rng = np.random.default_rng(9)
     t = TokenMatrix(rng.uniform(-1, 1, (16, 2)), (4, 4))
-    out, phase, tied = aps(t, 2)
+    out, trace = aps(t, 2)
+    (phase,) = trace.entries[0].offsets.tolist()
     assert out.grid_shape == (2, 2)
-    assert phase in {(h, w) for h in range(2) for w in range(2)}
+    assert tuple(phase) in {(h, w) for h in range(2) for w in range(2)}
     comp = t.grid()[phase[0] :: 2, phase[1] :: 2]
     assert np.array_equal(out.grid(), comp)
 
@@ -203,7 +208,7 @@ def test_a_pmerge_factor_one_is_projection():
     e = rng.uniform(-1, 1, (2, 3))
     out, trace = a_pmerge(TokenMatrix(t, (4,)), MergeConfig(1, e))
     assert trace.entries[0].kind == MERGE
-    assert trace.entries[0].offset == (0,)
+    assert trace.entries[0].offsets.tolist() == [[0]]
     assert np.allclose(out.data, t @ e, atol=1e-12, rtol=0)
 
 
@@ -217,7 +222,7 @@ def test_a_pmerge_same_phase_same_selection():
     b = np.roll(a, -2, axis=0)
     _, tr_a = a_pmerge(TokenMatrix(a, (8,)), cfg)
     _, tr_b = a_pmerge(TokenMatrix(b, (8,)), cfg)
-    assert tr_a.entries[0].offset == tr_b.entries[0].offset
+    assert tr_a.entries[0] == tr_b.entries[0]
 
 
 def test_a_pmerge_unit_shift_contract():
@@ -256,9 +261,9 @@ def test_a_pmerge_aligns_exactly_rank2():
 
 
 def merge_trace(phase, wsa_offsets=()) -> SelectionTrace:
-    entries = [TraceEntry(WSA, o, False) for o in wsa_offsets]
-    entries.append(TraceEntry(MERGE, phase, False))
-    return SelectionTrace(entries)
+    entries = [TraceEntry(WSA, [o], [False]) for o in wsa_offsets]
+    entries.append(TraceEntry(MERGE, [phase], [False]))
+    return SelectionTrace(1, entries)
 
 
 def test_unpool_scatter_examples():
@@ -271,8 +276,9 @@ def test_unpool_scatter_examples():
 def test_unpool_inverts_aps():
     rng = np.random.default_rng(14)
     y = TokenMatrix(rng.uniform(-1, 1, (8, 3)), (8,))
-    comp, phase, _ = aps(y, 2)
-    restored = unpool(comp, merge_trace(phase), 2, (8,))
+    comp, trace = aps(y, 2)
+    phase = trace.entries[0].offsets[0]
+    restored = unpool(comp, trace, 2, (8,))
     assert np.array_equal(restored.grid()[phase[0] :: 2], comp.grid())
     mask = np.ones(8, dtype=bool)
     mask[phase[0] :: 2] = False
@@ -301,7 +307,8 @@ def test_unpool_trace_errors():
     z = col([1, 2])
     with pytest.raises(TraceError):
         unpool(z, SelectionTrace(), 2, 4)
-    two = SelectionTrace([TraceEntry(MERGE, (0,), False), TraceEntry(MERGE, (1,), False)])
+    two = merge_trace((0,))
+    two.extend(merge_trace((1,)))
     with pytest.raises(TraceError):
         unpool(z, two, 2, 4)
     with pytest.raises(TraceError):

@@ -15,8 +15,7 @@ from hypothesis import strategies as st
 from eqvit import GridSignal, circular_shift, lp_norm, softmax_rows
 from eqvit.errors import ParameterError, ShapeError
 from eqvit.numerics import (
-    argmax_tiebreak,
-    argmax_with_tie,
+    argmax_rows,
     as_offset,
     blocks,
     freeze,
@@ -181,8 +180,9 @@ def test_lp_norm_examples():
 
 
 def test_lp_norm_validates():
-    with pytest.raises(ParameterError):
-        lp_norm([1, 2], 0.5)
+    for p in (0.5, math.nan, math.inf):
+        with pytest.raises(ParameterError):
+            lp_norm([1, 2], p)
     with pytest.raises(ShapeError):
         lp_norm([], 2)
 
@@ -240,20 +240,15 @@ def test_project_rows_stacks_take_one_or_b_matrices():
 
 
 def test_argmax_examples():
-    assert argmax_tiebreak([1, 3, 2]) == 1
-    assert argmax_tiebreak([5, 5, 1]) == 0
-    assert argmax_tiebreak([-2, -1, -1]) == 1
+    idx, _ = argmax_rows(np.array([[1.0, 3, 2], [5, 5, 1], [-2, -1, -1]]))
+    assert idx.tolist() == [1, 0, 1]
 
 
 def test_argmax_tie_flag():
-    assert argmax_with_tie([1, 3, 2]) == (1, False)
-    assert argmax_with_tie([5, 5, 1]) == (0, True)
-    assert argmax_with_tie([2.0]) == (0, False)
-
-
-def test_argmax_rejects_empty():
-    with pytest.raises(ParameterError):
-        argmax_tiebreak([])
+    idx, tied = argmax_rows(np.array([[1.0, 3, 2], [5, 5, 1]]))
+    assert idx.tolist() == [1, 0] and tied.tolist() == [False, True]
+    idx, tied = argmax_rows(np.array([[2.0]]))
+    assert idx.tolist() == [0] and tied.tolist() == [False]
 
 
 # ------------------------------------------------------- wrappers / freeze --

@@ -362,7 +362,7 @@ def test_depth_zero_decoder_scatters_tokens():
     out, trace = model.encode_decode(x)
     assert len(trace) == 1
     tokens, tr = a_token(x, model.weights.patch)
-    off = tr.entries[0].offset[0]
+    off = int(tr.entries[0].offsets[0, 0])
     expected = np.zeros((16, cfg.embed_dim))
     expected[off :: cfg.patch_len] = tokens.data
     assert np.array_equal(out, expected)

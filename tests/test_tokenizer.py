@@ -139,22 +139,22 @@ def test_a_token_picks_higher_energy_offset():
     # Offset 0 scores 1+3+5, offset 1 scores 2+4+6.
     assert np.array_equal(tokens.data, [[2], [4], [6]])
     assert trace.entries[0].kind == TOKEN
-    assert trace.entries[0].offset == (1,)
-    assert not trace.entries[0].tied
+    assert trace.entries[0].offsets.tolist() == [[1]]
+    assert trace.entries[0].tied.tolist() == [False]
 
 
 def test_a_token_output_is_shift_stable():
     x = sig1([1, 2, 3, 4, 5, 6])
     base, _ = a_token(x, column_picker())
     out, trace = a_token(circular_shift(x, 1), column_picker())
-    assert trace.entries[0].offset == (0,)
+    assert trace.entries[0].offsets.tolist() == [[0]]
     assert np.array_equal(out.data, base.data)
 
 
 def test_a_token_constant_input_ties_to_offset_zero():
     _, trace = a_token(sig1([3, 3, 3, 3]), column_picker())
-    assert trace.entries[0].offset == (0,)
-    assert trace.entries[0].tied
+    assert trace.entries[0].offsets.tolist() == [[0]]
+    assert trace.entries[0].tied.tolist() == [True]
 
 
 def test_a_token_alignment_is_bit_exact_rank1():
@@ -291,3 +291,6 @@ def test_patch_config_validation():
         PatchEmbedConfig(2, np.array([[np.inf, 1.0]]))
     with pytest.raises(ShapeError):
         PatchEmbedConfig(2, np.ones(3))
+    for empty in ([[], []], np.zeros((0, 4))):
+        with pytest.raises(ShapeError):
+            PatchEmbedConfig(2, empty)
