@@ -15,13 +15,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import product
 
 import numpy as np
 
 from .errors import ParameterError, ShapeError
 from .numerics import best_phase, blocks, freeze, require_finite, require_norm_order, rotate_rows
-from .numerics import rotation_index, softmax_rows, stable_sum, unblocks, weight_array
+from .numerics import softmax_rows, stable_sum, tap_index, unblocks, weight_array
 from .tokenizer import TokenMatrix
 from .trace import WSA, SelectionTrace
 
@@ -187,15 +186,17 @@ def window_energy(tokens: TokenMatrix, cfg: WindowConfig) -> np.ndarray:
     """Grid of token energies pooled over the window anchored at each index.
 
     Entry k averages the lp norms of the tokens in the circular window of
-    edge W starting at k.  Accumulation order over the window taps is fixed,
-    so a grid rotation of the tokens rotates this grid bit-exactly.  A batch
-    gives (B, *grid).
+    edge W starting at k.  One gather lays out every tap and the taps are
+    summed in a fixed order, so a grid rotation of the tokens rotates this
+    grid bit-exactly.  A batch gives (B, *grid).
     """
     _check_window(tokens, cfg)
     norms = np.sum(np.abs(tokens.data) ** cfg.energy_p, axis=-1) ** (1.0 / cfg.energy_p)
-    acc = np.zeros_like(norms)
-    for delta in product(range(cfg.window), repeat=tokens.rank):
-        acc += norms.take(rotation_index(tokens.grid_shape, delta), axis=-1)
+    taps = norms.take(tap_index(tokens.grid_shape, cfg.window), axis=-1)
+    # The tap axis is an outer axis of the gather, so the reduction adds one
+    # whole tap at a time, in order, onto the 0.0 start: the bits of a
+    # per-tap `+=` loop.
+    acc = np.add.reduce(taps, axis=-2, initial=0.0)
     return acc.reshape(tokens.grid().shape[:-1]) / float(cfg.window**tokens.rank)
 
 
@@ -238,7 +239,6 @@ def a_wsa(
     offsets, _, tied = best_phase(
         energies.reshape(-1, *tokens.grid_shape, 1),
         cfg.window,
-        tokens.rank,
         lambda comps: score(comps[..., 0]),
     )
     rotated = rotate_rows(tokens.stack(), tokens.grid_shape, offsets)

@@ -14,7 +14,6 @@ one phase per sample, and `unpool` reads that trace back.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import product
 from math import prod
 
 import numpy as np
@@ -26,7 +25,9 @@ from .numerics import (
     lp_norm,
     project_rows,
     require_norm_order,
-    scatter_phases,
+    scatter_index,
+    scatter_rows,
+    tap_index,
     weight_array,
 )
 from .tokenizer import TokenMatrix
@@ -89,13 +90,14 @@ def pmerge_conv_fullrate(tokens: TokenMatrix, cfg: MergeConfig) -> TokenMatrix:
     """
     _check_merge(tokens, cfg)
     d = tokens.dim
+    # One gather lays out every tap: in-group positions row-major, each a
+    # rotation of the grid, (taps, M, D) or (B, taps, M, D).  Each tap is
+    # projected by its own row block of the merge projection and accumulated
+    # in a fixed order, which keeps the result exact under grid rotation.
+    taps = tokens.data.take(tap_index(tokens.grid_shape, cfg.factor), axis=-2)
     out = np.zeros((*tokens.data.shape[:-1], cfg.dim_out))
-    # One tap per in-group position, row-major; each tap contributes the
-    # matching row block of the merge projection.  Fixed order keeps the
-    # accumulation exact under grid rotation.
-    for i, delta in enumerate(product(range(cfg.factor), repeat=tokens.rank)):
-        block = cfg.embed[..., i * d : (i + 1) * d, :]
-        out += project_rows(tokens.shift(delta).data, block)
+    for i in range(taps.shape[-3]):
+        out += project_rows(taps[..., i, :, :], cfg.embed[..., i * d : (i + 1) * d, :])
     return TokenMatrix._fresh(out, tokens.grid_shape)
 
 
@@ -118,7 +120,6 @@ def aps(
     phases, comp, tied = best_phase(
         tokens.stack().reshape(-1, *tokens.grid_shape, tokens.dim),
         factor,
-        tokens.rank,
         lambda comps: lp_norm(comps.reshape(len(comps), -1), energy_p, axis=-1),
     )
     out = tokens.like(comp, tuple(g // factor for g in tokens.grid_shape))
@@ -167,5 +168,5 @@ def unpool(tokens: TokenMatrix, trace: SelectionTrace, factor: int, target_grid)
     # offset; rotations commute, so one scatter lands them in place.
     for entry in trace.of_kind(WSA):
         phases = phases + entry.offsets
-    out = scatter_phases(stack, target_grid, factor, phases)
-    return tokens.like(out.reshape(len(stack), -1, tokens.dim), target_grid)
+    out = scatter_rows(stack, prod(target_grid), scatter_index(target_grid, factor, phases))
+    return tokens.like(out, target_grid)

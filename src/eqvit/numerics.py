@@ -153,28 +153,30 @@ def rotate_rows(stack: np.ndarray, grid: tuple[int, ...], offsets: np.ndarray) -
     return stack.reshape(b * m, c).take(np.concatenate(index), axis=0).reshape(b, m, c)
 
 
-def scatter_phases(
-    stack: np.ndarray, grid: tuple[int, ...], b: int, offsets: np.ndarray
-) -> np.ndarray:
-    """Inverse of a per-sample polyphase selection followed by a rotation:
-    (B, prod(grid) // b**rank, C) rows land at (offsets[i] + b * position)
-    mod grid on a zero-filled (B, *grid, C) stack.  An offset below b is the
-    phase the rows were selected at."""
-    n = len(stack)
-    index = np.array([_scatter_index(grid, b, tuple(o)) for o in offsets.tolist()])
-    out = np.zeros((n, prod(grid), stack.shape[-1]))
-    out[np.arange(n)[:, np.newaxis], index] = stack
-    return out.reshape(n, *grid, -1)
+def scatter_index(grid: tuple[int, ...], b: int, offsets: np.ndarray) -> np.ndarray:
+    """(B, prod(grid) // b**rank) flat positions (offsets[i] + b * position)
+    mod grid, positions row-major over the coarse grid: where the inverse of
+    sample i's polyphase selection followed by a rotation puts each row.  An
+    offset below b is the phase the rows were selected at."""
+    return np.array([_scatter_index(grid, b, tuple(o)) for o in offsets.tolist()])
 
 
 @lru_cache(maxsize=1024)
 def _scatter_index(grid: tuple[int, ...], b: int, offset: Offset) -> np.ndarray:
-    """Flat index of the positions (offset + b * i) mod grid, i row-major over
-    the coarse grid."""
+    """Read-only row of `scatter_index` for one offset."""
     coarse = np.indices(tuple(g // b for g in grid)).reshape(len(grid), -1)
     index = rotation_index(grid, offset)[np.ravel_multi_index(tuple(b * coarse), grid)]
     index.setflags(write=False)
     return index
+
+
+def scatter_rows(stack: np.ndarray, rows: int, index: np.ndarray) -> np.ndarray:
+    """Zero-filled (B, rows, C) stack with the rows of sample i of the
+    (B, M, C) `stack` at positions index[i]."""
+    n = len(stack)
+    out = np.zeros((n, rows, stack.shape[-1]))
+    out[np.arange(n)[:, np.newaxis], index] = stack
+    return out
 
 
 def blocks(arr: np.ndarray, b: int, lead: int = 0) -> np.ndarray:
@@ -222,23 +224,49 @@ def _phases(b: int, rank: int) -> np.ndarray:
     return table
 
 
-def best_phase(
-    stack: np.ndarray, b: int, rank: int, score
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+@lru_cache(maxsize=256)
+def tap_index(grid: tuple[int, ...], b: int) -> np.ndarray:
+    """(b**rank, prod(grid)) read-only index: row t is `rotation_index` at the
+    t-th offset of range(b)**rank, row-major.  One gather by it gives every
+    tap of a b-wide circular filter, taps in order."""
+    rank, index = len(grid), 0
+    for a, g in enumerate(grid):
+        # Along axis a, tap d at position n reads (d + n) mod g.  Taps lie on
+        # the first `rank` axes, positions on the last; values are row-major.
+        shape = [1] * (2 * rank)
+        shape[a], shape[rank + a] = b, g
+        coords = (np.arange(b)[:, np.newaxis] + np.arange(g)) % g
+        index = index * g + coords.reshape(shape)
+    index = index.reshape(b**rank, -1)
+    index.setflags(write=False)
+    return index
+
+
+@lru_cache(maxsize=256)
+def _phase_index(grid: tuple[int, ...], b: int) -> np.ndarray:
+    """(b**rank, prod(grid) // b**rank) read-only index: row t holds the flat
+    positions of the stride-b component at the t-th phase, row-major."""
+    positions = np.arange(prod(grid)).reshape(*grid, 1)
+    index = np.ascontiguousarray(blocks(positions, b)[..., 0].T)
+    index.setflags(write=False)
+    return index
+
+
+def best_phase(stack: np.ndarray, b: int, score) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Polyphase selection, one per sample of a (B, *grid, C) stack.
 
-    The stride-`b` components of the `rank` grid axes, phases in row-major
-    order, are laid out as one (B * phases, positions, C) stack; `score` maps
-    it to one score per component.  Returns (phases (B, rank), components
-    (B, positions, C), tied (B,)): exact ties resolve to the lowest phase and
-    are flagged.
+    The stride-`b` components of every grid axis, phases in row-major
+    order, are gathered into one (B * phases, positions, C) stack; `score`
+    maps it to one score per component.  Returns (phases (B, rank),
+    components (B, positions, C), tied (B,)): exact ties resolve to the
+    lowest phase and are flagged.
     """
-    n, c = len(stack), stack.shape[-1]
-    comps = blocks(stack, b, lead=1).swapaxes(1, 2)
-    phases = comps.shape[1]
-    comps = comps.reshape(n * phases, -1, c)
+    n, grid, c = len(stack), stack.shape[1:-1], stack.shape[-1]
+    index = _phase_index(grid, b)
+    phases = len(index)
+    comps = stack.reshape(n, -1, c).take(index, axis=1).reshape(n * phases, -1, c)
     idx, tied = argmax_rows(score(comps).reshape(n, phases))
-    return _phases(b, rank)[idx], comps.take(idx + phases * np.arange(n), axis=0), tied
+    return _phases(b, len(grid))[idx], comps.take(idx + phases * np.arange(n), axis=0), tied
 
 
 def softmax_rows(matrix: np.ndarray) -> np.ndarray:

@@ -41,8 +41,8 @@ from .attention import (
     wsa,
 )
 from .errors import ConfigError, ShapeError
-from .merging import MergeConfig, a_pmerge, pmerge, unpool
-from .numerics import GridSignal, require_finite, scatter_phases, weight_array
+from .merging import MergeConfig, a_pmerge, pmerge
+from .numerics import GridSignal, require_finite, scatter_index, scatter_rows, weight_array
 from .tokenizer import (
     INVARIANT_FNS,
     PatchEmbedConfig,
@@ -50,7 +50,7 @@ from .tokenizer import (
     a_token,
     token,
 )
-from .trace import MERGE, SelectionTrace, TraceEntry
+from .trace import SelectionTrace
 
 SWITCHES = ("a_token", "a_wsa", "a_pmerge", "adaptive_rpe")
 
@@ -63,6 +63,11 @@ MAX_BATCH = 16
 
 # Token dimensions double at every stage, so no deeper model could be built.
 MAX_DEPTH = 32
+
+# Most float64 entries (32 MiB) that the input or any one weight array may
+# hold.  A larger config is bad configuration, rejected before anything is
+# allocated; the default 1-D model's largest array holds 1,024.
+MAX_ELEMENTS = 2**22
 
 
 def _is_int(value) -> bool:
@@ -167,6 +172,31 @@ class ModelConfig:
                 if g % p:
                     raise ConfigError(f"stage {s}: grid {grid} not divisible by factor {p}")
             grid = tuple(g // p for g in grid)
+        name, size = max(self.array_sizes(), key=lambda item: item[1])
+        if size > MAX_ELEMENTS:
+            raise ConfigError(f"the {name} would hold {size} entries, more than {MAX_ELEMENTS}")
+
+    def array_sizes(self) -> list[tuple[str, int]]:
+        """(name, entries) of the input and of every weight array `build_model`
+        draws; plain integer arithmetic, nothing is allocated."""
+        rank, dims = self.rank, self.stage_dims()
+        sizes = [
+            ("input", math.prod(self.input_shape) * self.channels),
+            ("patch embed", self.patch_len**rank * self.channels * self.embed_dim),
+            ("head", dims[-1] * self.num_classes),
+        ]
+        tables = [(w,) * rank for w in self.windows]
+        for d, p in zip(dims, self.merge_factors):
+            sizes += [("attention projection", d * d), ("merge projection", p**rank * d * 2 * d)]
+        if self.depth:
+            sizes.append(("attention projection", dims[-1] ** 2))
+            tables.append(self.stage_grids()[-1])
+        if self.effective_rpe_kind != NONE:
+            original = self.effective_rpe_kind == ORIGINAL
+            for t in tables:
+                entries = math.prod(2 * g - 1 if original else g for g in t)
+                sizes.append(("position bias table", entries))
+        return sizes
 
     @property
     def rank(self) -> int:
@@ -374,21 +404,24 @@ def _decode(cfg: ModelConfig, tokens: TokenMatrix, trace: SelectionTrace) -> np.
 
     The switches say what the trace holds: a token offset if a_token, then
     per stage a window offset if a_wsa and a merge phase if a_pmerge (a fixed
-    merge keeps phase 0).
+    merge keeps phase 0).  Each stage's `unpool` scatters through an index
+    and fills every other row with zeros, so the chain of scatters is one
+    scatter through the composed index: final token j lands at
+    token_index[stage_0[stage_1[... j]]].
     """
     entries = list(trace)
     batch = trace.size
     zero = np.zeros((batch, cfg.rank), dtype=np.int64)
     token_offsets = entries.pop(0).offsets if cfg.a_token else zero
+    index = scatter_index(cfg.input_shape, cfg.patch_len, token_offsets)
     per_stage = int(cfg.a_wsa) + int(cfg.a_pmerge)
-    grids = cfg.stage_grids()
-    feats = tokens
-    for s in reversed(range(cfg.depth)):
-        stage = entries[s * per_stage : (s + 1) * per_stage]
-        if not cfg.a_pmerge:
-            stage.append(TraceEntry(MERGE, zero, np.zeros(batch, dtype=bool)))
-        feats = unpool(feats, SelectionTrace(batch, stage), cfg.merge_factors[s], grids[s])
-    return scatter_phases(feats.stack(), cfg.input_shape, cfg.patch_len, token_offsets)
+    rows = np.arange(batch)[:, np.newaxis]
+    for s, grid in enumerate(cfg.stage_grids()[:-1]):
+        # A stage's window offset and merge phase add up, as in `unpool`.
+        offsets = sum((e.offsets for e in entries[s * per_stage : (s + 1) * per_stage]), zero)
+        index = index[rows, scatter_index(grid, cfg.merge_factors[s], offsets)]
+    out = scatter_rows(tokens.stack(), math.prod(cfg.input_shape), index)
+    return out.reshape(batch, *cfg.input_shape, -1)
 
 
 def classify(model: Model, x: GridSignal) -> tuple[np.ndarray, int, SelectionTrace]:

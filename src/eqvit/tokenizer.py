@@ -19,7 +19,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import chain, product
+from itertools import chain
 from math import prod
 
 import numpy as np
@@ -37,6 +37,7 @@ from .numerics import (
     rotation_index,
     stable_sum,
     stack_signals,
+    tap_index,
     weight_array,
 )
 from .trace import TOKEN, SelectionTrace
@@ -215,12 +216,19 @@ def _full_rate_embed(x, cfg: PatchEmbedConfig) -> np.ndarray:
     """
     stack, batched = _signal_stack(x, cfg)
     b, *shape, c = stack.shape
-    shape = tuple(shape)
-    taps = product(range(cfg.patch_len), repeat=len(shape))
-    index = np.stack([rotation_index(shape, delta) for delta in taps], axis=1)
+    index = _full_rate_index(tuple(shape), cfg.patch_len)
     patches = stack.reshape(b, -1, c).take(index, axis=1)
     full = project_rows(patches.reshape(b, len(index), -1), cfg.embed).reshape(b, *shape, cfg.dim)
     return full if batched else full[0]
+
+
+@lru_cache(maxsize=256)
+def _full_rate_index(shape: tuple[int, ...], patch_len: int) -> np.ndarray:
+    """(prod(shape), L**rank) read-only: row k holds the flat signal positions
+    of the patch anchored at grid position k, taps row-major."""
+    index = np.ascontiguousarray(tap_index(shape, patch_len).T)
+    index.setflags(write=False)
+    return index
 
 
 def a_token(x, cfg: PatchEmbedConfig) -> tuple[TokenMatrix, SelectionTrace]:
@@ -237,7 +245,7 @@ def a_token(x, cfg: PatchEmbedConfig) -> tuple[TokenMatrix, SelectionTrace]:
     stack = full if batched else full[np.newaxis]
     grid = _token_grid(stack.shape[1:-1], cfg.patch_len)
     energy = INVARIANT_FNS[cfg.invariant_fn]
-    offsets, sub, tied = best_phase(stack, cfg.patch_len, len(grid), energy)
+    offsets, sub, tied = best_phase(stack, cfg.patch_len, energy)
     tokens = TokenMatrix._fresh(sub if batched else sub[0], grid)
     return tokens, SelectionTrace.single(TOKEN, offsets, tied)
 

@@ -179,6 +179,22 @@ def test_replay_rejects_non_finite_numbers(tmp_path, capsys, key, value):
     assert capsys.readouterr().err.startswith(f"error: replay file {key!r} must be finite")
 
 
+@pytest.mark.parametrize(
+    "doc",
+    [{"embed_dim": 1_000_000}, {"input_shape": [10**12]}, {"channels": 10**12},
+     {"num_classes": 10**13}],
+)
+def test_oversized_config_is_a_config_error(tmp_path, capsys, doc):
+    # Each used to die allocating weights in build_model, a traceback and exit 1.
+    bad = tmp_path / "big.json"
+    bad.write_text(json.dumps(doc))
+    code, out = run_cli(tmp_path, "--config", str(bad), "--suite", "end2end", "--trials", "2")
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: the ") and "more than 4194304" in err
+    assert "Traceback" not in err and not out.exists()
+
+
 def test_missing_config_file_is_a_config_error(tmp_path, capsys):
     code, _ = run_cli(tmp_path, "--config", str(tmp_path / "nope.json"))
     assert code == 2

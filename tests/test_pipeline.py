@@ -127,6 +127,52 @@ def test_from_dict_returns_or_raises_config_error(doc):
     assert ModelConfig.from_dict(cfg.to_dict()) == cfg
 
 
+# Each would draw or take an array past MAX_ELEMENTS; none is allocated.
+OVERSIZED = {
+    "embed_dim": {"embed_dim": 1_000_000},
+    "input_shape": {"input_shape": [10**12]},
+    "channels": {"channels": 10**12},
+    "num_classes": {"num_classes": 10**13},
+    "channels-past-bound": {"channels": 2**16 + 1},
+    "original-bias": {"input_shape": [2**11, 2**10], "channels": 1, "patch_len": 1, "depth": 1,
+                      "windows": 1, "merge_factors": 1, "rpe_kind": "original"},
+}
+
+
+@pytest.mark.parametrize("doc", OVERSIZED.values(), ids=OVERSIZED.keys())
+def test_from_dict_rejects_arrays_past_the_element_bound(doc):
+    with pytest.raises(ConfigError, match=f"more than {pipeline.MAX_ELEMENTS}"):
+        ModelConfig.from_dict(doc)
+
+
+def test_element_bound_is_inclusive():
+    cfg = ModelConfig(channels=2**16)  # a 64 x 65536 input holds exactly MAX_ELEMENTS
+    assert max(size for _, size in cfg.array_sizes()) == pipeline.MAX_ELEMENTS
+
+
+@pytest.mark.parametrize(
+    "cfg",
+    [
+        ModelConfig(),
+        ModelConfig(input_shape=(16, 32), windows=2, merge_factors=2, rpe_kind="original"),
+        ModelConfig(rpe_kind="none", num_classes=7),
+        ModelConfig(depth=0, windows=(), merge_factors=()),
+    ],
+    ids=["default", "2d-original", "1d-none", "depth0"],
+)
+def test_array_sizes_match_the_built_weights(cfg):
+    w = build_model(cfg).weights
+    arrays = [("patch embed", w.patch.embed), ("head", w.head)]
+    for sw in w.stages:
+        arrays += [("attention projection", sw.attn.e_q), ("merge projection", sw.merge.embed)]
+        arrays += [("position bias table", sw.rpe.table)] * (sw.rpe.table is not None)
+    if w.global_attn is not None:
+        arrays.append(("attention projection", w.global_attn.e_q))
+        arrays += [("position bias table", w.global_rpe.table)] * (w.global_rpe.table is not None)
+    built = sorted((name, a.size) for name, a in arrays)
+    assert sorted(cfg.array_sizes()) == sorted([("input", rand_input(cfg).data.size), *built])
+
+
 def test_from_dict_broadcasts_bare_stage_ints():
     assert ModelConfig.from_dict({"windows": 4, "merge_factors": 2}) == ModelConfig()
 
