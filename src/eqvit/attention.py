@@ -19,8 +19,8 @@ from functools import lru_cache
 import numpy as np
 
 from .errors import ParameterError, ShapeError
-from .numerics import best_phase, blocks, freeze, require_finite, require_norm_order, rotate_rows
-from .numerics import softmax_rows, stable_sum, tap_index, unblocks, weight_array
+from .numerics import best_phase, freeze, grid_index, require_finite, require_norm_order
+from .numerics import rotate_rows, softmax_rows, stable_sum, weight_array
 from .tokenizer import TokenMatrix
 from .trace import WSA, SelectionTrace
 
@@ -192,7 +192,8 @@ def window_energy(tokens: TokenMatrix, cfg: WindowConfig) -> np.ndarray:
     """
     _check_window(tokens, cfg)
     norms = np.sum(np.abs(tokens.data) ** cfg.energy_p, axis=-1) ** (1.0 / cfg.energy_p)
-    taps = norms.take(tap_index(tokens.grid_shape, cfg.window), axis=-1)
+    index = grid_index(tokens.grid_shape, cfg.window, 1, (0,) * tokens.rank, taps_first=True)
+    taps = norms.take(index, axis=-1)
     # The tap axis is an outer axis of the gather, so the reduction adds one
     # whole tap at a time, in order, onto the 0.0 start: the bits of a
     # per-tap `+=` loop.
@@ -210,14 +211,23 @@ def wsa(
 
     Every non-overlapping W-block (rank 2: W x W tile) runs self-attention
     independently with the same projections and the same per-window bias
-    table, all in one stacked call, and the outputs are reassembled in place.
+    table, all in one stacked call, and the outputs are gathered back in place.
     """
     _check_window(tokens, cfg)
-    w = cfg.window
-    windows = blocks(tokens.grid(), w, lead=tokens.data.ndim - 2)
+    w, grid = cfg.window, tokens.grid_shape
+    windows = tokens.data.take(grid_index(grid, w, w, (0,) * tokens.rank), axis=-2)
     stacked = _attend(windows, params, rpe, (w,) * tokens.rank)
-    data = unblocks(stacked, tokens.grid_shape, w).reshape(*tokens.data.shape[:-1], -1)
-    return TokenMatrix._fresh(data, tokens.grid_shape)
+    rows = stacked.reshape(*tokens.data.shape[:-1], -1)
+    return TokenMatrix._fresh(rows.take(_untile_index(grid, w), axis=-2), grid)
+
+
+@lru_cache(maxsize=256)
+def _untile_index(grid: tuple[int, ...], w: int) -> np.ndarray:
+    """Read-only inverse of the window tiling: grid position k sits at row
+    index[k] of the windows laid out one after another."""
+    index = np.argsort(grid_index(grid, w, w, (0,) * len(grid)).ravel())
+    index.setflags(write=False)
+    return index
 
 
 def a_wsa(

@@ -40,9 +40,9 @@ from .errors import ConfigError, ParameterError, ShapeError, TraceError
 from .merging import MergeConfig, a_pmerge, pmerge, pmerge_conv_fullrate
 from .metrics import ShiftSampler, c_cons, consistency, s_cons_zeropad, synthetic_inputs
 from .numerics import GridSignal, as_offset, circular_shift, max_abs_rows, require_finite
-from .numerics import rotate_rows, rotation_index
+from .numerics import grid_index, rotate_rows
 from .pipeline import MAX_BATCH, SWITCHES, Model, ModelConfig, build_model, check_seed, forward
-from .pipeline import is_finite_number
+from .pipeline import MAX_ELEMENTS, is_finite_number
 from .tokenizer import PatchEmbedConfig, TokenMatrix, a_token, lemma1_sides
 
 SUITES = ("lemma1", "claim1", "claim2", "claim3", "apmerge", "end2end", "metrics", "ablation")
@@ -115,6 +115,9 @@ class SuiteConfig:
         object.__setattr__(self, "lemma_l", tuple(int(l) for l in self.lemma_l))
         if min(self.lemma_n + self.lemma_l, default=1) < 1:
             raise ConfigError("lemma1 sizes n and l must be >= 1")
+        n = max(self.lemma_n, default=0)
+        if 2 * n > MAX_ELEMENTS:
+            raise ConfigError(f"lemma1 n {n} gives an (n, 2) input of more than {MAX_ELEMENTS}")
         pairs = product(self.lemma_n, self.lemma_l)
         if "lemma1" in self.suites and all(n % l for n, l in pairs):
             raise ConfigError(
@@ -183,7 +186,7 @@ def _best_alignment(shifted: TokenMatrix, base: TokenMatrix, step: int = 1):
     a, b = shifted.stack(), base.stack()
     divs = np.empty((len(a), len(rotations)))
     for j, r in enumerate(rotations):
-        rotated = b.take(rotation_index(base.grid_shape, r), axis=1)
+        rotated = b.take(grid_index(base.grid_shape, 1, 1, r)[:, 0], axis=1)
         divs[:, j] = np.abs(a - rotated).reshape(len(a), -1).max(axis=-1)
     # As Python's `min`: a NaN candidate (an overflowed payload) is skipped
     # unless it comes first.

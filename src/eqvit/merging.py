@@ -21,13 +21,12 @@ import numpy as np
 from .errors import ParameterError, ShapeError, TraceError
 from .numerics import (
     best_phase,
-    blocks,
+    grid_index,
     lp_norm,
     project_rows,
     require_norm_order,
     scatter_index,
     scatter_rows,
-    tap_index,
     weight_array,
 )
 from .tokenizer import TokenMatrix
@@ -76,8 +75,8 @@ def pmerge(tokens: TokenMatrix, cfg: MergeConfig) -> TokenMatrix:
     row-major over (position, channel)."""
     _check_merge(tokens, cfg)
     grid = tuple(g // cfg.factor for g in tokens.grid_shape)
-    lead = tokens.data.shape[:-2]
-    rows = blocks(tokens.grid(), cfg.factor, len(lead)).reshape(*lead, prod(grid), -1)
+    index = grid_index(tokens.grid_shape, cfg.factor, cfg.factor, (0,) * tokens.rank)
+    rows = tokens.data.take(index, axis=-2).reshape(*tokens.data.shape[:-2], prod(grid), -1)
     return TokenMatrix._fresh(project_rows(rows, cfg.embed), grid)
 
 
@@ -94,7 +93,8 @@ def pmerge_conv_fullrate(tokens: TokenMatrix, cfg: MergeConfig) -> TokenMatrix:
     # rotation of the grid, (taps, M, D) or (B, taps, M, D).  Each tap is
     # projected by its own row block of the merge projection and accumulated
     # in a fixed order, which keeps the result exact under grid rotation.
-    taps = tokens.data.take(tap_index(tokens.grid_shape, cfg.factor), axis=-2)
+    index = grid_index(tokens.grid_shape, cfg.factor, 1, (0,) * tokens.rank, taps_first=True)
+    taps = tokens.data.take(index, axis=-2)
     out = np.zeros((*tokens.data.shape[:-1], cfg.dim_out))
     for i in range(taps.shape[-3]):
         out += project_rows(taps[..., i, :, :], cfg.embed[..., i * d : (i + 1) * d, :])

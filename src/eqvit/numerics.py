@@ -1,13 +1,14 @@
 """Double-precision kernel for signals on circular grids.
 
 Everything downstream reduces to a handful of operations defined here:
-circular shifts, block tiling, polyphase selection, row-wise softmax,
-order-stable sums and lp norms, and a deterministic argmax.  Each grid
-operation is written once for any grid rank, and the selecting ones once for
-a stack of samples (a leading batch axis, one selection per sample).  All
-functions are pure; arrays held by the wrapper types are frozen so results
-can be shared without defensive copies.  Finite values are checked once, at
-the boundary (`GridSignal`, the weight classes).
+one cached grid index behind every rotation, tiling, filter-tap and
+polyphase layout, polyphase selection, row-wise softmax, order-stable sums
+and lp norms, and a deterministic argmax.  Each grid operation is written
+once for any grid rank, and the selecting ones once for a stack of samples
+(a leading batch axis, one selection per sample).  All functions are pure;
+arrays held by the wrapper types are frozen so results can be shared
+without defensive copies.  Finite values are checked once, at the boundary
+(`GridSignal`, the weight classes).
 """
 
 from __future__ import annotations
@@ -15,7 +16,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import product
-from math import prod
 
 import numpy as np
 
@@ -123,7 +123,7 @@ class GridSignal:
 
 def circular_shift(signal: GridSignal, off) -> GridSignal:
     """Rotate grid indices: out[n] = signal[(n + off) mod shape], per axis."""
-    index = rotation_index(signal.shape, as_offset(off, signal.rank))
+    index = grid_index(signal.shape, 1, 1, as_offset(off, signal.rank))
     rows = signal.data.reshape(-1, signal.channels).take(index, axis=0)
     return GridSignal._fresh(rows.reshape(signal.data.shape))
 
@@ -137,10 +137,30 @@ def stack_signals(signals) -> np.ndarray:
 
 
 @lru_cache(maxsize=1024)
-def rotation_index(grid: tuple[int, ...], offset: Offset) -> np.ndarray:
-    """Row-major index k -> (k + offset) mod grid; gathering by it rolls by -offset."""
-    axes = [(np.arange(g) + o) % g for g, o in zip(grid, offset)]
-    index = np.ravel_multi_index(np.ix_(*axes), grid).ravel()
+def grid_index(
+    grid: tuple[int, ...], width: int, stride: int, offset: Offset, taps_first: bool = False
+) -> np.ndarray:
+    """Read-only (prod(grid) // stride**rank, width**rank) index of row-major
+    grid positions: entry (j, t) is (offset + stride * j + t) mod grid per
+    axis, j row-major over the coarse grid and t over range(width)**rank.
+
+    Every layout the package moves values through is one gather by it:
+    width 1 and stride 1 rotate (gathering rolls by -offset); width b and
+    stride b tile into patches, merge groups or windows; width b and stride 1
+    lay out the taps of a b-wide circular filter at every position; stride b
+    and width 1 or b give stride-b polyphase components, or where a scatter
+    puts them.  `taps_first` gives the (taps, positions) transpose,
+    contiguous, for gathers that reduce or loop over the taps.
+    """
+    rank, index = len(grid), 0
+    for a, (g, o) in enumerate(zip(grid, offset)):
+        # Position j lies on axis a, tap t on axis rank + a; values are row-major.
+        shape = [1] * (2 * rank)
+        shape[a], shape[rank + a] = g // stride, width
+        coords = (o + stride * np.arange(g // stride)[:, np.newaxis] + np.arange(width)) % g
+        index = index * g + coords.reshape(shape)
+    index = index.reshape(-1, width**rank)
+    index = np.ascontiguousarray(index.T if taps_first else index)
     index.setflags(write=False)
     return index
 
@@ -149,7 +169,7 @@ def rotate_rows(stack: np.ndarray, grid: tuple[int, ...], offsets: np.ndarray) -
     """Per-sample rotation of a (B, prod(grid), C) stack: sample i gets
     out[k] = stack[i, (k + offsets[i]) mod grid], offsets of shape (B, rank)."""
     b, m, c = stack.shape
-    index = [rotation_index(grid, tuple(o)) + i * m for i, o in enumerate(offsets.tolist())]
+    index = [grid_index(grid, 1, 1, tuple(o)) + i * m for i, o in enumerate(offsets.tolist())]
     return stack.reshape(b * m, c).take(np.concatenate(index), axis=0).reshape(b, m, c)
 
 
@@ -158,16 +178,7 @@ def scatter_index(grid: tuple[int, ...], b: int, offsets: np.ndarray) -> np.ndar
     mod grid, positions row-major over the coarse grid: where the inverse of
     sample i's polyphase selection followed by a rotation puts each row.  An
     offset below b is the phase the rows were selected at."""
-    return np.array([_scatter_index(grid, b, tuple(o)) for o in offsets.tolist()])
-
-
-@lru_cache(maxsize=1024)
-def _scatter_index(grid: tuple[int, ...], b: int, offset: Offset) -> np.ndarray:
-    """Read-only row of `scatter_index` for one offset."""
-    coarse = np.indices(tuple(g // b for g in grid)).reshape(len(grid), -1)
-    index = rotation_index(grid, offset)[np.ravel_multi_index(tuple(b * coarse), grid)]
-    index.setflags(write=False)
-    return index
+    return np.concatenate([grid_index(grid, 1, b, tuple(o)).T for o in offsets.tolist()])
 
 
 def scatter_rows(stack: np.ndarray, rows: int, index: np.ndarray) -> np.ndarray:
@@ -179,77 +190,11 @@ def scatter_rows(stack: np.ndarray, rows: int, index: np.ndarray) -> np.ndarray:
     return out
 
 
-def blocks(arr: np.ndarray, b: int, lead: int = 0) -> np.ndarray:
-    """Tile (*lead, *grid, C) into (*lead, blocks, b**rank, C): non-overlapping
-    b-blocks row-major over the grid, positions row-major within each block.
-
-    A pure reshape and transpose; every grid axis must be divisible by `b`.
-    The first `lead` axes (a batch) pass through.
-    """
-    outer, c = arr.shape[:lead], arr.shape[-1]
-    split, order, _ = _tiling(arr.shape[lead:-1], b, lead)
-    tiled = arr.reshape(*outer, *split, c).transpose(order)
-    return tiled.reshape(*outer, -1, b ** (len(split) // 2), c)
-
-
-def unblocks(stack: np.ndarray, grid: tuple[int, ...], b: int) -> np.ndarray:
-    """Inverse of `blocks`: (*lead, blocks, b**rank, C) back to (*lead, *grid, C)."""
-    outer, c = stack.shape[:-3], stack.shape[-1]
-    split, _, inverse = _tiling(tuple(grid), b, len(outer))
-    tiled = stack.reshape(*outer, *split[::2], *split[1::2], c).transpose(inverse)
-    return tiled.reshape(*outer, *grid, c)
-
-
-@lru_cache(maxsize=256)
-def _tiling(grid: tuple[int, ...], b: int, lead: int) -> tuple[tuple[int, ...], ...]:
-    """Each grid axis split into (blocks, b), the transpose that moves every
-    block axis before every in-block axis (`lead` batch axes first, channels
-    last), and its inverse.  Cached: building these tuples costs more than the
-    reshapes they drive."""
-    rank = len(grid)
-    split = tuple(n for g in grid for n in (g // b, b))
-    axes = (*range(0, 2 * rank, 2), *range(1, 2 * rank, 2))
-    inverse = (*(a for axis in range(rank) for a in (axis, rank + axis)),)
-    return (
-        split,
-        (*range(lead), *(lead + a for a in axes), lead + 2 * rank),
-        (*range(lead), *(lead + a for a in inverse), lead + 2 * rank),
-    )
-
-
 @lru_cache(maxsize=64)
 def _phases(b: int, rank: int) -> np.ndarray:
     table = np.array(list(product(range(b), repeat=rank)), dtype=np.int64).reshape(-1, rank)
     table.setflags(write=False)
     return table
-
-
-@lru_cache(maxsize=256)
-def tap_index(grid: tuple[int, ...], b: int) -> np.ndarray:
-    """(b**rank, prod(grid)) read-only index: row t is `rotation_index` at the
-    t-th offset of range(b)**rank, row-major.  One gather by it gives every
-    tap of a b-wide circular filter, taps in order."""
-    rank, index = len(grid), 0
-    for a, g in enumerate(grid):
-        # Along axis a, tap d at position n reads (d + n) mod g.  Taps lie on
-        # the first `rank` axes, positions on the last; values are row-major.
-        shape = [1] * (2 * rank)
-        shape[a], shape[rank + a] = b, g
-        coords = (np.arange(b)[:, np.newaxis] + np.arange(g)) % g
-        index = index * g + coords.reshape(shape)
-    index = index.reshape(b**rank, -1)
-    index.setflags(write=False)
-    return index
-
-
-@lru_cache(maxsize=256)
-def _phase_index(grid: tuple[int, ...], b: int) -> np.ndarray:
-    """(b**rank, prod(grid) // b**rank) read-only index: row t holds the flat
-    positions of the stride-b component at the t-th phase, row-major."""
-    positions = np.arange(prod(grid)).reshape(*grid, 1)
-    index = np.ascontiguousarray(blocks(positions, b)[..., 0].T)
-    index.setflags(write=False)
-    return index
 
 
 def best_phase(stack: np.ndarray, b: int, score) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -262,7 +207,7 @@ def best_phase(stack: np.ndarray, b: int, score) -> tuple[np.ndarray, np.ndarray
     lowest phase and are flagged.
     """
     n, grid, c = len(stack), stack.shape[1:-1], stack.shape[-1]
-    index = _phase_index(grid, b)
+    index = grid_index(grid, b, b, (0,) * len(grid), taps_first=True)
     phases = len(index)
     comps = stack.reshape(n, -1, c).take(index, axis=1).reshape(n * phases, -1, c)
     idx, tied = argmax_rows(score(comps).reshape(n, phases))

@@ -64,9 +64,10 @@ MAX_BATCH = 16
 # Token dimensions double at every stage, so no deeper model could be built.
 MAX_DEPTH = 32
 
-# Most float64 entries (32 MiB) that the input or any one weight array may
-# hold.  A larger config is bad configuration, rejected before anything is
-# allocated; the default 1-D model's largest array holds 1,024.
+# Most entries (32 MiB of float64) that the input, any one weight array, or
+# any one array of a `MAX_BATCH` forward may hold.  A larger config is bad
+# configuration, rejected before anything is allocated; the default 1-D
+# model's largest array, a batch of decoded maps, holds 32,768.
 MAX_ELEMENTS = 2**22
 
 
@@ -172,7 +173,7 @@ class ModelConfig:
                 if g % p:
                     raise ConfigError(f"stage {s}: grid {grid} not divisible by factor {p}")
             grid = tuple(g // p for g in grid)
-        name, size = max(self.array_sizes(), key=lambda item: item[1])
+        name, size = max(self.array_sizes() + self.activation_sizes(), key=lambda item: item[1])
         if size > MAX_ELEMENTS:
             raise ConfigError(f"the {name} would hold {size} entries, more than {MAX_ELEMENTS}")
 
@@ -196,6 +197,25 @@ class ModelConfig:
             for t in tables:
                 entries = math.prod(2 * g - 1 if original else g for g in t)
                 sizes.append(("position bias table", entries))
+        return sizes
+
+    def activation_sizes(self) -> list[tuple[str, int]]:
+        """(name, entries) of the largest arrays a forward of `MAX_BATCH` inputs
+        builds, whatever the switches; integer arithmetic as in `array_sizes`."""
+        rank, dims, n = self.rank, self.stage_dims(), MAX_BATCH
+        positions, taps = math.prod(self.input_shape), self.patch_len**rank
+        sizes = [
+            ("full-rate patch index", positions * taps),
+            ("full-rate patches", n * positions * taps * self.channels),
+            ("full-rate embedding", n * positions * self.embed_dim),
+            ("decoded map", n * positions * dims[-1]),
+        ]
+        for grid, d, w, p in zip(self.stage_grids(), dims, self.windows, self.merge_factors):
+            m = math.prod(grid)
+            sizes.append(("window attention logits", n * m * w**rank))
+            sizes.append(("merge taps", n * p**rank * m * d))
+        if self.depth:
+            sizes.append(("global attention matrix", n * math.prod(self.stage_grids()[-1]) ** 2))
         return sizes
 
     @property

@@ -30,14 +30,12 @@ from .numerics import (
     Offset,
     as_offset,
     best_phase,
-    blocks,
     freeze,
+    grid_index,
     project_rows,
     require_finite,
-    rotation_index,
     stable_sum,
     stack_signals,
-    tap_index,
     weight_array,
 )
 from .trace import TOKEN, SelectionTrace
@@ -116,8 +114,8 @@ class TokenMatrix:
     def shift(self, off) -> TokenMatrix:
         """Circularly rotate the token grid: out[k] = self[(k + off) mod G],
         the same offset for every sample of a batch."""
-        index = rotation_index(self.grid_shape, as_offset(off, self.rank))
-        return TokenMatrix._fresh(self.data.take(index, axis=-2), self.grid_shape)
+        index = grid_index(self.grid_shape, 1, 1, as_offset(off, self.rank))
+        return TokenMatrix._fresh(self.data.take(index[:, 0], axis=-2), self.grid_shape)
 
     def like(self, stack: np.ndarray, grid_shape: tuple[int, ...]) -> TokenMatrix:
         """A (B, M', D') stack an op computed from these tokens, batched as they are."""
@@ -182,26 +180,18 @@ def reshape_patches(x: GridSignal, patch_len: int, off=None) -> np.ndarray:
     offs = (0,) * x.rank if off is None else as_offset(off, x.rank)
     if any(not 0 <= o < patch_len for o in offs):
         raise ParameterError(f"offset {offs} outside [0, {patch_len})")
-    rows = x.data.reshape(-1, x.channels).take(_patch_positions(x.shape, patch_len, offs), axis=0)
-    return rows.reshape(prod(grid), -1)
-
-
-@lru_cache(maxsize=1024)
-def _patch_positions(shape: tuple[int, ...], patch_len: int, off: Offset) -> np.ndarray:
-    """(M, L**rank) flat signal positions of the patches of the signal
-    shifted by `off`: gathering its rows by them gives `reshape_patches`."""
-    positions = rotation_index(shape, off).reshape(*shape, 1)
-    index = blocks(positions, patch_len).reshape(-1, patch_len ** len(shape))
-    index.setflags(write=False)
-    return index
+    index = grid_index(x.shape, patch_len, patch_len, offs)
+    return x.data.reshape(-1, x.channels).take(index, axis=0).reshape(prod(grid), -1)
 
 
 def token(x, cfg: PatchEmbedConfig) -> TokenMatrix:
     """Fixed-grid tokenization: patches anchored at offset 0, projected.
     `x` is one signal or a sequence of them (a batch)."""
     stack, batched = _signal_stack(x, cfg)
-    grid = _token_grid(stack.shape[1:-1], cfg.patch_len)
-    rows = blocks(stack, cfg.patch_len, lead=1).reshape(len(stack), prod(grid), -1)
+    b, *shape, c = stack.shape
+    grid = _token_grid(tuple(shape), cfg.patch_len)
+    index = grid_index(tuple(shape), cfg.patch_len, cfg.patch_len, (0,) * len(shape))
+    rows = stack.reshape(b, -1, c).take(index, axis=1).reshape(b, prod(grid), -1)
     tokens = project_rows(rows, cfg.embed)
     return TokenMatrix._fresh(tokens if batched else tokens[0], grid)
 
@@ -216,19 +206,10 @@ def _full_rate_embed(x, cfg: PatchEmbedConfig) -> np.ndarray:
     """
     stack, batched = _signal_stack(x, cfg)
     b, *shape, c = stack.shape
-    index = _full_rate_index(tuple(shape), cfg.patch_len)
+    index = grid_index(tuple(shape), cfg.patch_len, 1, (0,) * len(shape))
     patches = stack.reshape(b, -1, c).take(index, axis=1)
     full = project_rows(patches.reshape(b, len(index), -1), cfg.embed).reshape(b, *shape, cfg.dim)
     return full if batched else full[0]
-
-
-@lru_cache(maxsize=256)
-def _full_rate_index(shape: tuple[int, ...], patch_len: int) -> np.ndarray:
-    """(prod(shape), L**rank) read-only: row k holds the flat signal positions
-    of the patch anchored at grid position k, taps row-major."""
-    index = np.ascontiguousarray(tap_index(shape, patch_len).T)
-    index.setflags(write=False)
-    return index
 
 
 def a_token(x, cfg: PatchEmbedConfig) -> tuple[TokenMatrix, SelectionTrace]:
@@ -281,11 +262,11 @@ def lemma1_sides(x, cfg: PatchEmbedConfig, off, axis: int = 0) -> tuple[np.ndarr
 def _lemma1_index(shape: tuple[int, ...], patch_len: int, off: Offset, axis: int) -> np.ndarray:
     """(2, M, L**rank) flat signal positions of the patch rows of both sides."""
     unit = tuple(1 if a == axis else 0 for a in range(len(shape)))
-    left = _patch_positions(shape, patch_len, tuple(o + u for o, u in zip(off, unit)))
+    left = grid_index(shape, patch_len, patch_len, tuple(o + u for o, u in zip(off, unit)))
     advanced = tuple((o + u) % patch_len for o, u in zip(off, unit))
     carry = tuple((o + u) // patch_len for o, u in zip(off, unit))
-    grid = _token_grid(shape, patch_len)
-    right = _patch_positions(shape, patch_len, advanced).take(rotation_index(grid, carry), axis=0)
+    rotation = grid_index(_token_grid(shape, patch_len), 1, 1, carry)
+    right = grid_index(shape, patch_len, patch_len, advanced).take(rotation[:, 0], axis=0)
     index = np.stack([left, right])
     index.setflags(write=False)
     return index

@@ -143,6 +143,7 @@ def test_prove_defaults_to_oracle_suites(tmp_path):
         ["--n", "-4", "--l", "2"],
         ["--n", "8", "--l", "-2"],
         ["--n", "5", "--l", "2"],  # no pair to run: 0 trials would pass
+        ["--n", "1000000000", "--l", "1"],  # a (1e9, 2) input would be 14.9 GiB
     ],
 )
 def test_prove_rejects_bad_lemma1_sizes(tmp_path, capsys, sizes):

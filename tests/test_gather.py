@@ -1,9 +1,10 @@
 """Cached gather plans against the per-tap loops they replace.
 
 Each reference below is the loop the package ran before its taps, phases or
-decoder stages became one gather (or scatter) through a cached index.  They
-are kept here as oracles only; every comparison is on `tobytes()`, so a
--0.0 where the loop gave 0.0 counts as a difference.
+decoder stages became one gather (or scatter) through `grid_index`, with its
+rotations and tilings spelled by `np.roll` and reshape/transpose.  They are
+kept here as oracles only; every comparison is on `tobytes()`, so a -0.0
+where the loop gave 0.0 counts as a difference.
 """
 
 from itertools import combinations, product
@@ -12,27 +13,11 @@ import numpy as np
 import pytest
 
 from eqvit import GridSignal, circular_shift
-from eqvit.attention import WINDOW_FNS, WindowConfig, window_energy
+from eqvit.attention import WINDOW_FNS, WindowConfig, _untile_index, window_energy
 from eqvit.merging import MergeConfig, pmerge_conv_fullrate, unpool
-from eqvit.numerics import (
-    _phase_index,
-    _scatter_index,
-    argmax_rows,
-    best_phase,
-    blocks,
-    lp_norm,
-    project_rows,
-    rotation_index,
-    tap_index,
-)
+from eqvit.numerics import argmax_rows, best_phase, grid_index, lp_norm, project_rows
 from eqvit.pipeline import ModelConfig, _decode, _encode, build_model
-from eqvit.tokenizer import (
-    INVARIANT_FNS,
-    PatchEmbedConfig,
-    TokenMatrix,
-    _full_rate_embed,
-    _full_rate_index,
-)
+from eqvit.tokenizer import INVARIANT_FNS, PatchEmbedConfig, TokenMatrix, _full_rate_embed
 from eqvit.trace import MERGE, SelectionTrace, TraceEntry
 
 GRIDS = [(16,), (4, 4), (4, 8), (8, 4)]
@@ -60,11 +45,21 @@ def token_cases(grid, dim, rng):
 # --------------------------------------------------------------- references --
 
 
+def roll_grid(values, grid, delta, axis=-1):
+    """Contiguous copy of `values` whose `axis`, row-major over `grid`, is
+    read at (k + delta) mod grid: an np.roll by -delta."""
+    moved = np.moveaxis(values, axis, -1)
+    lead = moved.shape[:-1]
+    axes = tuple(range(len(lead), len(lead) + len(grid)))
+    rolled = np.roll(moved.reshape(*lead, *grid), [-d for d in delta], axis=axes)
+    return np.ascontiguousarray(np.moveaxis(rolled.reshape(moved.shape), -1, axis))
+
+
 def window_energy_loop(tokens, cfg):
     norms = np.sum(np.abs(tokens.data) ** cfg.energy_p, axis=-1) ** (1.0 / cfg.energy_p)
     acc = np.zeros_like(norms)
     for delta in product(range(cfg.window), repeat=tokens.rank):
-        acc += norms.take(rotation_index(tokens.grid_shape, delta), axis=-1)
+        acc += roll_grid(norms, tokens.grid_shape, delta)
     return acc.reshape(tokens.grid().shape[:-1]) / float(cfg.window**tokens.rank)
 
 
@@ -73,23 +68,26 @@ def pmerge_conv_fullrate_loop(tokens, cfg):
     out = np.zeros((*tokens.data.shape[:-1], cfg.dim_out))
     for i, delta in enumerate(product(range(cfg.factor), repeat=tokens.rank)):
         block = cfg.embed[..., i * d : (i + 1) * d, :]
-        out += project_rows(tokens.shift(delta).data, block)
+        out += project_rows(roll_grid(tokens.data, tokens.grid_shape, delta, axis=-2), block)
     return out
 
 
 def full_rate_embed_stacked(stack, cfg):
     b, *shape, c = stack.shape
     taps = product(range(cfg.patch_len), repeat=len(shape))
-    index = np.stack([rotation_index(tuple(shape), delta) for delta in taps], axis=1)
+    positions = np.arange(np.prod(shape))
+    index = np.stack([roll_grid(positions, shape, delta) for delta in taps], axis=1)
     patches = stack.reshape(b, -1, c).take(index, axis=1)
     return project_rows(patches.reshape(b, len(index), -1), cfg.embed).reshape(b, *shape, cfg.dim)
 
 
 def best_phase_blocks(stack, b, rank, score):
     n, c = len(stack), stack.shape[-1]
-    comps = blocks(stack, b, lead=1).swapaxes(1, 2)
-    phases = comps.shape[1]
-    comps = comps.reshape(n * phases, -1, c)
+    # Each grid axis split into (blocks, b); the in-block (phase) axes move first.
+    split = [k for g in stack.shape[1:-1] for k in (g // b, b)]
+    order = [0, *range(2, 2 * rank + 1, 2), *range(1, 2 * rank, 2), 2 * rank + 1]
+    phases = b**rank
+    comps = stack.reshape(n, *split, c).transpose(order).reshape(n * phases, -1, c)
     idx, tied = argmax_rows(score(comps).reshape(n, phases))
     table = np.array(list(product(range(b), repeat=rank)), dtype=np.int64).reshape(-1, rank)
     return table[idx], comps.take(idx + phases * np.arange(n), axis=0), tied
@@ -183,13 +181,15 @@ def test_best_phase_equals_blocks_layout(grid, score):
 
 def test_cached_indices_are_shared_and_read_only():
     indices = [
-        (tap_index, ((4, 8), 2)),
-        (tap_index, ((16,), 4)),
-        (_phase_index, ((8, 4), 2)),
-        (_phase_index, ((16,), 4)),
-        (_full_rate_index, ((8, 16), 4)),
-        (_scatter_index, ((4, 8), 2, (1, 3))),
-        (rotation_index, ((16,), (5,))),
+        (grid_index, ((4, 8), 2, 1, (0, 0), True)),  # filter taps, taps first
+        (grid_index, ((16,), 4, 1, (0,), True)),
+        (grid_index, ((8, 4), 2, 2, (0, 0), True)),  # polyphase components
+        (grid_index, ((16,), 4, 4, (0,), True)),
+        (grid_index, ((8, 16), 4, 1, (0, 0))),  # full-rate patches
+        (grid_index, ((8, 16), 4, 4, (3, 1))),  # patches at an offset
+        (grid_index, ((4, 8), 1, 2, (1, 3))),  # a decoder scatter
+        (grid_index, ((16,), 1, 1, (5,))),  # a rotation
+        (_untile_index, ((4, 8), 2)),  # the window tiling's inverse
     ]
     for fn, args in indices:
         index = fn(*args)
@@ -199,11 +199,12 @@ def test_cached_indices_are_shared_and_read_only():
 
 
 def test_tap_index_rows_are_rotations_in_row_major_order():
-    index = tap_index((4, 8), 2)
+    index = grid_index((4, 8), 2, 1, (0, 0), taps_first=True)
     assert index.shape == (4, 32)
+    positions = np.arange(32)
     for row, delta in zip(index, product(range(2), repeat=2)):
-        assert np.array_equal(row, rotation_index((4, 8), delta))
-    assert same(_full_rate_index((4, 8), 2), np.ascontiguousarray(index.T))
+        assert np.array_equal(row, roll_grid(positions, (4, 8), delta))
+    assert same(grid_index((4, 8), 2, 1, (0, 0)), np.ascontiguousarray(index.T))
 
 
 # ------------------------------------------------------------------- decoder --

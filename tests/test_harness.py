@@ -66,11 +66,17 @@ def test_suite_config_validation():
 @pytest.mark.parametrize(
     "sizes",
     [{"lemma_l": (0,)}, {"lemma_n": (0, 4)}, {"lemma_n": (-4,)}, {"lemma_l": (2, -1)},
-     {"lemma_n": (5,), "lemma_l": (2,)}, {"lemma_n": ()}],
+     {"lemma_n": (5,), "lemma_l": (2,)}, {"lemma_n": ()},
+     {"lemma_n": (4, pipeline.MAX_ELEMENTS // 2 + 1)}],
 )
 def test_suite_config_rejects_bad_lemma1_sizes(sizes):
     with pytest.raises(ConfigError):
         SuiteConfig(suites=("lemma1",), **sizes)
+
+
+def test_lemma1_input_bound_is_inclusive():
+    n = pipeline.MAX_ELEMENTS // 2  # an (n, 2) input of exactly MAX_ELEMENTS entries
+    assert SuiteConfig(suites=("lemma1",), lemma_n=(n,), lemma_l=(1,)).lemma_n == (n,)
 
 
 def test_lemma1_pairs_matter_only_to_a_lemma1_run():

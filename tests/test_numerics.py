@@ -13,16 +13,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from eqvit import GridSignal, circular_shift, lp_norm, softmax_rows
+from eqvit.attention import _untile_index
 from eqvit.errors import ParameterError, ShapeError
-from eqvit.numerics import (
-    argmax_rows,
-    as_offset,
-    blocks,
-    freeze,
-    project_rows,
-    rotation_index,
-    unblocks,
-)
+from eqvit.numerics import argmax_rows, as_offset, freeze, grid_index, project_rows
 
 
 def shift_oracle(data: np.ndarray, offs) -> np.ndarray:
@@ -100,14 +93,65 @@ def test_rotation_gather_equals_roll_at_every_offset(grid):
     for off in np.ndindex(*(2 * g + 1 for g in grid)):
         off = tuple(o - g for o, g in zip(off, grid))  # -g .. g on each axis
         rolled = np.roll(rows.reshape(*grid, 4), [-o for o in off], axis=axes)
-        assert np.array_equal(rows[rotation_index(grid, off)], rolled.reshape(rows.shape))
+        index = grid_index(grid, 1, 1, off)
+        assert index.shape == (len(rows), 1)
+        assert np.array_equal(rows[index[:, 0]], rolled.reshape(rows.shape))
 
 
 def test_rotation_index_is_cached_read_only():
-    index = rotation_index((4, 4), (1, 2))
-    assert index is rotation_index((4, 4), (1, 2))
+    index = grid_index((4, 4), 1, 1, (1, 2))
+    assert index is grid_index((4, 4), 1, 1, (1, 2))
     with pytest.raises(ValueError):
         index[0] = 3
+
+
+def roll_oracle(grid, width, stride, off) -> np.ndarray:
+    """Row j: the positions grid rolled by -(off + stride * j), its first
+    width**rank corner, row-major.  np.roll only, no modular arithmetic."""
+    positions = np.arange(math.prod(grid)).reshape(grid)
+    rows = []
+    for j in np.ndindex(*(g // stride for g in grid)):
+        shift = [-(o + stride * i) for o, i in zip(off, j)]
+        rolled = np.roll(positions, shift, axis=tuple(range(len(grid))))
+        rows.append(rolled[(slice(width),) * len(grid)].ravel())
+    return np.array(rows)
+
+
+def tile_oracle(grid, b) -> np.ndarray:
+    """(tiles, b**rank) positions of the b-tiles by reshape and transpose:
+    tiles row-major over the grid, positions row-major within each tile."""
+    rank = len(grid)
+    split = [n for g in grid for n in (g // b, b)]
+    order = [*range(0, 2 * rank, 2), *range(1, 2 * rank, 2)]
+    return np.arange(math.prod(grid)).reshape(split).transpose(order).reshape(-1, b**rank)
+
+
+@pytest.mark.parametrize("grid", [(12,), (4, 8), (8, 4), (6, 6)])
+def test_grid_index_equals_roll_oracle(grid):
+    rank = len(grid)
+    # Negative offsets (rotating back) and offsets past the stride (the
+    # decoder adds window offsets to merge phases) wrap like any other.
+    offsets = [(0,) * rank, (1,) * rank, (-1,) * rank, (5, -7)[:rank], (-13, 9)[:rank]]
+    strides = [s for s in (1, 2, 3, 4) if all(g % s == 0 for g in grid)]
+    for stride, width, off in product(strides, (1, 2, 3, 4), offsets):
+        expect = roll_oracle(grid, width, stride, off)
+        index = grid_index(grid, width, stride, off)
+        assert index.shape == expect.shape and np.array_equal(index, expect)
+        taps = grid_index(grid, width, stride, off, taps_first=True)
+        assert taps.flags.c_contiguous and np.array_equal(taps, expect.T)
+
+
+@pytest.mark.parametrize("grid", [(12,), (4, 8), (8, 4), (6, 6)])
+def test_grid_index_tiles_and_phases_equal_reshape_transpose(grid):
+    for b in (b for b in (1, 2, 3, 4) if all(g % b == 0 for g in grid)):
+        zero = (0,) * len(grid)
+        assert np.array_equal(grid_index(grid, b, b, zero), tile_oracle(grid, b))
+        # Taps first, row t is the stride-b component at the t-th phase.
+        phases = grid_index(grid, b, b, zero, taps_first=True)
+        positions = np.arange(math.prod(grid)).reshape(grid)
+        for row, phase in zip(phases, product(range(b), repeat=len(grid))):
+            component = positions[tuple(slice(p, None, b) for p in phase)]
+            assert np.array_equal(row, component.ravel())
 
 
 def test_as_offset_scalar_only_for_rank1():
@@ -303,14 +347,18 @@ def test_frozen_arrays_are_read_only():
 
 
 def test_blocks_layout_and_inverse():
-    # Blocks row-major over the grid, positions row-major within each block.
+    # Blocks row-major over the grid, positions row-major within each block;
+    # `wsa` gathers them back through the inverse permutation.
     rng = np.random.default_rng(31)
-    for grid, b in (((6,), 3), ((4, 8), 2), ((8, 4), 4), ((2, 6), 2)):
+    for grid, b in (((6,), 3), ((4, 8), 2), ((8, 4), 4), ((2, 6), 2), ((6, 6), 3)):
         arr = rng.uniform(-1, 1, (*grid, 3))
-        stack = blocks(arr, b)
+        rows = arr.reshape(-1, 3)
+        stack = rows.take(grid_index(grid, b, b, (0,) * len(grid)), axis=0)
         anchors = product(*(range(0, g, b) for g in grid))
         for k, anchor in enumerate(anchors):
             for i, delta in enumerate(product(range(b), repeat=len(grid))):
                 cell = tuple(a + d for a, d in zip(anchor, delta))
                 assert np.array_equal(stack[k, i], arr[cell])
-        assert np.array_equal(unblocks(stack, grid, b), arr)
+        inverse = _untile_index(grid, b)
+        assert inverse is _untile_index(grid, b) and not inverse.flags.writeable
+        assert np.array_equal(stack.reshape(rows.shape).take(inverse, axis=0), rows)

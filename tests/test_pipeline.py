@@ -133,7 +133,10 @@ OVERSIZED = {
     "input_shape": {"input_shape": [10**12]},
     "channels": {"channels": 10**12},
     "num_classes": {"num_classes": 10**13},
-    "channels-past-bound": {"channels": 2**16 + 1},
+    "channels-past-bound": {"channels": 2**10 + 1},
+    "activations": {"input_shape": [2048, 2048], "channels": 1},
+    "global-attention": {"input_shape": [4096], "channels": 1, "patch_len": 1, "depth": 1,
+                         "windows": 1, "merge_factors": 1, "embed_dim": 1, "rpe_kind": "none"},
     "original-bias": {"input_shape": [2**11, 2**10], "channels": 1, "patch_len": 1, "depth": 1,
                       "windows": 1, "merge_factors": 1, "rpe_kind": "original"},
 }
@@ -146,8 +149,11 @@ def test_from_dict_rejects_arrays_past_the_element_bound(doc):
 
 
 def test_element_bound_is_inclusive():
-    cfg = ModelConfig(channels=2**16)  # a 64 x 65536 input holds exactly MAX_ELEMENTS
-    assert max(size for _, size in cfg.array_sizes()) == pipeline.MAX_ELEMENTS
+    # A MAX_BATCH batch of full-rate patches, 16 x 64 positions x 4 taps x 1024
+    # channels, holds exactly MAX_ELEMENTS.
+    cfg = ModelConfig(channels=2**10)
+    sizes = cfg.array_sizes() + cfg.activation_sizes()
+    assert max(sizes, key=lambda item: item[1]) == ("full-rate patches", pipeline.MAX_ELEMENTS)
 
 
 @pytest.mark.parametrize(
