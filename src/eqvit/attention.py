@@ -4,9 +4,9 @@ Two bias families are supported.  The conventional table indexes signed
 relative distance and breaks under circular rotation of the tokens; the
 circular table indexes distance mod M, is circulant, and commutes with
 rotation.  Window attention runs independent self-attention per
-non-overlapping block; the adaptive variant first rotates the token grid to
-the window anchor with the highest pooled token energy so that blocks cover
-the same tokens regardless of how the input was shifted.  Every op takes a
+non-overlapping block; the adaptive variant tiles the blocks from the
+window anchor with the highest pooled token energy so that they cover the
+same tokens regardless of how the input was shifted.  Every op takes a
 batched `TokenMatrix` too.  The adaptive one picks an anchor per sample and
 returns (tokens, SelectionTrace), the trace one per-sample entry.
 """
@@ -14,13 +14,13 @@ returns (tokens, SelectionTrace), the trace one per-sample entry.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 import numpy as np
 
 from .errors import ParameterError, ShapeError
 from .numerics import best_phase, freeze, grid_index, require_finite, require_norm_order
-from .numerics import rotate_rows, softmax_rows, stable_sum, weight_array
+from .numerics import softmax_rows, stable_sum, weight_array
 from .tokenizer import TokenMatrix
 from .trace import WSA, SelectionTrace
 
@@ -62,7 +62,7 @@ class AttentionParams:
     def dim_out(self) -> int:
         return self.e_q.shape[1]
 
-    @property
+    @cached_property
     def scale(self) -> float:
         return 1.0 / np.sqrt(self.e_q.shape[1])
 
@@ -92,6 +92,27 @@ class RpeTable:
         require_finite(arr, "rpe table")
         object.__setattr__(self, "table", freeze(arr))
 
+    @property
+    def grid(self) -> tuple[int, ...] | None:
+        """The token grid the table fits, or None for kind 'none' and for a
+        conventional table with an even axis, which fits no grid."""
+        if self.kind == NONE:
+            return None
+        if self.kind == ADAPTIVE:
+            return self.table.shape
+        if any(s % 2 == 0 for s in self.table.shape):
+            return None
+        return tuple((s + 1) // 2 for s in self.table.shape)
+
+    @cached_property
+    def bias(self) -> np.ndarray | None:
+        """Read-only bias matrix over every token pair of `grid`, built once."""
+        if self.grid is None:
+            return None
+        bias = self.table.take(_bias_index(self.grid, self.kind))
+        bias.setflags(write=False)
+        return bias
+
     @classmethod
     def none(cls) -> RpeTable:
         return cls(NONE)
@@ -106,7 +127,8 @@ class RpeTable:
 
 
 def position_bias(rpe: RpeTable, grid_shape: tuple[int, ...]) -> np.ndarray | None:
-    """Bias matrix over all tokens of a grid, or None for kind 'none'.
+    """Bias matrix over all tokens of a grid, or None for kind 'none'; the
+    table's read-only `bias`, built once.
 
     Entry (i, j) reads the table at the per-axis distance from token j to
     token i.  The circular kind wraps each distance mod G, so its table is
@@ -117,15 +139,14 @@ def position_bias(rpe: RpeTable, grid_shape: tuple[int, ...]) -> np.ndarray | No
     if rpe.kind == NONE:
         return None
     grid = tuple(grid_shape)
-    shape, index = _bias_index(grid, rpe.kind)
-    if rpe.table.shape != shape:
+    if rpe.grid != grid:
         raise ShapeError(f"table shape {rpe.table.shape} does not fit grid {grid}")
-    return rpe.table.take(index)
+    return rpe.bias
 
 
 @lru_cache(maxsize=256)
-def _bias_index(grid: tuple[int, ...], kind: str) -> tuple[tuple[int, ...], np.ndarray]:
-    """(table shape, read-only flat table index of every token pair) for `position_bias`."""
+def _bias_index(grid: tuple[int, ...], kind: str) -> np.ndarray:
+    """Read-only flat table index of every token pair for `RpeTable.bias`."""
     pos = np.indices(grid).reshape(len(grid), -1)
     dist = pos[:, :, np.newaxis] - pos[:, np.newaxis, :]
     sizes = np.array(grid)[:, np.newaxis, np.newaxis]
@@ -135,7 +156,7 @@ def _bias_index(grid: tuple[int, ...], kind: str) -> tuple[tuple[int, ...], np.n
         shape, dist = tuple(2 * g - 1 for g in grid), dist + sizes - 1
     index = np.ravel_multi_index(tuple(dist), shape)
     index.setflags(write=False)
-    return shape, index
+    return index
 
 
 def _attend(x: np.ndarray, params: AttentionParams, rpe: RpeTable | None, grid) -> np.ndarray:
@@ -206,18 +227,29 @@ def wsa(
     cfg: WindowConfig,
     params: AttentionParams,
     rpe: RpeTable | None = None,
+    anchors: np.ndarray | None = None,
 ) -> TokenMatrix:
-    """Window self-attention on the fixed partition anchored at 0.
+    """Window self-attention on the partition anchored at each sample's
+    anchor, a (B, rank) array of grid offsets; by default the fixed
+    partition anchored at 0.
 
-    Every non-overlapping W-block (rank 2: W x W tile) runs self-attention
-    independently with the same projections and the same per-window bias
-    table, all in one stacked call, and the outputs are gathered back in place.
+    Every non-overlapping W-block (rank 2: W x W tile) starting at the
+    anchor runs self-attention independently with the same projections and
+    the same per-window bias table, all in one stacked call.  The output
+    lives on the grid rotated to the anchor (row k is the token at
+    (k + anchor) mod grid), so it equals this op at anchor 0 on the rotated
+    tokens: both gather the same windows, here in one gather.
     """
     _check_window(tokens, cfg)
-    w, grid = cfg.window, tokens.grid_shape
-    windows = tokens.data.take(grid_index(grid, w, w, (0,) * tokens.rank), axis=-2)
-    stacked = _attend(windows, params, rpe, (w,) * tokens.rank)
-    rows = stacked.reshape(*tokens.data.shape[:-1], -1)
+    w, grid, rank = cfg.window, tokens.grid_shape, tokens.rank
+    stack = tokens.stack()
+    n, m = stack.shape[:2]
+    anchors = np.zeros((n, rank), np.int64) if anchors is None else np.asarray(anchors)
+    if anchors.shape != (n, rank):
+        raise ShapeError(f"{anchors.shape} anchors for {n} samples on a rank-{rank} grid")
+    index = [grid_index(grid, w, w, tuple(a)) + i * m for i, a in enumerate(anchors.tolist())]
+    windows = stack.reshape(n * m, -1).take(np.concatenate(index), axis=0)
+    rows = _attend(windows, params, rpe, (w,) * rank).reshape(*tokens.data.shape[:-1], -1)
     return TokenMatrix._fresh(rows.take(_untile_index(grid, w), axis=-2), grid)
 
 
@@ -239,10 +271,10 @@ def a_wsa(
     """Window self-attention aligned to the best-energy window anchor.
 
     Scores each of the W (rank 2: W x W) candidate anchors by applying the
-    configured functional to the window energies sampled at that phase,
-    rotates the token grid to the winning anchor, and runs wsa there.  The
-    output lives on the rotated grid; the chosen offset is recorded.  A batch
-    picks and rotates per sample, one trace offset per sample.
+    configured functional to the window energies sampled at that phase and
+    runs wsa on the windows anchored at the winner.  The output lives on the
+    grid rotated to that anchor; the chosen offset is recorded.  A batch
+    picks per sample, one trace offset per sample.
     """
     energies = window_energy(tokens, cfg)
     score = WINDOW_FNS[cfg.energy_fn]
@@ -251,6 +283,5 @@ def a_wsa(
         cfg.window,
         lambda comps: score(comps[..., 0]),
     )
-    rotated = rotate_rows(tokens.stack(), tokens.grid_shape, offsets)
-    out = wsa(tokens.like(rotated, tokens.grid_shape), cfg, params, rpe)
+    out = wsa(tokens, cfg, params, rpe, offsets)
     return out, SelectionTrace.single(WSA, offsets, tied)

@@ -72,6 +72,9 @@ _SEED_INDEX = {name: i + 1 for i, name in enumerate(SUITES)}
 # trial, so no batch exceeds `MAX_BATCH`.
 TRIAL_BATCH = MAX_BATCH // 2
 
+# Channels of a lemma1 input and dimension of its tokens.
+LEMMA1_CHANNELS, LEMMA1_DIM = 2, 5
+
 # Search model for the ablation suite.  The window must not be a multiple of
 # the merge stride: aligned window attention rotates token grids by window
 # multiples, and if the stride divided those the fixed-phase merge would stay
@@ -115,15 +118,29 @@ class SuiteConfig:
         object.__setattr__(self, "lemma_l", tuple(int(l) for l in self.lemma_l))
         if min(self.lemma_n + self.lemma_l, default=1) < 1:
             raise ConfigError("lemma1 sizes n and l must be >= 1")
-        n = max(self.lemma_n, default=0)
-        if 2 * n > MAX_ELEMENTS:
-            raise ConfigError(f"lemma1 n {n} gives an (n, 2) input of more than {MAX_ELEMENTS}")
+        name, size = max(self.lemma1_sizes(), key=lambda item: item[1], default=("", 0))
+        if size > MAX_ELEMENTS:
+            raise ConfigError(f"lemma1 {name} would hold {size} entries, more than {MAX_ELEMENTS}")
         pairs = product(self.lemma_n, self.lemma_l)
         if "lemma1" in self.suites and all(n % l for n, l in pairs):
             raise ConfigError(
                 f"lemma1 needs a patch length l that divides a signal length n, "
                 f"got n {list(self.lemma_n)} and l {list(self.lemma_l)}"
             )
+
+    def lemma1_sizes(self) -> list[tuple[str, int]]:
+        """(name, entries) of the largest arrays of a lemma1 batch of up to
+        `TRIAL_BATCH` (n, C) inputs, per (n, l) pair it runs: the gathered
+        (2, B, n / l, l * C) sides, twice the inputs, and each side's
+        (B, n / l, D) projection.  Integer arithmetic, as in
+        `ModelConfig.activation_sizes`."""
+        b = TRIAL_BATCH
+        sizes = []
+        for n, l in product(self.lemma_n, self.lemma_l):
+            if n % l == 0:
+                sizes.append((f"gathered sides at n {n}, l {l}", 2 * b * n * LEMMA1_CHANNELS))
+                sizes.append((f"projected side at n {n}, l {l}", b * n // l * LEMMA1_DIM))
+        return sizes
 
     def resolved_model(self) -> ModelConfig:
         cfg = dataclasses.replace(self.model, seed=self.seed)
@@ -245,10 +262,10 @@ def _lemma1_trials(sc: SuiteConfig):
         for l in sc.lemma_l:
             if n % l:
                 continue
-            embed = rng.uniform(-0.5, 0.5, size=(l * 2, 5))
+            embed = rng.uniform(-0.5, 0.5, size=(l * LEMMA1_CHANNELS, LEMMA1_DIM))
             cfg = PatchEmbedConfig(l, embed)
             for _ in range(sc.suite_trials("lemma1")):
-                x = rng.uniform(-1.0, 1.0, size=(n, 2))
+                x = rng.uniform(-1.0, 1.0, size=(n, LEMMA1_CHANNELS))
                 for m in range(l):
                     yield {"n": n, "l": l, "m": m, "x": x, "embed": embed}, cfg
 

@@ -277,7 +277,9 @@ def project_rows(rows: np.ndarray, matrix: np.ndarray) -> np.ndarray:
 
     A (B, M, K) stack of rows takes one (K, D) matrix for every sample, or a
     (B, K, D) stack with one matrix per sample; each sample gets the bits of
-    its own (M, K) call.
+    its own (M, K) call.  Its inner loop runs along D, so with few token
+    dimensions and many rows `project_columns` on the transposed layout gives
+    the same bits faster.
     """
     r = np.asarray(rows, dtype=np.float64)
     m = np.asarray(matrix, dtype=np.float64)
@@ -289,6 +291,24 @@ def project_rows(rows: np.ndarray, matrix: np.ndarray) -> np.ndarray:
     if stacked:
         return np.einsum("bmk,bkd->bmd", r, m)
     return np.einsum("mk,kd->md", r.reshape(-1, r.shape[2]), m).reshape(*r.shape[:2], -1)
+
+
+def project_columns(cols: np.ndarray, matrix: np.ndarray) -> np.ndarray:
+    """Projection of (K, M, B) columns, sample axis last, by a (K, D) matrix:
+    the (B, M, D) stack `project_rows` gives for each sample's (M, K) rows,
+    bit for bit.
+
+    The einsum below reduces over k in the same order as the row form, from
+    0.0, one product added at a time, so every output entry gets the same
+    bits; only its inner loop runs along the M * B columns, the long axis,
+    instead of along D.  Every column is one lane of that loop, tail
+    included, so where a row sits (its position, its sample, the batch
+    size) does not change its bits (tests/test_gather.py checks this against
+    a sequential loop over k).  The result is copied back to (B, M, D).
+    """
+    k, m, b = cols.shape
+    out = np.einsum("kd,kx->dx", matrix, cols.reshape(k, m * b))
+    return np.ascontiguousarray(out.reshape(-1, m, b).transpose(2, 1, 0))
 
 
 def argmax_rows(scores: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

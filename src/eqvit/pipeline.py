@@ -205,7 +205,7 @@ class ModelConfig:
         rank, dims, n = self.rank, self.stage_dims(), MAX_BATCH
         positions, taps = math.prod(self.input_shape), self.patch_len**rank
         sizes = [
-            ("full-rate patch index", positions * taps),
+            ("full-rate patch index", taps * self.channels * positions),
             ("full-rate patches", n * positions * taps * self.channels),
             ("full-rate embedding", n * positions * self.embed_dim),
             ("decoded map", n * positions * dims[-1]),
@@ -278,6 +278,7 @@ class StageWeights:
     attn: AttentionParams
     rpe: RpeTable
     merge: MergeConfig
+    window: WindowConfig
 
 
 @dataclass(frozen=True)
@@ -347,7 +348,8 @@ def build_model(cfg: ModelConfig) -> Model:
             embed=rng.uniform(-0.5, 0.5, size=(p**rank * d, 2 * d)),
             energy_p=cfg.energy_p,
         )
-        stages.append(StageWeights(attn=attn, rpe=rpe, merge=merge))
+        window = WindowConfig(w, cfg.energy_p, cfg.window_energy_fn)
+        stages.append(StageWeights(attn=attn, rpe=rpe, merge=merge, window=window))
 
     d_final = dims[-1]
     if cfg.depth > 0:
@@ -390,14 +392,12 @@ def _encode(model: Model, x) -> tuple[TokenMatrix, SelectionTrace]:
     else:
         tokens = token(x, model.weights.patch)
 
-    for s in range(cfg.depth):
-        sw = model.weights.stages[s]
-        wcfg = WindowConfig(cfg.windows[s], cfg.energy_p, cfg.window_energy_fn)
+    for sw in model.weights.stages:
         if cfg.a_wsa:
-            tokens, tr = a_wsa(tokens, wcfg, sw.attn, sw.rpe)
+            tokens, tr = a_wsa(tokens, sw.window, sw.attn, sw.rpe)
             trace.extend(tr)
         else:
-            tokens = wsa(tokens, wcfg, sw.attn, sw.rpe)
+            tokens = wsa(tokens, sw.window, sw.attn, sw.rpe)
         if cfg.a_pmerge:
             tokens, tr = a_pmerge(tokens, sw.merge)
             trace.extend(tr)

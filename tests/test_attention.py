@@ -158,6 +158,17 @@ def test_position_bias_rank2_lookup_rule():
             assert bo[i, j] == original.table[ih - jh + gh - 1, iw - jw + gw - 1]
 
 
+def test_position_bias_is_built_once_per_table_and_read_only():
+    rng = np.random.default_rng(24)
+    for rpe, grid in [(RpeTable.adaptive(rng.uniform(-1, 1, (2, 4))), (2, 4)),
+                      (RpeTable.original(rng.uniform(-1, 1, 7)), (4,))]:
+        bias = position_bias(rpe, grid)
+        assert bias is position_bias(rpe, grid) and rpe.grid == grid
+        with pytest.raises(ValueError):
+            bias[0, 0] = 1.0
+    assert RpeTable.original(np.zeros(4)).grid is None
+
+
 def test_position_bias_none_is_none():
     assert position_bias(RpeTable.none(), (4,)) is None
 

@@ -154,6 +154,17 @@ def test_prove_rejects_bad_lemma1_sizes(tmp_path, capsys, sizes):
     assert not out.exists()
 
 
+def test_prove_rejects_a_lemma1_batch_past_the_bound(tmp_path, capsys):
+    # The (n, 2) input holds exactly MAX_ELEMENTS entries and passes on its
+    # own; the batch of it that lemma1 projects would not fit.
+    out = tmp_path / "proof.json"
+    args = ["prove", "--suite", "lemma1", "--n", "2097152", "--l", "1", "--out", str(out)]
+    assert main(args) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: lemma1 projected side") and "Traceback" not in err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("value", ["NaN", "Infinity", "-Infinity", "1e999"])
 def test_non_finite_energy_p_is_a_config_error(tmp_path, capsys, value):
     # Python's json reads all four; NaN failed every end2end trial and Infinity

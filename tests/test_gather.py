@@ -4,20 +4,26 @@ Each reference below is the loop the package ran before its taps, phases or
 decoder stages became one gather (or scatter) through `grid_index`, with its
 rotations and tilings spelled by `np.roll` and reshape/transpose.  They are
 kept here as oracles only; every comparison is on `tobytes()`, so a -0.0
-where the loop gave 0.0 counts as a difference.
+where the loop gave 0.0 counts as a difference.  The column projection of
+the full-rate embedding is held to the row layout it replaced and to a
+plain loop over k, and anchored window attention to rotate-then-`wsa`.
 """
 
+import tracemalloc
 from itertools import combinations, product
 
 import numpy as np
 import pytest
 
 from eqvit import GridSignal, circular_shift
-from eqvit.attention import WINDOW_FNS, WindowConfig, _untile_index, window_energy
+from eqvit.attention import AttentionParams, RpeTable, WINDOW_FNS, WindowConfig, _untile_index
+from eqvit.attention import window_energy, wsa
+from eqvit.errors import ShapeError
 from eqvit.merging import MergeConfig, pmerge_conv_fullrate, unpool
-from eqvit.numerics import argmax_rows, best_phase, grid_index, lp_norm, project_rows
+from eqvit.numerics import argmax_rows, best_phase, grid_index, lp_norm, project_rows, rotate_rows
 from eqvit.pipeline import ModelConfig, _decode, _encode, build_model
-from eqvit.tokenizer import INVARIANT_FNS, PatchEmbedConfig, TokenMatrix, _full_rate_embed
+from eqvit.tokenizer import INVARIANT_FNS, PatchEmbedConfig, TokenMatrix, _column_index
+from eqvit.tokenizer import _full_rate_embed
 from eqvit.trace import MERGE, SelectionTrace, TraceEntry
 
 GRIDS = [(16,), (4, 4), (4, 8), (8, 4)]
@@ -72,13 +78,35 @@ def pmerge_conv_fullrate_loop(tokens, cfg):
     return out
 
 
-def full_rate_embed_stacked(stack, cfg):
+def full_rate_patches(stack, patch_len):
+    """(B, positions, taps * C) rows: the patch anchored at every position,
+    entry tap * C + channel, taps in row-major order."""
     b, *shape, c = stack.shape
-    taps = product(range(cfg.patch_len), repeat=len(shape))
+    taps = product(range(patch_len), repeat=len(shape))
     positions = np.arange(np.prod(shape))
     index = np.stack([roll_grid(positions, shape, delta) for delta in taps], axis=1)
-    patches = stack.reshape(b, -1, c).take(index, axis=1)
-    return project_rows(patches.reshape(b, len(index), -1), cfg.embed).reshape(b, *shape, cfg.dim)
+    return stack.reshape(b, -1, c).take(index, axis=1).reshape(b, len(index), -1)
+
+
+def full_rate_embed_stacked(stack, cfg):
+    """The row layout: project_rows on the (B, positions, K) patch rows."""
+    rows = full_rate_patches(stack, cfg.patch_len)
+    return project_rows(rows, cfg.embed).reshape(*stack.shape[:-1], cfg.dim)
+
+
+def full_rate_embed_k_loop(stack, cfg):
+    """Every product added on its own, in order of k, onto a 0.0 start."""
+    rows = full_rate_patches(stack, cfg.patch_len)
+    out = np.zeros((*rows.shape[:-1], cfg.dim))
+    for k in range(rows.shape[-1]):
+        out += rows[..., k, np.newaxis] * cfg.embed[k]
+    return out.reshape(*stack.shape[:-1], cfg.dim)
+
+
+def wsa_rotated(tokens, cfg, params, rpe, anchors):
+    """Rotate each sample's grid to its anchor, then run the partition at 0."""
+    rotated = rotate_rows(tokens.stack(), tokens.grid_shape, np.asarray(anchors))
+    return wsa(tokens.like(rotated, tokens.grid_shape), cfg, params, rpe)
 
 
 def best_phase_blocks(stack, b, rank, score):
@@ -159,6 +187,70 @@ def test_full_rate_embed_equals_stacked_index(shape):
             assert same(_full_rate_embed(x, cfg), expect[i])
 
 
+# Position counts that are no multiple of a SIMD width, so each einsum lane
+# loop along the positions ends in a tail.
+ODD_SHAPES = [(6,), (10,), (6, 10), (10, 6)]
+
+
+@pytest.mark.parametrize("shape", ODD_SHAPES)
+@pytest.mark.parametrize("channels", [1, 2])
+def test_column_projection_has_the_row_and_k_loop_bits(shape, channels):
+    rng = np.random.default_rng(6)
+    for patch_len in (1, 2, 3):  # patch_len 1 with one channel is K = 1
+        k = patch_len ** len(shape) * channels
+        cfg = PatchEmbedConfig(patch_len, rng.uniform(-0.5, 0.5, (k, 5)))
+        signals = [GridSignal(a) for a in samples(rng, shape, channels)]
+        stack = np.stack([x.data for x in signals])
+        expect = full_rate_embed_k_loop(stack, cfg)
+        assert same(full_rate_embed_stacked(stack, cfg), expect)
+        for batch in (signals, signals[::-1]):
+            order = expect if batch is signals else expect[::-1]
+            assert same(_full_rate_embed(batch, cfg), order)
+        for i, x in enumerate(signals):
+            assert same(_full_rate_embed(x, cfg), expect[i])
+
+
+@pytest.mark.parametrize("shape", ODD_SHAPES)
+def test_column_projection_commutes_with_rotation(shape):
+    # Exactness rests on every position getting the same arithmetic,
+    # whether it falls in a vector lane or in the loop's tail.
+    rng = np.random.default_rng(7)
+    for patch_len in (1, 2, 3):
+        cfg = PatchEmbedConfig(patch_len, rng.uniform(-0.5, 0.5, (patch_len ** len(shape) * 2, 5)))
+        for data in samples(rng, shape, 2):
+            x = GridSignal(data)
+            full = _full_rate_embed(x, cfg).reshape(-1, cfg.dim)
+            for delta in product(*(range(n) for n in shape)):
+                got = _full_rate_embed(circular_shift(x, delta), cfg).reshape(-1, cfg.dim)
+                assert same(got, roll_grid(full, shape, delta, axis=0))
+
+
+@pytest.mark.parametrize("grid", [(16,), (4, 8), (8, 4)])
+@pytest.mark.parametrize("w", [2, 4])
+def test_anchored_wsa_equals_rotate_then_wsa(grid, w):
+    rng = np.random.default_rng(8)
+    rank, d = len(grid), 3
+    params = AttentionParams(*(rng.uniform(-0.5, 0.5, (d, d)) for _ in range(3)))
+    cfg = WindowConfig(w)
+    rpes = [RpeTable.none(), RpeTable.adaptive(rng.uniform(-0.5, 0.5, (w,) * rank))]
+    # Every grid offset, not only the w**rank phases a_wsa picks from.
+    anchors = list(product(*(range(g) for g in grid)))
+    *singles, batch = token_cases(grid, d, rng)
+    for rpe in rpes:
+        for tokens in singles:
+            for a in anchors:
+                got = wsa(tokens, cfg, params, rpe, np.array([a]))
+                assert same(got.data, wsa_rotated(tokens, cfg, params, rpe, [a]).data)
+        mixed = [anchors[(5 * i + 1) % len(anchors)] for i in range(len(batch.data))]
+        assert len(set(mixed)) == len(mixed)
+        got = wsa(batch, cfg, params, rpe, np.array(mixed))
+        assert same(got.data, wsa_rotated(batch, cfg, params, rpe, mixed).data)
+    at_zero = wsa(batch, cfg, params, None, np.zeros((4, rank), int))
+    assert same(wsa(batch, cfg, params).data, at_zero.data)
+    with pytest.raises(ShapeError):
+        wsa(batch, cfg, params, None, np.zeros((1, rank), int))
+
+
 SCORES = {
     "aps": lambda comps: lp_norm(comps.reshape(len(comps), -1), 2.0, axis=-1),
     **{f"token-{name}": fn for name, fn in INVARIANT_FNS.items()},
@@ -196,6 +288,19 @@ def test_cached_indices_are_shared_and_read_only():
         assert index is fn(*args)
         with pytest.raises(ValueError):
             index.flat[0] = 1
+
+
+def test_column_index_is_shared_and_gathered_without_a_copy():
+    # `take` copies a read-only index on every call, so this one, the
+    # largest, stays writeable; nothing writes to it.
+    index = _column_index((6, 10), 3, 2)
+    assert index is _column_index((6, 10), 3, 2) and index.flags.writeable
+    signal = np.arange(60 * 2.0)
+    tracemalloc.start()
+    cols = signal.take(index, axis=0)
+    peak = tracemalloc.get_traced_memory()[1]
+    tracemalloc.stop()
+    assert peak < 2 * cols.nbytes
 
 
 def test_tap_index_rows_are_rotations_in_row_major_order():

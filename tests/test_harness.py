@@ -15,6 +15,7 @@ from eqvit.harness import (
     PROOF_SUITES,
     PROPERTIES,
     SUITES,
+    TRIAL_BATCH,
     SuiteConfig,
     _best_alignment,
     _counterexample,
@@ -75,8 +76,23 @@ def test_suite_config_rejects_bad_lemma1_sizes(sizes):
 
 
 def test_lemma1_input_bound_is_inclusive():
-    n = pipeline.MAX_ELEMENTS // 2  # an (n, 2) input of exactly MAX_ELEMENTS entries
-    assert SuiteConfig(suites=("lemma1",), lemma_n=(n,), lemma_l=(1,)).lemma_n == (n,)
+    # At l = 2 the gathered (2, TRIAL_BATCH, n / 2, 2 * 2) sides are a lemma1
+    # batch's largest array; here they hold exactly MAX_ELEMENTS entries.
+    n = pipeline.MAX_ELEMENTS // (2 * TRIAL_BATCH * 2)
+    sc = SuiteConfig(suites=("lemma1",), lemma_n=(n,), lemma_l=(2,))
+    assert max(size for _, size in sc.lemma1_sizes()) == pipeline.MAX_ELEMENTS
+    with pytest.raises(ConfigError, match="gathered sides"):
+        SuiteConfig(suites=("lemma1",), lemma_n=(n + 2,), lemma_l=(2,))
+
+
+def test_lemma1_bound_counts_the_batch_not_the_input():
+    # An (n, 2) input of exactly MAX_ELEMENTS entries passed the old bound;
+    # its batch's projected sides hold 20 times that.
+    n = pipeline.MAX_ELEMENTS // 2
+    with pytest.raises(ConfigError, match="projected side at n 2097152, l 1"):
+        SuiteConfig(suites=("lemma1",), lemma_n=(n,), lemma_l=(1,))
+    # Pairs whose l does not divide n run nothing and are not sized.
+    assert SuiteConfig(suites=("lemma1",), lemma_n=(4, n + 1), lemma_l=(2,)).lemma_n == (4, n + 1)
 
 
 def test_lemma1_pairs_matter_only_to_a_lemma1_run():

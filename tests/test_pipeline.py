@@ -343,9 +343,11 @@ def test_overflowing_input_raises_instead_of_returning_nan(shape):
 @pytest.mark.parametrize("shape", [(64,), (32, 32)])
 def test_forward_overhead_stays_out(monkeypatch, shape):
     # Intermediate token matrices skip validation, grid rotations are index
-    # gathers, and each window stage is one stacked attention call.
+    # gathers, and each window stage is one stacked attention call.  Model
+    # constants (window configs, bias matrices) are built once per model.
     model = build_model(ModelConfig(input_shape=shape))
     x = rand_input(model.config, 13)
+    forward(model, x)
     calls = Counter()
 
     def counted(name, fn):
@@ -361,10 +363,13 @@ def test_forward_overhead_stays_out(monkeypatch, shape):
     monkeypatch.setattr(pipeline, "sa", counted("sa", pipeline.sa))
     monkeypatch.setattr(attention, "_attend", counted("kernel", attention._attend))
     monkeypatch.setattr(attention, "softmax_rows", counted("softmax", attention.softmax_rows))
+    monkeypatch.setattr(attention, "_bias_index", counted("bias", attention._bias_index))
+    window = counted("window", attention.WindowConfig.__post_init__)
+    monkeypatch.setattr(attention.WindowConfig, "__post_init__", window)
     classify(model, x)
     encode_decode(model, x)
     passes = 2
-    assert calls["validate"] == 0
+    assert calls["validate"] == calls["bias"] == calls["window"] == 0
     assert calls["roll"] == 0
     assert calls["sa"] == passes
     assert calls["kernel"] == calls["softmax"] == passes * (model.config.depth + 1)
