@@ -19,8 +19,8 @@ from functools import cached_property, lru_cache
 import numpy as np
 
 from .errors import ParameterError, ShapeError
-from .numerics import best_phase, freeze, grid_index, require_finite, require_norm_order
-from .numerics import softmax_rows, stable_sum, weight_array
+from .numerics import argmax_rows, coarse_grid, freeze, grid_index, phase_table
+from .numerics import require_finite, require_norm_order, softmax_rows, stable_sum, weight_array
 from .tokenizer import TokenMatrix
 from .trace import WSA, SelectionTrace
 
@@ -33,7 +33,7 @@ ADAPTIVE = "adaptive"
 # energies, or a stack of them); each is exactly invariant to any permutation
 # of the candidate energies so scores transfer bit-for-bit across shifts.
 WINDOW_FNS = {
-    "max": lambda v: np.max(v, axis=-1),
+    "max": lambda v: np.maximum.reduce(v, axis=-1),
     "sum": lambda v: stable_sum(v, axis=-1),
     "l2": lambda v: np.sqrt(stable_sum(np.square(v), axis=-1)),
 }
@@ -163,14 +163,13 @@ def _attend(x: np.ndarray, params: AttentionParams, rpe: RpeTable | None, grid) 
     """Attention within each (M, D) set of a stack on one `grid`, bias built once.
     The stacked `@` runs one GEMM per set, bit-identical to that set alone, so
     the leading axes (samples, windows) never enter a GEMM's M dimension."""
-    if x.shape[-1] != params.dim_in:
-        raise ShapeError(f"tokens of dim {x.shape[-1]} vs projections of dim {params.dim_in}")
-    q, k, v = (x @ e for e in (params.e_q, params.e_k, params.e_v))
-    logits = (q @ k.swapaxes(-1, -2)) * params.scale
-    bias = position_bias(RpeTable.none() if rpe is None else rpe, grid)
-    if bias is not None:
-        logits = logits + bias
-    return softmax_rows(logits) @ v
+    e_q = params.e_q
+    if x.shape[-1] != len(e_q):
+        raise ShapeError(f"tokens of dim {x.shape[-1]} vs projections of dim {len(e_q)}")
+    logits = ((x @ e_q) @ (x @ params.e_k).swapaxes(-1, -2)) * params.scale
+    if rpe is not None and rpe.kind != NONE:
+        logits = logits + position_bias(rpe, grid)
+    return softmax_rows(logits) @ (x @ params.e_v)
 
 
 def sa(tokens: TokenMatrix, params: AttentionParams, rpe: RpeTable | None = None) -> TokenMatrix:
@@ -197,12 +196,6 @@ class WindowConfig:
             )
 
 
-def _check_window(tokens: TokenMatrix, cfg: WindowConfig) -> None:
-    for g in tokens.grid_shape:
-        if g % cfg.window:
-            raise ShapeError(f"grid axis {g} is not divisible by window {cfg.window}")
-
-
 def window_energy(tokens: TokenMatrix, cfg: WindowConfig) -> np.ndarray:
     """Grid of token energies pooled over the window anchored at each index.
 
@@ -211,15 +204,15 @@ def window_energy(tokens: TokenMatrix, cfg: WindowConfig) -> np.ndarray:
     summed in a fixed order, so a grid rotation of the tokens rotates this
     grid bit-exactly.  A batch gives (B, *grid).
     """
-    _check_window(tokens, cfg)
-    norms = np.sum(np.abs(tokens.data) ** cfg.energy_p, axis=-1) ** (1.0 / cfg.energy_p)
-    index = grid_index(tokens.grid_shape, cfg.window, 1, (0,) * tokens.rank, taps_first=True)
-    taps = norms.take(index, axis=-1)
+    data, grid, w, p = tokens.data, tokens.grid_shape, cfg.window, cfg.energy_p
+    coarse_grid(grid, w, "window")
+    norms = np.add.reduce(np.abs(data) ** p, axis=-1) ** (1.0 / p)
+    taps = norms.take(grid_index(grid, w, 1, (0,) * len(grid), taps_first=True), axis=-1)
     # The tap axis is an outer axis of the gather, so the reduction adds one
     # whole tap at a time, in order, onto the 0.0 start: the bits of a
     # per-tap `+=` loop.
     acc = np.add.reduce(taps, axis=-2, initial=0.0)
-    return acc.reshape(tokens.grid().shape[:-1]) / float(cfg.window**tokens.rank)
+    return acc.reshape(*data.shape[:-2], *grid) / float(w ** len(grid))
 
 
 def wsa(
@@ -240,16 +233,15 @@ def wsa(
     (k + anchor) mod grid), so it equals this op at anchor 0 on the rotated
     tokens: both gather the same windows, here in one gather.
     """
-    _check_window(tokens, cfg)
-    w, grid, rank = cfg.window, tokens.grid_shape, tokens.rank
-    stack = tokens.stack()
-    n, m = stack.shape[:2]
+    data, grid, w = tokens.data, tokens.grid_shape, cfg.window
+    coarse_grid(grid, w, "window")
+    rank, n, m = len(grid), len(data) if data.ndim == 3 else 1, data.shape[-2]
     anchors = np.zeros((n, rank), np.int64) if anchors is None else np.asarray(anchors)
     if anchors.shape != (n, rank):
         raise ShapeError(f"{anchors.shape} anchors for {n} samples on a rank-{rank} grid")
     index = [grid_index(grid, w, w, tuple(a)) + i * m for i, a in enumerate(anchors.tolist())]
-    windows = stack.reshape(n * m, -1).take(np.concatenate(index), axis=0)
-    rows = _attend(windows, params, rpe, (w,) * rank).reshape(*tokens.data.shape[:-1], -1)
+    windows = data.reshape(n * m, -1).take(np.concatenate(index), axis=0)
+    rows = _attend(windows, params, rpe, (w,) * rank).reshape(*data.shape[:-1], -1)
     return TokenMatrix._fresh(rows.take(_untile_index(grid, w), axis=-2), grid)
 
 
@@ -277,11 +269,10 @@ def a_wsa(
     picks per sample, one trace offset per sample.
     """
     energies = window_energy(tokens, cfg)
-    score = WINDOW_FNS[cfg.energy_fn]
-    offsets, _, tied = best_phase(
-        energies.reshape(-1, *tokens.grid_shape, 1),
-        cfg.window,
-        lambda comps: score(comps[..., 0]),
-    )
-    out = wsa(tokens, cfg, params, rpe, offsets)
-    return out, SelectionTrace.single(WSA, offsets, tied)
+    grid, w = tokens.grid_shape, cfg.window
+    # The polyphase selection of `best_phase`, without its winning component.
+    index = grid_index(grid, w, w, (0,) * len(grid), taps_first=True)
+    scores = WINDOW_FNS[cfg.energy_fn](energies.reshape(-1, index.size).take(index, axis=1))
+    idx, tied = argmax_rows(scores)
+    offsets = phase_table(w, len(grid))[idx]
+    return wsa(tokens, cfg, params, rpe, offsets), SelectionTrace.single(WSA, offsets, tied)

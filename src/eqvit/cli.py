@@ -63,11 +63,23 @@ def _resolve_seed(flag_seed: int | None, model: ModelConfig) -> int:
     return model.seed
 
 
-def _replay_path(out: Path) -> Path:
-    return out.with_name(out.stem + ".replay.json")
+def _replay_path(out: Path, kind: str = "replay") -> Path:
+    return out.with_name(f"{out.stem}.{kind}.json")
+
+
+def _check_writable(out: Path) -> None:
+    """Reject a report path whose files cannot be written, before any suite runs."""
+    try:
+        out.parent.mkdir(parents=True, exist_ok=True)
+    except OSError as err:
+        raise ConfigError(f"cannot create the directory of {out}: {err}") from err
+    for path in (out, _replay_path(out), _replay_path(out, "ablation.replay")):
+        if path.is_dir() or not os.access(path if path.exists() else path.parent, os.W_OK):
+            raise ConfigError(f"cannot write {path}: it is a directory or is not writable")
 
 
 def _execute(sc: SuiteConfig, out: Path) -> int:
+    _check_writable(out)
     report, results = run_suites(sc)
     for r in results:
         print(
@@ -75,7 +87,6 @@ def _execute(sc: SuiteConfig, out: Path) -> int:
             f"{r.failures} failed, max_divergence={r.max_divergence:.3e}, "
             f"ties={r.tie_count}"
         )
-    out.parent.mkdir(parents=True, exist_ok=True)
     out.write_text(_dump(report))
     print(f"report written to {out}")
 
@@ -89,7 +100,7 @@ def _execute(sc: SuiteConfig, out: Path) -> int:
     # Found ablation counterexamples are successes, but keep them replayable.
     for r in results:
         if r.name == "ablation" and r.counterexample is not None and not r.failures:
-            path = out.with_name(out.stem + ".ablation.replay.json")
+            path = _replay_path(out, "ablation.replay")
             path.write_text(_dump(r.counterexample))
             print(f"ablation counterexample written to {path}")
     return 1 if failing else 0

@@ -21,6 +21,7 @@ import numpy as np
 from .errors import ParameterError, ShapeError, TraceError
 from .numerics import (
     best_phase,
+    coarse_grid,
     grid_index,
     lp_norm,
     project_rows,
@@ -56,28 +57,28 @@ class MergeConfig:
         return self.embed.shape[-1]
 
 
-def _check_merge(tokens: TokenMatrix, cfg: MergeConfig) -> None:
-    for g in tokens.grid_shape:
-        if g % cfg.factor:
-            raise ShapeError(f"grid axis {g} is not divisible by factor {cfg.factor}")
-    expect = cfg.factor**tokens.rank * tokens.dim
-    if cfg.embed.shape[-2] != expect:
+def _check_merge(data: np.ndarray, grid: tuple[int, ...], cfg: MergeConfig) -> tuple[int, ...]:
+    """Check that `cfg` merges tokens `data` on `grid`; the merged grid."""
+    coarse, embed = coarse_grid(grid, cfg.factor, "factor"), cfg.embed
+    expect = cfg.factor ** len(grid) * data.shape[-1]
+    if embed.shape[-2] != expect:
         raise ShapeError(
-            f"merge embed expects rows of width {cfg.embed.shape[-2]}, "
+            f"merge embed expects rows of width {embed.shape[-2]}, "
             f"token groups have {expect} entries"
         )
-    if cfg.embed.ndim == 3 and (not tokens.batched or len(cfg.embed) != len(tokens.data)):
-        raise ShapeError(f"{len(cfg.embed)} merge embeds for tokens of shape {tokens.data.shape}")
+    if embed.ndim == 3 and (data.ndim != 3 or len(embed) != len(data)):
+        raise ShapeError(f"{len(embed)} merge embeds for tokens of shape {data.shape}")
+    return coarse
 
 
 def pmerge(tokens: TokenMatrix, cfg: MergeConfig) -> TokenMatrix:
     """Strided patch merging: project each non-overlapping P-group, flattened
     row-major over (position, channel)."""
-    _check_merge(tokens, cfg)
-    grid = tuple(g // cfg.factor for g in tokens.grid_shape)
-    index = grid_index(tokens.grid_shape, cfg.factor, cfg.factor, (0,) * tokens.rank)
-    rows = tokens.data.take(index, axis=-2).reshape(*tokens.data.shape[:-2], prod(grid), -1)
-    return TokenMatrix._fresh(project_rows(rows, cfg.embed), grid)
+    data, grid = tokens.data, tokens.grid_shape
+    coarse = _check_merge(data, grid, cfg)
+    index = grid_index(grid, cfg.factor, cfg.factor, (0,) * len(grid))
+    rows = data.take(index, axis=-2).reshape(*data.shape[:-2], len(index), -1)
+    return TokenMatrix._fresh(project_rows(rows, cfg.embed), coarse)
 
 
 def pmerge_conv_fullrate(tokens: TokenMatrix, cfg: MergeConfig) -> TokenMatrix:
@@ -87,18 +88,19 @@ def pmerge_conv_fullrate(tokens: TokenMatrix, cfg: MergeConfig) -> TokenMatrix:
     embed column acts as a stride-1 circular filter over the tokens.  A
     stride-P, phase-0 subsample of the result reproduces pmerge.
     """
-    _check_merge(tokens, cfg)
-    d = tokens.dim
+    data, grid, embed = tokens.data, tokens.grid_shape, cfg.embed
+    _check_merge(data, grid, cfg)
+    d = data.shape[-1]
     # One gather lays out every tap: in-group positions row-major, each a
     # rotation of the grid, (taps, M, D) or (B, taps, M, D).  Each tap is
     # projected by its own row block of the merge projection and accumulated
     # in a fixed order, which keeps the result exact under grid rotation.
-    index = grid_index(tokens.grid_shape, cfg.factor, 1, (0,) * tokens.rank, taps_first=True)
-    taps = tokens.data.take(index, axis=-2)
-    out = np.zeros((*tokens.data.shape[:-1], cfg.dim_out))
-    for i in range(taps.shape[-3]):
-        out += project_rows(taps[..., i, :, :], cfg.embed[..., i * d : (i + 1) * d, :])
-    return TokenMatrix._fresh(out, tokens.grid_shape)
+    index = grid_index(grid, cfg.factor, 1, (0,) * len(grid), taps_first=True)
+    taps = data.take(index, axis=-2)
+    out = np.zeros((*data.shape[:-1], embed.shape[-1]))
+    for i in range(len(index)):
+        out += project_rows(taps[..., i, :, :], embed[..., i * d : (i + 1) * d, :])
+    return TokenMatrix._fresh(out, grid)
 
 
 def aps(
@@ -114,15 +116,14 @@ def aps(
     """
     if factor < 1:
         raise ParameterError(f"factor must be >= 1, got {factor}")
-    for g in tokens.grid_shape:
-        if g % factor:
-            raise ShapeError(f"grid axis {g} is not divisible by factor {factor}")
+    data, grid = tokens.data, tokens.grid_shape
+    coarse = coarse_grid(grid, factor, "factor")
     phases, comp, tied = best_phase(
-        tokens.stack().reshape(-1, *tokens.grid_shape, tokens.dim),
+        data.reshape(-1, *grid, data.shape[-1]),
         factor,
         lambda comps: lp_norm(comps.reshape(len(comps), -1), energy_p, axis=-1),
     )
-    out = tokens.like(comp, tuple(g // factor for g in tokens.grid_shape))
+    out = TokenMatrix._fresh(comp if data.ndim == 3 else comp[0], coarse)
     return out, SelectionTrace.single(MERGE, phases, tied)
 
 

@@ -33,7 +33,7 @@ def freeze(values, dtype=np.float64) -> np.ndarray:
 
 
 def require_finite(arr: np.ndarray, name: str) -> None:
-    if not np.all(np.isfinite(arr)):
+    if not np.logical_and.reduce(np.isfinite(arr), axis=None):
         raise ParameterError(f"{name} must contain only finite entries")
 
 
@@ -52,6 +52,16 @@ def require_norm_order(p, name: str = "energy_p") -> None:
     """An lp norm order is a finite number >= 1; NaN and inf are not."""
     if not 1 <= p < np.inf:
         raise ParameterError(f"{name} must be a finite number >= 1, got {p}")
+
+
+def coarse_grid(grid, stride: int, name: str) -> tuple[int, ...]:
+    """The grid a stride-`stride` subsample of `grid` leaves; `name` names the stride."""
+    coarse = []
+    for g in grid:
+        if g % stride:
+            raise ShapeError(f"grid axis {g} is not divisible by {name} {stride}")
+        coarse.append(g // stride)
+    return tuple(coarse)
 
 
 def as_offset(off, rank: int) -> Offset:
@@ -191,7 +201,8 @@ def scatter_rows(stack: np.ndarray, rows: int, index: np.ndarray) -> np.ndarray:
 
 
 @lru_cache(maxsize=64)
-def _phases(b: int, rank: int) -> np.ndarray:
+def phase_table(b: int, rank: int) -> np.ndarray:
+    """Read-only (b**rank, rank) table of polyphase offsets, row-major."""
     table = np.array(list(product(range(b), repeat=rank)), dtype=np.int64).reshape(-1, rank)
     table.setflags(write=False)
     return table
@@ -206,12 +217,12 @@ def best_phase(stack: np.ndarray, b: int, score) -> tuple[np.ndarray, np.ndarray
     components (B, positions, C), tied (B,)): exact ties resolve to the
     lowest phase and are flagged.
     """
-    n, grid, c = len(stack), stack.shape[1:-1], stack.shape[-1]
-    index = grid_index(grid, b, b, (0,) * len(grid), taps_first=True)
+    n, grid, c, rank = len(stack), stack.shape[1:-1], stack.shape[-1], stack.ndim - 2
+    index = grid_index(grid, b, b, (0,) * rank, taps_first=True)
     phases = len(index)
     comps = stack.reshape(n, -1, c).take(index, axis=1).reshape(n * phases, -1, c)
     idx, tied = argmax_rows(score(comps).reshape(n, phases))
-    return _phases(b, len(grid))[idx], comps.take(idx + phases * np.arange(n), axis=0), tied
+    return phase_table(b, rank)[idx], comps.take(idx + phases * np.arange(n), axis=0), tied
 
 
 def softmax_rows(matrix: np.ndarray) -> np.ndarray:
@@ -219,9 +230,8 @@ def softmax_rows(matrix: np.ndarray) -> np.ndarray:
     m = np.asarray(matrix, dtype=np.float64)
     if m.ndim < 2:
         raise ShapeError(f"softmax_rows expects ndim >= 2, got ndim={m.ndim}")
-    shifted = m - m.max(axis=-1, keepdims=True)
-    e = np.exp(shifted)
-    return e / e.sum(axis=-1, keepdims=True)
+    e = np.exp(m - np.maximum.reduce(m, axis=-1, keepdims=True))
+    return e / np.add.reduce(e, axis=-1, keepdims=True)
 
 
 def stable_sum(values, axis: int | None = None):
@@ -235,10 +245,12 @@ def stable_sum(values, axis: int | None = None):
     sums pairwise only along a contiguous axis.
     """
     if axis is None:
-        return float(np.sum(np.sort(values, axis=None)))
+        return float(np.add.reduce(np.sort(values, axis=None)))
     if axis != -1:
         raise ParameterError(f"stable_sum reduces all entries or the last axis, not {axis}")
-    return np.sum(np.sort(np.ascontiguousarray(values), axis=-1), axis=-1)
+    ordered = np.array(values, order="C")
+    ordered.sort(axis=-1)
+    return np.add.reduce(ordered, axis=-1)
 
 
 def lp_norm(values, p: float, axis: int | None = None):
@@ -263,7 +275,7 @@ def lp_norm(values, p: float, axis: int | None = None):
 
 def max_abs_rows(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Per sample of two (B, ...) stacks, the largest absolute difference."""
-    return np.max(np.abs(a - b).reshape(len(a), -1), axis=-1)
+    return np.maximum.reduce(np.abs(a - b).reshape(len(a), -1), axis=-1)
 
 
 def project_rows(rows: np.ndarray, matrix: np.ndarray) -> np.ndarray:

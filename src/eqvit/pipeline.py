@@ -375,47 +375,48 @@ def build_model(cfg: ModelConfig) -> Model:
 
 def _encode(model: Model, x) -> tuple[TokenMatrix, SelectionTrace]:
     """Encoder over one signal, or over a sequence of them as one batch."""
-    cfg = model.config
+    cfg, weights = model.config, model.weights
     batched = not isinstance(x, GridSignal)
     if batched:
         x = list(x)
     for signal in x if batched else [x]:
-        if signal.shape != cfg.input_shape or signal.channels != cfg.channels:
+        if signal.data.shape != (*cfg.input_shape, cfg.channels):
             raise ShapeError(
                 f"input {signal.shape} x{signal.channels}ch does not match "
                 f"config {cfg.input_shape} x{cfg.channels}ch"
             )
-    trace = SelectionTrace(len(x) if batched else 1)
+    entries = []
     if cfg.a_token:
-        tokens, tr = a_token(x, model.weights.patch)
-        trace.extend(tr)
+        tokens, tr = a_token(x, weights.patch)
+        entries += tr.entries
     else:
-        tokens = token(x, model.weights.patch)
+        tokens = token(x, weights.patch)
 
-    for sw in model.weights.stages:
+    for sw in weights.stages:
         if cfg.a_wsa:
             tokens, tr = a_wsa(tokens, sw.window, sw.attn, sw.rpe)
-            trace.extend(tr)
+            entries += tr.entries
         else:
             tokens = wsa(tokens, sw.window, sw.attn, sw.rpe)
         if cfg.a_pmerge:
             tokens, tr = a_pmerge(tokens, sw.merge)
-            trace.extend(tr)
+            entries += tr.entries
         else:
             tokens = pmerge(tokens, sw.merge)
 
     if cfg.depth > 0:
-        tokens = sa(tokens, model.weights.global_attn, model.weights.global_rpe)
+        tokens = sa(tokens, weights.global_attn, weights.global_rpe)
     require_finite(tokens.data, "encoder output")
-    return tokens, trace
+    return tokens, SelectionTrace(len(x) if batched else 1, entries)
 
 
 def _head(model: Model, tokens: TokenMatrix) -> tuple[np.ndarray, np.ndarray]:
     """(B, classes) logits and (B,) labels.  Each sample's pooled row is its own
     (1, D) @ head product, bit-identical to that sample alone."""
-    pooled = tokens.stack().mean(axis=-2)[:, np.newaxis]
+    # The bits of `mean(axis=-2)`: the same sum, divided by the count.
+    pooled = (np.add.reduce(tokens.stack(), axis=-2) / tokens.data.shape[-2])[:, np.newaxis]
     logits = (pooled @ model.weights.head)[:, 0]
-    return logits, np.argmax(logits, axis=-1)
+    return logits, logits.argmax(axis=-1)
 
 
 def _decode(cfg: ModelConfig, tokens: TokenMatrix, trace: SelectionTrace) -> np.ndarray:
@@ -438,7 +439,7 @@ def _decode(cfg: ModelConfig, tokens: TokenMatrix, trace: SelectionTrace) -> np.
     rows = np.arange(batch)[:, np.newaxis]
     for s, grid in enumerate(cfg.stage_grids()[:-1]):
         # A stage's window offset and merge phase add up, as in `unpool`.
-        offsets = sum((e.offsets for e in entries[s * per_stage : (s + 1) * per_stage]), zero)
+        offsets = sum([e.offsets for e in entries[s * per_stage : (s + 1) * per_stage]], zero)
         index = index[rows, scatter_index(grid, cfg.merge_factors[s], offsets)]
     out = scatter_rows(tokens.stack(), math.prod(cfg.input_shape), index)
     return out.reshape(batch, *cfg.input_shape, -1)

@@ -30,6 +30,7 @@ from .numerics import (
     Offset,
     as_offset,
     best_phase,
+    coarse_grid,
     freeze,
     grid_index,
     project_columns,
@@ -49,8 +50,8 @@ def _row_l2(tokens: np.ndarray) -> np.ndarray:
 # Token energies of a (B, M, D) stack, one score per sample.
 INVARIANT_FNS = {
     "sum_l2": lambda t: stable_sum(_row_l2(t), axis=-1),
-    "max_l2": lambda t: np.max(_row_l2(t), axis=-1),
-    "sum_l1": lambda t: stable_sum(np.abs(t).sum(axis=-1), axis=-1),
+    "max_l2": lambda t: np.maximum.reduce(_row_l2(t), axis=-1),
+    "sum_l1": lambda t: stable_sum(np.add.reduce(np.abs(t), axis=-1), axis=-1),
 }
 
 
@@ -81,8 +82,7 @@ class TokenMatrix:
 
     @classmethod
     def _fresh(cls, data: np.ndarray, grid_shape: tuple[int, ...]) -> TokenMatrix:
-        """Wrap a float64 matrix an op just computed: frozen in place, unchecked."""
-        data = np.ascontiguousarray(data)
+        """Wrap a C-contiguous float64 matrix an op just computed: frozen in place, unchecked."""
         data.setflags(write=False)
         tokens = object.__new__(cls)
         vars(tokens).update(data=data, grid_shape=grid_shape)
@@ -150,13 +150,6 @@ class PatchEmbedConfig:
         return self.embed.shape[1]
 
 
-def _token_grid(shape: tuple[int, ...], patch_len: int) -> tuple[int, ...]:
-    for n in shape:
-        if n % patch_len:
-            raise ShapeError(f"axis length {n} is not divisible by patch_len {patch_len}")
-    return tuple(n // patch_len for n in shape)
-
-
 def _signal_stack(x, cfg: PatchEmbedConfig) -> tuple[np.ndarray, bool]:
     """(B, *grid, C) stack of one signal or a sequence of them, whether it was
     a batch; checks that the embed fits the patches."""
@@ -177,7 +170,7 @@ def reshape_patches(x: GridSignal, patch_len: int, off=None) -> np.ndarray:
     Each row flattens a patch row-major over (position, channel).  Rows
     enumerate patches row-major over the token grid.
     """
-    grid = _token_grid(x.shape, patch_len)
+    grid = coarse_grid(x.shape, patch_len, "patch_len")
     offs = (0,) * x.rank if off is None else as_offset(off, x.rank)
     if any(not 0 <= o < patch_len for o in offs):
         raise ParameterError(f"offset {offs} outside [0, {patch_len})")
@@ -190,7 +183,7 @@ def token(x, cfg: PatchEmbedConfig) -> TokenMatrix:
     `x` is one signal or a sequence of them (a batch)."""
     stack, batched = _signal_stack(x, cfg)
     b, *shape, c = stack.shape
-    grid = _token_grid(tuple(shape), cfg.patch_len)
+    grid = coarse_grid(shape, cfg.patch_len, "patch_len")
     index = grid_index(tuple(shape), cfg.patch_len, cfg.patch_len, (0,) * len(shape))
     rows = stack.reshape(b, -1, c).take(index, axis=1).reshape(b, prod(grid), -1)
     tokens = project_rows(rows, cfg.embed)
@@ -214,7 +207,7 @@ def _full_rate_embed(x, cfg: PatchEmbedConfig) -> np.ndarray:
     # Samples last: one gather serves the batch, and each k is one contiguous row.
     signal = np.ascontiguousarray(stack.reshape(b, -1).T)
     cols = signal.take(_column_index(tuple(shape), cfg.patch_len, c), axis=0)
-    full = project_columns(cols, cfg.embed).reshape(b, *shape, cfg.dim)
+    full = project_columns(cols, cfg.embed).reshape(b, *shape, -1)
     return full if batched else full[0]
 
 
@@ -249,9 +242,8 @@ def a_token(x, cfg: PatchEmbedConfig) -> tuple[TokenMatrix, SelectionTrace]:
     batched = not isinstance(x, GridSignal)
     full = _full_rate_embed(x, cfg)
     stack = full if batched else full[np.newaxis]
-    grid = _token_grid(stack.shape[1:-1], cfg.patch_len)
-    energy = INVARIANT_FNS[cfg.invariant_fn]
-    offsets, sub, tied = best_phase(stack, cfg.patch_len, energy)
+    grid = coarse_grid(stack.shape[1:-1], cfg.patch_len, "patch_len")
+    offsets, sub, tied = best_phase(stack, cfg.patch_len, INVARIANT_FNS[cfg.invariant_fn])
     tokens = TokenMatrix._fresh(sub if batched else sub[0], grid)
     return tokens, SelectionTrace.single(TOKEN, offsets, tied)
 
@@ -268,7 +260,7 @@ def lemma1_sides(x, cfg: PatchEmbedConfig, off, axis: int = 0) -> tuple[np.ndarr
     stack, batched = _signal_stack(x, cfg)
     b, *shape, c = stack.shape
     shape = tuple(shape)
-    _token_grid(shape, cfg.patch_len)
+    coarse_grid(shape, cfg.patch_len, "patch_len")
     if not 0 <= axis < len(shape):
         raise ParameterError(f"axis {axis} out of range for rank {len(shape)}")
     offs = [as_offset(o, len(shape)) for o in off] if batched else [as_offset(off, len(shape))]
@@ -290,7 +282,7 @@ def _lemma1_index(shape: tuple[int, ...], patch_len: int, off: Offset, axis: int
     left = grid_index(shape, patch_len, patch_len, tuple(o + u for o, u in zip(off, unit)))
     advanced = tuple((o + u) % patch_len for o, u in zip(off, unit))
     carry = tuple((o + u) // patch_len for o, u in zip(off, unit))
-    rotation = grid_index(_token_grid(shape, patch_len), 1, 1, carry)
+    rotation = grid_index(coarse_grid(shape, patch_len, "patch_len"), 1, 1, carry)
     right = grid_index(shape, patch_len, patch_len, advanced).take(rotation[:, 0], axis=0)
     index = np.stack([left, right])
     index.setflags(write=False)

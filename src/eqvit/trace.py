@@ -54,7 +54,13 @@ class SelectionTrace:
 
     @classmethod
     def single(cls, kind: str, offsets, tied) -> SelectionTrace:
-        entry = TraceEntry(kind, offsets, tied)
+        """One adaptive op's trace; its entry is built in place, as ops call this every run."""
+        if kind not in _KINDS:
+            raise ValueError(f"unknown trace kind {kind!r}")
+        entry = object.__new__(TraceEntry)
+        vars(entry).update(
+            kind=kind, offsets=np.asarray(offsets, dtype=np.int64), tied=np.asarray(tied, dtype=bool)
+        )
         return cls(len(entry.tied), [entry])
 
     def extend(self, other: SelectionTrace) -> None:

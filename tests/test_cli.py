@@ -361,6 +361,27 @@ def test_replay_missing_file(tmp_path, capsys):
     assert "cannot read replay file" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command", ["run", "prove"])
+@pytest.mark.parametrize(
+    "out, reason",
+    [
+        ("afile/report.json", "cannot create the directory"),  # a file where a directory goes
+        ("adir", "is a directory"),
+        ("report.json", "is a directory"),  # its replay file's name is taken by a directory
+    ],
+)
+def test_unwritable_out_is_a_config_error_before_any_suite(tmp_path, capsys, command, out, reason):
+    (tmp_path / "afile").write_text("")
+    (tmp_path / "adir").mkdir()
+    (tmp_path / "report.replay.json").mkdir()
+    code = main([command, "--suite", "claim1", "--trials", "2", "--out", str(tmp_path / out)])
+    assert code == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: cannot") and reason in captured.err
+    assert captured.out == ""  # no suite ran
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["adir", "afile", "report.replay.json"]
+
+
 def test_unknown_suite_flag_rejected(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["run", "--suite", "claim9"])

@@ -2,14 +2,17 @@
 
 import dataclasses
 import math
+import sys
 from collections import Counter
 from itertools import product
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import eqvit
 from eqvit import GridSignal, attention, circular_shift, pipeline
 from eqvit.errors import ConfigError, ParameterError, ShapeError
 from eqvit.pipeline import SWITCHES, ModelConfig, build_model, classify, encode_decode, forward
@@ -380,6 +383,76 @@ def test_forward_overhead_stays_out(monkeypatch, shape):
     assert calls["validate"] == calls["roll"] == 0
     assert calls["sa"] == 1
     assert calls["kernel"] == calls["softmax"] == model.config.depth + 1
+
+
+# Python frames under src/eqvit per warm one-sample call, (classify,
+# encode_decode).  A ceiling: lower is fine, and Python versions that inline
+# comprehensions count fewer.  NumPy's own frames are not counted, so the
+# figures do not depend on the NumPy version.
+FRAME_BUDGET = {(64,): (88, 108), (32, 32): (92, 115)}
+
+
+def eqvit_frames(fn, *args) -> int:
+    package = str(Path(eqvit.__file__).parent)
+    count = 0
+
+    def profile(frame, event, arg):
+        nonlocal count
+        if event == "call" and frame.f_code.co_filename.startswith(package):
+            count += 1
+
+    sys.setprofile(profile)
+    try:
+        fn(*args)
+    finally:
+        sys.setprofile(None)
+    return count
+
+
+@pytest.mark.parametrize("shape", sorted(FRAME_BUDGET))
+def test_forward_stays_within_its_frame_budget(shape):
+    model = build_model(ModelConfig(input_shape=shape))
+    x = rand_input(model.config, 14)
+    forward(model, x)  # builds the cached indices and bias matrices
+    counts = tuple(eqvit_frames(head, model, x) for head in (classify, encode_decode))
+    assert all(c <= b for c, b in zip(counts, FRAME_BUDGET[shape])), counts
+
+
+# The model-layer functions the benchmark traces, by module.
+TRACED_LAYERS = {
+    "tokenizer": ("a_token",),
+    "attention": ("a_wsa", "window_energy", "wsa", "sa", "position_bias"),
+    "merging": ("a_pmerge", "pmerge_conv_fullrate", "aps"),
+    "numerics": ("project_rows",),
+}
+
+
+@pytest.mark.parametrize("shape", [(64,), (32, 32)])
+def test_forward_calls_every_traced_layer(monkeypatch, shape):
+    # Wrapped the way the benchmark's tracer wraps them: every reference in
+    # an eqvit module's globals.  A forward that bypassed one of them would
+    # leave its per-layer figure at 0.
+    modules = [m for name, m in sys.modules.items() if name.startswith("eqvit.")]
+    calls = Counter()
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+
+        return wrapper
+
+    for module_name, names in TRACED_LAYERS.items():
+        for name in names:
+            original = getattr(sys.modules[f"eqvit.{module_name}"], name)
+            for m in modules:
+                for key, value in list(vars(m).items()):
+                    if value is original:
+                        monkeypatch.setattr(m, key, counted(name, original))
+    model = build_model(ModelConfig(input_shape=shape))
+    forward(model, rand_input(model.config, 15))
+    missing = [n for names in TRACED_LAYERS.values() for n in names if not calls[n]]
+    assert not missing
 
 
 # ----------------------------------------------------------- encode_decode --

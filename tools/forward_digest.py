@@ -1,0 +1,92 @@
+"""One sha256 over every forward output on a grid of models and inputs.
+
+    python3 tools/forward_digest.py
+
+Run it on two checkouts to check that a change keeps every output bit for
+bit: equal digests mean equal logits, labels, decoded maps, trace offsets
+and tie flags on every case below.  It imports the package from the `src/`
+directory next to this file's `tools/` directory.
+
+The grid covers both grid ranks, odd token grids (5 x 7 and 15), windows 1
+to 4, the three position-bias kinds and every subset of the adaptive
+switches.  Each model runs one sample alone and one batch of 7 that holds
+shifted copies, a zero input, an impulse, an all negative-zero input and an
+input with signed zeros mixed into random values.
+"""
+
+from __future__ import annotations
+
+import hashlib
+import sys
+from itertools import combinations
+from pathlib import Path
+
+SRC = Path(__file__).resolve().parent.parent / "src"
+sys.path.insert(0, str(SRC))
+
+import numpy as np  # noqa: E402
+
+from eqvit import GridSignal, circular_shift  # noqa: E402
+from eqvit.pipeline import SWITCHES, ModelConfig, build_model, forward  # noqa: E402
+
+CONFIGS = (
+    dict(),
+    dict(rpe_kind="original", energy_p=3.0, window_energy_fn="sum", token_energy="max_l2"),
+    dict(rpe_kind="none", window_energy_fn="l2", token_energy="sum_l1", seed=5),
+    dict(input_shape=(60,), patch_len=4, depth=1, windows=3, merge_factors=3),
+    dict(input_shape=(36,), patch_len=2, depth=2, windows=3, merge_factors=3, rpe_kind="original"),
+    dict(input_shape=(32, 32)),
+    dict(input_shape=(5, 7), channels=1, patch_len=1, depth=1, windows=1, merge_factors=1),
+    dict(input_shape=(16, 16), patch_len=2, windows=2, merge_factors=2, rpe_kind="original"),
+    dict(input_shape=(12, 12), patch_len=1, depth=1, windows=3, merge_factors=2, rpe_kind="none"),
+)
+
+
+def inputs(cfg: ModelConfig) -> tuple[GridSignal, list[GridSignal]]:
+    """One random input, and a batch of 7 with the special cases."""
+    rng = np.random.default_rng(sum(cfg.input_shape))
+    shape = (*cfg.input_shape, cfg.channels)
+    x = GridSignal(rng.uniform(-1, 1, shape))
+    impulse = np.zeros(shape)
+    impulse[(0,) * len(shape)] = 1.0
+    mixed = np.where(rng.uniform(size=shape) < 0.5, -0.0, rng.uniform(-1, 1, shape))
+    batch = [
+        x,
+        circular_shift(x, (1,) * cfg.rank),
+        circular_shift(x, tuple(range(3, 3 + cfg.rank))),
+        GridSignal(np.zeros(shape)),
+        GridSignal(impulse),
+        GridSignal(np.full(shape, -0.0)),
+        GridSignal(mixed),
+    ]
+    return x, batch
+
+
+def update(digest, *arrays) -> None:
+    for a in arrays:
+        a = np.ascontiguousarray(a)
+        digest.update(f"{a.dtype.str}{a.shape}".encode())
+        digest.update(a.tobytes())
+
+
+def main() -> None:
+    digest = hashlib.sha256()
+    cases = 0
+    for overrides in CONFIGS:
+        base = ModelConfig(**overrides)
+        for k in range(len(SWITCHES) + 1):
+            for off in combinations(SWITCHES, k):
+                model = build_model(base.disable(*off))
+                x, batch = inputs(model.config)
+                for sample in (x, batch):
+                    logits, labels, maps, trace = forward(model, sample)
+                    update(digest, logits, np.asarray(labels), maps)
+                    for entry in trace:
+                        digest.update(entry.kind.encode())
+                        update(digest, entry.offsets, entry.tied)
+                    cases += 1
+    print(f"{digest.hexdigest()}  {cases} forward calls")
+
+
+if __name__ == "__main__":
+    main()
