@@ -107,30 +107,16 @@ def _execute(sc: SuiteConfig, out: Path) -> int:
 
 
 def _cmd_run(args) -> int:
+    """`run` and `prove`; each parser sets what differs (suites, sizes, switches) as defaults."""
     model = _load_model_config(args.config)
+    sizes = {key: tuple(v) for key, v in (("lemma_n", args.n), ("lemma_l", args.l)) if v}
     sc = SuiteConfig(
-        suites=tuple(args.suite) if args.suite else SUITES,
+        suites=tuple(args.suite) if args.suite else args.default_suites,
         model=model,
         seed=_resolve_seed(args.seed, model),
         trials=args.trials,
         disable=tuple(args.disable),
-    )
-    return _execute(sc, Path(args.out))
-
-
-def _cmd_prove(args) -> int:
-    model = _load_model_config(args.config)
-    kwargs = {}
-    if args.n:
-        kwargs["lemma_n"] = tuple(args.n)
-    if args.l:
-        kwargs["lemma_l"] = tuple(args.l)
-    sc = SuiteConfig(
-        suites=tuple(args.suite) if args.suite else PROOF_SUITES,
-        model=model,
-        seed=_resolve_seed(args.seed, model),
-        trials=args.trials,
-        **kwargs,
+        **sizes,
     )
     return _execute(sc, Path(args.out))
 
@@ -153,14 +139,19 @@ def _build_parser() -> argparse.ArgumentParser:
 
     run = sub.add_parser("run", help="run verification suites and write a report")
     prove = sub.add_parser("prove", help="run the exhaustive oracle suites")
-    for p in (run, prove):
+    for p, suites, kind in ((run, SUITES, "suite"), (prove, PROOF_SUITES, "oracle suite")):
         p.add_argument("--config", help="model config JSON path", default=None)
         p.add_argument("--seed", type=int, default=None, help="master seed (overrides config)")
         p.add_argument("--trials", type=int, default=None, help="trial count per suite")
         p.add_argument("--out", default="report.json", help="report path")
-    run.add_argument(
-        "--suite", action="append", choices=SUITES, default=None, help="suite to run (repeatable)"
-    )
+        p.add_argument(
+            "--suite",
+            action="append",
+            choices=suites,
+            default=None,
+            help=f"{kind} to run (repeatable)",
+        )
+        p.set_defaults(default_suites=suites)
     run.add_argument(
         "--disable",
         action="append",
@@ -168,15 +159,10 @@ def _build_parser() -> argparse.ArgumentParser:
         default=[],
         help="adaptive switch to turn off (repeatable)",
     )
-    prove.add_argument(
-        "--suite",
-        action="append",
-        choices=PROOF_SUITES,
-        default=None,
-        help="oracle suite to run (repeatable)",
-    )
     prove.add_argument("--n", action="append", type=int, help="signal length for lemma1")
     prove.add_argument("--l", action="append", type=int, help="patch length for lemma1")
+    run.set_defaults(n=None, l=None)
+    prove.set_defaults(disable=())
 
     rep = sub.add_parser("replay", help="re-execute a recorded counterexample")
     rep.add_argument("file", help="replay JSON written by run/prove")
@@ -185,7 +171,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
-    handlers = {"run": _cmd_run, "prove": _cmd_prove, "replay": _cmd_replay}
+    handlers = {"run": _cmd_run, "prove": _cmd_run, "replay": _cmd_replay}
     try:
         return handlers[args.command](args)
     except ConfigError as err:

@@ -22,6 +22,8 @@ in trial-ordered batches of at most `TRIAL_BATCH`, and every check runs its
 batch through the batched ops; the first failing trial in trial order is
 the counterexample.  `replay` and the ablation search call the same checks,
 so a replayed counterexample cannot drift from the suite that found it.
+The end2end check, the ablation search and the metrics suite compare shift
+pairs through one function, `metrics.compare_shift_pairs`.
 """
 
 from __future__ import annotations
@@ -38,10 +40,11 @@ import numpy as np
 from .attention import ADAPTIVE, AttentionParams, RpeTable, WindowConfig, a_wsa
 from .errors import ConfigError, ParameterError, ShapeError, TraceError
 from .merging import MergeConfig, a_pmerge, pmerge, pmerge_conv_fullrate
-from .metrics import ShiftSampler, c_cons, consistency, s_cons_zeropad, synthetic_inputs
+from .metrics import ShiftSampler, c_cons, compare_shift_pairs, consistency, s_cons_zeropad
+from .metrics import synthetic_inputs
 from .numerics import GridSignal, as_offset, circular_shift, max_abs_rows, require_finite
 from .numerics import grid_index, rotate_rows
-from .pipeline import MAX_BATCH, SWITCHES, Model, ModelConfig, build_model, check_seed, forward
+from .pipeline import MAX_BATCH, SWITCHES, Model, ModelConfig, build_model, check_seed
 from .pipeline import MAX_ELEMENTS, is_finite_number
 from .tokenizer import PatchEmbedConfig, TokenMatrix, a_token, lemma1_sides
 
@@ -426,29 +429,22 @@ def _end2end_trials(sc: SuiteConfig):
 
 
 def _end2end_divergence(payloads: list[dict], model: Model | None = None):
-    """end2end and ablation check: each input at two shifts through both heads,
-    all shifted inputs as one `forward` batch.
-
-    Logits and labels must agree.  Check "both" also compares the decoded
-    maps, each rotated back by its shift, and their per-position argmax.
-    """
+    """end2end and ablation check: each input at two shifts, compared by
+    `compare_shift_pairs`.  Logits and labels must agree; check "both" also
+    needs the decoded maps, each rotated back by its shift, to agree."""
     check = payloads[0]["check"]
     if check not in ("classify", "both"):
         raise ConfigError(f"end2end check must be 'classify' or 'both', not {check!r}")
     model = model or build_model(ModelConfig.from_dict(payloads[0]["model_config"]))
-    cfg, n = model.config, len(payloads)
+    rank = model.config.rank
     xs = [GridSignal(np.asarray(p["input"])) for p in payloads]
-    offs = np.array([as_offset(p[k], cfg.rank) for k in ("shift_a", "shift_b") for p in payloads])
-    shifted = [circular_shift(x, tuple(off)) for x, off in zip(xs + xs, offs.tolist())]
-    logits, labels, maps, trace = forward(model, shifted)
-    div = max_abs_rows(logits[:n], logits[n:])
-    agree = labels[:n] == labels[n:]
-    if check == "both":
-        back = rotate_rows(maps.reshape(2 * n, -1, maps.shape[-1]), cfg.input_shape, -offs)
-        div = np.maximum(div, max_abs_rows(back[:n], back[n:]))
-        agree &= np.all(np.argmax(back[:n], -1) == np.argmax(back[n:], -1), axis=-1)
-    tied = trace.tied
-    return div, agree, tied[:n] | tied[n:]
+    offs = ([as_offset(p[k], rank) for p in payloads] for k in ("shift_a", "shift_b"))
+    same_label, agreement, logit_div, map_div, tied = compare_shift_pairs(
+        model, list(zip(xs, *offs)), dense=check == "both"
+    )
+    if check == "classify":
+        return logit_div, same_label, tied
+    return np.maximum(logit_div, map_div), same_label & (agreement == 1.0), tied
 
 
 PROPERTIES = {
@@ -681,17 +677,12 @@ _RUNNERS = {
 def run_suites(sc: SuiteConfig) -> tuple[dict, list[SuiteResult]]:
     """Execute the selected suites in canonical order; return (report, results)."""
     results = [_RUNNERS[name](sc) for name in SUITES if name in sc.suites]
-    metrics_extra = {}
-    for r in results:
-        if r.name == "metrics":
-            metrics_extra = {
-                k: v for k, v in r.extra.items() if k in ("c_cons", "mascc", "s_cons_zeropad")
-            }
+    extra = next((r.extra for r in results if r.name == "metrics"), {})
     report = {
         "suite_config": sc.to_dict(),
         "model_config": sc.resolved_model().to_dict(),
         "suites": [r.row() for r in results],
-        "metrics": metrics_extra,
+        "metrics": {k: v for k, v in extra.items() if k in ("c_cons", "mascc", "s_cons_zeropad")},
     }
     return report, results
 

@@ -6,7 +6,9 @@ shifted inputs, rotate the maps back, and compare argmax labels everywhere.
 s_cons_zeropad repeats the label check with standard zero-filling shifts,
 where circular reasoning no longer applies and scores drop below 1.
 `consistency` gives c_cons and mascc from one pass over the shifted inputs.
-A built model runs its shifted inputs as batches.
+Every score reads `compare_shift_pairs`, which runs both shifts of each pair
+through a built `Model`; the harness's end2end check, its ablation search
+and `replay` read the same comparison.
 """
 
 from __future__ import annotations
@@ -75,16 +77,6 @@ class TrialRecord:
     divergence: float
     tied: bool
 
-    def to_dict(self) -> dict:
-        return {
-            "input_id": self.input_id,
-            "shift_a": list(self.shift_a),
-            "shift_b": list(self.shift_b),
-            "agreement": self.agreement,
-            "divergence": self.divergence,
-            "tied": self.tied,
-        }
-
 
 @dataclass(frozen=True)
 class ConsistencyReport:
@@ -120,11 +112,6 @@ class ConsistencyReport:
             "tie_count": self.tie_count,
         }
 
-    def to_dict(self) -> dict:
-        d = self.summary()
-        d["records"] = [r.to_dict() for r in self.records]
-        return d
-
 
 def shift_zeropad(x: GridSignal, off) -> GridSignal:
     """Standard (non-circular) shift: out[n] = x[n + off], zeros past the end."""
@@ -137,69 +124,76 @@ def shift_zeropad(x: GridSignal, off) -> GridSignal:
     return GridSignal._fresh(out)
 
 
-def _run(model, signals: list[GridSignal], dense: bool):
-    """(logits, labels, maps, tied) of each signal.  A built `Model` runs them
-    as one batched `forward`; any other model object through its own
-    `encode_decode` (dense) or `classify`, one signal at a time."""
-    if isinstance(model, Model):
-        logits, labels, maps, trace = forward(model, signals)
-        return logits, labels, maps, trace.tied
-    if dense:
-        maps, traces = zip(*(model.encode_decode(x) for x in signals))
-        return None, None, np.stack(maps), np.array([t.any_tied for t in traces])
-    logits, labels, traces = zip(*(model.classify(x) for x in signals))
-    return np.stack(logits), np.array(labels), None, np.array([t.any_tied for t in traces])
+def compare_shift_pairs(model: Model, pairs, shifter=circular_shift, dense: bool = True):
+    """Run both shifts of each (signal, offset a, offset b) pair through the
+    model, up to `MAX_BATCH // 2` pairs per `forward`, and compare them.
 
-
-def _reports(model, inputs, sampler: ShiftSampler, shifter, metrics) -> list[ConsistencyReport]:
-    """One report per named metric over the same sampled shift pairs; both
-    shifts of every pair are encoded once, MAX_BATCH inputs at a time.
-
-    A label metric (c_cons, s_cons_zeropad) compares the two labels and
-    logits; mascc compares the decoded maps, each rotated back by its own
-    input shift, position by position.
+    Returns (pairs,) arrays: whether the labels agree, the fraction of
+    positions whose argmax agrees once each map is rotated back by its own
+    shift, the logit divergence, the rotated maps' divergence, and whether
+    either shift tied.  Without `dense` the maps are not compared, and the
+    fraction and the map divergence are None.
     """
-    all_pairs = sampler.sample_pairs(len(inputs))
-    pairs = []
-    for i, x in enumerate(inputs):
-        sampler.check_shape(x.shape)
-        pairs.extend((i, *(tuple(p) for p in pair)) for pair in all_pairs[i].tolist())
-    dense = "mascc" in metrics
-    records = {m: [] for m in metrics}
+    columns = []
     for start in range(0, len(pairs), MAX_BATCH // 2):
         chunk = pairs[start : start + MAX_BATCH // 2]
-        signals = [shifter(inputs[i], off) for i, *offs in chunk for off in offs]
-        logits, labels, maps, tied = _run(model, signals, dense)
-        tied = (tied[0::2] | tied[1::2]).tolist()
-        for m in metrics:
-            if m == "mascc":
-                offs = np.array([off for _, *pair in chunk for off in pair])
-                rows = maps.reshape(len(maps), -1, maps.shape[-1])
-                back = rotate_rows(rows, maps.shape[1:-1], -offs)
-                same = np.argmax(back[0::2], -1) == np.argmax(back[1::2], -1)
-                agreement = np.mean(same, axis=-1)
-                divergence = max_abs_rows(back[0::2], back[1::2])
-            else:
-                agreement = np.where(labels[0::2] == labels[1::2], 1.0, 0.0)
-                divergence = max_abs_rows(logits[0::2], logits[1::2])
-            records[m].extend(
-                TrialRecord(*pair, a, d, t)
-                for pair, a, d, t in zip(chunk, agreement.tolist(), divergence.tolist(), tied)
-            )
-    return [ConsistencyReport.from_records(m, records[m]) for m in metrics]
+        n = len(chunk)
+        offs = [a for _, a, _ in chunk] + [b for _, _, b in chunk]
+        shifted = [shifter(x, off) for x, off in zip([x for x, _, _ in chunk] * 2, offs)]
+        logits, labels, maps, trace = forward(model, shifted)
+        agreement = map_div = None
+        if dense:
+            rows = maps.reshape(2 * n, -1, maps.shape[-1])
+            back = rotate_rows(rows, maps.shape[1:-1], -np.array(offs))
+            same = np.argmax(back[:n], -1) == np.argmax(back[n:], -1)
+            agreement, map_div = np.mean(same, axis=-1), max_abs_rows(back[:n], back[n:])
+        same_label = labels[:n] == labels[n:]
+        logit_div = max_abs_rows(logits[:n], logits[n:])
+        tied = trace.tied
+        columns.append((same_label, agreement, logit_div, map_div, tied[:n] | tied[n:]))
+    if not columns:
+        raise ParameterError("no shift pairs to compare")
+    return tuple(None if c[0] is None else np.concatenate(c) for c in zip(*columns))
 
 
-def c_cons(model, inputs, sampler: ShiftSampler) -> ConsistencyReport:
+def _reports(model: Model, inputs, sampler: ShiftSampler, shifter, metrics):
+    """One report per named metric over the same sampled shift pairs, from one
+    `compare_shift_pairs` pass: label metrics (c_cons, s_cons_zeropad) read
+    labels and logits, mascc the rotated-back maps, which are compared only
+    when mascc is asked for."""
+    for x in inputs:
+        sampler.check_shape(x.shape)
+    offsets = sampler.sample_pairs(len(inputs)).tolist()
+    trials = [(i, tuple(a), tuple(b)) for i in range(len(inputs)) for a, b in offsets[i]]
+    pairs = [(inputs[i], a, b) for i, a, b in trials]
+    same_label, agreement, logit_div, map_div, tied = compare_shift_pairs(
+        model, pairs, shifter, dense="mascc" in metrics
+    )
+    reports = []
+    for m in metrics:
+        if m == "mascc":
+            scores, divs = agreement, map_div
+        else:
+            scores, divs = np.where(same_label, 1.0, 0.0), logit_div
+        records = [
+            TrialRecord(*trial, a, d, t)
+            for trial, a, d, t in zip(trials, scores.tolist(), divs.tolist(), tied.tolist())
+        ]
+        reports.append(ConsistencyReport.from_records(m, records))
+    return reports
+
+
+def c_cons(model: Model, inputs, sampler: ShiftSampler) -> ConsistencyReport:
     """Label agreement between two random circular shifts of each input."""
     return _reports(model, inputs, sampler, circular_shift, ("c_cons",))[0]
 
 
-def s_cons_zeropad(model, inputs, sampler: ShiftSampler) -> ConsistencyReport:
+def s_cons_zeropad(model: Model, inputs, sampler: ShiftSampler) -> ConsistencyReport:
     """Label agreement under standard zero-filling shifts."""
     return _reports(model, inputs, sampler, shift_zeropad, ("s_cons_zeropad",))[0]
 
 
-def mascc(model, inputs, sampler: ShiftSampler) -> ConsistencyReport:
+def mascc(model: Model, inputs, sampler: ShiftSampler) -> ConsistencyReport:
     """Mean per-position argmax agreement of shifted-back decoded maps.
 
     Each decoded map is rotated back by its own input shift before
@@ -209,12 +203,11 @@ def mascc(model, inputs, sampler: ShiftSampler) -> ConsistencyReport:
 
 
 def consistency(
-    model, inputs, sampler: ShiftSampler
+    model: Model, inputs, sampler: ShiftSampler
 ) -> tuple[ConsistencyReport, ConsistencyReport]:
     """c_cons and mascc from one encoder pass per shifted input: the two
     metrics sample the same pairs, so each shift is encoded once for both."""
-    rep_c, rep_m = _reports(model, inputs, sampler, circular_shift, ("c_cons", "mascc"))
-    return rep_c, rep_m
+    return tuple(_reports(model, inputs, sampler, circular_shift, ("c_cons", "mascc")))
 
 
 def synthetic_inputs(

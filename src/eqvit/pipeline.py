@@ -163,8 +163,9 @@ class ModelConfig:
         for n in shape:
             if n % self.patch_len:
                 raise ConfigError(f"axis {n} is not divisible by patch_len {self.patch_len}")
-        grid = tuple(n // self.patch_len for n in shape)
+        grids = [tuple(n // self.patch_len for n in shape)]
         for s, (w, p) in enumerate(zip(self.windows, self.merge_factors)):
+            grid = grids[-1]
             if w < 1 or p < 1:
                 raise ConfigError(f"stage {s}: window and merge factor must be >= 1")
             for g in grid:
@@ -172,7 +173,9 @@ class ModelConfig:
                     raise ConfigError(f"stage {s}: grid {grid} not divisible by window {w}")
                 if g % p:
                     raise ConfigError(f"stage {s}: grid {grid} not divisible by factor {p}")
-            grid = tuple(g // p for g in grid)
+            grids.append(tuple(g // p for g in grid))
+        # Not a field: fixed by the fields above, and read on every decode.
+        object.__setattr__(self, "_grids", tuple(grids))
         name, size = max(self.array_sizes() + self.activation_sizes(), key=lambda item: item[1])
         if size > MAX_ELEMENTS:
             raise ConfigError(f"the {name} would hold {size} entries, more than {MAX_ELEMENTS}")
@@ -224,14 +227,11 @@ class ModelConfig:
 
     @property
     def token_grid(self) -> tuple[int, ...]:
-        return tuple(n // self.patch_len for n in self.input_shape)
+        return self._grids[0]
 
     def stage_grids(self) -> list[tuple[int, ...]]:
         """Token grid entering each stage; one extra entry for the final grid."""
-        grids = [self.token_grid]
-        for p in self.merge_factors:
-            grids.append(tuple(g // p for g in grids[-1]))
-        return grids
+        return list(self._grids)
 
     def stage_dims(self) -> list[int]:
         """Token dimension entering each stage, ending with the final dim."""
@@ -437,7 +437,7 @@ def _decode(cfg: ModelConfig, tokens: TokenMatrix, trace: SelectionTrace) -> np.
     index = scatter_index(cfg.input_shape, cfg.patch_len, token_offsets)
     per_stage = int(cfg.a_wsa) + int(cfg.a_pmerge)
     rows = np.arange(batch)[:, np.newaxis]
-    for s, grid in enumerate(cfg.stage_grids()[:-1]):
+    for s, grid in enumerate(cfg._grids[:-1]):
         # A stage's window offset and merge phase add up, as in `unpool`.
         offsets = sum([e.offsets for e in entries[s * per_stage : (s + 1) * per_stage]], zero)
         index = index[rows, scatter_index(grid, cfg.merge_factors[s], offsets)]

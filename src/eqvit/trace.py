@@ -63,9 +63,6 @@ class SelectionTrace:
         )
         return cls(len(entry.tied), [entry])
 
-    def extend(self, other: SelectionTrace) -> None:
-        self.entries.extend(other.entries)
-
     def of_kind(self, kind: str) -> list[TraceEntry]:
         return [e for e in self.entries if e.kind == kind]
 

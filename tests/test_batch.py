@@ -29,8 +29,11 @@ from eqvit.harness import (
 from eqvit.errors import ParameterError, ShapeError
 from eqvit.merging import MergeConfig, a_pmerge, aps, pmerge, pmerge_conv_fullrate, unpool
 from eqvit.metrics import (
+    ConsistencyReport,
     ShiftSampler,
+    TrialRecord,
     c_cons,
+    consistency,
     mascc,
     s_cons_zeropad,
     shift_zeropad,
@@ -427,19 +430,6 @@ def test_end2end_suite_equals_per_trial_reference(model_cfg, disable):
         assert worst is not None  # the 2-D counterexample is the first failing trial
 
 
-class OneSample:
-    """A model seen only through its one-sample heads."""
-
-    def __init__(self, model):
-        self.model = model
-
-    def classify(self, x):
-        return classify(self.model, x)
-
-    def encode_decode(self, x):
-        return encode_decode(self.model, x)
-
-
 def label_reference(model, inputs, sampler, shifter):
     records = []
     for i, x in enumerate(inputs):
@@ -466,33 +456,41 @@ def mascc_reference(model, inputs, sampler):
     return records
 
 
+def metric_references(model, inputs, sampler):
+    """Per-trial (agreement, divergence, tied) of each metric, one sample at a time."""
+    return {
+        "c_cons": label_reference(model, inputs, sampler, circular_shift),
+        "s_cons_zeropad": label_reference(model, inputs, sampler, shift_zeropad),
+        "mascc": mascc_reference(model, inputs, sampler),
+    }
+
+
 @pytest.mark.parametrize("shape", [(64,), (16, 32)])
 def test_metrics_equal_per_sample_reference(shape):
     cfg = ModelConfig(input_shape=shape, windows=(4, 4) if shape == (64,) else (2, 2))
     model = build_model(cfg)
     inputs = synthetic_inputs(shape, cfg.channels, 6, seed=3)
     sampler = ShiftSampler.for_shape(shape, 5, seed=4)
-    expected = {
-        "c_cons": label_reference(model, inputs, sampler, circular_shift),
-        "s_cons_zeropad": label_reference(model, inputs, sampler, shift_zeropad),
-        "mascc": mascc_reference(model, inputs, sampler),
-    }
-    for metric in (c_cons, s_cons_zeropad, mascc):
-        for rep in (metric(model, inputs, sampler), metric(OneSample(model), inputs, sampler)):
-            got = [(r.agreement, r.divergence, r.tied) for r in rep.records]
-            assert got == expected[metric.__name__]
+    expected = metric_references(model, inputs, sampler)
+    # Alone, label metrics skip the maps; `consistency` reads c_cons from the
+    # pass that also compares maps for mascc.
+    reports = [metric(model, inputs, sampler) for metric in (c_cons, s_cons_zeropad, mascc)]
+    for rep in reports + list(consistency(model, inputs, sampler)):
+        got = [(r.agreement, r.divergence, r.tied) for r in rep.records]
+        assert got == expected[rep.metric]
 
 
 def test_metrics_suite_equals_per_sample_metrics():
     sc = SuiteConfig(trials=25)
-    model = OneSample(build_model(sc.resolved_model()))
     cfg = sc.resolved_model()
+    model = build_model(cfg)
     inputs = synthetic_inputs(cfg.input_shape, cfg.channels, 5, sc.derived_seed("metrics", 1))
     sampler = ShiftSampler.for_shape(cfg.input_shape, 5, sc.derived_seed("metrics", 2))
     extra = run_metrics(sc).extra
-    for metric in (c_cons, mascc, s_cons_zeropad):
-        summary = metric(model, inputs, sampler).summary()
-        assert {k: extra[metric.__name__][k] for k in summary} == summary
+    for name, records in metric_references(model, inputs, sampler).items():
+        rep = ConsistencyReport.from_records(name, [TrialRecord(0, (), (), *r) for r in records])
+        summary = rep.summary()
+        assert {k: extra[name][k] for k in summary} == summary
 
 
 def test_metrics_suite_encodes_each_shift_once(monkeypatch):

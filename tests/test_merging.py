@@ -307,8 +307,7 @@ def test_unpool_trace_errors():
     z = col([1, 2])
     with pytest.raises(TraceError):
         unpool(z, SelectionTrace(), 2, 4)
-    two = merge_trace((0,))
-    two.extend(merge_trace((1,)))
+    two = SelectionTrace(1, [TraceEntry(MERGE, [(p,)], [False]) for p in (0, 1)])
     with pytest.raises(TraceError):
         unpool(z, two, 2, 4)
     with pytest.raises(TraceError):

@@ -16,7 +16,6 @@ from eqvit.metrics import (
     synthetic_inputs,
 )
 from eqvit.pipeline import SWITCHES, ModelConfig, build_model
-from eqvit.trace import SelectionTrace
 
 
 def sig(values) -> GridSignal:
@@ -27,18 +26,6 @@ def noise_inputs(count: int, seed: int) -> list[GridSignal]:
     # Uniform noise only: no impulses, so adaptive selections stay tie-free.
     rng = np.random.default_rng(seed)
     return [GridSignal(rng.uniform(-1, 1, (64, 2))) for _ in range(count)]
-
-
-class ConstantClassifier:
-    """Ignores the input entirely; every metric should score it 1.0."""
-
-    def classify(self, x):
-        return np.zeros(3), 0, SelectionTrace()
-
-
-class IdentityDecoder:
-    def encode_decode(self, x):
-        return x.data, SelectionTrace()
 
 
 # ------------------------------------------------------------ ShiftSampler --
@@ -123,6 +110,8 @@ def test_zeropad_rejects_negative_offsets():
 def test_report_requires_records():
     with pytest.raises(ParameterError):
         ConsistencyReport.from_records("c_cons", [])
+    with pytest.raises(ParameterError):
+        c_cons(build_model(ModelConfig()), [], ShiftSampler(max_offset=(31,)))
 
 
 def test_report_aggregates():
@@ -139,17 +128,18 @@ def test_report_aggregates():
     assert set(rep.summary()) == {
         "metric", "trials", "aggregate", "max_divergence", "tie_count",
     }
-    d = rep.to_dict()
-    assert len(d["records"]) == 3
-    assert d["records"][1]["tied"] is True
 
 
-# ------------------------------------------------------------ stub models --
+# ------------------------------------------------- models that must score 1 --
 
 
-def test_constant_classifier_scores_one():
+def test_constant_inputs_score_one():
+    # Every shift of a constant input is the input itself, and with every
+    # switch off no selection can tie, so labels and logits agree bit for bit.
+    model = build_model(ModelConfig().disable(*SWITCHES))
+    inputs = [GridSignal(np.full((64, 2), v)) for v in (0.3, -1.2, 2.0)]
     sampler = ShiftSampler(max_offset=(31,), seed=0)
-    rep = c_cons(ConstantClassifier(), noise_inputs(3, 0), sampler)
+    rep = c_cons(model, inputs, sampler)
     assert rep.metric == "c_cons"
     assert rep.trials == 15
     assert rep.aggregate == 1.0
@@ -157,12 +147,17 @@ def test_constant_classifier_scores_one():
     assert rep.tie_count == 0
 
 
-def test_identity_decoder_scores_one():
-    # Rolling the decoded map back undoes the input shift bit for bit.
+def test_pointwise_decoder_scores_one():
+    # One-position patches and no stages: each position's map row is its own
+    # projection, so rolling the decoded map back undoes the input shift bit
+    # for bit, with or without the switches.
+    cfg = ModelConfig(patch_len=1, depth=0, windows=(), merge_factors=())
     sampler = ShiftSampler(max_offset=(31,), seed=1)
-    rep = mascc(IdentityDecoder(), noise_inputs(3, 1), sampler)
-    assert rep.aggregate == 1.0
-    assert rep.max_divergence == 0.0
+    for model in (build_model(cfg), build_model(cfg.disable(*SWITCHES))):
+        rep = mascc(model, noise_inputs(3, 1), sampler)
+        assert rep.tie_count == 0
+        assert rep.aggregate == 1.0
+        assert rep.max_divergence == 0.0
 
 
 # ------------------------------------------------------------- real models --

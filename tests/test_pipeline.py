@@ -389,7 +389,7 @@ def test_forward_overhead_stays_out(monkeypatch, shape):
 # encode_decode).  A ceiling: lower is fine, and Python versions that inline
 # comprehensions count fewer.  NumPy's own frames are not counted, so the
 # figures do not depend on the NumPy version.
-FRAME_BUDGET = {(64,): (88, 108), (32, 32): (92, 115)}
+FRAME_BUDGET = {(64,): (88, 100), (32, 32): (92, 104)}
 
 
 def eqvit_frames(fn, *args) -> int:

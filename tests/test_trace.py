@@ -15,26 +15,39 @@ def test_entry_normalizes_offsets():
 def test_entry_rejects_unknown_kind():
     with pytest.raises(ValueError):
         TraceEntry("pool", [(0,)], [False])
+    with pytest.raises(ValueError):
+        SelectionTrace.single("pool", [(0,)], [False])
 
 
 def test_trace_queries():
-    t = SelectionTrace.single(TOKEN, [(1,)], [False])
-    t.extend(SelectionTrace.single(WSA, [(2,)], [True]))
-    t.extend(SelectionTrace.single(MERGE, [(0,)], [False]))
+    t = SelectionTrace(
+        1,
+        [
+            TraceEntry(TOKEN, [(1,)], [False]),
+            TraceEntry(WSA, [(2,)], [True]),
+            TraceEntry(MERGE, [(0,)], [False]),
+        ],
+    )
     assert len(t) == 3
     assert [e.kind for e in t] == [TOKEN, WSA, MERGE]
     assert t.of_kind(WSA) == [TraceEntry(WSA, [(2,)], [True])]
     assert t.tied.tolist() == [True]
     assert t.any_tied is True
+    assert SelectionTrace.single(WSA, [(2,)], [True]) == SelectionTrace(1, t.of_kind(WSA))
 
 
 def test_trace_samples_and_tie_flags():
-    t = SelectionTrace.single(TOKEN, [(0, 1), (1, 0), (1, 1)], [False, True, False])
-    t.extend(SelectionTrace.single(MERGE, [(1, 1), (0, 1), (0, 0)], [False, False, True]))
-    assert t.size == 3
+    t = SelectionTrace(
+        3,
+        [
+            TraceEntry(TOKEN, [(0, 1), (1, 0), (1, 1)], [False, True, False]),
+            TraceEntry(MERGE, [(1, 1), (0, 1), (0, 0)], [False, False, True]),
+        ],
+    )
     assert t.tied.tolist() == [False, True, True]
-    one = SelectionTrace.single(TOKEN, [(1, 0)], [True])
-    one.extend(SelectionTrace.single(MERGE, [(0, 1)], [False]))
+    one = SelectionTrace(
+        1, [TraceEntry(TOKEN, [(1, 0)], [True]), TraceEntry(MERGE, [(0, 1)], [False])]
+    )
     assert t.sample(1) == one
     assert t.sample(0) != one
 
