@@ -3,10 +3,10 @@
 Suites:
 
   lemma1    exhaustive unit-shift/tokenization interchange at small sizes
-  claim1    adaptive tokenization aligns bit-exactly under input shifts
-  claim2    adaptive window attention aligns to a window multiple at 1e-12
+  claim1    adaptive tokenization output is bit-exactly the predicted rotation
+  claim2    adaptive window attention output is the predicted rotation at 1e-12
   claim3    merge and full-rate convolution routes agree at 1e-12
-  apmerge   adaptive merge output is exactly a rotation of the base output
+  apmerge   adaptive merge output is bit-exactly the predicted rotation
   end2end   classifier invariance and decoder equivariance at 1e-9
   metrics   consistency scores of the configured model
   ablation  per-switch counterexample search on the search config
@@ -22,8 +22,11 @@ in trial-ordered batches of at most `TRIAL_BATCH`, and every check runs its
 batch through the batched ops; the first failing trial in trial order is
 the counterexample.  `replay` and the ablation search call the same checks,
 so a replayed counterexample cannot drift from the suite that found it.
-The end2end check, the ablation search and the metrics suite compare shift
-pairs through one function, `metrics.compare_shift_pairs`.
+claim1, claim2 and apmerge run inputs and their shifts as one op call
+(`_shift_pair`): a shift's selection must move with it, and its output must
+equal the base output at the rotation the two selections predict
+(`numerics.predicted_rotation`).  The end2end check, the ablation search and
+the metrics suite compare shift pairs through `metrics.compare_shift_pairs`.
 """
 
 from __future__ import annotations
@@ -42,8 +45,8 @@ from .errors import ConfigError, ParameterError, ShapeError, TraceError
 from .merging import MergeConfig, a_pmerge, pmerge, pmerge_conv_fullrate
 from .metrics import ShiftSampler, c_cons, compare_shift_pairs, consistency, s_cons_zeropad
 from .metrics import synthetic_inputs
-from .numerics import GridSignal, as_offset, circular_shift, max_abs_rows, require_finite
-from .numerics import grid_index, rotate_rows
+from .numerics import GridSignal, as_offset, max_abs_rows, predicted_rotation, rotate_rows
+from .numerics import stack_signals
 from .pipeline import MAX_BATCH, SWITCHES, Model, ModelConfig, build_model, check_seed
 from .pipeline import MAX_ELEMENTS, is_finite_number
 from .tokenizer import PatchEmbedConfig, TokenMatrix, a_token, lemma1_sides
@@ -184,34 +187,12 @@ class SuiteResult:
     counterexample: dict | None = None
 
     def row(self) -> dict:
-        row = {
-            "name": self.name,
-            "trials": self.trials,
-            "passes": self.passes,
-            "failures": self.failures,
-            "max_divergence": self.max_divergence,
-            "tie_count": self.tie_count,
-        }
+        row = {k: v for k, v in vars(self).items() if k not in ("extra", "counterexample")}
         if self.extra:
             row["extra"] = self.extra
         if self.counterexample is not None:
             row["counterexample"] = True
         return row
-
-
-def _best_alignment(shifted: TokenMatrix, base: TokenMatrix, step: int = 1):
-    """Smallest max-abs difference over grid rotations of `base` by `step`,
-    per sample of a batch (a float for one token matrix)."""
-    rotations = list(product(*(range(0, g, step) for g in base.grid_shape)))
-    a, b = shifted.stack(), base.stack()
-    divs = np.empty((len(a), len(rotations)))
-    for j, r in enumerate(rotations):
-        rotated = b.take(grid_index(base.grid_shape, 1, 1, r)[:, 0], axis=1)
-        divs[:, j] = np.abs(a - rotated).reshape(len(a), -1).max(axis=-1)
-    # As Python's `min`: a NaN candidate (an overflowed payload) is skipped
-    # unless it comes first.
-    best = np.where(np.isnan(divs[:, 0]), divs[:, 0], np.fmin.reduce(divs, axis=1))
-    return best if base.batched else float(best[0])
 
 
 def _json_kind(value) -> tuple[str, int]:
@@ -249,14 +230,20 @@ class Property:
     shapes and scalars.  `check(payloads, shared=None)` takes a list of
     payloads with one shared object and one key, builds what it is not given,
     as replay does, and returns (divergence, agree, tied) arrays with one
-    entry per payload; `agree` is False when labels differ.  A trial passes
-    when it agrees within `tolerance`; tied trials are counted, not asserted.
+    entry per payload; `agree` is False when labels or selections disagree.
+    `_passes` gives the verdict; tied trials are counted, not asserted.
     """
 
     sample: Callable[[SuiteConfig], Iterator[tuple[dict, object]]]
     check: Callable[..., tuple[np.ndarray, np.ndarray, np.ndarray]]
     tolerance: float
     key: Callable[[dict], tuple] = lambda payload: ()
+
+
+def _passes(div: float, agree: bool, tolerance: float) -> bool:
+    """Verdict on an untied trial in the suites, the ablation search and replay:
+    it agrees and its divergence is within tolerance (a NaN one is not)."""
+    return bool(agree) and div <= tolerance
 
 
 def _lemma1_trials(sc: SuiteConfig):
@@ -286,6 +273,25 @@ def _lemma1_check(payloads: list[dict], cfg: PatchEmbedConfig | None = None):
     return max_abs_rows(left, right), np.ones(n, bool), np.zeros(n, bool)
 
 
+def _shift_pair(rows: np.ndarray, grid: tuple, payloads: list[dict], stride: int, op, *args):
+    """claim1, claim2 and apmerge check: (B, prod(grid), C) inputs and their
+    rotations by the payloads' shifts as one token matrix through one
+    `op(tokens, *args)` call.  Per input: the divergence from the base output
+    at the rotation the trace predicts (`predicted_rotation`), congruent, tied."""
+    n, shifts = len(rows), np.array([as_offset(p["shift"], len(grid)) for p in payloads])
+    both = np.concatenate([rows, rotate_rows(rows, grid, shifts)])
+    out, trace = op(TokenMatrix._fresh(both, grid), *args)
+    phi, tied, stack, coarse = trace.entries[0].offsets, trace.tied, out.stack(), out.grid_shape
+    congruent, rotation = predicted_rotation(phi[:n], phi[n:], shifts, stride, grid, coarse)
+    div = max_abs_rows(stack[n:], rotate_rows(stack[:n], coarse, rotation))
+    return div, congruent, tied[:n] | tied[n:]
+
+
+def _token_rows(t: TokenMatrix, cfg: PatchEmbedConfig):
+    """`a_token` over the signals whose rows a (B, M, C) token matrix holds."""
+    return a_token([GridSignal._fresh(r.reshape(*t.grid_shape, -1)) for r in t.data], cfg)
+
+
 def _claim1_trials(sc: SuiteConfig):
     rng = sc.rng("claim1")
     n, l = 64, 4  # signal length, patch length
@@ -298,14 +304,12 @@ def _claim1_trials(sc: SuiteConfig):
 
 
 def _claim1_check(payloads: list[dict], cfg: PatchEmbedConfig | None = None):
-    """Each input and its shift as two `a_token` batches."""
+    """Each input and its shift as one `a_token` batch."""
     first = payloads[0]
     cfg = cfg or PatchEmbedConfig(first["l"], np.asarray(first["embed"]), first["invariant_fn"])
-    xs = [GridSignal(np.asarray(p["x"])) for p in payloads]
-    base, tb = a_token(xs, cfg)
-    out, ts = a_token([circular_shift(x, int(p["shift"])) for x, p in zip(xs, payloads)], cfg)
-    n = len(payloads)
-    return _best_alignment(out, base), np.ones(n, bool), tb.tied | ts.tied
+    xs = stack_signals(GridSignal(np.asarray(p["x"])) for p in payloads)
+    rows = xs.reshape(len(xs), -1, xs.shape[-1])
+    return _shift_pair(rows, xs.shape[1:-1], payloads, cfg.patch_len, _token_rows, cfg)
 
 
 def _window_attention(payload: dict) -> tuple[WindowConfig, AttentionParams, RpeTable]:
@@ -337,17 +341,11 @@ def _claim2_trials(sc: SuiteConfig):
 
 
 def _claim2_check(payloads: list[dict], parts=None):
-    """The token matrices and their shifts as two `a_wsa` batches."""
+    """The token matrices and their shifts as one `a_wsa` batch."""
     wcfg, params, rpe = parts or _window_attention(payloads[0])
     grid = tuple(payloads[0]["grid"])
-    mats = [TokenMatrix(np.asarray(p["t"]), grid).data for p in payloads]
-    shifts = np.array([as_offset(tuple(p["shift"]), len(grid)) for p in payloads])
-    t = TokenMatrix._fresh(np.stack(mats), grid)
-    base, tb = a_wsa(t, wcfg, params, rpe)
-    out, ts = a_wsa(TokenMatrix._fresh(rotate_rows(t.data, grid, shifts), grid), wcfg, params, rpe)
-    n = len(payloads)
-    div = _best_alignment(out, base, step=wcfg.window)
-    return div, np.ones(n, bool), tb.tied | ts.tied
+    rows = np.stack([TokenMatrix(np.asarray(p["t"]), grid).data for p in payloads])
+    return _shift_pair(rows, grid, payloads, wcfg.window, a_wsa, wcfg, params, rpe)
 
 
 def _claim3_trials(sc: SuiteConfig):
@@ -401,14 +399,9 @@ def _apmerge_trials(sc: SuiteConfig):
 def _apmerge_check(payloads: list[dict], _shared=None):
     """The token matrices and their shifts as one `a_pmerge` batch."""
     t, embeds = _merge_inputs(payloads)
-    first, grid, n = payloads[0], t.grid_shape, len(payloads)
-    shifts = np.array([as_offset(p["shift"], len(grid)) for p in payloads])
-    both = TokenMatrix._fresh(np.concatenate([t.data, rotate_rows(t.data, grid, shifts)]), grid)
+    first = payloads[0]
     cfg = MergeConfig(first["factor"], np.concatenate([embeds, embeds]), first["energy_p"])
-    out, trace = a_pmerge(both, cfg)
-    base, shifted = (out.like(half, out.grid_shape) for half in (out.data[:n], out.data[n:]))
-    tied = trace.tied
-    return _best_alignment(shifted, base), np.ones(n, bool), tied[:n] | tied[n:]
+    return _shift_pair(t.data, t.grid_shape, payloads, cfg.factor, a_pmerge, cfg)
 
 
 def _end2end_trials(sc: SuiteConfig):
@@ -513,7 +506,7 @@ def _run_property(name: str, sc: SuiteConfig) -> SuiteResult:
                 ties += 1
                 continue
             max_div = max(max_div, div)
-            if agree and div <= prop.tolerance:
+            if _passes(div, agree, prop.tolerance):
                 passes += 1
             elif first is None or i < first[0]:
                 first = (i, div, payload)
@@ -618,7 +611,7 @@ def _ablation_search(
             used += 1
             if tied:
                 ties += 1
-            elif div > TOL_END2END or not agree:
+            elif not _passes(div, agree, TOL_END2END):
                 found = _counterexample("ablation", TOL_END2END, div, payload)
                 break
         if found is not None:
@@ -662,16 +655,7 @@ def run_ablation(sc: SuiteConfig) -> SuiteResult:
 
 # ------------------------------------------------------------ run/replay --
 
-_RUNNERS = {
-    "lemma1": run_lemma1,
-    "claim1": run_claim1,
-    "claim2": run_claim2,
-    "claim3": run_claim3,
-    "apmerge": run_apmerge,
-    "end2end": run_end2end,
-    "metrics": run_metrics,
-    "ablation": run_ablation,
-}
+_RUNNERS = {name: globals()[f"run_{name}"] for name in SUITES}
 
 
 def run_suites(sc: SuiteConfig) -> tuple[dict, list[SuiteResult]]:
@@ -690,12 +674,11 @@ def run_suites(sc: SuiteConfig) -> tuple[dict, list[SuiteResult]]:
 def replay(document: dict) -> tuple[int, str]:
     """Re-execute a replay file; (exit code, human-readable line).
 
-    Sentinels from passing runs exit 0.  Counterexamples recompute their
-    divergence from the serialized payload with the suite's own check
-    (ablation ones with the end2end check): still past tolerance exits 1,
-    no longer failing exits 0, and so does a recomputed trial that ties, which
-    the suites count and never assert.  A malformed document raises ConfigError
-    before any check runs, and so does a payload its check rejects or overflows on.
+    Sentinels exit 0.  A counterexample's payload reruns through its suite's
+    check (ablation: the end2end check).  In order: a NaN divergence raises
+    ConfigError, a tied trial (never asserted) exits 0, an infinite divergence
+    raises ConfigError, and otherwise `_passes` decides: 0 passes, 1 fails.
+    A malformed document or a payload the check rejects raises ConfigError.
     """
     if not isinstance(document, dict):
         raise ConfigError(f"replay file must hold a JSON object, not {type(document).__name__}")
@@ -732,25 +715,24 @@ def replay(document: dict) -> tuple[int, str]:
             raise ConfigError(f"{suite} payload {key!r} has (kind, depth) {got}, not {want}")
         if got in (("f", 0), ("i", 0)) and not is_finite_number(payload[key]):
             raise ConfigError(f"{suite} payload {key!r} must be finite, not {payload[key]!r}")
-    recorded = float(document["divergence"])
-    tolerance = float(document["tolerance"])
+    recorded, tolerance = float(document["divergence"]), float(document["tolerance"])
     try:
         # Payloads scaled toward the float range overflow inside the ops; the
         # outcome below says what that means, so NumPy's warnings are noise.
         with np.errstate(over="ignore", invalid="ignore"):
-            divs, _, tieds = prop.check([payload])
-        div, tied = float(divs[0]), bool(tieds[0])
-        require_finite(np.asarray(div), "its divergence")
+            divs, agrees, tieds = prop.check([payload])
     except (ShapeError, ParameterError, TraceError) as err:
         raise ConfigError(f"{suite} payload cannot be checked: {err}") from err
+    div, agree, tied = float(divs[0]), bool(agrees[0]), bool(tieds[0])
+    # NaN: the ops produced NaN.  inf: they overflowed on a trial the suites assert.
+    if np.isnan(div) or (np.isinf(div) and not tied):
+        raise ConfigError(f"{suite} payload cannot be checked: its divergence is {div}")
     if tied:
         return 0, f"{suite}: trial is tied (divergence {div:.6e}); tied trials are not asserted"
-    drift = abs(div - recorded)
-    if div > tolerance:
-        return 1, (
-            f"{suite}: reproduced divergence {div:.6e} "
-            f"(recorded {recorded:.6e}, drift {drift:.3e}, tolerance {tolerance:.1e})"
-        )
-    return 0, (
-        f"{suite}: divergence {div:.6e} no longer exceeds tolerance {tolerance:.1e}"
+    if _passes(div, agree, tolerance):
+        return 0, f"{suite}: divergence {div:.6e} no longer exceeds tolerance {tolerance:.1e}"
+    return 1, (
+        f"{suite}: reproduced divergence {div:.6e} "
+        f"(recorded {recorded:.6e}, drift {abs(div - recorded):.3e}, tolerance {tolerance:.1e}"
+        f"{'' if agree else ', labels or selections disagree'})"
     )

@@ -18,6 +18,7 @@ from statistics import fmean
 
 import numpy as np
 
+from . import pipeline
 from .errors import ParameterError, ShapeError
 from .numerics import GridSignal, Offset, as_offset, circular_shift, max_abs_rows, rotate_rows
 from .pipeline import MAX_BATCH, Model, forward
@@ -126,13 +127,13 @@ def shift_zeropad(x: GridSignal, off) -> GridSignal:
 
 def compare_shift_pairs(model: Model, pairs, shifter=circular_shift, dense: bool = True):
     """Run both shifts of each (signal, offset a, offset b) pair through the
-    model, up to `MAX_BATCH // 2` pairs per `forward`, and compare them.
+    model, up to `MAX_BATCH // 2` pairs per encoder pass, and compare them.
 
     Returns (pairs,) arrays: whether the labels agree, the fraction of
     positions whose argmax agrees once each map is rotated back by its own
     shift, the logit divergence, the rotated maps' divergence, and whether
-    either shift tied.  Without `dense` the maps are not compared, and the
-    fraction and the map divergence are None.
+    either shift tied.  Without `dense` nothing is decoded (encoder and head
+    only), and the fraction and the map divergence are None.
     """
     columns = []
     for start in range(0, len(pairs), MAX_BATCH // 2):
@@ -140,13 +141,16 @@ def compare_shift_pairs(model: Model, pairs, shifter=circular_shift, dense: bool
         n = len(chunk)
         offs = [a for _, a, _ in chunk] + [b for _, _, b in chunk]
         shifted = [shifter(x, off) for x, off in zip([x for x, _, _ in chunk] * 2, offs)]
-        logits, labels, maps, trace = forward(model, shifted)
         agreement = map_div = None
         if dense:
+            logits, labels, maps, trace = forward(model, shifted)
             rows = maps.reshape(2 * n, -1, maps.shape[-1])
             back = rotate_rows(rows, maps.shape[1:-1], -np.array(offs))
             same = np.argmax(back[:n], -1) == np.argmax(back[n:], -1)
             agreement, map_div = np.mean(same, axis=-1), max_abs_rows(back[:n], back[n:])
+        else:
+            tokens, trace = pipeline._encode(model, shifted)
+            logits, labels = pipeline._head(model, tokens)
         same_label = labels[:n] == labels[n:]
         logit_div = max_abs_rows(logits[:n], logits[n:])
         tied = trace.tied

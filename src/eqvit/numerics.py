@@ -191,6 +191,17 @@ def scatter_index(grid: tuple[int, ...], b: int, offsets: np.ndarray) -> np.ndar
     return np.concatenate([grid_index(grid, 1, b, tuple(o)).T for o in offsets.tolist()])
 
 
+def predicted_rotation(base, shifted, shifts, b: int, in_grid, out_grid):
+    """(congruent (B,), rotation (B, rank)) of a shift-equivariant selection
+    at stride `b`: per sample, offset base[i] on an input and shifted[i] on
+    it rotated by shifts[i].  The selection moved with the shift when
+    d = shifted + shift - base is a multiple of `b` on every axis; the shifted
+    output is then the base output rotated (as `rotate_rows` does) by d // k,
+    k = in_grid / out_grid the op's downsampling."""
+    d, out_grid = np.asarray(shifted) + shifts - np.asarray(base), np.asarray(out_grid)
+    return (d % b == 0).all(axis=-1), d // (np.asarray(in_grid) // out_grid) % out_grid
+
+
 def scatter_rows(stack: np.ndarray, rows: int, index: np.ndarray) -> np.ndarray:
     """Zero-filled (B, rows, C) stack with the rows of sample i of the
     (B, M, C) `stack` at positions index[i]."""

@@ -1,5 +1,6 @@
 """Suite runners: determinism, counterexample payloads, replay semantics."""
 
+import dataclasses
 import json
 
 import numpy as np
@@ -7,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from eqvit import pipeline
+from eqvit import harness, pipeline
 from eqvit.errors import ConfigError
 from eqvit.harness import (
     ABLATION_SEARCH_MODEL,
@@ -17,8 +18,9 @@ from eqvit.harness import (
     SUITES,
     TRIAL_BATCH,
     SuiteConfig,
-    _best_alignment,
+    _batches,
     _counterexample,
+    _passes,
     replay,
     run_ablation,
     run_apmerge,
@@ -31,6 +33,7 @@ from eqvit.harness import (
     run_suites,
     sentinel,
 )
+from eqvit.numerics import rotate_rows
 from eqvit.pipeline import ModelConfig
 from eqvit.tokenizer import TokenMatrix
 
@@ -160,15 +163,6 @@ def test_suite_rng_streams_are_independent():
 # ---------------------------------------------------------------- helpers --
 
 
-def test_best_alignment_recovers_planted_rotation():
-    rng = np.random.default_rng(0)
-    base = TokenMatrix(rng.uniform(-1, 1, (12, 3)), (12,))
-    assert _best_alignment(base.shift(5), base) == 0.0
-    assert _best_alignment(base.shift(4), base, step=4) == 0.0
-    # Off the step lattice the best candidate is a genuine mismatch.
-    assert _best_alignment(base.shift(5), base, step=4) > 1e-6
-
-
 def test_sentinel_lists_suites():
     doc = sentinel(SuiteConfig(suites=("claim1", "lemma1")))
     assert doc == {"kind": "sentinel", "status": "pass", "suites": ["claim1", "lemma1"]}
@@ -211,6 +205,82 @@ def test_apmerge_suite_green():
     res = run_apmerge(SMALL)
     assert res.failures == 0
     assert res.max_divergence == 0.0
+
+
+@pytest.fixture
+def rolled_ops(monkeypatch):
+    """The harness's a_token, a_wsa and a_pmerge, each rolling every output
+    sample by its own random amount (window multiples for a_wsa) and leaving
+    the trace as it was: a fault no selection shows.  Returns the list the
+    (B, rank) rolls of each call are appended to."""
+    rng = np.random.default_rng(13)
+    rolls = []
+
+    def wrap(op, step):
+        def rolled(*args):
+            out, trace = op(*args)
+            grid, stack, w = out.grid_shape, out.stack(), step(args)
+            r = w * rng.integers(0, np.array(grid) // w, (len(stack), len(grid)))
+            rolls.append(r)
+            data = rotate_rows(stack, grid, r)
+            return TokenMatrix._fresh(data if out.batched else data[0], grid), trace
+
+        return rolled
+
+    monkeypatch.setattr(harness, "a_token", wrap(harness.a_token, lambda args: 1))
+    monkeypatch.setattr(harness, "a_wsa", wrap(harness.a_wsa, lambda args: args[1].window))
+    monkeypatch.setattr(harness, "a_pmerge", wrap(harness.a_pmerge, lambda args: 1))
+    return rolls
+
+
+def _rank(payload) -> int:
+    return len(payload["grid"]) if "grid" in payload else np.ndim(payload["x"]) - 1
+
+
+def _rank2_payloads(suite: str) -> list[dict]:
+    """A batch of 8x8 claim1 signals or claim2 token grids on the sampler's weights."""
+    rng = np.random.default_rng(5)
+    first, _ = next(PROPERTIES[suite].sample(SuiteConfig(trials=1)))
+    if suite == "claim1":
+        # Patch length 2 on two channels keeps the sampler's 8-row embed.
+        fixed, key, shape = {**first, "l": 2}, "x", (8, 8, 2)
+    else:
+        table = rng.uniform(-0.5, 0.5, (4, 4))
+        fixed, key, shape = {**first, "grid": [8, 8], "rpe_table": table}, "t", (64, 8)
+    return [
+        {**fixed, key: rng.uniform(-1, 1, shape), "shift": rng.integers(0, 8, 2).tolist()}
+        for _ in range(TRIAL_BATCH)
+    ]
+
+
+@pytest.mark.parametrize("suite", ["claim1", "claim2", "apmerge"])
+@pytest.mark.parametrize("rank", [1, 2])
+def test_checks_fail_outputs_off_the_predicted_rotation(rolled_ops, suite, rank):
+    # Each check passes only the rotation its traces predict, so every untied
+    # trial whose base and shifted outputs were rolled apart fails, at both
+    # ranks, and one whose rolls match still passes.
+    prop = PROPERTIES[suite]
+    if rank == 2 and suite != "apmerge":
+        batches = [(_rank2_payloads(suite), None)]
+    else:
+        batches = [
+            (payloads, shared)
+            for _, payloads, shared in _batches(prop, SuiteConfig(trials=48))
+            if _rank(payloads[0]) == rank
+        ]
+    failed = passed = 0
+    for payloads, shared in batches:
+        rolled_ops.clear()
+        divs, agrees, tieds = prop.check(payloads, shared)
+        rolls, n = np.concatenate(rolled_ops), len(payloads)
+        moved = (rolls[:n] != rolls[n:]).any(axis=-1)
+        for div, agree, tied, apart in zip(divs.tolist(), agrees, tieds, moved):
+            if tied:
+                continue
+            ok = _passes(div, agree, prop.tolerance)
+            assert ok != apart
+            failed, passed = failed + apart, passed + (not apart)
+    assert failed >= 5 and passed >= 1
 
 
 # ---------------------------------------------------------------- end2end --
@@ -391,6 +461,33 @@ def test_replay_reproduces_crafted_failure_with_zero_drift():
     code, line = replay(doc)
     assert code == 1
     assert "drift 0.000e+00" in line
+
+
+@pytest.mark.parametrize(
+    "div, agree, tied, outcome",
+    [
+        (np.nan, True, True, ConfigError),  # the ops produced NaN
+        (np.inf, True, True, 0),  # overflowed, but tied trials are not asserted
+        (np.inf, True, False, ConfigError),
+        (0.0, False, False, 1),  # selections or labels disagree: the suites' failure
+        (0.5, True, False, 1),
+        (0.0, True, False, 0),
+    ],
+)
+def test_replay_verdict_order(monkeypatch, div, agree, tied, outcome):
+    prop = PROPERTIES["claim1"]
+    payload, _ = next(prop.sample(SuiteConfig(trials=1)))
+
+    def check(payloads, shared=None):
+        return np.array([div]), np.array([agree]), np.array([tied])
+
+    monkeypatch.setitem(PROPERTIES, "claim1", dataclasses.replace(prop, check=check))
+    doc = _counterexample("claim1", 0.0, 1.0, payload)
+    if outcome is ConfigError:
+        with pytest.raises(ConfigError):
+            replay(doc)
+    else:
+        assert replay(doc)[0] == outcome
 
 
 def test_replay_passes_once_config_is_fixed():

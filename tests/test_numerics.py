@@ -15,7 +15,8 @@ from hypothesis import strategies as st
 from eqvit import GridSignal, circular_shift, lp_norm, softmax_rows
 from eqvit.attention import _untile_index
 from eqvit.errors import ParameterError, ShapeError
-from eqvit.numerics import argmax_rows, as_offset, freeze, grid_index, project_rows
+from eqvit.numerics import argmax_rows, as_offset, freeze, grid_index, predicted_rotation
+from eqvit.numerics import project_rows
 
 
 def shift_oracle(data: np.ndarray, offs) -> np.ndarray:
@@ -152,6 +153,43 @@ def test_grid_index_tiles_and_phases_equal_reshape_transpose(grid):
         for row, phase in zip(phases, product(range(b), repeat=len(grid))):
             component = positions[tuple(slice(p, None, b) for p in phase)]
             assert np.array_equal(row, component.ravel())
+
+
+def test_predicted_rotation_example():
+    # Patch length 4 on 16 positions: phase 1, then phase 3 after a shift by 6,
+    # moves the selection by 8 positions, two tokens; phase 0 would be off it.
+    congruent, rotation = predicted_rotation([[1]], [[3]], [[6]], 4, (16,), (4,))
+    assert congruent.tolist() == [True] and rotation.tolist() == [[2]]
+    assert predicted_rotation([[1]], [[0]], [[6]], 4, (16,), (4,))[0].tolist() == [False]
+
+
+@pytest.mark.parametrize(
+    "grid, b, k", [((12,), 3, 3), ((12,), 4, 1), ((8, 4), 2, 2), ((8, 4), 4, 1), ((6, 6), 3, 3)]
+)
+def test_predicted_rotation_names_planted_rotation(grid, b, k):
+    # A stride-b selection at phase p keeps positions p + k * j: the polyphase
+    # component for k = b (a_token, a_pmerge), the grid rotated to the anchor
+    # for k = 1 (a_wsa).  On an input rotated by s, a selection that moves with
+    # the shift picks (p - s) mod b, and its output is the base output rotated
+    # by the predicted amount; one step off the stride lattice is not congruent.
+    rank, axes = len(grid), tuple(range(len(grid)))
+    data = np.random.default_rng(0).uniform(-1, 1, (*grid, 2))
+    coarse = tuple(g // k for g in grid)
+
+    def select(arr, phase):
+        return np.roll(arr, [-p for p in phase], axes)[(slice(None, None, k),) * rank]
+
+    shifts = list(product(*(range(g) for g in grid)))
+    for base in product(range(b), repeat=rank):
+        moved = [tuple((p - o) % b for p, o in zip(base, s)) for s in shifts]
+        congruent, rotation = predicted_rotation([base] * len(shifts), moved, shifts, b, grid, coarse)
+        assert congruent.all() and rotation.shape == (len(shifts), rank)
+        for s, phase, r in zip(shifts, moved, rotation.tolist()):
+            assert all(0 <= v < c for v, c in zip(r, coarse))
+            shifted = select(np.roll(data, [-o for o in s], axes), phase)
+            assert np.array_equal(shifted, np.roll(select(data, base), [-v for v in r], axes))
+        off = [(*phase[:-1], (phase[-1] + 1) % b) for phase in moved]
+        assert not predicted_rotation([base] * len(shifts), off, shifts, b, grid, coarse)[0].any()
 
 
 def test_as_offset_scalar_only_for_rank1():
