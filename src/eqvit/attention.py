@@ -19,7 +19,7 @@ from functools import cached_property, lru_cache
 import numpy as np
 
 from .errors import ParameterError, ShapeError
-from .numerics import argmax_rows, coarse_grid, freeze, grid_index, phase_table
+from .numerics import argmax_rows, coarse_grid, freeze, grid_index, offset_index, phase_table
 from .numerics import require_finite, require_norm_order, softmax_rows, stable_sum, weight_array
 from .tokenizer import TokenMatrix
 from .trace import WSA, SelectionTrace
@@ -239,8 +239,8 @@ def wsa(
     anchors = np.zeros((n, rank), np.int64) if anchors is None else np.asarray(anchors)
     if anchors.shape != (n, rank):
         raise ShapeError(f"{anchors.shape} anchors for {n} samples on a rank-{rank} grid")
-    index = [grid_index(grid, w, w, tuple(a)) + i * m for i, a in enumerate(anchors.tolist())]
-    windows = data.reshape(n * m, -1).take(np.concatenate(index), axis=0)
+    index = offset_index(grid, w, w, anchors, stacked=True).reshape(-1, w**rank)
+    windows = data.reshape(n * m, -1).take(index, axis=0)
     rows = _attend(windows, params, rpe, (w,) * rank).reshape(*data.shape[:-1], -1)
     return TokenMatrix._fresh(rows.take(_untile_index(grid, w), axis=-2), grid)
 

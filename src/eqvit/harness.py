@@ -15,13 +15,18 @@ Every suite draws from a PCG64 stream derived from (seed, suite index), so
 a run is a pure function of its SuiteConfig and reports are byte-stable.
 
 The six trial-based suites (lemma1 through end2end) are rows of one
-property table, run by one loop: a payload sampler, a batch key, one check
-(payloads -> divergence, agree, tied per payload) and a tolerance.  The loop
-groups a suite's trials by shared object and key, hands the check each group
-in trial-ordered batches of at most `TRIAL_BATCH`, and every check runs its
-batch through the batched ops; the first failing trial in trial order is
-the counterexample.  `replay` and the ablation search call the same checks,
-so a replayed counterexample cannot drift from the suite that found it.
+property table, run by one loop: a payload sampler, a batch key, a size
+rule, one check (payloads -> divergence, agree, tied per payload) and a
+tolerance.  The loop groups a suite's trials by shared object and key and
+hands the check each group in trial-ordered batches sized by memory, not by
+a trial count: a batch takes trials while its check's largest array stays
+within `BATCH_ENTRIES` by the size rule, and the trials held back stay
+within `HELD_ENTRIES`; both bounds come from the arrays of a forward of the
+default model.  Every check stacks and validates its batch's payloads once
+and runs the batch through the batched ops; the first failing trial in
+trial order is the counterexample.  `replay` and the ablation search call
+the same checks, so a replayed counterexample cannot drift from the suite
+that found it.
 claim1, claim2 and apmerge run inputs and their shifts as one op call
 (`_shift_pair`): a shift's selection must move with it, and its output must
 equal the base output at the rotation the two selections predict
@@ -45,8 +50,8 @@ from .errors import ConfigError, ParameterError, ShapeError, TraceError
 from .merging import MergeConfig, a_pmerge, pmerge, pmerge_conv_fullrate
 from .metrics import ShiftSampler, c_cons, compare_shift_pairs, consistency, s_cons_zeropad
 from .metrics import synthetic_inputs
-from .numerics import GridSignal, as_offset, max_abs_rows, predicted_rotation, rotate_rows
-from .numerics import stack_signals
+from .numerics import GridSignal, SignalBatch, as_offsets, max_abs_rows, predicted_rotation
+from .numerics import rotate_rows
 from .pipeline import MAX_BATCH, SWITCHES, Model, ModelConfig, build_model, check_seed
 from .pipeline import MAX_ELEMENTS, is_finite_number
 from .tokenizer import PatchEmbedConfig, TokenMatrix, a_token, lemma1_sides
@@ -74,9 +79,17 @@ DEFAULT_TRIALS = {
 
 _SEED_INDEX = {name: i + 1 for i, name in enumerate(SUITES)}
 
-# Trials per check call; a batched check runs at most two model inputs per
-# trial, so no batch exceeds `MAX_BATCH`.
-TRIAL_BATCH = MAX_BATCH // 2
+# Batches are sized by memory.  A batch takes trials of one key while its
+# check's largest array stays within `BATCH_ENTRIES` by the suite's size rule:
+# the largest array of a forward of `MAX_BATCH // 2` inputs of the default
+# model (its decoded maps, 16,384 entries).  A check holds about twice the
+# arrays of that size a forward holds (an input and its shift, gathered
+# windows or taps, queries and keys), so at this bound no suite's traced peak
+# passes the metrics suite's.  A trial larger on its own runs alone.  The
+# payloads held back in pending batches hold at most `HELD_ENTRIES` array
+# entries, the largest array of a `MAX_BATCH` forward.
+HELD_ENTRIES = max(size for _, size in ModelConfig().activation_sizes())
+BATCH_ENTRIES = HELD_ENTRIES // 2
 
 # Channels of a lemma1 input and dimension of its tokens.
 LEMMA1_CHANNELS, LEMMA1_DIM = 2, 5
@@ -135,18 +148,16 @@ class SuiteConfig:
             )
 
     def lemma1_sizes(self) -> list[tuple[str, int]]:
-        """(name, entries) of the largest arrays of a lemma1 batch of up to
-        `TRIAL_BATCH` (n, C) inputs, per (n, l) pair it runs: the gathered
-        (2, B, n / l, l * C) sides, twice the inputs, and each side's
-        (B, n / l, D) projection.  Integer arithmetic, as in
-        `ModelConfig.activation_sizes`."""
-        b = TRIAL_BATCH
-        sizes = []
-        for n, l in product(self.lemma_n, self.lemma_l):
-            if n % l == 0:
-                sizes.append((f"gathered sides at n {n}, l {l}", 2 * b * n * LEMMA1_CHANNELS))
-                sizes.append((f"projected side at n {n}, l {l}", b * n // l * LEMMA1_DIM))
-        return sizes
+        """(name, entries) of the largest arrays `MAX_BATCH // 2` (n, C) lemma1
+        inputs would need, per (n, l) pair it runs: see `_lemma1_entries`.
+        Batches of inputs this large hold fewer (`BATCH_ENTRIES`); bounding
+        eight of them keeps the sizes a run accepts where they were."""
+        return [
+            (f"{name} at n {n}, l {l}", MAX_BATCH // 2 * size)
+            for n, l in product(self.lemma_n, self.lemma_l)
+            if n % l == 0
+            for name, size in _lemma1_entries(n, l, LEMMA1_CHANNELS, LEMMA1_DIM)
+        ]
 
     def resolved_model(self) -> ModelConfig:
         cfg = dataclasses.replace(self.model, seed=self.seed)
@@ -227,7 +238,9 @@ class Property:
     `sample(sc)` yields (payload, shared) per trial: the payload holds every
     input the check reads, `shared` the objects built once per suite from its
     fixed fields, or None.  `key(payload)` holds the payload fields that fix
-    shapes and scalars.  `check(payloads, shared=None)` takes a list of
+    shapes and scalars.  `size(payload)` is the entries one trial adds to the
+    largest array of its check, from the payload's shapes (integer
+    arithmetic, read once per key).  `check(payloads, shared=None)` takes a list of
     payloads with one shared object and one key, builds what it is not given,
     as replay does, and returns (divergence, agree, tied) arrays with one
     entry per payload; `agree` is False when labels or selections disagree.
@@ -237,7 +250,19 @@ class Property:
     sample: Callable[[SuiteConfig], Iterator[tuple[dict, object]]]
     check: Callable[..., tuple[np.ndarray, np.ndarray, np.ndarray]]
     tolerance: float
+    size: Callable[[dict], int]
     key: Callable[[dict], tuple] = lambda payload: ()
+
+
+def _stack(payloads: list[dict], key: str, ndim: int | None = None) -> np.ndarray:
+    """The payloads' `key` arrays as one float64 stack of rank `ndim`, if given."""
+    try:
+        stack = np.array([p[key] for p in payloads], dtype=np.float64)
+    except (ValueError, TypeError) as err:
+        raise ShapeError(f"payload {key!r} arrays must be numbers of one shape") from err
+    if ndim is not None and stack.ndim != ndim:
+        raise ShapeError(f"payload {key!r} must be an array of rank {ndim - 1}")
+    return stack
 
 
 def _passes(div: float, agree: bool, tolerance: float) -> bool:
@@ -260,14 +285,23 @@ def _lemma1_trials(sc: SuiteConfig):
                     yield {"n": n, "l": l, "m": m, "x": x, "embed": embed}, cfg
 
 
+def _lemma1_entries(n: int, l: int, channels: int, dim: int) -> list[tuple[str, int]]:
+    """(name, entries) of the largest arrays one (n, channels) lemma1 input
+    adds to a batch at patch length l: its gathered sides (both sides' patch
+    rows, twice the input) and one side's (n / l, dim) projection."""
+    return [("gathered sides", 2 * n * channels), ("projected side", n // l * dim)]
+
+
+def _lemma1_size(p: dict) -> int:
+    (n, channels), dim = np.shape(p["x"]), np.shape(p["embed"])[1]
+    return max(size for _, size in _lemma1_entries(n, p["l"], channels, dim))
+
+
 def _lemma1_check(payloads: list[dict], cfg: PatchEmbedConfig | None = None):
     """Both sides of the interchange for every input as one `lemma1_sides` batch."""
     first = payloads[0]
     cfg = cfg or PatchEmbedConfig(first["l"], np.asarray(first["embed"]))
-    # The sampler hands one input to each of its l offsets: validate it once.
-    signals = {id(p["x"]): p["x"] for p in payloads}
-    signals = {k: GridSignal(np.asarray(x)) for k, x in signals.items()}
-    xs = [signals[id(p["x"])] for p in payloads]
+    xs = SignalBatch(_stack(payloads, "x"))
     left, right = lemma1_sides(xs, cfg, [p["m"] for p in payloads])
     n = len(payloads)
     return max_abs_rows(left, right), np.ones(n, bool), np.zeros(n, bool)
@@ -278,7 +312,7 @@ def _shift_pair(rows: np.ndarray, grid: tuple, payloads: list[dict], stride: int
     rotations by the payloads' shifts as one token matrix through one
     `op(tokens, *args)` call.  Per input: the divergence from the base output
     at the rotation the trace predicts (`predicted_rotation`), congruent, tied."""
-    n, shifts = len(rows), np.array([as_offset(p["shift"], len(grid)) for p in payloads])
+    n, shifts = len(rows), as_offsets([p["shift"] for p in payloads], len(grid))
     both = np.concatenate([rows, rotate_rows(rows, grid, shifts)])
     out, trace = op(TokenMatrix._fresh(both, grid), *args)
     phi, tied, stack, coarse = trace.entries[0].offsets, trace.tied, out.stack(), out.grid_shape
@@ -289,7 +323,7 @@ def _shift_pair(rows: np.ndarray, grid: tuple, payloads: list[dict], stride: int
 
 def _token_rows(t: TokenMatrix, cfg: PatchEmbedConfig):
     """`a_token` over the signals whose rows a (B, M, C) token matrix holds."""
-    return a_token([GridSignal._fresh(r.reshape(*t.grid_shape, -1)) for r in t.data], cfg)
+    return a_token(SignalBatch._fresh(t.grid()), cfg)
 
 
 def _claim1_trials(sc: SuiteConfig):
@@ -303,11 +337,17 @@ def _claim1_trials(sc: SuiteConfig):
         yield {**fixed, "x": x, "shift": int(rng.integers(0, n))}, cfg
 
 
+def _claim1_size(p: dict) -> int:
+    """An input and its shift: full-rate patch columns and embedding per position."""
+    *grid, channels = np.shape(p["x"])
+    return 2 * prod(grid) * max(p["l"] ** len(grid) * channels, np.shape(p["embed"])[1])
+
+
 def _claim1_check(payloads: list[dict], cfg: PatchEmbedConfig | None = None):
     """Each input and its shift as one `a_token` batch."""
     first = payloads[0]
     cfg = cfg or PatchEmbedConfig(first["l"], np.asarray(first["embed"]), first["invariant_fn"])
-    xs = stack_signals(GridSignal(np.asarray(p["x"])) for p in payloads)
+    xs = SignalBatch(_stack(payloads, "x")).data
     rows = xs.reshape(len(xs), -1, xs.shape[-1])
     return _shift_pair(rows, xs.shape[1:-1], payloads, cfg.patch_len, _token_rows, cfg)
 
@@ -340,12 +380,17 @@ def _claim2_trials(sc: SuiteConfig):
         yield {**fixed, "t": t, "shift": [int(rng.integers(0, m))]}, parts
 
 
+def _claim2_size(p: dict) -> int:
+    """A token matrix and its shift: window logits and energy taps, and tokens."""
+    (m, d), rank = np.shape(p["t"]), len(p["grid"])
+    return 2 * m * max(d, p["window"] ** rank, np.shape(p["e_q"])[1])
+
+
 def _claim2_check(payloads: list[dict], parts=None):
     """The token matrices and their shifts as one `a_wsa` batch."""
     wcfg, params, rpe = parts or _window_attention(payloads[0])
-    grid = tuple(payloads[0]["grid"])
-    rows = np.stack([TokenMatrix(np.asarray(p["t"]), grid).data for p in payloads])
-    return _shift_pair(rows, grid, payloads, wcfg.window, a_wsa, wcfg, params, rpe)
+    t = _token_batch(payloads)
+    return _shift_pair(t.data, t.grid_shape, payloads, wcfg.window, a_wsa, wcfg, params, rpe)
 
 
 def _claim3_trials(sc: SuiteConfig):
@@ -363,19 +408,20 @@ def _claim3_trials(sc: SuiteConfig):
         yield {"grid": list(grid), "t": t, "factor": p, "embed": embed}, None
 
 
-def _merge_inputs(payloads: list[dict]) -> tuple[TokenMatrix, np.ndarray]:
-    """The payloads' token matrices as one batch, and their (B, K, D') merge embeds."""
-    t, embeds = (
-        np.stack([np.asarray(p[key], dtype=np.float64) for p in payloads]) for key in ("t", "embed")
-    )
-    if t.ndim != 3 or embeds.ndim != 3:
-        raise ShapeError("payload 't' and 'embed' must be matrices")
-    return TokenMatrix(t, tuple(payloads[0]["grid"])), embeds
+def _token_batch(payloads: list[dict]) -> TokenMatrix:
+    """The payloads' token matrices as one (B, M, D) batch on their grid, checked once."""
+    return TokenMatrix(_stack(payloads, "t", 3), tuple(payloads[0]["grid"]))
+
+
+def _merge_size(p: dict) -> int:
+    """Merge taps, full-rate output and merge embed of one token matrix."""
+    (m, d), (k, d_out) = np.shape(p["t"]), np.shape(p["embed"])
+    return max(p["factor"] ** len(p["grid"]) * m * d, m * d_out, k * d_out)
 
 
 def _claim3_check(payloads: list[dict], _shared=None):
     """Both merge routes over the token matrices as one batch, one embed per sample."""
-    t, embeds = _merge_inputs(payloads)
+    t, embeds = _token_batch(payloads), _stack(payloads, "embed", 3)
     cfg = MergeConfig(payloads[0]["factor"], embeds)
     full = pmerge_conv_fullrate(t, cfg).grid()
     phase_zero = full[(slice(None), *(slice(0, None, cfg.factor) for _ in t.grid_shape))]
@@ -398,7 +444,7 @@ def _apmerge_trials(sc: SuiteConfig):
 
 def _apmerge_check(payloads: list[dict], _shared=None):
     """The token matrices and their shifts as one `a_pmerge` batch."""
-    t, embeds = _merge_inputs(payloads)
+    t, embeds = _token_batch(payloads), _stack(payloads, "embed", 3)
     first = payloads[0]
     cfg = MergeConfig(first["factor"], np.concatenate([embeds, embeds]), first["energy_p"])
     return _shift_pair(t.data, t.grid_shape, payloads, cfg.factor, a_pmerge, cfg)
@@ -421,6 +467,13 @@ def _end2end_trials(sc: SuiteConfig):
         yield {**fixed, "input": inputs[i].data, "shift_a": off_a, "shift_b": off_b}, model
 
 
+def _end2end_size(p: dict, pair: int = BATCH_ENTRIES // (MAX_BATCH // 2)) -> int:
+    """One shift pair, sized so that `MAX_BATCH // 2` pairs, one forward chunk
+    of `compare_shift_pairs`, fill a batch; `ModelConfig`'s activation bound
+    covers that forward's arrays."""
+    return pair
+
+
 def _end2end_divergence(payloads: list[dict], model: Model | None = None):
     """end2end and ablation check: each input at two shifts, compared by
     `compare_shift_pairs`.  Logits and labels must agree; check "both" also
@@ -430,8 +483,8 @@ def _end2end_divergence(payloads: list[dict], model: Model | None = None):
         raise ConfigError(f"end2end check must be 'classify' or 'both', not {check!r}")
     model = model or build_model(ModelConfig.from_dict(payloads[0]["model_config"]))
     rank = model.config.rank
-    xs = [GridSignal(np.asarray(p["input"])) for p in payloads]
-    offs = ([as_offset(p[k], rank) for p in payloads] for k in ("shift_a", "shift_b"))
+    xs = map(GridSignal._fresh, SignalBatch(_stack(payloads, "input")).data)
+    offs = (as_offsets([p[k] for p in payloads], rank) for k in ("shift_a", "shift_b"))
     same_label, agreement, logit_div, map_div, tied = compare_shift_pairs(
         model, list(zip(xs, *offs)), dense=check == "both"
     )
@@ -442,23 +495,29 @@ def _end2end_divergence(payloads: list[dict], model: Model | None = None):
 
 PROPERTIES = {
     "lemma1": Property(
-        _lemma1_trials, _lemma1_check, TOL_EXACT, lambda p: (p["l"], np.shape(p["x"]))
+        _lemma1_trials,
+        _lemma1_check,
+        TOL_EXACT,
+        _lemma1_size,
+        lambda p: (p["l"], p["x"].shape),
     ),
-    "claim1": Property(_claim1_trials, _claim1_check, TOL_EXACT),
-    "claim2": Property(_claim2_trials, _claim2_check, TOL_ROUTE),
+    "claim1": Property(_claim1_trials, _claim1_check, TOL_EXACT, _claim1_size),
+    "claim2": Property(_claim2_trials, _claim2_check, TOL_ROUTE, _claim2_size),
     "claim3": Property(
         _claim3_trials,
         _claim3_check,
         TOL_ROUTE,
-        lambda p: (tuple(p["grid"]), np.shape(p["t"]), p["factor"]),
+        _merge_size,
+        lambda p: (tuple(p["grid"]), p["t"].shape, p["factor"]),
     ),
     "apmerge": Property(
         _apmerge_trials,
         _apmerge_check,
         TOL_EXACT,
-        lambda p: (tuple(p["grid"]), np.shape(p["t"]), p["factor"], p["energy_p"]),
+        lambda p: 2 * _merge_size(p),  # an input and its shift
+        lambda p: (tuple(p["grid"]), p["t"].shape, p["factor"], p["energy_p"]),
     ),
-    "end2end": Property(_end2end_trials, _end2end_divergence, TOL_END2END),
+    "end2end": Property(_end2end_trials, _end2end_divergence, TOL_END2END, _end2end_size),
 }
 
 
@@ -473,20 +532,39 @@ def _chunks(items: Iterator, sizes) -> Iterator[list]:
 
 
 def _batches(prop: Property, sc: SuiteConfig) -> Iterator[tuple[list[int], list[dict], object]]:
-    """(trial indices, payloads, shared) batches of at most `TRIAL_BATCH` trials
-    with one shared object and one key, each in trial order.  A batch is handed
-    out once full and the partial ones after the last trial, so trials of one
-    key batch together however the suite interleaves its keys."""
+    """(trial indices, payloads, shared) batches with one shared object and one
+    key, each in trial order.  A batch is handed out once another trial would
+    take its check's largest array past `BATCH_ENTRIES`, by the property's
+    size rule.  Before a trial whose payload arrays would take the pending
+    batches past `HELD_ENTRIES` entries, the largest pending batches go out;
+    the rest go out after the last trial.  So trials of one key batch together
+    however the suite interleaves its keys, as far as the bounds allow."""
     pending: dict[tuple, tuple[list[int], list[dict], object]] = {}
+    sizes: dict[tuple, tuple[int, int]] = {}  # per key: (size rule, payload entries)
+    held = 0
     for i, (payload, shared) in enumerate(prop.sample(sc)):
-        # A pending batch holds its shared object, so no other one takes its id.
+        # A batch holds its shared object, so no other one takes its id; the
+        # key fixes the shapes both sizes are read from.
         key = (id(shared), prop.key(payload))
-        indices, payloads, _ = pending.setdefault(key, ([], [], shared))
-        indices.append(i)
-        payloads.append(payload)
-        if len(indices) == TRIAL_BATCH:
+        if key not in sizes:
+            arrays = [v for v in payload.values() if isinstance(v, np.ndarray)]
+            sizes[key] = prop.size(payload), sum(a.size for a in arrays)
+        size, entries = sizes[key]
+        while pending and held + entries > HELD_ENTRIES:
+            largest = max(pending, key=lambda k: len(pending[k][0]) * sizes[k][1])
+            held -= len(pending[largest][0]) * sizes[largest][1]
+            yield pending.pop(largest)
+        batch = pending.get(key)
+        if batch is None:
+            batch = pending[key] = ([], [], shared)
+        batch[0].append(i)
+        batch[1].append(payload)
+        held += entries
+        if (len(batch[0]) + 1) * size > BATCH_ENTRIES:
+            held -= len(batch[0]) * entries
             yield pending.pop(key)
-    yield from pending.values()
+    while pending:
+        yield pending.pop(next(iter(pending)))
 
 
 def _run_property(name: str, sc: SuiteConfig) -> SuiteResult:
@@ -602,7 +680,7 @@ def _ablation_search(
 
     # Chunks double from one trial, so a counterexample found early costs
     # little more than trial-by-trial search; the draws stay in trial order.
-    sizes = (min(2**k, TRIAL_BATCH) for k in count())
+    sizes = (min(2**k, MAX_BATCH // 2) for k in count())
     found = None
     used = ties = 0
     for payloads in _chunks(trials(), sizes):
@@ -656,6 +734,7 @@ def run_ablation(sc: SuiteConfig) -> SuiteResult:
 # ------------------------------------------------------------ run/replay --
 
 _RUNNERS = {name: globals()[f"run_{name}"] for name in SUITES}
+_OFFSET_KEYS = ("shift", "shift_a", "shift_b")
 
 
 def run_suites(sc: SuiteConfig) -> tuple[dict, list[SuiteResult]]:
@@ -700,8 +779,9 @@ def replay(document: dict) -> tuple[int, str]:
     if not isinstance(payload, dict):
         raise ConfigError("replay file needs a payload object")
     # Each value has the JSON kind the sampler writes (ints may stand for floats).
-    # Integer offsets and grids keep its list depth too; float arrays may be of
-    # another rank (a 2-D model's inputs), and a wrong shape surfaces as
+    # Integer grids and scalars keep its list depth too, and an offset is a
+    # bare int or one int per axis, as `as_offset` takes it; float arrays may
+    # be of another rank (a 2-D model's inputs), and a wrong shape surfaces as
     # ShapeError from the check.
     written, _ = next(prop.sample(SuiteConfig(trials=1)))
     missing = sorted(set(written) - set(payload))
@@ -710,7 +790,8 @@ def replay(document: dict) -> tuple[int, str]:
     for key, value in written.items():
         want, got = _json_kind(value), _json_kind(payload[key])
         kind_ok = got[0] == want[0] or (want[0], got[0]) == ("f", "i")
-        depth_ok = got[1] == want[1] if want[0] == "i" else (got[1] > 0) == (want[1] > 0)
+        depths = (0, 1) if key in _OFFSET_KEYS else (want[1],)
+        depth_ok = got[1] in depths if want[0] == "i" else (got[1] > 0) == (want[1] > 0)
         if not (kind_ok and depth_ok):
             raise ConfigError(f"{suite} payload {key!r} has (kind, depth) {got}, not {want}")
         if got in (("f", 0), ("i", 0)) and not is_finite_number(payload[key]):

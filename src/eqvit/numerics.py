@@ -16,6 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import product
+from math import prod
 
 import numpy as np
 
@@ -80,6 +81,21 @@ def as_offset(off, rank: int) -> Offset:
     return offs
 
 
+def as_offsets(offs, rank: int) -> np.ndarray:
+    """(B, rank) int64 array of a sequence of B offsets, each as `as_offset`
+    takes it: a bare int (rank-1 grids only) or one integer per axis."""
+    try:
+        arr = np.array(offs, dtype=np.int64)
+    except (ValueError, TypeError, OverflowError) as err:
+        raise ShapeError(f"offsets must be integers of one depth: {err}") from err
+    if arr.ndim == 1 and rank != 1:
+        raise ShapeError(f"scalar offset given for a rank-{rank} grid")
+    arr = arr[:, np.newaxis] if arr.ndim == 1 else arr
+    if arr.ndim != 2 or arr.shape[1] != rank:
+        raise ShapeError(f"offsets of shape {arr.shape} for a rank-{rank} grid")
+    return arr
+
+
 @dataclass(frozen=True)
 class GridSignal:
     """A rank-1 or rank-2 multi-channel signal with circular indexing.
@@ -91,15 +107,7 @@ class GridSignal:
     data: np.ndarray
 
     def __post_init__(self):
-        arr = np.asarray(self.data, dtype=np.float64)
-        if arr.ndim not in (2, 3):
-            raise ShapeError(
-                f"expected (*grid, channels) with grid rank 1 or 2, got ndim={arr.ndim}"
-            )
-        if min(arr.shape) < 1:
-            raise ShapeError("every axis must have length >= 1")
-        require_finite(arr, "signal")
-        object.__setattr__(self, "data", freeze(arr))
+        object.__setattr__(self, "data", _signal_data(self.data, 0))
 
     @classmethod
     def _fresh(cls, data: np.ndarray) -> GridSignal:
@@ -131,6 +139,40 @@ class GridSignal:
         return self.data.shape[-1]
 
 
+def _signal_data(values, lead: int) -> np.ndarray:
+    """`values` as frozen float64 signal data, (*grid, channels) with grid
+    rank 1 or 2 after `lead` leading axes, every axis non-empty, every entry finite."""
+    arr = np.asarray(values, dtype=np.float64)
+    if arr.ndim - lead not in (2, 3):
+        lead_axes = "B, " * lead
+        raise ShapeError(
+            f"expected ({lead_axes}*grid, channels) with grid rank 1 or 2, got ndim={arr.ndim}"
+        )
+    if min(arr.shape) < 1:
+        raise ShapeError("every axis must have length >= 1")
+    require_finite(arr, "signal")
+    return freeze(arr)
+
+
+@dataclass(frozen=True)
+class SignalBatch:
+    """B signals of one shape as a (B, *grid, channels) stack, checked once
+    as a whole.  Every op that takes a sequence of signals takes it too."""
+
+    data: np.ndarray
+
+    def __post_init__(self):
+        object.__setattr__(self, "data", _signal_data(self.data, 1))
+
+    @classmethod
+    def _fresh(cls, data: np.ndarray) -> SignalBatch:
+        """Wrap a float64 stack computed from checked signals: frozen in place, unchecked."""
+        data.setflags(write=False)
+        batch = object.__new__(cls)
+        vars(batch)["data"] = data
+        return batch
+
+
 def circular_shift(signal: GridSignal, off) -> GridSignal:
     """Rotate grid indices: out[n] = signal[(n + off) mod shape], per axis."""
     index = grid_index(signal.shape, 1, 1, as_offset(off, signal.rank))
@@ -139,7 +181,10 @@ def circular_shift(signal: GridSignal, off) -> GridSignal:
 
 
 def stack_signals(signals) -> np.ndarray:
-    """(B, *grid, C) stack of one or more signals sharing grid and channels."""
+    """(B, *grid, C) stack of one or more signals sharing grid and channels,
+    or of a `SignalBatch`."""
+    if isinstance(signals, SignalBatch):
+        return signals.data
     signals = list(signals)
     if not signals or len({x.data.shape for x in signals}) != 1:
         raise ShapeError("a batch needs one or more signals of one shape")
@@ -162,16 +207,37 @@ def grid_index(
     puts them.  `taps_first` gives the (taps, positions) transpose,
     contiguous, for gathers that reduce or loop over the taps.
     """
-    rank, index = len(grid), 0
-    for a, (g, o) in enumerate(zip(grid, offset)):
-        # Position j lies on axis a, tap t on axis rank + a; values are row-major.
-        shape = [1] * (2 * rank)
-        shape[a], shape[rank + a] = g // stride, width
-        coords = (o + stride * np.arange(g // stride)[:, np.newaxis] + np.arange(width)) % g
-        index = index * g + coords.reshape(shape)
-    index = index.reshape(-1, width**rank)
+    index = _offset_grid(grid, width, stride, np.array([offset], dtype=np.int64))[0]
     index = np.ascontiguousarray(index.T if taps_first else index)
     index.setflags(write=False)
+    return index
+
+
+def _offset_grid(grid: tuple[int, ...], width: int, stride: int, offsets: np.ndarray) -> np.ndarray:
+    """(B, positions, width**rank): `grid_index`'s entries for each of B offsets."""
+    rank, n, index = len(grid), len(offsets), 0
+    for a, (g, o) in enumerate(zip(grid, offsets.T)):
+        # Position j lies on axis 1 + a, tap t on axis 1 + rank + a; values are row-major.
+        shape = [n] + [1] * (2 * rank)
+        shape[1 + a], shape[1 + rank + a] = g // stride, width
+        steps = stride * np.arange(g // stride)[:, np.newaxis] + np.arange(width)
+        index = index * g + ((o[:, np.newaxis, np.newaxis] + steps) % g).reshape(shape)
+    return index.reshape(n, -1, width**rank)
+
+
+def offset_index(
+    grid: tuple[int, ...], width: int, stride: int, offsets: np.ndarray, stacked: bool = False
+) -> np.ndarray:
+    """(B, positions, width**rank) stack whose sample i is
+    `grid_index(grid, width, stride, offsets[i])`, for (B, rank) offsets;
+    `stacked` adds i * prod(grid), indexing the rows of all B samples at once.
+    One sample reads the cached index; more are built as `grid_index` builds
+    one, with the sample axis in front of every per-axis table."""
+    if len(offsets) == 1:
+        return grid_index(grid, width, stride, tuple(offsets[0].tolist()))[np.newaxis]
+    index = _offset_grid(grid, width, stride, offsets)
+    if stacked:
+        index += prod(grid) * np.arange(len(offsets))[:, np.newaxis, np.newaxis]
     return index
 
 
@@ -179,8 +245,8 @@ def rotate_rows(stack: np.ndarray, grid: tuple[int, ...], offsets: np.ndarray) -
     """Per-sample rotation of a (B, prod(grid), C) stack: sample i gets
     out[k] = stack[i, (k + offsets[i]) mod grid], offsets of shape (B, rank)."""
     b, m, c = stack.shape
-    index = [grid_index(grid, 1, 1, tuple(o)) + i * m for i, o in enumerate(offsets.tolist())]
-    return stack.reshape(b * m, c).take(np.concatenate(index), axis=0).reshape(b, m, c)
+    index = offset_index(grid, 1, 1, offsets, stacked=True).reshape(b, m)
+    return stack.reshape(b * m, c).take(index, axis=0)
 
 
 def scatter_index(grid: tuple[int, ...], b: int, offsets: np.ndarray) -> np.ndarray:
@@ -188,7 +254,7 @@ def scatter_index(grid: tuple[int, ...], b: int, offsets: np.ndarray) -> np.ndar
     mod grid, positions row-major over the coarse grid: where the inverse of
     sample i's polyphase selection followed by a rotation puts each row.  An
     offset below b is the phase the rows were selected at."""
-    return np.concatenate([grid_index(grid, 1, b, tuple(o)).T for o in offsets.tolist()])
+    return offset_index(grid, 1, b, offsets).reshape(len(offsets), -1)
 
 
 def predicted_rotation(base, shifted, shifts, b: int, in_grid, out_grid):

@@ -8,10 +8,10 @@ maximizes a shift-invariant energy functional, which restores equivariance
 up to a token-grid rotation.  A caller's `TokenMatrix` is validated; the ops'
 own results skip that (`TokenMatrix._fresh`) and the encoder checks its output.
 
-Every op also takes a batch: a sequence of signals, or a `TokenMatrix` whose
-data is a (B, M, D) stack.  One sample is the B=1 call of the same kernel,
-and each sample of a batch gets its own selection, bit-identical to its
-call alone.  `a_token` returns (tokens, SelectionTrace) for one signal and
+Every op also takes a batch: a sequence of signals, a `SignalBatch`, or a
+`TokenMatrix` whose data is a (B, M, D) stack.  One sample is the B=1 call
+of the same kernel, and each sample of a batch gets its own selection,
+bit-identical to its call alone.  `a_token` returns (tokens, SelectionTrace) for one signal and
 for a batch alike; the trace holds one offset and tie flag per sample.
 """
 
@@ -19,7 +19,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import chain
 from math import prod
 
 import numpy as np
@@ -27,12 +26,13 @@ import numpy as np
 from .errors import ParameterError, ShapeError
 from .numerics import (
     GridSignal,
-    Offset,
     as_offset,
+    as_offsets,
     best_phase,
     coarse_grid,
     freeze,
     grid_index,
+    offset_index,
     project_columns,
     project_rows,
     require_finite,
@@ -254,39 +254,29 @@ def lemma1_sides(x, cfg: PatchEmbedConfig, off, axis: int = 0) -> tuple[np.ndarr
     Left: the once-shifted signal tokenized at patch offset `off`.  Right:
     the original tokenized at the cyclically advanced offset, with the token
     grid rotated by the carry along `axis`.  `x` is one signal and `off` its
-    offset, giving two (M, D) sides, or a sequence of B signals and (B, rank)
-    offsets, giving two (B, M, D) stacks.
+    offset, giving two (M, D) sides, or a sequence of B signals (or a
+    `SignalBatch`) and B offsets, giving two (B, M, D) stacks.
     """
     stack, batched = _signal_stack(x, cfg)
     b, *shape, c = stack.shape
-    shape = tuple(shape)
-    coarse_grid(shape, cfg.patch_len, "patch_len")
+    shape, l = tuple(shape), cfg.patch_len
+    grid = coarse_grid(shape, l, "patch_len")
     if not 0 <= axis < len(shape):
         raise ParameterError(f"axis {axis} out of range for rank {len(shape)}")
-    offs = [as_offset(o, len(shape)) for o in off] if batched else [as_offset(off, len(shape))]
+    offs = as_offsets(off if batched else [off], len(shape))
     if len(offs) != b:
         raise ShapeError(f"{len(offs)} offsets for {b} signals")
-    if any(not 0 <= o < cfg.patch_len for o in chain.from_iterable(offs)):
-        raise ParameterError(f"offsets {offs} outside [0, {cfg.patch_len})")
-    index = np.stack([_lemma1_index(shape, cfg.patch_len, o, axis) for o in offs], axis=1)
-    index = index + prod(shape) * np.arange(b)[:, np.newaxis, np.newaxis]
-    sides = stack.reshape(-1, c).take(index, axis=0).reshape(2, b, index.shape[2], -1)
-    left, right = (project_rows(side, cfg.embed) for side in sides)
+    if ((offs < 0) | (offs >= l)).any():
+        raise ParameterError(f"offsets {offs.tolist()} outside [0, {l})")
+    moved = offs + np.eye(len(shape), dtype=np.int64)[axis]
+    # Each side's (B, M, L**rank) positions of its patch rows in the stacked signals.
+    left = offset_index(shape, l, l, moved, stacked=True)
+    rotation = offset_index(grid, 1, 1, moved // l)[..., 0]
+    right = offset_index(shape, l, l, moved % l, stacked=True)
+    right = right[np.arange(b)[:, np.newaxis], rotation]
+    sides = stack.reshape(-1, c).take(np.stack([left, right]), axis=0)
+    left, right = (project_rows(side.reshape(b, prod(grid), -1), cfg.embed) for side in sides)
     return (left, right) if batched else (left[0], right[0])
-
-
-@lru_cache(maxsize=1024)
-def _lemma1_index(shape: tuple[int, ...], patch_len: int, off: Offset, axis: int) -> np.ndarray:
-    """(2, M, L**rank) flat signal positions of the patch rows of both sides."""
-    unit = tuple(1 if a == axis else 0 for a in range(len(shape)))
-    left = grid_index(shape, patch_len, patch_len, tuple(o + u for o, u in zip(off, unit)))
-    advanced = tuple((o + u) % patch_len for o, u in zip(off, unit))
-    carry = tuple((o + u) // patch_len for o, u in zip(off, unit))
-    rotation = grid_index(coarse_grid(shape, patch_len, "patch_len"), 1, 1, carry)
-    right = grid_index(shape, patch_len, patch_len, advanced).take(rotation[:, 0], axis=0)
-    index = np.stack([left, right])
-    index.setflags(write=False)
-    return index
 
 
 def lemma1_oracle(x: GridSignal, cfg: PatchEmbedConfig, off, axis: int = 0) -> bool:

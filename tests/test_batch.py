@@ -2,18 +2,19 @@
 per-trial reference loops over the public one-sample API."""
 
 import dataclasses
+import hashlib
 from itertools import product
 
 import numpy as np
 import pytest
 
-from eqvit import GridSignal, circular_shift
+from eqvit import GridSignal, circular_shift, harness
 from eqvit.attention import AttentionParams, RpeTable, WindowConfig, a_wsa, sa, window_energy, wsa
 from eqvit.harness import (
     ABLATION_SEARCH_MODEL,
     PROPERTIES,
+    BATCH_ENTRIES,
     TOL_END2END,
-    TRIAL_BATCH,
     Property,
     SuiteConfig,
     _counterexample,
@@ -383,11 +384,13 @@ def test_claim_suites_equal_per_trial_reference(run, reference, tolerance):
 
 
 def test_runner_reports_first_failing_trial_in_trial_order(monkeypatch):
-    # Trial 0 fails in batch "a", which fills only at the end; batch "b" holds
-    # the next TRIAL_BATCH trials, fills first and fails too.
-    keys = ["a", *["b"] * TRIAL_BATCH, "a", "a"]
-    divs = [3.0, *[5.0] * TRIAL_BATCH, 0.0, 9.0]
-    tied = [False] * (TRIAL_BATCH + 2) + [True]
+    # The size rule lets `full` trials share a batch.  Trial 0 fails in batch
+    # "a", which fills only at the end; batch "b" holds the next `full` trials,
+    # fills first and fails too.
+    full = 8
+    keys = ["a", *["b"] * full, "a", "a"]
+    divs = [3.0, *[5.0] * full, 0.0, 9.0]
+    tied = [False] * (full + 2) + [True]
 
     def sample(sc):
         for i, key in enumerate(keys):
@@ -401,15 +404,59 @@ def test_runner_reports_first_failing_trial_in_trial_order(monkeypatch):
         agree = np.ones(len(idx), bool)
         return np.array([divs[i] for i in idx]), agree, np.array([tied[i] for i in idx])
 
-    monkeypatch.setitem(PROPERTIES, "lemma1", Property(sample, check, 1.0, lambda p: (p["key"],)))
+    prop = Property(sample, check, 1.0, lambda p: BATCH_ENTRIES // full, lambda p: (p["key"],))
+    monkeypatch.setitem(PROPERTIES, "lemma1", prop)
     result = run_lemma1(SuiteConfig(suites=("lemma1",)))
-    b = list(range(1, TRIAL_BATCH + 1))
-    assert calls == [b, [0, TRIAL_BATCH + 1, TRIAL_BATCH + 2]]
+    b = list(range(1, full + 1))
+    assert calls == [b, [0, full + 1, full + 2]]
     assert result.row() == {
-        "name": "lemma1", "trials": TRIAL_BATCH + 3, "passes": 1, "failures": TRIAL_BATCH + 1,
+        "name": "lemma1", "trials": full + 3, "passes": 1, "failures": full + 1,
         "max_divergence": 5.0, "tie_count": 1, "counterexample": True,
     }
     assert result.counterexample == _counterexample("lemma1", 1.0, 3.0, {"i": 0, "key": "a"})
+
+
+SUITE_RUNS = {
+    "lemma1": run_lemma1, "claim1": run_claim1, "claim2": run_claim2,
+    "claim3": run_claim3, "apmerge": run_apmerge, "end2end": run_end2end,
+}
+
+
+def _marked(payload: dict) -> bool:
+    """A fixed pseudo-random quarter of payloads, read from their contents."""
+    digest = hashlib.sha256(repr(sorted((k, str(v)) for k, v in payload.items())).encode())
+    return digest.digest()[0] % 4 == 0
+
+
+@pytest.mark.parametrize("name", sorted(SUITE_RUNS))
+@pytest.mark.parametrize("failing", ["none", "marked", "all"])
+def test_batching_never_changes_a_report_row(monkeypatch, name, failing):
+    # One trial per batch, the memory rule, and one batch per key give the same
+    # rows and counterexample.  Failing trials are planted as a quarter of
+    # the payloads scattered over the keys, or every asserted trial (a negative
+    # tolerance), so the first failing trial must come out the same under each.
+    prop = PROPERTIES[name]
+    if failing == "all":
+        monkeypatch.setitem(PROPERTIES, name, dataclasses.replace(prop, tolerance=-1.0))
+    elif failing == "marked":
+
+        def check(payloads, shared=None):
+            div, agree, tied = prop.check(payloads, shared)
+            return div, agree & ~np.array([_marked(p) for p in payloads]), tied
+
+        monkeypatch.setitem(PROPERTIES, name, dataclasses.replace(prop, check=check))
+    sc = SuiteConfig(trials=30, lemma_n=(4, 6, 8), lemma_l=(1, 2, 3))
+    runs = []
+    for batch, held in [(0, 0), (harness.BATCH_ENTRIES, harness.HELD_ENTRIES), (2**62, 2**62)]:
+        monkeypatch.setattr(harness, "BATCH_ENTRIES", batch)
+        monkeypatch.setattr(harness, "HELD_ENTRIES", held)
+        calls = [len(payloads) for _, payloads, _ in harness._batches(PROPERTIES[name], sc)]
+        result = SUITE_RUNS[name](sc)
+        runs.append((calls, result.row(), result.counterexample))
+    (one, *_), (rule, *_), (whole, *_) = runs
+    assert set(one) == {1} and max(whole) > max(one)
+    assert runs[0][1:] == runs[1][1:] == runs[2][1:]
+    assert (runs[0][2] is not None) == (failing != "none")
 
 
 @pytest.mark.parametrize(

@@ -8,6 +8,7 @@ import sys
 import warnings
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import eqvit
@@ -285,6 +286,18 @@ def test_replay_rejects_bad_payload_values(tmp_path, capsys, x):
     assert main(["replay", str(path)]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: claim1 payload") and "Traceback" not in err
+
+
+def test_replay_of_rank2_claim1_counterexample_runs(tmp_path, capsys):
+    # An 8x8 claim1 signal with a per-axis shift (patch length 2 keeps the
+    # sampler's embed) is checked, not refused as bad configuration.
+    payload, _ = next(PROPERTIES["claim1"].sample(SuiteConfig(trials=1)))
+    x = np.random.default_rng(3).uniform(-1, 1, (8, 8, 2))
+    payload = {**payload, "l": 2, "x": x, "shift": [3, 5]}
+    path = tmp_path / "rank2.replay.json"
+    path.write_text(json.dumps(_counterexample("claim1", 0.0, 1.0, payload)))
+    assert main(["replay", str(path)]) in (0, 1)
+    assert capsys.readouterr().out.startswith("claim1: ")
 
 
 @pytest.mark.parametrize(

@@ -12,11 +12,11 @@ from eqvit import harness, pipeline
 from eqvit.errors import ConfigError
 from eqvit.harness import (
     ABLATION_SEARCH_MODEL,
+    Property,
     DEFAULT_TRIALS,
     PROOF_SUITES,
     PROPERTIES,
     SUITES,
-    TRIAL_BATCH,
     SuiteConfig,
     _batches,
     _counterexample,
@@ -79,9 +79,9 @@ def test_suite_config_rejects_bad_lemma1_sizes(sizes):
 
 
 def test_lemma1_input_bound_is_inclusive():
-    # At l = 2 the gathered (2, TRIAL_BATCH, n / 2, 2 * 2) sides are a lemma1
-    # batch's largest array; here they hold exactly MAX_ELEMENTS entries.
-    n = pipeline.MAX_ELEMENTS // (2 * TRIAL_BATCH * 2)
+    # At l = 2 the gathered (2, MAX_BATCH // 2, n / 2, 2 * 2) sides are the
+    # largest array the bound counts; here they hold exactly MAX_ELEMENTS entries.
+    n = pipeline.MAX_ELEMENTS // (2 * (pipeline.MAX_BATCH // 2) * 2)
     sc = SuiteConfig(suites=("lemma1",), lemma_n=(n,), lemma_l=(2,))
     assert max(size for _, size in sc.lemma1_sizes()) == pipeline.MAX_ELEMENTS
     with pytest.raises(ConfigError, match="gathered sides"):
@@ -96,6 +96,85 @@ def test_lemma1_bound_counts_the_batch_not_the_input():
         SuiteConfig(suites=("lemma1",), lemma_n=(n,), lemma_l=(1,))
     # Pairs whose l does not divide n run nothing and are not sized.
     assert SuiteConfig(suites=("lemma1",), lemma_n=(4, n + 1), lemma_l=(2,)).lemma_n == (4, n + 1)
+
+
+def old_lemma1_rule(n: int, l: int) -> bool:
+    """Whether a lemma1 pair was accepted before batches were sized by memory:
+    eight (n, 2) inputs, their gathered sides and their projections fit."""
+    return n % l or max(2 * 8 * n * 2, 8 * (n // l) * 5) <= pipeline.MAX_ELEMENTS
+
+
+@pytest.mark.parametrize("l", [1, 2, 3, 4, 7])
+def test_lemma1_bound_accepts_what_it_accepted(l):
+    edge = pipeline.MAX_ELEMENTS // 32
+    for n in [1, 4, 12, edge - 1, edge, edge + 1, edge + l, 2 * edge, 2097152, 10**9]:
+        accepted = old_lemma1_rule(n, l) and n % l == 0
+        if accepted:
+            SuiteConfig(suites=("lemma1",), lemma_n=(n,), lemma_l=(l,))
+        else:
+            with pytest.raises(ConfigError):
+                SuiteConfig(suites=("lemma1",), lemma_n=(n,), lemma_l=(l,))
+
+
+def test_batch_bounds_come_from_the_default_forward():
+    largest = max(size for _, size in ModelConfig().activation_sizes())
+    assert harness.HELD_ENTRIES == largest == 32768
+    assert harness.BATCH_ENTRIES == largest // 2
+    # The element bound and the oversized configs CI runs under `ulimit -v`
+    # are rejected as before; the batch bounds change no accepted model.
+    assert pipeline.MAX_ELEMENTS == 2**22
+    for cfg in ({"input_shape": [2048, 2048], "channels": 1}, {"embed_dim": 1000000}):
+        with pytest.raises(ConfigError):
+            ModelConfig.from_dict(cfg)
+    for n, l in [(1000000000, 1), (2097152, 1)]:
+        with pytest.raises(ConfigError):
+            SuiteConfig(suites=("lemma1",), lemma_n=(n,), lemma_l=(l,))
+
+
+def _payload_entries(payload: dict) -> int:
+    return sum(v.size for v in payload.values() if isinstance(v, np.ndarray))
+
+
+@pytest.mark.parametrize("name", list(PROPERTIES))
+def test_batches_stay_within_the_memory_bounds(name):
+    # Every batch's check has its largest array within BATCH_ENTRIES by the
+    # property's size rule, or is one trial; the payloads held back never
+    # pass HELD_ENTRIES; every trial comes out once, in trial order per batch.
+    prop = PROPERTIES[name]
+    sc = SuiteConfig(trials=None if name != "end2end" else 40)
+    drawn = []
+    sample = prop.sample
+
+    def counted(sc):
+        for payload, shared in sample(sc):
+            drawn.append(payload)
+            yield payload, shared
+
+    seen = []
+    counting = dataclasses.replace(prop, sample=counted)
+    for indices, payloads, shared in harness._batches(counting, sc):
+        size = prop.size(payloads[0])
+        assert {prop.key(p) for p in payloads} == {prop.key(payloads[0])}
+        assert len(payloads) * size <= harness.BATCH_ENTRIES or len(payloads) == 1
+        assert indices == sorted(indices) and all(drawn[i] is p for i, p in zip(indices, payloads))
+        seen += indices
+        # Before the last drawn trial joined its batch, the rest were held back.
+        held = set(range(len(drawn) - 1)) - set(seen)
+        assert sum(_payload_entries(drawn[i]) for i in held) <= harness.HELD_ENTRIES
+    assert sorted(seen) == list(range(len(drawn)))
+
+
+def test_a_trial_larger_than_the_bound_runs_alone():
+    def sample(sc):
+        for i in range(5):
+            yield {"i": i}, None
+
+    def batches(size):
+        prop = Property(sample, None, 0.0, lambda p: size)
+        return [indices for indices, _, _ in harness._batches(prop, SuiteConfig())]
+
+    assert batches(harness.BATCH_ENTRIES + 1) == [[i] for i in range(5)]
+    assert batches(harness.BATCH_ENTRIES // 2) == [[0, 1], [2, 3], [4]]
 
 
 def test_lemma1_pairs_matter_only_to_a_lemma1_run():
@@ -249,7 +328,7 @@ def _rank2_payloads(suite: str) -> list[dict]:
         fixed, key, shape = {**first, "grid": [8, 8], "rpe_table": table}, "t", (64, 8)
     return [
         {**fixed, key: rng.uniform(-1, 1, shape), "shift": rng.integers(0, 8, 2).tolist()}
-        for _ in range(TRIAL_BATCH)
+        for _ in range(8)
     ]
 
 
@@ -394,6 +473,22 @@ def test_replay_sentinel_passes():
     code, line = replay(sentinel(SuiteConfig()))
     assert code == 0
     assert "nothing to reproduce" in line
+
+
+def test_rank2_claim1_counterexample_replays():
+    # A claim1 payload on an 8x8 signal takes a per-axis shift; a rank-1 one
+    # still takes a bare int, and an offset nested deeper is still refused.
+    rank2 = _rank2_payloads("claim1")[0]
+    rank1, _ = next(PROPERTIES["claim1"].sample(SuiteConfig(trials=1)))
+    for payload in (rank2, rank1, {**rank1, "shift": [rank1["shift"]]}):
+        doc = json.loads(json.dumps(_counterexample("claim1", 0.0, 1.0, payload)))
+        code, line = replay(doc)
+        assert code in (0, 1) and "claim1" in line
+    assert isinstance(rank1["shift"], int) and len(rank2["shift"]) == 2
+    for shift in ([[0, 1]], 3):
+        doc = json.loads(json.dumps(_counterexample("claim1", 0.0, 1.0, {**rank2, "shift": shift})))
+        with pytest.raises(ConfigError):
+            replay(doc)
 
 
 def test_replay_rejects_malformed_documents():

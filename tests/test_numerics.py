@@ -15,8 +15,9 @@ from hypothesis import strategies as st
 from eqvit import GridSignal, circular_shift, lp_norm, softmax_rows
 from eqvit.attention import _untile_index
 from eqvit.errors import ParameterError, ShapeError
-from eqvit.numerics import argmax_rows, as_offset, freeze, grid_index, predicted_rotation
-from eqvit.numerics import project_rows
+from eqvit.numerics import SignalBatch, argmax_rows, as_offset, as_offsets, freeze, grid_index
+from eqvit.numerics import offset_index, predicted_rotation, project_rows, rotate_rows
+from eqvit.numerics import scatter_index
 
 
 def shift_oracle(data: np.ndarray, offs) -> np.ndarray:
@@ -199,6 +200,57 @@ def test_as_offset_scalar_only_for_rank1():
         as_offset(3, 2)
     with pytest.raises(ShapeError):
         as_offset((1, 2, 3), 2)
+
+
+def test_as_offsets_takes_what_as_offset_takes():
+    assert as_offsets([3, -1], 1).tolist() == [[3], [-1]]
+    assert as_offsets([[3], [4]], 1).tolist() == [[3], [4]]
+    assert as_offsets([(1, 2), [3, 4]], 2).tolist() == [[1, 2], [3, 4]]
+    assert as_offsets(np.array([[1, 2]]), 2).dtype == np.int64
+    for offs, rank in [([3], 2), ([(1, 2, 3)], 2), ([3, [4]], 1), ([[[0]]], 1), (["a"], 1)]:
+        with pytest.raises(ShapeError):
+            as_offsets(offs, rank)
+
+
+@pytest.mark.parametrize(
+    "grid, width, stride", [((12,), 1, 1), ((12,), 4, 4), ((12,), 1, 3), ((4, 8), 2, 2),
+                            ((6, 4), 1, 1), ((8, 4), 4, 1), ((6, 6), 1, 3)],
+)
+@pytest.mark.parametrize("n", [1, 2, 5])
+def test_offset_index_stacks_grid_index(grid, width, stride, n):
+    # Offsets past the grid and negative ones wrap as grid_index wraps them.
+    rng = np.random.default_rng(n)
+    offsets = rng.integers(-2 * max(grid), 2 * max(grid), (n, len(grid)))
+    index = offset_index(grid, width, stride, offsets)
+    expect = np.stack([grid_index(grid, width, stride, tuple(o)) for o in offsets.tolist()])
+    assert index.dtype == expect.dtype and np.array_equal(index, expect)
+
+
+@pytest.mark.parametrize("grid", [(7,), (3, 5)])
+def test_rotate_rows_and_scatter_index_per_sample(grid):
+    rng = np.random.default_rng(4)
+    stack = rng.uniform(-1, 1, (5, math.prod(grid), 3))
+    offsets = rng.integers(-9, 9, (5, len(grid)))
+    rows = rotate_rows(stack, grid, offsets)
+    for i in range(5):
+        index = grid_index(grid, 1, 1, tuple(offsets[i]))[:, 0]
+        assert np.array_equal(rows[i], stack[i].take(index, axis=0))
+        assert np.array_equal(rotate_rows(stack[i : i + 1], grid, offsets[i : i + 1])[0], rows[i])
+        one = scatter_index(grid, 1, offsets[i : i + 1])
+        assert np.array_equal(scatter_index(grid, 1, offsets)[i], one[0])
+
+
+def test_signal_batch_checks_the_stack_once():
+    batch = SignalBatch(np.zeros((3, 4, 2)))
+    assert batch.data.shape == (3, 4, 2) and not batch.data.flags.writeable
+    assert SignalBatch(np.zeros((2, 4, 4, 1))).data.ndim == 4
+    for bad in (np.zeros((4, 2)), np.zeros((1, 2, 2, 2, 2)), np.zeros((0, 4, 2))):
+        with pytest.raises(ShapeError):
+            SignalBatch(bad)
+    data = np.zeros((3, 4, 2))
+    data[1, 2, 0] = np.nan
+    with pytest.raises(ParameterError):
+        SignalBatch(data)
 
 
 # ------------------------------------------------------------ softmax_rows --
