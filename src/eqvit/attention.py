@@ -6,9 +6,10 @@ circular table indexes distance mod M, is circulant, and commutes with
 rotation.  Window attention runs independent self-attention per
 non-overlapping block; the adaptive variant tiles the blocks from the
 window anchor with the highest pooled token energy so that they cover the
-same tokens regardless of how the input was shifted.  Every op takes a
-batched `TokenMatrix` too.  The adaptive one picks an anchor per sample and
-returns (tokens, SelectionTrace), the trace one per-sample entry.
+same tokens regardless of how the input was shifted.  Every op runs on the
+(B, M, D) stack a `TokenMatrix` holds, one signal being the stack of one.
+The adaptive one picks an anchor per sample and returns (tokens,
+SelectionTrace), the trace one per-sample entry.
 """
 
 from __future__ import annotations
@@ -20,7 +21,8 @@ import numpy as np
 
 from .errors import ParameterError, ShapeError
 from .numerics import argmax_rows, coarse_grid, freeze, grid_index, offset_index, phase_table
-from .numerics import require_finite, require_norm_order, softmax_rows, stable_sum, weight_array
+from .numerics import real_array, require_finite, require_norm_order, softmax_rows, stable_sum
+from .numerics import weight_array
 from .tokenizer import TokenMatrix
 from .trace import WSA, SelectionTrace
 
@@ -86,7 +88,7 @@ class RpeTable:
             if self.table is not None:
                 raise ParameterError("kind 'none' carries no table")
             return
-        arr = np.asarray(self.table, dtype=np.float64)
+        arr = real_array(self.table, "rpe table")
         if arr.ndim not in (1, 2):
             raise ShapeError("rpe table must be rank 1 or 2")
         require_finite(arr, "rpe table")
@@ -173,7 +175,7 @@ def _attend(x: np.ndarray, params: AttentionParams, rpe: RpeTable | None, grid) 
 
 
 def sa(tokens: TokenMatrix, params: AttentionParams, rpe: RpeTable | None = None) -> TokenMatrix:
-    """Scaled dot-product self-attention over all tokens (of each sample), optional bias."""
+    """Scaled dot-product self-attention over each sample's tokens, optional bias."""
     grid = tokens.grid_shape
     return TokenMatrix._fresh(_attend(tokens.data, params, rpe, grid), grid)
 
@@ -202,7 +204,7 @@ def window_energy(tokens: TokenMatrix, cfg: WindowConfig) -> np.ndarray:
     Entry k averages the lp norms of the tokens in the circular window of
     edge W starting at k.  One gather lays out every tap and the taps are
     summed in a fixed order, so a grid rotation of the tokens rotates this
-    grid bit-exactly.  A batch gives (B, *grid).
+    grid bit-exactly.  Shape (B, *grid), one grid per sample.
     """
     data, grid, w, p = tokens.data, tokens.grid_shape, cfg.window, cfg.energy_p
     coarse_grid(grid, w, "window")
@@ -212,7 +214,7 @@ def window_energy(tokens: TokenMatrix, cfg: WindowConfig) -> np.ndarray:
     # whole tap at a time, in order, onto the 0.0 start: the bits of a
     # per-tap `+=` loop.
     acc = np.add.reduce(taps, axis=-2, initial=0.0)
-    return acc.reshape(*data.shape[:-2], *grid) / float(w ** len(grid))
+    return acc.reshape(len(data), *grid) / float(w ** len(grid))
 
 
 def wsa(
@@ -235,14 +237,14 @@ def wsa(
     """
     data, grid, w = tokens.data, tokens.grid_shape, cfg.window
     coarse_grid(grid, w, "window")
-    rank, n, m = len(grid), len(data) if data.ndim == 3 else 1, data.shape[-2]
+    rank, n, m = len(grid), len(data), data.shape[1]
     anchors = np.zeros((n, rank), np.int64) if anchors is None else np.asarray(anchors)
     if anchors.shape != (n, rank):
         raise ShapeError(f"{anchors.shape} anchors for {n} samples on a rank-{rank} grid")
     index = offset_index(grid, w, w, anchors, stacked=True).reshape(-1, w**rank)
     windows = data.reshape(n * m, -1).take(index, axis=0)
-    rows = _attend(windows, params, rpe, (w,) * rank).reshape(*data.shape[:-1], -1)
-    return TokenMatrix._fresh(rows.take(_untile_index(grid, w), axis=-2), grid)
+    rows = _attend(windows, params, rpe, (w,) * rank).reshape(n, m, -1)
+    return TokenMatrix._fresh(rows.take(_untile_index(grid, w), axis=1), grid)
 
 
 @lru_cache(maxsize=256)
@@ -265,8 +267,8 @@ def a_wsa(
     Scores each of the W (rank 2: W x W) candidate anchors by applying the
     configured functional to the window energies sampled at that phase and
     runs wsa on the windows anchored at the winner.  The output lives on the
-    grid rotated to that anchor; the chosen offset is recorded.  A batch
-    picks per sample, one trace offset per sample.
+    grid rotated to that anchor; the chosen offset of each sample is
+    recorded.
     """
     energies = window_energy(tokens, cfg)
     grid, w = tokens.grid_shape, cfg.window

@@ -23,7 +23,7 @@ a trial count: a batch takes trials while its check's largest array stays
 within `BATCH_ENTRIES` by the size rule, and the trials held back stay
 within `HELD_ENTRIES`; both bounds come from the arrays of a forward of the
 default model.  Every check stacks and validates its batch's payloads once
-and runs the batch through the batched ops; the first failing trial in
+and runs the batch through the ops as one stack; the first failing trial in
 trial order is the counterexample.  `replay` and the ablation search call
 the same checks, so a replayed counterexample cannot drift from the suite
 that found it.
@@ -51,7 +51,7 @@ from .merging import MergeConfig, a_pmerge, pmerge, pmerge_conv_fullrate
 from .metrics import ShiftSampler, c_cons, compare_shift_pairs, consistency, s_cons_zeropad
 from .metrics import synthetic_inputs
 from .numerics import GridSignal, SignalBatch, as_offsets, max_abs_rows, predicted_rotation
-from .numerics import rotate_rows
+from .numerics import real_array, rotate_rows
 from .pipeline import MAX_BATCH, SWITCHES, Model, ModelConfig, build_model, check_seed
 from .pipeline import MAX_ELEMENTS, is_finite_number
 from .tokenizer import PatchEmbedConfig, TokenMatrix, a_token, lemma1_sides
@@ -256,10 +256,7 @@ class Property:
 
 def _stack(payloads: list[dict], key: str, ndim: int | None = None) -> np.ndarray:
     """The payloads' `key` arrays as one float64 stack of rank `ndim`, if given."""
-    try:
-        stack = np.array([p[key] for p in payloads], dtype=np.float64)
-    except (ValueError, TypeError) as err:
-        raise ShapeError(f"payload {key!r} arrays must be numbers of one shape") from err
+    stack = real_array([p[key] for p in payloads], f"payload {key!r}")
     if ndim is not None and stack.ndim != ndim:
         raise ShapeError(f"payload {key!r} must be an array of rank {ndim - 1}")
     return stack
@@ -315,7 +312,7 @@ def _shift_pair(rows: np.ndarray, grid: tuple, payloads: list[dict], stride: int
     n, shifts = len(rows), as_offsets([p["shift"] for p in payloads], len(grid))
     both = np.concatenate([rows, rotate_rows(rows, grid, shifts)])
     out, trace = op(TokenMatrix._fresh(both, grid), *args)
-    phi, tied, stack, coarse = trace.entries[0].offsets, trace.tied, out.stack(), out.grid_shape
+    phi, tied, stack, coarse = trace.entries[0].offsets, trace.tied, out.data, out.grid_shape
     congruent, rotation = predicted_rotation(phi[:n], phi[n:], shifts, stride, grid, coarse)
     div = max_abs_rows(stack[n:], rotate_rows(stack[:n], coarse, rotation))
     return div, congruent, tied[:n] | tied[n:]

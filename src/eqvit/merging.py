@@ -6,9 +6,10 @@ stride-P subsample of a full-rate circular convolution, which is what the
 full-rate form computes: project the group anchored at every grid position.
 Polyphase selection then keeps whichever of the P (or P x P) downsampling
 phases carries the most energy, so a rotation of the token grid changes
-which phase wins instead of changing the values.  Every op takes a batched
-`TokenMatrix` too.  `aps` and `a_pmerge` return (tokens, SelectionTrace) with
-one phase per sample, and `unpool` reads that trace back.
+which phase wins instead of changing the values.  Every op runs on the
+(B, M, D) stack a `TokenMatrix` holds, one signal being the stack of one.
+`aps` and `a_pmerge` return (tokens, SelectionTrace) with one phase per
+sample, and `unpool` reads that trace back.
 """
 
 from __future__ import annotations
@@ -39,7 +40,7 @@ class MergeConfig:
     """Merge stride P, the (P**rank * D) x D~ projection, and the norm order.
 
     `embed` may also be a (B, P**rank * D, D~) stack, one projection per
-    sample of a batch of B token matrices.
+    sample of B token matrices.
     """
 
     factor: int
@@ -66,7 +67,7 @@ def _check_merge(data: np.ndarray, grid: tuple[int, ...], cfg: MergeConfig) -> t
             f"merge embed expects rows of width {embed.shape[-2]}, "
             f"token groups have {expect} entries"
         )
-    if embed.ndim == 3 and (data.ndim != 3 or len(embed) != len(data)):
+    if embed.ndim == 3 and len(embed) != len(data):
         raise ShapeError(f"{len(embed)} merge embeds for tokens of shape {data.shape}")
     return coarse
 
@@ -77,7 +78,7 @@ def pmerge(tokens: TokenMatrix, cfg: MergeConfig) -> TokenMatrix:
     data, grid = tokens.data, tokens.grid_shape
     coarse = _check_merge(data, grid, cfg)
     index = grid_index(grid, cfg.factor, cfg.factor, (0,) * len(grid))
-    rows = data.take(index, axis=-2).reshape(*data.shape[:-2], len(index), -1)
+    rows = data.take(index, axis=1).reshape(len(data), len(index), -1)
     return TokenMatrix._fresh(project_rows(rows, cfg.embed), coarse)
 
 
@@ -92,14 +93,14 @@ def pmerge_conv_fullrate(tokens: TokenMatrix, cfg: MergeConfig) -> TokenMatrix:
     _check_merge(data, grid, cfg)
     d = data.shape[-1]
     # One gather lays out every tap: in-group positions row-major, each a
-    # rotation of the grid, (taps, M, D) or (B, taps, M, D).  Each tap is
+    # rotation of the grid, (B, taps, M, D).  Each tap is
     # projected by its own row block of the merge projection and accumulated
     # in a fixed order, which keeps the result exact under grid rotation.
     index = grid_index(grid, cfg.factor, 1, (0,) * len(grid), taps_first=True)
-    taps = data.take(index, axis=-2)
+    taps = data.take(index, axis=1)
     out = np.zeros((*data.shape[:-1], embed.shape[-1]))
     for i in range(len(index)):
-        out += project_rows(taps[..., i, :, :], embed[..., i * d : (i + 1) * d, :])
+        out += project_rows(taps[:, i], embed[..., i * d : (i + 1) * d, :])
     return TokenMatrix._fresh(out, grid)
 
 
@@ -111,27 +112,26 @@ def aps(
     Components are the strided subgrids at each of the factor (rank 2:
     factor x factor) phases; each is scored by the lp norm pooled over all
     its entries and channels.  Exact ties resolve to the lowest row-major
-    phase and are flagged.  A batch selects per sample; the trace holds one
-    phase per sample.
+    phase and are flagged.  Each sample selects its own; the trace holds
+    one phase per sample.
     """
     if factor < 1:
         raise ParameterError(f"factor must be >= 1, got {factor}")
     data, grid = tokens.data, tokens.grid_shape
     coarse = coarse_grid(grid, factor, "factor")
     phases, comp, tied = best_phase(
-        data.reshape(-1, *grid, data.shape[-1]),
+        data.reshape(len(data), *grid, data.shape[-1]),
         factor,
         lambda comps: lp_norm(comps.reshape(len(comps), -1), energy_p, axis=-1),
     )
-    out = TokenMatrix._fresh(comp if data.ndim == 3 else comp[0], coarse)
-    return out, SelectionTrace.single(MERGE, phases, tied)
+    return TokenMatrix._fresh(comp, coarse), SelectionTrace.single(MERGE, phases, tied)
 
 
 def a_pmerge(tokens: TokenMatrix, cfg: MergeConfig) -> tuple[TokenMatrix, SelectionTrace]:
     """Patch merging with energy-selected downsampling phase.
 
     Runs the full-rate convolution form and keeps the polyphase component
-    with the largest pooled norm, recording the phase (per sample of a batch).
+    with the largest pooled norm, recording each sample's phase.
     """
     return aps(pmerge_conv_fullrate(tokens, cfg), cfg.factor, cfg.energy_p)
 
@@ -143,8 +143,8 @@ def unpool(tokens: TokenMatrix, trace: SelectionTrace, factor: int, target_grid)
     which receive the rows of `tokens`.  Any window offsets recorded in the
     same trace are then un-applied in reverse order, so the result is
     aligned with the grid the stage originally consumed.  Re-anchoring the
-    token grid to the input resolution is the pipeline's job.  A batch of
-    tokens un-applies each sample's own choices.
+    token grid to the input resolution is the pipeline's job.  Each sample
+    un-applies its own choices.
     """
     if isinstance(target_grid, (int, np.integer)):
         target_grid = (int(target_grid),)
@@ -154,8 +154,7 @@ def unpool(tokens: TokenMatrix, trace: SelectionTrace, factor: int, target_grid)
     merges = trace.of_kind(MERGE)
     if len(merges) != 1:
         raise TraceError(f"expected exactly one merge entry, found {len(merges)}")
-    phases = merges[0].offsets
-    stack = tokens.stack()
+    phases, stack = merges[0].offsets, tokens.data
     if phases.shape != (len(stack), tokens.rank) or not all(0 <= k < factor for k in phases.flat):
         raise TraceError(f"phases {phases.tolist()} do not fit factor {factor}")
     if tuple(g // factor for g in target_grid) != tokens.grid_shape or any(
@@ -170,4 +169,4 @@ def unpool(tokens: TokenMatrix, trace: SelectionTrace, factor: int, target_grid)
     for entry in trace.of_kind(WSA):
         phases = phases + entry.offsets
     out = scatter_rows(stack, prod(target_grid), scatter_index(target_grid, factor, phases))
-    return tokens.like(out, target_grid)
+    return TokenMatrix._fresh(out, target_grid)

@@ -20,7 +20,8 @@ import numpy as np
 
 from . import pipeline
 from .errors import ParameterError, ShapeError
-from .numerics import GridSignal, Offset, as_offset, circular_shift, max_abs_rows, rotate_rows
+from .numerics import GridSignal, Offset, SignalBatch, as_offset, circular_shift, max_abs_rows
+from .numerics import rotate_rows
 from .pipeline import MAX_BATCH, Model, forward
 
 
@@ -127,7 +128,8 @@ def shift_zeropad(x: GridSignal, off) -> GridSignal:
 
 def compare_shift_pairs(model: Model, pairs, shifter=circular_shift, dense: bool = True):
     """Run both shifts of each (signal, offset a, offset b) pair through the
-    model, up to `MAX_BATCH // 2` pairs per encoder pass, and compare them.
+    model, up to `MAX_BATCH // 2` pairs per encoder pass (one `SignalBatch`
+    of their shifted inputs), and compare them.
 
     Returns (pairs,) arrays: whether the labels agree, the fraction of
     positions whose argmax agrees once each map is rotated back by its own
@@ -140,7 +142,8 @@ def compare_shift_pairs(model: Model, pairs, shifter=circular_shift, dense: bool
         chunk = pairs[start : start + MAX_BATCH // 2]
         n = len(chunk)
         offs = [a for _, a, _ in chunk] + [b for _, _, b in chunk]
-        shifted = [shifter(x, off) for x, off in zip([x for x, _, _ in chunk] * 2, offs)]
+        xs = [x for x, _, _ in chunk] * 2
+        shifted = SignalBatch([shifter(x, off).data for x, off in zip(xs, offs)])
         agreement = map_div = None
         if dense:
             logits, labels, maps, trace = forward(model, shifted)

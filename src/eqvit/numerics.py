@@ -5,10 +5,11 @@ one cached grid index behind every rotation, tiling, filter-tap and
 polyphase layout, polyphase selection, row-wise softmax, order-stable sums
 and lp norms, and a deterministic argmax.  Each grid operation is written
 once for any grid rank, and the selecting ones once for a stack of samples
-(a leading batch axis, one selection per sample).  All functions are pure;
-arrays held by the wrapper types are frozen so results can be shared
-without defensive copies.  Finite values are checked once, at the boundary
-(`GridSignal`, the weight classes).
+(a leading sample axis, one selection per sample): one signal is the stack
+of one.  All functions are pure; arrays held by the wrapper types are frozen
+so results can be shared without defensive copies.  Values are converted
+and checked once, at the boundary (`GridSignal`, `SignalBatch`, the weight
+classes), by `real_array` and `require_finite`.
 """
 
 from __future__ import annotations
@@ -33,6 +34,18 @@ def freeze(values, dtype=np.float64) -> np.ndarray:
     return arr
 
 
+def real_array(values, name: str) -> np.ndarray:
+    """`values` as a float64 array.  Ragged nesting, and values that are not
+    real numbers (strings, complex numbers, objects), raise ShapeError."""
+    try:
+        arr = np.asarray(values)
+    except (ValueError, TypeError) as err:
+        raise ShapeError(f"{name} must be numbers of one shape: {err}") from err
+    if arr.dtype.kind not in "biuf":
+        raise ShapeError(f"{name} must hold real numbers, got dtype {arr.dtype}")
+    return arr.astype(np.float64, copy=False)
+
+
 def require_finite(arr: np.ndarray, name: str) -> None:
     if not np.logical_and.reduce(np.isfinite(arr), axis=None):
         raise ParameterError(f"{name} must contain only finite entries")
@@ -41,7 +54,7 @@ def require_finite(arr: np.ndarray, name: str) -> None:
 def weight_array(values, name: str, ndims: tuple[int, ...] = (2,)) -> np.ndarray:
     """`values` as a frozen float64 weight array: a matrix (or any rank in
     `ndims`), no axis of length 0, every entry finite."""
-    arr = np.asarray(values, dtype=np.float64)
+    arr = real_array(values, name)
     if arr.ndim not in ndims or 0 in arr.shape:
         ranks = " or ".join(map(str, ndims))
         raise ShapeError(f"{name} must be a non-empty array of rank {ranks}, got shape {arr.shape}")
@@ -121,7 +134,7 @@ class GridSignal:
     @classmethod
     def from_values(cls, values) -> GridSignal:
         """Wrap a plain rank-1 or rank-2 array as a single-channel signal."""
-        arr = np.asarray(values, dtype=np.float64)
+        arr = real_array(values, "signal")
         if arr.ndim not in (1, 2):
             raise ShapeError(f"expected a rank-1 or rank-2 array, got ndim={arr.ndim}")
         return cls(arr[..., np.newaxis])
@@ -142,7 +155,7 @@ class GridSignal:
 def _signal_data(values, lead: int) -> np.ndarray:
     """`values` as frozen float64 signal data, (*grid, channels) with grid
     rank 1 or 2 after `lead` leading axes, every axis non-empty, every entry finite."""
-    arr = np.asarray(values, dtype=np.float64)
+    arr = real_array(values, "signal")
     if arr.ndim - lead not in (2, 3):
         lead_axes = "B, " * lead
         raise ShapeError(
@@ -157,7 +170,8 @@ def _signal_data(values, lead: int) -> np.ndarray:
 @dataclass(frozen=True)
 class SignalBatch:
     """B signals of one shape as a (B, *grid, channels) stack, checked once
-    as a whole.  Every op that takes a sequence of signals takes it too."""
+    as a whole.  Every op that takes a `GridSignal` (a batch of one) takes
+    it too, and returns one result per sample."""
 
     data: np.ndarray
 
@@ -178,17 +192,6 @@ def circular_shift(signal: GridSignal, off) -> GridSignal:
     index = grid_index(signal.shape, 1, 1, as_offset(off, signal.rank))
     rows = signal.data.reshape(-1, signal.channels).take(index, axis=0)
     return GridSignal._fresh(rows.reshape(signal.data.shape))
-
-
-def stack_signals(signals) -> np.ndarray:
-    """(B, *grid, C) stack of one or more signals sharing grid and channels,
-    or of a `SignalBatch`."""
-    if isinstance(signals, SignalBatch):
-        return signals.data
-    signals = list(signals)
-    if not signals or len({x.data.shape for x in signals}) != 1:
-        raise ShapeError("a batch needs one or more signals of one shape")
-    return np.stack([x.data for x in signals])
 
 
 @lru_cache(maxsize=1024)

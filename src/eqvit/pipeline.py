@@ -10,10 +10,12 @@ Two heads over one encoder:
                 zero-filled map at the input resolution.
   forward       both heads from one encoder pass, for one input or a batch.
 
-The encoder runs on one input or on a batch of them, with one selection per
-sample; each sample's outputs are bit-identical to its run alone.  Its
-`SelectionTrace` is one format for both: every adaptive op appends one entry
-of per-sample offsets and tie flags, and the decoder reads it as it is.
+The encoder runs on a `SignalBatch` of B inputs, one `GridSignal` being the
+batch of one, with one selection per sample; each sample's outputs are
+bit-identical to its run alone.  Every adaptive op appends one entry of
+per-sample offsets and tie flags to its `SelectionTrace`, and the decoder
+reads it as it is.  Only the heads (`classify`, `encode_decode`, and
+`forward` on one `GridSignal`) return one sample's results unstacked.
 
 Every adaptive block can be swapped for its fixed baseline through a config
 switch, which is how the ablation suites demonstrate that each one is
@@ -42,7 +44,8 @@ from .attention import (
 )
 from .errors import ConfigError, ShapeError
 from .merging import MergeConfig, a_pmerge, pmerge
-from .numerics import GridSignal, require_finite, scatter_index, scatter_rows, weight_array
+from .numerics import GridSignal, SignalBatch, require_finite, scatter_index, scatter_rows
+from .numerics import weight_array
 from .tokenizer import (
     INVARIANT_FNS,
     PatchEmbedConfig,
@@ -54,7 +57,7 @@ from .trace import SelectionTrace
 
 SWITCHES = ("a_token", "a_wsa", "a_pmerge", "adaptive_rpe")
 
-# Most inputs the harness and the metrics put through one batched `forward`.
+# Most inputs the harness and the metrics put through one `forward`.
 # It bounds the memory a batch holds (on the default 1-D model a decoded map
 # is 16 KB per input), so it is fixed here rather than a user option.  On the
 # default verification 16 holds about 1.2 MB more peak memory than running
@@ -374,17 +377,18 @@ def build_model(cfg: ModelConfig) -> Model:
 
 
 def _encode(model: Model, x) -> tuple[TokenMatrix, SelectionTrace]:
-    """Encoder over one signal, or over a sequence of them as one batch."""
+    """Encoder over a `SignalBatch`, or over one `GridSignal` as the batch of one."""
     cfg, weights = model.config, model.weights
-    batched = not isinstance(x, GridSignal)
-    if batched:
-        x = list(x)
-    for signal in x if batched else [x]:
-        if signal.data.shape != (*cfg.input_shape, cfg.channels):
-            raise ShapeError(
-                f"input {signal.shape} x{signal.channels}ch does not match "
-                f"config {cfg.input_shape} x{cfg.channels}ch"
-            )
+    if isinstance(x, GridSignal):
+        shape = x.data.shape
+    elif isinstance(x, SignalBatch):
+        shape = x.data.shape[1:]
+    else:
+        raise ShapeError(f"expected a GridSignal or a SignalBatch, got {type(x).__name__}")
+    if shape != (*cfg.input_shape, cfg.channels):
+        raise ShapeError(
+            f"input of shape {shape} does not match config {cfg.input_shape} x{cfg.channels}ch"
+        )
     entries = []
     if cfg.a_token:
         tokens, tr = a_token(x, weights.patch)
@@ -407,14 +411,15 @@ def _encode(model: Model, x) -> tuple[TokenMatrix, SelectionTrace]:
     if cfg.depth > 0:
         tokens = sa(tokens, weights.global_attn, weights.global_rpe)
     require_finite(tokens.data, "encoder output")
-    return tokens, SelectionTrace(len(x) if batched else 1, entries)
+    return tokens, SelectionTrace(len(tokens.data), entries)
 
 
 def _head(model: Model, tokens: TokenMatrix) -> tuple[np.ndarray, np.ndarray]:
     """(B, classes) logits and (B,) labels.  Each sample's pooled row is its own
     (1, D) @ head product, bit-identical to that sample alone."""
     # The bits of `mean(axis=-2)`: the same sum, divided by the count.
-    pooled = (np.add.reduce(tokens.stack(), axis=-2) / tokens.data.shape[-2])[:, np.newaxis]
+    data = tokens.data
+    pooled = (np.add.reduce(data, axis=1) / data.shape[1])[:, np.newaxis]
     logits = (pooled @ model.weights.head)[:, 0]
     return logits, logits.argmax(axis=-1)
 
@@ -441,7 +446,7 @@ def _decode(cfg: ModelConfig, tokens: TokenMatrix, trace: SelectionTrace) -> np.
         # A stage's window offset and merge phase add up, as in `unpool`.
         offsets = sum([e.offsets for e in entries[s * per_stage : (s + 1) * per_stage]], zero)
         index = index[rows, scatter_index(grid, cfg.merge_factors[s], offsets)]
-    out = scatter_rows(tokens.stack(), math.prod(cfg.input_shape), index)
+    out = scatter_rows(tokens.data, math.prod(cfg.input_shape), index)
     return out.reshape(batch, *cfg.input_shape, -1)
 
 
@@ -467,13 +472,14 @@ def encode_decode(model: Model, x: GridSignal) -> tuple[np.ndarray, SelectionTra
 def forward(model: Model, x):
     """classify and encode_decode from one encoder pass: logits, label, map, trace.
 
-    `x` is one signal, or a sequence of B signals of the model's input shape,
-    which gives (B, classes) logits, (B,) labels, (B, *shape, D) maps and a
-    trace of size B; each sample's outputs are bit-identical to its call alone.
+    `x` is one signal, or a `SignalBatch` of B signals of the model's input
+    shape, which gives (B, classes) logits, (B,) labels, (B, *shape, D) maps
+    and a trace of size B; each sample's outputs are bit-identical to its
+    call alone.
     """
     tokens, trace = _encode(model, x)
     logits, labels = _head(model, tokens)
     maps = _decode(model.config, tokens, trace)
-    if tokens.batched:
-        return logits, labels, maps, trace
-    return logits[0], int(labels[0]), maps[0], trace
+    if isinstance(x, GridSignal):
+        return logits[0], int(labels[0]), maps[0], trace
+    return logits, labels, maps, trace

@@ -8,11 +8,10 @@ maximizes a shift-invariant energy functional, which restores equivariance
 up to a token-grid rotation.  A caller's `TokenMatrix` is validated; the ops'
 own results skip that (`TokenMatrix._fresh`) and the encoder checks its output.
 
-Every op also takes a batch: a sequence of signals, a `SignalBatch`, or a
-`TokenMatrix` whose data is a (B, M, D) stack.  One sample is the B=1 call
-of the same kernel, and each sample of a batch gets its own selection,
-bit-identical to its call alone.  `a_token` returns (tokens, SelectionTrace) for one signal and
-for a batch alike; the trace holds one offset and tie flag per sample.
+Every op takes one `GridSignal` or a `SignalBatch` of B signals, and every
+`TokenMatrix` holds a (B, M, D) stack: one signal is the batch of one.  Each
+sample gets its own selection, bit-identical to its call alone, and the
+`SelectionTrace` of `a_token` holds one offset and tie flag per sample.
 """
 
 from __future__ import annotations
@@ -26,6 +25,7 @@ import numpy as np
 from .errors import ParameterError, ShapeError
 from .numerics import (
     GridSignal,
+    SignalBatch,
     as_offset,
     as_offsets,
     best_phase,
@@ -35,9 +35,9 @@ from .numerics import (
     offset_index,
     project_columns,
     project_rows,
+    real_array,
     require_finite,
     stable_sum,
-    stack_signals,
     weight_array,
 )
 from .trace import TOKEN, SelectionTrace
@@ -57,18 +57,19 @@ INVARIANT_FNS = {
 
 @dataclass(frozen=True)
 class TokenMatrix:
-    """M tokens of dimension D laid out row-major over a circular grid.
+    """B samples of M tokens of dimension D, laid out row-major over one
+    circular grid: `data` is a (B, M, D) stack.
 
     grid_shape is (M,) for rank-1 models or (Gh, Gw) for rank-2 ones;
-    its product always equals the number of rows.  A batch of B token
-    matrices on one grid holds a (B, M, D) stack.
+    its product always equals the number of rows.  The constructor also
+    takes one (M, D) matrix, which it stores as the batch of one.
     """
 
     data: np.ndarray
     grid_shape: tuple[int, ...]
 
     def __post_init__(self):
-        arr = np.asarray(self.data, dtype=np.float64)
+        arr = real_array(self.data, "token matrix")
         if arr.ndim not in (2, 3):
             raise ShapeError(f"token matrix must be (M, D) or (B, M, D), got ndim={arr.ndim}")
         require_finite(arr, "token matrix")
@@ -77,12 +78,13 @@ class TokenMatrix:
             raise ShapeError(f"bad token grid shape {grid}")
         if prod(grid) != arr.shape[-2]:
             raise ShapeError(f"grid {grid} does not hold {arr.shape[-2]} tokens")
-        object.__setattr__(self, "data", freeze(arr))
+        object.__setattr__(self, "data", freeze(arr[np.newaxis] if arr.ndim == 2 else arr))
         object.__setattr__(self, "grid_shape", grid)
 
     @classmethod
     def _fresh(cls, data: np.ndarray, grid_shape: tuple[int, ...]) -> TokenMatrix:
-        """Wrap a C-contiguous float64 matrix an op just computed: frozen in place, unchecked."""
+        """Wrap a C-contiguous (B, M, D) float64 stack an op just computed:
+        frozen in place, unchecked."""
         data.setflags(write=False)
         tokens = object.__new__(cls)
         vars(tokens).update(data=data, grid_shape=grid_shape)
@@ -100,27 +102,15 @@ class TokenMatrix:
     def rank(self) -> int:
         return len(self.grid_shape)
 
-    @property
-    def batched(self) -> bool:
-        return self.data.ndim == 3
-
     def grid(self) -> np.ndarray:
-        """View of the tokens shaped (*grid_shape, D), or (B, *grid_shape, D)."""
-        return self.data.reshape(*self.data.shape[:-2], *self.grid_shape, self.dim)
-
-    def stack(self) -> np.ndarray:
-        """The tokens as a (B, M, D) stack; one matrix is a stack of one."""
-        return self.data if self.batched else self.data[np.newaxis]
+        """View of the tokens shaped (B, *grid_shape, D)."""
+        return self.data.reshape(len(self.data), *self.grid_shape, self.dim)
 
     def shift(self, off) -> TokenMatrix:
         """Circularly rotate the token grid: out[k] = self[(k + off) mod G],
-        the same offset for every sample of a batch."""
+        the same offset for every sample."""
         index = grid_index(self.grid_shape, 1, 1, as_offset(off, self.rank))
-        return TokenMatrix._fresh(self.data.take(index[:, 0], axis=-2), self.grid_shape)
-
-    def like(self, stack: np.ndarray, grid_shape: tuple[int, ...]) -> TokenMatrix:
-        """A (B, M', D') stack an op computed from these tokens, batched as they are."""
-        return TokenMatrix._fresh(stack if self.batched else stack[0], grid_shape)
+        return TokenMatrix._fresh(self.data.take(index[:, 0], axis=1), self.grid_shape)
 
 
 @dataclass(frozen=True)
@@ -150,18 +140,22 @@ class PatchEmbedConfig:
         return self.embed.shape[1]
 
 
-def _signal_stack(x, cfg: PatchEmbedConfig) -> tuple[np.ndarray, bool]:
-    """(B, *grid, C) stack of one signal or a sequence of them, whether it was
-    a batch; checks that the embed fits the patches."""
-    batched = not isinstance(x, GridSignal)
-    stack = stack_signals(x) if batched else x.data[np.newaxis]
+def _signal_stack(x, cfg: PatchEmbedConfig) -> np.ndarray:
+    """(B, *grid, C) stack of a `SignalBatch`, or of one `GridSignal` as the
+    batch of one; checks that the embed fits the patches."""
+    if isinstance(x, GridSignal):
+        stack = x.data[np.newaxis]
+    elif isinstance(x, SignalBatch):
+        stack = x.data
+    else:
+        raise ShapeError(f"expected a GridSignal or a SignalBatch, got {type(x).__name__}")
     expect = cfg.patch_len ** (stack.ndim - 2) * stack.shape[-1]
     if cfg.embed.shape[0] != expect:
         raise ShapeError(
             f"embed expects rows of width {cfg.embed.shape[0]}, "
             f"patches have {expect} entries"
         )
-    return stack, batched
+    return stack
 
 
 def reshape_patches(x: GridSignal, patch_len: int, off=None) -> np.ndarray:
@@ -179,20 +173,17 @@ def reshape_patches(x: GridSignal, patch_len: int, off=None) -> np.ndarray:
 
 
 def token(x, cfg: PatchEmbedConfig) -> TokenMatrix:
-    """Fixed-grid tokenization: patches anchored at offset 0, projected.
-    `x` is one signal or a sequence of them (a batch)."""
-    stack, batched = _signal_stack(x, cfg)
+    """Fixed-grid tokenization: patches anchored at offset 0, projected."""
+    stack = _signal_stack(x, cfg)
     b, *shape, c = stack.shape
     grid = coarse_grid(shape, cfg.patch_len, "patch_len")
     index = grid_index(tuple(shape), cfg.patch_len, cfg.patch_len, (0,) * len(shape))
     rows = stack.reshape(b, -1, c).take(index, axis=1).reshape(b, prod(grid), -1)
-    tokens = project_rows(rows, cfg.embed)
-    return TokenMatrix._fresh(tokens if batched else tokens[0], grid)
+    return TokenMatrix._fresh(project_rows(rows, cfg.embed), grid)
 
 
 def _full_rate_embed(x, cfg: PatchEmbedConfig) -> np.ndarray:
-    """Project the patch anchored at every grid position, shape (*grid, D),
-    or (B, *grid, D) for a sequence of signals.
+    """Project the patch anchored at every grid position, shape (B, *grid, D).
 
     All candidate offsets are strided slices of this one product, so the
     candidates seen for an input and for its shift are gathers of bitwise
@@ -202,13 +193,12 @@ def _full_rate_embed(x, cfg: PatchEmbedConfig) -> np.ndarray:
     `project_rows` on the (positions, K) patch rows of each sample, with the
     inner loop along positions and samples instead of along D.
     """
-    stack, batched = _signal_stack(x, cfg)
+    stack = _signal_stack(x, cfg)
     b, *shape, c = stack.shape
     # Samples last: one gather serves the batch, and each k is one contiguous row.
     signal = np.ascontiguousarray(stack.reshape(b, -1).T)
     cols = signal.take(_column_index(tuple(shape), cfg.patch_len, c), axis=0)
-    full = project_columns(cols, cfg.embed).reshape(b, *shape, -1)
-    return full if batched else full[0]
+    return project_columns(cols, cfg.embed).reshape(b, *shape, -1)
 
 
 @lru_cache(maxsize=64)
@@ -235,17 +225,13 @@ def a_token(x, cfg: PatchEmbedConfig) -> tuple[TokenMatrix, SelectionTrace]:
 
     Scores every circular patch offset with the configured invariant
     functional and tokenizes at the best one; exact score ties resolve to
-    the lowest row-major offset and are flagged in the trace.  `x` is one
-    signal, or a sequence of B signals for a (B, M, D) batch; the trace
-    holds one offset per sample either way.
+    the lowest row-major offset and are flagged in the trace, which holds
+    one offset per sample.
     """
-    batched = not isinstance(x, GridSignal)
     full = _full_rate_embed(x, cfg)
-    stack = full if batched else full[np.newaxis]
-    grid = coarse_grid(stack.shape[1:-1], cfg.patch_len, "patch_len")
-    offsets, sub, tied = best_phase(stack, cfg.patch_len, INVARIANT_FNS[cfg.invariant_fn])
-    tokens = TokenMatrix._fresh(sub if batched else sub[0], grid)
-    return tokens, SelectionTrace.single(TOKEN, offsets, tied)
+    grid = coarse_grid(full.shape[1:-1], cfg.patch_len, "patch_len")
+    offsets, sub, tied = best_phase(full, cfg.patch_len, INVARIANT_FNS[cfg.invariant_fn])
+    return TokenMatrix._fresh(sub, grid), SelectionTrace.single(TOKEN, offsets, tied)
 
 
 def lemma1_sides(x, cfg: PatchEmbedConfig, off, axis: int = 0) -> tuple[np.ndarray, np.ndarray]:
@@ -253,17 +239,16 @@ def lemma1_sides(x, cfg: PatchEmbedConfig, off, axis: int = 0) -> tuple[np.ndarr
 
     Left: the once-shifted signal tokenized at patch offset `off`.  Right:
     the original tokenized at the cyclically advanced offset, with the token
-    grid rotated by the carry along `axis`.  `x` is one signal and `off` its
-    offset, giving two (M, D) sides, or a sequence of B signals (or a
-    `SignalBatch`) and B offsets, giving two (B, M, D) stacks.
+    grid rotated by the carry along `axis`.  `off` holds one offset per
+    sample of `x`, and each side is a (B, M, D) stack.
     """
-    stack, batched = _signal_stack(x, cfg)
+    stack = _signal_stack(x, cfg)
     b, *shape, c = stack.shape
     shape, l = tuple(shape), cfg.patch_len
     grid = coarse_grid(shape, l, "patch_len")
     if not 0 <= axis < len(shape):
         raise ParameterError(f"axis {axis} out of range for rank {len(shape)}")
-    offs = as_offsets(off if batched else [off], len(shape))
+    offs = as_offsets(off, len(shape))
     if len(offs) != b:
         raise ShapeError(f"{len(offs)} offsets for {b} signals")
     if ((offs < 0) | (offs >= l)).any():
@@ -275,12 +260,11 @@ def lemma1_sides(x, cfg: PatchEmbedConfig, off, axis: int = 0) -> tuple[np.ndarr
     right = offset_index(shape, l, l, moved % l, stacked=True)
     right = right[np.arange(b)[:, np.newaxis], rotation]
     sides = stack.reshape(-1, c).take(np.stack([left, right]), axis=0)
-    left, right = (project_rows(side.reshape(b, prod(grid), -1), cfg.embed) for side in sides)
-    return (left, right) if batched else (left[0], right[0])
+    return tuple(project_rows(side.reshape(b, prod(grid), -1), cfg.embed) for side in sides)
 
 
 def lemma1_oracle(x: GridSignal, cfg: PatchEmbedConfig, off, axis: int = 0) -> bool:
     """Exact interchange of a unit signal shift with offset tokenization:
     True when both `lemma1_sides` are bitwise equal."""
-    left, right = lemma1_sides(x, cfg, off, axis)
+    left, right = lemma1_sides(x, cfg, [off], axis)
     return bool(np.array_equal(left, right))

@@ -67,7 +67,7 @@ def test_sa_identical_tokens_give_identical_rows():
     rng = np.random.default_rng(2)
     row = rng.uniform(-1, 1, 4)
     t = TokenMatrix(np.stack([row, row]), (2,))
-    out = sa(t, rand_params(rng, 4)).data
+    out = sa(t, rand_params(rng, 4)).data[0]
     assert np.array_equal(out[0], out[1])
 
 
@@ -75,7 +75,7 @@ def test_sa_matches_dense_oracle():
     rng = np.random.default_rng(3)
     t = TokenMatrix(rng.uniform(-1, 1, (3, 5)), (3,))
     params = rand_params(rng, 5, 4)
-    assert np.allclose(sa(t, params).data, sa_oracle(t.data, params), atol=1e-12, rtol=0)
+    assert np.allclose(sa(t, params).data[0], sa_oracle(t.data[0], params), atol=1e-12, rtol=0)
 
 
 def test_sa_with_bias_matches_oracle():
@@ -85,7 +85,7 @@ def test_sa_with_bias_matches_oracle():
     rpe = RpeTable.adaptive(rng.uniform(-1, 1, 4))
     bias = position_bias(rpe, (4,))
     assert np.allclose(
-        sa(t, params, rpe).data, sa_oracle(t.data, params, bias), atol=1e-12, rtol=0
+        sa(t, params, rpe).data[0], sa_oracle(t.data[0], params, bias), atol=1e-12, rtol=0
     )
 
 
@@ -93,10 +93,10 @@ def test_sa_is_permutation_equivariant_without_bias():
     rng = np.random.default_rng(5)
     t = rng.uniform(-1, 1, (6, 4))
     params = rand_params(rng, 4)
-    base = sa(TokenMatrix(t, (6,)), params).data
+    base = sa(TokenMatrix(t, (6,)), params).data[0]
     for _ in range(5):
         perm = rng.permutation(6)
-        out = sa(TokenMatrix(t[perm], (6,)), params).data
+        out = sa(TokenMatrix(t[perm], (6,)), params).data[0]
         assert np.max(np.abs(out - base[perm])) <= 1e-12
 
 
@@ -223,14 +223,14 @@ def test_original_bias_breaks_under_rotation():
 
 def test_window_energy_pair_average():
     v = window_energy(norm_tokens([1, 5, 5, 1]), WindowConfig(2))
-    assert np.array_equal(v, [3, 5, 3, 1])
+    assert np.array_equal(v[0], [3, 5, 3, 1])
 
 
 def test_window_energy_degenerate_cases():
     t = norm_tokens([2, 2, 2, 2])
-    assert np.array_equal(window_energy(t, WindowConfig(2)), [2, 2, 2, 2])
+    assert np.array_equal(window_energy(t, WindowConfig(2))[0], [2, 2, 2, 2])
     t2 = norm_tokens([1, 4, 2, 7])
-    assert np.array_equal(window_energy(t2, WindowConfig(1)), [1, 4, 2, 7])
+    assert np.array_equal(window_energy(t2, WindowConfig(1))[0], [1, 4, 2, 7])
 
 
 def test_window_energy_rotates_bit_exactly():
@@ -266,8 +266,8 @@ def test_wsa_is_independent_blocks():
     rng = np.random.default_rng(16)
     t = rng.uniform(-1, 1, (4, 3))
     params = rand_params(rng, 3)
-    out = wsa(TokenMatrix(t, (4,)), WindowConfig(2), params).data
-    blocks = [sa(TokenMatrix(t[i : i + 2], (2,)), params).data for i in (0, 2)]
+    out = wsa(TokenMatrix(t, (4,)), WindowConfig(2), params).data[0]
+    blocks = [sa(TokenMatrix(t[i : i + 2], (2,)), params).data[0] for i in (0, 2)]
     assert np.array_equal(out, np.vstack(blocks))
 
 
@@ -275,7 +275,7 @@ def test_wsa_identical_windows_identical_outputs():
     rng = np.random.default_rng(17)
     block = rng.uniform(-1, 1, (2, 3))
     t = TokenMatrix(np.vstack([block, block]), (4,))
-    out = wsa(t, WindowConfig(2), rand_params(rng, 3)).data
+    out = wsa(t, WindowConfig(2), rand_params(rng, 3)).data[0]
     assert np.array_equal(out[:2], out[2:])
 
 
@@ -288,7 +288,7 @@ def wsa_window_loop(t: TokenMatrix, w: int, params: AttentionParams, rpe) -> np.
             for delta in product(range(w), repeat=t.rank)
         ]
         rows = [int(np.ravel_multi_index(c, t.grid_shape)) for c in cells]
-        out[rows] = sa(TokenMatrix(t.data[rows], (w,) * t.rank), params, rpe).data
+        out[rows] = sa(TokenMatrix(t.data[0, rows], (w,) * t.rank), params, rpe).data[0]
     return out
 
 
@@ -308,7 +308,7 @@ def test_wsa_matches_per_window_sa_bit_for_bit(grid, w, d, kind):
         "adaptive": rng.uniform(-0.5, 0.5, (w,) * rank),
     }
     rpe = RpeTable.none() if kind == "none" else RpeTable(kind, tables[kind])
-    out = wsa(t, WindowConfig(w), params, rpe).data
+    out = wsa(t, WindowConfig(w), params, rpe).data[0]
     assert np.array_equal(out, wsa_window_loop(t, w, params, rpe))
 
 

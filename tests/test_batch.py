@@ -40,7 +40,7 @@ from eqvit.metrics import (
     shift_zeropad,
     synthetic_inputs,
 )
-from eqvit.numerics import lp_norm, project_rows, stable_sum
+from eqvit.numerics import SignalBatch, lp_norm, project_rows, stable_sum
 from eqvit.pipeline import SWITCHES, ModelConfig, build_model, classify, encode_decode, forward
 from eqvit.tokenizer import (
     PatchEmbedConfig,
@@ -66,15 +66,19 @@ def samples(rng, shape, count, dim):
 
 
 def batch_of(mats, grid) -> TokenMatrix:
-    return TokenMatrix(np.stack([m.data for m in mats]), grid)
+    return TokenMatrix(np.concatenate([m.data for m in mats]), grid)
+
+
+def signal_batch(xs) -> SignalBatch:
+    return SignalBatch([x.data for x in xs])
 
 
 def assert_batch_equals_singles(batched, singles):
     """A batched (tokens, trace) result against the one-sample results."""
     tokens, trace = batched
-    assert tokens.batched and not singles[0][0].batched
+    assert len(tokens.data) == len(singles) and len(singles[0][0].data) == 1
     for i, (one, one_trace) in enumerate(singles):
-        assert same(tokens.data[i], one.data)
+        assert same(tokens.data[i], one.data[0])
         assert trace.sample(i) == one_trace
 
 
@@ -97,28 +101,28 @@ def test_token_ops_batch_equals_singles(grid):
         ]
         energies = window_energy(batch, cfg)
         for i, t in enumerate(mats):
-            assert same(energies[i], window_energy(t, cfg))
+            assert same(energies[i], window_energy(t, cfg)[0])
         for rpe in bias:
             singles = [a_wsa(t, cfg, params, rpe) for t in mats]
             assert_batch_equals_singles(a_wsa(batch, cfg, params, rpe), singles)
             out = wsa(batch, cfg, params, rpe)
             for i, t in enumerate(mats):
-                assert same(out.data[i], wsa(t, cfg, params, rpe).data)
+                assert same(out.data[i], wsa(t, cfg, params, rpe).data[0])
     full_grid_bias = RpeTable.adaptive(rng.uniform(-0.5, 0.5, grid))
     out = sa(batch, params, full_grid_bias)
-    assert all(same(out.data[i], sa(t, params, full_grid_bias).data) for i, t in enumerate(mats))
+    assert all(same(out.data[i], sa(t, params, full_grid_bias).data[0]) for i, t in enumerate(mats))
     for p, energy_p in product((2, 4), (1.0, 2.0, 3.0)):
         merge = MergeConfig(p, rng.uniform(-0.5, 0.5, (p ** len(grid) * d, 2 * d)), energy_p)
         for op in (pmerge, pmerge_conv_fullrate):
             out = op(batch, merge)
-            assert all(same(out.data[i], op(t, merge).data) for i, t in enumerate(mats))
+            assert all(same(out.data[i], op(t, merge).data[0]) for i, t in enumerate(mats))
         merged, trace = a_pmerge(batch, merge)
         singles = [a_pmerge(t, merge) for t in mats]
         assert_batch_equals_singles((merged, trace), singles)
         assert_batch_equals_singles(aps(batch, p, energy_p), [aps(t, p, energy_p) for t in mats])
         restored = unpool(merged, trace, p, grid)
         for i, (one, one_trace) in enumerate(singles):
-            assert same(restored.data[i], unpool(one, one_trace, p, grid).data)
+            assert same(restored.data[i], unpool(one, one_trace, p, grid).data[0])
 
 
 @pytest.mark.parametrize("shape, patch", [((16,), 4), ((8, 8), 2), ((16, 32), 4), ((32, 32), 4)])
@@ -127,11 +131,11 @@ def test_tokenizer_batch_equals_singles(shape, patch, energy):
     rng = np.random.default_rng(2)
     xs = [GridSignal(a) for a in samples(rng, shape, 5, 2)]
     cfg = PatchEmbedConfig(patch, rng.uniform(-0.5, 0.5, (patch ** len(shape) * 2, 8)), energy)
-    assert_batch_equals_singles(a_token(xs, cfg), [a_token(x, cfg) for x in xs])
-    tokens, full = token(xs, cfg), _full_rate_embed(xs, cfg)
+    assert_batch_equals_singles(a_token(signal_batch(xs), cfg), [a_token(x, cfg) for x in xs])
+    tokens, full = token(signal_batch(xs), cfg), _full_rate_embed(signal_batch(xs), cfg)
     for i, x in enumerate(xs):
-        assert same(tokens.data[i], token(x, cfg).data)
-        assert same(full[i], _full_rate_embed(x, cfg))
+        assert same(tokens.data[i], token(x, cfg).data[0])
+        assert same(full[i], _full_rate_embed(x, cfg)[0])
 
 
 @pytest.mark.parametrize(
@@ -143,11 +147,11 @@ def test_lemma1_sides_batch_equals_singles(shape, patch, axis):
     xs = [GridSignal(a) for a in samples(rng, shape, 6, 2)]
     cfg = PatchEmbedConfig(patch, rng.uniform(-0.5, 0.5, (patch ** len(shape) * 2, 5)))
     offs = [tuple(rng.integers(0, patch, len(shape)).tolist()) for _ in xs]
-    left, right = lemma1_sides(xs, cfg, offs, axis)
+    left, right = lemma1_sides(signal_batch(xs), cfg, offs, axis)
     unit = tuple(int(a == axis) for a in range(len(shape)))
     grid = tuple(n // patch for n in shape)
     for i, (x, off) in enumerate(zip(xs, offs)):
-        one_left, one_right = lemma1_sides(x, cfg, off, axis)
+        one_left, one_right = (side[0] for side in lemma1_sides(x, cfg, [off], axis))
         assert same(left[i], one_left) and same(right[i], one_right)
         # Each side as its definition composes it from the public ops.
         advanced = tuple((o + u) % patch for o, u in zip(off, unit))
@@ -155,19 +159,19 @@ def test_lemma1_sides_batch_equals_singles(shape, patch, axis):
         shifted = reshape_patches(circular_shift(x, unit), patch, off)
         assert same(one_left, project_rows(shifted, cfg.embed))
         rows = project_rows(reshape_patches(x, patch, advanced), cfg.embed)
-        assert same(one_right, TokenMatrix(rows, grid).shift(carry).data)
+        assert same(one_right, TokenMatrix(rows, grid).shift(carry).data[0])
         assert same(one_left, one_right)
 
 
 def test_lemma1_sides_checks_offsets():
-    xs = [GridSignal(np.zeros((8, 2)))] * 2
+    xs = SignalBatch(np.zeros((2, 8, 2)))
     cfg = PatchEmbedConfig(2, np.ones((4, 3)))
     with pytest.raises(ShapeError):
         lemma1_sides(xs, cfg, [0])
     with pytest.raises(ParameterError):
         lemma1_sides(xs, cfg, [0, 2])
     with pytest.raises(ParameterError):
-        lemma1_sides(xs[0], cfg, -1)
+        lemma1_sides(GridSignal(np.zeros((8, 2))), cfg, [-1])
     with pytest.raises(ParameterError):
         lemma1_sides(xs, cfg, [0, 1], axis=1)
 
@@ -183,7 +187,9 @@ def test_per_sample_merge_embeds_equal_single_calls(grid, energy_p):
     batch, stacked = batch_of(mats, grid), MergeConfig(p, np.stack(embeds), energy_p)
     for op in (pmerge, pmerge_conv_fullrate):
         out = op(batch, stacked)
-        assert all(same(out.data[i], op(t, c).data) for i, (t, c) in enumerate(zip(mats, singles)))
+        assert all(
+            same(out.data[i], op(t, c).data[0]) for i, (t, c) in enumerate(zip(mats, singles))
+        )
     pairs = zip(mats, singles)
     assert_batch_equals_singles(a_pmerge(batch, stacked), [a_pmerge(t, c) for t, c in pairs])
     # A stack of embeds needs a batch with one sample per embed.
@@ -219,7 +225,7 @@ def test_forward_batch_equals_single_heads(cfg, off):
     model = build_model(cfg.disable(off) if off else cfg)
     rng = np.random.default_rng(4)
     xs = [GridSignal(a) for a in samples(rng, cfg.input_shape, 4, cfg.channels)]
-    logits, labels, maps, trace = forward(model, xs)
+    logits, labels, maps, trace = forward(model, signal_batch(xs))
     assert trace.size == len(xs)
     for i, x in enumerate(xs):
         c_logits, c_label, c_trace = classify(model, x)
@@ -234,7 +240,7 @@ def test_forward_batch_equals_single_heads(cfg, off):
 def test_forward_batch_equals_single_heads_per_rpe(rpe):
     model = build_model(ModelConfig(rpe_kind=rpe))
     xs = [GridSignal(a) for a in samples(np.random.default_rng(5), (64,), 4, 2)]
-    logits, labels, maps, _ = forward(model, xs)
+    logits, labels, maps, _ = forward(model, signal_batch(xs))
     for i, x in enumerate(xs):
         c_logits, c_label, _ = classify(model, x)
         assert same(logits[i], c_logits) and same(maps[i], encode_decode(model, x)[0])
@@ -246,14 +252,14 @@ def test_batch_outputs_do_not_depend_on_batch_order_or_company(shape):
     rng = np.random.default_rng(6)
     count = 64 if shape == (64,) else 16
     xs = [GridSignal(a) for a in samples(rng, shape, count, 2)]
-    logits, labels, maps, trace = forward(model, xs)
-    r_logits, r_labels, r_maps, r_trace = forward(model, xs[::-1])
+    logits, labels, maps, trace = forward(model, signal_batch(xs))
+    r_logits, r_labels, r_maps, r_trace = forward(model, signal_batch(xs[::-1]))
     assert same(r_logits, logits[::-1]) and same(r_labels, labels[::-1])
     assert same(r_maps, maps[::-1])
     reversed_traces = [r_trace.sample(i) for i in range(count)]
     assert reversed_traces == [trace.sample(i) for i in range(count)][::-1]
     k = count // 2
-    alone = forward(model, [xs[k]])
+    alone = forward(model, signal_batch([xs[k]]))
     assert same(alone[0][0], logits[k]) and same(alone[2][0], maps[k])
     assert alone[3].sample(0) == trace.sample(k)
 
@@ -266,15 +272,63 @@ def test_batch_of_token_matrices_validates():
         TokenMatrix(np.zeros((1, 3, 4, 2)), (4,))
 
 
+@pytest.mark.parametrize("shape", [(16,), (8, 8)])
+def test_one_sample_is_a_stack_of_one(shape):
+    # Below the heads there is one data shape: every op given one signal, or
+    # one (M, D) matrix, returns a (1, M, D) stack.
+    rng = np.random.default_rng(8)
+    rank, d = len(shape), 4
+    x = GridSignal(rng.uniform(-1, 1, (*shape, 2)))
+    cfg = PatchEmbedConfig(2, rng.uniform(-0.5, 0.5, (2**rank * 2, d)))
+    grid = tuple(n // 2 for n in shape)
+    t = TokenMatrix(rng.uniform(-1, 1, (int(np.prod(grid)), d)), grid)
+    params = AttentionParams(*(rng.uniform(-0.5, 0.5, (d, d)) for _ in range(3)))
+    merge = MergeConfig(2, rng.uniform(-0.5, 0.5, (2**rank * d, d)))
+    merged, trace = a_pmerge(t, merge)
+    outputs = {
+        "TokenMatrix": t,
+        "TokenMatrix.shift": t.shift((1,) * rank),
+        "token": token(x, cfg),
+        "a_token": a_token(x, cfg)[0],
+        "sa": sa(t, params),
+        "wsa": wsa(t, WindowConfig(2), params),
+        "a_wsa": a_wsa(t, WindowConfig(2), params)[0],
+        "pmerge": pmerge(t, merge),
+        "pmerge_conv_fullrate": pmerge_conv_fullrate(t, merge),
+        "aps": aps(t, 2)[0],
+        "a_pmerge": merged,
+        "unpool": unpool(merged, trace, 2, grid),
+    }
+    for name, out in outputs.items():
+        assert out.data.ndim == 3 and len(out.data) == 1, name
+    assert window_energy(t, WindowConfig(2)).shape == (1, *grid)
+    sides = lemma1_sides(x, cfg, [(0,) * rank])
+    assert all(side.shape == (1, *t.data.shape[1:]) for side in sides)
+
+
 def test_signal_batches_need_one_shape():
+    # The ops take one GridSignal or one SignalBatch.  Any other input form,
+    # or a batch whose shape the model does not fit, is a ShapeError, never
+    # an AttributeError or a TypeError.
     model = build_model(ModelConfig())
-    with pytest.raises(ShapeError):
-        forward(model, [])
+    cfg = model.weights.patch
     xs = [GridSignal(np.full((64, 2), v)) for v in (0.5, -1.0)]
-    assert same(forward(model, (x for x in xs))[2], forward(model, xs)[2])
-    cfg = PatchEmbedConfig(4, np.zeros((8, 3)))
-    with pytest.raises(ShapeError):
-        a_token([GridSignal(np.zeros((16, 2))), GridSignal(np.zeros((32, 2)))], cfg)
+    inputs = {
+        "list": lambda: list(xs),
+        "generator": lambda: (x for x in xs),
+        "empty list": lambda: [],
+        "batch with 3 channels": lambda: SignalBatch(np.zeros((2, 64, 3))),
+        "batch of length 30": lambda: SignalBatch(np.zeros((2, 30, 2))),
+    }
+    ops = {
+        "forward": lambda x: forward(model, x),
+        "a_token": lambda x: a_token(x, cfg),
+        "token": lambda x: token(x, cfg),
+    }
+    for make in inputs.values():
+        for op in ops.values():
+            with pytest.raises(ShapeError):
+                op(make())
 
 
 # ------------------------------------------------- suites vs reference loops --
@@ -328,7 +382,7 @@ def claim2_reference(sc):
 
 def lemma1_reference(sc):
     for payload, cfg in PROPERTIES["lemma1"].sample(sc):
-        left, right = lemma1_sides(GridSignal(payload["x"]), cfg, payload["m"])
+        left, right = lemma1_sides(GridSignal(payload["x"]), cfg, [payload["m"]])
         yield payload, max_abs(left, right), True, False
 
 
@@ -336,9 +390,9 @@ def claim3_reference(sc):
     for payload, _ in PROPERTIES["claim3"].sample(sc):
         t = TokenMatrix(payload["t"], tuple(payload["grid"]))
         cfg = MergeConfig(payload["factor"], payload["embed"])
-        full = pmerge_conv_fullrate(t, cfg).grid()
+        full = pmerge_conv_fullrate(t, cfg).grid()[0]
         phase_zero = full[tuple(slice(0, None, cfg.factor) for _ in t.grid_shape)]
-        yield payload, max_abs(pmerge(t, cfg).grid(), phase_zero), True, False
+        yield payload, max_abs(pmerge(t, cfg).grid()[0], phase_zero), True, False
 
 
 def apmerge_reference(sc):
@@ -547,7 +601,7 @@ def test_metrics_suite_encodes_each_shift_once(monkeypatch):
     encode = pipeline._encode
 
     def counted(model, x):
-        calls.append(len(x))
+        calls.append(len(x.data))
         return encode(model, x)
 
     monkeypatch.setattr(pipeline, "_encode", counted)

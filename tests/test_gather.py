@@ -20,7 +20,8 @@ from eqvit.attention import AttentionParams, RpeTable, WINDOW_FNS, WindowConfig,
 from eqvit.attention import window_energy, wsa
 from eqvit.errors import ShapeError
 from eqvit.merging import MergeConfig, pmerge_conv_fullrate, unpool
-from eqvit.numerics import argmax_rows, best_phase, grid_index, lp_norm, project_rows, rotate_rows
+from eqvit.numerics import SignalBatch, argmax_rows, best_phase, grid_index, lp_norm, project_rows
+from eqvit.numerics import rotate_rows
 from eqvit.pipeline import ModelConfig, _decode, _encode, build_model
 from eqvit.tokenizer import INVARIANT_FNS, PatchEmbedConfig, TokenMatrix, _column_index
 from eqvit.tokenizer import _full_rate_embed
@@ -105,8 +106,8 @@ def full_rate_embed_k_loop(stack, cfg):
 
 def wsa_rotated(tokens, cfg, params, rpe, anchors):
     """Rotate each sample's grid to its anchor, then run the partition at 0."""
-    rotated = rotate_rows(tokens.stack(), tokens.grid_shape, np.asarray(anchors))
-    return wsa(tokens.like(rotated, tokens.grid_shape), cfg, params, rpe)
+    rotated = rotate_rows(tokens.data, tokens.grid_shape, np.asarray(anchors))
+    return wsa(TokenMatrix(rotated, tokens.grid_shape), cfg, params, rpe)
 
 
 def best_phase_blocks(stack, b, rank, score):
@@ -145,7 +146,7 @@ def decode_chain(cfg, tokens, trace):
         if not cfg.a_pmerge:
             stage.append(TraceEntry(MERGE, zero, np.zeros(batch, dtype=bool)))
         feats = unpool(feats, SelectionTrace(batch, stage), cfg.merge_factors[s], grids[s])
-    return scatter_phases(feats.stack(), cfg.input_shape, cfg.patch_len, token_offsets)
+    return scatter_phases(feats.data, cfg.input_shape, cfg.patch_len, token_offsets)
 
 
 # ------------------------------------------------------------------- kernels --
@@ -182,9 +183,9 @@ def test_full_rate_embed_equals_stacked_index(shape):
         signals = [GridSignal(a) for a in samples(rng, shape, 2)]
         stack = np.stack([x.data for x in signals])
         expect = full_rate_embed_stacked(stack, cfg)
-        assert same(_full_rate_embed(signals, cfg), expect)
+        assert same(_full_rate_embed(SignalBatch(stack), cfg), expect)
         for i, x in enumerate(signals):
-            assert same(_full_rate_embed(x, cfg), expect[i])
+            assert same(_full_rate_embed(x, cfg)[0], expect[i])
 
 
 # Position counts that are no multiple of a SIMD width, so each einsum lane
@@ -203,11 +204,10 @@ def test_column_projection_has_the_row_and_k_loop_bits(shape, channels):
         stack = np.stack([x.data for x in signals])
         expect = full_rate_embed_k_loop(stack, cfg)
         assert same(full_rate_embed_stacked(stack, cfg), expect)
-        for batch in (signals, signals[::-1]):
-            order = expect if batch is signals else expect[::-1]
-            assert same(_full_rate_embed(batch, cfg), order)
+        for batch, order in ((stack, expect), (stack[::-1], expect[::-1])):
+            assert same(_full_rate_embed(SignalBatch(batch), cfg), order)
         for i, x in enumerate(signals):
-            assert same(_full_rate_embed(x, cfg), expect[i])
+            assert same(_full_rate_embed(x, cfg)[0], expect[i])
 
 
 @pytest.mark.parametrize("shape", ODD_SHAPES)
@@ -332,7 +332,7 @@ def test_composed_decode_equals_unpool_chain(name, off):
     rng = np.random.default_rng(5)
     x = GridSignal(rng.standard_normal((*cfg.input_shape, cfg.channels)))
     shifts = [(0,) * cfg.rank, (1,) * cfg.rank, (3,) * cfg.rank, (6,) * cfg.rank, (7,) * cfg.rank]
-    batch = [circular_shift(x, s) for s in shifts] + [GridSignal(np.zeros(x.data.shape))]
+    batch = SignalBatch([circular_shift(x, s).data for s in shifts] + [np.zeros(x.data.shape)])
     for inputs in (x, batch):
         tokens, trace = _encode(model, inputs)
         assert same(_decode(cfg, tokens, trace), decode_chain(cfg, tokens, trace))

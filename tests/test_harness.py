@@ -298,11 +298,10 @@ def rolled_ops(monkeypatch):
     def wrap(op, step):
         def rolled(*args):
             out, trace = op(*args)
-            grid, stack, w = out.grid_shape, out.stack(), step(args)
+            grid, stack, w = out.grid_shape, out.data, step(args)
             r = w * rng.integers(0, np.array(grid) // w, (len(stack), len(grid)))
             rolls.append(r)
-            data = rotate_rows(stack, grid, r)
-            return TokenMatrix._fresh(data if out.batched else data[0], grid), trace
+            return TokenMatrix._fresh(rotate_rows(stack, grid, r), grid), trace
 
         return rolled
 
@@ -386,7 +385,7 @@ def test_end2end_encodes_each_shift_once(monkeypatch):
     encode = pipeline._encode
 
     def counted(model, signals):
-        calls.append(len(signals))
+        calls.append(len(signals.data))
         return encode(model, signals)
 
     monkeypatch.setattr(pipeline, "_encode", counted)

@@ -44,7 +44,7 @@ def test_pmerge_pairs_example():
     a, b = 0.6, -1.1
     t = col([1, 2, 3, 4])
     out = pmerge(t, MergeConfig(2, np.array([[a], [b]])))
-    assert np.allclose(out.data[:, 0], [a + 2 * b, 3 * a + 4 * b], atol=1e-15, rtol=0)
+    assert np.allclose(out.data[0, :, 0], [a + 2 * b, 3 * a + 4 * b], atol=1e-15, rtol=0)
     assert out.grid_shape == (2,)
 
 
@@ -57,7 +57,7 @@ def test_pmerge_factor_one_identity():
 
 def test_pmerge_zero_tokens():
     out = pmerge(col([0, 0, 0, 0]), MergeConfig(2, np.ones((2, 3))))
-    assert np.array_equal(out.data, np.zeros((2, 3)))
+    assert np.array_equal(out.data[0], np.zeros((2, 3)))
 
 
 def test_pmerge_matches_oracle():
@@ -72,12 +72,12 @@ def test_pmerge_rank2_grouping_order():
     # 2x2 tile flattened row-major over (position, channel) before projecting.
     t = TokenMatrix(np.arange(8.0).reshape(4, 2), (2, 2))
     out = pmerge(t, MergeConfig(2, np.eye(8)))
-    assert np.array_equal(out.data, [[0, 1, 2, 3, 4, 5, 6, 7]])
+    assert np.array_equal(out.data[0], [[0, 1, 2, 3, 4, 5, 6, 7]])
     # Two tiles side by side on a 2x4 grid: rows (0, 1, 4, 5), then (2, 3, 6, 7).
     t = TokenMatrix(np.arange(16.0).reshape(8, 2), (2, 4))
     out = pmerge(t, MergeConfig(2, np.eye(8)))
     assert out.grid_shape == (1, 2)
-    assert np.array_equal(out.data, [[0, 1, 2, 3, 8, 9, 10, 11], [4, 5, 6, 7, 12, 13, 14, 15]])
+    assert np.array_equal(out.data[0], [[0, 1, 2, 3, 8, 9, 10, 11], [4, 5, 6, 7, 12, 13, 14, 15]])
 
 
 def test_pmerge_is_not_shift_equivariant():
@@ -115,7 +115,7 @@ def test_pmerge_validation():
 def test_fullrate_impulse_example():
     a, b = 0.9, -0.4
     out = pmerge_conv_fullrate(col([1, 0, 0, 0]), MergeConfig(2, np.array([[a], [b]])))
-    assert np.allclose(out.data[:, 0], [a, 0, 0, b], atol=1e-15, rtol=0)
+    assert np.allclose(out.data[0, :, 0], [a, 0, 0, b], atol=1e-15, rtol=0)
 
 
 def test_fullrate_factor_one_is_projection():
@@ -142,8 +142,8 @@ def test_phase_zero_subsample_reproduces_pmerge(grid, factor):
     cfg = MergeConfig(factor, rng.uniform(-1, 1, (factor ** len(grid) * d, 2 * d)))
     merged = pmerge(t, cfg)
     full = pmerge_conv_fullrate(t, cfg)
-    sub = full.grid()[tuple(slice(0, None, factor) for _ in grid)]
-    assert np.max(np.abs(merged.grid() - sub)) <= 1e-12
+    sub = full.grid()[0][tuple(slice(0, None, factor) for _ in grid)]
+    assert np.max(np.abs(merged.grid()[0] - sub)) <= 1e-12
 
 
 def test_fullrate_rotates_bit_exactly():
@@ -164,20 +164,20 @@ def test_fullrate_rotates_bit_exactly():
 def test_aps_selects_larger_component():
     out, trace = aps(col([4, 1, 2, 3]), 2)
     assert trace.entries[0].offsets.tolist() == [[0]] and not trace.any_tied
-    assert np.array_equal(out.data[:, 0], [4, 2])
+    assert np.array_equal(out.data[0, :, 0], [4, 2])
 
 
 def test_aps_constant_ties_to_phase_zero():
     out, trace = aps(col([2, 2, 2, 2]), 2)
     assert trace.entries[0].offsets.tolist() == [[0]] and trace.any_tied
-    assert np.array_equal(out.data[:, 0], [2, 2])
+    assert np.array_equal(out.data[0, :, 0], [2, 2])
 
 
 def test_aps_selection_follows_shift():
     base, _ = aps(col([4, 1, 2, 3]), 2)
     out, trace = aps(col([4, 1, 2, 3]).shift(1), 2)
     assert trace.entries[0].offsets.tolist() == [[1]]
-    assert sorted(out.data[:, 0]) == sorted(base.data[:, 0])
+    assert sorted(out.data[0, :, 0]) == sorted(base.data[0, :, 0])
     assert np.array_equal(out.data, base.shift(1).data)
 
 
@@ -188,8 +188,8 @@ def test_aps_rank2_phases():
     (phase,) = trace.entries[0].offsets.tolist()
     assert out.grid_shape == (2, 2)
     assert tuple(phase) in {(h, w) for h in range(2) for w in range(2)}
-    comp = t.grid()[phase[0] :: 2, phase[1] :: 2]
-    assert np.array_equal(out.grid(), comp)
+    comp = t.grid()[0][phase[0] :: 2, phase[1] :: 2]
+    assert np.array_equal(out.grid()[0], comp)
 
 
 def test_aps_validation():
@@ -268,9 +268,9 @@ def merge_trace(phase, wsa_offsets=()) -> SelectionTrace:
 
 def test_unpool_scatter_examples():
     out = unpool(col([4, 2]), merge_trace((0,)), 2, 4)
-    assert np.array_equal(out.data[:, 0], [4, 0, 2, 0])
+    assert np.array_equal(out.data[0, :, 0], [4, 0, 2, 0])
     out = unpool(col([2, 4]), merge_trace((1,)), 2, 4)
-    assert np.array_equal(out.data[:, 0], [0, 2, 0, 4])
+    assert np.array_equal(out.data[0, :, 0], [0, 2, 0, 4])
 
 
 def test_unpool_inverts_aps():
@@ -279,10 +279,10 @@ def test_unpool_inverts_aps():
     comp, trace = aps(y, 2)
     phase = trace.entries[0].offsets[0]
     restored = unpool(comp, trace, 2, (8,))
-    assert np.array_equal(restored.grid()[phase[0] :: 2], comp.grid())
+    assert np.array_equal(restored.grid()[0][phase[0] :: 2], comp.grid()[0])
     mask = np.ones(8, dtype=bool)
     mask[phase[0] :: 2] = False
-    assert np.all(restored.data[mask] == 0.0)
+    assert np.all(restored.data[0, mask] == 0.0)
 
 
 def test_unpool_unwinds_window_offsets_in_reverse():
@@ -298,8 +298,8 @@ def test_unpool_rank2_scatter():
     rng = np.random.default_rng(15)
     z = TokenMatrix(rng.uniform(-1, 1, (4, 2)), (2, 2))
     out = unpool(z, merge_trace((1, 0)), 2, (4, 4))
-    grid = out.grid()
-    assert np.array_equal(grid[1::2, 0::2], z.grid())
+    grid = out.grid()[0]
+    assert np.array_equal(grid[1::2, 0::2], z.grid()[0])
     assert np.count_nonzero(grid) == np.count_nonzero(z.grid())
 
 

@@ -5,6 +5,7 @@ independent of the vectorized implementations they pin down.
 """
 
 import math
+import warnings
 from itertools import product
 
 import numpy as np
@@ -13,11 +14,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from eqvit import GridSignal, circular_shift, lp_norm, softmax_rows
-from eqvit.attention import _untile_index
+from eqvit.attention import RpeTable, _untile_index
 from eqvit.errors import ParameterError, ShapeError
 from eqvit.numerics import SignalBatch, argmax_rows, as_offset, as_offsets, freeze, grid_index
 from eqvit.numerics import offset_index, predicted_rotation, project_rows, rotate_rows
-from eqvit.numerics import scatter_index
+from eqvit.numerics import scatter_index, weight_array
+from eqvit.tokenizer import TokenMatrix
 
 
 def shift_oracle(data: np.ndarray, offs) -> np.ndarray:
@@ -244,9 +246,11 @@ def test_signal_batch_checks_the_stack_once():
     batch = SignalBatch(np.zeros((3, 4, 2)))
     assert batch.data.shape == (3, 4, 2) and not batch.data.flags.writeable
     assert SignalBatch(np.zeros((2, 4, 4, 1))).data.ndim == 4
-    for bad in (np.zeros((4, 2)), np.zeros((1, 2, 2, 2, 2)), np.zeros((0, 4, 2))):
+    for bad in (np.zeros((4, 2)), np.zeros((1, 2, 2, 2, 2)), np.zeros((0, 4, 2)), []):
         with pytest.raises(ShapeError):
             SignalBatch(bad)
+    with pytest.raises(ShapeError):
+        SignalBatch([np.zeros((16, 2)), np.zeros((32, 2))])
     data = np.zeros((3, 4, 2))
     data[1, 2, 0] = np.nan
     with pytest.raises(ParameterError):
@@ -415,6 +419,36 @@ def test_gridsignal_rejects_bad_ranks():
         GridSignal.from_values(np.zeros((2, 2, 2)))
     with pytest.raises(ShapeError):
         GridSignal(np.zeros((0, 3)))
+
+
+# Every class or function that takes outside values as float64 arrays.
+BOUNDARIES = {
+    "GridSignal": GridSignal,
+    "GridSignal.from_values": GridSignal.from_values,
+    "SignalBatch": SignalBatch,
+    "TokenMatrix": lambda values: TokenMatrix(values, (4,)),
+    "RpeTable": RpeTable.adaptive,
+    "weight_array": lambda values: weight_array(values, "weights", (1, 2, 3)),
+}
+NOT_REAL_ARRAYS = {
+    "ragged": [np.zeros((4, 2)), np.zeros((8, 2))],
+    "string": "abc",
+    "strings": [["1.0", "2.0"], ["3.0", "4.0"]],
+    "complex": np.full((4, 2), 1.0 + 0.5j),
+    "complex with zero imaginary part": np.zeros((4, 2), dtype=complex),
+    "objects": [[object(), object()]] * 4,
+}
+
+
+@pytest.mark.parametrize("boundary", sorted(BOUNDARIES))
+@pytest.mark.parametrize("values", sorted(NOT_REAL_ARRAYS))
+def test_boundaries_reject_values_that_are_not_real_arrays(boundary, values):
+    # A ShapeError, not a bare ValueError or TypeError, and no ComplexWarning
+    # for a complex array silently cut to its real part.
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ShapeError):
+            BOUNDARIES[boundary](NOT_REAL_ARRAYS[values])
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])

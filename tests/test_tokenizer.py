@@ -97,19 +97,19 @@ def test_reshape_validates():
 def test_token_identity_embedding():
     cfg = PatchEmbedConfig(2, np.eye(2))
     out = token(sig1([1, 2, 3, 4]), cfg)
-    assert np.array_equal(out.data, [[1, 2], [3, 4]])
+    assert np.array_equal(out.data[0], [[1, 2], [3, 4]])
     assert out.grid_shape == (2,)
 
 
 def test_token_column_projection():
     out = token(sig1([1, 2, 3, 4, 5, 6]), column_picker())
-    assert np.array_equal(out.data, [[1], [3], [5]])
+    assert np.array_equal(out.data[0], [[1], [3], [5]])
 
 
 def test_token_of_zero_is_zero():
     cfg = PatchEmbedConfig(2, np.ones((2, 3)))
     out = token(sig1([0, 0, 0, 0]), cfg)
-    assert np.array_equal(out.data, np.zeros((2, 3)))
+    assert np.array_equal(out.data[0], np.zeros((2, 3)))
 
 
 def test_token_checks_embed_rows():
@@ -137,7 +137,7 @@ def test_token_is_not_shift_equivariant():
 def test_a_token_picks_higher_energy_offset():
     tokens, trace = a_token(sig1([1, 2, 3, 4, 5, 6]), column_picker())
     # Offset 0 scores 1+3+5, offset 1 scores 2+4+6.
-    assert np.array_equal(tokens.data, [[2], [4], [6]])
+    assert np.array_equal(tokens.data[0], [[2], [4], [6]])
     assert trace.entries[0].kind == TOKEN
     assert trace.entries[0].offsets.tolist() == [[1]]
     assert trace.entries[0].tied.tolist() == [False]
@@ -195,7 +195,7 @@ def test_energy_functionals_ignore_grid_rotation(name):
     rng = np.random.default_rng(19)
     tokens = TokenMatrix(rng.uniform(-1, 1, (6, 4)), (6,))
     fn = INVARIANT_FNS[name]
-    scores = {fn(tokens.shift(r).data) for r in range(6)}
+    scores = {fn(tokens.shift(r).data[0]) for r in range(6)}
     assert len(scores) == 1
 
 
@@ -221,7 +221,7 @@ def test_full_rate_embed_equals_roll_and_concatenate(shape, l):
     ]
     patches = np.concatenate(blocks, axis=-1)
     rolled = np.einsum("mk,kd->md", patches.reshape(-1, patches.shape[-1]), cfg.embed)
-    assert np.array_equal(_full_rate_embed(x, cfg), rolled.reshape(*shape, 8))
+    assert np.array_equal(_full_rate_embed(x, cfg)[0], rolled.reshape(*shape, 8))
 
 
 # ----------------------------------------------------------- lemma1_oracle --
@@ -263,14 +263,14 @@ def test_lemma1_rank2_both_axes():
 
 def test_token_matrix_grid_round_trip():
     t = TokenMatrix(np.arange(12.0).reshape(6, 2), (2, 3))
-    assert t.grid().shape == (2, 3, 2)
+    assert t.data.shape == (1, 6, 2) and t.grid().shape == (1, 2, 3, 2)
     assert t.rank == 2 and t.count == 6 and t.dim == 2
     assert np.array_equal(t.shift((2, 3)).data, t.data)
 
 
 def test_token_matrix_shift_matches_roll():
     t = TokenMatrix(np.arange(8.0).reshape(4, 2), (4,))
-    assert np.array_equal(t.shift(1).data, np.roll(t.data, -1, axis=0))
+    assert np.array_equal(t.shift(1).data[0], np.roll(t.data[0], -1, axis=0))
 
 
 def test_token_matrix_validation():

@@ -27,6 +27,7 @@ sys.path.insert(0, str(SRC))
 import numpy as np  # noqa: E402
 
 from eqvit import GridSignal, circular_shift  # noqa: E402
+from eqvit.numerics import SignalBatch  # noqa: E402
 from eqvit.pipeline import SWITCHES, ModelConfig, build_model, forward  # noqa: E402
 
 CONFIGS = (
@@ -42,7 +43,7 @@ CONFIGS = (
 )
 
 
-def inputs(cfg: ModelConfig) -> tuple[GridSignal, list[GridSignal]]:
+def inputs(cfg: ModelConfig) -> tuple[GridSignal, SignalBatch]:
     """One random input, and a batch of 7 with the special cases."""
     rng = np.random.default_rng(sum(cfg.input_shape))
     shape = (*cfg.input_shape, cfg.channels)
@@ -51,15 +52,15 @@ def inputs(cfg: ModelConfig) -> tuple[GridSignal, list[GridSignal]]:
     impulse[(0,) * len(shape)] = 1.0
     mixed = np.where(rng.uniform(size=shape) < 0.5, -0.0, rng.uniform(-1, 1, shape))
     batch = [
-        x,
-        circular_shift(x, (1,) * cfg.rank),
-        circular_shift(x, tuple(range(3, 3 + cfg.rank))),
-        GridSignal(np.zeros(shape)),
-        GridSignal(impulse),
-        GridSignal(np.full(shape, -0.0)),
-        GridSignal(mixed),
+        x.data,
+        circular_shift(x, (1,) * cfg.rank).data,
+        circular_shift(x, tuple(range(3, 3 + cfg.rank))).data,
+        np.zeros(shape),
+        impulse,
+        np.full(shape, -0.0),
+        mixed,
     ]
-    return x, batch
+    return x, SignalBatch(batch)
 
 
 def update(digest, *arrays) -> None:
