@@ -31,7 +31,8 @@ claim1, claim2 and apmerge run inputs and their shifts as one op call
 (`_shift_pair`): a shift's selection must move with it, and its output must
 equal the base output at the rotation the two selections predict
 (`numerics.predicted_rotation`).  The end2end check, the ablation search and
-the metrics suite compare shift pairs through `metrics.compare_shift_pairs`.
+the metrics suite compare shift pairs through `metrics.compare_shift_pairs`;
+an end2end batch is one of its encoder passes (`metrics.pass_pairs` pairs).
 """
 
 from __future__ import annotations
@@ -48,9 +49,9 @@ import numpy as np
 from .attention import ADAPTIVE, AttentionParams, RpeTable, WindowConfig, a_wsa
 from .errors import ConfigError, ParameterError, ShapeError, TraceError
 from .merging import MergeConfig, a_pmerge, pmerge, pmerge_conv_fullrate
-from .metrics import ShiftSampler, c_cons, compare_shift_pairs, consistency, s_cons_zeropad
-from .metrics import synthetic_inputs
-from .numerics import GridSignal, SignalBatch, as_offsets, max_abs_rows, predicted_rotation
+from .metrics import ShiftSampler, c_cons, compare_shift_pairs, consistency, pass_pairs
+from .metrics import s_cons_zeropad, synthetic_inputs
+from .numerics import SignalBatch, as_offsets, max_abs_rows, predicted_rotation
 from .numerics import real_array, rotate_rows
 from .pipeline import MAX_BATCH, SWITCHES, Model, ModelConfig, build_model, check_seed
 from .pipeline import MAX_ELEMENTS, is_finite_number
@@ -276,10 +277,13 @@ def _lemma1_trials(sc: SuiteConfig):
                 continue
             embed = rng.uniform(-0.5, 0.5, size=(l * LEMMA1_CHANNELS, LEMMA1_DIM))
             cfg = PatchEmbedConfig(l, embed)
-            for _ in range(sc.suite_trials("lemma1")):
-                x = rng.uniform(-1.0, 1.0, size=(n, LEMMA1_CHANNELS))
-                for m in range(l):
-                    yield {"n": n, "l": l, "m": m, "x": x, "embed": embed}, cfg
+            # Inputs in draws of at most HELD_ENTRIES entries: the stream of one per input.
+            trials, block = sc.suite_trials("lemma1"), max(1, HELD_ENTRIES // (n * LEMMA1_CHANNELS))
+            for start in range(0, trials, block):
+                draws = min(block, trials - start)
+                for x in rng.uniform(-1.0, 1.0, size=(draws, n, LEMMA1_CHANNELS)):
+                    for m in range(l):
+                        yield {"n": n, "l": l, "m": m, "x": x, "embed": embed}, cfg
 
 
 def _lemma1_entries(n: int, l: int, channels: int, dim: int) -> list[tuple[str, int]]:
@@ -397,8 +401,8 @@ def _claim3_trials(sc: SuiteConfig):
             grid = (4, 4) if i % 4 == 1 else (6, 6)
             p = 2
         else:
-            grid = (int(rng.choice([8, 12, 16])),)
-            p = int(rng.choice([2, 4]))
+            grid = ((8, 12, 16)[rng.integers(0, 3)],)
+            p = (2, 4)[rng.integers(0, 2)]
         d = int(rng.integers(2, 7))
         t = rng.uniform(-1.0, 1.0, (prod(grid), d))
         embed = rng.uniform(-0.5, 0.5, (p ** len(grid) * d, 2 * d))
@@ -430,7 +434,7 @@ def _apmerge_trials(sc: SuiteConfig):
     rng = sc.rng("apmerge")
     for i in range(sc.suite_trials("apmerge")):
         rank = 2 if i % 3 == 2 else 1
-        grid = (8, 8) if rank == 2 else (int(rng.choice([8, 12, 16])),)
+        grid = (8, 8) if rank == 2 else ((8, 12, 16)[rng.integers(0, 3)],)
         d = int(rng.integers(2, 7))
         t = rng.uniform(-1.0, 1.0, (prod(grid), d))
         embed = rng.uniform(-0.5, 0.5, (2**rank * d, 2 * d))
@@ -464,11 +468,11 @@ def _end2end_trials(sc: SuiteConfig):
         yield {**fixed, "input": inputs[i].data, "shift_a": off_a, "shift_b": off_b}, model
 
 
-def _end2end_size(p: dict, pair: int = BATCH_ENTRIES // (MAX_BATCH // 2)) -> int:
-    """One shift pair, sized so that `MAX_BATCH // 2` pairs, one forward chunk
-    of `compare_shift_pairs`, fill a batch; `ModelConfig`'s activation bound
-    covers that forward's arrays."""
-    return pair
+def _end2end_size(p: dict) -> int:
+    """One shift pair, sized so that a batch is one encoder pass of
+    `compare_shift_pairs` (`pass_pairs` pairs); `ModelConfig`'s activation
+    bound covers that pass's arrays."""
+    return BATCH_ENTRIES // pass_pairs(ModelConfig.from_dict(p["model_config"]))
 
 
 def _end2end_divergence(payloads: list[dict], model: Model | None = None):
@@ -480,10 +484,10 @@ def _end2end_divergence(payloads: list[dict], model: Model | None = None):
         raise ConfigError(f"end2end check must be 'classify' or 'both', not {check!r}")
     model = model or build_model(ModelConfig.from_dict(payloads[0]["model_config"]))
     rank = model.config.rank
-    xs = map(GridSignal._fresh, SignalBatch(_stack(payloads, "input")).data)
+    xs = SignalBatch(_stack(payloads, "input")).data
     offs = (as_offsets([p[k] for p in payloads], rank) for k in ("shift_a", "shift_b"))
     same_label, agreement, logit_div, map_div, tied = compare_shift_pairs(
-        model, list(zip(xs, *offs)), dense=check == "both"
+        model, xs, *(o[:, np.newaxis] for o in offs), dense=check == "both"
     )
     if check == "classify":
         return logit_div, same_label, tied
@@ -677,7 +681,7 @@ def _ablation_search(
 
     # Chunks double from one trial, so a counterexample found early costs
     # little more than trial-by-trial search; the draws stay in trial order.
-    sizes = (min(2**k, MAX_BATCH // 2) for k in count())
+    sizes = (min(2**k, pass_pairs(cfg)) for k in count())
     found = None
     used = ties = 0
     for payloads in _chunks(trials(), sizes):

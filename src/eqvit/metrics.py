@@ -7,8 +7,9 @@ s_cons_zeropad repeats the label check with standard zero-filling shifts,
 where circular reasoning no longer applies and scores drop below 1.
 `consistency` gives c_cons and mascc from one pass over the shifted inputs.
 Every score reads `compare_shift_pairs`, which runs both shifts of each pair
-through a built `Model`; the harness's end2end check, its ablation search
-and `replay` read the same comparison.
+through a built `Model`, one gather shifting a pass of pairs, each map decoded
+already rotated back; the harness's end2end check, its ablation search and
+`replay` read the same comparison.
 """
 
 from __future__ import annotations
@@ -20,9 +21,10 @@ import numpy as np
 
 from . import pipeline
 from .errors import ParameterError, ShapeError
-from .numerics import GridSignal, Offset, SignalBatch, as_offset, circular_shift, max_abs_rows
+from .numerics import GridSignal, Offset, SignalBatch, as_offsets, max_abs_rows, real_array
 from .numerics import rotate_rows
-from .pipeline import MAX_BATCH, Model, forward
+from .pipeline import MAX_BATCH, Model, ModelConfig
+from .tokenizer import TokenMatrix
 
 
 @dataclass(frozen=True)
@@ -115,67 +117,88 @@ class ConsistencyReport:
         }
 
 
+def shift_stack(stack: np.ndarray, offsets: np.ndarray, zero_pad: bool = False) -> np.ndarray:
+    """Sample i of a (B, *grid, C) stack shifted by offsets[i], (B, rank), in one
+    gather: out[n] = x[(n + off) mod grid], or with `zero_pad` the standard
+    shift, +0.0 where n + off passes the end."""
+    b, *grid, c = stack.shape
+    if zero_pad and (offsets < 0).any():
+        raise ParameterError(f"zero-pad shift offsets must be non-negative, got {offsets.tolist()}")
+    out = rotate_rows(stack.reshape(b, -1, c), tuple(grid), offsets).reshape(stack.shape)
+    if zero_pad:  # +0.0 where n + off passes the end of an axis, where the gather wrapped
+        ones = (1,) * len(grid)
+        past = np.indices(grid) >= np.reshape(grid, (-1, *ones)) - offsets.reshape(b, -1, *ones)
+        out[past.any(axis=1)] = 0.0
+    return out
+
+
 def shift_zeropad(x: GridSignal, off) -> GridSignal:
     """Standard (non-circular) shift: out[n] = x[n + off], zeros past the end."""
-    offs = as_offset(off, x.rank)
-    if any(o < 0 for o in offs):
-        raise ParameterError(f"zero-pad shift offsets must be non-negative, got {offs}")
-    out = np.zeros_like(x.data)
-    src = x.data[tuple(slice(o, None) for o in offs)]
-    out[tuple(slice(0, s) for s in src.shape[: x.rank])] = src
-    return GridSignal._fresh(out)
+    return GridSignal._fresh(shift_stack(x.data[np.newaxis], as_offsets([off], x.rank), True)[0])
 
 
-def compare_shift_pairs(model: Model, pairs, shifter=circular_shift, dense: bool = True):
-    """Run both shifts of each (signal, offset a, offset b) pair through the
-    model, up to `MAX_BATCH // 2` pairs per encoder pass (one `SignalBatch`
-    of their shifted inputs), and compare them.
+def pass_pairs(cfg: ModelConfig) -> int:
+    """Shift pairs per encoder pass of `compare_shift_pairs`: k * MAX_BATCH // 2, k =
+    max(1, L // (2 E)), L the largest array of a `MAX_BATCH` forward and E the largest
+    but its decoded map, which is decoded `MAX_BATCH` samples at a time."""
+    sizes = cfg.activation_sizes()
+    encoder = max(size for name, size in sizes if name != "decoded map")
+    return max(1, max(size for _, size in sizes) // (2 * encoder)) * MAX_BATCH // 2
 
-    Returns (pairs,) arrays: whether the labels agree, the fraction of
-    positions whose argmax agrees once each map is rotated back by its own
-    shift, the logit divergence, the rotated maps' divergence, and whether
-    either shift tied.  Without `dense` nothing is decoded (encoder and head
-    only), and the fraction and the map divergence are None.
+
+def compare_shift_pairs(model: Model, inputs, offs_a, offs_b, zero_pad=False, dense=True):
+    """Pair (i, j) is input i of an (N, *shape, C) stack of checked signals shifted
+    (`shift_stack`) by offs_a[i, j] and by offs_b[i, j], both (N, K, rank); an
+    encoder pass takes `pass_pairs` pairs, and maps are decoded `MAX_BATCH` samples
+    at a time, each rotated back by its shift.  Per pair, in pair order: whether
+    the labels agree, the fraction of positions whose argmax agrees, the logit and
+    map divergences, and whether either shift tied.  Without `dense` nothing is
+    decoded (encoder and head only), and the fraction and map divergence are None.
     """
-    columns = []
-    for start in range(0, len(pairs), MAX_BATCH // 2):
-        chunk = pairs[start : start + MAX_BATCH // 2]
-        n = len(chunk)
-        offs = [a for _, a, _ in chunk] + [b for _, _, b in chunk]
-        xs = [x for x, _, _ in chunk] * 2
-        shifted = SignalBatch([shifter(x, off).data for x, off in zip(xs, offs)])
-        agreement = map_div = None
-        if dense:
-            logits, labels, maps, trace = forward(model, shifted)
-            rows = maps.reshape(2 * n, -1, maps.shape[-1])
-            back = rotate_rows(rows, maps.shape[1:-1], -np.array(offs))
-            same = np.argmax(back[:n], -1) == np.argmax(back[n:], -1)
-            agreement, map_div = np.mean(same, axis=-1), max_abs_rows(back[:n], back[n:])
-        else:
-            tokens, trace = pipeline._encode(model, shifted)
-            logits, labels = pipeline._head(model, tokens)
-        same_label = labels[:n] == labels[n:]
-        logit_div = max_abs_rows(logits[:n], logits[n:])
-        tied = trace.tied
-        columns.append((same_label, agreement, logit_div, map_div, tied[:n] | tied[n:]))
-    if not columns:
+    cfg, half = model.config, MAX_BATCH // 2
+    if not len(inputs):
         raise ParameterError("no shift pairs to compare")
-    return tuple(None if c[0] is None else np.concatenate(c) for c in zip(*columns))
+    if inputs.shape[1:] != (*cfg.input_shape, cfg.channels):
+        raise ShapeError(f"inputs of shape {inputs.shape[1:]} do not match the model's")
+    offsets = np.concatenate([np.reshape(o, (-1, cfg.rank)) for o in (offs_a, offs_b)])
+    pairs = len(offsets) // 2
+    # Sample j is pair j mod P, which shifts input (j mod P) // K.  In pass
+    # order each slice of `half` pairs runs as its a shifts, then its b shifts.
+    sample = np.arange(2 * pairs)
+    order = np.argsort(sample % pairs // half * 2 + sample // pairs, kind="stable")
+    source = order % pairs // (pairs // len(inputs))
+    heads, agreement, map_div, step = [], [], [], 2 * pass_pairs(cfg)
+    for start in range(0, 2 * pairs, step):
+        rows = order[start : start + step]
+        shifted = shift_stack(inputs[source[start : start + step]], offsets[rows], zero_pad)
+        tokens, trace = pipeline._encode(model, SignalBatch._fresh(shifted))
+        heads.append((*pipeline._head(model, tokens), trace.tied))
+        for lo in range(0, len(rows) if dense else 0, MAX_BATCH):
+            hi = min(lo + MAX_BATCH, len(rows))
+            part = TokenMatrix._fresh(tokens.data[lo:hi], tokens.grid_shape)
+            maps = pipeline._decode(cfg, part, trace.rows(lo, hi), offsets[rows[lo:hi]])
+            a, b = np.split(maps.reshape(hi - lo, -1, maps.shape[-1]), 2)
+            agreement.append(np.mean(np.argmax(a, -1) == np.argmax(b, -1), axis=-1))
+            map_div.append(max_abs_rows(a, b))
+    logits, labels, tied = (np.concatenate(c) for c in zip(*heads))
+    a, b = np.split(np.argsort(order), 2)  # where each pair's shifts ran
+    agreement, map_div = (np.concatenate(c) if dense else None for c in (agreement, map_div))
+    same_label, logit_div = labels[a] == labels[b], max_abs_rows(logits[a], logits[b])
+    return same_label, agreement, logit_div, map_div, tied[a] | tied[b]
 
 
-def _reports(model: Model, inputs, sampler: ShiftSampler, shifter, metrics):
+def _reports(model: Model, inputs, sampler: ShiftSampler, zero_pad: bool, metrics):
     """One report per named metric over the same sampled shift pairs, from one
     `compare_shift_pairs` pass: label metrics (c_cons, s_cons_zeropad) read
     labels and logits, mascc the rotated-back maps, which are compared only
     when mascc is asked for."""
-    for x in inputs:
-        sampler.check_shape(x.shape)
-    offsets = sampler.sample_pairs(len(inputs)).tolist()
-    trials = [(i, tuple(a), tuple(b)) for i in range(len(inputs)) for a, b in offsets[i]]
-    pairs = [(inputs[i], a, b) for i, a, b in trials]
+    sampler.check_shape(model.config.input_shape)  # `compare_shift_pairs` checks the inputs'
+    offsets = sampler.sample_pairs(len(inputs))
+    stack = real_array([x.data for x in inputs], "inputs")
     same_label, agreement, logit_div, map_div, tied = compare_shift_pairs(
-        model, pairs, shifter, dense="mascc" in metrics
+        model, stack, offsets[:, :, 0], offsets[:, :, 1], zero_pad, dense="mascc" in metrics
     )
+    trials = [(i, tuple(a), tuple(b)) for i, row in enumerate(offsets.tolist()) for a, b in row]
     reports = []
     for m in metrics:
         if m == "mascc":
@@ -192,12 +215,12 @@ def _reports(model: Model, inputs, sampler: ShiftSampler, shifter, metrics):
 
 def c_cons(model: Model, inputs, sampler: ShiftSampler) -> ConsistencyReport:
     """Label agreement between two random circular shifts of each input."""
-    return _reports(model, inputs, sampler, circular_shift, ("c_cons",))[0]
+    return _reports(model, inputs, sampler, False, ("c_cons",))[0]
 
 
 def s_cons_zeropad(model: Model, inputs, sampler: ShiftSampler) -> ConsistencyReport:
     """Label agreement under standard zero-filling shifts."""
-    return _reports(model, inputs, sampler, shift_zeropad, ("s_cons_zeropad",))[0]
+    return _reports(model, inputs, sampler, True, ("s_cons_zeropad",))[0]
 
 
 def mascc(model: Model, inputs, sampler: ShiftSampler) -> ConsistencyReport:
@@ -206,7 +229,7 @@ def mascc(model: Model, inputs, sampler: ShiftSampler) -> ConsistencyReport:
     Each decoded map is rotated back by its own input shift before
     comparison, so a perfectly equivariant model scores exactly 1.0.
     """
-    return _reports(model, inputs, sampler, circular_shift, ("mascc",))[0]
+    return _reports(model, inputs, sampler, False, ("mascc",))[0]
 
 
 def consistency(
@@ -214,7 +237,7 @@ def consistency(
 ) -> tuple[ConsistencyReport, ConsistencyReport]:
     """c_cons and mascc from one encoder pass per shifted input: the two
     metrics sample the same pairs, so each shift is encoded once for both."""
-    return tuple(_reports(model, inputs, sampler, circular_shift, ("c_cons", "mascc")))
+    return tuple(_reports(model, inputs, sampler, False, ("c_cons", "mascc")))
 
 
 def synthetic_inputs(

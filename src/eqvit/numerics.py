@@ -210,22 +210,33 @@ def grid_index(
     puts them.  `taps_first` gives the (taps, positions) transpose,
     contiguous, for gathers that reduce or loop over the taps.
     """
-    index = _offset_grid(grid, width, stride, np.array([offset], dtype=np.int64))[0]
+    index = _offset_grid(grid, width, stride, np.array([offset], dtype=np.int64), False)[0]
     index = np.ascontiguousarray(index.T if taps_first else index)
     index.setflags(write=False)
     return index
 
 
-def _offset_grid(grid: tuple[int, ...], width: int, stride: int, offsets: np.ndarray) -> np.ndarray:
-    """(B, positions, width**rank): `grid_index`'s entries for each of B offsets."""
-    rank, n, index = len(grid), len(offsets), 0
+def _offset_grid(grid: tuple[int, ...], width: int, stride: int, offsets: np.ndarray, stacked):
+    """(B, positions, width**rank): `grid_index`'s entries for each of B offsets, plus
+    i * prod(grid) for sample i if `stacked`; a wrapping gather per axis, summed."""
+    rank, n = len(grid), len(offsets)
+    lead = (n, *(1,) * (2 * rank))
+    index = prod(grid) * np.arange(n).reshape(lead) if stacked else 0
     for a, (g, o) in enumerate(zip(grid, offsets.T)):
-        # Position j lies on axis 1 + a, tap t on axis 1 + rank + a; values are row-major.
-        shape = [n] + [1] * (2 * rank)
-        shape[1 + a], shape[1 + rank + a] = g // stride, width
-        steps = stride * np.arange(g // stride)[:, np.newaxis] + np.arange(width)
-        index = index * g + ((o[:, np.newaxis, np.newaxis] + steps) % g).reshape(shape)
+        # Reduced first: `take` wraps an index by adding or subtracting g in a loop.
+        steps, values = _axis_table(grid, a, width, stride)
+        index = index + values.take(o.reshape(lead) % g + steps, mode="wrap")
     return index.reshape(n, -1, width**rank)
+
+
+@lru_cache(maxsize=256)
+def _axis_table(grid: tuple[int, ...], a: int, width: int, stride: int):
+    """Axis a's share of `_offset_grid`: steps stride * j + t from the offset
+    (position j on axis a, tap t on axis rank + a) and each position's row-major weight."""
+    rank, g = len(grid), grid[a]
+    steps = stride * np.arange(g // stride)[:, np.newaxis] + np.arange(width)
+    steps = np.expand_dims(steps, [i for i in range(2 * rank) if i not in (a, rank + a)])
+    return freeze(steps, np.int64), freeze(prod(grid[a + 1 :]) * np.arange(g), np.int64)
 
 
 def offset_index(
@@ -238,10 +249,7 @@ def offset_index(
     one, with the sample axis in front of every per-axis table."""
     if len(offsets) == 1:
         return grid_index(grid, width, stride, tuple(offsets[0].tolist()))[np.newaxis]
-    index = _offset_grid(grid, width, stride, offsets)
-    if stacked:
-        index += prod(grid) * np.arange(len(offsets))[:, np.newaxis, np.newaxis]
-    return index
+    return _offset_grid(grid, width, stride, offsets, stacked)
 
 
 def rotate_rows(stack: np.ndarray, grid: tuple[int, ...], offsets: np.ndarray) -> np.ndarray:

@@ -57,11 +57,10 @@ from .trace import SelectionTrace
 
 SWITCHES = ("a_token", "a_wsa", "a_pmerge", "adaptive_rpe")
 
-# Most inputs the harness and the metrics put through one `forward`.
-# It bounds the memory a batch holds (on the default 1-D model a decoded map
-# is 16 KB per input), so it is fixed here rather than a user option.  On the
-# default verification 16 holds about 1.2 MB more peak memory than running
-# trial by trial; 32 is about 8% faster and holds 2.5 MB more.
+# The batch `ModelConfig` sizes a forward's arrays by, and the most samples
+# the harness and the metrics decode at once: on the default 1-D model a
+# decoded map is 16 KB per sample, 4x the encoder's largest array.  So encoder
+# passes without that map take more samples (`metrics.pass_pairs`).
 MAX_BATCH = 16
 
 # Token dimensions double at every stage, so no deeper model could be built.
@@ -424,9 +423,10 @@ def _head(model: Model, tokens: TokenMatrix) -> tuple[np.ndarray, np.ndarray]:
     return logits, logits.argmax(axis=-1)
 
 
-def _decode(cfg: ModelConfig, tokens: TokenMatrix, trace: SelectionTrace) -> np.ndarray:
+def _decode(cfg: ModelConfig, tokens: TokenMatrix, trace: SelectionTrace, shifts=None):
     """Scatter tokens back to the input resolution along the encoder's trace,
-    (B, *input_shape, D).
+    (B, *input_shape, D); with (B, rank) `shifts`, sample i's map lands
+    rotated back by shifts[i], as `rotate_rows` by -shifts[i] would give it.
 
     The switches say what the trace holds: a token offset if a_token, then
     per stage a window offset if a_wsa and a merge phase if a_pmerge (a fixed
@@ -439,6 +439,8 @@ def _decode(cfg: ModelConfig, tokens: TokenMatrix, trace: SelectionTrace) -> np.
     batch = trace.size
     zero = np.zeros((batch, cfg.rank), dtype=np.int64)
     token_offsets = entries.pop(0).offsets if cfg.a_token else zero
+    if shifts is not None:  # `scatter_index` takes the offsets mod the grid
+        token_offsets = token_offsets + shifts % cfg.input_shape
     index = scatter_index(cfg.input_shape, cfg.patch_len, token_offsets)
     per_stage = int(cfg.a_wsa) + int(cfg.a_pmerge)
     rows = np.arange(batch)[:, np.newaxis]

@@ -78,9 +78,12 @@ class SelectionTrace:
         return bool(self.tied.any())
 
     def sample(self, i: int) -> SelectionTrace:
-        return SelectionTrace(
-            1, [TraceEntry(e.kind, e.offsets[i : i + 1], e.tied[i : i + 1]) for e in self.entries]
-        )
+        return self.rows(i, i + 1)
+
+    def rows(self, start: int, stop: int) -> SelectionTrace:
+        """The trace samples start to stop (at most `size`) get when run alone."""
+        cut = [TraceEntry(e.kind, e.offsets[start:stop], e.tied[start:stop]) for e in self.entries]
+        return SelectionTrace(stop - start, cut)
 
     def __len__(self) -> int:
         return len(self.entries)

@@ -597,17 +597,30 @@ def test_metrics_suite_equals_per_sample_metrics():
 def test_metrics_suite_encodes_each_shift_once(monkeypatch):
     from eqvit import pipeline
 
-    calls = []
-    encode = pipeline._encode
+    calls, decoded = [], []
+    encode, decode = pipeline._encode, pipeline._decode
 
     def counted(model, x):
         calls.append(len(x.data))
         return encode(model, x)
 
+    def counted_decode(cfg, tokens, *args):
+        decoded.append(len(tokens.data))
+        return decode(cfg, tokens, *args)
+
     monkeypatch.setattr(pipeline, "_encode", counted)
+    monkeypatch.setattr(pipeline, "_decode", counted_decode)
     run_metrics(SuiteConfig(trials=25))
     # 5 inputs x 5 pairs x 2 shifts, once for c_cons and mascc and once zero-padded.
-    assert sum(calls) == 2 * 50 and max(calls) <= pipeline.MAX_BATCH
+    # A pass holds at most k * MAX_BATCH samples, k = L // (2 E) with L the
+    # largest array of a MAX_BATCH forward and E the largest but the decoded
+    # map, and its maps are decoded at most MAX_BATCH samples at a time.
+    sizes = ModelConfig().activation_sizes()
+    largest = max(size for _, size in sizes)
+    k = largest // (2 * max(size for name, size in sizes if name != "decoded map"))
+    assert k == 2
+    assert sum(calls) == 2 * 50 and max(calls) <= k * pipeline.MAX_BATCH
+    assert sum(decoded) == 50 and max(decoded) <= pipeline.MAX_BATCH
 
 
 def ablation_reference(sc, switch, budget):

@@ -3,19 +3,22 @@
 import numpy as np
 import pytest
 
-from eqvit import GridSignal
+from eqvit import GridSignal, circular_shift
 from eqvit.errors import ParameterError, ShapeError
 from eqvit.metrics import (
     ConsistencyReport,
     ShiftSampler,
     TrialRecord,
     c_cons,
+    compare_shift_pairs,
     mascc,
+    pass_pairs,
     s_cons_zeropad,
+    shift_stack,
     shift_zeropad,
     synthetic_inputs,
 )
-from eqvit.pipeline import SWITCHES, ModelConfig, build_model
+from eqvit.pipeline import SWITCHES, ModelConfig, build_model, classify, encode_decode
 
 
 def sig(values) -> GridSignal:
@@ -102,6 +105,40 @@ def test_zeropad_rank2():
 def test_zeropad_rejects_negative_offsets():
     with pytest.raises(ParameterError):
         shift_zeropad(sig([1, 2]), -1)
+
+
+@pytest.mark.parametrize("shape", [(7,), (4, 5)])
+def test_zeropad_stack_pads_with_positive_zeros(shape):
+    # Negative values and negative zeros: a pad that multiplied by a mask
+    # would leave -0.0 where the shift runs past the end.
+    rng = np.random.default_rng(0)
+    stack = -rng.uniform(0.5, 1.0, size=(6, *shape, 2))
+    stack[:, ::2] = -0.0
+    offsets = rng.integers(0, max(shape) + 1, size=(6, len(shape)))
+    out = shift_stack(stack, offsets, zero_pad=True)
+    for x, off, got in zip(stack, offsets, out):
+        # Position n holds x[n + off] where that lies inside the grid on every axis.
+        inside = np.ones(shape, dtype=bool)
+        for a, (g, o) in enumerate(zip(shape, off)):
+            axis = np.arange(g) + o < g
+            inside &= axis.reshape([g if b == a else 1 for b in range(len(shape))])
+        assert np.array_equal(got, shift_zeropad(GridSignal(x), tuple(off)).data)
+        assert not np.signbit(got[~inside]).any() and np.all(got[~inside] == 0.0)
+        rolled = np.roll(x, tuple(-o for o in off), axis=tuple(range(len(shape))))
+        assert np.array_equal(np.signbit(got[inside]), np.signbit(rolled[inside]))
+        assert np.array_equal(got[inside], rolled[inside])
+
+
+def test_zeropad_stack_rejects_negative_offsets():
+    stack = np.ones((2, 4, 4, 1))
+    with pytest.raises(ParameterError):
+        shift_stack(stack, np.array([[0, 1], [2, -1]]), zero_pad=True)
+    model = build_model(ModelConfig())
+    inputs = np.ones((1, 64, 2))
+    with pytest.raises(ParameterError):
+        compare_shift_pairs(model, inputs, np.array([[[-1]]]), np.array([[[0]]]), zero_pad=True)
+    # A circular shift takes any offset, mod the grid.
+    assert np.array_equal(shift_stack(stack, np.array([[0, 1], [2, -1]])), stack)
 
 
 # ------------------------------------------------------ ConsistencyReport --
@@ -246,3 +283,71 @@ def test_synthetic_inputs_deterministic():
     a = synthetic_inputs((16,), 2, 6, seed=5)
     b = synthetic_inputs((16,), 2, 6, seed=5)
     assert all(np.array_equal(x.data, y.data) for x, y in zip(a, b))
+
+
+# ----------------------------------------------------- compare_shift_pairs --
+
+
+def pair_reference(model, x, off_a, off_b, zero_pad):
+    """One pair, each shift alone through the one-sample heads, maps rolled back."""
+    shift = shift_zeropad if zero_pad else circular_shift
+    axes = tuple(range(x.rank))
+    (logits_a, label_a, trace_a), (logits_b, label_b, trace_b) = (
+        classify(model, shift(x, off)) for off in (off_a, off_b)
+    )
+    back_a, back_b = (
+        np.roll(encode_decode(model, shift(x, off))[0], off, axis=axes) for off in (off_a, off_b)
+    )
+    return (
+        label_a == label_b,
+        float(np.mean(np.argmax(back_a, -1) == np.argmax(back_b, -1))),
+        float(np.max(np.abs(logits_a - logits_b))),
+        float(np.max(np.abs(back_a - back_b))),
+        trace_a.any_tied or trace_b.any_tied,
+    )
+
+
+@pytest.mark.parametrize(
+    "cfg", [ModelConfig(), ModelConfig(input_shape=(8, 8), patch_len=2, windows=(2, 2))]
+)
+@pytest.mark.parametrize("zero_pad", [False, True])
+def test_compare_shift_pairs_equals_per_pair_reference(cfg, zero_pad):
+    # 37 pairs: more than one pass, and not a multiple of a pass or a decoded slice.
+    model, pairs = build_model(cfg), 37
+    assert pairs > pass_pairs(cfg) and pairs % pass_pairs(cfg) and pairs % 8
+    inputs = synthetic_inputs(cfg.input_shape, cfg.channels, pairs, seed=2)
+    rng = np.random.default_rng(3)
+    offs = rng.integers(0, max(cfg.input_shape), size=(2, pairs, 1, cfg.rank))
+    stack = np.stack([x.data for x in inputs])
+    dense = compare_shift_pairs(model, stack, *offs, zero_pad=zero_pad)
+    labels_only = compare_shift_pairs(model, stack, *offs, zero_pad=zero_pad, dense=False)
+    expected = [
+        pair_reference(model, x, tuple(a[0]), tuple(b[0]), zero_pad)
+        for x, a, b in zip(inputs, *offs.tolist())
+    ]
+    assert [tuple(c) for c in zip(*(c.tolist() for c in dense))] == expected
+    same_label, agreement, logit_div, map_div, tied = labels_only
+    assert agreement is None and map_div is None
+    assert same_label.tolist() == [e[0] for e in expected]
+    assert logit_div.tolist() == [e[2] for e in expected]
+    assert tied.tolist() == [e[4] for e in expected]
+    assert any(e[4] for e in expected) and not all(e[4] for e in expected)
+
+
+def test_offsets_near_the_int64_ends_act_mod_the_grid():
+    # Circular shifts take any offset mod the grid, and a zero-padded shift past
+    # the end clears the signal, with no overflow and no wrap loop on the way.
+    cfg = ModelConfig()
+    model, g = build_model(cfg), cfg.input_shape[0]
+    stack = np.stack([x.data for x in synthetic_inputs(cfg.input_shape, cfg.channels, 4, seed=5)])
+    small = np.random.default_rng(6).integers(0, g, size=(2, 4, 1, 1))
+    top = np.iinfo(np.int64).max // g * g
+    far = (small[0] + top - g, small[1] - top)
+    for dense in (True, False):
+        got = compare_shift_pairs(model, stack, *far, dense=dense)
+        want = compare_shift_pairs(model, stack, *small, dense=dense)
+        assert [None if c is None else c.tolist() for c in got] == [
+            None if c is None else c.tolist() for c in want
+        ]
+    cleared = shift_stack(stack, np.full((4, 1), np.iinfo(np.int64).max), zero_pad=True)
+    assert np.all(cleared == 0.0) and not np.signbit(cleared).any()

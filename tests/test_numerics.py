@@ -228,6 +228,19 @@ def test_offset_index_stacks_grid_index(grid, width, stride, n):
     assert index.dtype == expect.dtype and np.array_equal(index, expect)
 
 
+@pytest.mark.parametrize("grid, width, stride", [((96,), 1, 1), ((12,), 4, 4), ((6, 10), 2, 2)])
+def test_offset_index_takes_offsets_at_the_int64_ends(grid, width, stride):
+    # Each offset acts as itself mod the grid, one sample or many, and the
+    # index comes back at once: nothing wraps it one grid length at a time.
+    info = np.iinfo(np.int64)
+    offsets = np.array([[info.max] * len(grid), [info.min] * len(grid), [2**62 + 5, -7][: len(grid)]])
+    reduced = [tuple(o % g for o, g in zip(off, grid)) for off in offsets.tolist()]
+    expect = np.stack([grid_index(grid, width, stride, r) for r in reduced])
+    assert np.array_equal(offset_index(grid, width, stride, offsets), expect)
+    for off, want in zip(offsets.tolist(), expect):
+        assert np.array_equal(grid_index(grid, width, stride, tuple(off)), want)
+
+
 @pytest.mark.parametrize("grid", [(7,), (3, 5)])
 def test_rotate_rows_and_scatter_index_per_sample(grid):
     rng = np.random.default_rng(4)
