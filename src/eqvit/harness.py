@@ -15,18 +15,19 @@ Every suite draws from a PCG64 stream derived from (seed, suite index), so
 a run is a pure function of its SuiteConfig and reports are byte-stable.
 
 The six trial-based suites (lemma1 through end2end) are rows of one
-property table, run by one loop: a payload sampler, a batch key, a size
-rule, one check (payloads -> divergence, agree, tied per payload) and a
-tolerance.  The loop groups a suite's trials by shared object and key and
-hands the check each group in trial-ordered batches sized by memory, not by
-a trial count: a batch takes trials while its check's largest array stays
-within `BATCH_ENTRIES` by the size rule, and the trials held back stay
-within `HELD_ENTRIES`; both bounds come from the arrays of a forward of the
-default model.  Every check stacks and validates its batch's payloads once
-and runs the batch through the ops as one stack; the first failing trial in
-trial order is the counterexample.  `replay` and the ablation search call
-the same checks, so a replayed counterexample cannot drift from the suite
-that found it.
+property table, run by one loop.  A batch of trials is one dict of columns:
+each value its trials share, once, and one row per trial of each row key.
+lemma1, claim1, claim2 and end2end fill a batch's columns directly, as many
+trials as keep its check's largest array within `BATCH_ENTRIES`; claim3 and
+apmerge, whose trials interleave shapes, go through one grouper that stacks
+each shape's rows when its batch goes out and holds back at most
+`HELD_ENTRIES` entries.  Both bounds come from the
+arrays of a forward of the default model.  Each check validates its batch
+once and runs it through the ops as one stack; the first failing trial in
+trial order is the counterexample, and only its payload dict is built.
+`replay` runs a payload through the same check as a batch of one, as the
+ablation search runs its chunks, so a replayed counterexample cannot drift
+from the suite that found it.
 claim1, claim2 and apmerge run inputs and their shifts as one op call
 (`_shift_pair`): a shift's selection must move with it, and its output must
 equal the base output at the rotation the two selections predict
@@ -38,10 +39,10 @@ an end2end batch is one of its encoder passes (`metrics.pass_pairs` pairs).
 from __future__ import annotations
 
 import dataclasses
-from collections.abc import Callable, Iterator
+from collections.abc import Callable, Iterator, Sequence
 from dataclasses import dataclass, field
 from functools import partial
-from itertools import count, islice, product
+from itertools import product
 from math import prod
 
 import numpy as np
@@ -87,8 +88,8 @@ _SEED_INDEX = {name: i + 1 for i, name in enumerate(SUITES)}
 # arrays of that size a forward holds (an input and its shift, gathered
 # windows or taps, queries and keys), so at this bound no suite's traced peak
 # passes the metrics suite's.  A trial larger on its own runs alone.  The
-# payloads held back in pending batches hold at most `HELD_ENTRIES` array
-# entries, the largest array of a `MAX_BATCH` forward.
+# trials the grouper holds back in pending batches hold at most `HELD_ENTRIES`
+# array entries, the largest array of a `MAX_BATCH` forward.
 HELD_ENTRIES = max(size for _, size in ModelConfig().activation_sizes())
 BATCH_ENTRIES = HELD_ENTRIES // 2
 
@@ -234,33 +235,29 @@ def sentinel(config: SuiteConfig) -> dict:
 
 @dataclass(frozen=True)
 class Property:
-    """One trial-based suite: its trials, their check, and its bound.
+    """One trial-based suite: its batches of trials, their check, and its bound.
 
-    `sample(sc)` yields (payload, shared) per trial: the payload holds every
-    input the check reads, `shared` the objects built once per suite from its
-    fixed fields, or None.  `key(payload)` holds the payload fields that fix
-    shapes and scalars.  `size(payload)` is the entries one trial adds to the
-    largest array of its check, from the payload's shapes (integer
-    arithmetic, read once per key).  `check(payloads, shared=None)` takes a list of
-    payloads with one shared object and one key, builds what it is not given,
-    as replay does, and returns (divergence, agree, tied) arrays with one
-    entry per payload; `agree` is False when labels or selections disagree.
-    `_passes` gives the verdict; tied trials are counted, not asserted.
+    `batches(sc)` yields (trial indices, columns, shared), each batch in trial
+    order.  `columns` holds each value its trials share once, and for each key
+    in `rows` one row per trial: a (B, ...) stack, or a list of ints or offsets.
+    `shared` holds the objects built once per suite from the shared values, or
+    None.  `check(columns, shared=None)` builds what it is not given, as replay
+    does, and returns (divergence, agree, tied) arrays, one entry per row;
+    `agree` is False when labels or selections disagree.  `_passes` gives the
+    verdict; tied trials are counted, not asserted.  `payload(columns, k)` is
+    trial k alone, as a replay file holds it; `columns(payload)` its batch of one.
     """
 
-    sample: Callable[[SuiteConfig], Iterator[tuple[dict, object]]]
+    batches: Callable[[SuiteConfig], Iterator[tuple[Sequence[int], dict, object]]]
     check: Callable[..., tuple[np.ndarray, np.ndarray, np.ndarray]]
     tolerance: float
-    size: Callable[[dict], int]
-    key: Callable[[dict], tuple] = lambda payload: ()
+    rows: tuple[str, ...]
 
+    def payload(self, columns: dict, k: int) -> dict:
+        return {key: value[k] if key in self.rows else value for key, value in columns.items()}
 
-def _stack(payloads: list[dict], key: str, ndim: int | None = None) -> np.ndarray:
-    """The payloads' `key` arrays as one float64 stack of rank `ndim`, if given."""
-    stack = real_array([p[key] for p in payloads], f"payload {key!r}")
-    if ndim is not None and stack.ndim != ndim:
-        raise ShapeError(f"payload {key!r} must be an array of rank {ndim - 1}")
-    return stack
+    def columns(self, payload: dict) -> dict:
+        return {key: [value] if key in self.rows else value for key, value in payload.items()}
 
 
 def _passes(div: float, agree: bool, tolerance: float) -> bool:
@@ -269,21 +266,45 @@ def _passes(div: float, agree: bool, tolerance: float) -> bool:
     return bool(agree) and div <= tolerance
 
 
-def _lemma1_trials(sc: SuiteConfig):
-    rng = sc.rng("lemma1")
+def _stacked(columns: dict, key: str, ndim: int) -> np.ndarray:
+    """The `key` column as a float64 stack of rank `ndim`, one row per trial."""
+    stack = real_array(columns[key], f"payload {key!r}")
+    if stack.ndim != ndim:
+        raise ShapeError(f"payload {key!r} must be an array of rank {ndim - 1}")
+    return stack
+
+
+def _signals_and_shifts(rng, count: int, shape: tuple, n: int) -> tuple[np.ndarray, list[int]]:
+    """(count, *shape) uniform(-1, 1) stack and `count` shifts in [0, n), drawn trial by trial."""
+    stack, shifts = np.empty((count, *shape)), []
+    for row in stack:
+        row[...] = rng.uniform(-1.0, 1.0, shape)
+        shifts.append(int(rng.integers(0, n)))
+    return stack, shifts
+
+
+def _lemma1_batches(sc: SuiteConfig):
+    """Per (n, l) pair, its trials (each input at each offset m) in batches of
+    rows of `m` and `x`; a batch draws its new inputs in one call."""
+    rng, trials, start = sc.rng("lemma1"), sc.suite_trials("lemma1"), 0
     for n in sc.lemma_n:
         for l in sc.lemma_l:
             if n % l:
                 continue
             embed = rng.uniform(-0.5, 0.5, size=(l * LEMMA1_CHANNELS, LEMMA1_DIM))
             cfg = PatchEmbedConfig(l, embed)
-            # Inputs in draws of at most HELD_ENTRIES entries: the stream of one per input.
-            trials, block = sc.suite_trials("lemma1"), max(1, HELD_ENTRIES // (n * LEMMA1_CHANNELS))
-            for start in range(0, trials, block):
-                draws = min(block, trials - start)
-                for x in rng.uniform(-1.0, 1.0, size=(draws, n, LEMMA1_CHANNELS)):
-                    for m in range(l):
-                        yield {"n": n, "l": l, "m": m, "x": x, "embed": embed}, cfg
+            entries = _lemma1_entries(n, l, LEMMA1_CHANNELS, LEMMA1_DIM)
+            step = max(1, BATCH_ENTRIES // max(size for _, size in entries))
+            inputs = np.empty((0, n, LEMMA1_CHANNELS))
+            for lo in range(0, trials * l, step):
+                k = np.arange(lo, min(lo + step, trials * l))
+                # Inputs lo // l to k[-1] // l; the first one's offsets may run on.
+                inputs = inputs[-1:] if lo % l else inputs[:0]
+                fresh = (k[-1] // l + 1 - lo // l - len(inputs), n, LEMMA1_CHANNELS)
+                inputs = np.concatenate([inputs, rng.uniform(-1.0, 1.0, fresh)])
+                columns = {"n": n, "l": l, "m": (k % l).tolist(), "x": inputs[k // l - lo // l]}
+                yield range(start + lo, start + lo + len(k)), {**columns, "embed": embed}, cfg
+            start += trials * l
 
 
 def _lemma1_entries(n: int, l: int, channels: int, dim: int) -> list[tuple[str, int]]:
@@ -293,27 +314,20 @@ def _lemma1_entries(n: int, l: int, channels: int, dim: int) -> list[tuple[str, 
     return [("gathered sides", 2 * n * channels), ("projected side", n // l * dim)]
 
 
-def _lemma1_size(p: dict) -> int:
-    (n, channels), dim = np.shape(p["x"]), np.shape(p["embed"])[1]
-    return max(size for _, size in _lemma1_entries(n, p["l"], channels, dim))
-
-
-def _lemma1_check(payloads: list[dict], cfg: PatchEmbedConfig | None = None):
+def _lemma1_check(columns: dict, cfg: PatchEmbedConfig | None = None):
     """Both sides of the interchange for every input as one `lemma1_sides` batch."""
-    first = payloads[0]
-    cfg = cfg or PatchEmbedConfig(first["l"], np.asarray(first["embed"]))
-    xs = SignalBatch(_stack(payloads, "x"))
-    left, right = lemma1_sides(xs, cfg, [p["m"] for p in payloads])
-    n = len(payloads)
+    cfg = cfg or PatchEmbedConfig(columns["l"], columns["embed"])
+    left, right = lemma1_sides(SignalBatch(columns["x"]), cfg, columns["m"])
+    n = len(left)
     return max_abs_rows(left, right), np.ones(n, bool), np.zeros(n, bool)
 
 
-def _shift_pair(rows: np.ndarray, grid: tuple, payloads: list[dict], stride: int, op, *args):
+def _shift_pair(rows: np.ndarray, grid: tuple, shift, stride: int, op, *args):
     """claim1, claim2 and apmerge check: (B, prod(grid), C) inputs and their
-    rotations by the payloads' shifts as one token matrix through one
+    rotations by the `shift` column as one token matrix through one
     `op(tokens, *args)` call.  Per input: the divergence from the base output
     at the rotation the trace predicts (`predicted_rotation`), congruent, tied."""
-    n, shifts = len(rows), as_offsets([p["shift"] for p in payloads], len(grid))
+    n, shifts = len(rows), as_offsets(shift, len(grid))
     both = np.concatenate([rows, rotate_rows(rows, grid, shifts)])
     out, trace = op(TokenMatrix._fresh(both, grid), *args)
     phi, tied, stack, coarse = trace.entries[0].offsets, trace.tied, out.data, out.grid_shape
@@ -327,42 +341,37 @@ def _token_rows(t: TokenMatrix, cfg: PatchEmbedConfig):
     return a_token(SignalBatch._fresh(t.grid()), cfg)
 
 
-def _claim1_trials(sc: SuiteConfig):
-    rng = sc.rng("claim1")
-    n, l = 64, 4  # signal length, patch length
-    embed = rng.uniform(-0.5, 0.5, size=(l * 2, 8))
+def _claim1_batches(sc: SuiteConfig):
+    rng, trials = sc.rng("claim1"), sc.suite_trials("claim1")
+    n, l, c, d = 64, 4, 2, 8  # signal length, patch length, channels, token dimension
+    embed = rng.uniform(-0.5, 0.5, size=(l * c, d))
     cfg = PatchEmbedConfig(l, embed)
     fixed = {"l": l, "invariant_fn": cfg.invariant_fn, "embed": embed}
-    for _ in range(sc.suite_trials("claim1")):
-        x = rng.uniform(-1.0, 1.0, size=(n, 2))
-        yield {**fixed, "x": x, "shift": int(rng.integers(0, n))}, cfg
+    # An input and its shift: full-rate patch columns and embedding per position.
+    step = max(1, BATCH_ENTRIES // (2 * n * max(l * c, d)))
+    for lo in range(0, trials, step):
+        xs, shifts = _signals_and_shifts(rng, min(step, trials - lo), (n, c), n)
+        yield range(lo, lo + len(xs)), {**fixed, "x": xs, "shift": shifts}, cfg
 
 
-def _claim1_size(p: dict) -> int:
-    """An input and its shift: full-rate patch columns and embedding per position."""
-    *grid, channels = np.shape(p["x"])
-    return 2 * prod(grid) * max(p["l"] ** len(grid) * channels, np.shape(p["embed"])[1])
-
-
-def _claim1_check(payloads: list[dict], cfg: PatchEmbedConfig | None = None):
+def _claim1_check(columns: dict, cfg: PatchEmbedConfig | None = None):
     """Each input and its shift as one `a_token` batch."""
-    first = payloads[0]
-    cfg = cfg or PatchEmbedConfig(first["l"], np.asarray(first["embed"]), first["invariant_fn"])
-    xs = SignalBatch(_stack(payloads, "x")).data
+    cfg = cfg or PatchEmbedConfig(columns["l"], columns["embed"], columns["invariant_fn"])
+    xs = SignalBatch(columns["x"]).data
     rows = xs.reshape(len(xs), -1, xs.shape[-1])
-    return _shift_pair(rows, xs.shape[1:-1], payloads, cfg.patch_len, _token_rows, cfg)
+    return _shift_pair(rows, xs.shape[1:-1], columns["shift"], cfg.patch_len, _token_rows, cfg)
 
 
-def _window_attention(payload: dict) -> tuple[WindowConfig, AttentionParams, RpeTable]:
-    wcfg = WindowConfig(payload["window"], payload["energy_p"], payload["energy_fn"])
-    params = AttentionParams(*(np.asarray(payload[k]) for k in ("e_q", "e_k", "e_v")))
-    table = payload["rpe_table"]
-    rpe = RpeTable.none() if table is None else RpeTable(payload["rpe_kind"], np.asarray(table))
+def _window_attention(columns: dict) -> tuple[WindowConfig, AttentionParams, RpeTable]:
+    wcfg = WindowConfig(columns["window"], columns["energy_p"], columns["energy_fn"])
+    params = AttentionParams(*(columns[k] for k in ("e_q", "e_k", "e_v")))
+    table = columns["rpe_table"]
+    rpe = RpeTable.none() if table is None else RpeTable(columns["rpe_kind"], table)
     return wcfg, params, rpe
 
 
-def _claim2_trials(sc: SuiteConfig):
-    rng = sc.rng("claim2")
+def _claim2_batches(sc: SuiteConfig):
+    rng, trials = sc.rng("claim2"), sc.suite_trials("claim2")
     m, w, d = 16, 4, 8  # tokens, window, token dimension
     fixed = {
         "grid": [m],
@@ -376,22 +385,62 @@ def _claim2_trials(sc: SuiteConfig):
         "rpe_table": rng.uniform(-0.5, 0.5, w),
     }
     parts = _window_attention(fixed)
-    for _ in range(sc.suite_trials("claim2")):
-        t = rng.uniform(-1.0, 1.0, (m, d))
-        yield {**fixed, "t": t, "shift": [int(rng.integers(0, m))]}, parts
+    # A token matrix and its shift: window logits and energy taps, and tokens.
+    step = max(1, BATCH_ENTRIES // (2 * m * max(d, w)))
+    for lo in range(0, trials, step):
+        ts, shifts = _signals_and_shifts(rng, min(step, trials - lo), (m, d), m)
+        yield range(lo, lo + len(ts)), {**fixed, "t": ts, "shift": [[s] for s in shifts]}, parts
 
 
-def _claim2_size(p: dict) -> int:
-    """A token matrix and its shift: window logits and energy taps, and tokens."""
-    (m, d), rank = np.shape(p["t"]), len(p["grid"])
-    return 2 * m * max(d, p["window"] ** rank, np.shape(p["e_q"])[1])
-
-
-def _claim2_check(payloads: list[dict], parts=None):
+def _claim2_check(columns: dict, parts=None):
     """The token matrices and their shifts as one `a_wsa` batch."""
-    wcfg, params, rpe = parts or _window_attention(payloads[0])
-    t = _token_batch(payloads)
-    return _shift_pair(t.data, t.grid_shape, payloads, wcfg.window, a_wsa, wcfg, params, rpe)
+    wcfg, params, rpe = parts or _window_attention(columns)
+    t, shift = _token_batch(columns), columns["shift"]
+    return _shift_pair(t.data, t.grid_shape, shift, wcfg.window, a_wsa, wcfg, params, rpe)
+
+
+def _grouped(trials: Callable[[SuiteConfig], Iterator], rows: tuple[str, ...], sc: SuiteConfig):
+    """Batches of the (key, size, trial) items `trials(sc)` yields, for suites
+    whose trials interleave keys: each batch holds trials of one key, in trial
+    order, with their `rows` values stacked.  A batch goes out once another
+    trial would take its check's largest array past `BATCH_ENTRIES` by `size`,
+    the entries one trial of that key adds.  Before a trial whose arrays would
+    take the trials held back past `HELD_ENTRIES` entries, the largest pending
+    batches go out; the rest go out after the last trial."""
+    pending: dict[tuple, tuple[list[int], list[dict]]] = {}
+    sizes: dict[tuple, tuple[int, int]] = {}  # per key: (size, trial entries)
+    held = 0
+
+    def flush(key):
+        indices, group = pending.pop(key)
+        values = {k: [trial[k] for trial in group] for k in rows}
+        stacks = {k: np.stack(v) if isinstance(v[0], np.ndarray) else v for k, v in values.items()}
+        return indices, {k: stacks.get(k, v) for k, v in group[0].items()}, None
+
+    for i, (key, size, trial) in enumerate(trials(sc)):
+        if key not in sizes:
+            sizes[key] = size, sum(v.size for v in trial.values() if isinstance(v, np.ndarray))
+        size, entries = sizes[key]
+        while pending and held + entries > HELD_ENTRIES:
+            largest = max(pending, key=lambda k: len(pending[k][0]) * sizes[k][1])
+            held -= len(pending[largest][0]) * sizes[largest][1]
+            yield flush(largest)
+        indices, group = pending.setdefault(key, ([], []))
+        indices.append(i)
+        group.append(trial)
+        held += entries
+        if (len(indices) + 1) * size > BATCH_ENTRIES:
+            held -= len(indices) * entries
+            yield flush(key)
+    while pending:
+        yield flush(next(iter(pending)))
+
+
+def _merge_size(grid: tuple, d: int, p: int) -> int:
+    """Merge taps, full-rate output and merge embed of one (prod(grid), d) token
+    matrix merged at stride p to width 2d."""
+    m, taps = prod(grid), p ** len(grid)
+    return max(taps * m * d, m * 2 * d, taps * d * 2 * d)
 
 
 def _claim3_trials(sc: SuiteConfig):
@@ -406,27 +455,22 @@ def _claim3_trials(sc: SuiteConfig):
         d = int(rng.integers(2, 7))
         t = rng.uniform(-1.0, 1.0, (prod(grid), d))
         embed = rng.uniform(-0.5, 0.5, (p ** len(grid) * d, 2 * d))
-        yield {"grid": list(grid), "t": t, "factor": p, "embed": embed}, None
+        trial = {"grid": list(grid), "t": t, "factor": p, "embed": embed}
+        yield (grid, d, p), _merge_size(grid, d, p), trial
 
 
-def _token_batch(payloads: list[dict]) -> TokenMatrix:
-    """The payloads' token matrices as one (B, M, D) batch on their grid, checked once."""
-    return TokenMatrix(_stack(payloads, "t", 3), tuple(payloads[0]["grid"]))
+def _token_batch(columns: dict) -> TokenMatrix:
+    """The columns' (B, M, D) token stack on their grid, checked once."""
+    return TokenMatrix(_stacked(columns, "t", 3), tuple(columns["grid"]))
 
 
-def _merge_size(p: dict) -> int:
-    """Merge taps, full-rate output and merge embed of one token matrix."""
-    (m, d), (k, d_out) = np.shape(p["t"]), np.shape(p["embed"])
-    return max(p["factor"] ** len(p["grid"]) * m * d, m * d_out, k * d_out)
-
-
-def _claim3_check(payloads: list[dict], _shared=None):
+def _claim3_check(columns: dict, _shared=None):
     """Both merge routes over the token matrices as one batch, one embed per sample."""
-    t, embeds = _token_batch(payloads), _stack(payloads, "embed", 3)
-    cfg = MergeConfig(payloads[0]["factor"], embeds)
+    t = _token_batch(columns)
+    cfg = MergeConfig(columns["factor"], _stacked(columns, "embed", 3))
     full = pmerge_conv_fullrate(t, cfg).grid()
     phase_zero = full[(slice(None), *(slice(0, None, cfg.factor) for _ in t.grid_shape))]
-    n = len(payloads)
+    n = len(full)
     return max_abs_rows(pmerge(t, cfg).grid(), phase_zero), np.ones(n, bool), np.zeros(n, bool)
 
 
@@ -438,54 +482,48 @@ def _apmerge_trials(sc: SuiteConfig):
         d = int(rng.integers(2, 7))
         t = rng.uniform(-1.0, 1.0, (prod(grid), d))
         embed = rng.uniform(-0.5, 0.5, (2**rank * d, 2 * d))
-        payload = {"grid": list(grid), "t": t, "factor": 2, "embed": embed, "energy_p": 2.0}
-        payload["shift"] = [int(rng.integers(0, g)) for g in grid]
-        yield payload, None
+        trial = {"grid": list(grid), "t": t, "factor": 2, "embed": embed, "energy_p": 2.0}
+        trial["shift"] = [int(rng.integers(0, g)) for g in grid]
+        yield (grid, d), 2 * _merge_size(grid, d, 2), trial  # an input and its shift
 
 
-def _apmerge_check(payloads: list[dict], _shared=None):
+def _apmerge_check(columns: dict, _shared=None):
     """The token matrices and their shifts as one `a_pmerge` batch."""
-    t, embeds = _token_batch(payloads), _stack(payloads, "embed", 3)
-    first = payloads[0]
-    cfg = MergeConfig(first["factor"], np.concatenate([embeds, embeds]), first["energy_p"])
-    return _shift_pair(t.data, t.grid_shape, payloads, cfg.factor, a_pmerge, cfg)
+    t, embeds = _token_batch(columns), _stacked(columns, "embed", 3)
+    cfg = MergeConfig(columns["factor"], np.concatenate([embeds, embeds]), columns["energy_p"])
+    return _shift_pair(t.data, t.grid_shape, columns["shift"], cfg.factor, a_pmerge, cfg)
 
 
-def _end2end_trials(sc: SuiteConfig):
+def _end2end_batches(sc: SuiteConfig):
     cfg = sc.resolved_model()
     model = build_model(cfg)
-    trials = sc.suite_trials("end2end")
-    pairs = 5
+    trials, pairs = sc.suite_trials("end2end"), 5
     inputs = synthetic_inputs(
         cfg.input_shape, cfg.channels, -(-trials // pairs), sc.derived_seed("end2end", 1)
     )
     sampler = ShiftSampler.for_shape(cfg.input_shape, pairs, sc.derived_seed("end2end", 2))
-    offsets = sampler.sample_pairs(len(inputs)).tolist()
+    offsets = sampler.sample_pairs(len(inputs)).reshape(-1, 2, cfg.rank).tolist()
     fixed = {"model_config": cfg.to_dict(), "check": "both"}
-    for k in range(trials):
-        i, j = divmod(k, pairs)
-        off_a, off_b = offsets[i][j]
-        yield {**fixed, "input": inputs[i].data, "shift_a": off_a, "shift_b": off_b}, model
+    # A batch is one encoder pass of `compare_shift_pairs`, whose arrays
+    # `ModelConfig`'s activation bound covers.
+    step = pass_pairs(cfg)
+    for lo in range(0, trials, step):
+        k = range(lo, min(lo + step, trials))
+        xs = np.stack([inputs[i // pairs].data for i in k])
+        shift_a, shift_b = zip(*(offsets[i] for i in k))
+        yield k, {**fixed, "input": xs, "shift_a": list(shift_a), "shift_b": list(shift_b)}, model
 
 
-def _end2end_size(p: dict) -> int:
-    """One shift pair, sized so that a batch is one encoder pass of
-    `compare_shift_pairs` (`pass_pairs` pairs); `ModelConfig`'s activation
-    bound covers that pass's arrays."""
-    return BATCH_ENTRIES // pass_pairs(ModelConfig.from_dict(p["model_config"]))
-
-
-def _end2end_divergence(payloads: list[dict], model: Model | None = None):
+def _end2end_divergence(columns: dict, model: Model | None = None):
     """end2end and ablation check: each input at two shifts, compared by
     `compare_shift_pairs`.  Logits and labels must agree; check "both" also
     needs the decoded maps, each rotated back by its shift, to agree."""
-    check = payloads[0]["check"]
+    check = columns["check"]
     if check not in ("classify", "both"):
         raise ConfigError(f"end2end check must be 'classify' or 'both', not {check!r}")
-    model = model or build_model(ModelConfig.from_dict(payloads[0]["model_config"]))
-    rank = model.config.rank
-    xs = SignalBatch(_stack(payloads, "input")).data
-    offs = (as_offsets([p[k] for p in payloads], rank) for k in ("shift_a", "shift_b"))
+    model = model or build_model(ModelConfig.from_dict(columns["model_config"]))
+    xs = SignalBatch(columns["input"]).data
+    offs = (as_offsets(columns[k], model.config.rank) for k in ("shift_a", "shift_b"))
     same_label, agreement, logit_div, map_div, tied = compare_shift_pairs(
         model, xs, *(o[:, np.newaxis] for o in offs), dense=check == "both"
     )
@@ -494,78 +532,21 @@ def _end2end_divergence(payloads: list[dict], model: Model | None = None):
     return np.maximum(logit_div, map_div), same_label & (agreement == 1.0), tied
 
 
+_CLAIM3_ROWS, _APMERGE_ROWS = ("t", "embed"), ("t", "embed", "shift")
 PROPERTIES = {
-    "lemma1": Property(
-        _lemma1_trials,
-        _lemma1_check,
-        TOL_EXACT,
-        _lemma1_size,
-        lambda p: (p["l"], p["x"].shape),
-    ),
-    "claim1": Property(_claim1_trials, _claim1_check, TOL_EXACT, _claim1_size),
-    "claim2": Property(_claim2_trials, _claim2_check, TOL_ROUTE, _claim2_size),
+    "lemma1": Property(_lemma1_batches, _lemma1_check, TOL_EXACT, ("m", "x")),
+    "claim1": Property(_claim1_batches, _claim1_check, TOL_EXACT, ("x", "shift")),
+    "claim2": Property(_claim2_batches, _claim2_check, TOL_ROUTE, ("t", "shift")),
     "claim3": Property(
-        _claim3_trials,
-        _claim3_check,
-        TOL_ROUTE,
-        _merge_size,
-        lambda p: (tuple(p["grid"]), p["t"].shape, p["factor"]),
+        partial(_grouped, _claim3_trials, _CLAIM3_ROWS), _claim3_check, TOL_ROUTE, _CLAIM3_ROWS
     ),
     "apmerge": Property(
-        _apmerge_trials,
-        _apmerge_check,
-        TOL_EXACT,
-        lambda p: 2 * _merge_size(p),  # an input and its shift
-        lambda p: (tuple(p["grid"]), p["t"].shape, p["factor"], p["energy_p"]),
+        partial(_grouped, _apmerge_trials, _APMERGE_ROWS), _apmerge_check, TOL_EXACT, _APMERGE_ROWS
     ),
-    "end2end": Property(_end2end_trials, _end2end_divergence, TOL_END2END, _end2end_size),
+    "end2end": Property(
+        _end2end_batches, _end2end_divergence, TOL_END2END, ("input", "shift_a", "shift_b")
+    ),
 }
-
-
-def _chunks(items: Iterator, sizes) -> Iterator[list]:
-    """Consecutive chunks of `items` in order, the k-th of at most the k-th of `sizes`."""
-    items = iter(items)
-    for size in sizes:
-        chunk = list(islice(items, size))
-        if not chunk:
-            return
-        yield chunk
-
-
-def _batches(prop: Property, sc: SuiteConfig) -> Iterator[tuple[list[int], list[dict], object]]:
-    """(trial indices, payloads, shared) batches with one shared object and one
-    key, each in trial order.  A batch is handed out once another trial would
-    take its check's largest array past `BATCH_ENTRIES`, by the property's
-    size rule.  Before a trial whose payload arrays would take the pending
-    batches past `HELD_ENTRIES` entries, the largest pending batches go out;
-    the rest go out after the last trial.  So trials of one key batch together
-    however the suite interleaves its keys, as far as the bounds allow."""
-    pending: dict[tuple, tuple[list[int], list[dict], object]] = {}
-    sizes: dict[tuple, tuple[int, int]] = {}  # per key: (size rule, payload entries)
-    held = 0
-    for i, (payload, shared) in enumerate(prop.sample(sc)):
-        # A batch holds its shared object, so no other one takes its id; the
-        # key fixes the shapes both sizes are read from.
-        key = (id(shared), prop.key(payload))
-        if key not in sizes:
-            arrays = [v for v in payload.values() if isinstance(v, np.ndarray)]
-            sizes[key] = prop.size(payload), sum(a.size for a in arrays)
-        size, entries = sizes[key]
-        while pending and held + entries > HELD_ENTRIES:
-            largest = max(pending, key=lambda k: len(pending[k][0]) * sizes[k][1])
-            held -= len(pending[largest][0]) * sizes[largest][1]
-            yield pending.pop(largest)
-        batch = pending.get(key)
-        if batch is None:
-            batch = pending[key] = ([], [], shared)
-        batch[0].append(i)
-        batch[1].append(payload)
-        held += entries
-        if (len(batch[0]) + 1) * size > BATCH_ENTRIES:
-            held -= len(batch[0]) * entries
-            yield pending.pop(key)
-    while pending:
-        yield pending.pop(next(iter(pending)))
 
 
 def _run_property(name: str, sc: SuiteConfig) -> SuiteResult:
@@ -577,9 +558,9 @@ def _run_property(name: str, sc: SuiteConfig) -> SuiteResult:
     first = None  # (trial index, divergence, payload)
     # Counts and the maximum do not depend on the order batches run in:
     # divergences are never -0.0, and a NaN one never raises the maximum.
-    for indices, payloads, shared in _batches(prop, sc):
-        columns = (a.tolist() for a in prop.check(payloads, shared))
-        for i, payload, div, agree, tied in zip(indices, payloads, *columns):
+    for indices, columns, shared in prop.batches(sc):
+        results = (a.tolist() for a in prop.check(columns, shared))
+        for k, (i, div, agree, tied) in enumerate(zip(indices, *results)):
             trials += 1
             if tied:
                 ties += 1
@@ -588,7 +569,7 @@ def _run_property(name: str, sc: SuiteConfig) -> SuiteResult:
             if _passes(div, agree, prop.tolerance):
                 passes += 1
             elif first is None or i < first[0]:
-                first = (i, div, payload)
+                first = (i, div, prop.payload(columns, k))
     failures = trials - ties - passes
     worst = None if first is None else _counterexample(name, prop.tolerance, *first[1:])
     return SuiteResult(name, trials, passes, failures, max_div, ties, counterexample=worst)
@@ -606,12 +587,12 @@ run_end2end = partial(_run_property, "end2end")
 
 
 def _untied_stats(rep) -> tuple[float, float, int]:
-    """(agreement, max divergence, count) over the tie-free records."""
-    recs = [r for r in rep.records if not r.tied]
-    if not recs:
+    """(agreement, max divergence, count) over the tie-free trials."""
+    untied = ~rep.tied
+    if not untied.any():
         return 1.0, 0.0, 0
-    agg = sum(r.agreement for r in recs) / len(recs)
-    return agg, max(r.divergence for r in recs), len(recs)
+    agreement, divergence = rep.agreement[untied].tolist(), rep.divergence[untied].tolist()
+    return sum(agreement) / len(agreement), max(divergence), len(agreement)
 
 
 def run_metrics(sc: SuiteConfig) -> SuiteResult:
@@ -619,9 +600,7 @@ def run_metrics(sc: SuiteConfig) -> SuiteResult:
     model = build_model(cfg)
     pairs = 5
     count = max(1, sc.suite_trials("metrics") // pairs)
-    inputs = synthetic_inputs(
-        cfg.input_shape, cfg.channels, count, sc.derived_seed("metrics", 1)
-    )
+    inputs = synthetic_inputs(cfg.input_shape, cfg.channels, count, sc.derived_seed("metrics", 1))
     sampler = ShiftSampler.for_shape(cfg.input_shape, pairs, sc.derived_seed("metrics", 2))
     rep_c, rep_m = consistency(model, inputs, sampler)
     rep_s = s_cons_zeropad(model, inputs, sampler)
@@ -661,40 +640,33 @@ def run_metrics(sc: SuiteConfig) -> SuiteResult:
 # -------------------------------------------------------------- ablation --
 
 
-def _ablation_search(
-    sc: SuiteConfig, switch: str, budget: int
-) -> tuple[dict, dict | None]:
+def _ablation_search(sc: SuiteConfig, switch: str, budget: int) -> tuple[dict, dict | None]:
     cfg = dataclasses.replace(ABLATION_SEARCH_MODEL, seed=sc.seed).disable(switch)
     model = build_model(cfg)
     rng = np.random.default_rng([sc.seed, _SEED_INDEX["ablation"], SWITCHES.index(switch)])
     shape, channels = cfg.input_shape, cfg.channels
     fixed = {"model_config": cfg.to_dict(), "check": "classify"}
-
-    def trials():
-        for _ in range(budget):
-            yield {
-                **fixed,
-                "input": rng.uniform(-1.0, 1.0, size=(*shape, channels)),
-                "shift_a": [int(rng.integers(0, n // 2)) for n in shape],
-                "shift_b": [int(rng.integers(0, n // 2)) for n in shape],
-            }
-
     # Chunks double from one trial, so a counterexample found early costs
     # little more than trial-by-trial search; the draws stay in trial order.
-    sizes = (min(2**k, pass_pairs(cfg)) for k in count())
-    found = None
+    found, chunk = None, 1
     used = ties = 0
-    for payloads in _chunks(trials(), sizes):
-        divs, agrees, tieds = (a.tolist() for a in _end2end_divergence(payloads, model))
-        for payload, div, agree, tied in zip(payloads, divs, agrees, tieds):
+    while found is None and used < budget:
+        xs, shifts = np.empty((min(chunk, budget - used), *shape, channels)), ([], [])
+        for x in xs:
+            x[...] = rng.uniform(-1.0, 1.0, size=(*shape, channels))
+            for column in shifts:
+                column.append([int(rng.integers(0, n // 2)) for n in shape])
+        columns = {**fixed, "input": xs, "shift_a": shifts[0], "shift_b": shifts[1]}
+        results = (a.tolist() for a in _end2end_divergence(columns, model))
+        for k, (div, agree, tied) in enumerate(zip(*results)):
             used += 1
             if tied:
                 ties += 1
             elif not _passes(div, agree, TOL_END2END):
+                payload = PROPERTIES["end2end"].payload(columns, k)
                 found = _counterexample("ablation", TOL_END2END, div, payload)
                 break
-        if found is not None:
-            break
+        chunk = min(2 * chunk, pass_pairs(cfg))
     summary = {"switch": switch, "found": found is not None, "trials": used, "ties": ties}
     if found is not None:
         summary["divergence"] = found["divergence"]
@@ -784,7 +756,7 @@ def replay(document: dict) -> tuple[int, str]:
     # bare int or one int per axis, as `as_offset` takes it; float arrays may
     # be of another rank (a 2-D model's inputs), and a wrong shape surfaces as
     # ShapeError from the check.
-    written, _ = next(prop.sample(SuiteConfig(trials=1)))
+    written = prop.payload(next(prop.batches(SuiteConfig(trials=1)))[1], 0)
     missing = sorted(set(written) - set(payload))
     if missing:
         raise ConfigError(f"{suite} payload lacks keys {missing}")
@@ -802,7 +774,7 @@ def replay(document: dict) -> tuple[int, str]:
         # Payloads scaled toward the float range overflow inside the ops; the
         # outcome below says what that means, so NumPy's warnings are noise.
         with np.errstate(over="ignore", invalid="ignore"):
-            divs, agrees, tieds = prop.check([payload])
+            divs, agrees, tieds = prop.check(prop.columns(payload))
     except (ShapeError, ParameterError, TraceError) as err:
         raise ConfigError(f"{suite} payload cannot be checked: {err}") from err
     div, agree, tied = float(divs[0]), bool(agrees[0]), bool(tieds[0])

@@ -21,7 +21,7 @@ import numpy as np
 
 from . import pipeline
 from .errors import ParameterError, ShapeError
-from .numerics import GridSignal, Offset, SignalBatch, as_offsets, max_abs_rows, real_array
+from .numerics import GridSignal, SignalBatch, as_offsets, max_abs_rows, real_array
 from .numerics import rotate_rows
 from .pipeline import MAX_BATCH, Model, ModelConfig
 from .tokenizer import TokenMatrix
@@ -72,40 +72,37 @@ class ShiftSampler:
             raise ShapeError(f"max_offset {self.max_offset} not below shape {shape}")
 
 
-@dataclass(frozen=True)
-class TrialRecord:
-    input_id: int
-    shift_a: Offset
-    shift_b: Offset
-    agreement: float
-    divergence: float
-    tied: bool
-
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ConsistencyReport:
-    metric: str
-    records: tuple[TrialRecord, ...]
-    aggregate: float
-    max_divergence: float
-    tie_count: int
+    """One metric over N shift pairs, as the (N,) columns `compare_shift_pairs`
+    gives, in pair order: each pair's agreement (1.0 or 0.0 for a label
+    metric, the fraction of agreeing positions for mascc), its divergence
+    (logits, or rotated-back maps for mascc), and whether either shift tied."""
 
-    @classmethod
-    def from_records(cls, metric: str, records) -> ConsistencyReport:
-        records = tuple(records)
-        if not records:
+    metric: str
+    agreement: np.ndarray
+    divergence: np.ndarray
+    tied: np.ndarray
+
+    def __post_init__(self):
+        if not len(self.agreement):
             raise ParameterError("a consistency report needs at least one trial")
-        return cls(
-            metric=metric,
-            records=records,
-            aggregate=fmean(r.agreement for r in records),
-            max_divergence=max(r.divergence for r in records),
-            tie_count=sum(1 for r in records if r.tied),
-        )
 
     @property
     def trials(self) -> int:
-        return len(self.records)
+        return len(self.agreement)
+
+    @property
+    def aggregate(self) -> float:
+        return fmean(self.agreement.tolist())
+
+    @property
+    def max_divergence(self) -> float:
+        return max(self.divergence.tolist())
+
+    @property
+    def tie_count(self) -> int:
+        return int(np.count_nonzero(self.tied))
 
     def summary(self) -> dict:
         return {
@@ -198,19 +195,11 @@ def _reports(model: Model, inputs, sampler: ShiftSampler, zero_pad: bool, metric
     same_label, agreement, logit_div, map_div, tied = compare_shift_pairs(
         model, stack, offsets[:, :, 0], offsets[:, :, 1], zero_pad, dense="mascc" in metrics
     )
-    trials = [(i, tuple(a), tuple(b)) for i, row in enumerate(offsets.tolist()) for a, b in row]
-    reports = []
-    for m in metrics:
-        if m == "mascc":
-            scores, divs = agreement, map_div
-        else:
-            scores, divs = np.where(same_label, 1.0, 0.0), logit_div
-        records = [
-            TrialRecord(*trial, a, d, t)
-            for trial, a, d, t in zip(trials, scores.tolist(), divs.tolist(), tied.tolist())
-        ]
-        reports.append(ConsistencyReport.from_records(m, records))
-    return reports
+    labels = np.where(same_label, 1.0, 0.0), logit_div
+    return [
+        ConsistencyReport(m, *((agreement, map_div) if m == "mascc" else labels), tied)
+        for m in metrics
+    ]
 
 
 def c_cons(model: Model, inputs, sampler: ShiftSampler) -> ConsistencyReport:

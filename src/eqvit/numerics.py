@@ -274,9 +274,11 @@ def predicted_rotation(base, shifted, shifts, b: int, in_grid, out_grid):
     it rotated by shifts[i].  The selection moved with the shift when
     d = shifted + shift - base is a multiple of `b` on every axis; the shifted
     output is then the base output rotated (as `rotate_rows` does) by d // k,
-    k = in_grid / out_grid the op's downsampling."""
-    d, out_grid = np.asarray(shifted) + shifts - np.asarray(base), np.asarray(out_grid)
-    return (d % b == 0).all(axis=-1), d // (np.asarray(in_grid) // out_grid) % out_grid
+    k = in_grid / out_grid the op's downsampling.  Shifts count mod in_grid, a
+    multiple of b and k, so any int64 shift gives the rotation its residue does."""
+    in_grid, out_grid = np.asarray(in_grid), np.asarray(out_grid)
+    d = np.asarray(shifted) + shifts % in_grid - np.asarray(base)
+    return (d % b == 0).all(axis=-1), d // (in_grid // out_grid) % out_grid
 
 
 def scatter_rows(stack: np.ndarray, rows: int, index: np.ndarray) -> np.ndarray:

@@ -3,6 +3,7 @@ per-trial reference loops over the public one-sample API."""
 
 import dataclasses
 import hashlib
+from functools import partial
 from itertools import product
 
 import numpy as np
@@ -32,7 +33,6 @@ from eqvit.merging import MergeConfig, a_pmerge, aps, pmerge, pmerge_conv_fullra
 from eqvit.metrics import (
     ConsistencyReport,
     ShiftSampler,
-    TrialRecord,
     c_cons,
     consistency,
     mascc,
@@ -52,6 +52,7 @@ from eqvit.tokenizer import (
     token,
 )
 from eqvit.trace import WSA, SelectionTrace
+from trials import trial_payloads
 
 
 def same(a, b) -> bool:
@@ -365,7 +366,7 @@ def best_alignment(shifted: TokenMatrix, base: TokenMatrix, step: int = 1) -> fl
 
 
 def claim1_reference(sc):
-    for payload, cfg in PROPERTIES["claim1"].sample(sc):
+    for payload, cfg in trial_payloads("claim1", sc):
         x = GridSignal(payload["x"])
         base, tb = a_token(x, cfg)
         out, ts = a_token(circular_shift(x, payload["shift"]), cfg)
@@ -373,7 +374,7 @@ def claim1_reference(sc):
 
 
 def claim2_reference(sc):
-    for payload, (wcfg, params, rpe) in PROPERTIES["claim2"].sample(sc):
+    for payload, (wcfg, params, rpe) in trial_payloads("claim2", sc):
         t = TokenMatrix(payload["t"], tuple(payload["grid"]))
         base, tb = a_wsa(t, wcfg, params, rpe)
         out, ts = a_wsa(t.shift(tuple(payload["shift"])), wcfg, params, rpe)
@@ -381,13 +382,13 @@ def claim2_reference(sc):
 
 
 def lemma1_reference(sc):
-    for payload, cfg in PROPERTIES["lemma1"].sample(sc):
+    for payload, cfg in trial_payloads("lemma1", sc):
         left, right = lemma1_sides(GridSignal(payload["x"]), cfg, [payload["m"]])
         yield payload, max_abs(left, right), True, False
 
 
 def claim3_reference(sc):
-    for payload, _ in PROPERTIES["claim3"].sample(sc):
+    for payload, _ in trial_payloads("claim3", sc):
         t = TokenMatrix(payload["t"], tuple(payload["grid"]))
         cfg = MergeConfig(payload["factor"], payload["embed"])
         full = pmerge_conv_fullrate(t, cfg).grid()[0]
@@ -396,7 +397,7 @@ def claim3_reference(sc):
 
 
 def apmerge_reference(sc):
-    for payload, _ in PROPERTIES["apmerge"].sample(sc):
+    for payload, _ in trial_payloads("apmerge", sc):
         t = TokenMatrix(payload["t"], tuple(payload["grid"]))
         cfg = MergeConfig(payload["factor"], payload["embed"], payload["energy_p"])
         base, tb = a_pmerge(t, cfg)
@@ -438,27 +439,27 @@ def test_claim_suites_equal_per_trial_reference(run, reference, tolerance):
 
 
 def test_runner_reports_first_failing_trial_in_trial_order(monkeypatch):
-    # The size rule lets `full` trials share a batch.  Trial 0 fails in batch
-    # "a", which fills only at the end; batch "b" holds the next `full` trials,
-    # fills first and fails too.
+    # The size rule lets `full` trials of a key share a batch.  Trial 0 fails
+    # in batch "a", which fills only at the end; batch "b" holds the next
+    # `full` trials, fills first and fails too.
     full = 8
     keys = ["a", *["b"] * full, "a", "a"]
     divs = [3.0, *[5.0] * full, 0.0, 9.0]
     tied = [False] * (full + 2) + [True]
 
-    def sample(sc):
+    def trials(sc):
         for i, key in enumerate(keys):
-            yield {"i": i, "key": key}, None
+            yield key, BATCH_ENTRIES // full, {"i": i, "key": key}
 
     calls = []
 
-    def check(payloads, shared=None):
-        idx = [p["i"] for p in payloads]
+    def check(columns, shared=None):
+        idx = columns["i"]
         calls.append(idx)
         agree = np.ones(len(idx), bool)
         return np.array([divs[i] for i in idx]), agree, np.array([tied[i] for i in idx])
 
-    prop = Property(sample, check, 1.0, lambda p: BATCH_ENTRIES // full, lambda p: (p["key"],))
+    prop = Property(partial(harness._grouped, trials, ("i",)), check, 1.0, ("i",))
     monkeypatch.setitem(PROPERTIES, "lemma1", prop)
     result = run_lemma1(SuiteConfig(suites=("lemma1",)))
     b = list(range(1, full + 1))
@@ -482,6 +483,11 @@ def _marked(payload: dict) -> bool:
     return digest.digest()[0] % 4 == 0
 
 
+def _one_pass_of(pairs: int):
+    """An end2end batch size: `pass_pairs` giving `pairs` for every model."""
+    return lambda cfg: pairs
+
+
 @pytest.mark.parametrize("name", sorted(SUITE_RUNS))
 @pytest.mark.parametrize("failing", ["none", "marked", "all"])
 def test_batching_never_changes_a_report_row(monkeypatch, name, failing):
@@ -489,22 +495,27 @@ def test_batching_never_changes_a_report_row(monkeypatch, name, failing):
     # rows and counterexample.  Failing trials are planted as a quarter of
     # the payloads scattered over the keys, or every asserted trial (a negative
     # tolerance), so the first failing trial must come out the same under each.
+    # An end2end batch is one encoder pass, so there `pass_pairs` is varied.
     prop = PROPERTIES[name]
     if failing == "all":
         monkeypatch.setitem(PROPERTIES, name, dataclasses.replace(prop, tolerance=-1.0))
     elif failing == "marked":
 
-        def check(payloads, shared=None):
-            div, agree, tied = prop.check(payloads, shared)
-            return div, agree & ~np.array([_marked(p) for p in payloads]), tied
+        def check(columns, shared=None):
+            div, agree, tied = prop.check(columns, shared)
+            marked = [_marked(prop.payload(columns, k)) for k in range(len(div))]
+            return div, agree & ~np.array(marked), tied
 
         monkeypatch.setitem(PROPERTIES, name, dataclasses.replace(prop, check=check))
     sc = SuiteConfig(trials=30, lemma_n=(4, 6, 8), lemma_l=(1, 2, 3))
     runs = []
-    for batch, held in [(0, 0), (harness.BATCH_ENTRIES, harness.HELD_ENTRIES), (2**62, 2**62)]:
+    passes = [_one_pass_of(1), harness.pass_pairs, _one_pass_of(2**62)]
+    bounds = [(0, 0), (harness.BATCH_ENTRIES, harness.HELD_ENTRIES), (2**62, 2**62)]
+    for (batch, held), pairs in zip(bounds, passes):
         monkeypatch.setattr(harness, "BATCH_ENTRIES", batch)
         monkeypatch.setattr(harness, "HELD_ENTRIES", held)
-        calls = [len(payloads) for _, payloads, _ in harness._batches(PROPERTIES[name], sc)]
+        monkeypatch.setattr(harness, "pass_pairs", pairs)
+        calls = [len(indices) for indices, _, _ in PROPERTIES[name].batches(sc)]
         result = SUITE_RUNS[name](sc)
         runs.append((calls, result.row(), result.counterexample))
     (one, *_), (rule, *_), (whole, *_) = runs
@@ -524,7 +535,7 @@ def test_batching_never_changes_a_report_row(monkeypatch, name, failing):
 def test_end2end_suite_equals_per_trial_reference(model_cfg, disable):
     sc = SuiteConfig(model=model_cfg, trials=25, disable=disable)
     result = run_end2end(sc)
-    trials = ((p, *end2end_reference(p, model)) for p, model in PROPERTIES["end2end"].sample(sc))
+    trials = ((p, *end2end_reference(p, model)) for p, model in trial_payloads("end2end", sc))
     row, worst = reference_row("end2end", trials, TOL_END2END)
     assert result.row() == row and result.counterexample == worst
     if disable == ("a_wsa",):
@@ -577,7 +588,7 @@ def test_metrics_equal_per_sample_reference(shape):
     # pass that also compares maps for mascc.
     reports = [metric(model, inputs, sampler) for metric in (c_cons, s_cons_zeropad, mascc)]
     for rep in reports + list(consistency(model, inputs, sampler)):
-        got = [(r.agreement, r.divergence, r.tied) for r in rep.records]
+        got = list(zip(rep.agreement.tolist(), rep.divergence.tolist(), rep.tied.tolist()))
         assert got == expected[rep.metric]
 
 
@@ -589,7 +600,7 @@ def test_metrics_suite_equals_per_sample_metrics():
     sampler = ShiftSampler.for_shape(cfg.input_shape, 5, sc.derived_seed("metrics", 2))
     extra = run_metrics(sc).extra
     for name, records in metric_references(model, inputs, sampler).items():
-        rep = ConsistencyReport.from_records(name, [TrialRecord(0, (), (), *r) for r in records])
+        rep = ConsistencyReport(name, *(np.array(column) for column in zip(*records)))
         summary = rep.summary()
         assert {k: extra[name][k] for k in summary} == summary
 

@@ -13,7 +13,8 @@ import pytest
 
 import eqvit
 from eqvit.cli import ENV_SEED, main
-from eqvit.harness import PROPERTIES, SuiteConfig, _counterexample
+from eqvit.harness import _counterexample
+from trials import first_payload
 
 
 def run_cli(tmp_path, *argv):
@@ -182,7 +183,7 @@ def test_non_finite_energy_p_is_a_config_error(tmp_path, capsys, value):
     "key, value", [("tolerance", "NaN"), ("tolerance", "Infinity"), ("divergence", "-Infinity")]
 )
 def test_replay_rejects_non_finite_numbers(tmp_path, capsys, key, value):
-    payload, _ = next(PROPERTIES["claim1"].sample(SuiteConfig(trials=1)))
+    payload = first_payload("claim1")
     doc = _counterexample("claim1", 0.0, 1.0, payload)
     doc[key] = float(value.lower().replace("infinity", "inf"))
     path = tmp_path / "bad.replay.json"
@@ -277,7 +278,7 @@ def test_malformed_replay_document(tmp_path, capsys, doc):
 @pytest.mark.parametrize("x", ['"abc"', "NaN", "[[NaN, 0.5]]", "[[1.0, 2.0], [3.0]]"])
 def test_replay_rejects_bad_payload_values(tmp_path, capsys, x):
     # A claim1 counterexample file whose input is replaced by a bad value.
-    payload, _ = next(PROPERTIES["claim1"].sample(SuiteConfig(trials=1)))
+    payload = first_payload("claim1")
     text = json.dumps(_counterexample("claim1", 0.0, 1.0, payload))
     x_field = '"x": ' + json.dumps(payload["x"].tolist())
     assert x_field in text
@@ -291,7 +292,7 @@ def test_replay_rejects_bad_payload_values(tmp_path, capsys, x):
 def test_replay_of_rank2_claim1_counterexample_runs(tmp_path, capsys):
     # An 8x8 claim1 signal with a per-axis shift (patch length 2 keeps the
     # sampler's embed) is checked, not refused as bad configuration.
-    payload, _ = next(PROPERTIES["claim1"].sample(SuiteConfig(trials=1)))
+    payload = first_payload("claim1")
     x = np.random.default_rng(3).uniform(-1, 1, (8, 8, 2))
     payload = {**payload, "l": 2, "x": x, "shift": [3, 5]}
     path = tmp_path / "rank2.replay.json"
@@ -307,7 +308,7 @@ def test_replay_of_rank2_claim1_counterexample_runs(tmp_path, capsys):
 )
 def test_replay_rejects_empty_weight_matrices(tmp_path, capsys, suite, keys):
     # Weights with zero columns are bad configuration, not a reproduced failure.
-    payload, _ = next(PROPERTIES[suite].sample(SuiteConfig(trials=1)))
+    payload = first_payload(suite)
     for key in keys:
         payload[key] = [[]] * len(payload[key])
     path = tmp_path / "empty.replay.json"
@@ -320,7 +321,7 @@ def test_replay_rejects_empty_weight_matrices(tmp_path, capsys, suite, keys):
 def test_replay_rejects_overflowing_payload(tmp_path, capsys):
     # Finite but huge tokens overflow the attention scores to NaN: an error, not a
     # failure that no longer reproduces.
-    payload, _ = next(PROPERTIES["claim2"].sample(SuiteConfig(trials=1)))
+    payload = first_payload("claim2")
     payload["t"] = payload["t"] * 1e200
     path = tmp_path / "big.replay.json"
     path.write_text(json.dumps(_counterexample("claim2", 0.0, 1.0, payload)))
@@ -332,7 +333,7 @@ def test_replay_rejects_overflowing_payload(tmp_path, capsys):
 def test_replay_of_tied_trial_exits_zero(tmp_path, capsys):
     # Scaled by 1e308 every patch energy overflows to inf, so all offsets tie and
     # the recomputed trial is not asserted, as in the suite itself.
-    payload, _ = next(PROPERTIES["claim1"].sample(SuiteConfig(trials=1)))
+    payload = first_payload("claim1")
     payload["x"] = payload["x"] * 1e308
     path = tmp_path / "tied.replay.json"
     path.write_text(json.dumps(_counterexample("claim1", 0.0, 1.0, payload)))
@@ -345,7 +346,7 @@ def test_replay_of_tied_trial_exits_zero(tmp_path, capsys):
 )
 def test_overflowing_replays_emit_no_warnings(tmp_path, capsys, suite, key, scale, code):
     # The verdicts above, with NumPy's overflow warnings turned into errors.
-    payload, _ = next(PROPERTIES[suite].sample(SuiteConfig(trials=1)))
+    payload = first_payload(suite)
     payload[key] = payload[key] * scale
     path = tmp_path / "big.replay.json"
     path.write_text(json.dumps(_counterexample(suite, 0.0, 1.0, payload)))

@@ -2,6 +2,8 @@
 
 import dataclasses
 import json
+from functools import partial
+from math import prod
 
 import numpy as np
 import pytest
@@ -12,13 +14,11 @@ from eqvit import harness, pipeline
 from eqvit.errors import ConfigError
 from eqvit.harness import (
     ABLATION_SEARCH_MODEL,
-    Property,
     DEFAULT_TRIALS,
     PROOF_SUITES,
     PROPERTIES,
     SUITES,
     SuiteConfig,
-    _batches,
     _counterexample,
     _passes,
     replay,
@@ -33,9 +33,11 @@ from eqvit.harness import (
     run_suites,
     sentinel,
 )
+from eqvit.metrics import pass_pairs
 from eqvit.numerics import rotate_rows
 from eqvit.pipeline import ModelConfig
 from eqvit.tokenizer import TokenMatrix
+from trials import batch_of, first_payload, trial_payloads
 
 SMALL = SuiteConfig(trials=20, lemma_n=(4, 8), lemma_l=(1, 2))
 
@@ -135,46 +137,84 @@ def _payload_entries(payload: dict) -> int:
     return sum(v.size for v in payload.values() if isinstance(v, np.ndarray))
 
 
+def trial_size(name: str, p: dict) -> int:
+    """The entries one trial adds to its check's largest array, from its
+    payload's shapes: the size rule each suite's batches follow."""
+    if name == "lemma1":
+        (n, channels), dim = np.shape(p["x"]), np.shape(p["embed"])[1]
+        return max(2 * n * channels, n // p["l"] * dim)
+    if name == "claim1":  # an input and its shift: full-rate patch columns and embedding
+        *grid, channels = np.shape(p["x"])
+        return 2 * prod(grid) * max(p["l"] ** len(grid) * channels, np.shape(p["embed"])[1])
+    if name == "claim2":  # a token matrix and its shift: window logits and energy taps, tokens
+        (m, d), rank = np.shape(p["t"]), len(p["grid"])
+        return 2 * m * max(d, p["window"] ** rank, np.shape(p["e_q"])[1])
+    # Merge taps, full-rate output and merge embed; apmerge also holds the shift.
+    (m, d), (k, d_out) = np.shape(p["t"]), np.shape(p["embed"])
+    size = max(p["factor"] ** len(p["grid"]) * m * d, m * d_out, k * d_out)
+    return size if name == "claim3" else 2 * size
+
+
+_GROUPED = {"claim3": harness._claim3_trials, "apmerge": harness._apmerge_trials}
+
+
 @pytest.mark.parametrize("name", list(PROPERTIES))
 def test_batches_stay_within_the_memory_bounds(name):
     # Every batch's check has its largest array within BATCH_ENTRIES by the
-    # property's size rule, or is one trial; the payloads held back never
-    # pass HELD_ENTRIES; every trial comes out once, in trial order per batch.
+    # suite's size rule, or is one trial (end2end: one encoder pass); its rows
+    # hold at most HELD_ENTRIES entries, and for suites whose trials are
+    # grouped by key the trials held back never pass HELD_ENTRIES; every trial
+    # comes out once, in trial order per batch.
     prop = PROPERTIES[name]
     sc = SuiteConfig(trials=None if name != "end2end" else 40)
     drawn = []
-    sample = prop.sample
+    batches = prop.batches(sc)
+    if name in _GROUPED:
 
-    def counted(sc):
-        for payload, shared in sample(sc):
-            drawn.append(payload)
-            yield payload, shared
+        def counted(sc):
+            for key, size, trial in _GROUPED[name](sc):
+                drawn.append(trial)
+                yield key, size, trial
 
+        batches = harness._grouped(counted, prop.rows, sc)
     seen = []
-    counting = dataclasses.replace(prop, sample=counted)
-    for indices, payloads, shared in harness._batches(counting, sc):
-        size = prop.size(payloads[0])
-        assert {prop.key(p) for p in payloads} == {prop.key(payloads[0])}
-        assert len(payloads) * size <= harness.BATCH_ENTRIES or len(payloads) == 1
-        assert indices == sorted(indices) and all(drawn[i] is p for i, p in zip(indices, payloads))
+    for indices, columns, shared in batches:
+        indices, first = list(indices), prop.payload(columns, 0)
+        assert all(len(columns[key]) == len(indices) for key in prop.rows)
+        if name == "end2end":
+            assert len(indices) <= pass_pairs(shared.config)
+        else:
+            size = trial_size(name, first)
+            assert len(indices) * size <= harness.BATCH_ENTRIES or len(indices) == 1
+        assert sum(np.size(columns[key]) for key in prop.rows) <= harness.HELD_ENTRIES
+        assert indices == sorted(indices)
         seen += indices
-        # Before the last drawn trial joined its batch, the rest were held back.
-        held = set(range(len(drawn) - 1)) - set(seen)
-        assert sum(_payload_entries(drawn[i]) for i in held) <= harness.HELD_ENTRIES
-    assert sorted(seen) == list(range(len(drawn)))
+        if drawn:
+            for k, i in enumerate(indices):
+                row = prop.payload(columns, k)
+                assert all(np.array_equal(row[key], drawn[i][key]) for key in drawn[i])
+            # Before the last drawn trial joined its batch, the rest were held back.
+            held = set(range(len(drawn) - 1)) - set(seen)
+            assert sum(_payload_entries(drawn[i]) for i in held) <= harness.HELD_ENTRIES
+    assert sorted(seen) == list(range(len(seen)))
+    assert not drawn or len(seen) == len(drawn)
 
 
 def test_a_trial_larger_than_the_bound_runs_alone():
-    def sample(sc):
+    def trials(size, sc):
         for i in range(5):
-            yield {"i": i}, None
+            yield (), size, {"i": i}
 
     def batches(size):
-        prop = Property(sample, None, 0.0, lambda p: size)
-        return [indices for indices, _, _ in harness._batches(prop, SuiteConfig())]
+        grouped = harness._grouped(partial(trials, size), ("i",), SuiteConfig())
+        return [indices for indices, _, _ in grouped]
 
     assert batches(harness.BATCH_ENTRIES + 1) == [[i] for i in range(5)]
     assert batches(harness.BATCH_ENTRIES // 2) == [[0, 1], [2, 3], [4]]
+    # A suite that fills its batches directly: an n = 16384 lemma1 input's
+    # gathered sides alone pass BATCH_ENTRIES, so each of its trials runs alone.
+    sc = SuiteConfig(suites=("lemma1",), trials=3, lemma_n=(16384,), lemma_l=(1,))
+    assert [list(i) for i, _, _ in PROPERTIES["lemma1"].batches(sc)] == [[0], [1], [2]]
 
 
 def test_lemma1_pairs_matter_only_to_a_lemma1_run():
@@ -188,8 +228,7 @@ def test_lemma1_pairs_matter_only_to_a_lemma1_run():
     [("tolerance", float("nan")), ("divergence", float("inf")), ("tolerance", -float("inf"))],
 )
 def test_replay_rejects_non_finite_document_numbers(key, value):
-    payload, _ = next(PROPERTIES["claim1"].sample(SuiteConfig(trials=1)))
-    doc = {**_counterexample("claim1", 0.0, 1.0, payload), key: value}
+    doc = {**_counterexample("claim1", 0.0, 1.0, first_payload("claim1")), key: value}
     with pytest.raises(ConfigError, match="must be finite"):
         replay(doc)
 
@@ -197,8 +236,7 @@ def test_replay_rejects_non_finite_document_numbers(key, value):
 @pytest.mark.parametrize("suite, key", [("apmerge", "energy_p"), ("claim2", "energy_p")])
 @pytest.mark.parametrize("value", [float("nan"), float("inf")])
 def test_replay_rejects_non_finite_payload_numbers(suite, key, value):
-    payload, _ = next(PROPERTIES[suite].sample(SuiteConfig(trials=1)))
-    doc = _counterexample(suite, 0.0, 1.0, {**payload, key: value})
+    doc = _counterexample(suite, 0.0, 1.0, {**first_payload(suite), key: value})
     with pytest.raises(ConfigError, match="must be finite"):
         replay(doc)
 
@@ -318,7 +356,7 @@ def _rank(payload) -> int:
 def _rank2_payloads(suite: str) -> list[dict]:
     """A batch of 8x8 claim1 signals or claim2 token grids on the sampler's weights."""
     rng = np.random.default_rng(5)
-    first, _ = next(PROPERTIES[suite].sample(SuiteConfig(trials=1)))
+    first = first_payload(suite)
     if suite == "claim1":
         # Patch length 2 on two channels keeps the sampler's 8-row embed.
         fixed, key, shape = {**first, "l": 2}, "x", (8, 8, 2)
@@ -339,18 +377,18 @@ def test_checks_fail_outputs_off_the_predicted_rotation(rolled_ops, suite, rank)
     # ranks, and one whose rolls match still passes.
     prop = PROPERTIES[suite]
     if rank == 2 and suite != "apmerge":
-        batches = [(_rank2_payloads(suite), None)]
+        batches = [(batch_of(suite, _rank2_payloads(suite)), None)]
     else:
         batches = [
-            (payloads, shared)
-            for _, payloads, shared in _batches(prop, SuiteConfig(trials=48))
-            if _rank(payloads[0]) == rank
+            (columns, shared)
+            for _, columns, shared in prop.batches(SuiteConfig(trials=48))
+            if _rank(prop.payload(columns, 0)) == rank
         ]
     failed = passed = 0
-    for payloads, shared in batches:
+    for columns, shared in batches:
         rolled_ops.clear()
-        divs, agrees, tieds = prop.check(payloads, shared)
-        rolls, n = np.concatenate(rolled_ops), len(payloads)
+        divs, agrees, tieds = prop.check(columns, shared)
+        rolls, n = np.concatenate(rolled_ops), len(divs)
         moved = (rolls[:n] != rolls[n:]).any(axis=-1)
         for div, agree, tied, apart in zip(divs.tolist(), agrees, tieds, moved):
             if tied:
@@ -474,11 +512,25 @@ def test_replay_sentinel_passes():
     assert "nothing to reproduce" in line
 
 
+def test_replay_counts_a_huge_shift_mod_the_grid():
+    # A claim1 payload on a (96, 2) signal replays at shift 2**63 - 1 as at its
+    # residue 31: the predicted rotation is taken mod the grid, not from an
+    # int64 sum that wrapped.
+    rng = np.random.default_rng(7)
+    for _ in range(4):
+        x = rng.uniform(-1, 1, (96, 2))
+        lines = []
+        for shift in (2**63 - 1, 31):
+            payload = {**first_payload("claim1"), "x": x, "shift": shift}
+            lines.append(replay(json.loads(json.dumps(_counterexample("claim1", 0.0, 1.0, payload)))))
+        assert lines[0] == lines[1] and lines[0][0] == 0
+
+
 def test_rank2_claim1_counterexample_replays():
     # A claim1 payload on an 8x8 signal takes a per-axis shift; a rank-1 one
     # still takes a bare int, and an offset nested deeper is still refused.
     rank2 = _rank2_payloads("claim1")[0]
-    rank1, _ = next(PROPERTIES["claim1"].sample(SuiteConfig(trials=1)))
+    rank1 = first_payload("claim1")
     for payload in (rank2, rank1, {**rank1, "shift": [rank1["shift"]]}):
         doc = json.loads(json.dumps(_counterexample("claim1", 0.0, 1.0, payload)))
         code, line = replay(doc)
@@ -500,14 +552,39 @@ def test_replay_rejects_malformed_documents():
 @pytest.mark.parametrize("name", list(PROPERTIES))
 def test_first_payload_replays_with_zero_drift(name):
     prop = PROPERTIES[name]
-    payload, shared = next(prop.sample(SuiteConfig(trials=1)))
-    divs, _, _ = prop.check([payload], shared)
+    payload, shared = trial_payloads(name, SuiteConfig(trials=1))[0]
+    divs, _, _ = prop.check(prop.columns(payload), shared)
     div = float(divs[0])
     # A tolerance below the divergence makes replay reproduce and report drift.
     doc = json.loads(json.dumps(_counterexample(name, div - 1.0, div, payload)))
     code, line = replay(doc)
     assert code == 1
     assert "drift 0.000e+00" in line
+
+
+@pytest.mark.parametrize("name", list(PROPERTIES))
+def test_rows_replay_through_payload_and_columns_bit_for_bit(name):
+    # Each row of a sampled batch, sent alone through `payload`, a JSON round
+    # trip, `columns` and the check, with nothing shared, holds the batch's
+    # values for that row and gets the (divergence, agree, tied) the batch gave
+    # it, bit for bit.
+    prop = PROPERTIES[name]
+    shapes = set()
+    for indices, columns, shared in prop.batches(SuiteConfig(trials=3 if name == "lemma1" else 12)):
+        div, agree, tied = prop.check(columns, shared)
+        for k in range(len(indices)):
+            row = prop.payload(columns, k)
+            payload = json.loads(json.dumps(_counterexample(name, 0.0, 0.0, row)))["payload"]
+            if "shift" in payload:
+                shapes.add((type(payload["shift"]).__name__, np.ndim(payload["shift"]), _rank(payload)))
+            assert all(np.array_equal(payload[key], columns[key][k]) for key in prop.rows)
+            alone = prop.check(prop.columns(payload))
+            assert alone[0].tobytes() == div[k : k + 1].tobytes()
+            assert alone[1].tolist() == [agree[k]] and alone[2].tolist() == [tied[k]]
+    # claim1's bare-int shift, claim2's list-valued one, and rank-2 apmerge rows.
+    want = {"claim1": {("int", 0, 1)}, "claim2": {("list", 1, 1)},
+            "apmerge": {("list", 1, 1), ("list", 1, 2)}}
+    assert shapes == want.get(name, set())
 
 
 @pytest.mark.parametrize(
@@ -526,11 +603,11 @@ def test_first_payload_replays_with_zero_drift(name):
         {"kind": "counterexample", "suite": "end2end", "tolerance": 0.0, "divergence": 1.0,
          "payload": {**end2end_payload(ModelConfig()), "input": [[float("nan"), 0.0]] * 64}},
         {"kind": "counterexample", "suite": "claim2", "tolerance": 0.0, "divergence": 1.0,
-         "payload": {**next(PROPERTIES["claim2"].sample(SuiteConfig()))[0], "window": 2.5}},
+         "payload": {**first_payload("claim2"), "window": 2.5}},
         {"kind": "counterexample", "suite": "end2end", "tolerance": 0.0, "divergence": 1.0,
          "payload": {**end2end_payload(ModelConfig()), "shift_a": [[0]]}},
         {"kind": "counterexample", "suite": "apmerge", "tolerance": 0.0, "divergence": 1.0,
-         "payload": {**next(PROPERTIES["apmerge"].sample(SuiteConfig()))[0], "grid": [[16]]}},
+         "payload": {**first_payload("apmerge"), "grid": [[16]]}},
     ],
 )
 def test_replay_rejects_malformed_counterexamples(doc):
@@ -542,7 +619,7 @@ def test_replay_reproduces_crafted_failure_with_zero_drift():
     payload = end2end_payload(ModelConfig().disable("a_token"))
     from eqvit.harness import _end2end_divergence
 
-    divs, _, _ = _end2end_divergence([payload])
+    divs, _, _ = _end2end_divergence(PROPERTIES["end2end"].columns(payload))
     div = float(divs[0])
     assert div > 1e-9
     doc = {
@@ -570,9 +647,9 @@ def test_replay_reproduces_crafted_failure_with_zero_drift():
 )
 def test_replay_verdict_order(monkeypatch, div, agree, tied, outcome):
     prop = PROPERTIES["claim1"]
-    payload, _ = next(prop.sample(SuiteConfig(trials=1)))
+    payload = first_payload("claim1")
 
-    def check(payloads, shared=None):
+    def check(columns, shared=None):
         return np.array([div]), np.array([agree]), np.array([tied])
 
     monkeypatch.setitem(PROPERTIES, "claim1", dataclasses.replace(prop, check=check))
@@ -602,8 +679,7 @@ def test_replay_passes_once_config_is_fixed():
 # one way: a value replaced by arbitrary JSON, one (nested) list entry set to
 # an edge number, or a (nested) list truncated.
 _WRITTEN = {
-    name: json.dumps(_counterexample(name, 0.0, 1.0, next(prop.sample(SuiteConfig(trials=1)))[0]))
-    for name, prop in PROPERTIES.items()
+    name: json.dumps(_counterexample(name, 0.0, 1.0, first_payload(name))) for name in PROPERTIES
 }
 _JSON = st.recursive(
     st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=3),

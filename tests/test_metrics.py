@@ -8,7 +8,6 @@ from eqvit.errors import ParameterError, ShapeError
 from eqvit.metrics import (
     ConsistencyReport,
     ShiftSampler,
-    TrialRecord,
     c_cons,
     compare_shift_pairs,
     mascc,
@@ -146,18 +145,15 @@ def test_zeropad_stack_rejects_negative_offsets():
 
 def test_report_requires_records():
     with pytest.raises(ParameterError):
-        ConsistencyReport.from_records("c_cons", [])
+        ConsistencyReport("c_cons", np.zeros(0), np.zeros(0), np.zeros(0, bool))
     with pytest.raises(ParameterError):
         c_cons(build_model(ModelConfig()), [], ShiftSampler(max_offset=(31,)))
 
 
 def test_report_aggregates():
-    recs = [
-        TrialRecord(0, (0,), (1,), 1.0, 0.5, False),
-        TrialRecord(0, (2,), (3,), 0.0, 2.0, True),
-        TrialRecord(1, (0,), (0,), 1.0, 0.0, False),
-    ]
-    rep = ConsistencyReport.from_records("c_cons", recs)
+    # Three pairs: agreement, divergence and tie columns.
+    agreement, divergence = np.array([1.0, 0.0, 1.0]), np.array([0.5, 2.0, 0.0])
+    rep = ConsistencyReport("c_cons", agreement, divergence, np.array([False, True, False]))
     assert rep.trials == 3
     assert rep.aggregate == pytest.approx(2.0 / 3.0)
     assert rep.max_divergence == 2.0
@@ -256,7 +252,8 @@ def test_metric_runs_are_reproducible():
     sampler = ShiftSampler.for_shape((64,), seed=9)
     a = c_cons(model, noise_inputs(4, 10), sampler)
     b = c_cons(model, noise_inputs(4, 10), sampler)
-    assert a.records == b.records
+    for column in ("agreement", "divergence", "tied"):
+        assert np.array_equal(getattr(a, column), getattr(b, column))
 
 
 def test_metrics_validate_input_shape():

@@ -195,6 +195,23 @@ def test_predicted_rotation_names_planted_rotation(grid, b, k):
         assert not predicted_rotation([base] * len(shifts), off, shifts, b, grid, coarse)[0].any()
 
 
+@pytest.mark.parametrize("grid, b, k", [((96,), 4, 4), ((12, 96), 3, 1), ((96,), 2, 2)])
+def test_predicted_rotation_counts_shifts_mod_the_grid(grid, b, k):
+    # Shifts near the int64 ends predict what their residues mod the grid do:
+    # 96 does not divide 2**64, so summing offsets and such a shift in int64
+    # wrapped and predicted another rotation.
+    rng = np.random.default_rng(3)
+    base, moved = rng.integers(0, b, (2, 64, len(grid)))
+    coarse = tuple(g // k for g in grid)
+    top = np.iinfo(np.int64).max
+    for shifts in (rng.integers(top - 2 * b, top, (64, len(grid)), endpoint=True),
+                   rng.integers(-top - 1, -top + 2 * b, (64, len(grid)))):
+        residues = shifts % np.array(grid)
+        got = predicted_rotation(base, moved, shifts, b, grid, coarse)
+        want = predicted_rotation(base, moved, residues, b, grid, coarse)
+        assert all(np.array_equal(g, w) for g, w in zip(got, want))
+
+
 def test_as_offset_scalar_only_for_rank1():
     assert as_offset(3, 1) == (3,)
     assert as_offset((1, 2), 2) == (1, 2)
