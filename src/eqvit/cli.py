@@ -21,6 +21,7 @@ import argparse
 import json
 import os
 import sys
+from functools import cache
 from pathlib import Path
 
 from .errors import ConfigError
@@ -131,7 +132,9 @@ def _cmd_replay(args) -> int:
     return code
 
 
-def _build_parser() -> argparse.ArgumentParser:
+@cache
+def _parser() -> argparse.ArgumentParser:
+    """The CLI's parser, built once: each `parse_args` starts from fresh defaults."""
     parser = argparse.ArgumentParser(
         prog="eqvit", description="shift-equivariance verification harness"
     )
@@ -170,7 +173,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    args = _build_parser().parse_args(argv)
+    args = _parser().parse_args(argv)
     handlers = {"run": _cmd_run, "prove": _cmd_run, "replay": _cmd_replay}
     try:
         return handlers[args.command](args)

@@ -11,23 +11,22 @@ Suites:
   metrics   consistency scores of the configured model
   ablation  per-switch counterexample search on the search config
 
-Every suite draws from a PCG64 stream derived from (seed, suite index), so
+Every suite draws from PCG64 streams derived from (seed, suite index), so
 a run is a pure function of its SuiteConfig and reports are byte-stable.
 
 The six trial-based suites (lemma1 through end2end) are rows of one
 property table, run by one loop.  A batch of trials is one dict of columns:
 each value its trials share, once, and one row per trial of each row key.
-lemma1, claim1, claim2 and end2end fill a batch's columns directly, as many
-trials as keep its check's largest array within `BATCH_ENTRIES`; claim3 and
-apmerge, whose trials interleave shapes, go through one grouper that stacks
-each shape's rows when its batch goes out and holds back at most
-`HELD_ENTRIES` entries.  Both bounds come from the
-arrays of a forward of the default model.  Each check validates its batch
-once and runs it through the ops as one stack; the first failing trial in
-trial order is the counterexample, and only its payload dict is built.
-`replay` runs a payload through the same check as a batch of one, as the
-ablation search runs its chunks, so a replayed counterexample cannot drift
-from the suite that found it.
+A batch holds trials of one key (shapes and scalars), as many as keep its
+check's largest array within `BATCH_ENTRIES`.  The claim suites draw each
+row column from a stream of its own, `DRAW_BLOCK` trials at a time: a
+block's integers in one call per column, then a batch's arrays in one call
+per column; claim3 and apmerge group a block's trials by key first, so their
+batches come out of trial order.  Each check validates its batch once and
+runs it as one stack; the failing trial with the lowest index is the
+counterexample, and only its payload dict is built.  `replay` runs a payload
+through the same check as a batch of one, as the ablation search runs its
+chunks, so a replayed counterexample cannot drift from the suite that found it.
 claim1, claim2 and apmerge run inputs and their shifts as one op call
 (`_shift_pair`): a shift's selection must move with it, and its output must
 equal the base output at the rotation the two selections predict
@@ -87,11 +86,15 @@ _SEED_INDEX = {name: i + 1 for i, name in enumerate(SUITES)}
 # model (its decoded maps, 16,384 entries).  A check holds about twice the
 # arrays of that size a forward holds (an input and its shift, gathered
 # windows or taps, queries and keys), so at this bound no suite's traced peak
-# passes the metrics suite's.  A trial larger on its own runs alone.  The
-# trials the grouper holds back in pending batches hold at most `HELD_ENTRIES`
-# array entries, the largest array of a `MAX_BATCH` forward.
+# passes the metrics suite's.  A trial larger on its own runs alone.
+# `HELD_ENTRIES` is the largest array of a `MAX_BATCH` forward; a batch's
+# rows together hold no more entries than it.
 HELD_ENTRIES = max(size for _, size in ModelConfig().activation_sizes())
 BATCH_ENTRIES = HELD_ENTRIES // 2
+
+# Trials per block of the samplers' integer columns, fixed apart from the batch
+# bounds: a block's integers depend on its length, not on how it is batched.
+DRAW_BLOCK = 1024
 
 # Channels of a lemma1 input and dimension of its tokens.
 LEMMA1_CHANNELS, LEMMA1_DIM = 2, 5
@@ -177,6 +180,11 @@ class SuiteConfig:
         seq = np.random.SeedSequence([self.seed, _SEED_INDEX[name], salt])
         return int(seq.generate_state(1)[0])
 
+    def streams(self, name: str, count: int) -> list[np.random.Generator]:
+        """One generator per row column, spawned from suite `name`'s seed sequence."""
+        seq = np.random.SeedSequence([self.seed, _SEED_INDEX[name]])
+        return [np.random.default_rng(child) for child in seq.spawn(count)]
+
     def to_dict(self) -> dict:
         return {
             "suites": list(self.suites),
@@ -237,8 +245,8 @@ def sentinel(config: SuiteConfig) -> dict:
 class Property:
     """One trial-based suite: its batches of trials, their check, and its bound.
 
-    `batches(sc)` yields (trial indices, columns, shared), each batch in trial
-    order.  `columns` holds each value its trials share once, and for each key
+    `batches(sc)` yields (trial indices, columns, shared), indices sorted per
+    batch.  `columns` holds each value its trials share once, and for each key
     in `rows` one row per trial: a (B, ...) stack, or a list of ints or offsets.
     `shared` holds the objects built once per suite from the shared values, or
     None.  `check(columns, shared=None)` builds what it is not given, as replay
@@ -274,13 +282,34 @@ def _stacked(columns: dict, key: str, ndim: int) -> np.ndarray:
     return stack
 
 
-def _signals_and_shifts(rng, count: int, shape: tuple, n: int) -> tuple[np.ndarray, list[int]]:
-    """(count, *shape) uniform(-1, 1) stack and `count` shifts in [0, n), drawn trial by trial."""
-    stack, shifts = np.empty((count, *shape)), []
-    for row in stack:
-        row[...] = rng.uniform(-1.0, 1.0, shape)
-        shifts.append(int(rng.integers(0, n)))
-    return stack, shifts
+def _blocks(trials: int) -> Iterator[tuple[int, int]]:
+    """(first trial, length) of each block of `DRAW_BLOCK` trials."""
+    for lo in range(0, trials, DRAW_BLOCK):
+        yield lo, min(DRAW_BLOCK, trials - lo)
+
+
+def _signal_batches(sc: SuiteConfig, name: str, shape: tuple, step: int):
+    """(trial indices, (B, *shape) uniform(-1, 1) stack, B shifts along its
+    first axis) per batch of `step` trials: shifts drawn per block, stacks per batch."""
+    signals, shifts = sc.streams(name, 2)
+    for lo, count in _blocks(sc.suite_trials(name)):
+        shift = shifts.integers(0, shape[0], count).tolist()
+        for b in range(0, count, step):
+            rows = signals.uniform(-1.0, 1.0, (min(step, count - b), *shape))
+            yield range(lo + b, lo + b + len(rows)), rows, shift[b : b + step]
+
+
+def _keyed_batches(keys: list[tuple], size: Callable[..., int]):
+    """(key, positions) batches of a block's trials of `keys`, keys in the order
+    of their first trial: as many trials of one key as keep its check's largest
+    array within `BATCH_ENTRIES` by `size(*key)`, the entries one trial adds."""
+    groups: dict[tuple, list[int]] = {}
+    for i, key in enumerate(keys):
+        groups.setdefault(key, []).append(i)
+    for key, positions in groups.items():
+        step = max(1, BATCH_ENTRIES // size(*key))
+        for b in range(0, len(positions), step):
+            yield key, positions[b : b + step]
 
 
 def _lemma1_batches(sc: SuiteConfig):
@@ -342,16 +371,15 @@ def _token_rows(t: TokenMatrix, cfg: PatchEmbedConfig):
 
 
 def _claim1_batches(sc: SuiteConfig):
-    rng, trials = sc.rng("claim1"), sc.suite_trials("claim1")
+    rng = sc.rng("claim1")
     n, l, c, d = 64, 4, 2, 8  # signal length, patch length, channels, token dimension
     embed = rng.uniform(-0.5, 0.5, size=(l * c, d))
     cfg = PatchEmbedConfig(l, embed)
     fixed = {"l": l, "invariant_fn": cfg.invariant_fn, "embed": embed}
     # An input and its shift: full-rate patch columns and embedding per position.
     step = max(1, BATCH_ENTRIES // (2 * n * max(l * c, d)))
-    for lo in range(0, trials, step):
-        xs, shifts = _signals_and_shifts(rng, min(step, trials - lo), (n, c), n)
-        yield range(lo, lo + len(xs)), {**fixed, "x": xs, "shift": shifts}, cfg
+    for k, xs, shifts in _signal_batches(sc, "claim1", (n, c), step):
+        yield k, {**fixed, "x": xs, "shift": shifts}, cfg
 
 
 def _claim1_check(columns: dict, cfg: PatchEmbedConfig | None = None):
@@ -371,7 +399,7 @@ def _window_attention(columns: dict) -> tuple[WindowConfig, AttentionParams, Rpe
 
 
 def _claim2_batches(sc: SuiteConfig):
-    rng, trials = sc.rng("claim2"), sc.suite_trials("claim2")
+    rng = sc.rng("claim2")
     m, w, d = 16, 4, 8  # tokens, window, token dimension
     fixed = {
         "grid": [m],
@@ -387,9 +415,8 @@ def _claim2_batches(sc: SuiteConfig):
     parts = _window_attention(fixed)
     # A token matrix and its shift: window logits and energy taps, and tokens.
     step = max(1, BATCH_ENTRIES // (2 * m * max(d, w)))
-    for lo in range(0, trials, step):
-        ts, shifts = _signals_and_shifts(rng, min(step, trials - lo), (m, d), m)
-        yield range(lo, lo + len(ts)), {**fixed, "t": ts, "shift": [[s] for s in shifts]}, parts
+    for k, ts, shifts in _signal_batches(sc, "claim2", (m, d), step):
+        yield k, {**fixed, "t": ts, "shift": [[s] for s in shifts]}, parts
 
 
 def _claim2_check(columns: dict, parts=None):
@@ -399,43 +426,6 @@ def _claim2_check(columns: dict, parts=None):
     return _shift_pair(t.data, t.grid_shape, shift, wcfg.window, a_wsa, wcfg, params, rpe)
 
 
-def _grouped(trials: Callable[[SuiteConfig], Iterator], rows: tuple[str, ...], sc: SuiteConfig):
-    """Batches of the (key, size, trial) items `trials(sc)` yields, for suites
-    whose trials interleave keys: each batch holds trials of one key, in trial
-    order, with their `rows` values stacked.  A batch goes out once another
-    trial would take its check's largest array past `BATCH_ENTRIES` by `size`,
-    the entries one trial of that key adds.  Before a trial whose arrays would
-    take the trials held back past `HELD_ENTRIES` entries, the largest pending
-    batches go out; the rest go out after the last trial."""
-    pending: dict[tuple, tuple[list[int], list[dict]]] = {}
-    sizes: dict[tuple, tuple[int, int]] = {}  # per key: (size, trial entries)
-    held = 0
-
-    def flush(key):
-        indices, group = pending.pop(key)
-        values = {k: [trial[k] for trial in group] for k in rows}
-        stacks = {k: np.stack(v) if isinstance(v[0], np.ndarray) else v for k, v in values.items()}
-        return indices, {k: stacks.get(k, v) for k, v in group[0].items()}, None
-
-    for i, (key, size, trial) in enumerate(trials(sc)):
-        if key not in sizes:
-            sizes[key] = size, sum(v.size for v in trial.values() if isinstance(v, np.ndarray))
-        size, entries = sizes[key]
-        while pending and held + entries > HELD_ENTRIES:
-            largest = max(pending, key=lambda k: len(pending[k][0]) * sizes[k][1])
-            held -= len(pending[largest][0]) * sizes[largest][1]
-            yield flush(largest)
-        indices, group = pending.setdefault(key, ([], []))
-        indices.append(i)
-        group.append(trial)
-        held += entries
-        if (len(indices) + 1) * size > BATCH_ENTRIES:
-            held -= len(indices) * entries
-            yield flush(key)
-    while pending:
-        yield flush(next(iter(pending)))
-
-
 def _merge_size(grid: tuple, d: int, p: int) -> int:
     """Merge taps, full-rate output and merge embed of one (prod(grid), d) token
     matrix merged at stride p to width 2d."""
@@ -443,20 +433,23 @@ def _merge_size(grid: tuple, d: int, p: int) -> int:
     return max(taps * m * d, m * 2 * d, taps * d * 2 * d)
 
 
-def _claim3_trials(sc: SuiteConfig):
-    rng = sc.rng("claim3")
-    for i in range(sc.suite_trials("claim3")):
-        if i % 2:
-            grid = (4, 4) if i % 4 == 1 else (6, 6)
-            p = 2
-        else:
-            grid = ((8, 12, 16)[rng.integers(0, 3)],)
-            p = (2, 4)[rng.integers(0, 2)]
-        d = int(rng.integers(2, 7))
-        t = rng.uniform(-1.0, 1.0, (prod(grid), d))
-        embed = rng.uniform(-0.5, 0.5, (p ** len(grid) * d, 2 * d))
-        trial = {"grid": list(grid), "t": t, "factor": p, "embed": embed}
-        yield (grid, d, p), _merge_size(grid, d, p), trial
+def _claim3_batches(sc: SuiteConfig):
+    """Odd trials merge a 4x4 or 6x6 grid at stride 2, even ones a 1-D grid of
+    8, 12 or 16 at stride 2 or 4; token widths run from 2 to 6."""
+    lengths, factors, widths, ts, embeds = sc.streams("claim3", 5)
+    for lo, count in _blocks(sc.suite_trials("claim3")):
+        length = lengths.integers(0, 3, count).tolist()
+        factor = factors.integers(0, 2, count).tolist()
+        width = widths.integers(2, 7, count).tolist()
+        keys = [
+            ((4, 4) if i % 4 == 1 else (6, 6), d, 2) if i % 2 else (((8, 12, 16)[g],), d, (2, 4)[p])
+            for i, (g, p, d) in enumerate(zip(length, factor, width), lo)
+        ]
+        for (grid, d, p), rows in _keyed_batches(keys, _merge_size):
+            t = ts.uniform(-1.0, 1.0, (len(rows), prod(grid), d))
+            embed = embeds.uniform(-0.5, 0.5, (len(rows), p ** len(grid) * d, 2 * d))
+            columns = {"grid": list(grid), "t": t, "factor": p, "embed": embed}
+            yield [lo + r for r in rows], columns, None
 
 
 def _token_batch(columns: dict) -> TokenMatrix:
@@ -474,17 +467,24 @@ def _claim3_check(columns: dict, _shared=None):
     return max_abs_rows(pmerge(t, cfg).grid(), phase_zero), np.ones(n, bool), np.zeros(n, bool)
 
 
-def _apmerge_trials(sc: SuiteConfig):
-    rng = sc.rng("apmerge")
-    for i in range(sc.suite_trials("apmerge")):
-        rank = 2 if i % 3 == 2 else 1
-        grid = (8, 8) if rank == 2 else ((8, 12, 16)[rng.integers(0, 3)],)
-        d = int(rng.integers(2, 7))
-        t = rng.uniform(-1.0, 1.0, (prod(grid), d))
-        embed = rng.uniform(-0.5, 0.5, (2**rank * d, 2 * d))
-        trial = {"grid": list(grid), "t": t, "factor": 2, "embed": embed, "energy_p": 2.0}
-        trial["shift"] = [int(rng.integers(0, g)) for g in grid]
-        yield (grid, d), 2 * _merge_size(grid, d, 2), trial  # an input and its shift
+def _apmerge_batches(sc: SuiteConfig):
+    """Every third trial merges an 8x8 grid, the others a 1-D grid of 8, 12 or
+    16, at stride 2; token widths run from 2 to 6.  Shifts are drawn per axis."""
+    lengths, widths, offsets, ts, embeds = sc.streams("apmerge", 5)
+    for lo, count in _blocks(sc.suite_trials("apmerge")):
+        length = lengths.integers(0, 3, count).tolist()
+        width = widths.integers(2, 7, count).tolist()
+        grids = [(8, 8) if i % 3 == 2 else ((8, 12, 16)[g],) for i, g in enumerate(length, lo)]
+        # Shifts on two axes in one call, the second in [0, 1) on a 1-D grid.
+        shifts = offsets.integers(0, [(*grid, 1)[:2] for grid in grids]).tolist()
+        keys = [(grid, d, 2) for grid, d in zip(grids, width)]
+        # An input and its shift.
+        for (grid, d, p), rows in _keyed_batches(keys, lambda *key: 2 * _merge_size(*key)):
+            t = ts.uniform(-1.0, 1.0, (len(rows), prod(grid), d))
+            embed = embeds.uniform(-0.5, 0.5, (len(rows), p ** len(grid) * d, 2 * d))
+            shift = [shifts[r][: len(grid)] for r in rows]
+            columns = {"grid": list(grid), "t": t, "factor": p, "embed": embed, "energy_p": 2.0}
+            yield [lo + r for r in rows], {**columns, "shift": shift}, None
 
 
 def _apmerge_check(columns: dict, _shared=None):
@@ -532,17 +532,12 @@ def _end2end_divergence(columns: dict, model: Model | None = None):
     return np.maximum(logit_div, map_div), same_label & (agreement == 1.0), tied
 
 
-_CLAIM3_ROWS, _APMERGE_ROWS = ("t", "embed"), ("t", "embed", "shift")
 PROPERTIES = {
     "lemma1": Property(_lemma1_batches, _lemma1_check, TOL_EXACT, ("m", "x")),
     "claim1": Property(_claim1_batches, _claim1_check, TOL_EXACT, ("x", "shift")),
     "claim2": Property(_claim2_batches, _claim2_check, TOL_ROUTE, ("t", "shift")),
-    "claim3": Property(
-        partial(_grouped, _claim3_trials, _CLAIM3_ROWS), _claim3_check, TOL_ROUTE, _CLAIM3_ROWS
-    ),
-    "apmerge": Property(
-        partial(_grouped, _apmerge_trials, _APMERGE_ROWS), _apmerge_check, TOL_EXACT, _APMERGE_ROWS
-    ),
+    "claim3": Property(_claim3_batches, _claim3_check, TOL_ROUTE, ("t", "embed")),
+    "apmerge": Property(_apmerge_batches, _apmerge_check, TOL_EXACT, ("t", "embed", "shift")),
     "end2end": Property(
         _end2end_batches, _end2end_divergence, TOL_END2END, ("input", "shift_a", "shift_b")
     ),

@@ -3,7 +3,6 @@ per-trial reference loops over the public one-sample API."""
 
 import dataclasses
 import hashlib
-from functools import partial
 from itertools import product
 
 import numpy as np
@@ -439,17 +438,18 @@ def test_claim_suites_equal_per_trial_reference(run, reference, tolerance):
 
 
 def test_runner_reports_first_failing_trial_in_trial_order(monkeypatch):
-    # The size rule lets `full` trials of a key share a batch.  Trial 0 fails
-    # in batch "a", which fills only at the end; batch "b" holds the next
-    # `full` trials, fills first and fails too.
+    # Keyed batches come out of trial order: the size rule lets `full` trials
+    # of a key share a batch, and key "a" (trials 0, full + 1, full + 2) goes
+    # out before key "b" (trials 1 to full).  Trial full + 1 fails in the
+    # first batch; trials 1 to full fail later, and trial 1 is the first.
     full = 8
-    keys = ["a", *["b"] * full, "a", "a"]
-    divs = [3.0, *[5.0] * full, 0.0, 9.0]
+    keys = [("a",), *[("b",)] * full, ("a",), ("a",)]
+    divs = [0.0, *[5.0] * full, 3.0, 9.0]
     tied = [False] * (full + 2) + [True]
 
-    def trials(sc):
-        for i, key in enumerate(keys):
-            yield key, BATCH_ENTRIES // full, {"i": i, "key": key}
+    def batches(sc):
+        for (key,), rows in harness._keyed_batches(keys, lambda key: BATCH_ENTRIES // full):
+            yield rows, {"i": rows, "key": key}, None
 
     calls = []
 
@@ -459,16 +459,14 @@ def test_runner_reports_first_failing_trial_in_trial_order(monkeypatch):
         agree = np.ones(len(idx), bool)
         return np.array([divs[i] for i in idx]), agree, np.array([tied[i] for i in idx])
 
-    prop = Property(partial(harness._grouped, trials, ("i",)), check, 1.0, ("i",))
-    monkeypatch.setitem(PROPERTIES, "lemma1", prop)
+    monkeypatch.setitem(PROPERTIES, "lemma1", Property(batches, check, 1.0, ("i",)))
     result = run_lemma1(SuiteConfig(suites=("lemma1",)))
-    b = list(range(1, full + 1))
-    assert calls == [b, [0, full + 1, full + 2]]
+    assert calls == [[0, full + 1, full + 2], list(range(1, full + 1))]
     assert result.row() == {
         "name": "lemma1", "trials": full + 3, "passes": 1, "failures": full + 1,
         "max_divergence": 5.0, "tie_count": 1, "counterexample": True,
     }
-    assert result.counterexample == _counterexample("lemma1", 1.0, 3.0, {"i": 0, "key": "a"})
+    assert result.counterexample == _counterexample("lemma1", 1.0, 5.0, {"i": 1, "key": "b"})
 
 
 SUITE_RUNS = {

@@ -12,8 +12,9 @@ import numpy as np
 import pytest
 
 import eqvit
+from eqvit import cli
 from eqvit.cli import ENV_SEED, main
-from eqvit.harness import _counterexample
+from eqvit.harness import PROOF_SUITES, SUITES, _counterexample
 from trials import first_payload
 
 
@@ -44,6 +45,29 @@ def test_reports_are_byte_deterministic(tmp_path):
     assert main(["run", "--out", str(a), *args]) == 0
     assert main(["run", "--out", str(b), *args]) == 0
     assert a.read_bytes() == b.read_bytes()
+
+
+def test_a_reused_parser_keeps_no_flags_between_calls(tmp_path, monkeypatch):
+    configs = []
+    monkeypatch.setattr(cli, "_execute", lambda sc, out: configs.append(sc) or 0)
+    for argv in (
+        ["--disable", "a_token", "--suite", "claim1", "--suite", "end2end"],
+        [],
+        ["--disable", "a_wsa"],
+        ["--suite", "claim2"],
+    ):
+        assert main(["run", "--out", str(tmp_path / "r.json"), *argv]) == 0
+    assert main(["prove", "--suite", "lemma1", "--n", "8", "--out", str(tmp_path / "p.json")]) == 0
+    assert main(["prove", "--out", str(tmp_path / "p.json")]) == 0
+    assert [(sc.disable, sc.suites, sc.lemma_n) for sc in configs] == [
+        (("a_token",), ("claim1", "end2end"), (4, 6, 8, 12)),
+        ((), SUITES, (4, 6, 8, 12)),
+        (("a_wsa",), SUITES, (4, 6, 8, 12)),
+        ((), ("claim2",), (4, 6, 8, 12)),
+        ((), ("lemma1",), (8,)),
+        ((), PROOF_SUITES, (4, 6, 8, 12)),
+    ]
+    assert cli._parser() is cli._parser()
 
 
 def test_failing_run_exits_one_and_replays(tmp_path, capsys):

@@ -2,7 +2,7 @@
 
 import dataclasses
 import json
-from functools import partial
+import tracemalloc
 from math import prod
 
 import numpy as np
@@ -133,10 +133,6 @@ def test_batch_bounds_come_from_the_default_forward():
             SuiteConfig(suites=("lemma1",), lemma_n=(n,), lemma_l=(l,))
 
 
-def _payload_entries(payload: dict) -> int:
-    return sum(v.size for v in payload.values() if isinstance(v, np.ndarray))
-
-
 def trial_size(name: str, p: dict) -> int:
     """The entries one trial adds to its check's largest array, from its
     payload's shapes: the size rule each suite's batches follow."""
@@ -155,59 +151,66 @@ def trial_size(name: str, p: dict) -> int:
     return size if name == "claim3" else 2 * size
 
 
-_GROUPED = {"claim3": harness._claim3_trials, "apmerge": harness._apmerge_trials}
+_KEYED = ("claim3", "apmerge")
+
+
+def batch_key(name: str, p: dict):
+    """The values one batch's trials share: everything but the row values,
+    and the shape of each array row."""
+    rows = PROPERTIES[name].rows
+    shared = [(k, v) for k, v in p.items() if k not in rows and not isinstance(v, np.ndarray)]
+    return repr(shared), tuple(np.shape(p[k]) for k in rows)
 
 
 @pytest.mark.parametrize("name", list(PROPERTIES))
 def test_batches_stay_within_the_memory_bounds(name):
-    # Every batch's check has its largest array within BATCH_ENTRIES by the
-    # suite's size rule, or is one trial (end2end: one encoder pass); its rows
-    # hold at most HELD_ENTRIES entries, and for suites whose trials are
-    # grouped by key the trials held back never pass HELD_ENTRIES; every trial
-    # comes out once, in trial order per batch.
+    # Every batch holds trials of one key, and its check has its largest
+    # array within BATCH_ENTRIES by the suite's size rule, or is one trial
+    # (end2end: one encoder pass); its rows hold at most HELD_ENTRIES
+    # entries; every trial comes out once, in trial order within its batch.
+    # claim3 and apmerge, which mix keys, spread them over several batches.
     prop = PROPERTIES[name]
     sc = SuiteConfig(trials=None if name != "end2end" else 40)
-    drawn = []
-    batches = prop.batches(sc)
-    if name in _GROUPED:
-
-        def counted(sc):
-            for key, size, trial in _GROUPED[name](sc):
-                drawn.append(trial)
-                yield key, size, trial
-
-        batches = harness._grouped(counted, prop.rows, sc)
-    seen = []
-    for indices, columns, shared in batches:
-        indices, first = list(indices), prop.payload(columns, 0)
+    seen, keys = [], set()
+    for indices, columns, shared in prop.batches(sc):
+        indices, rows = list(indices), [prop.payload(columns, k) for k in range(len(indices))]
         assert all(len(columns[key]) == len(indices) for key in prop.rows)
+        assert len({batch_key(name, row) for row in rows}) == 1
+        keys.add(batch_key(name, rows[0]))
         if name == "end2end":
             assert len(indices) <= pass_pairs(shared.config)
         else:
-            size = trial_size(name, first)
+            size = trial_size(name, rows[0])
             assert len(indices) * size <= harness.BATCH_ENTRIES or len(indices) == 1
         assert sum(np.size(columns[key]) for key in prop.rows) <= harness.HELD_ENTRIES
         assert indices == sorted(indices)
         seen += indices
-        if drawn:
-            for k, i in enumerate(indices):
-                row = prop.payload(columns, k)
-                assert all(np.array_equal(row[key], drawn[i][key]) for key in drawn[i])
-            # Before the last drawn trial joined its batch, the rest were held back.
-            held = set(range(len(drawn) - 1)) - set(seen)
-            assert sum(_payload_entries(drawn[i]) for i in held) <= harness.HELD_ENTRIES
     assert sorted(seen) == list(range(len(seen)))
-    assert not drawn or len(seen) == len(drawn)
+    assert len(seen) == sc.suite_trials(name) or name == "lemma1"  # lemma1: per (n, l) pair
+    assert len(keys) > 1 or name not in _KEYED
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    keys=st.lists(st.sampled_from("abc"), max_size=40),
+    sizes=st.fixed_dictionaries({k: st.integers(1, 2 * harness.BATCH_ENTRIES) for k in "abc"}),
+)
+def test_keyed_batches_hold_one_key_within_the_bound(keys, sizes):
+    batches = list(harness._keyed_batches([(k,) for k in keys], sizes.get))
+    for (key,), positions in batches:
+        assert {keys[i] for i in positions} == {key}
+        assert positions == sorted(positions)
+        assert len(positions) * sizes[key] <= harness.BATCH_ENTRIES or len(positions) == 1
+    # Every trial once; a key's batches are full but for its last.
+    assert sorted(i for _, positions in batches for i in positions) == list(range(len(keys)))
+    for key in set(keys):
+        lengths = [len(p) for (k,), p in batches if k == key]
+        assert lengths[:-1] == [max(1, harness.BATCH_ENTRIES // sizes[key])] * (len(lengths) - 1)
 
 
 def test_a_trial_larger_than_the_bound_runs_alone():
-    def trials(size, sc):
-        for i in range(5):
-            yield (), size, {"i": i}
-
     def batches(size):
-        grouped = harness._grouped(partial(trials, size), ("i",), SuiteConfig())
-        return [indices for indices, _, _ in grouped]
+        return [positions for _, positions in harness._keyed_batches([()] * 5, lambda: size)]
 
     assert batches(harness.BATCH_ENTRIES + 1) == [[i] for i in range(5)]
     assert batches(harness.BATCH_ENTRIES // 2) == [[0, 1], [2, 3], [4]]
@@ -215,6 +218,51 @@ def test_a_trial_larger_than_the_bound_runs_alone():
     # gathered sides alone pass BATCH_ENTRIES, so each of its trials runs alone.
     sc = SuiteConfig(suites=("lemma1",), trials=3, lemma_n=(16384,), lemma_l=(1,))
     assert [list(i) for i, _, _ in PROPERTIES["lemma1"].batches(sc)] == [[0], [1], [2]]
+
+
+class _CountingGenerator:
+    """A NumPy generator that records the name of every draw made from it."""
+
+    def __init__(self, generator: np.random.Generator, calls: list[str]):
+        self._generator, self._calls = generator, calls
+
+    def __getattr__(self, name):
+        method = getattr(self._generator, name)
+
+        def draw(*args, **kwargs):
+            self._calls.append(name)
+            return method(*args, **kwargs)
+
+        return draw
+
+
+@pytest.mark.parametrize("name", ["lemma1", "claim1", "claim2", "claim3", "apmerge"])
+@pytest.mark.parametrize("trials", [37, None, 2500])
+def test_samplers_draw_a_column_at_a_time(monkeypatch, name, trials):
+    # One call per array column per batch and per integer column per block
+    # of trials, plus the draws of the shared weights: a ceiling that grows
+    # with batches and blocks.  A sampler drawing trial by trial makes at
+    # least two calls per trial, more than the ceiling allows.
+    calls, default_rng = [], np.random.default_rng
+    monkeypatch.setattr(
+        np.random, "default_rng", lambda *seed: _CountingGenerator(default_rng(*seed), calls)
+    )
+    sc = SuiteConfig(trials=trials, lemma_n=(8,), lemma_l=(2,))
+    batches = sum(1 for _ in PROPERTIES[name].batches(sc))
+    blocks = -(-sc.suite_trials(name) // harness.DRAW_BLOCK)
+    assert len(calls) <= 5 + 2 * batches + 3 * blocks < 2 * sc.suite_trials(name)
+
+
+@pytest.mark.parametrize("name", ["lemma1", "claim1", "claim2", "claim3", "apmerge"])
+def test_a_huge_trial_count_draws_only_the_first_block(name):
+    # The first batch comes out without any column drawn for every trial.
+    tracemalloc.start()
+    try:
+        indices, _, _ = next(PROPERTIES[name].batches(SuiteConfig(trials=10**9)))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 * 2**20 and len(indices) <= harness.DRAW_BLOCK
 
 
 def test_lemma1_pairs_matter_only_to_a_lemma1_run():
