@@ -53,7 +53,7 @@ from .metrics import ShiftSampler, c_cons, compare_shift_pairs, consistency, pas
 from .metrics import s_cons_zeropad, synthetic_inputs
 from .numerics import SignalBatch, as_offsets, max_abs_rows, predicted_rotation
 from .numerics import real_array, rotate_rows
-from .pipeline import MAX_BATCH, SWITCHES, Model, ModelConfig, build_model, check_seed
+from .pipeline import MAX_BATCH, SWITCHES, Model, ModelConfig, build_model, check_field
 from .pipeline import MAX_ELEMENTS, is_finite_number
 from .tokenizer import PatchEmbedConfig, TokenMatrix, a_token, lemma1_sides
 
@@ -78,6 +78,8 @@ DEFAULT_TRIALS = {
     "ablation": 1000,  # search budget per switch
 }
 
+SHIFT_PAIRS = 5  # per end2end or metrics input; an end2end trial is one pair
+
 _SEED_INDEX = {name: i + 1 for i, name in enumerate(SUITES)}
 
 # Batches are sized by memory.  A batch takes trials of one key while its
@@ -87,10 +89,7 @@ _SEED_INDEX = {name: i + 1 for i, name in enumerate(SUITES)}
 # arrays of that size a forward holds (an input and its shift, gathered
 # windows or taps, queries and keys), so at this bound no suite's traced peak
 # passes the metrics suite's.  A trial larger on its own runs alone.
-# `HELD_ENTRIES` is the largest array of a `MAX_BATCH` forward; a batch's
-# rows together hold no more entries than it.
-HELD_ENTRIES = max(size for _, size in ModelConfig().activation_sizes())
-BATCH_ENTRIES = HELD_ENTRIES // 2
+BATCH_ENTRIES = max(size for _, size in ModelConfig().activation_sizes()) // 2
 
 # Trials per block of the samplers' integer columns, fixed apart from the batch
 # bounds: a block's integers depend on its length, not on how it is batched.
@@ -127,7 +126,7 @@ class SuiteConfig:
     lemma_l: tuple[int, ...] = (1, 2, 3, 4)
 
     def __post_init__(self):
-        check_seed(self.seed)
+        check_field("seed", self.seed)
         for s in self.suites:
             if s not in SUITES:
                 raise ConfigError(f"unknown suite {s!r}, choose from {SUITES}")
@@ -142,9 +141,16 @@ class SuiteConfig:
         object.__setattr__(self, "lemma_l", tuple(int(l) for l in self.lemma_l))
         if min(self.lemma_n + self.lemma_l, default=1) < 1:
             raise ConfigError("lemma1 sizes n and l must be >= 1")
-        name, size = max(self.lemma1_sizes(), key=lambda item: item[1], default=("", 0))
+        # end2end and metrics draw all their inputs up front.
+        per_input = prod(self.model.input_shape) * self.model.channels
+        sizes = self.lemma1_sizes() + [
+            (f"{s} inputs for {self.suite_trials(s)} trials", self.suite_inputs(s) * per_input)
+            for s in ("end2end", "metrics")
+            if s in self.suites
+        ]
+        name, size = max(sizes, key=lambda item: item[1], default=("", 0))
         if size > MAX_ELEMENTS:
-            raise ConfigError(f"lemma1 {name} would hold {size} entries, more than {MAX_ELEMENTS}")
+            raise ConfigError(f"{name} would hold {size} entries, more than {MAX_ELEMENTS}")
         pairs = product(self.lemma_n, self.lemma_l)
         if "lemma1" in self.suites and all(n % l for n, l in pairs):
             raise ConfigError(
@@ -158,7 +164,7 @@ class SuiteConfig:
         Batches of inputs this large hold fewer (`BATCH_ENTRIES`); bounding
         eight of them keeps the sizes a run accepts where they were."""
         return [
-            (f"{name} at n {n}, l {l}", MAX_BATCH // 2 * size)
+            (f"lemma1 {name} at n {n}, l {l}", MAX_BATCH // 2 * size)
             for n, l in product(self.lemma_n, self.lemma_l)
             if n % l == 0
             for name, size in _lemma1_entries(n, l, LEMMA1_CHANNELS, LEMMA1_DIM)
@@ -172,6 +178,11 @@ class SuiteConfig:
 
     def suite_trials(self, name: str) -> int:
         return self.trials if self.trials is not None else DEFAULT_TRIALS[name]
+
+    def suite_inputs(self, name: str) -> int:
+        """Inputs the end2end or the metrics suite draws for its trials."""
+        trials = self.suite_trials(name)
+        return -(-trials // SHIFT_PAIRS) if name == "end2end" else max(1, trials // SHIFT_PAIRS)
 
     def rng(self, name: str) -> np.random.Generator:
         return np.random.default_rng([self.seed, _SEED_INDEX[name]])
@@ -497,11 +508,9 @@ def _apmerge_check(columns: dict, _shared=None):
 def _end2end_batches(sc: SuiteConfig):
     cfg = sc.resolved_model()
     model = build_model(cfg)
-    trials, pairs = sc.suite_trials("end2end"), 5
-    inputs = synthetic_inputs(
-        cfg.input_shape, cfg.channels, -(-trials // pairs), sc.derived_seed("end2end", 1)
-    )
-    sampler = ShiftSampler.for_shape(cfg.input_shape, pairs, sc.derived_seed("end2end", 2))
+    trials, count = sc.suite_trials("end2end"), sc.suite_inputs("end2end")
+    inputs = synthetic_inputs(cfg.input_shape, cfg.channels, count, sc.derived_seed("end2end", 1))
+    sampler = ShiftSampler.for_shape(cfg.input_shape, SHIFT_PAIRS, sc.derived_seed("end2end", 2))
     offsets = sampler.sample_pairs(len(inputs)).reshape(-1, 2, cfg.rank).tolist()
     fixed = {"model_config": cfg.to_dict(), "check": "both"}
     # A batch is one encoder pass of `compare_shift_pairs`, whose arrays
@@ -509,7 +518,7 @@ def _end2end_batches(sc: SuiteConfig):
     step = pass_pairs(cfg)
     for lo in range(0, trials, step):
         k = range(lo, min(lo + step, trials))
-        xs = np.stack([inputs[i // pairs].data for i in k])
+        xs = np.stack([inputs[i // SHIFT_PAIRS].data for i in k])
         shift_a, shift_b = zip(*(offsets[i] for i in k))
         yield k, {**fixed, "input": xs, "shift_a": list(shift_a), "shift_b": list(shift_b)}, model
 
@@ -593,10 +602,9 @@ def _untied_stats(rep) -> tuple[float, float, int]:
 def run_metrics(sc: SuiteConfig) -> SuiteResult:
     cfg = sc.resolved_model()
     model = build_model(cfg)
-    pairs = 5
-    count = max(1, sc.suite_trials("metrics") // pairs)
+    count = sc.suite_inputs("metrics")
     inputs = synthetic_inputs(cfg.input_shape, cfg.channels, count, sc.derived_seed("metrics", 1))
-    sampler = ShiftSampler.for_shape(cfg.input_shape, pairs, sc.derived_seed("metrics", 2))
+    sampler = ShiftSampler.for_shape(cfg.input_shape, SHIFT_PAIRS, sc.derived_seed("metrics", 2))
     rep_c, rep_m = consistency(model, inputs, sampler)
     rep_s = s_cons_zeropad(model, inputs, sampler)
     fully_adaptive = cfg.a_token and cfg.a_wsa and cfg.a_pmerge and cfg.adaptive_rpe
@@ -748,7 +756,7 @@ def replay(document: dict) -> tuple[int, str]:
         raise ConfigError("replay file needs a payload object")
     # Each value has the JSON kind the sampler writes (ints may stand for floats).
     # Integer grids and scalars keep its list depth too, and an offset is a
-    # bare int or one int per axis, as `as_offset` takes it; float arrays may
+    # bare int or one int per axis, as `as_offsets` takes each; float arrays may
     # be of another rank (a 2-D model's inputs), and a wrong shape surfaces as
     # ShapeError from the check.
     written = prop.payload(next(prop.batches(SuiteConfig(trials=1)))[1], 0)

@@ -78,25 +78,9 @@ def coarse_grid(grid, stride: int, name: str) -> tuple[int, ...]:
     return tuple(coarse)
 
 
-def as_offset(off, rank: int) -> Offset:
-    """Normalize an offset into a tuple with one integer per grid axis.
-
-    A bare int is accepted for rank-1 grids only; higher ranks must spell
-    out every axis.
-    """
-    if isinstance(off, (int, np.integer)):
-        if rank != 1:
-            raise ShapeError(f"scalar offset given for a rank-{rank} grid")
-        return (int(off),)
-    offs = tuple(int(o) for o in off)
-    if len(offs) != rank:
-        raise ShapeError(f"offset has {len(offs)} axes, grid has {rank}")
-    return offs
-
-
 def as_offsets(offs, rank: int) -> np.ndarray:
-    """(B, rank) int64 array of a sequence of B offsets, each as `as_offset`
-    takes it: a bare int (rank-1 grids only) or one integer per axis."""
+    """(B, rank) int64 array of a sequence of B offsets, each a bare int
+    (rank-1 grids only) or one integer per grid axis."""
     try:
         arr = np.array(offs, dtype=np.int64)
     except (ValueError, TypeError, OverflowError) as err:
@@ -189,7 +173,7 @@ class SignalBatch:
 
 def circular_shift(signal: GridSignal, off) -> GridSignal:
     """Rotate grid indices: out[n] = signal[(n + off) mod shape], per axis."""
-    index = grid_index(signal.shape, 1, 1, as_offset(off, signal.rank))
+    index = grid_index(signal.shape, 1, 1, tuple(as_offsets([off], signal.rank)[0].tolist()))
     rows = signal.data.reshape(-1, signal.channels).take(index, axis=0)
     return GridSignal._fresh(rows.reshape(signal.data.shape))
 

@@ -53,7 +53,7 @@ from .tokenizer import (
     a_token,
     token,
 )
-from .trace import SelectionTrace
+from .trace import MERGE, TOKEN, WSA, SelectionTrace
 
 SWITCHES = ("a_token", "a_wsa", "a_pmerge", "adaptive_rpe")
 
@@ -77,17 +77,6 @@ def _is_int(value) -> bool:
     return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
 
 
-# JSON value checks per annotated field type.  windows and merge_factors also
-# take a bare int, which is broadcast over the stages.
-_FIELD_CHECKS = {
-    "int": _is_int,
-    "float": lambda v: _is_int(v) or isinstance(v, float),
-    "str": lambda v: isinstance(v, str),
-    "bool": lambda v: isinstance(v, bool),
-    "tuple[int, ...]": lambda v: isinstance(v, (list, tuple)) and all(map(_is_int, v)),
-}
-
-
 def is_finite_number(value) -> bool:
     """Whether a number is a finite float; an int too large for a float is not."""
     try:
@@ -96,19 +85,54 @@ def is_finite_number(value) -> bool:
         return False
 
 
-def check_seed(seed) -> None:
-    """Weight and suite streams take non-negative integer seeds only."""
-    if not _is_int(seed) or seed < 0:
-        raise ConfigError(f"seed must be a non-negative integer, got {seed!r}")
+def _int_in(low: int, high: float = math.inf):
+    return lambda v: _is_int(v) and low <= v <= high
 
 
-def _per_stage(value, depth: int, name: str) -> tuple[int, ...]:
-    if isinstance(value, (int, np.integer)):
-        return (int(value),) * depth
-    vals = tuple(int(v) for v in value)
-    if len(vals) != depth:
-        raise ConfigError(f"{name} has {len(vals)} entries for depth {depth}")
-    return vals
+def _positive_ints(value) -> bool:
+    return isinstance(value, tuple) and all(map(_int_in(1), value))
+
+
+def _one_of(*names: str):
+    return lambda v: isinstance(v, str) and v in names, f"one of {names}"
+
+
+_POSITIVE = (_int_in(1), "an integer >= 1")
+_PER_STAGE = (_positive_ints, "an integer >= 1 or a list of them, one per stage")
+_SWITCH = (lambda v: isinstance(v, bool), "true or false")
+
+# One rule per `ModelConfig` field, (check, what it requires), for every
+# caller: `__post_init__` first takes a list as a tuple, and broadcasts a
+# bare int for windows or merge_factors over the stages.
+FIELD_RULES = {
+    "input_shape": (lambda v: _positive_ints(v) and len(v) in (1, 2), "1 or 2 integers >= 1"),
+    "channels": _POSITIVE,
+    "patch_len": _POSITIVE,
+    "depth": (_int_in(0, MAX_DEPTH), f"an integer in [0, {MAX_DEPTH}]"),
+    "windows": _PER_STAGE,
+    "merge_factors": _PER_STAGE,
+    "embed_dim": _POSITIVE,
+    "num_classes": _POSITIVE,
+    "rpe_kind": _one_of(NONE, ORIGINAL, ADAPTIVE),
+    "token_energy": _one_of(*INVARIANT_FNS),
+    "window_energy_fn": _one_of(*WINDOW_FNS),
+    "energy_p": (
+        lambda v: (_is_int(v) or isinstance(v, float)) and is_finite_number(v) and v >= 1,
+        "a finite number >= 1",
+    ),
+    "a_token": _SWITCH,
+    "a_wsa": _SWITCH,
+    "a_pmerge": _SWITCH,
+    "adaptive_rpe": _SWITCH,
+    "seed": (_int_in(0), "a non-negative integer"),
+}
+
+
+def check_field(name: str, value) -> None:
+    """Raise ConfigError unless `value` meets field `name`'s rule."""
+    ok, want = FIELD_RULES[name]
+    if not ok(value):
+        raise ConfigError(f"{name} must be {want}, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -140,36 +164,24 @@ class ModelConfig:
     seed: int = 0
 
     def __post_init__(self):
-        check_seed(self.seed)
-        shape = tuple(int(n) for n in self.input_shape)
-        object.__setattr__(self, "input_shape", shape)
-        if len(shape) not in (1, 2) or min(shape) < 1:
-            raise ConfigError(f"input_shape {shape} must be rank 1 or 2, all axes >= 1")
-        for name in ("channels", "patch_len", "embed_dim", "num_classes"):
-            if getattr(self, name) < 1:
-                raise ConfigError(f"{name} must be >= 1")
-        if not 0 <= self.depth <= MAX_DEPTH:
-            raise ConfigError(f"depth must be in [0, {MAX_DEPTH}]")
-        object.__setattr__(self, "windows", _per_stage(self.windows, self.depth, "windows"))
-        object.__setattr__(
-            self, "merge_factors", _per_stage(self.merge_factors, self.depth, "merge_factors")
-        )
-        if self.rpe_kind not in (NONE, ORIGINAL, ADAPTIVE):
-            raise ConfigError(f"unknown rpe_kind {self.rpe_kind!r}")
-        if self.token_energy not in INVARIANT_FNS:
-            raise ConfigError(f"unknown token_energy {self.token_energy!r}")
-        if self.window_energy_fn not in WINDOW_FNS:
-            raise ConfigError(f"unknown window_energy_fn {self.window_energy_fn!r}")
-        if not is_finite_number(self.energy_p) or self.energy_p < 1:
-            raise ConfigError(f"energy_p must be a finite number >= 1, got {self.energy_p!r}")
-        for n in shape:
+        for name in FIELD_RULES:
+            value = getattr(self, name)
+            if isinstance(value, list):
+                value = tuple(value)
+            if name in ("windows", "merge_factors") and _is_int(value):
+                value = (value,) * self.depth
+            check_field(name, value)
+            if isinstance(value, tuple):  # NumPy integers become plain ints
+                value = tuple(map(int, value))
+            object.__setattr__(self, name, value)
+        if not len(self.windows) == len(self.merge_factors) == self.depth:
+            raise ConfigError(f"windows and merge_factors need {self.depth} entries, one per stage")
+        for n in self.input_shape:
             if n % self.patch_len:
                 raise ConfigError(f"axis {n} is not divisible by patch_len {self.patch_len}")
-        grids = [tuple(n // self.patch_len for n in shape)]
+        grids = [tuple(n // self.patch_len for n in self.input_shape)]
         for s, (w, p) in enumerate(zip(self.windows, self.merge_factors)):
             grid = grids[-1]
-            if w < 1 or p < 1:
-                raise ConfigError(f"stage {s}: window and merge factor must be >= 1")
             for g in grid:
                 if g % w:
                     raise ConfigError(f"stage {s}: grid {grid} not divisible by window {w}")
@@ -182,27 +194,31 @@ class ModelConfig:
         if size > MAX_ELEMENTS:
             raise ConfigError(f"the {name} would hold {size} entries, more than {MAX_ELEMENTS}")
 
+    def weight_shapes(self) -> list[tuple[str, tuple[int, ...]]]:
+        """(name, shape) of every weight array `build_model` draws, in draw order."""
+        rank, dims, kind = self.rank, self.stage_dims(), self.effective_rpe_kind
+
+        def attention(at: str, d: int, grid: tuple[int, ...]) -> list:
+            shapes = [(f"{at} {e}", (d, d)) for e in ("e_q", "e_k", "e_v")]
+            if kind != NONE:
+                table = tuple(2 * g - 1 for g in grid) if kind == ORIGINAL else grid
+                shapes.append((f"{at} position bias table", table))
+            return shapes
+
+        shapes = [("patch embed", (self.patch_len**rank * self.channels, self.embed_dim))]
+        for s, (d, w, p) in enumerate(zip(dims, self.windows, self.merge_factors)):
+            shapes += attention(f"stage {s}", d, (w,) * rank)
+            shapes.append((f"stage {s} merge projection", (p**rank * d, 2 * d)))
+        if self.depth:
+            shapes += attention("global", dims[-1], self._grids[-1])
+        shapes.append(("head", (dims[-1], self.num_classes)))
+        return shapes
+
     def array_sizes(self) -> list[tuple[str, int]]:
         """(name, entries) of the input and of every weight array `build_model`
         draws; plain integer arithmetic, nothing is allocated."""
-        rank, dims = self.rank, self.stage_dims()
-        sizes = [
-            ("input", math.prod(self.input_shape) * self.channels),
-            ("patch embed", self.patch_len**rank * self.channels * self.embed_dim),
-            ("head", dims[-1] * self.num_classes),
-        ]
-        tables = [(w,) * rank for w in self.windows]
-        for d, p in zip(dims, self.merge_factors):
-            sizes += [("attention projection", d * d), ("merge projection", p**rank * d * 2 * d)]
-        if self.depth:
-            sizes.append(("attention projection", dims[-1] ** 2))
-            tables.append(self.stage_grids()[-1])
-        if self.effective_rpe_kind != NONE:
-            original = self.effective_rpe_kind == ORIGINAL
-            for t in tables:
-                entries = math.prod(2 * g - 1 if original else g for g in t)
-                sizes.append(("position bias table", entries))
-        return sizes
+        sizes = [("input", math.prod(self.input_shape) * self.channels)]
+        return sizes + [(name, math.prod(shape)) for name, shape in self.weight_shapes()]
 
     def activation_sizes(self) -> list[tuple[str, int]]:
         """(name, entries) of the largest arrays a forward of `MAX_BATCH` inputs
@@ -227,10 +243,6 @@ class ModelConfig:
     def rank(self) -> int:
         return len(self.input_shape)
 
-    @property
-    def token_grid(self) -> tuple[int, ...]:
-        return self._grids[0]
-
     def stage_grids(self) -> list[tuple[int, ...]]:
         """Token grid entering each stage; one extra entry for the final grid."""
         return list(self._grids)
@@ -241,9 +253,7 @@ class ModelConfig:
 
     @property
     def effective_rpe_kind(self) -> str:
-        if self.rpe_kind == ADAPTIVE and not self.adaptive_rpe:
-            return ORIGINAL
-        return self.rpe_kind
+        return ORIGINAL if self.rpe_kind == ADAPTIVE and not self.adaptive_rpe else self.rpe_kind
 
     def disable(self, *switches: str) -> ModelConfig:
         """Copy of the config with the named adaptive switches turned off."""
@@ -254,25 +264,17 @@ class ModelConfig:
 
     def to_dict(self) -> dict:
         d = dataclasses.asdict(self)
-        d["input_shape"] = list(self.input_shape)
-        d["windows"] = list(self.windows)
-        d["merge_factors"] = list(self.merge_factors)
-        return d
+        return {k: list(v) if isinstance(v, tuple) else v for k, v in d.items()}
 
     @classmethod
     def from_dict(cls, d: dict) -> ModelConfig:
-        """Config from a JSON object; unknown keys and mistyped values raise ConfigError."""
+        """Config from a JSON object, under the rules every caller gets."""
         if not isinstance(d, dict):
             raise ConfigError(f"model config must be a JSON object, got {type(d).__name__}")
-        types = {f.name: f.type for f in dataclasses.fields(cls)}
-        unknown = set(d) - set(types)
+        unknown = set(d) - set(FIELD_RULES)
         if unknown:
             raise ConfigError(f"unknown config keys {sorted(unknown)}")
-        for key, value in d.items():
-            per_stage_int = key in ("windows", "merge_factors") and _is_int(value)
-            if not (_FIELD_CHECKS[types[key]](value) or per_stage_int):
-                raise ConfigError(f"config key {key!r} has a value of the wrong type: {value!r}")
-        return cls(**{k: tuple(v) if isinstance(v, list) else v for k, v in d.items()})
+        return cls(**d)
 
 
 @dataclass(frozen=True)
@@ -308,71 +310,25 @@ class Model:
         return encode_decode(self, x)
 
 
-def _rpe_for_grid(rng, kind: str, grid: tuple[int, ...]) -> RpeTable:
-    if kind == NONE:
-        return RpeTable.none()
-    if kind == ADAPTIVE:
-        return RpeTable.adaptive(rng.uniform(-0.5, 0.5, size=grid))
-    return RpeTable.original(rng.uniform(-0.5, 0.5, size=tuple(2 * g - 1 for g in grid)))
-
-
 def build_model(cfg: ModelConfig) -> Model:
-    """Draw all weights i.i.d. uniform on [-0.5, 0.5] from a PCG64 stream.
-
-    Draw order is fixed: patch embed, then per stage the q/k/v projections,
-    window bias table, and merge projection, then the full-attention
-    projections, its bias table, and the head.  Rebuilding from an equal
-    config yields identical weights.
-    """
+    """Draw all weights i.i.d. uniform on [-0.5, 0.5] from a PCG64 stream, in
+    the order of `cfg.weight_shapes()`; an equal config yields identical weights."""
     rng = np.random.default_rng(cfg.seed)
-    rank = cfg.rank
+    w = {name: rng.uniform(-0.5, 0.5, size=shape) for name, shape in cfg.weight_shapes()}
     kind = cfg.effective_rpe_kind
 
-    patch = PatchEmbedConfig(
-        patch_len=cfg.patch_len,
-        embed=rng.uniform(-0.5, 0.5, size=(cfg.patch_len**rank * cfg.channels, cfg.embed_dim)),
-        invariant_fn=cfg.token_energy,
-    )
-    dims = cfg.stage_dims()
-    stages = []
-    for s in range(cfg.depth):
-        d = dims[s]
-        attn = AttentionParams(
-            e_q=rng.uniform(-0.5, 0.5, size=(d, d)),
-            e_k=rng.uniform(-0.5, 0.5, size=(d, d)),
-            e_v=rng.uniform(-0.5, 0.5, size=(d, d)),
-        )
-        w = cfg.windows[s]
-        rpe = _rpe_for_grid(rng, kind, (w,) * rank)
-        p = cfg.merge_factors[s]
-        merge = MergeConfig(
-            factor=p,
-            embed=rng.uniform(-0.5, 0.5, size=(p**rank * d, 2 * d)),
-            energy_p=cfg.energy_p,
-        )
-        window = WindowConfig(w, cfg.energy_p, cfg.window_energy_fn)
-        stages.append(StageWeights(attn=attn, rpe=rpe, merge=merge, window=window))
+    def attention(at: str) -> tuple[AttentionParams, RpeTable]:
+        params = AttentionParams(w[f"{at} e_q"], w[f"{at} e_k"], w[f"{at} e_v"])
+        return params, RpeTable(kind, w.get(f"{at} position bias table"))
 
-    d_final = dims[-1]
-    if cfg.depth > 0:
-        global_attn = AttentionParams(
-            e_q=rng.uniform(-0.5, 0.5, size=(d_final, d_final)),
-            e_k=rng.uniform(-0.5, 0.5, size=(d_final, d_final)),
-            e_v=rng.uniform(-0.5, 0.5, size=(d_final, d_final)),
-        )
-        global_rpe = _rpe_for_grid(rng, kind, cfg.stage_grids()[-1])
-    else:
-        global_attn = None
-        global_rpe = None
-    head = rng.uniform(-0.5, 0.5, size=(d_final, cfg.num_classes))
-    weights = ModelWeights(
-        patch=patch,
-        stages=tuple(stages),
-        global_attn=global_attn,
-        global_rpe=global_rpe,
-        head=head,
-    )
-    return Model(config=cfg, weights=weights)
+    stages = []
+    for s, (win, p) in enumerate(zip(cfg.windows, cfg.merge_factors)):
+        merge = MergeConfig(p, w[f"stage {s} merge projection"], cfg.energy_p)
+        window = WindowConfig(win, cfg.energy_p, cfg.window_energy_fn)
+        stages.append(StageWeights(*attention(f"stage {s}"), merge, window))
+    patch = PatchEmbedConfig(cfg.patch_len, w["patch embed"], cfg.token_energy)
+    global_attn = attention("global") if cfg.depth else (None, None)
+    return Model(cfg, ModelWeights(patch, stages, *global_attn, w["head"]))
 
 
 def _encode(model: Model, x) -> tuple[TokenMatrix, SelectionTrace]:
@@ -428,25 +384,28 @@ def _decode(cfg: ModelConfig, tokens: TokenMatrix, trace: SelectionTrace, shifts
     (B, *input_shape, D); with (B, rank) `shifts`, sample i's map lands
     rotated back by shifts[i], as `rotate_rows` by -shifts[i] would give it.
 
-    The switches say what the trace holds: a token offset if a_token, then
-    per stage a window offset if a_wsa and a merge phase if a_pmerge (a fixed
-    merge keeps phase 0).  Each stage's `unpool` scatters through an index
-    and fills every other row with zeros, so the chain of scatters is one
-    scatter through the composed index: final token j lands at
-    token_index[stage_0[stage_1[... j]]].
+    The trace holds, each read by its kind, a token offset if a_token ran,
+    and per stage a window offset if a_wsa ran and a merge phase if a_pmerge
+    ran (a fixed merge keeps phase 0).  Each stage's `unpool` scatters
+    through an index and fills every other row with zeros, so the chain of
+    scatters is one scatter through the composed index: final token j lands
+    at token_index[stage_0[stage_1[... j]]].
     """
-    entries = list(trace)
     batch = trace.size
     zero = np.zeros((batch, cfg.rank), dtype=np.int64)
-    token_offsets = entries.pop(0).offsets if cfg.a_token else zero
+    by_kind = {TOKEN: [zero], WSA: [], MERGE: []}
+    for entry in trace.entries:
+        by_kind[entry.kind].append(entry.offsets)
+    token_offsets = by_kind[TOKEN][-1]
     if shifts is not None:  # `scatter_index` takes the offsets mod the grid
         token_offsets = token_offsets + shifts % cfg.input_shape
     index = scatter_index(cfg.input_shape, cfg.patch_len, token_offsets)
-    per_stage = int(cfg.a_wsa) + int(cfg.a_pmerge)
+    windows = by_kind[WSA] or [zero] * cfg.depth
+    phases = by_kind[MERGE] or [zero] * cfg.depth
     rows = np.arange(batch)[:, np.newaxis]
     for s, grid in enumerate(cfg._grids[:-1]):
         # A stage's window offset and merge phase add up, as in `unpool`.
-        offsets = sum([e.offsets for e in entries[s * per_stage : (s + 1) * per_stage]], zero)
+        offsets = windows[s] + phases[s]
         index = index[rows, scatter_index(grid, cfg.merge_factors[s], offsets)]
     out = scatter_rows(tokens.data, math.prod(cfg.input_shape), index)
     return out.reshape(batch, *cfg.input_shape, -1)

@@ -26,7 +26,6 @@ from .errors import ParameterError, ShapeError
 from .numerics import (
     GridSignal,
     SignalBatch,
-    as_offset,
     as_offsets,
     best_phase,
     coarse_grid,
@@ -109,7 +108,7 @@ class TokenMatrix:
     def shift(self, off) -> TokenMatrix:
         """Circularly rotate the token grid: out[k] = self[(k + off) mod G],
         the same offset for every sample."""
-        index = grid_index(self.grid_shape, 1, 1, as_offset(off, self.rank))
+        index = grid_index(self.grid_shape, 1, 1, tuple(as_offsets([off], self.rank)[0].tolist()))
         return TokenMatrix._fresh(self.data.take(index[:, 0], axis=1), self.grid_shape)
 
 
@@ -165,7 +164,7 @@ def reshape_patches(x: GridSignal, patch_len: int, off=None) -> np.ndarray:
     enumerate patches row-major over the token grid.
     """
     grid = coarse_grid(x.shape, patch_len, "patch_len")
-    offs = (0,) * x.rank if off is None else as_offset(off, x.rank)
+    offs = (0,) * x.rank if off is None else tuple(as_offsets([off], x.rank)[0].tolist())
     if any(not 0 <= o < patch_len for o in offs):
         raise ParameterError(f"offset {offs} outside [0, {patch_len})")
     index = grid_index(x.shape, patch_len, patch_len, offs)

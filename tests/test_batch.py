@@ -508,10 +508,9 @@ def test_batching_never_changes_a_report_row(monkeypatch, name, failing):
     sc = SuiteConfig(trials=30, lemma_n=(4, 6, 8), lemma_l=(1, 2, 3))
     runs = []
     passes = [_one_pass_of(1), harness.pass_pairs, _one_pass_of(2**62)]
-    bounds = [(0, 0), (harness.BATCH_ENTRIES, harness.HELD_ENTRIES), (2**62, 2**62)]
-    for (batch, held), pairs in zip(bounds, passes):
+    bounds = [0, harness.BATCH_ENTRIES, 2**62]
+    for batch, pairs in zip(bounds, passes):
         monkeypatch.setattr(harness, "BATCH_ENTRIES", batch)
-        monkeypatch.setattr(harness, "HELD_ENTRIES", held)
         monkeypatch.setattr(harness, "pass_pairs", pairs)
         calls = [len(indices) for indices, _, _ in PROPERTIES[name].batches(sc)]
         result = SUITE_RUNS[name](sc)

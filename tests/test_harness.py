@@ -120,8 +120,7 @@ def test_lemma1_bound_accepts_what_it_accepted(l):
 
 def test_batch_bounds_come_from_the_default_forward():
     largest = max(size for _, size in ModelConfig().activation_sizes())
-    assert harness.HELD_ENTRIES == largest == 32768
-    assert harness.BATCH_ENTRIES == largest // 2
+    assert harness.BATCH_ENTRIES == largest // 2 == 16384
     # The element bound and the oversized configs CI runs under `ulimit -v`
     # are rejected as before; the batch bounds change no accepted model.
     assert pipeline.MAX_ELEMENTS == 2**22
@@ -166,8 +165,9 @@ def batch_key(name: str, p: dict):
 def test_batches_stay_within_the_memory_bounds(name):
     # Every batch holds trials of one key, and its check has its largest
     # array within BATCH_ENTRIES by the suite's size rule, or is one trial
-    # (end2end: one encoder pass); its rows hold at most HELD_ENTRIES
-    # entries; every trial comes out once, in trial order within its batch.
+    # (end2end: one encoder pass); its rows hold at most 2 * BATCH_ENTRIES
+    # entries, the largest array of a MAX_BATCH forward; every trial comes
+    # out once, in trial order within its batch.
     # claim3 and apmerge, which mix keys, spread them over several batches.
     prop = PROPERTIES[name]
     sc = SuiteConfig(trials=None if name != "end2end" else 40)
@@ -182,7 +182,7 @@ def test_batches_stay_within_the_memory_bounds(name):
         else:
             size = trial_size(name, rows[0])
             assert len(indices) * size <= harness.BATCH_ENTRIES or len(indices) == 1
-        assert sum(np.size(columns[key]) for key in prop.rows) <= harness.HELD_ENTRIES
+        assert sum(np.size(columns[key]) for key in prop.rows) <= 2 * harness.BATCH_ENTRIES
         assert indices == sorted(indices)
         seen += indices
     assert sorted(seen) == list(range(len(seen)))
@@ -258,11 +258,25 @@ def test_a_huge_trial_count_draws_only_the_first_block(name):
     # The first batch comes out without any column drawn for every trial.
     tracemalloc.start()
     try:
-        indices, _, _ = next(PROPERTIES[name].batches(SuiteConfig(trials=10**9)))
+        indices, _, _ = next(PROPERTIES[name].batches(SuiteConfig((name,), trials=10**9)))
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
     assert peak < 2 * 2**20 and len(indices) <= harness.DRAW_BLOCK
+
+
+@pytest.mark.parametrize("suite", ["end2end", "metrics"])
+def test_trial_counts_past_the_input_bound_are_bad_configuration(suite):
+    # Both suites draw all their inputs up front, of 128 entries each on the
+    # default model: a stack of MAX_ELEMENTS // 128 of them is the most.
+    most = pipeline.MAX_ELEMENTS // 128 * harness.SHIFT_PAIRS
+    edge = {"end2end": most, "metrics": most + harness.SHIFT_PAIRS - 1}[suite]
+    assert SuiteConfig((suite,), trials=edge).suite_inputs(suite) == pipeline.MAX_ELEMENTS // 128
+    for trials in (edge + 1, 10**9):
+        with pytest.raises(ConfigError, match=f"{suite} inputs for {trials} trials"):
+            SuiteConfig((suite,), trials=trials)
+    # The claim suites draw per block, and are not bounded by trials.
+    assert SuiteConfig(("claim1",), trials=10**9).trials == 10**9
 
 
 def test_lemma1_pairs_matter_only_to_a_lemma1_run():

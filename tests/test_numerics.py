@@ -16,7 +16,7 @@ from hypothesis import strategies as st
 from eqvit import GridSignal, circular_shift, lp_norm, softmax_rows
 from eqvit.attention import RpeTable, _untile_index
 from eqvit.errors import ParameterError, ShapeError
-from eqvit.numerics import SignalBatch, argmax_rows, as_offset, as_offsets, freeze, grid_index
+from eqvit.numerics import SignalBatch, argmax_rows, as_offsets, freeze, grid_index
 from eqvit.numerics import offset_index, predicted_rotation, project_rows, rotate_rows
 from eqvit.numerics import scatter_index, weight_array
 from eqvit.tokenizer import TokenMatrix
@@ -212,16 +212,7 @@ def test_predicted_rotation_counts_shifts_mod_the_grid(grid, b, k):
         assert all(np.array_equal(g, w) for g, w in zip(got, want))
 
 
-def test_as_offset_scalar_only_for_rank1():
-    assert as_offset(3, 1) == (3,)
-    assert as_offset((1, 2), 2) == (1, 2)
-    with pytest.raises(ShapeError):
-        as_offset(3, 2)
-    with pytest.raises(ShapeError):
-        as_offset((1, 2, 3), 2)
-
-
-def test_as_offsets_takes_what_as_offset_takes():
+def test_as_offsets_takes_ints_or_one_int_per_axis():
     assert as_offsets([3, -1], 1).tolist() == [[3], [-1]]
     assert as_offsets([[3], [4]], 1).tolist() == [[3], [4]]
     assert as_offsets([(1, 2), [3, 4]], 2).tolist() == [[1, 2], [3, 4]]
