@@ -20,9 +20,9 @@ from functools import cached_property, lru_cache
 import numpy as np
 
 from .errors import ParameterError, ShapeError
-from .numerics import argmax_rows, coarse_grid, freeze, grid_index, offset_index, phase_table
-from .numerics import real_array, require_finite, require_norm_order, softmax_rows, stable_sum
-from .numerics import weight_array
+from .numerics import NORM_ORDER, POSITIVE, argmax_rows, check_value, coarse_grid, freeze
+from .numerics import grid_index, offset_index, one_of, phase_table, real_array, require_finite
+from .numerics import softmax_rows, stable_sum, weight_array
 from .tokenizer import TokenMatrix
 from .trace import WSA, SelectionTrace
 
@@ -82,8 +82,7 @@ class RpeTable:
     table: np.ndarray | None = None
 
     def __post_init__(self):
-        if self.kind not in (NONE, ORIGINAL, ADAPTIVE):
-            raise ParameterError(f"unknown rpe kind {self.kind!r}")
+        check_value("rpe kind", self.kind, one_of(NONE, ORIGINAL, ADAPTIVE))
         if self.kind == NONE:
             if self.table is not None:
                 raise ParameterError("kind 'none' carries no table")
@@ -189,13 +188,9 @@ class WindowConfig:
     energy_fn: str = "max"
 
     def __post_init__(self):
-        if self.window < 1:
-            raise ParameterError(f"window must be >= 1, got {self.window}")
-        require_norm_order(self.energy_p)
-        if self.energy_fn not in WINDOW_FNS:
-            raise ParameterError(
-                f"unknown energy_fn {self.energy_fn!r}, choose from {sorted(WINDOW_FNS)}"
-            )
+        check_value("window", self.window, POSITIVE)
+        check_value("energy_p", self.energy_p, NORM_ORDER)
+        check_value("energy_fn", self.energy_fn, one_of(*WINDOW_FNS))
 
 
 def window_energy(tokens: TokenMatrix, cfg: WindowConfig) -> np.ndarray:

@@ -51,10 +51,11 @@ from .errors import ConfigError, ParameterError, ShapeError, TraceError
 from .merging import MergeConfig, a_pmerge, pmerge, pmerge_conv_fullrate
 from .metrics import ShiftSampler, c_cons, compare_shift_pairs, consistency, pass_pairs
 from .metrics import s_cons_zeropad, synthetic_inputs
-from .numerics import SignalBatch, as_offsets, max_abs_rows, predicted_rotation
-from .numerics import real_array, rotate_rows
-from .pipeline import MAX_BATCH, SWITCHES, Model, ModelConfig, build_model, check_field
-from .pipeline import MAX_ELEMENTS, is_finite_number
+from .numerics import FINITE, SignalBatch, as_offsets, check_value, is_int, max_abs_rows
+from .numerics import names_from, one_of, positive_ints, predicted_rotation, real_array
+from .numerics import rotate_rows
+from .pipeline import FIELD_RULES, MAX_BATCH, MAX_ELEMENTS, SWITCH_NAMES, SWITCHES, Model
+from .pipeline import ModelConfig, build_model
 from .tokenizer import PatchEmbedConfig, TokenMatrix, a_token, lemma1_sides
 
 SUITES = ("lemma1", "claim1", "claim2", "claim3", "apmerge", "end2end", "metrics", "ablation")
@@ -113,6 +114,17 @@ ABLATION_SEARCH_MODEL = ModelConfig(
 )
 
 
+# One rule per `SuiteConfig` field but `model`; `__post_init__` takes a list as a tuple.
+SUITE_RULES = {
+    "suites": names_from(*SUITES),
+    "seed": FIELD_RULES["seed"],
+    "trials": (lambda v: v is None or is_int(v) and v >= 1, "an integer >= 1 or None"),
+    "disable": SWITCH_NAMES,
+    "lemma_n": (positive_ints, "a list of integers >= 1"),
+    "lemma_l": (positive_ints, "a list of integers >= 1"),
+}
+
+
 @dataclass(frozen=True)
 class SuiteConfig:
     """Everything a run depends on; equal configs give byte-equal reports."""
@@ -126,21 +138,13 @@ class SuiteConfig:
     lemma_l: tuple[int, ...] = (1, 2, 3, 4)
 
     def __post_init__(self):
-        check_field("seed", self.seed)
-        for s in self.suites:
-            if s not in SUITES:
-                raise ConfigError(f"unknown suite {s!r}, choose from {SUITES}")
-        for s in self.disable:
-            if s not in SWITCHES:
-                raise ConfigError(f"unknown switch {s!r}, choose from {SWITCHES}")
-        if self.trials is not None and self.trials < 1:
-            raise ConfigError("trials must be >= 1")
-        object.__setattr__(self, "suites", tuple(dict.fromkeys(self.suites)))
-        object.__setattr__(self, "disable", tuple(dict.fromkeys(self.disable)))
-        object.__setattr__(self, "lemma_n", tuple(int(n) for n in self.lemma_n))
-        object.__setattr__(self, "lemma_l", tuple(int(l) for l in self.lemma_l))
-        if min(self.lemma_n + self.lemma_l, default=1) < 1:
-            raise ConfigError("lemma1 sizes n and l must be >= 1")
+        for name, rule in SUITE_RULES.items():
+            value = getattr(self, name)
+            value = tuple(value) if isinstance(value, list) else value
+            check_value(name.replace("lemma_", "lemma1 "), value, rule, ConfigError)
+            if isinstance(value, tuple):  # sizes as plain ints; suites and switches once each
+                value = tuple(map(int, value) if name.startswith("lemma") else dict.fromkeys(value))
+            object.__setattr__(self, name, value)
         # end2end and metrics draw all their inputs up front.
         per_input = prod(self.model.input_shape) * self.model.channels
         sizes = self.lemma1_sizes() + [
@@ -197,14 +201,8 @@ class SuiteConfig:
         return [np.random.default_rng(child) for child in seq.spawn(count)]
 
     def to_dict(self) -> dict:
-        return {
-            "suites": list(self.suites),
-            "seed": self.seed,
-            "trials": self.trials,
-            "disable": list(self.disable),
-            "lemma_n": list(self.lemma_n),
-            "lemma_l": list(self.lemma_l),
-        }
+        values = {name: getattr(self, name) for name in SUITE_RULES}
+        return {k: list(v) if isinstance(v, tuple) else v for k, v in values.items()}
 
 
 @dataclass
@@ -225,14 +223,6 @@ class SuiteResult:
         if self.counterexample is not None:
             row["counterexample"] = True
         return row
-
-
-def _json_kind(value) -> tuple[str, int]:
-    """(NumPy dtype kind, list depth) of a payload value; a ragged list has no kind."""
-    try:
-        return np.asarray(value).dtype.kind, np.ndim(value)
-    except ValueError:
-        return "ragged", 1
 
 
 def _counterexample(suite: str, tolerance: float, divergence: float, payload: dict) -> dict:
@@ -342,7 +332,7 @@ def _lemma1_batches(sc: SuiteConfig):
                 inputs = inputs[-1:] if lo % l else inputs[:0]
                 fresh = (k[-1] // l + 1 - lo // l - len(inputs), n, LEMMA1_CHANNELS)
                 inputs = np.concatenate([inputs, rng.uniform(-1.0, 1.0, fresh)])
-                columns = {"n": n, "l": l, "m": (k % l).tolist(), "x": inputs[k // l - lo // l]}
+                columns = {"l": l, "m": (k % l).tolist(), "x": inputs[k // l - lo // l]}
                 yield range(start + lo, start + lo + len(k)), {**columns, "embed": embed}, cfg
             start += trials * l
 
@@ -404,9 +394,7 @@ def _claim1_check(columns: dict, cfg: PatchEmbedConfig | None = None):
 def _window_attention(columns: dict) -> tuple[WindowConfig, AttentionParams, RpeTable]:
     wcfg = WindowConfig(columns["window"], columns["energy_p"], columns["energy_fn"])
     params = AttentionParams(*(columns[k] for k in ("e_q", "e_k", "e_v")))
-    table = columns["rpe_table"]
-    rpe = RpeTable.none() if table is None else RpeTable(columns["rpe_kind"], table)
-    return wcfg, params, rpe
+    return wcfg, params, RpeTable(columns["rpe_kind"], columns["rpe_table"])
 
 
 def _claim2_batches(sc: SuiteConfig):
@@ -465,7 +453,7 @@ def _claim3_batches(sc: SuiteConfig):
 
 def _token_batch(columns: dict) -> TokenMatrix:
     """The columns' (B, M, D) token stack on their grid, checked once."""
-    return TokenMatrix(_stacked(columns, "t", 3), tuple(columns["grid"]))
+    return TokenMatrix(_stacked(columns, "t", 3), columns["grid"])
 
 
 def _claim3_check(columns: dict, _shared=None):
@@ -528,8 +516,7 @@ def _end2end_divergence(columns: dict, model: Model | None = None):
     `compare_shift_pairs`.  Logits and labels must agree; check "both" also
     needs the decoded maps, each rotated back by its shift, to agree."""
     check = columns["check"]
-    if check not in ("classify", "both"):
-        raise ConfigError(f"end2end check must be 'classify' or 'both', not {check!r}")
+    check_value("end2end check", check, one_of("classify", "both"), ConfigError)
     model = model or build_model(ModelConfig.from_dict(columns["model_config"]))
     xs = SignalBatch(columns["input"]).data
     offs = (as_offsets(columns[k], model.config.rank) for k in ("shift_a", "shift_b"))
@@ -710,7 +697,6 @@ def run_ablation(sc: SuiteConfig) -> SuiteResult:
 # ------------------------------------------------------------ run/replay --
 
 _RUNNERS = {name: globals()[f"run_{name}"] for name in SUITES}
-_OFFSET_KEYS = ("shift", "shift_a", "shift_b")
 
 
 def run_suites(sc: SuiteConfig) -> tuple[dict, list[SuiteResult]]:
@@ -733,7 +719,9 @@ def replay(document: dict) -> tuple[int, str]:
     check (ablation: the end2end check).  In order: a NaN divergence raises
     ConfigError, a tied trial (never asserted) exits 0, an infinite divergence
     raises ConfigError, and otherwise `_passes` decides: 0 passes, 1 fails.
-    A malformed document or a payload the check rejects raises ConfigError.
+    A malformed document, a payload without a key the check reads, or a
+    payload value the check rejects raises ConfigError: each value is checked
+    where the check takes it in, by the class or conversion that takes it.
     """
     if not isinstance(document, dict):
         raise ConfigError(f"replay file must hold a JSON object, not {type(document).__name__}")
@@ -747,37 +735,18 @@ def replay(document: dict) -> tuple[int, str]:
         raise ConfigError(f"replay file names unknown suite {suite!r}")
     prop = PROPERTIES["end2end" if suite == "ablation" else suite]
     for key in ("tolerance", "divergence"):
-        if _json_kind(document.get(key)) not in (("f", 0), ("i", 0)):
-            raise ConfigError(f"replay file needs a numeric {key!r}")
-        if not is_finite_number(document[key]):
-            raise ConfigError(f"replay file {key!r} must be finite, not {document[key]!r}")
+        check_value(f"replay file {key!r}", document.get(key), FINITE, ConfigError)
     payload = document.get("payload")
     if not isinstance(payload, dict):
         raise ConfigError("replay file needs a payload object")
-    # Each value has the JSON kind the sampler writes (ints may stand for floats).
-    # Integer grids and scalars keep its list depth too, and an offset is a
-    # bare int or one int per axis, as `as_offsets` takes each; float arrays may
-    # be of another rank (a 2-D model's inputs), and a wrong shape surfaces as
-    # ShapeError from the check.
-    written = prop.payload(next(prop.batches(SuiteConfig(trials=1)))[1], 0)
-    missing = sorted(set(written) - set(payload))
-    if missing:
-        raise ConfigError(f"{suite} payload lacks keys {missing}")
-    for key, value in written.items():
-        want, got = _json_kind(value), _json_kind(payload[key])
-        kind_ok = got[0] == want[0] or (want[0], got[0]) == ("f", "i")
-        depths = (0, 1) if key in _OFFSET_KEYS else (want[1],)
-        depth_ok = got[1] in depths if want[0] == "i" else (got[1] > 0) == (want[1] > 0)
-        if not (kind_ok and depth_ok):
-            raise ConfigError(f"{suite} payload {key!r} has (kind, depth) {got}, not {want}")
-        if got in (("f", 0), ("i", 0)) and not is_finite_number(payload[key]):
-            raise ConfigError(f"{suite} payload {key!r} must be finite, not {payload[key]!r}")
     recorded, tolerance = float(document["divergence"]), float(document["tolerance"])
     try:
         # Payloads scaled toward the float range overflow inside the ops; the
         # outcome below says what that means, so NumPy's warnings are noise.
         with np.errstate(over="ignore", invalid="ignore"):
             divs, agrees, tieds = prop.check(prop.columns(payload))
+    except KeyError as err:
+        raise ConfigError(f"{suite} payload lacks key {err}") from err
     except (ShapeError, ParameterError, TraceError) as err:
         raise ConfigError(f"{suite} payload cannot be checked: {err}") from err
     div, agree, tied = float(divs[0]), bool(agrees[0]), bool(tieds[0])

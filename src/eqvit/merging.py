@@ -20,13 +20,13 @@ from math import prod
 import numpy as np
 
 from .errors import ParameterError, ShapeError, TraceError
+from .numerics import NORM_ORDER, POSITIVE, check_value
 from .numerics import (
     best_phase,
     coarse_grid,
     grid_index,
     lp_norm,
     project_rows,
-    require_norm_order,
     scatter_index,
     scatter_rows,
     weight_array,
@@ -48,9 +48,8 @@ class MergeConfig:
     energy_p: float = 2.0
 
     def __post_init__(self):
-        if self.factor < 1:
-            raise ParameterError(f"factor must be >= 1, got {self.factor}")
-        require_norm_order(self.energy_p)
+        check_value("factor", self.factor, POSITIVE)
+        check_value("energy_p", self.energy_p, NORM_ORDER)
         object.__setattr__(self, "embed", weight_array(self.embed, "embed", (2, 3)))
 
     @property

@@ -21,8 +21,8 @@ import numpy as np
 
 from . import pipeline
 from .errors import ParameterError, ShapeError
-from .numerics import GridSignal, SignalBatch, as_offsets, max_abs_rows, real_array
-from .numerics import rotate_rows
+from .numerics import POSITIVE, GridSignal, SignalBatch, as_offsets, check_value, ints_in, is_int
+from .numerics import max_abs_rows, real_array, rotate_rows
 from .pipeline import MAX_BATCH, Model, ModelConfig
 from .tokenizer import TokenMatrix
 
@@ -36,15 +36,11 @@ class ShiftSampler:
     seed: int = 0
 
     def __post_init__(self):
-        offs = self.max_offset
-        if isinstance(offs, (int, np.integer)):
-            offs = (int(offs),)
-        offs = tuple(int(o) for o in offs)
-        if any(o < 0 for o in offs):
-            raise ParameterError(f"max_offset {offs} must be non-negative")
-        if self.pairs_per_input < 1:
-            raise ParameterError("pairs_per_input must be >= 1")
-        object.__setattr__(self, "max_offset", offs)
+        offs = (self.max_offset,) if is_int(self.max_offset) else self.max_offset
+        offs = tuple(offs) if isinstance(offs, list) else offs
+        check_value("max_offset", offs, (ints_in(0), "an integer >= 0 or one per axis"))
+        check_value("pairs_per_input", self.pairs_per_input, POSITIVE)
+        object.__setattr__(self, "max_offset", tuple(map(int, offs)))
 
     @classmethod
     def for_shape(cls, shape: tuple[int, ...], pairs_per_input: int = 5, seed: int = 0):

@@ -9,11 +9,14 @@ once for any grid rank, and the selecting ones once for a stack of samples
 of one.  All functions are pure; arrays held by the wrapper types are frozen
 so results can be shared without defensive copies.  Values are converted
 and checked once, at the boundary (`GridSignal`, `SignalBatch`, the weight
-classes), by `real_array` and `require_finite`.
+classes), by `real_array` and `require_finite`; offsets by `as_offsets`; and
+the scalar fields of every config class by one vocabulary of rules, each
+(check, the words of what it requires), applied by `check_value`.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import product
@@ -34,14 +37,63 @@ def freeze(values, dtype=np.float64) -> np.ndarray:
     return arr
 
 
+# The rule vocabulary of every class that takes outside scalars.  A check is a
+# predicate; a rule is (check, the words of what it requires), for `check_value`.
+def is_int(value) -> bool:
+    """A Python or NumPy integer; a bool is not one."""
+    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+
+
+def is_finite_number(value) -> bool:
+    """An int or a float, not a bool, and finite; an int too large for a float is not."""
+    try:
+        return (is_int(value) or isinstance(value, float)) and math.isfinite(value)
+    except OverflowError:
+        return False
+
+
+def int_in(low: int, high: float = math.inf):
+    return lambda v: is_int(v) and low <= v <= high
+
+
+def ints_in(low: int):
+    """A tuple of integers >= low."""
+    return lambda v: isinstance(v, tuple) and all(map(int_in(low), v))
+
+
+positive_ints = ints_in(1)
+
+
+def one_of(*names: str):
+    return lambda v: isinstance(v, str) and v in names, f"one of {names}"
+
+
+def names_from(*names: str):
+    """A tuple of names, each one of `names`."""
+    return lambda v: isinstance(v, tuple) and all(map(one_of(*names)[0], v)), f"names from {names}"
+
+
+POSITIVE = (int_in(1), "an integer >= 1")
+NORM_ORDER = (lambda v: is_finite_number(v) and v >= 1, "a finite number >= 1")
+FINITE = (is_finite_number, "finite")
+GRID_SHAPE = (lambda v: positive_ints(v) and len(v) in (1, 2), "1 or 2 integers >= 1")
+
+
+def check_value(name: str, value, rule, error=ParameterError) -> None:
+    """Raise `error` unless `value` meets `rule`, a (check, what it requires) pair."""
+    ok, want = rule
+    if not ok(value):
+        raise error(f"{name} must be {want}, got {value!r}")
+
+
 def real_array(values, name: str) -> np.ndarray:
     """`values` as a float64 array.  Ragged nesting, and values that are not
-    real numbers (strings, complex numbers, objects), raise ShapeError."""
+    real numbers (booleans, strings, complex numbers, objects), raise ShapeError."""
     try:
         arr = np.asarray(values)
     except (ValueError, TypeError) as err:
         raise ShapeError(f"{name} must be numbers of one shape: {err}") from err
-    if arr.dtype.kind not in "biuf":
+    if arr.dtype.kind not in "iuf":
         raise ShapeError(f"{name} must hold real numbers, got dtype {arr.dtype}")
     return arr.astype(np.float64, copy=False)
 
@@ -80,11 +132,15 @@ def coarse_grid(grid, stride: int, name: str) -> tuple[int, ...]:
 
 def as_offsets(offs, rank: int) -> np.ndarray:
     """(B, rank) int64 array of a sequence of B offsets, each a bare int
-    (rank-1 grids only) or one integer per grid axis."""
+    (rank-1 grids only) or one integer per grid axis.  Only an integer dtype
+    that fits int64 is taken: floats, booleans and larger integers are not."""
     try:
-        arr = np.array(offs, dtype=np.int64)
+        arr = np.asarray(offs)
     except (ValueError, TypeError, OverflowError) as err:
         raise ShapeError(f"offsets must be integers of one depth: {err}") from err
+    if arr.dtype.kind not in "iu" or not np.can_cast(arr.dtype, np.int64):
+        raise ShapeError(f"offsets must be integers of one depth, got dtype {arr.dtype}")
+    arr = arr.astype(np.int64, copy=False)
     if arr.ndim == 1 and rank != 1:
         raise ShapeError(f"scalar offset given for a rank-{rank} grid")
     arr = arr[:, np.newaxis] if arr.ndim == 1 else arr

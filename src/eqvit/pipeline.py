@@ -14,8 +14,9 @@ The encoder runs on a `SignalBatch` of B inputs, one `GridSignal` being the
 batch of one, with one selection per sample; each sample's outputs are
 bit-identical to its run alone.  Every adaptive op appends one entry of
 per-sample offsets and tie flags to its `SelectionTrace`, and the decoder
-reads it as it is.  Only the heads (`classify`, `encode_decode`, and
-`forward` on one `GridSignal`) return one sample's results unstacked.
+reads it as it is.  The heads (`classify`, `encode_decode` and `forward`)
+return one sample's results unstacked for a `GridSignal`, and stacked per
+sample for a `SignalBatch`.
 
 Every adaptive block can be swapped for its fixed baseline through a config
 switch, which is how the ablation suites demonstrate that each one is
@@ -44,8 +45,9 @@ from .attention import (
 )
 from .errors import ConfigError, ShapeError
 from .merging import MergeConfig, a_pmerge, pmerge
-from .numerics import GridSignal, SignalBatch, require_finite, scatter_index, scatter_rows
-from .numerics import weight_array
+from .numerics import GRID_SHAPE, NORM_ORDER, POSITIVE, GridSignal, SignalBatch, check_value
+from .numerics import int_in, is_int, names_from, one_of, positive_ints, require_finite
+from .numerics import scatter_index, scatter_rows, weight_array
 from .tokenizer import (
     INVARIANT_FNS,
     PatchEmbedConfig,
@@ -73,66 +75,33 @@ MAX_DEPTH = 32
 MAX_ELEMENTS = 2**22
 
 
-def _is_int(value) -> bool:
-    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
-
-
-def is_finite_number(value) -> bool:
-    """Whether a number is a finite float; an int too large for a float is not."""
-    try:
-        return math.isfinite(value)
-    except OverflowError:
-        return False
-
-
-def _int_in(low: int, high: float = math.inf):
-    return lambda v: _is_int(v) and low <= v <= high
-
-
-def _positive_ints(value) -> bool:
-    return isinstance(value, tuple) and all(map(_int_in(1), value))
-
-
-def _one_of(*names: str):
-    return lambda v: isinstance(v, str) and v in names, f"one of {names}"
-
-
-_POSITIVE = (_int_in(1), "an integer >= 1")
-_PER_STAGE = (_positive_ints, "an integer >= 1 or a list of them, one per stage")
+_PER_STAGE = (positive_ints, "an integer >= 1 or a list of them, one per stage")
 _SWITCH = (lambda v: isinstance(v, bool), "true or false")
+# The switch names `ModelConfig.disable` and `SuiteConfig.disable` take.
+SWITCH_NAMES = names_from(*SWITCHES)
 
 # One rule per `ModelConfig` field, (check, what it requires), for every
 # caller: `__post_init__` first takes a list as a tuple, and broadcasts a
 # bare int for windows or merge_factors over the stages.
 FIELD_RULES = {
-    "input_shape": (lambda v: _positive_ints(v) and len(v) in (1, 2), "1 or 2 integers >= 1"),
-    "channels": _POSITIVE,
-    "patch_len": _POSITIVE,
-    "depth": (_int_in(0, MAX_DEPTH), f"an integer in [0, {MAX_DEPTH}]"),
+    "input_shape": GRID_SHAPE,
+    "channels": POSITIVE,
+    "patch_len": POSITIVE,
+    "depth": (int_in(0, MAX_DEPTH), f"an integer in [0, {MAX_DEPTH}]"),
     "windows": _PER_STAGE,
     "merge_factors": _PER_STAGE,
-    "embed_dim": _POSITIVE,
-    "num_classes": _POSITIVE,
-    "rpe_kind": _one_of(NONE, ORIGINAL, ADAPTIVE),
-    "token_energy": _one_of(*INVARIANT_FNS),
-    "window_energy_fn": _one_of(*WINDOW_FNS),
-    "energy_p": (
-        lambda v: (_is_int(v) or isinstance(v, float)) and is_finite_number(v) and v >= 1,
-        "a finite number >= 1",
-    ),
+    "embed_dim": POSITIVE,
+    "num_classes": POSITIVE,
+    "rpe_kind": one_of(NONE, ORIGINAL, ADAPTIVE),
+    "token_energy": one_of(*INVARIANT_FNS),
+    "window_energy_fn": one_of(*WINDOW_FNS),
+    "energy_p": NORM_ORDER,
     "a_token": _SWITCH,
     "a_wsa": _SWITCH,
     "a_pmerge": _SWITCH,
     "adaptive_rpe": _SWITCH,
-    "seed": (_int_in(0), "a non-negative integer"),
+    "seed": (int_in(0), "a non-negative integer"),
 }
-
-
-def check_field(name: str, value) -> None:
-    """Raise ConfigError unless `value` meets field `name`'s rule."""
-    ok, want = FIELD_RULES[name]
-    if not ok(value):
-        raise ConfigError(f"{name} must be {want}, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -166,11 +135,10 @@ class ModelConfig:
     def __post_init__(self):
         for name in FIELD_RULES:
             value = getattr(self, name)
-            if isinstance(value, list):
-                value = tuple(value)
-            if name in ("windows", "merge_factors") and _is_int(value):
+            value = tuple(value) if isinstance(value, list) else value
+            if name in ("windows", "merge_factors") and is_int(value):
                 value = (value,) * self.depth
-            check_field(name, value)
+            check_value(name, value, FIELD_RULES[name], ConfigError)
             if isinstance(value, tuple):  # NumPy integers become plain ints
                 value = tuple(map(int, value))
             object.__setattr__(self, name, value)
@@ -257,9 +225,7 @@ class ModelConfig:
 
     def disable(self, *switches: str) -> ModelConfig:
         """Copy of the config with the named adaptive switches turned off."""
-        for s in switches:
-            if s not in SWITCHES:
-                raise ConfigError(f"unknown switch {s!r}, choose from {SWITCHES}")
+        check_value("switches", switches, SWITCH_NAMES, ConfigError)
         return dataclasses.replace(self, **{s: False for s in switches})
 
     def to_dict(self) -> dict:
@@ -303,10 +269,10 @@ class Model:
     config: ModelConfig
     weights: ModelWeights
 
-    def classify(self, x: GridSignal):
+    def classify(self, x):
         return classify(self, x)
 
-    def encode_decode(self, x: GridSignal):
+    def encode_decode(self, x):
         return encode_decode(self, x)
 
 
@@ -411,23 +377,28 @@ def _decode(cfg: ModelConfig, tokens: TokenMatrix, trace: SelectionTrace, shifts
     return out.reshape(batch, *cfg.input_shape, -1)
 
 
-def classify(model: Model, x: GridSignal) -> tuple[np.ndarray, int, SelectionTrace]:
-    """Mean-pooled logits, the argmax label, and the selection trace."""
+def classify(model: Model, x) -> tuple[np.ndarray, int | np.ndarray, SelectionTrace]:
+    """Mean-pooled logits, the argmax label, and the selection trace; stacked
+    per sample for a `SignalBatch`, as `forward` gives them."""
     tokens, trace = _encode(model, x)
     logits, labels = _head(model, tokens)
+    if isinstance(x, SignalBatch):
+        return logits, labels, trace
     return logits[0], int(labels[0]), trace
 
 
-def encode_decode(model: Model, x: GridSignal) -> tuple[np.ndarray, SelectionTrace]:
+def encode_decode(model: Model, x) -> tuple[np.ndarray, SelectionTrace]:
     """Per-position feature map at input resolution, plus the trace.
 
     The decoder walks the stages in reverse: each merge is undone by
     scattering into the recorded phase (phase 0 for the baseline), each
     window alignment by rotating the grid back.  Finally each token's
-    features land at its patch anchor; all other positions stay zero.
+    features land at its patch anchor; all other positions stay zero.  A
+    `SignalBatch` gets the (B, *shape, D) stack of maps, as from `forward`.
     """
     tokens, trace = _encode(model, x)
-    return _decode(model.config, tokens, trace)[0], trace
+    maps = _decode(model.config, tokens, trace)
+    return (maps if isinstance(x, SignalBatch) else maps[0]), trace
 
 
 def forward(model: Model, x):

@@ -23,6 +23,7 @@ from math import prod
 import numpy as np
 
 from .errors import ParameterError, ShapeError
+from .numerics import GRID_SHAPE, POSITIVE, check_value, one_of
 from .numerics import (
     GridSignal,
     SignalBatch,
@@ -72,9 +73,9 @@ class TokenMatrix:
         if arr.ndim not in (2, 3):
             raise ShapeError(f"token matrix must be (M, D) or (B, M, D), got ndim={arr.ndim}")
         require_finite(arr, "token matrix")
-        grid = tuple(int(g) for g in self.grid_shape)
-        if len(grid) not in (1, 2) or min(grid) < 1:
-            raise ShapeError(f"bad token grid shape {grid}")
+        grid = tuple(self.grid_shape) if isinstance(self.grid_shape, list) else self.grid_shape
+        check_value("token grid shape", grid, GRID_SHAPE, ShapeError)
+        grid = tuple(map(int, grid))
         if prod(grid) != arr.shape[-2]:
             raise ShapeError(f"grid {grid} does not hold {arr.shape[-2]} tokens")
         object.__setattr__(self, "data", freeze(arr[np.newaxis] if arr.ndim == 2 else arr))
@@ -125,14 +126,9 @@ class PatchEmbedConfig:
     invariant_fn: str = "sum_l2"
 
     def __post_init__(self):
-        if self.patch_len < 1:
-            raise ParameterError(f"patch_len must be >= 1, got {self.patch_len}")
+        check_value("patch_len", self.patch_len, POSITIVE)
         object.__setattr__(self, "embed", weight_array(self.embed, "embed"))
-        if self.invariant_fn not in INVARIANT_FNS:
-            raise ParameterError(
-                f"unknown invariant_fn {self.invariant_fn!r}, "
-                f"choose from {sorted(INVARIANT_FNS)}"
-            )
+        check_value("invariant_fn", self.invariant_fn, one_of(*INVARIANT_FNS))
 
     @property
     def dim(self) -> int:

@@ -299,7 +299,7 @@ def test_replay_rejects_non_finite_document_numbers(key, value):
 @pytest.mark.parametrize("value", [float("nan"), float("inf")])
 def test_replay_rejects_non_finite_payload_numbers(suite, key, value):
     doc = _counterexample(suite, 0.0, 1.0, {**first_payload(suite), key: value})
-    with pytest.raises(ConfigError, match="must be finite"):
+    with pytest.raises(ConfigError, match="must be a finite number"):
         replay(doc)
 
 
@@ -675,6 +675,56 @@ def test_rows_replay_through_payload_and_columns_bit_for_bit(name):
 def test_replay_rejects_malformed_counterexamples(doc):
     with pytest.raises(ConfigError):
         replay(doc)
+
+
+# Each wrong kind of JSON value a replay payload key may be given; "all true"
+# is a boolean array of the written value's shape (a bare true for a scalar).
+WRONG_KINDS = {
+    "float": lambda v: 2.5,
+    "bool": lambda v: True,
+    "string": lambda v: "4",
+    "[1]": lambda v: [1],
+    "[[1]]": lambda v: [[1]],
+    "null": lambda v: None,
+    "{}": lambda v: {},
+    "all true": lambda v: np.ones(np.shape(v), bool).tolist(),
+}
+_OFFSETS = ("m", "shift", "shift_a", "shift_b")
+
+
+def _taken_in_place_of(key, written, value) -> bool:
+    """Whether a check legitimately takes `value` where the sampler wrote
+    `written`: a number for a float scalar, an object for an object, and for an
+    offset a bare int or one int per axis."""
+    if isinstance(written, float):
+        return isinstance(value, (int, float)) and not isinstance(value, bool)
+    if isinstance(written, dict):
+        return isinstance(value, dict)
+    return key in _OFFSETS and value == [1]
+
+
+@pytest.mark.parametrize("kind", list(WRONG_KINDS))
+@pytest.mark.parametrize("suite", list(PROPERTIES))
+def test_replay_rejects_each_wrong_kind_of_payload_value(suite, kind):
+    # Each key of the suite's first payload, alone replaced by a value of the
+    # wrong kind, is bad configuration, wherever the value is checked.
+    written = json.loads(json.dumps(_counterexample(suite, 0.0, 1.0, first_payload(suite))))
+    for key, value in written["payload"].items():
+        wrong = WRONG_KINDS[kind](value)
+        if _taken_in_place_of(key, value, wrong):
+            continue
+        doc = {**written, "payload": {**written["payload"], key: wrong}}
+        with pytest.raises(ConfigError):
+            replay(doc)
+
+
+@pytest.mark.parametrize("suite", list(PROPERTIES))
+def test_replay_names_a_missing_payload_key(suite):
+    written = first_payload(suite)
+    for key in written:
+        payload = {k: v for k, v in written.items() if k != key}
+        with pytest.raises(ConfigError, match=f"lacks key.*{key!r}"):
+            replay(_counterexample(suite, 0.0, 1.0, payload))
 
 
 def test_replay_reproduces_crafted_failure_with_zero_drift():

@@ -15,11 +15,16 @@ from hypothesis import strategies as st
 
 from eqvit import GridSignal, circular_shift, lp_norm, softmax_rows
 from eqvit.attention import RpeTable, _untile_index
-from eqvit.errors import ParameterError, ShapeError
+from eqvit.attention import WindowConfig
+from eqvit.errors import ConfigError, ParameterError, ShapeError
+from eqvit.harness import SuiteConfig
+from eqvit.merging import MergeConfig
+from eqvit.metrics import ShiftSampler
 from eqvit.numerics import SignalBatch, argmax_rows, as_offsets, freeze, grid_index
 from eqvit.numerics import offset_index, predicted_rotation, project_rows, rotate_rows
 from eqvit.numerics import scatter_index, weight_array
-from eqvit.tokenizer import TokenMatrix
+from eqvit.pipeline import ModelConfig
+from eqvit.tokenizer import PatchEmbedConfig, TokenMatrix
 
 
 def shift_oracle(data: np.ndarray, offs) -> np.ndarray:
@@ -458,6 +463,7 @@ NOT_REAL_ARRAYS = {
     "complex": np.full((4, 2), 1.0 + 0.5j),
     "complex with zero imaginary part": np.zeros((4, 2), dtype=complex),
     "objects": [[object(), object()]] * 4,
+    "booleans": np.ones((4, 2), bool),
 }
 
 
@@ -470,6 +476,68 @@ def test_boundaries_reject_values_that_are_not_real_arrays(boundary, values):
         warnings.simplefilter("error")
         with pytest.raises(ShapeError):
             BOUNDARIES[boundary](NOT_REAL_ARRAYS[values])
+
+
+# Every integer field of a class that takes outside values, as a call with
+# that field set, and the error class the class raises for a bad value.
+INTEGER_FIELDS = {
+    "PatchEmbedConfig.patch_len": (lambda v: PatchEmbedConfig(v, np.ones((8, 4))), ParameterError),
+    "WindowConfig.window": (WindowConfig, ParameterError),
+    "MergeConfig.factor": (lambda v: MergeConfig(v, np.ones((8, 8))), ParameterError),
+    "TokenMatrix.grid_shape": (lambda v: TokenMatrix(np.zeros((4, 2)), (v,)), ShapeError),
+    "ShiftSampler.max_offset": (ShiftSampler, ParameterError),
+    "ShiftSampler.max_offset axis": (lambda v: ShiftSampler((3, v)), ParameterError),
+    "ShiftSampler.pairs_per_input": (lambda v: ShiftSampler((3,), v), ParameterError),
+    "SuiteConfig.trials": (lambda v: SuiteConfig(trials=v), ConfigError),
+    "SuiteConfig.seed": (lambda v: SuiteConfig(seed=v), ConfigError),
+    "SuiteConfig.lemma_n": (lambda v: SuiteConfig(lemma_n=(v,)), ConfigError),
+    "SuiteConfig.lemma_l": (lambda v: SuiteConfig(lemma_l=(v,)), ConfigError),
+    "circular_shift offset": (lambda v: circular_shift(GridSignal(np.zeros((8, 1))), v), ShapeError),
+}
+# Each would pass as 4 where a plain int() conversion stood.
+NOT_INTEGERS = {"float": 2.5, "bool": True, "string": "4", "integral float": 4.0}
+
+
+@pytest.mark.parametrize("field", sorted(INTEGER_FIELDS))
+@pytest.mark.parametrize("value", sorted(NOT_INTEGERS))
+def test_integer_fields_reject_values_that_are_not_integers(field, value):
+    make, error = INTEGER_FIELDS[field]
+    make(4)
+    with pytest.raises(error):
+        make(NOT_INTEGERS[value])
+
+
+# Every name field: a call with it set, the names it takes, its error class.
+NAME_FIELDS = {
+    "PatchEmbedConfig.invariant_fn": (
+        lambda v: PatchEmbedConfig(4, np.ones((8, 4)), v), "sum_l2", ParameterError
+    ),
+    "WindowConfig.energy_fn": (lambda v: WindowConfig(4, 2.0, v), "max", ParameterError),
+    "RpeTable.kind": (lambda v: RpeTable(v, np.zeros(4)), "adaptive", ParameterError),
+    "SuiteConfig.suites": (lambda v: SuiteConfig(suites=(v,)), "claim1", ConfigError),
+    "SuiteConfig.disable": (lambda v: SuiteConfig(disable=(v,)), "a_wsa", ConfigError),
+    "ModelConfig.disable": (lambda v: ModelConfig().disable(v), "a_wsa", ConfigError),
+}
+
+
+@pytest.mark.parametrize("field", sorted(NAME_FIELDS))
+@pytest.mark.parametrize("value", ["unknown", 4, None, ["max"], True])
+def test_name_fields_reject_values_that_are_not_their_names(field, value):
+    make, name, error = NAME_FIELDS[field]
+    make(name)
+    with pytest.raises(error):
+        make(value)
+
+
+@pytest.mark.parametrize(
+    "make", [lambda p: WindowConfig(4, p), lambda p: MergeConfig(2, np.ones((8, 8)), p)],
+    ids=["WindowConfig", "MergeConfig"],
+)
+def test_norm_orders_take_numbers_but_not_bools(make):
+    # The rule ModelConfig.energy_p has: an int or a float >= 1, never a bool.
+    assert make(1.5).energy_p == 1.5 and make(2).energy_p == 2
+    with pytest.raises(ParameterError):
+        make(True)
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])

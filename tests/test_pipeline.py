@@ -350,6 +350,22 @@ def test_forward_matches_both_heads_bit_for_bit(shape, off):
 
 
 @pytest.mark.parametrize("shape", [(64,), (32, 32)])
+def test_heads_stack_a_batch_as_forward_does(shape):
+    # Given a SignalBatch, each head returns one output per sample, the very
+    # stacks `forward` gives, and the same trace.
+    model = build_model(ModelConfig(input_shape=shape, seed=5))
+    batch = SignalBatch([rand_input(model.config, seed).data for seed in range(3)])
+    logits, labels, maps, trace = forward(model, batch)
+    c_logits, c_labels, c_trace = classify(model, batch)
+    d_maps, d_trace = encode_decode(model, batch)
+    assert c_logits.shape == (3, model.config.num_classes) and d_maps.shape == maps.shape
+    assert c_logits.tobytes() == logits.tobytes() and c_labels.tolist() == labels.tolist()
+    assert d_maps.tobytes() == maps.tobytes()
+    assert c_trace.size == d_trace.size == trace.size == 3
+    assert c_trace.entries == d_trace.entries == trace.entries
+
+
+@pytest.mark.parametrize("shape", [(64,), (32, 32)])
 def test_overflowing_input_raises_instead_of_returning_nan(shape):
     model = build_model(ModelConfig(input_shape=shape))
     x = GridSignal(1e300 * rand_input(model.config, 12).data)
