@@ -5,10 +5,10 @@
   eqvit replay report.replay.json
 
 `run` executes the selected verification suites against the configured
-model and writes a JSON report plus a replay file (a sentinel on success,
-the first counterexample on failure).  `prove` is `run` restricted to the
-exhaustive/oracle suites with size knobs.  `replay` re-executes a recorded
-counterexample.  Exit codes: 0 all assertions passed, 1 a property failed
+model and writes a JSON report plus a replay file (the first counterexample,
+or a sentinel that says whether the run passed).  `prove` is `run` restricted
+to the exhaustive/oracle suites with size knobs.  `replay` re-executes a
+recorded counterexample.  Exit codes: 0 all assertions passed, 1 a property failed
 (or a replayed counterexample still reproduces), 2 bad configuration.
 
 The model seed may also come from the environment variable EQVIT_SEED; an
@@ -93,7 +93,7 @@ def _execute(sc: SuiteConfig, out: Path) -> int:
 
     failing = [r for r in results if r.failures]
     first_cx = next((r.counterexample for r in failing if r.counterexample), None)
-    replay_doc = first_cx if first_cx is not None else sentinel(sc)
+    replay_doc = first_cx if first_cx is not None else sentinel(sc, [r.name for r in failing])
     replay_file = _replay_path(out)
     replay_file.write_text(_dump(replay_doc))
     print(f"replay file written to {replay_file}")

@@ -8,17 +8,18 @@ Suites:
   claim3    merge and full-rate convolution routes agree at 1e-12
   apmerge   adaptive merge output is bit-exactly the predicted rotation
   end2end   classifier invariance and decoder equivariance at 1e-9
-  metrics   consistency scores of the configured model
+  metrics   end2end's property on a stream of its own; consistency scores
   ablation  per-switch counterexample search on the search config
 
 Every suite draws from PCG64 streams derived from (seed, suite index), so
 a run is a pure function of its SuiteConfig and reports are byte-stable.
 
-The six trial-based suites (lemma1 through end2end) are rows of one
-property table, run by one loop.  A batch of trials is one dict of columns:
-each value its trials share, once, and one row per trial of each row key.
-A batch holds trials of one key (shapes and scalars), as many as keep its
-check's largest array within `BATCH_ENTRIES`.  The claim suites draw each
+The six trial-based suites (lemma1 through end2end) are rows of one property
+table, run by one loop, and the metrics suite runs end2end's row on a stream
+of its own.  A batch of trials is one dict of columns: each value its trials
+share, once, and one row per trial of each row key.  A batch holds trials of
+one key (shapes and scalars), as many as keep its check's largest array
+within `BATCH_ENTRIES`.  The claim suites draw each
 row column from a stream of its own, `DRAW_BLOCK` trials at a time: a
 block's integers in one call per column, then a batch's arrays in one call
 per column; claim3 and apmerge group a block's trials by key first, so their
@@ -30,9 +31,10 @@ chunks, so a replayed counterexample cannot drift from the suite that found it.
 claim1, claim2 and apmerge run inputs and their shifts as one op call
 (`_shift_pair`): a shift's selection must move with it, and its output must
 equal the base output at the rotation the two selections predict
-(`numerics.predicted_rotation`).  The end2end check, the ablation search and
-the metrics suite compare shift pairs through `metrics.compare_shift_pairs`;
-an end2end batch is one of its encoder passes (`metrics.pass_pairs` pairs).
+(`numerics.predicted_rotation`).  The end2end check and the ablation search
+compare shift pairs through `metrics.compare_shift_pairs`, and the metrics
+suite's scores summarise its columns; an end2end batch is one of its encoder
+passes (`metrics.pass_pairs` pairs).
 """
 
 from __future__ import annotations
@@ -49,8 +51,8 @@ import numpy as np
 from .attention import ADAPTIVE, AttentionParams, RpeTable, WindowConfig, a_wsa
 from .errors import ConfigError, ParameterError, ShapeError, TraceError
 from .merging import MergeConfig, a_pmerge, pmerge, pmerge_conv_fullrate
-from .metrics import ShiftSampler, c_cons, compare_shift_pairs, consistency, pass_pairs
-from .metrics import s_cons_zeropad, synthetic_inputs
+from .metrics import ShiftSampler, c_cons, compare_shift_pairs, pair_report, pass_pairs
+from .metrics import synthetic_inputs
 from .numerics import FINITE, SignalBatch, as_offsets, check_value, is_int, max_abs_rows
 from .numerics import names_from, one_of, positive_ints, predicted_rotation, real_array
 from .numerics import rotate_rows
@@ -79,7 +81,7 @@ DEFAULT_TRIALS = {
     "ablation": 1000,  # search budget per switch
 }
 
-SHIFT_PAIRS = 5  # per end2end or metrics input; an end2end trial is one pair
+SHIFT_PAIRS = 5  # per end2end or metrics input; a trial of either is one pair
 
 _SEED_INDEX = {name: i + 1 for i, name in enumerate(SUITES)}
 
@@ -144,7 +146,7 @@ class SuiteConfig:
             check_value(name.replace("lemma_", "lemma1 "), value, rule, ConfigError)
             if isinstance(value, tuple):  # sizes as plain ints; suites and switches once each
                 value = tuple(map(int, value) if name.startswith("lemma") else dict.fromkeys(value))
-            object.__setattr__(self, name, value)
+            object.__setattr__(self, name, int(value) if is_int(value) else value)
         # end2end and metrics draw all their inputs up front.
         per_input = prod(self.model.input_shape) * self.model.channels
         sizes = self.lemma1_sizes() + [
@@ -185,8 +187,7 @@ class SuiteConfig:
 
     def suite_inputs(self, name: str) -> int:
         """Inputs the end2end or the metrics suite draws for its trials."""
-        trials = self.suite_trials(name)
-        return -(-trials // SHIFT_PAIRS) if name == "end2end" else max(1, trials // SHIFT_PAIRS)
+        return -(-self.suite_trials(name) // SHIFT_PAIRS)
 
     def rng(self, name: str) -> np.random.Generator:
         return np.random.default_rng([self.seed, _SEED_INDEX[name]])
@@ -235,8 +236,10 @@ def _counterexample(suite: str, tolerance: float, divergence: float, payload: di
     }
 
 
-def sentinel(config: SuiteConfig) -> dict:
-    return {"kind": "sentinel", "status": "pass", "suites": list(config.suites)}
+def sentinel(config: SuiteConfig, failing: Sequence[str] = ()) -> dict:
+    """A run's replay file when it found no counterexample, passing or not."""
+    status, suites = ("fail", failing) if failing else ("pass", config.suites)
+    return {"kind": "sentinel", "status": status, "suites": list(suites)}
 
 
 # ------------------------------------------------------------- properties --
@@ -493,39 +496,50 @@ def _apmerge_check(columns: dict, _shared=None):
     return _shift_pair(t.data, t.grid_shape, columns["shift"], cfg.factor, a_pmerge, cfg)
 
 
-def _end2end_batches(sc: SuiteConfig):
-    cfg = sc.resolved_model()
-    model = build_model(cfg)
-    trials, count = sc.suite_trials("end2end"), sc.suite_inputs("end2end")
-    inputs = synthetic_inputs(cfg.input_shape, cfg.channels, count, sc.derived_seed("end2end", 1))
-    sampler = ShiftSampler.for_shape(cfg.input_shape, SHIFT_PAIRS, sc.derived_seed("end2end", 2))
-    offsets = sampler.sample_pairs(len(inputs)).reshape(-1, 2, cfg.rank).tolist()
+def _end2end_stream(sc: SuiteConfig, name: str):
+    """Suite `name`'s model config, input stack and (inputs, SHIFT_PAIRS, 2, rank) offsets."""
+    cfg, count = sc.resolved_model(), sc.suite_inputs(name)
+    inputs = synthetic_inputs(cfg.input_shape, cfg.channels, count, sc.derived_seed(name, 1))
+    sampler = ShiftSampler.for_shape(cfg.input_shape, SHIFT_PAIRS, sc.derived_seed(name, 2))
+    return cfg, np.stack([x.data for x in inputs]), sampler.sample_pairs(count)
+
+
+def _end2end_batches(sc: SuiteConfig, name: str = "end2end"):
+    """Suite `name`'s trials of end2end's property: trial i is pair i of its stream."""
+    cfg, inputs, offsets = _end2end_stream(sc, name)
+    model, offsets = build_model(cfg), offsets.reshape(-1, 2, cfg.rank).tolist()
     fixed = {"model_config": cfg.to_dict(), "check": "both"}
     # A batch is one encoder pass of `compare_shift_pairs`, whose arrays
     # `ModelConfig`'s activation bound covers.
-    step = pass_pairs(cfg)
+    trials, step = sc.suite_trials(name), pass_pairs(cfg)
     for lo in range(0, trials, step):
         k = range(lo, min(lo + step, trials))
-        xs = np.stack([inputs[i // SHIFT_PAIRS].data for i in k])
         shift_a, shift_b = zip(*(offsets[i] for i in k))
+        xs = inputs[[i // SHIFT_PAIRS for i in k]]
         yield k, {**fixed, "input": xs, "shift_a": list(shift_a), "shift_b": list(shift_b)}, model
 
 
-def _end2end_divergence(columns: dict, model: Model | None = None):
-    """end2end and ablation check: each input at two shifts, compared by
-    `compare_shift_pairs`.  Logits and labels must agree; check "both" also
-    needs the decoded maps, each rotated back by its shift, to agree."""
+def _shift_pairs(columns: dict, model: Model | None = None):
+    """`compare_shift_pairs` on each input of an end2end batch at its two shifts."""
     check = columns["check"]
     check_value("end2end check", check, one_of("classify", "both"), ConfigError)
     model = model or build_model(ModelConfig.from_dict(columns["model_config"]))
     xs = SignalBatch(columns["input"]).data
     offs = (as_offsets(columns[k], model.config.rank) for k in ("shift_a", "shift_b"))
-    same_label, agreement, logit_div, map_div, tied = compare_shift_pairs(
-        model, xs, *(o[:, np.newaxis] for o in offs), dense=check == "both"
-    )
+    return compare_shift_pairs(model, xs, *(o[:, np.newaxis] for o in offs), dense=check == "both")
+
+
+def _end2end_verdict(check: str, same_label, agreement, logit_div, map_div, tied):
+    """(divergence, agree, tied) per pair of `_shift_pairs`: logits and labels must
+    agree; check "both" also needs the maps, each rotated back by its shift, to."""
     if check == "classify":
         return logit_div, same_label, tied
     return np.maximum(logit_div, map_div), same_label & (agreement == 1.0), tied
+
+
+def _end2end_divergence(columns: dict, model: Model | None = None):
+    """end2end, metrics and ablation check."""
+    return _end2end_verdict(columns["check"], *_shift_pairs(columns, model))
 
 
 PROPERTIES = {
@@ -540,10 +554,10 @@ PROPERTIES = {
 }
 
 
-def _run_property(name: str, sc: SuiteConfig) -> SuiteResult:
-    """Run every trial of a property suite in batches; keep the failing trial
-    that comes first in trial order as counterexample."""
-    prop = PROPERTIES[name]
+def _run_property(name: str, sc: SuiteConfig, prop: Property | None = None) -> SuiteResult:
+    """Run every trial of a property suite (`prop`, or its own) in batches;
+    keep the failing trial that comes first in trial order as counterexample."""
+    prop = prop or PROPERTIES[name]
     trials = passes = ties = 0
     max_div = 0.0
     first = None  # (trial index, divergence, payload)
@@ -577,54 +591,30 @@ run_end2end = partial(_run_property, "end2end")
 # --------------------------------------------------------------- metrics --
 
 
-def _untied_stats(rep) -> tuple[float, float, int]:
-    """(agreement, max divergence, count) over the tie-free trials."""
-    untied = ~rep.tied
-    if not untied.any():
-        return 1.0, 0.0, 0
-    agreement, divergence = rep.agreement[untied].tolist(), rep.divergence[untied].tolist()
-    return sum(agreement) / len(agreement), max(divergence), len(agreement)
-
-
 def run_metrics(sc: SuiteConfig) -> SuiteResult:
-    cfg = sc.resolved_model()
-    model = build_model(cfg)
-    count = sc.suite_inputs("metrics")
-    inputs = synthetic_inputs(cfg.input_shape, cfg.channels, count, sc.derived_seed("metrics", 1))
-    sampler = ShiftSampler.for_shape(cfg.input_shape, SHIFT_PAIRS, sc.derived_seed("metrics", 2))
-    rep_c, rep_m = consistency(model, inputs, sampler)
-    rep_s = s_cons_zeropad(model, inputs, sampler)
-    fully_adaptive = cfg.a_token and cfg.a_wsa and cfg.a_pmerge and cfg.adaptive_rpe
-    trials = rep_c.trials + rep_m.trials + rep_s.trials
-    # Exact-tie trials (the impulse inputs construct them on purpose) fall
-    # outside the guarantees and are reported, not asserted.
-    agg_c, div_c, untied_c = _untied_stats(rep_c)
-    agg_m, div_m, untied_m = _untied_stats(rep_m)
-    failures = 0
-    if fully_adaptive:
-        # Tie-free circular-shift scores of the adaptive model must be
-        # perfect; the zero-pad score is reported without an assertion since
-        # content actually changes at the boundary.
-        if agg_c != 1.0 or div_c > TOL_END2END:
-            failures += 1
-        if agg_m != 1.0 or div_m > TOL_END2END:
-            failures += 1
-    div = max(div_c, div_m)
-    extra = {
-        "c_cons": {**rep_c.summary(), "untied_trials": untied_c, "untied_agreement": agg_c},
-        "mascc": {**rep_m.summary(), "untied_trials": untied_m, "untied_agreement": agg_m},
-        "s_cons_zeropad": rep_s.summary(),
-        "asserted": fully_adaptive,
-    }
-    return SuiteResult(
-        name="metrics",
-        trials=trials,
-        passes=trials - failures,
-        failures=failures,
-        max_divergence=div,
-        tie_count=rep_c.tie_count + rep_m.tie_count + rep_s.tie_count,
-        extra=extra,
-    )
+    """end2end's property on the suite's own stream, summarised as c_cons and mascc;
+    s_cons_zeropad takes its pairs zero-padded, unasserted: content changes at the edge."""
+    compared = []  # each batch's `_shift_pairs` columns, in trial order
+
+    def check(columns: dict, model: Model | None = None):
+        compared.append(_shift_pairs(columns, model))
+        return _end2end_verdict(columns["check"], *compared[-1])
+
+    stream = partial(_end2end_batches, name="metrics")
+    prop = dataclasses.replace(PROPERTIES["end2end"], batches=stream, check=check)
+    result = _run_property("metrics", sc, prop)
+    columns = [np.concatenate(column) for column in zip(*compared)]
+    for m in ("c_cons", "mascc"):  # each with its agreement over the untied pairs
+        rep = pair_report(m, *columns)
+        untied = rep.agreement[~rep.tied].tolist()
+        mean = sum(untied) / len(untied) if untied else 1.0
+        result.extra[m] = {**rep.summary(), "untied_trials": len(untied), "untied_agreement": mean}
+    cfg, inputs, offsets = _end2end_stream(sc, "metrics")
+    pairs = compare_shift_pairs(build_model(cfg), inputs, *np.moveaxis(offsets, 2, 0), True, False)
+    n = sc.suite_trials("metrics")  # the last input's pairs may run past the trials
+    zero_pad = pair_report("s_cons_zeropad", *(c if c is None else c[:n] for c in pairs))
+    result.extra["s_cons_zeropad"] = zero_pad.summary()
+    return result
 
 
 # -------------------------------------------------------------- ablation --
@@ -702,12 +692,11 @@ _RUNNERS = {name: globals()[f"run_{name}"] for name in SUITES}
 def run_suites(sc: SuiteConfig) -> tuple[dict, list[SuiteResult]]:
     """Execute the selected suites in canonical order; return (report, results)."""
     results = [_RUNNERS[name](sc) for name in SUITES if name in sc.suites]
-    extra = next((r.extra for r in results if r.name == "metrics"), {})
     report = {
         "suite_config": sc.to_dict(),
         "model_config": sc.resolved_model().to_dict(),
         "suites": [r.row() for r in results],
-        "metrics": {k: v for k, v in extra.items() if k in ("c_cons", "mascc", "s_cons_zeropad")},
+        "metrics": next((r.extra for r in results if r.name == "metrics"), {}),
     }
     return report, results
 
@@ -715,8 +704,9 @@ def run_suites(sc: SuiteConfig) -> tuple[dict, list[SuiteResult]]:
 def replay(document: dict) -> tuple[int, str]:
     """Re-execute a replay file; (exit code, human-readable line).
 
-    Sentinels exit 0.  A counterexample's payload reruns through its suite's
-    check (ablation: the end2end check).  In order: a NaN divergence raises
+    A passing run's sentinel exits 0, a failing run's exits 1.  A
+    counterexample's payload reruns through its suite's check (ablation and
+    metrics: the end2end check).  In order: a NaN divergence raises
     ConfigError, a tied trial (never asserted) exits 0, an infinite divergence
     raises ConfigError, and otherwise `_passes` decides: 0 passes, 1 fails.
     A malformed document, a payload without a key the check reads, or a
@@ -726,14 +716,16 @@ def replay(document: dict) -> tuple[int, str]:
     if not isinstance(document, dict):
         raise ConfigError(f"replay file must hold a JSON object, not {type(document).__name__}")
     kind = document.get("kind")
+    if kind == "sentinel" and document.get("status") == "fail":
+        return 1, f"the recorded run failed ({document.get('suites')}); nothing to re-execute"
     if kind == "sentinel":
         return 0, "sentinel from a passing run; nothing to reproduce"
     if kind != "counterexample":
         raise ConfigError(f"replay file has unknown kind {kind!r}")
     suite = document.get("suite")
-    if suite not in PROPERTIES and suite != "ablation":
+    prop = PROPERTIES.get("end2end" if suite in ("ablation", "metrics") else str(suite))
+    if prop is None:
         raise ConfigError(f"replay file names unknown suite {suite!r}")
-    prop = PROPERTIES["end2end" if suite == "ablation" else suite]
     for key in ("tolerance", "divergence"):
         check_value(f"replay file {key!r}", document.get(key), FINITE, ConfigError)
     payload = document.get("payload")

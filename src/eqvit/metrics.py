@@ -5,11 +5,11 @@ label.  mascc does the per-position analogue for dense maps: decode both
 shifted inputs, rotate the maps back, and compare argmax labels everywhere.
 s_cons_zeropad repeats the label check with standard zero-filling shifts,
 where circular reasoning no longer applies and scores drop below 1.
-`consistency` gives c_cons and mascc from one pass over the shifted inputs.
 Every score reads `compare_shift_pairs`, which runs both shifts of each pair
 through a built `Model`, one gather shifting a pass of pairs, each map decoded
 already rotated back; the harness's end2end check, its ablation search and
-`replay` read the same comparison.
+`replay` read the same comparison, and its metrics suite summarises the
+columns of end2end's check on a stream of its own (`pair_report`).
 """
 
 from __future__ import annotations
@@ -180,32 +180,31 @@ def compare_shift_pairs(model: Model, inputs, offs_a, offs_b, zero_pad=False, de
     return same_label, agreement, logit_div, map_div, tied[a] | tied[b]
 
 
-def _reports(model: Model, inputs, sampler: ShiftSampler, zero_pad: bool, metrics):
-    """One report per named metric over the same sampled shift pairs, from one
-    `compare_shift_pairs` pass: label metrics (c_cons, s_cons_zeropad) read
-    labels and logits, mascc the rotated-back maps, which are compared only
-    when mascc is asked for."""
+def pair_report(metric: str, same_label, agreement, logit_div, map_div, tied):
+    """`metric`'s report from the columns of `compare_shift_pairs`: label metrics
+    (c_cons, s_cons_zeropad) read labels and logits, mascc the rotated-back maps."""
+    if metric == "mascc":
+        return ConsistencyReport(metric, agreement, map_div, tied)
+    return ConsistencyReport(metric, np.where(same_label, 1.0, 0.0), logit_div, tied)
+
+
+def _report(model: Model, inputs, sampler: ShiftSampler, zero_pad: bool, metric: str):
+    """`metric` over `inputs`' sampled shift pairs; only mascc decodes maps."""
     sampler.check_shape(model.config.input_shape)  # `compare_shift_pairs` checks the inputs'
-    offsets = sampler.sample_pairs(len(inputs))
+    offsets, dense = sampler.sample_pairs(len(inputs)), metric == "mascc"
     stack = real_array([x.data for x in inputs], "inputs")
-    same_label, agreement, logit_div, map_div, tied = compare_shift_pairs(
-        model, stack, offsets[:, :, 0], offsets[:, :, 1], zero_pad, dense="mascc" in metrics
-    )
-    labels = np.where(same_label, 1.0, 0.0), logit_div
-    return [
-        ConsistencyReport(m, *((agreement, map_div) if m == "mascc" else labels), tied)
-        for m in metrics
-    ]
+    columns = compare_shift_pairs(model, stack, offsets[:, :, 0], offsets[:, :, 1], zero_pad, dense)
+    return pair_report(metric, *columns)
 
 
 def c_cons(model: Model, inputs, sampler: ShiftSampler) -> ConsistencyReport:
     """Label agreement between two random circular shifts of each input."""
-    return _reports(model, inputs, sampler, False, ("c_cons",))[0]
+    return _report(model, inputs, sampler, False, "c_cons")
 
 
 def s_cons_zeropad(model: Model, inputs, sampler: ShiftSampler) -> ConsistencyReport:
     """Label agreement under standard zero-filling shifts."""
-    return _reports(model, inputs, sampler, True, ("s_cons_zeropad",))[0]
+    return _report(model, inputs, sampler, True, "s_cons_zeropad")
 
 
 def mascc(model: Model, inputs, sampler: ShiftSampler) -> ConsistencyReport:
@@ -214,15 +213,7 @@ def mascc(model: Model, inputs, sampler: ShiftSampler) -> ConsistencyReport:
     Each decoded map is rotated back by its own input shift before
     comparison, so a perfectly equivariant model scores exactly 1.0.
     """
-    return _reports(model, inputs, sampler, False, ("mascc",))[0]
-
-
-def consistency(
-    model: Model, inputs, sampler: ShiftSampler
-) -> tuple[ConsistencyReport, ConsistencyReport]:
-    """c_cons and mascc from one encoder pass per shifted input: the two
-    metrics sample the same pairs, so each shift is encoded once for both."""
-    return tuple(_reports(model, inputs, sampler, False, ("c_cons", "mascc")))
+    return _report(model, inputs, sampler, False, "mascc")
 
 
 def synthetic_inputs(

@@ -141,7 +141,7 @@ class ModelConfig:
             check_value(name, value, FIELD_RULES[name], ConfigError)
             if isinstance(value, tuple):  # NumPy integers become plain ints
                 value = tuple(map(int, value))
-            object.__setattr__(self, name, value)
+            object.__setattr__(self, name, int(value) if is_int(value) else value)
         if not len(self.windows) == len(self.merge_factors) == self.depth:
             raise ConfigError(f"windows and merge_factors need {self.depth} entries, one per stage")
         for n in self.input_shape:

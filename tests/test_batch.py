@@ -33,7 +33,6 @@ from eqvit.metrics import (
     ConsistencyReport,
     ShiftSampler,
     c_cons,
-    consistency,
     mascc,
     s_cons_zeropad,
     shift_zeropad,
@@ -51,7 +50,7 @@ from eqvit.tokenizer import (
     token,
 )
 from eqvit.trace import WSA, SelectionTrace
-from trials import trial_payloads
+from trials import batches_of, trial_payloads
 
 
 def same(a, b) -> bool:
@@ -472,6 +471,7 @@ def test_runner_reports_first_failing_trial_in_trial_order(monkeypatch):
 SUITE_RUNS = {
     "lemma1": run_lemma1, "claim1": run_claim1, "claim2": run_claim2,
     "claim3": run_claim3, "apmerge": run_apmerge, "end2end": run_end2end,
+    "metrics": run_metrics,
 }
 
 
@@ -494,9 +494,21 @@ def test_batching_never_changes_a_report_row(monkeypatch, name, failing):
     # the payloads scattered over the keys, or every asserted trial (a negative
     # tolerance), so the first failing trial must come out the same under each.
     # An end2end batch is one encoder pass, so there `pass_pairs` is varied.
-    prop = PROPERTIES[name]
+    # The metrics suite runs end2end's property on its own stream; it is
+    # planted through end2end's comparison, whose columns its scores summarise.
+    checked = "end2end" if name == "metrics" else name
+    prop = PROPERTIES[checked]
     if failing == "all":
-        monkeypatch.setitem(PROPERTIES, name, dataclasses.replace(prop, tolerance=-1.0))
+        monkeypatch.setitem(PROPERTIES, checked, dataclasses.replace(prop, tolerance=-1.0))
+    elif failing == "marked" and name == "metrics":
+        shift_pairs = harness._shift_pairs
+
+        def marked_pairs(columns, model=None):
+            same_label, *rest = shift_pairs(columns, model)
+            marked = [_marked(prop.payload(columns, k)) for k in range(len(same_label))]
+            return same_label & ~np.array(marked), *rest
+
+        monkeypatch.setattr(harness, "_shift_pairs", marked_pairs)
     elif failing == "marked":
 
         def check(columns, shared=None):
@@ -512,7 +524,7 @@ def test_batching_never_changes_a_report_row(monkeypatch, name, failing):
     for batch, pairs in zip(bounds, passes):
         monkeypatch.setattr(harness, "BATCH_ENTRIES", batch)
         monkeypatch.setattr(harness, "pass_pairs", pairs)
-        calls = [len(indices) for indices, _, _ in PROPERTIES[name].batches(sc)]
+        calls = [len(indices) for indices, _, _ in batches_of(name, sc)]
         result = SUITE_RUNS[name](sc)
         runs.append((calls, result.row(), result.counterexample))
     (one, *_), (rule, *_), (whole, *_) = runs
@@ -530,13 +542,16 @@ def test_batching_never_changes_a_report_row(monkeypatch, name, failing):
     ],
 )
 def test_end2end_suite_equals_per_trial_reference(model_cfg, disable):
+    # The metrics suite asserts end2end's property on its own stream.
     sc = SuiteConfig(model=model_cfg, trials=25, disable=disable)
-    result = run_end2end(sc)
-    trials = ((p, *end2end_reference(p, model)) for p, model in trial_payloads("end2end", sc))
-    row, worst = reference_row("end2end", trials, TOL_END2END)
-    assert result.row() == row and result.counterexample == worst
-    if disable == ("a_wsa",):
-        assert worst is not None  # the 2-D counterexample is the first failing trial
+    for name, run in (("end2end", run_end2end), ("metrics", run_metrics)):
+        result = run(sc)
+        trials = ((p, *end2end_reference(p, model)) for p, model in trial_payloads(name, sc))
+        row, worst = reference_row(name, trials, TOL_END2END)
+        assert {k: v for k, v in result.row().items() if k != "extra"} == row
+        assert result.counterexample == worst
+        if disable == ("a_wsa",):
+            assert worst is not None  # the 2-D counterexample is the first failing trial
 
 
 def label_reference(model, inputs, sampler, shifter):
@@ -581,10 +596,8 @@ def test_metrics_equal_per_sample_reference(shape):
     inputs = synthetic_inputs(shape, cfg.channels, 6, seed=3)
     sampler = ShiftSampler.for_shape(shape, 5, seed=4)
     expected = metric_references(model, inputs, sampler)
-    # Alone, label metrics skip the maps; `consistency` reads c_cons from the
-    # pass that also compares maps for mascc.
-    reports = [metric(model, inputs, sampler) for metric in (c_cons, s_cons_zeropad, mascc)]
-    for rep in reports + list(consistency(model, inputs, sampler)):
+    # Alone, label metrics skip the maps.
+    for rep in (metric(model, inputs, sampler) for metric in (c_cons, s_cons_zeropad, mascc)):
         got = list(zip(rep.agreement.tolist(), rep.divergence.tolist(), rep.tied.tolist()))
         assert got == expected[rep.metric]
 
@@ -598,6 +611,21 @@ def test_metrics_suite_equals_per_sample_metrics():
     extra = run_metrics(sc).extra
     for name, records in metric_references(model, inputs, sampler).items():
         rep = ConsistencyReport(name, *(np.array(column) for column in zip(*records)))
+        summary = rep.summary()
+        assert {k: extra[name][k] for k in summary} == summary
+
+
+def test_metrics_suite_scores_exactly_its_trials():
+    # 7 trials draw 2 inputs of 5 pairs each, as end2end does; every score,
+    # the zero-padded one too, covers the first 7 pairs.
+    sc = SuiteConfig(trials=7)
+    cfg = sc.resolved_model()
+    model = build_model(cfg)
+    inputs = synthetic_inputs(cfg.input_shape, cfg.channels, 2, sc.derived_seed("metrics", 1))
+    sampler = ShiftSampler.for_shape(cfg.input_shape, 5, sc.derived_seed("metrics", 2))
+    extra = run_metrics(sc).extra
+    for name, records in metric_references(model, inputs, sampler).items():
+        rep = ConsistencyReport(name, *(np.array(column) for column in zip(*records[:7])))
         summary = rep.summary()
         assert {k: extra[name][k] for k in summary} == summary
 

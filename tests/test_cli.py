@@ -88,6 +88,35 @@ def test_failing_run_exits_one_and_replays(tmp_path, capsys):
     assert drift == 0.0
 
 
+def test_failing_metrics_run_writes_a_counterexample_that_replays(tmp_path, capsys):
+    # The metrics suite asserts each untied pair, as end2end does, with a switch off too.
+    code, out = run_cli(tmp_path, "--suite", "metrics", "--disable", "a_token", "--seed", "3")
+    assert code == 1
+    assert "111 failed" in capsys.readouterr().out
+    replay_file = tmp_path / "report.replay.json"
+    doc = json.loads(replay_file.read_text())
+    assert doc["kind"] == "counterexample" and doc["suite"] == "metrics"
+    assert main(["replay", str(replay_file)]) == 1
+    line = capsys.readouterr().out
+    assert "metrics: reproduced divergence" in line
+    assert float(re.search(r"drift (\S+),", line).group(1)) == 0.0
+
+
+def test_a_run_failing_without_a_counterexample_never_replays_as_a_pass(tmp_path, capsys):
+    # One ablation trial finds no counterexample with a_token off: the run
+    # fails, and its sentinel says so.
+    code, out = run_cli(
+        tmp_path, "--suite", "ablation", "--disable", "a_token", "--trials", "1", "--seed", "1"
+    )
+    assert code == 1
+    replay_file = tmp_path / "report.replay.json"
+    doc = json.loads(replay_file.read_text())
+    assert doc == {"kind": "sentinel", "status": "fail", "suites": ["ablation"]}
+    capsys.readouterr()
+    assert main(["replay", str(replay_file)]) == 1
+    assert "nothing to re-execute" in capsys.readouterr().out
+
+
 def test_replay_sentinel_exits_zero(tmp_path, capsys):
     run_cli(tmp_path, "--suite", "claim3", "--trials", "3")
     capsys.readouterr()

@@ -267,10 +267,10 @@ def test_a_huge_trial_count_draws_only_the_first_block(name):
 
 @pytest.mark.parametrize("suite", ["end2end", "metrics"])
 def test_trial_counts_past_the_input_bound_are_bad_configuration(suite):
-    # Both suites draw all their inputs up front, of 128 entries each on the
-    # default model: a stack of MAX_ELEMENTS // 128 of them is the most.
-    most = pipeline.MAX_ELEMENTS // 128 * harness.SHIFT_PAIRS
-    edge = {"end2end": most, "metrics": most + harness.SHIFT_PAIRS - 1}[suite]
+    # Both suites draw all their inputs up front, one per 5 trials rounded up,
+    # of 128 entries each on the default model: a stack of MAX_ELEMENTS // 128
+    # of them is the most.
+    edge = pipeline.MAX_ELEMENTS // 128 * harness.SHIFT_PAIRS
     assert SuiteConfig((suite,), trials=edge).suite_inputs(suite) == pipeline.MAX_ELEMENTS // 128
     for trials in (edge + 1, 10**9):
         with pytest.raises(ConfigError, match=f"{suite} inputs for {trials} trials"):
@@ -345,6 +345,8 @@ def test_suite_rng_streams_are_independent():
 def test_sentinel_lists_suites():
     doc = sentinel(SuiteConfig(suites=("claim1", "lemma1")))
     assert doc == {"kind": "sentinel", "status": "pass", "suites": ["claim1", "lemma1"]}
+    doc = sentinel(SuiteConfig(suites=("claim1", "ablation")), ["ablation"])
+    assert doc == {"kind": "sentinel", "status": "fail", "suites": ["ablation"]}
 
 
 # ------------------------------------------------------------ proof suites --
@@ -498,18 +500,19 @@ def test_end2end_encodes_each_shift_once(monkeypatch):
 # ---------------------------------------------------------------- metrics --
 
 
-def test_metrics_suite_asserts_only_when_fully_adaptive():
+def test_metrics_suite_asserts_each_pair_under_any_switches():
     res = run_metrics(SuiteConfig(trials=50))
-    assert res.failures == 0
-    assert res.extra["asserted"] is True
+    assert res.failures == 0 and res.passes == 50 - res.tie_count
+    assert set(res.extra) == {"c_cons", "mascc", "s_cons_zeropad"}
     assert res.extra["c_cons"]["untied_agreement"] == 1.0
     assert res.extra["mascc"]["untied_agreement"] == 1.0
-    assert "s_cons_zeropad" in res.extra
 
+    # With a switch off, as end2end does, each failing pair is counted and the
+    # first is a counterexample that replays through end2end's check.
     broken = run_metrics(SuiteConfig(trials=50, disable=("a_wsa",)))
-    assert broken.extra["asserted"] is False
-    assert broken.failures == 0  # reported, not asserted
+    assert broken.failures > 0 and broken.counterexample["suite"] == "metrics"
     assert broken.extra["c_cons"]["untied_agreement"] < 1.0
+    assert replay(json.loads(json.dumps(broken.counterexample)))[0] == 1
 
 
 # --------------------------------------------------------------- ablation --
@@ -572,6 +575,9 @@ def test_replay_sentinel_passes():
     code, line = replay(sentinel(SuiteConfig()))
     assert code == 0
     assert "nothing to reproduce" in line
+    code, line = replay(sentinel(SuiteConfig(), ["ablation"]))
+    assert code == 1
+    assert "failed (['ablation']); nothing to re-execute" in line
 
 
 def test_replay_counts_a_huge_shift_mod_the_grid():
@@ -609,6 +615,8 @@ def test_replay_rejects_malformed_documents():
         replay({"kind": "note"})
     with pytest.raises(ConfigError):
         replay({"kind": "counterexample", "suite": "claim9"})
+    with pytest.raises(ConfigError):
+        replay({"kind": "counterexample", "suite": ["claim1"]})
 
 
 @pytest.mark.parametrize("name", list(PROPERTIES))

@@ -4,6 +4,7 @@ The oracles here are deliberately naive (python loops over mod indices) and
 independent of the vectorized implementations they pin down.
 """
 
+import json
 import math
 import warnings
 from itertools import product
@@ -492,6 +493,8 @@ INTEGER_FIELDS = {
     "SuiteConfig.seed": (lambda v: SuiteConfig(seed=v), ConfigError),
     "SuiteConfig.lemma_n": (lambda v: SuiteConfig(lemma_n=(v,)), ConfigError),
     "SuiteConfig.lemma_l": (lambda v: SuiteConfig(lemma_l=(v,)), ConfigError),
+    "ModelConfig.channels": (lambda v: ModelConfig(channels=v), ConfigError),
+    "ModelConfig.seed": (lambda v: ModelConfig(seed=v), ConfigError),
     "circular_shift offset": (lambda v: circular_shift(GridSignal(np.zeros((8, 1))), v), ShapeError),
 }
 # Each would pass as 4 where a plain int() conversion stood.
@@ -505,6 +508,15 @@ def test_integer_fields_reject_values_that_are_not_integers(field, value):
     make(4)
     with pytest.raises(error):
         make(NOT_INTEGERS[value])
+
+
+@pytest.mark.parametrize("field", sorted(INTEGER_FIELDS))
+def test_integer_fields_take_numpy_integers(field):
+    # A NumPy integer is an integer; a config keeps it as a plain int, so the
+    # dict a report is written from stays JSON.
+    made = INTEGER_FIELDS[field][0](np.int64(4))
+    if hasattr(made, "to_dict"):
+        assert json.loads(json.dumps(made.to_dict())) == made.to_dict()
 
 
 # Every name field: a call with it set, the names it takes, its error class.

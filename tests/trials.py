@@ -1,16 +1,24 @@
 """Per-trial views of the harness's batches: the payloads trial-by-trial
 references and replay tests start from."""
 
+from eqvit import harness
 from eqvit.harness import PROPERTIES, SuiteConfig
+
+
+def batches_of(name: str, sc: SuiteConfig):
+    """Suite `name`'s batches; the metrics suite's are end2end's on its own stream."""
+    if name == "metrics":
+        return harness._end2end_batches(sc, "metrics")
+    return PROPERTIES[name].batches(sc)
 
 
 def trial_payloads(name: str, sc: SuiteConfig) -> list[tuple[dict, object]]:
     """(payload, shared) of every trial of suite `name` under `sc`, in trial
     order: each batch expanded row by row through `Property.payload`."""
-    prop = PROPERTIES[name]
+    prop = PROPERTIES["end2end" if name == "metrics" else name]
     trials = [
         (i, prop.payload(columns, k), shared)
-        for indices, columns, shared in prop.batches(sc)
+        for indices, columns, shared in batches_of(name, sc)
         for k, i in enumerate(indices)
     ]
     trials.sort(key=lambda trial: trial[0])
