@@ -56,14 +56,6 @@ class AttentionParams:
         for name, arr in mats.items():
             object.__setattr__(self, name, arr)
 
-    @property
-    def dim_in(self) -> int:
-        return self.e_q.shape[0]
-
-    @property
-    def dim_out(self) -> int:
-        return self.e_q.shape[1]
-
     @cached_property
     def scale(self) -> float:
         return 1.0 / np.sqrt(self.e_q.shape[1])
@@ -113,18 +105,6 @@ class RpeTable:
         bias = self.table.take(_bias_index(self.grid, self.kind))
         bias.setflags(write=False)
         return bias
-
-    @classmethod
-    def none(cls) -> RpeTable:
-        return cls(NONE)
-
-    @classmethod
-    def original(cls, table) -> RpeTable:
-        return cls(ORIGINAL, table)
-
-    @classmethod
-    def adaptive(cls, table) -> RpeTable:
-        return cls(ADAPTIVE, table)
 
 
 def position_bias(rpe: RpeTable, grid_shape: tuple[int, ...]) -> np.ndarray | None:

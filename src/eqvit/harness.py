@@ -32,9 +32,9 @@ claim1, claim2 and apmerge run inputs and their shifts as one op call
 (`_shift_pair`): a shift's selection must move with it, and its output must
 equal the base output at the rotation the two selections predict
 (`numerics.predicted_rotation`).  The end2end check and the ablation search
-compare shift pairs through `metrics.compare_shift_pairs`, and the metrics
-suite's scores summarise its columns; an end2end batch is one of its encoder
-passes (`metrics.pass_pairs` pairs).
+compare shift pairs through `metrics.compare_shift_pairs`, one encoder pass
+(`metrics.pass_pairs` pairs) per end2end batch; the metrics suite's scores
+summarise its columns, and s_cons_zeropad a zero-padded pass of each batch.
 """
 
 from __future__ import annotations
@@ -496,37 +496,33 @@ def _apmerge_check(columns: dict, _shared=None):
     return _shift_pair(t.data, t.grid_shape, columns["shift"], cfg.factor, a_pmerge, cfg)
 
 
-def _end2end_stream(sc: SuiteConfig, name: str):
-    """Suite `name`'s model config, input stack and (inputs, SHIFT_PAIRS, 2, rank) offsets."""
+def _end2end_batches(sc: SuiteConfig, name: str = "end2end"):
+    """Suite `name`'s trials of end2end's property: trial i is pair i of its stream."""
     cfg, count = sc.resolved_model(), sc.suite_inputs(name)
     inputs = synthetic_inputs(cfg.input_shape, cfg.channels, count, sc.derived_seed(name, 1))
     sampler = ShiftSampler.for_shape(cfg.input_shape, SHIFT_PAIRS, sc.derived_seed(name, 2))
-    return cfg, np.stack([x.data for x in inputs]), sampler.sample_pairs(count)
-
-
-def _end2end_batches(sc: SuiteConfig, name: str = "end2end"):
-    """Suite `name`'s trials of end2end's property: trial i is pair i of its stream."""
-    cfg, inputs, offsets = _end2end_stream(sc, name)
-    model, offsets = build_model(cfg), offsets.reshape(-1, 2, cfg.rank).tolist()
-    fixed = {"model_config": cfg.to_dict(), "check": "both"}
+    offsets = sampler.sample_pairs(count).reshape(-1, 2, cfg.rank).tolist()
+    model, fixed = build_model(cfg), {"model_config": cfg.to_dict(), "check": "both"}
     # A batch is one encoder pass of `compare_shift_pairs`, whose arrays
     # `ModelConfig`'s activation bound covers.
     trials, step = sc.suite_trials(name), pass_pairs(cfg)
     for lo in range(0, trials, step):
         k = range(lo, min(lo + step, trials))
         shift_a, shift_b = zip(*(offsets[i] for i in k))
-        xs = inputs[[i // SHIFT_PAIRS for i in k]]
+        xs = np.stack([inputs[i // SHIFT_PAIRS].data for i in k])
         yield k, {**fixed, "input": xs, "shift_a": list(shift_a), "shift_b": list(shift_b)}, model
 
 
-def _shift_pairs(columns: dict, model: Model | None = None):
-    """`compare_shift_pairs` on each input of an end2end batch at its two shifts."""
+def _shift_pairs(columns: dict, model: Model | None = None, zero_pad: bool = False):
+    """`compare_shift_pairs` on each input of an end2end batch at its two shifts;
+    `zero_pad` shifts with zero fill and compares labels only."""
     check = columns["check"]
     check_value("end2end check", check, one_of("classify", "both"), ConfigError)
     model = model or build_model(ModelConfig.from_dict(columns["model_config"]))
     xs = SignalBatch(columns["input"]).data
     offs = (as_offsets(columns[k], model.config.rank) for k in ("shift_a", "shift_b"))
-    return compare_shift_pairs(model, xs, *(o[:, np.newaxis] for o in offs), dense=check == "both")
+    dense = check == "both" and not zero_pad
+    return compare_shift_pairs(model, xs, *(o[:, np.newaxis] for o in offs), zero_pad, dense)
 
 
 def _end2end_verdict(check: str, same_label, agreement, logit_div, map_div, tied):
@@ -594,26 +590,26 @@ run_end2end = partial(_run_property, "end2end")
 def run_metrics(sc: SuiteConfig) -> SuiteResult:
     """end2end's property on the suite's own stream, summarised as c_cons and mascc;
     s_cons_zeropad takes its pairs zero-padded, unasserted: content changes at the edge."""
-    compared = []  # each batch's `_shift_pairs` columns, in trial order
+    compared, padded = [], []  # each batch's `_shift_pairs` columns, circular and zero-padded
 
     def check(columns: dict, model: Model | None = None):
         compared.append(_shift_pairs(columns, model))
+        padded.append(_shift_pairs(columns, model, zero_pad=True))
         return _end2end_verdict(columns["check"], *compared[-1])
+
+    def joined(batches):  # each column in trial order; a label-only pass has no maps
+        return [None if c[0] is None else np.concatenate(c) for c in zip(*batches)]
 
     stream = partial(_end2end_batches, name="metrics")
     prop = dataclasses.replace(PROPERTIES["end2end"], batches=stream, check=check)
     result = _run_property("metrics", sc, prop)
-    columns = [np.concatenate(column) for column in zip(*compared)]
+    columns = joined(compared)
     for m in ("c_cons", "mascc"):  # each with its agreement over the untied pairs
         rep = pair_report(m, *columns)
         untied = rep.agreement[~rep.tied].tolist()
         mean = sum(untied) / len(untied) if untied else 1.0
         result.extra[m] = {**rep.summary(), "untied_trials": len(untied), "untied_agreement": mean}
-    cfg, inputs, offsets = _end2end_stream(sc, "metrics")
-    pairs = compare_shift_pairs(build_model(cfg), inputs, *np.moveaxis(offsets, 2, 0), True, False)
-    n = sc.suite_trials("metrics")  # the last input's pairs may run past the trials
-    zero_pad = pair_report("s_cons_zeropad", *(c if c is None else c[:n] for c in pairs))
-    result.extra["s_cons_zeropad"] = zero_pad.summary()
+    result.extra["s_cons_zeropad"] = pair_report("s_cons_zeropad", *joined(padded)).summary()
     return result
 
 
@@ -704,21 +700,23 @@ def run_suites(sc: SuiteConfig) -> tuple[dict, list[SuiteResult]]:
 def replay(document: dict) -> tuple[int, str]:
     """Re-execute a replay file; (exit code, human-readable line).
 
-    A passing run's sentinel exits 0, a failing run's exits 1.  A
-    counterexample's payload reruns through its suite's check (ablation and
-    metrics: the end2end check).  In order: a NaN divergence raises
-    ConfigError, a tied trial (never asserted) exits 0, an infinite divergence
-    raises ConfigError, and otherwise `_passes` decides: 0 passes, 1 fails.
-    A malformed document, a payload without a key the check reads, or a
-    payload value the check rejects raises ConfigError: each value is checked
-    where the check takes it in, by the class or conversion that takes it.
+    A sentinel exits 0 if its run passed and 1 if it failed; any other
+    status raises ConfigError.  A counterexample's payload reruns through
+    its suite's check (ablation and metrics: the end2end check).  In order:
+    a NaN divergence raises ConfigError, a tied trial (never asserted)
+    exits 0, an infinite divergence raises ConfigError, and otherwise
+    `_passes` decides: 0 passes, 1 fails.  A malformed document, a payload
+    without a key the check reads, or a payload value the check rejects
+    raises ConfigError: each value is checked where the check takes it in,
+    by the class or conversion that takes it.
     """
     if not isinstance(document, dict):
         raise ConfigError(f"replay file must hold a JSON object, not {type(document).__name__}")
     kind = document.get("kind")
-    if kind == "sentinel" and document.get("status") == "fail":
-        return 1, f"the recorded run failed ({document.get('suites')}); nothing to re-execute"
     if kind == "sentinel":
+        check_value("sentinel status", document.get("status"), one_of("pass", "fail"), ConfigError)
+        if document["status"] == "fail":
+            return 1, f"the recorded run failed ({document.get('suites')}); nothing to re-execute"
         return 0, "sentinel from a passing run; nothing to reproduce"
     if kind != "counterexample":
         raise ConfigError(f"replay file has unknown kind {kind!r}")

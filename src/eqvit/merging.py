@@ -52,10 +52,6 @@ class MergeConfig:
         check_value("energy_p", self.energy_p, NORM_ORDER)
         object.__setattr__(self, "embed", weight_array(self.embed, "embed", (2, 3)))
 
-    @property
-    def dim_out(self) -> int:
-        return self.embed.shape[-1]
-
 
 def _check_merge(data: np.ndarray, grid: tuple[int, ...], cfg: MergeConfig) -> tuple[int, ...]:
     """Check that `cfg` merges tokens `data` on `grid`; the merged grid."""

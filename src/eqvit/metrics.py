@@ -8,8 +8,8 @@ where circular reasoning no longer applies and scores drop below 1.
 Every score reads `compare_shift_pairs`, which runs both shifts of each pair
 through a built `Model`, one gather shifting a pass of pairs, each map decoded
 already rotated back; the harness's end2end check, its ablation search and
-`replay` read the same comparison, and its metrics suite summarises the
-columns of end2end's check on a stream of its own (`pair_report`).
+`replay` read the same comparison; its metrics suite summarises end2end's
+columns and a zero-padded comparison of the same batches (`pair_report`).
 """
 
 from __future__ import annotations

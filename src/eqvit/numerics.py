@@ -171,14 +171,6 @@ class GridSignal:
         vars(signal)["data"] = data
         return signal
 
-    @classmethod
-    def from_values(cls, values) -> GridSignal:
-        """Wrap a plain rank-1 or rank-2 array as a single-channel signal."""
-        arr = real_array(values, "signal")
-        if arr.ndim not in (1, 2):
-            raise ShapeError(f"expected a rank-1 or rank-2 array, got ndim={arr.ndim}")
-        return cls(arr[..., np.newaxis])
-
     @property
     def shape(self) -> tuple[int, ...]:
         return self.data.shape[:-1]

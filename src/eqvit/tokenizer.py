@@ -91,10 +91,6 @@ class TokenMatrix:
         return tokens
 
     @property
-    def count(self) -> int:
-        return self.data.shape[-2]
-
-    @property
     def dim(self) -> int:
         return self.data.shape[-1]
 

@@ -5,7 +5,7 @@ input, the chosen (rank,) offset and whether that choice was an exact tie.
 One input is the size-1 case of a batch, so there is one format for both.
 The decoder side of the pipeline replays entries in reverse to put features
 back on the input grid, and the suites read the per-sample tie flags;
-`sample(i)` is the trace sample i gets when run alone.
+`rows(i, i + 1)` is the trace sample i gets when run alone.
 """
 
 from __future__ import annotations
@@ -77,16 +77,10 @@ class SelectionTrace:
     def any_tied(self) -> bool:
         return bool(self.tied.any())
 
-    def sample(self, i: int) -> SelectionTrace:
-        return self.rows(i, i + 1)
-
     def rows(self, start: int, stop: int) -> SelectionTrace:
         """The trace samples start to stop (at most `size`) get when run alone."""
         cut = [TraceEntry(e.kind, e.offsets[start:stop], e.tied[start:stop]) for e in self.entries]
         return SelectionTrace(stop - start, cut)
-
-    def __len__(self) -> int:
-        return len(self.entries)
 
     def __iter__(self):
         return iter(self.entries)

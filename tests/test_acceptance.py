@@ -172,7 +172,7 @@ def test_8_wrapped_distance_bias_commutes_with_rotation(capsys):
             rng.uniform(-0.5, 0.5, (d, d)),
             rng.uniform(-0.5, 0.5, (d, d)),
         )
-        rpe = RpeTable.adaptive(rng.uniform(-0.5, 0.5, m))
+        rpe = RpeTable("adaptive", rng.uniform(-0.5, 0.5, m))
         t = TokenMatrix(rng.uniform(-1, 1, (m, d)), (m,))
         r = int(rng.integers(0, m))
         left = sa(t.shift(r), params, rpe)
@@ -191,7 +191,7 @@ def test_8_wrapped_distance_bias_commutes_with_rotation(capsys):
             rng.uniform(-0.5, 0.5, (d, d)),
             rng.uniform(-0.5, 0.5, (d, d)),
         )
-        rpe = RpeTable.original(rng.uniform(-0.5, 0.5, 2 * m - 1))
+        rpe = RpeTable("original", rng.uniform(-0.5, 0.5, 2 * m - 1))
         t = TokenMatrix(rng.uniform(-1, 1, (m, d)), (m,))
         r = int(rng.integers(1, m))
         left = sa(t.shift(r), params, rpe)

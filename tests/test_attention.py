@@ -82,7 +82,7 @@ def test_sa_with_bias_matches_oracle():
     rng = np.random.default_rng(4)
     t = TokenMatrix(rng.uniform(-1, 1, (4, 3)), (4,))
     params = rand_params(rng, 3)
-    rpe = RpeTable.adaptive(rng.uniform(-1, 1, 4))
+    rpe = RpeTable("adaptive", rng.uniform(-1, 1, 4))
     bias = position_bias(rpe, (4,))
     assert np.allclose(
         sa(t, params, rpe).data[0], sa_oracle(t.data[0], params, bias), atol=1e-12, rtol=0
@@ -112,17 +112,17 @@ def test_sa_checks_dims():
 
 def test_rpe_matrix_m2_layout():
     b = np.array([10.0, 20.0, 30.0])  # distances -1, 0, +1
-    assert np.array_equal(position_bias(RpeTable.original(b), (2,)), [[20, 10], [30, 20]])
+    assert np.array_equal(position_bias(RpeTable("original", b), (2,)), [[20, 10], [30, 20]])
 
 
 def test_rpe_matrix_m1():
-    assert np.array_equal(position_bias(RpeTable.original(np.array([5.0])), (1,)), [[5.0]])
+    assert np.array_equal(position_bias(RpeTable("original", np.array([5.0])), (1,)), [[5.0]])
 
 
 def test_rpe_matrix_extreme_distance():
     rng = np.random.default_rng(7)
     b = rng.uniform(-1, 1, 7)
-    mat = position_bias(RpeTable.original(b), (4,))
+    mat = position_bias(RpeTable("original", b), (4,))
     assert mat[0, 3] == b[0]  # distance -3 sits at the table's low end
     assert mat[3, 0] == b[6]
 
@@ -130,7 +130,7 @@ def test_rpe_matrix_extreme_distance():
 def test_adaptive_rpe_matrix_wraps_distance():
     rng = np.random.default_rng(8)
     b = rng.uniform(-1, 1, 4)
-    mat = position_bias(RpeTable.adaptive(b), (4,))
+    mat = position_bias(RpeTable("adaptive", b), (4,))
     assert mat[0, 3] == b[1]  # (0 - 3) mod 4
     assert np.array_equal(np.diag(mat), np.full(4, b[0]))
 
@@ -138,7 +138,7 @@ def test_adaptive_rpe_matrix_wraps_distance():
 def test_adaptive_rpe_matrix_is_circulant():
     rng = np.random.default_rng(9)
     b = rng.uniform(-1, 1, 3)
-    mat = position_bias(RpeTable.adaptive(b), (3,))
+    mat = position_bias(RpeTable("adaptive", b), (3,))
     for i in range(3):
         assert np.array_equal(mat[i], np.roll(mat[0], i))
 
@@ -146,8 +146,8 @@ def test_adaptive_rpe_matrix_is_circulant():
 def test_position_bias_rank2_lookup_rule():
     rng = np.random.default_rng(10)
     for gh, gw in ((3, 4), (1, 4)):
-        adaptive = RpeTable.adaptive(rng.uniform(-1, 1, (gh, gw)))
-        original = RpeTable.original(rng.uniform(-1, 1, (2 * gh - 1, 2 * gw - 1)))
+        adaptive = RpeTable("adaptive", rng.uniform(-1, 1, (gh, gw)))
+        original = RpeTable("original", rng.uniform(-1, 1, (2 * gh - 1, 2 * gw - 1)))
         ba = position_bias(adaptive, (gh, gw))
         bo = position_bias(original, (gh, gw))
         assert ba.shape == bo.shape == (gh * gw, gh * gw)
@@ -160,17 +160,17 @@ def test_position_bias_rank2_lookup_rule():
 
 def test_position_bias_is_built_once_per_table_and_read_only():
     rng = np.random.default_rng(24)
-    for rpe, grid in [(RpeTable.adaptive(rng.uniform(-1, 1, (2, 4))), (2, 4)),
-                      (RpeTable.original(rng.uniform(-1, 1, 7)), (4,))]:
+    for rpe, grid in [(RpeTable("adaptive", rng.uniform(-1, 1, (2, 4))), (2, 4)),
+                      (RpeTable("original", rng.uniform(-1, 1, 7)), (4,))]:
         bias = position_bias(rpe, grid)
         assert bias is position_bias(rpe, grid) and rpe.grid == grid
         with pytest.raises(ValueError):
             bias[0, 0] = 1.0
-    assert RpeTable.original(np.zeros(4)).grid is None
+    assert RpeTable("original", np.zeros(4)).grid is None
 
 
 def test_position_bias_none_is_none():
-    assert position_bias(RpeTable.none(), (4,)) is None
+    assert position_bias(RpeTable("none"), (4,)) is None
 
 
 def test_bias_table_validation():
@@ -179,17 +179,17 @@ def test_bias_table_validation():
     with pytest.raises(ParameterError):
         RpeTable("none", np.zeros(3))
     with pytest.raises(ShapeError):
-        position_bias(RpeTable.original(np.zeros(6)), (4,))
+        position_bias(RpeTable("original", np.zeros(6)), (4,))
     with pytest.raises(ShapeError):
-        position_bias(RpeTable.adaptive(np.zeros(3)), (4,))
+        position_bias(RpeTable("adaptive", np.zeros(3)), (4,))
     with pytest.raises(ShapeError):
-        position_bias(RpeTable.original(np.zeros(4)), (4,))
+        position_bias(RpeTable("original", np.zeros(4)), (4,))
     with pytest.raises(ShapeError):
-        position_bias(RpeTable.original(np.zeros((3, 5))), (2, 4))
+        position_bias(RpeTable("original", np.zeros((3, 5))), (2, 4))
     with pytest.raises(ShapeError):
-        position_bias(RpeTable.adaptive(np.zeros(4)), (2, 2))
+        position_bias(RpeTable("adaptive", np.zeros(4)), (2, 2))
     with pytest.raises(ShapeError):
-        position_bias(RpeTable.adaptive(np.zeros((3, 3))), (2, 2))
+        position_bias(RpeTable("adaptive", np.zeros((3, 3))), (2, 2))
 
 
 def test_adaptive_bias_commutes_with_rotation():
@@ -197,7 +197,7 @@ def test_adaptive_bias_commutes_with_rotation():
     for m in (4, 8):
         t = rng.uniform(-1, 1, (m, 4))
         params = rand_params(rng, 4)
-        rpe = RpeTable.adaptive(rng.uniform(-1, 1, m))
+        rpe = RpeTable("adaptive", rng.uniform(-1, 1, m))
         base = sa(TokenMatrix(t, (m,)), params, rpe)
         for r in range(m):
             out = sa(TokenMatrix(t, (m,)).shift(r), params, rpe)
@@ -209,7 +209,7 @@ def test_original_bias_breaks_under_rotation():
     m = 6
     t = rng.uniform(-1, 1, (m, 4))
     params = rand_params(rng, 4)
-    rpe = RpeTable.original(rng.uniform(-1, 1, 2 * m - 1))
+    rpe = RpeTable("original", rng.uniform(-1, 1, 2 * m - 1))
     base = sa(TokenMatrix(t, (m,)), params, rpe)
     worst = max(
         np.max(np.abs(sa(TokenMatrix(t, (m,)).shift(r), params, rpe).data - base.shift(r).data))
@@ -281,7 +281,7 @@ def test_wsa_identical_windows_identical_outputs():
 
 def wsa_window_loop(t: TokenMatrix, w: int, params: AttentionParams, rpe) -> np.ndarray:
     """wsa as one `sa` call per window, rows gathered and scattered by explicit index."""
-    out = np.zeros((t.count, params.dim_out))
+    out = np.zeros((t.data.shape[-2], params.e_q.shape[1]))
     for anchor in product(*(range(0, g, w) for g in t.grid_shape)):
         cells = [
             tuple(a + d for a, d in zip(anchor, delta))
@@ -307,7 +307,7 @@ def test_wsa_matches_per_window_sa_bit_for_bit(grid, w, d, kind):
         "original": rng.uniform(-0.5, 0.5, (2 * w - 1,) * rank),
         "adaptive": rng.uniform(-0.5, 0.5, (w,) * rank),
     }
-    rpe = RpeTable.none() if kind == "none" else RpeTable(kind, tables[kind])
+    rpe = RpeTable(kind, tables[kind])
     out = wsa(t, WindowConfig(w), params, rpe).data[0]
     assert np.array_equal(out, wsa_window_loop(t, w, params, rpe))
 
@@ -356,7 +356,7 @@ def test_a_wsa_aligns_under_rotation():
     rng = np.random.default_rng(20)
     m, w = 8, 2
     params = rand_params(rng, 3)
-    rpe = RpeTable.adaptive(rng.uniform(-0.5, 0.5, w))
+    rpe = RpeTable("adaptive", rng.uniform(-0.5, 0.5, w))
     cfg = WindowConfig(w)
     for _ in range(25):
         t = TokenMatrix(rng.uniform(-1, 1, (m, 3)), (m,))
@@ -409,7 +409,7 @@ def test_attention_params_validation():
         with pytest.raises(ShapeError):
             AttentionParams(empty, empty, empty)
     p = AttentionParams(np.zeros((3, 4)), np.zeros((3, 4)), np.zeros((3, 4)))
-    assert p.dim_in == 3 and p.dim_out == 4 and p.scale == 0.5
+    assert p.e_q.shape == (3, 4) and p.scale == 0.5
 
 
 def test_window_config_validation():

@@ -78,7 +78,7 @@ def assert_batch_equals_singles(batched, singles):
     assert len(tokens.data) == len(singles) and len(singles[0][0].data) == 1
     for i, (one, one_trace) in enumerate(singles):
         assert same(tokens.data[i], one.data[0])
-        assert trace.sample(i) == one_trace
+        assert trace.rows(i, i + 1) == one_trace
 
 
 TOKEN_GRIDS = [(16,), (4, 4), (4, 8), (32, 32)]
@@ -94,9 +94,9 @@ def test_token_ops_batch_equals_singles(grid):
     for w, energy_fn in product((2, 4), ("max", "sum", "l2")):
         cfg = WindowConfig(w, 2.0, energy_fn)
         bias = [
-            RpeTable.none(),
-            RpeTable.original(rng.uniform(-0.5, 0.5, (2 * w - 1,) * len(grid))),
-            RpeTable.adaptive(rng.uniform(-0.5, 0.5, (w,) * len(grid))),
+            RpeTable("none"),
+            RpeTable("original", rng.uniform(-0.5, 0.5, (2 * w - 1,) * len(grid))),
+            RpeTable("adaptive", rng.uniform(-0.5, 0.5, (w,) * len(grid))),
         ]
         energies = window_energy(batch, cfg)
         for i, t in enumerate(mats):
@@ -107,7 +107,7 @@ def test_token_ops_batch_equals_singles(grid):
             out = wsa(batch, cfg, params, rpe)
             for i, t in enumerate(mats):
                 assert same(out.data[i], wsa(t, cfg, params, rpe).data[0])
-    full_grid_bias = RpeTable.adaptive(rng.uniform(-0.5, 0.5, grid))
+    full_grid_bias = RpeTable("adaptive", rng.uniform(-0.5, 0.5, grid))
     out = sa(batch, params, full_grid_bias)
     assert all(same(out.data[i], sa(t, params, full_grid_bias).data[0]) for i, t in enumerate(mats))
     for p, energy_p in product((2, 4), (1.0, 2.0, 3.0)):
@@ -231,7 +231,7 @@ def test_forward_batch_equals_single_heads(cfg, off):
         d_map, d_trace = encode_decode(model, x)
         assert same(logits[i], c_logits) and int(labels[i]) == c_label
         assert same(maps[i], d_map)
-        assert trace.sample(i) == c_trace == d_trace
+        assert trace.rows(i, i + 1) == c_trace == d_trace
     assert trace.tied[[0, -1]].all()
 
 
@@ -255,12 +255,12 @@ def test_batch_outputs_do_not_depend_on_batch_order_or_company(shape):
     r_logits, r_labels, r_maps, r_trace = forward(model, signal_batch(xs[::-1]))
     assert same(r_logits, logits[::-1]) and same(r_labels, labels[::-1])
     assert same(r_maps, maps[::-1])
-    reversed_traces = [r_trace.sample(i) for i in range(count)]
-    assert reversed_traces == [trace.sample(i) for i in range(count)][::-1]
+    reversed_traces = [r_trace.rows(i, i + 1) for i in range(count)]
+    assert reversed_traces == [trace.rows(i, i + 1) for i in range(count)][::-1]
     k = count // 2
     alone = forward(model, signal_batch([xs[k]]))
     assert same(alone[0][0], logits[k]) and same(alone[2][0], maps[k])
-    assert alone[3].sample(0) == trace.sample(k)
+    assert alone[3].rows(0, 1) == trace.rows(k, k + 1)
 
 
 def test_batch_of_token_matrices_validates():
@@ -503,8 +503,8 @@ def test_batching_never_changes_a_report_row(monkeypatch, name, failing):
     elif failing == "marked" and name == "metrics":
         shift_pairs = harness._shift_pairs
 
-        def marked_pairs(columns, model=None):
-            same_label, *rest = shift_pairs(columns, model)
+        def marked_pairs(columns, model=None, zero_pad=False):
+            same_label, *rest = shift_pairs(columns, model, zero_pad)
             marked = [_marked(prop.payload(columns, k)) for k in range(len(same_label))]
             return same_label & ~np.array(marked), *rest
 
@@ -659,6 +659,39 @@ def test_metrics_suite_encodes_each_shift_once(monkeypatch):
     assert sum(decoded) == 50 and max(decoded) <= pipeline.MAX_BATCH
 
 
+def test_metrics_suite_draws_its_stream_once(monkeypatch):
+    # The zero-padded scores come from the suite's own batches: one draw of
+    # inputs, one model, and exactly the 37 trials' pairs, where a second draw
+    # of 8 inputs x 5 pairs would encode 80 shifts.
+    from eqvit import metrics
+
+    counts = {"synthetic_inputs": 0, "build_model": 0}
+    padded = []
+
+    def counted(name):
+        original = getattr(harness, name)
+
+        def call(*args, **kwargs):
+            counts[name] += 1
+            return original(*args, **kwargs)
+
+        return call
+
+    shift_stack = metrics.shift_stack
+
+    def recorded_stack(stack, offsets, zero_pad=False):
+        if zero_pad:
+            padded.append(len(stack))
+        return shift_stack(stack, offsets, zero_pad)
+
+    for name in counts:
+        monkeypatch.setattr(harness, name, counted(name))
+    monkeypatch.setattr(metrics, "shift_stack", recorded_stack)
+    run_metrics(SuiteConfig(suites=("metrics",), trials=37))
+    assert counts == {"synthetic_inputs": 1, "build_model": 1}
+    assert sum(padded) == 2 * 37
+
+
 def ablation_reference(sc, switch, budget):
     cfg = dataclasses.replace(ABLATION_SEARCH_MODEL, seed=sc.seed).disable(switch)
     model = build_model(cfg)
@@ -701,4 +734,4 @@ def test_ablation_equals_trial_by_trial_search(seed, budget):
 
 def test_trace_of_one_sample_round_trips():
     trace = SelectionTrace.single(WSA, [(2, 1)], [True])
-    assert trace.size == 1 and trace.sample(0) == trace
+    assert trace.size == 1 and trace.rows(0, 1) == trace

@@ -72,7 +72,7 @@ def window_energy_loop(tokens, cfg):
 
 def pmerge_conv_fullrate_loop(tokens, cfg):
     d = tokens.dim
-    out = np.zeros((*tokens.data.shape[:-1], cfg.dim_out))
+    out = np.zeros((*tokens.data.shape[:-1], cfg.embed.shape[-1]))
     for i, delta in enumerate(product(range(cfg.factor), repeat=tokens.rank)):
         block = cfg.embed[..., i * d : (i + 1) * d, :]
         out += project_rows(roll_grid(tokens.data, tokens.grid_shape, delta, axis=-2), block)
@@ -232,7 +232,7 @@ def test_anchored_wsa_equals_rotate_then_wsa(grid, w):
     rank, d = len(grid), 3
     params = AttentionParams(*(rng.uniform(-0.5, 0.5, (d, d)) for _ in range(3)))
     cfg = WindowConfig(w)
-    rpes = [RpeTable.none(), RpeTable.adaptive(rng.uniform(-0.5, 0.5, (w,) * rank))]
+    rpes = [RpeTable("none"), RpeTable("adaptive", rng.uniform(-0.5, 0.5, (w,) * rank))]
     # Every grid offset, not only the w**rank phases a_wsa picks from.
     anchors = list(product(*(range(g) for g in grid)))
     *singles, batch = token_cases(grid, d, rng)

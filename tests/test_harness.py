@@ -617,6 +617,10 @@ def test_replay_rejects_malformed_documents():
         replay({"kind": "counterexample", "suite": "claim9"})
     with pytest.raises(ConfigError):
         replay({"kind": "counterexample", "suite": ["claim1"]})
+    # A sentinel's status must be "pass" or "fail", neither missing nor unknown.
+    for damaged in ({"kind": "sentinel"}, {"kind": "sentinel", "status": "bogus"}):
+        with pytest.raises(ConfigError):
+            replay(damaged)
 
 
 @pytest.mark.parametrize("name", list(PROPERTIES))

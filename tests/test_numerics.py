@@ -39,7 +39,7 @@ def shift_oracle(data: np.ndarray, offs) -> np.ndarray:
 
 
 def sig1(values) -> GridSignal:
-    return GridSignal.from_values(np.asarray(values, dtype=float))
+    return GridSignal(np.asarray(values, dtype=float)[..., np.newaxis])
 
 
 # ---------------------------------------------------------- circular_shift --
@@ -443,18 +443,15 @@ def test_gridsignal_rejects_bad_ranks():
     with pytest.raises(ShapeError):
         GridSignal(np.zeros((2, 2, 2, 2)))
     with pytest.raises(ShapeError):
-        GridSignal.from_values(np.zeros((2, 2, 2)))
-    with pytest.raises(ShapeError):
         GridSignal(np.zeros((0, 3)))
 
 
 # Every class or function that takes outside values as float64 arrays.
 BOUNDARIES = {
     "GridSignal": GridSignal,
-    "GridSignal.from_values": GridSignal.from_values,
     "SignalBatch": SignalBatch,
     "TokenMatrix": lambda values: TokenMatrix(values, (4,)),
-    "RpeTable": RpeTable.adaptive,
+    "RpeTable": lambda values: RpeTable("adaptive", values),
     "weight_array": lambda values: weight_array(values, "weights", (1, 2, 3)),
 }
 NOT_REAL_ARRAYS = {
@@ -559,7 +556,7 @@ def test_gridsignal_rejects_non_finite_data(bad):
     with pytest.raises(ParameterError):
         GridSignal(data)
     with pytest.raises(ParameterError):
-        GridSignal.from_values(data[:, 1].reshape(2, 2))
+        GridSignal(data[:, 1].reshape(2, 2, 1))
 
 
 def test_frozen_arrays_are_read_only():

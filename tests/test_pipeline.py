@@ -263,7 +263,7 @@ def test_trace_entry_count_formula(bits):
     model = build_model(cfg)
     _, _, trace = model.classify(rand_input(cfg, 2))
     expected = int(tok) + cfg.depth * (int(win) + int(mrg))
-    assert len(trace) == expected
+    assert len(trace.entries) == expected
     assert len(trace.of_kind(TOKEN)) == int(tok)
     assert len(trace.of_kind(WSA)) == cfg.depth * int(win)
     assert len(trace.of_kind(MERGE)) == cfg.depth * int(mrg)
@@ -493,7 +493,7 @@ def test_decoder_output_shape():
     cfg = ModelConfig()
     out, trace = build_model(cfg).encode_decode(rand_input(cfg))
     assert out.shape == (64, 32)  # final dim embed_dim * 2**depth
-    assert len(trace) == 5
+    assert len(trace.entries) == 5
 
 
 def test_decoder_is_shift_equivariant():
@@ -521,7 +521,7 @@ def test_depth_zero_decoder_scatters_tokens():
     model = build_model(cfg)
     x = rand_input(cfg, 9)
     out, trace = model.encode_decode(x)
-    assert len(trace) == 1
+    assert len(trace.entries) == 1
     tokens, tr = a_token(x, model.weights.patch)
     off = int(tr.entries[0].offsets[0, 0])
     expected = np.zeros((16, cfg.embed_dim))
@@ -546,6 +546,6 @@ def test_baseline_decoder_breaks_equivariance():
     model = build_model(cfg)
     x = rand_input(cfg, 3)
     base, trace = model.encode_decode(x)
-    assert len(trace) == 0
+    assert len(trace.entries) == 0
     out, _ = model.encode_decode(circular_shift(x, 1))
     assert np.max(np.abs(np.roll(out, 1, axis=0) - base)) > 1e-6

@@ -49,7 +49,7 @@ def reshape_oracle_2d(data: np.ndarray, l: int, offs) -> np.ndarray:
 
 
 def sig1(values) -> GridSignal:
-    return GridSignal.from_values(np.asarray(values, dtype=float))
+    return GridSignal(np.asarray(values, dtype=float)[..., np.newaxis])
 
 
 def column_picker() -> PatchEmbedConfig:
@@ -126,7 +126,7 @@ def test_token_is_not_shift_equivariant():
     base = token(x, cfg)
     shifted = token(circular_shift(x, 1), cfg)
     worst = min(
-        np.max(np.abs(shifted.data - base.shift(r).data)) for r in range(base.count)
+        np.max(np.abs(shifted.data - base.shift(r).data)) for r in range(base.data.shape[-2])
     )
     assert worst > 1e-6
 
@@ -169,7 +169,7 @@ def test_a_token_alignment_is_bit_exact_rank1():
             if tb.any_tied or ts.any_tied:
                 continue
             assert any(
-                np.array_equal(out.data, base.shift(r).data) for r in range(base.count)
+                np.array_equal(out.data, base.shift(r).data) for r in range(base.data.shape[-2])
             )
 
 
@@ -264,7 +264,7 @@ def test_lemma1_rank2_both_axes():
 def test_token_matrix_grid_round_trip():
     t = TokenMatrix(np.arange(12.0).reshape(6, 2), (2, 3))
     assert t.data.shape == (1, 6, 2) and t.grid().shape == (1, 2, 3, 2)
-    assert t.rank == 2 and t.count == 6 and t.dim == 2
+    assert t.rank == 2 and t.data.shape[-2] == 6 and t.dim == 2
     assert np.array_equal(t.shift((2, 3)).data, t.data)
 
 

@@ -28,7 +28,7 @@ def test_trace_queries():
             TraceEntry(MERGE, [(0,)], [False]),
         ],
     )
-    assert len(t) == 3
+    assert len(t.entries) == 3
     assert [e.kind for e in t] == [TOKEN, WSA, MERGE]
     assert t.of_kind(WSA) == [TraceEntry(WSA, [(2,)], [True])]
     assert t.tied.tolist() == [True]
@@ -48,13 +48,13 @@ def test_trace_samples_and_tie_flags():
     one = SelectionTrace(
         1, [TraceEntry(TOKEN, [(1, 0)], [True]), TraceEntry(MERGE, [(0, 1)], [False])]
     )
-    assert t.sample(1) == one
-    assert t.sample(0) != one
+    assert t.rows(1, 2) == one
+    assert t.rows(0, 1) != one
 
 
 def test_empty_trace():
     t = SelectionTrace(4)
-    assert len(t) == 0
+    assert len(t.entries) == 0
     assert t.tied.tolist() == [False] * 4
     assert not t.any_tied
     assert SelectionTrace().size == 1
