@@ -16,7 +16,7 @@ from hypothesis import strategies as st
 
 from eqvit import GridSignal, circular_shift, lp_norm, softmax_rows
 from eqvit.attention import RpeTable, _untile_index
-from eqvit.attention import WindowConfig
+from eqvit.attention import AttentionParams, WindowConfig
 from eqvit.errors import ConfigError, ParameterError, ShapeError
 from eqvit.harness import SuiteConfig
 from eqvit.merging import MergeConfig
@@ -448,7 +448,10 @@ def test_gridsignal_rejects_bad_ranks():
 
 # Every class or function that takes outside values as float64 arrays.
 BOUNDARIES = {
+    "AttentionParams": lambda values: AttentionParams(values, values, values),
     "GridSignal": GridSignal,
+    "MergeConfig": lambda values: MergeConfig(2, values),
+    "PatchEmbedConfig": lambda values: PatchEmbedConfig(2, values),
     "SignalBatch": SignalBatch,
     "TokenMatrix": lambda values: TokenMatrix(values, (4,)),
     "RpeTable": lambda values: RpeTable("adaptive", values),
