@@ -20,9 +20,9 @@ from functools import cached_property, lru_cache
 import numpy as np
 
 from .errors import ParameterError, ShapeError
-from .numerics import NORM_ORDER, POSITIVE, argmax_rows, check_value, coarse_grid, freeze
-from .numerics import grid_index, offset_index, one_of, phase_table, real_array, require_finite
-from .numerics import softmax_rows, stable_sum, weight_array
+from .numerics import NORM_ORDER, POSITIVE, argmax_rows, check_value, freeze, layout
+from .numerics import offset_index, one_of, real_array, require_finite, softmax_in_place
+from .numerics import sorted_sum, weight_array
 from .tokenizer import TokenMatrix
 from .trace import WSA, SelectionTrace
 
@@ -31,13 +31,24 @@ ORIGINAL = "original"
 ADAPTIVE = "adaptive"
 
 
+def _window_score(energies: np.ndarray, name: str) -> np.ndarray:
+    """The window scoring functional `name` ("max", "sum" or "l2") over the
+    last axis of a C-contiguous float array the caller owns, which the sums
+    sort in place (`sorted_sum`)."""
+    if name == "max":
+        return np.maximum.reduce(energies, axis=-1)
+    if name == "sum":
+        return sorted_sum(energies)
+    return np.sqrt(sorted_sum(np.square(energies)))
+
+
 # Window scoring functionals, reducing the last axis (one candidate's
 # energies, or a stack of them); each is exactly invariant to any permutation
 # of the candidate energies so scores transfer bit-for-bit across shifts.
+# The caller's energies are copied, as `_window_score` sorts its input.
 WINDOW_FNS = {
-    "max": lambda v: np.maximum.reduce(v, axis=-1),
-    "sum": lambda v: stable_sum(v, axis=-1),
-    "l2": lambda v: np.sqrt(stable_sum(np.square(v), axis=-1)),
+    name: lambda v, name=name: _window_score(np.array(v, order="C"), name)
+    for name in ("max", "sum", "l2")
 }
 
 
@@ -85,7 +96,7 @@ class RpeTable:
         require_finite(arr, "rpe table")
         object.__setattr__(self, "table", freeze(arr))
 
-    @property
+    @cached_property
     def grid(self) -> tuple[int, ...] | None:
         """The token grid the table fits, or None for kind 'none' and for a
         conventional table with an even axis, which fits no grid."""
@@ -147,10 +158,11 @@ def _attend(x: np.ndarray, params: AttentionParams, rpe: RpeTable | None, grid) 
     e_q = params.e_q
     if x.shape[-1] != len(e_q):
         raise ShapeError(f"tokens of dim {x.shape[-1]} vs projections of dim {len(e_q)}")
-    logits = ((x @ e_q) @ (x @ params.e_k).swapaxes(-1, -2)) * params.scale
+    logits = (x @ e_q) @ (x @ params.e_k).swapaxes(-1, -2)
+    logits *= params.scale
     if rpe is not None and rpe.kind != NONE:
-        logits = logits + position_bias(rpe, grid)
-    return softmax_rows(logits) @ (x @ params.e_v)
+        logits += position_bias(rpe, grid)
+    return softmax_in_place(logits) @ (x @ params.e_v)
 
 
 def sa(tokens: TokenMatrix, params: AttentionParams, rpe: RpeTable | None = None) -> TokenMatrix:
@@ -181,15 +193,15 @@ def window_energy(tokens: TokenMatrix, cfg: WindowConfig) -> np.ndarray:
     summed in a fixed order, so a grid rotation of the tokens rotates this
     grid bit-exactly.  Shape (B, *grid), one grid per sample.
     """
-    data, grid, w, p = tokens.data, tokens.grid_shape, cfg.window, cfg.energy_p
-    coarse_grid(grid, w, "window")
+    data, grid, p = tokens.data, tokens.grid_shape, cfg.energy_p
+    taps = layout(grid, cfg.window, "window").taps
     norms = np.add.reduce(np.abs(data) ** p, axis=-1) ** (1.0 / p)
-    taps = norms.take(grid_index(grid, w, 1, (0,) * len(grid), taps_first=True), axis=-1)
     # The tap axis is an outer axis of the gather, so the reduction adds one
     # whole tap at a time, in order, onto the 0.0 start: the bits of a
     # per-tap `+=` loop.
-    acc = np.add.reduce(taps, axis=-2, initial=0.0)
-    return acc.reshape(len(data), *grid) / float(w ** len(grid))
+    acc = np.add.reduce(norms.take(taps, axis=-1), axis=-2, initial=0.0)
+    acc /= float(len(taps))
+    return acc.reshape(len(data), *grid)
 
 
 def wsa(
@@ -211,24 +223,15 @@ def wsa(
     tokens: both gather the same windows, here in one gather.
     """
     data, grid, w = tokens.data, tokens.grid_shape, cfg.window
-    coarse_grid(grid, w, "window")
+    lay = layout(grid, w, "window")
     rank, n, m = len(grid), len(data), data.shape[1]
     anchors = np.zeros((n, rank), np.int64) if anchors is None else np.asarray(anchors)
     if anchors.shape != (n, rank):
         raise ShapeError(f"{anchors.shape} anchors for {n} samples on a rank-{rank} grid")
-    index = offset_index(grid, w, w, anchors, stacked=True).reshape(-1, w**rank)
+    index = offset_index(grid, w, w, anchors, stacked=True).reshape(-1, len(lay.phases))
     windows = data.reshape(n * m, -1).take(index, axis=0)
     rows = _attend(windows, params, rpe, (w,) * rank).reshape(n, m, -1)
-    return TokenMatrix._fresh(rows.take(_untile_index(grid, w), axis=1), grid)
-
-
-@lru_cache(maxsize=256)
-def _untile_index(grid: tuple[int, ...], w: int) -> np.ndarray:
-    """Read-only inverse of the window tiling: grid position k sits at row
-    index[k] of the windows laid out one after another."""
-    index = np.argsort(grid_index(grid, w, w, (0,) * len(grid)).ravel())
-    index.setflags(write=False)
-    return index
+    return TokenMatrix._fresh(rows.take(lay.untile, axis=1), grid)
 
 
 def a_wsa(
@@ -246,10 +249,9 @@ def a_wsa(
     recorded.
     """
     energies = window_energy(tokens, cfg)
-    grid, w = tokens.grid_shape, cfg.window
-    # The polyphase selection of `best_phase`, without its winning component.
-    index = grid_index(grid, w, w, (0,) * len(grid), taps_first=True)
-    scores = WINDOW_FNS[cfg.energy_fn](energies.reshape(-1, index.size).take(index, axis=1))
-    idx, tied = argmax_rows(scores)
-    offsets = phase_table(w, len(grid))[idx]
-    return wsa(tokens, cfg, params, rpe, offsets), SelectionTrace.single(WSA, offsets, tied)
+    lay = layout(tokens.grid_shape, cfg.window, "window")
+    # A polyphase selection, as `best_phase` makes, without its winning component.
+    phased = energies.reshape(len(energies), -1).take(lay.components, axis=1)
+    idx, tied = argmax_rows(_window_score(phased, cfg.energy_fn))
+    offsets = lay.phases[idx]
+    return wsa(tokens, cfg, params, rpe, offsets), SelectionTrace._fresh(WSA, offsets, tied)

@@ -116,9 +116,15 @@ ABLATION_SEARCH_MODEL = ModelConfig(
 )
 
 
+# Suite names, at least one: what a run selects, and what its sentinel lists.
+SOME_SUITES = (
+    lambda v: names_from(*SUITES)[0](v) and len(v) > 0,
+    f"a non-empty list of names from {SUITES}",
+)
+
 # One rule per `SuiteConfig` field but `model`; `__post_init__` takes a list as a tuple.
 SUITE_RULES = {
-    "suites": names_from(*SUITES),
+    "suites": SOME_SUITES,
     "seed": FIELD_RULES["seed"],
     "trials": (lambda v: v is None or is_int(v) and v >= 1, "an integer >= 1 or None"),
     "disable": SWITCH_NAMES,
@@ -701,7 +707,8 @@ def replay(document: dict) -> tuple[int, str]:
     """Re-execute a replay file; (exit code, human-readable line).
 
     A sentinel exits 0 if its run passed and 1 if it failed; any other
-    status raises ConfigError.  A counterexample's payload reruns through
+    status, or suites that are not a non-empty list of suite names, raises
+    ConfigError.  A counterexample's payload reruns through
     its suite's check (ablation and metrics: the end2end check).  In order:
     a NaN divergence raises ConfigError, a tied trial (never asserted)
     exits 0, an infinite divergence raises ConfigError, and otherwise
@@ -715,6 +722,9 @@ def replay(document: dict) -> tuple[int, str]:
     kind = document.get("kind")
     if kind == "sentinel":
         check_value("sentinel status", document.get("status"), one_of("pass", "fail"), ConfigError)
+        suites = document.get("suites")
+        suites = tuple(suites) if isinstance(suites, list) else suites
+        check_value("sentinel suites", suites, SOME_SUITES, ConfigError)
         if document["status"] == "fail":
             return 1, f"the recorded run failed ({document.get('suites')}); nothing to re-execute"
         return 0, "sentinel from a passing run; nothing to reproduce"

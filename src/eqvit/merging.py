@@ -23,8 +23,8 @@ from .errors import ParameterError, ShapeError, TraceError
 from .numerics import NORM_ORDER, POSITIVE, check_value
 from .numerics import (
     best_phase,
-    coarse_grid,
     grid_index,
+    layout,
     lp_norm,
     project_rows,
     scatter_index,
@@ -53,10 +53,10 @@ class MergeConfig:
         object.__setattr__(self, "embed", weight_array(self.embed, "embed", (2, 3)))
 
 
-def _check_merge(data: np.ndarray, grid: tuple[int, ...], cfg: MergeConfig) -> tuple[int, ...]:
-    """Check that `cfg` merges tokens `data` on `grid`; the merged grid."""
-    coarse, embed = coarse_grid(grid, cfg.factor, "factor"), cfg.embed
-    expect = cfg.factor ** len(grid) * data.shape[-1]
+def _check_merge(data: np.ndarray, grid: tuple[int, ...], cfg: MergeConfig):
+    """Check that `cfg` merges tokens `data` on `grid`; the grid's merge `Layout`."""
+    lay, embed = layout(grid, cfg.factor, "factor"), cfg.embed
+    expect = len(lay.phases) * data.shape[-1]
     if embed.shape[-2] != expect:
         raise ShapeError(
             f"merge embed expects rows of width {embed.shape[-2]}, "
@@ -64,14 +64,14 @@ def _check_merge(data: np.ndarray, grid: tuple[int, ...], cfg: MergeConfig) -> t
         )
     if embed.ndim == 3 and len(embed) != len(data):
         raise ShapeError(f"{len(embed)} merge embeds for tokens of shape {data.shape}")
-    return coarse
+    return lay
 
 
 def pmerge(tokens: TokenMatrix, cfg: MergeConfig) -> TokenMatrix:
     """Strided patch merging: project each non-overlapping P-group, flattened
     row-major over (position, channel)."""
     data, grid = tokens.data, tokens.grid_shape
-    coarse = _check_merge(data, grid, cfg)
+    coarse = _check_merge(data, grid, cfg).coarse
     index = grid_index(grid, cfg.factor, cfg.factor, (0,) * len(grid))
     rows = data.take(index, axis=1).reshape(len(data), len(index), -1)
     return TokenMatrix._fresh(project_rows(rows, cfg.embed), coarse)
@@ -84,19 +84,18 @@ def pmerge_conv_fullrate(tokens: TokenMatrix, cfg: MergeConfig) -> TokenMatrix:
     embed column acts as a stride-1 circular filter over the tokens.  A
     stride-P, phase-0 subsample of the result reproduces pmerge.
     """
-    data, grid, embed = tokens.data, tokens.grid_shape, cfg.embed
-    _check_merge(data, grid, cfg)
+    data, embed = tokens.data, cfg.embed
+    index = _check_merge(data, tokens.grid_shape, cfg).taps
     d = data.shape[-1]
     # One gather lays out every tap: in-group positions row-major, each a
     # rotation of the grid, (B, taps, M, D).  Each tap is
     # projected by its own row block of the merge projection and accumulated
     # in a fixed order, which keeps the result exact under grid rotation.
-    index = grid_index(grid, cfg.factor, 1, (0,) * len(grid), taps_first=True)
     taps = data.take(index, axis=1)
     out = np.zeros((*data.shape[:-1], embed.shape[-1]))
     for i in range(len(index)):
         out += project_rows(taps[:, i], embed[..., i * d : (i + 1) * d, :])
-    return TokenMatrix._fresh(out, grid)
+    return TokenMatrix._fresh(out, tokens.grid_shape)
 
 
 def aps(
@@ -112,14 +111,12 @@ def aps(
     """
     if factor < 1:
         raise ParameterError(f"factor must be >= 1, got {factor}")
-    data, grid = tokens.data, tokens.grid_shape
-    coarse = coarse_grid(grid, factor, "factor")
-    phases, comp, tied = best_phase(
-        data.reshape(len(data), *grid, data.shape[-1]),
-        factor,
-        lambda comps: lp_norm(comps.reshape(len(comps), -1), energy_p, axis=-1),
-    )
-    return TokenMatrix._fresh(comp, coarse), SelectionTrace.single(MERGE, phases, tied)
+    data = tokens.data
+    lay = layout(tokens.grid_shape, factor, "factor")
+    comps = data.take(lay.components, axis=1)  # (B, phases, positions, D)
+    scores = lp_norm(comps.reshape(comps.shape[0] * comps.shape[1], -1), energy_p, axis=-1)
+    phases, comp, tied = best_phase(comps, scores.reshape(len(data), -1), lay.phases)
+    return TokenMatrix._fresh(comp, lay.coarse), SelectionTrace._fresh(MERGE, phases, tied)
 
 
 def a_pmerge(tokens: TokenMatrix, cfg: MergeConfig) -> tuple[TokenMatrix, SelectionTrace]:

@@ -1,9 +1,10 @@
 """Double-precision kernel for signals on circular grids.
 
 Everything downstream reduces to a handful of operations defined here:
-one cached grid index behind every rotation, tiling, filter-tap and
-polyphase layout, polyphase selection, row-wise softmax, order-stable sums
-and lp norms, and a deterministic argmax.  Each grid operation is written
+one grid index behind every rotation, tiling, filter-tap and polyphase
+layout, each adaptive op's `Layout` of those indices cached per grid and
+size, polyphase selection, row-wise softmax, order-stable sums and lp norms,
+and a deterministic argmax.  Each grid operation is written
 once for any grid rank, and the selecting ones once for a stack of samples
 (a leading sample axis, one selection per sample): one signal is the stack
 of one.  All functions are pure; arrays held by the wrapper types are frozen
@@ -18,7 +19,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from itertools import product
 from math import prod
 
@@ -118,16 +119,6 @@ def require_norm_order(p, name: str = "energy_p") -> None:
     """An lp norm order is a finite number >= 1; NaN and inf are not."""
     if not 1 <= p < np.inf:
         raise ParameterError(f"{name} must be a finite number >= 1, got {p}")
-
-
-def coarse_grid(grid, stride: int, name: str) -> tuple[int, ...]:
-    """The grid a stride-`stride` subsample of `grid` leaves; `name` names the stride."""
-    coarse = []
-    for g in grid:
-        if g % stride:
-            raise ShapeError(f"grid axis {g} is not divisible by {name} {stride}")
-        coarse.append(g // stride)
-    return tuple(coarse)
 
 
 def as_offsets(offs, rank: int) -> np.ndarray:
@@ -242,10 +233,15 @@ def grid_index(
     puts them.  `taps_first` gives the (taps, positions) transpose,
     contiguous, for gathers that reduce or loop over the taps.
     """
-    index = _offset_grid(grid, width, stride, np.array([offset], dtype=np.int64), False)[0]
-    index = np.ascontiguousarray(index.T if taps_first else index)
+    index = _grid_index(grid, width, stride, offset, taps_first)
     index.setflags(write=False)
     return index
+
+
+def _grid_index(grid, width, stride, offset, taps_first) -> np.ndarray:
+    """`grid_index`, built anew and writeable."""
+    index = _offset_grid(grid, width, stride, np.array([offset], dtype=np.int64), False)[0]
+    return np.ascontiguousarray(index.T if taps_first else index)
 
 
 def _offset_grid(grid: tuple[int, ...], width: int, stride: int, offsets: np.ndarray, stacked):
@@ -282,6 +278,63 @@ def offset_index(
     if len(offsets) == 1:
         return grid_index(grid, width, stride, tuple(offsets[0].tolist()))[np.newaxis]
     return _offset_grid(grid, width, stride, offsets, stacked)
+
+
+class Layout:
+    """The indices an op of `size` moves values through on one grid, each
+    built on first use and kept for as long as `layout` caches the layout.
+
+    `coarse` is the grid a stride-`size` subsample leaves and `phases` the
+    (size**rank, rank) table of polyphase offsets, row-major.  The arrays
+    are writeable because NumPy's `take` copies a read-only index on every
+    call; they stay private, as the ops gather through them and return
+    fresh arrays only, and nothing writes to them.
+    """
+
+    def __init__(self, grid: tuple[int, ...], size: int, channels: int):
+        self.grid, self.size, self.channels = grid, size, channels
+        self.coarse = tuple(g // size for g in grid)
+        self.phases = np.array(list(product(range(size), repeat=len(grid))), dtype=np.int64)
+
+    @cached_property
+    def taps(self) -> np.ndarray:
+        """(size**rank * channels, positions) index into the flat rows of a
+        row-major (*grid, channels) array: entry (tap * channels + c, n) is
+        channel c at tap `tap` (row-major) of the size-wide circular filter
+        anchored at position n.  With one channel, row t is the rotation of
+        the grid by the t-th tap offset."""
+        taps, c = _grid_index(self.grid, self.size, 1, (0,) * len(self.grid), True), self.channels
+        if c == 1:
+            return taps
+        index = np.empty((len(taps), c, taps.shape[1]), dtype=np.int64)
+        for k in range(c):  # in place, so the build holds no second copy
+            np.multiply(taps, c, out=index[:, k])
+            index[:, k] += k
+        return index.reshape(-1, taps.shape[1])
+
+    @cached_property
+    def components(self) -> np.ndarray:
+        """(phases, coarse positions): row p holds the grid positions of the
+        stride-`size` polyphase component at phases[p]; its transpose tiles
+        the grid into size-wide blocks anchored at 0."""
+        return _grid_index(self.grid, self.size, self.size, (0,) * len(self.grid), True)
+
+    @cached_property
+    def untile(self) -> np.ndarray:
+        """Inverse of the tiling: grid position k sits at row untile[k] of the
+        blocks laid out one after another."""
+        return np.argsort(self.components.T.ravel())
+
+
+@lru_cache(maxsize=64)
+def layout(grid: tuple[int, ...], size: int, name: str, channels: int = 1) -> Layout:
+    """The cached `Layout` of an op of `size` (named `name` in errors) on
+    `grid`, for arrays of `channels` entries per position.  A grid that
+    `size` does not divide raises ShapeError on every call: errors are not cached."""
+    for g in grid:
+        if g % size:
+            raise ShapeError(f"grid axis {g} is not divisible by {name} {size}")
+    return Layout(grid, size, channels)
 
 
 def rotate_rows(stack: np.ndarray, grid: tuple[int, ...], offsets: np.ndarray) -> np.ndarray:
@@ -322,77 +375,69 @@ def scatter_rows(stack: np.ndarray, rows: int, index: np.ndarray) -> np.ndarray:
     return out
 
 
-@lru_cache(maxsize=64)
-def phase_table(b: int, rank: int) -> np.ndarray:
-    """Read-only (b**rank, rank) table of polyphase offsets, row-major."""
-    table = np.array(list(product(range(b), repeat=rank)), dtype=np.int64).reshape(-1, rank)
-    table.setflags(write=False)
-    return table
-
-
-def best_phase(stack: np.ndarray, b: int, score) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Polyphase selection, one per sample of a (B, *grid, C) stack.
-
-    The stride-`b` components of every grid axis, phases in row-major
-    order, are gathered into one (B * phases, positions, C) stack; `score`
-    maps it to one score per component.  Returns (phases (B, rank),
-    components (B, positions, C), tied (B,)): exact ties resolve to the
-    lowest phase and are flagged.
+def best_phase(
+    comps: np.ndarray, scores: np.ndarray, phases: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Polyphase selection, one per sample, from the (B, P, ...) stack of each
+    sample's P components and their (B, P) scores.  Returns (offsets
+    (B, rank) from the (P, rank) `phases` table, winning components
+    (B, ...), tied (B,)): exact ties resolve to the lowest phase and are flagged.
     """
-    n, grid, c, rank = len(stack), stack.shape[1:-1], stack.shape[-1], stack.ndim - 2
-    index = grid_index(grid, b, b, (0,) * rank, taps_first=True)
-    phases = len(index)
-    comps = stack.reshape(n, -1, c).take(index, axis=1).reshape(n * phases, -1, c)
-    idx, tied = argmax_rows(score(comps).reshape(n, phases))
-    return phase_table(b, rank)[idx], comps.take(idx + phases * np.arange(n), axis=0), tied
+    idx, tied = argmax_rows(scores)
+    return phases[idx], comps[np.arange(len(idx)), idx], tied
 
 
 def softmax_rows(matrix: np.ndarray) -> np.ndarray:
     """Softmax over the last axis (ndim >= 2) with max subtraction for overflow safety."""
-    m = np.asarray(matrix, dtype=np.float64)
+    m = np.array(matrix, dtype=np.float64)
     if m.ndim < 2:
         raise ShapeError(f"softmax_rows expects ndim >= 2, got ndim={m.ndim}")
-    e = np.exp(m - np.maximum.reduce(m, axis=-1, keepdims=True))
-    return e / np.add.reduce(e, axis=-1, keepdims=True)
+    return softmax_in_place(m)
 
 
-def stable_sum(values, axis: int | None = None):
-    """Sum of all entries (a float), or per row along the last axis (axis=-1),
-    accumulated in sorted order.
+def softmax_in_place(m: np.ndarray) -> np.ndarray:
+    """`softmax_rows` of a float64 array the caller owns, computed in its place."""
+    m -= np.maximum.reduce(m, axis=-1, keepdims=True)
+    np.exp(m, out=m)
+    m /= np.add.reduce(m, axis=-1, keepdims=True)
+    return m
 
-    Sorting first makes the sum bit-identical for any permutation of the
-    values; grid rotations permute candidates, so selection scores must
-    agree exactly across an input shift.  Each row of a stack gets the bits
-    of that row summed alone: rows are made contiguous first, since NumPy
-    sums pairwise only along a contiguous axis.
+
+def sorted_sum(values: np.ndarray) -> np.ndarray:
+    """Per row along the last axis, the sum accumulated in sorted order;
+    sorts `values`, a C-contiguous float array the caller owns, in place.
+
+    Sorting first makes each sum bit-identical for any permutation of its
+    row; grid rotations permute candidates, so selection scores must agree
+    exactly across an input shift.  Each row of a stack gets the bits of
+    that row summed alone, as NumPy sums pairwise along a contiguous axis.
     """
-    if axis is None:
-        return float(np.add.reduce(np.sort(values, axis=None)))
-    if axis != -1:
-        raise ParameterError(f"stable_sum reduces all entries or the last axis, not {axis}")
-    ordered = np.array(values, order="C")
-    ordered.sort(axis=-1)
-    return np.add.reduce(ordered, axis=-1)
+    values.sort(axis=-1)
+    return np.add.reduce(values, axis=-1)
 
 
 def lp_norm(values, p: float, axis: int | None = None):
     """lp norm (sum_i |v_i|^p)^(1/p) over all entries of `values` (a float),
-    or along `axis`.
+    or along the last axis (axis=-1).
 
-    The powers are summed by `stable_sum`, so the result is bit-identical
+    The powers are summed by `sorted_sum`, so the result is bit-identical
     for any permutation of the input.  Adaptive selections compare these
     norms across rotated views and rely on that exactness.
     """
     require_norm_order(p, "lp_norm order p")
-    mags = np.abs(np.asarray(values, dtype=np.float64))
-    if mags.size == 0:
+    if axis not in (None, -1):
+        raise ParameterError(f"lp_norm reduces all entries or the last axis, not {axis}")
+    powers = np.abs(np.asarray(values, dtype=np.float64), order="C")
+    if powers.size == 0:
         raise ShapeError("lp_norm of an empty array")
-    total = stable_sum(mags**p, axis)
+    powers **= p
+    root = 1.0 / p
     if axis is None:
-        return total ** (1.0 / p)
+        return float(sorted_sum(powers.reshape(-1))) ** root
+    total = sorted_sum(powers)
     # Each root is a Python float power, as for one norm: the array power has
     # fast paths of its own (sqrt for 1/2) that may round differently.
-    return np.array([t ** (1.0 / p) for t in total.ravel().tolist()]).reshape(total.shape)
+    return np.array([t**root for t in total.ravel().tolist()]).reshape(total.shape)
 
 
 def max_abs_rows(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -448,6 +493,10 @@ def project_columns(cols: np.ndarray, matrix: np.ndarray) -> np.ndarray:
 def argmax_rows(scores: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Per row of (B, n) scores: the argmax (lowest index on exact ties) and
     whether another entry ties it exactly."""
-    # The maximum equals the entry at the argmax, or both are NaN and nothing ties.
-    ties = np.add.reduce(scores == np.maximum.reduce(scores, axis=-1, keepdims=True), axis=-1)
-    return scores.argmax(axis=-1), ties > 1
+    if scores.shape[-1] < 2:
+        return scores.argmax(axis=-1), np.zeros(len(scores), dtype=bool)
+    # The maximum ties exactly when the two largest entries are equal; a NaN
+    # sorts last, is the argmax, and equals nothing, so nothing ties it.
+    ranked = scores.copy()
+    ranked.sort(axis=-1)
+    return scores.argmax(axis=-1), ranked[:, -1] == ranked[:, -2]

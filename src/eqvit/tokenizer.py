@@ -17,7 +17,6 @@ sample gets its own selection, bit-identical to its call alone, and the
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 from math import prod
 
 import numpy as np
@@ -29,29 +28,37 @@ from .numerics import (
     SignalBatch,
     as_offsets,
     best_phase,
-    coarse_grid,
     freeze,
     grid_index,
+    layout,
     offset_index,
     project_columns,
     project_rows,
     real_array,
     require_finite,
-    stable_sum,
+    sorted_sum,
     weight_array,
 )
 from .trace import TOKEN, SelectionTrace
 
 
-def _row_l2(tokens: np.ndarray) -> np.ndarray:
-    return np.sqrt(np.einsum("...md,...md->...m", tokens, tokens))
+def _token_energy(tokens: np.ndarray, name: str) -> np.ndarray:
+    """One score per (M, D) matrix of a C-contiguous stack: the sum
+    ("sum_l2") or the maximum ("max_l2") of its rows' l2 norms, or the sum of
+    their l1 norms ("sum_l1").  Each is exactly invariant to any permutation
+    of the rows; the sums go through `sorted_sum` on the norms, a temporary
+    of its own."""
+    if name == "sum_l1":
+        norms = np.add.reduce(np.abs(tokens), axis=-1)
+    else:
+        norms = np.sqrt(np.einsum("...md,...md->...m", tokens, tokens))
+    return np.maximum.reduce(norms, axis=-1) if name == "max_l2" else sorted_sum(norms)
 
 
 # Token energies of a (B, M, D) stack, one score per sample.
 INVARIANT_FNS = {
-    "sum_l2": lambda t: stable_sum(_row_l2(t), axis=-1),
-    "max_l2": lambda t: np.maximum.reduce(_row_l2(t), axis=-1),
-    "sum_l1": lambda t: stable_sum(np.add.reduce(np.abs(t), axis=-1), axis=-1),
+    name: lambda t, name=name: _token_energy(np.ascontiguousarray(t), name)
+    for name in ("sum_l2", "max_l2", "sum_l1")
 }
 
 
@@ -155,7 +162,7 @@ def reshape_patches(x: GridSignal, patch_len: int, off=None) -> np.ndarray:
     Each row flattens a patch row-major over (position, channel).  Rows
     enumerate patches row-major over the token grid.
     """
-    grid = coarse_grid(x.shape, patch_len, "patch_len")
+    grid = layout(x.shape, patch_len, "patch_len", x.channels).coarse
     offs = (0,) * x.rank if off is None else tuple(as_offsets([off], x.rank)[0].tolist())
     if any(not 0 <= o < patch_len for o in offs):
         raise ParameterError(f"offset {offs} outside [0, {patch_len})")
@@ -167,14 +174,15 @@ def token(x, cfg: PatchEmbedConfig) -> TokenMatrix:
     """Fixed-grid tokenization: patches anchored at offset 0, projected."""
     stack = _signal_stack(x, cfg)
     b, *shape, c = stack.shape
-    grid = coarse_grid(shape, cfg.patch_len, "patch_len")
+    grid = layout(tuple(shape), cfg.patch_len, "patch_len", c).coarse
     index = grid_index(tuple(shape), cfg.patch_len, cfg.patch_len, (0,) * len(shape))
     rows = stack.reshape(b, -1, c).take(index, axis=1).reshape(b, prod(grid), -1)
     return TokenMatrix._fresh(project_rows(rows, cfg.embed), grid)
 
 
-def _full_rate_embed(x, cfg: PatchEmbedConfig) -> np.ndarray:
-    """Project the patch anchored at every grid position, shape (B, *grid, D).
+def _full_rate_embed(stack: np.ndarray, taps: np.ndarray, embed: np.ndarray) -> np.ndarray:
+    """Project the patch anchored at every grid position of a (B, *grid, C)
+    stack, shape (B, positions, D); `taps` is the patch layout's tap index.
 
     All candidate offsets are strided slices of this one product, so the
     candidates seen for an input and for its shift are gathers of bitwise
@@ -184,31 +192,9 @@ def _full_rate_embed(x, cfg: PatchEmbedConfig) -> np.ndarray:
     `project_rows` on the (positions, K) patch rows of each sample, with the
     inner loop along positions and samples instead of along D.
     """
-    stack = _signal_stack(x, cfg)
-    b, *shape, c = stack.shape
     # Samples last: one gather serves the batch, and each k is one contiguous row.
-    signal = np.ascontiguousarray(stack.reshape(b, -1).T)
-    cols = signal.take(_column_index(tuple(shape), cfg.patch_len, c), axis=0)
-    return project_columns(cols, cfg.embed).reshape(b, *shape, -1)
-
-
-@lru_cache(maxsize=64)
-def _column_index(shape: tuple[int, ...], patch_len: int, channels: int) -> np.ndarray:
-    """(patch_len**rank * channels, positions) index into a flat row-major
-    (*shape, channels) signal: entry (tap * channels + c, n) is channel c of
-    the patch anchored at position n, at tap `tap`.
-
-    Unlike the other cached indices it is left writeable, and nothing writes
-    to it: `take` copies a read-only index on every call (NumPy asks for a
-    writeable one), which here is 256 KiB per call on the 32x32 model.
-    """
-    # The tap layout is built uncached: this index is the only one kept.
-    taps = grid_index.__wrapped__(shape, patch_len, 1, (0,) * len(shape)).T
-    index = np.empty((len(taps), channels, taps.shape[1]), dtype=np.int64)
-    for c in range(channels):  # in place, so the build holds no second copy
-        np.multiply(taps, channels, out=index[:, c])
-        index[:, c] += c
-    return index.reshape(-1, taps.shape[1])
+    signal = np.ascontiguousarray(stack.reshape(len(stack), -1).T)
+    return project_columns(signal.take(taps, axis=0), embed)
 
 
 def a_token(x, cfg: PatchEmbedConfig) -> tuple[TokenMatrix, SelectionTrace]:
@@ -219,10 +205,14 @@ def a_token(x, cfg: PatchEmbedConfig) -> tuple[TokenMatrix, SelectionTrace]:
     the lowest row-major offset and are flagged in the trace, which holds
     one offset per sample.
     """
-    full = _full_rate_embed(x, cfg)
-    grid = coarse_grid(full.shape[1:-1], cfg.patch_len, "patch_len")
-    offsets, sub, tied = best_phase(full, cfg.patch_len, INVARIANT_FNS[cfg.invariant_fn])
-    return TokenMatrix._fresh(sub, grid), SelectionTrace.single(TOKEN, offsets, tied)
+    stack = _signal_stack(x, cfg)
+    b, *shape, c = stack.shape
+    lay = layout(tuple(shape), cfg.patch_len, "patch_len", c)
+    # (B, phases, positions, D): each sample's polyphase components.
+    comps = _full_rate_embed(stack, lay.taps, cfg.embed).take(lay.components, axis=1)
+    scores = _token_energy(comps.reshape(-1, *comps.shape[2:]), cfg.invariant_fn)
+    offsets, sub, tied = best_phase(comps, scores.reshape(b, -1), lay.phases)
+    return TokenMatrix._fresh(sub, lay.coarse), SelectionTrace._fresh(TOKEN, offsets, tied)
 
 
 def lemma1_sides(x, cfg: PatchEmbedConfig, off, axis: int = 0) -> tuple[np.ndarray, np.ndarray]:
@@ -236,7 +226,7 @@ def lemma1_sides(x, cfg: PatchEmbedConfig, off, axis: int = 0) -> tuple[np.ndarr
     stack = _signal_stack(x, cfg)
     b, *shape, c = stack.shape
     shape, l = tuple(shape), cfg.patch_len
-    grid = coarse_grid(shape, l, "patch_len")
+    grid = layout(shape, l, "patch_len", c).coarse
     if not 0 <= axis < len(shape):
         raise ParameterError(f"axis {axis} out of range for rank {len(shape)}")
     offs = as_offsets(off, len(shape))

@@ -9,7 +9,8 @@ import numpy as np
 import pytest
 
 from eqvit import GridSignal, circular_shift, harness
-from eqvit.attention import AttentionParams, RpeTable, WindowConfig, a_wsa, sa, window_energy, wsa
+from eqvit.attention import AttentionParams, RpeTable, WINDOW_FNS, WindowConfig, a_wsa, sa
+from eqvit.attention import window_energy, wsa
 from eqvit.harness import (
     ABLATION_SEARCH_MODEL,
     PROPERTIES,
@@ -38,9 +39,10 @@ from eqvit.metrics import (
     shift_zeropad,
     synthetic_inputs,
 )
-from eqvit.numerics import SignalBatch, lp_norm, project_rows, stable_sum
+from eqvit.numerics import SignalBatch, layout, lp_norm, project_rows
 from eqvit.pipeline import SWITCHES, ModelConfig, build_model, classify, encode_decode, forward
 from eqvit.tokenizer import (
+    INVARIANT_FNS,
     PatchEmbedConfig,
     TokenMatrix,
     _full_rate_embed,
@@ -131,10 +133,12 @@ def test_tokenizer_batch_equals_singles(shape, patch, energy):
     xs = [GridSignal(a) for a in samples(rng, shape, 5, 2)]
     cfg = PatchEmbedConfig(patch, rng.uniform(-0.5, 0.5, (patch ** len(shape) * 2, 8)), energy)
     assert_batch_equals_singles(a_token(signal_batch(xs), cfg), [a_token(x, cfg) for x in xs])
-    tokens, full = token(signal_batch(xs), cfg), _full_rate_embed(signal_batch(xs), cfg)
+    taps = layout(shape, patch, "patch_len", 2).taps
+    tokens = token(signal_batch(xs), cfg)
+    full = _full_rate_embed(signal_batch(xs).data, taps, cfg.embed)
     for i, x in enumerate(xs):
         assert same(tokens.data[i], token(x, cfg).data[0])
-        assert same(full[i], _full_rate_embed(x, cfg)[0])
+        assert same(full[i], _full_rate_embed(x.data[np.newaxis], taps, cfg.embed)[0])
 
 
 @pytest.mark.parametrize(
@@ -204,11 +208,17 @@ def test_scorers_reduce_rows_like_single_calls():
         rows = rng.uniform(0, 3, (6, n)) * 10.0 ** rng.uniform(-3, 3, (6, 1))
         # A strided stack must reduce each row as that row alone.
         for stack in (rows, np.asfortranarray(rows)):
-            sums = stable_sum(stack, axis=-1)
-            assert all(same(sums[i], stable_sum(r)) for i, r in enumerate(rows))
+            sums = WINDOW_FNS["sum"](stack)
+            assert all(same(sums[i], WINDOW_FNS["sum"](r)) for i, r in enumerate(rows))
             for p in (1.0, 2.0, 3.0):
                 norms = lp_norm(stack, p, axis=-1)
                 assert all(same(norms[i], lp_norm(r, p)) for i, r in enumerate(rows))
+        # The token energies score each (M, D) matrix of a strided stack as it alone.
+        mats = rng.uniform(-3, 3, (4, n, 5)) * 10.0 ** rng.uniform(-3, 3, (4, 1, 1))
+        for stack in (mats, np.asfortranarray(mats), mats.transpose(0, 2, 1).swapaxes(1, 2)):
+            for fn in INVARIANT_FNS.values():
+                scores = fn(stack)
+                assert all(same(scores[i], fn(m)) for i, m in enumerate(mats))
 
 
 MODELS = [
@@ -733,5 +743,5 @@ def test_ablation_equals_trial_by_trial_search(seed, budget):
 
 
 def test_trace_of_one_sample_round_trips():
-    trace = SelectionTrace.single(WSA, [(2, 1)], [True])
+    trace = SelectionTrace._fresh(WSA, np.array([(2, 1)]), np.array([True]))
     assert trace.size == 1 and trace.rows(0, 1) == trace

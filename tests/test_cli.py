@@ -124,6 +124,17 @@ def test_replay_sentinel_exits_zero(tmp_path, capsys):
     assert "nothing to reproduce" in capsys.readouterr().out
 
 
+@pytest.mark.parametrize(
+    "doc",
+    [{"kind": "sentinel", "status": "fail"}, {"kind": "sentinel", "status": "pass", "suites": 7}],
+)
+def test_replay_of_a_sentinel_without_its_suites_is_bad_configuration(tmp_path, capsys, doc):
+    path = tmp_path / "damaged.replay.json"
+    path.write_text(json.dumps(doc))
+    assert main(["replay", str(path)]) == 2
+    assert capsys.readouterr().err.startswith("error: sentinel suites must be")
+
+
 def test_ablation_counterexample_file_replays(tmp_path, capsys):
     code, out = run_cli(tmp_path, "--suite", "ablation", "--trials", "40")
     assert code == 0

@@ -16,15 +16,15 @@ import numpy as np
 import pytest
 
 from eqvit import GridSignal, circular_shift
-from eqvit.attention import AttentionParams, RpeTable, WINDOW_FNS, WindowConfig, _untile_index
+from eqvit.attention import AttentionParams, RpeTable, WINDOW_FNS, WindowConfig, a_wsa
 from eqvit.attention import window_energy, wsa
 from eqvit.errors import ShapeError
-from eqvit.merging import MergeConfig, pmerge_conv_fullrate, unpool
-from eqvit.numerics import SignalBatch, argmax_rows, best_phase, grid_index, lp_norm, project_rows
-from eqvit.numerics import rotate_rows
+from eqvit.merging import MergeConfig, a_pmerge, aps, pmerge, pmerge_conv_fullrate, unpool
+from eqvit.numerics import SignalBatch, argmax_rows, best_phase, grid_index, layout, lp_norm
+from eqvit.numerics import project_rows, rotate_rows
 from eqvit.pipeline import ModelConfig, _decode, _encode, build_model
-from eqvit.tokenizer import INVARIANT_FNS, PatchEmbedConfig, TokenMatrix, _column_index
-from eqvit.tokenizer import _full_rate_embed
+from eqvit.tokenizer import INVARIANT_FNS, PatchEmbedConfig, TokenMatrix, _full_rate_embed
+from eqvit.tokenizer import a_token, lemma1_sides, reshape_patches, token
 from eqvit.trace import MERGE, SelectionTrace, TraceEntry
 
 GRIDS = [(16,), (4, 4), (4, 8), (8, 4)]
@@ -77,6 +77,17 @@ def pmerge_conv_fullrate_loop(tokens, cfg):
         block = cfg.embed[..., i * d : (i + 1) * d, :]
         out += project_rows(roll_grid(tokens.data, tokens.grid_shape, delta, axis=-2), block)
     return out
+
+
+def full_rate(x, cfg):
+    """The package's full-rate embedding of a GridSignal or SignalBatch,
+    (B, *grid, D), on any grid: the tap index is expanded over the channels
+    here, as the patch layout expands it for grids the patches tile."""
+    stack = x.data if isinstance(x, SignalBatch) else x.data[np.newaxis]
+    b, *shape, c = stack.shape
+    taps = grid_index(tuple(shape), cfg.patch_len, 1, (0,) * len(shape), True)
+    columns = (c * taps[:, np.newaxis] + np.arange(c)[:, np.newaxis]).reshape(-1, taps.shape[1])
+    return _full_rate_embed(stack, columns, cfg.embed).reshape(b, *shape, -1)
 
 
 def full_rate_patches(stack, patch_len):
@@ -183,9 +194,9 @@ def test_full_rate_embed_equals_stacked_index(shape):
         signals = [GridSignal(a) for a in samples(rng, shape, 2)]
         stack = np.stack([x.data for x in signals])
         expect = full_rate_embed_stacked(stack, cfg)
-        assert same(_full_rate_embed(SignalBatch(stack), cfg), expect)
+        assert same(full_rate(SignalBatch(stack), cfg), expect)
         for i, x in enumerate(signals):
-            assert same(_full_rate_embed(x, cfg)[0], expect[i])
+            assert same(full_rate(x, cfg)[0], expect[i])
 
 
 # Position counts that are no multiple of a SIMD width, so each einsum lane
@@ -205,9 +216,9 @@ def test_column_projection_has_the_row_and_k_loop_bits(shape, channels):
         expect = full_rate_embed_k_loop(stack, cfg)
         assert same(full_rate_embed_stacked(stack, cfg), expect)
         for batch, order in ((stack, expect), (stack[::-1], expect[::-1])):
-            assert same(_full_rate_embed(SignalBatch(batch), cfg), order)
+            assert same(full_rate(SignalBatch(batch), cfg), order)
         for i, x in enumerate(signals):
-            assert same(_full_rate_embed(x, cfg)[0], expect[i])
+            assert same(full_rate(x, cfg)[0], expect[i])
 
 
 @pytest.mark.parametrize("shape", ODD_SHAPES)
@@ -219,9 +230,9 @@ def test_column_projection_commutes_with_rotation(shape):
         cfg = PatchEmbedConfig(patch_len, rng.uniform(-0.5, 0.5, (patch_len ** len(shape) * 2, 5)))
         for data in samples(rng, shape, 2):
             x = GridSignal(data)
-            full = _full_rate_embed(x, cfg).reshape(-1, cfg.dim)
+            full = full_rate(x, cfg).reshape(-1, cfg.dim)
             for delta in product(*(range(n) for n in shape)):
-                got = _full_rate_embed(circular_shift(x, delta), cfg).reshape(-1, cfg.dim)
+                got = full_rate(circular_shift(x, delta), cfg).reshape(-1, cfg.dim)
                 assert same(got, roll_grid(full, shape, delta, axis=0))
 
 
@@ -265,42 +276,62 @@ def test_best_phase_equals_blocks_layout(grid, score):
     channels = 1 if score.startswith("window") else 3
     stack = np.stack(samples(rng, grid, channels))
     for b in (1, 2, 4):
+        lay = layout(grid, b, "size")
         for n in (1, len(stack)):
-            got = best_phase(stack[:n], b, SCORES[score])
+            comps = stack[:n].reshape(n, -1, channels).take(lay.components, axis=1)
+            scores = SCORES[score](comps.reshape(-1, *comps.shape[2:])).reshape(n, -1)
+            got = best_phase(comps, scores, lay.phases)
             expect = best_phase_blocks(stack[:n], b, len(grid), SCORES[score])
             assert all(same(g, e) for g, e in zip(got, expect))
 
 
 def test_cached_indices_are_shared_and_read_only():
     indices = [
-        (grid_index, ((4, 8), 2, 1, (0, 0), True)),  # filter taps, taps first
-        (grid_index, ((16,), 4, 1, (0,), True)),
-        (grid_index, ((8, 4), 2, 2, (0, 0), True)),  # polyphase components
-        (grid_index, ((16,), 4, 4, (0,), True)),
-        (grid_index, ((8, 16), 4, 1, (0, 0))),  # full-rate patches
-        (grid_index, ((8, 16), 4, 4, (3, 1))),  # patches at an offset
-        (grid_index, ((4, 8), 1, 2, (1, 3))),  # a decoder scatter
-        (grid_index, ((16,), 1, 1, (5,))),  # a rotation
-        (_untile_index, ((4, 8), 2)),  # the window tiling's inverse
+        ((4, 8), 2, 1, (0, 0), True),  # filter taps, taps first
+        ((16,), 4, 1, (0,), True),
+        ((8, 4), 2, 2, (0, 0), True),  # polyphase components
+        ((16,), 4, 4, (0,), True),
+        ((8, 16), 4, 1, (0, 0)),  # full-rate patches
+        ((8, 16), 4, 4, (3, 1)),  # patches at an offset
+        ((4, 8), 1, 2, (1, 3)),  # a decoder scatter
+        ((16,), 1, 1, (5,)),  # a rotation
     ]
-    for fn, args in indices:
-        index = fn(*args)
-        assert index is fn(*args)
+    for args in indices:
+        index = grid_index(*args)
+        assert index is grid_index(*args)
         with pytest.raises(ValueError):
             index.flat[0] = 1
 
 
-def test_column_index_is_shared_and_gathered_without_a_copy():
-    # `take` copies a read-only index on every call, so this one, the
-    # largest, stays writeable; nothing writes to it.
-    index = _column_index((6, 10), 3, 2)
-    assert index is _column_index((6, 10), 3, 2) and index.flags.writeable
-    signal = np.arange(60 * 2.0)
+def test_layout_indices_are_shared_and_gathered_without_a_copy():
+    # `take` copies a read-only index on every call, so the layouts' indices
+    # stay writeable; nothing writes to them.
+    lay = layout((6, 9), 3, "patch_len", 2)
+    assert lay is layout((6, 9), 3, "patch_len", 2)
+    for name in ("taps", "components", "untile"):
+        index = getattr(lay, name)
+        assert index is getattr(lay, name) and index.flags.writeable
+    signal = np.arange(54 * 2.0)
     tracemalloc.start()
-    cols = signal.take(index, axis=0)
+    cols = signal.take(lay.taps, axis=0)
     peak = tracemalloc.get_traced_memory()[1]
     tracemalloc.stop()
     assert peak < 2 * cols.nbytes
+
+
+def test_layout_indices_equal_the_cached_grid_indices():
+    for grid, size in (((16,), 4), ((4, 8), 2), ((6, 6), 3)):
+        zero = (0,) * len(grid)
+        lay = layout(grid, size, "window")
+        assert same(lay.taps, grid_index(grid, size, 1, zero, True))
+        assert same(lay.components, grid_index(grid, size, size, zero, True))
+        assert same(lay.components.T, grid_index(grid, size, size, zero))
+        assert same(lay.phases, np.array(list(product(range(size), repeat=len(grid)))))
+        assert lay.coarse == tuple(g // size for g in grid)
+    # With C channels, tap row t * C + c is channel c of tap t's rotation.
+    taps, lay = grid_index((6, 4), 2, 1, (0, 0), True), layout((6, 4), 2, "patch_len", 3)
+    assert same(lay.taps[3 * 3 + 2], 3 * taps[3] + 2)
+    assert same(lay.taps, (3 * taps[:, np.newaxis] + np.arange(3)[:, np.newaxis]).reshape(-1, 24))
 
 
 def test_tap_index_rows_are_rotations_in_row_major_order():
@@ -310,6 +341,90 @@ def test_tap_index_rows_are_rotations_in_row_major_order():
     for row, delta in zip(index, product(range(2), repeat=2)):
         assert np.array_equal(row, roll_grid(positions, (4, 8), delta))
     assert same(grid_index((4, 8), 2, 1, (0, 0)), np.ascontiguousarray(index.T))
+
+
+# ------------------------------------------------------------------- layouts --
+
+# Per grid rank: (token grid, signal grid) that size 4 divides, and a pair it does not.
+LAYOUT_GRIDS = {1: (((16,), (32,)), ((18,), (30,))), 2: (((8, 8), (16, 16)), ((8, 6), (16, 14)))}
+
+
+def layout_op_calls(rank, tokens_grid, signal_grid):
+    """Every op that takes its grid check from a layout of size 4, as
+    (name, call, the layout keys it reads), on the given grids."""
+    rng = np.random.default_rng(10 + rank)
+    d, size = 3, 4
+    tokens = TokenMatrix(rng.uniform(-1, 1, (2, int(np.prod(tokens_grid)), d)), tokens_grid)
+    x = SignalBatch(rng.uniform(-1, 1, (2, *signal_grid, 2)))
+    patch = PatchEmbedConfig(size, rng.uniform(-0.5, 0.5, (size**rank * 2, 5)))
+    window = WindowConfig(size, energy_fn="sum")
+    params = AttentionParams(*(rng.uniform(-0.5, 0.5, (d, d)) for _ in range(3)))
+    rpe = RpeTable("adaptive", rng.uniform(-0.5, 0.5, (size,) * rank))
+    merge = MergeConfig(size, rng.uniform(-0.5, 0.5, (size**rank * d, 2 * d)), 3.0)
+    patch_key = (signal_grid, size, "patch_len", 2)
+    window_key, merge_key = (tokens_grid, size, "window"), (tokens_grid, size, "factor")
+    one = GridSignal(x.data[0])
+    return [
+        ("a_token", lambda: a_token(x, patch), [patch_key]),
+        ("token", lambda: token(x, patch), [patch_key]),
+        ("reshape_patches", lambda: reshape_patches(one, size, (1,) * rank), [patch_key]),
+        ("lemma1_sides", lambda: lemma1_sides(x, patch, [(1,) * rank, (3,) * rank]), [patch_key]),
+        ("window_energy", lambda: window_energy(tokens, window), [window_key]),
+        ("wsa", lambda: wsa(tokens, window, params, rpe), [window_key]),
+        ("a_wsa", lambda: a_wsa(tokens, window, params, rpe), [window_key]),
+        ("pmerge", lambda: pmerge(tokens, merge), [merge_key]),
+        ("pmerge_conv_fullrate", lambda: pmerge_conv_fullrate(tokens, merge), [merge_key]),
+        ("aps", lambda: aps(tokens, size, 3.0), [merge_key]),
+        ("a_pmerge", lambda: a_pmerge(tokens, merge), [merge_key]),
+    ]
+
+
+def result_arrays(result) -> list:
+    """Every array an op's result holds: token data, trace offsets and tie flags, raw arrays."""
+    if isinstance(result, tuple):
+        return [a for r in result for a in result_arrays(r)]
+    if isinstance(result, TokenMatrix):
+        return [result.data]
+    if isinstance(result, SelectionTrace):
+        return [a for e in result for a in (e.offsets, e.tied)]
+    return [result]
+
+
+@pytest.mark.parametrize("rank", [1, 2])
+def test_layout_checks_raise_on_every_call_and_leave_valid_calls_right(rank):
+    (good_tokens, good_signal), (bad_tokens, bad_signal) = LAYOUT_GRIDS[rank]
+    layout.cache_clear()
+    expected = {name: call() for name, call, _ in layout_op_calls(rank, good_tokens, good_signal)}
+    bad_calls = layout_op_calls(rank, bad_tokens, bad_signal)
+    for (name, call, _), (_, bad_call, _) in zip(
+        layout_op_calls(rank, good_tokens, good_signal), bad_calls
+    ):
+        for _ in range(2):  # errors are not cached: the second call raises as the first
+            with pytest.raises(ShapeError, match="is not divisible by"):
+                bad_call()
+        got, want = result_arrays(call()), result_arrays(expected[name])
+        assert len(got) == len(want) and all(same(g, w) for g, w in zip(got, want)), name
+
+
+@pytest.mark.parametrize("rank", [1, 2])
+def test_no_op_output_shares_memory_with_a_layout(rank):
+    for name, call, keys in layout_op_calls(rank, *LAYOUT_GRIDS[rank][0]):
+        outputs = result_arrays(call())
+        cached = [a for k in keys for a in vars(layout(*k)).values() if isinstance(a, np.ndarray)]
+        assert cached, name
+        assert not any(np.shares_memory(out, arr) for out in outputs for arr in cached), name
+        assert all(arr.flags.writeable for arr in cached), name
+
+
+@pytest.mark.parametrize("rank", [1, 2])
+def test_grid_index_stays_read_only_beside_the_layouts(rank):
+    (grid, _), _ = LAYOUT_GRIDS[rank]
+    zero = (0,) * rank
+    lay = layout(grid, 4, "window")
+    for args in ((grid, 4, 1, zero, True), (grid, 4, 4, zero, True), (grid, 1, 1, zero)):
+        index = grid_index(*args)
+        assert not index.flags.writeable and index is grid_index(*args)
+        assert not any(np.shares_memory(index, a) for a in (lay.taps, lay.components, lay.untile))
 
 
 # ------------------------------------------------------------------- decoder --

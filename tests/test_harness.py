@@ -617,10 +617,29 @@ def test_replay_rejects_malformed_documents():
         replay({"kind": "counterexample", "suite": "claim9"})
     with pytest.raises(ConfigError):
         replay({"kind": "counterexample", "suite": ["claim1"]})
-    # A sentinel's status must be "pass" or "fail", neither missing nor unknown.
-    for damaged in ({"kind": "sentinel"}, {"kind": "sentinel", "status": "bogus"}):
+    # A sentinel's status must be "pass" or "fail", neither missing nor unknown,
+    # and its suites a non-empty list of suite names.
+    for damaged in (
+        {"kind": "sentinel"},
+        {"kind": "sentinel", "status": "bogus"},
+        {"kind": "sentinel", "status": "fail"},
+        {"kind": "sentinel", "status": "pass", "suites": 7},
+        {"kind": "sentinel", "status": "pass", "suites": []},
+        {"kind": "sentinel", "status": "fail", "suites": ["claim1", "claim9"]},
+        {"kind": "sentinel", "status": "pass", "suites": "claim1"},
+    ):
         with pytest.raises(ConfigError):
             replay(damaged)
+
+
+def test_every_sentinel_a_run_writes_replays_as_its_verdict():
+    for suites in (SUITES, ("claim1",), ("ablation", "lemma1")):
+        sc = SuiteConfig(suites=suites)
+        assert replay(json.loads(json.dumps(sentinel(sc))))[0] == 0
+        assert replay(json.loads(json.dumps(sentinel(sc, suites[-1:]))))[0] == 1
+    # A run selects at least one suite, so its sentinel lists at least one.
+    with pytest.raises(ConfigError):
+        SuiteConfig(suites=())
 
 
 @pytest.mark.parametrize("name", list(PROPERTIES))

@@ -15,13 +15,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from eqvit import GridSignal, circular_shift, lp_norm, softmax_rows
-from eqvit.attention import RpeTable, _untile_index
+from eqvit.attention import RpeTable
 from eqvit.attention import AttentionParams, WindowConfig
 from eqvit.errors import ConfigError, ParameterError, ShapeError
 from eqvit.harness import SuiteConfig
 from eqvit.merging import MergeConfig
 from eqvit.metrics import ShiftSampler
-from eqvit.numerics import SignalBatch, argmax_rows, as_offsets, freeze, grid_index
+from eqvit.numerics import SignalBatch, argmax_rows, as_offsets, freeze, grid_index, layout
 from eqvit.numerics import offset_index, predicted_rotation, project_rows, rotate_rows
 from eqvit.numerics import scatter_index, weight_array
 from eqvit.pipeline import ModelConfig
@@ -584,6 +584,6 @@ def test_blocks_layout_and_inverse():
             for i, delta in enumerate(product(range(b), repeat=len(grid))):
                 cell = tuple(a + d for a, d in zip(anchor, delta))
                 assert np.array_equal(stack[k, i], arr[cell])
-        inverse = _untile_index(grid, b)
-        assert inverse is _untile_index(grid, b) and not inverse.flags.writeable
+        inverse = layout(grid, b, "window").untile
+        assert inverse is layout(grid, b, "window").untile
         assert np.array_equal(stack.reshape(rows.shape).take(inverse, axis=0), rows)

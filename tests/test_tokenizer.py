@@ -11,6 +11,7 @@ import pytest
 
 from eqvit import GridSignal, circular_shift
 from eqvit.errors import ParameterError, ShapeError
+from eqvit.numerics import layout
 from eqvit.tokenizer import (
     INVARIANT_FNS,
     PatchEmbedConfig,
@@ -221,7 +222,8 @@ def test_full_rate_embed_equals_roll_and_concatenate(shape, l):
     ]
     patches = np.concatenate(blocks, axis=-1)
     rolled = np.einsum("mk,kd->md", patches.reshape(-1, patches.shape[-1]), cfg.embed)
-    assert np.array_equal(_full_rate_embed(x, cfg)[0], rolled.reshape(*shape, 8))
+    taps = layout(shape, l, "patch_len", 2).taps
+    assert np.array_equal(_full_rate_embed(x.data[np.newaxis], taps, cfg.embed)[0], rolled)
 
 
 # ----------------------------------------------------------- lemma1_oracle --

@@ -8,10 +8,12 @@ and tie flags on every case below.  It imports the package from the `src/`
 directory next to this file's `tools/` directory.
 
 The grid covers both grid ranks, odd token grids (5 x 7 and 15), windows 1
-to 4, the three position-bias kinds and every subset of the adaptive
-switches.  Each model runs one sample alone and one batch of 7 that holds
-shifted copies, a zero input, an impulse, an all negative-zero input and an
-input with signed zeros mixed into random values.
+to 4, the three position-bias kinds, every window and token energy, norm
+orders 1, 2, 2.5 and 3 (at rank 2, the "sum" window score and the l1 and
+l2.5 norms too), and every subset of the adaptive switches.  Each model runs
+one sample alone and one batch of 7 that holds shifted copies, a zero input,
+an impulse, an all negative-zero input and an input with signed zeros mixed
+into random values.
 """
 
 from __future__ import annotations
@@ -40,6 +42,10 @@ CONFIGS = (
     dict(input_shape=(5, 7), channels=1, patch_len=1, depth=1, windows=1, merge_factors=1),
     dict(input_shape=(16, 16), patch_len=2, windows=2, merge_factors=2, rpe_kind="original"),
     dict(input_shape=(12, 12), patch_len=1, depth=1, windows=3, merge_factors=2, rpe_kind="none"),
+    dict(input_shape=(16, 16), patch_len=2, windows=2, merge_factors=2, energy_p=1.0,
+         window_energy_fn="sum"),
+    dict(input_shape=(24, 24), patch_len=2, windows=3, merge_factors=2, energy_p=2.5,
+         token_energy="max_l2"),
 )
 
 
