@@ -254,4 +254,4 @@ def a_wsa(
     phased = energies.reshape(len(energies), -1).take(lay.components, axis=1)
     idx, tied = argmax_rows(_window_score(phased, cfg.energy_fn))
     offsets = lay.phases[idx]
-    return wsa(tokens, cfg, params, rpe, offsets), SelectionTrace._fresh(WSA, offsets, tied)
+    return wsa(tokens, cfg, params, rpe, offsets), SelectionTrace.single(WSA, offsets, tied)

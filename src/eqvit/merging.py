@@ -23,7 +23,6 @@ from .errors import ParameterError, ShapeError, TraceError
 from .numerics import NORM_ORDER, POSITIVE, check_value
 from .numerics import (
     best_phase,
-    grid_index,
     layout,
     lp_norm,
     project_rows,
@@ -71,10 +70,9 @@ def pmerge(tokens: TokenMatrix, cfg: MergeConfig) -> TokenMatrix:
     """Strided patch merging: project each non-overlapping P-group, flattened
     row-major over (position, channel)."""
     data, grid = tokens.data, tokens.grid_shape
-    coarse = _check_merge(data, grid, cfg).coarse
-    index = grid_index(grid, cfg.factor, cfg.factor, (0,) * len(grid))
-    rows = data.take(index, axis=1).reshape(len(data), len(index), -1)
-    return TokenMatrix._fresh(project_rows(rows, cfg.embed), coarse)
+    lay = _check_merge(data, grid, cfg)
+    rows = data.take(lay.tiles, axis=1).reshape(len(data), len(lay.tiles), -1)
+    return TokenMatrix._fresh(project_rows(rows, cfg.embed), lay.coarse)
 
 
 def pmerge_conv_fullrate(tokens: TokenMatrix, cfg: MergeConfig) -> TokenMatrix:
@@ -116,7 +114,7 @@ def aps(
     comps = data.take(lay.components, axis=1)  # (B, phases, positions, D)
     scores = lp_norm(comps.reshape(comps.shape[0] * comps.shape[1], -1), energy_p, axis=-1)
     phases, comp, tied = best_phase(comps, scores.reshape(len(data), -1), lay.phases)
-    return TokenMatrix._fresh(comp, lay.coarse), SelectionTrace._fresh(MERGE, phases, tied)
+    return TokenMatrix._fresh(comp, lay.coarse), SelectionTrace.single(MERGE, phases, tied)
 
 
 def a_pmerge(tokens: TokenMatrix, cfg: MergeConfig) -> tuple[TokenMatrix, SelectionTrace]:

@@ -218,9 +218,7 @@ def circular_shift(signal: GridSignal, off) -> GridSignal:
 
 
 @lru_cache(maxsize=1024)
-def grid_index(
-    grid: tuple[int, ...], width: int, stride: int, offset: Offset, taps_first: bool = False
-) -> np.ndarray:
+def grid_index(grid: tuple[int, ...], width: int, stride: int, offset: Offset) -> np.ndarray:
     """Read-only (prod(grid) // stride**rank, width**rank) index of row-major
     grid positions: entry (j, t) is (offset + stride * j + t) mod grid per
     axis, j row-major over the coarse grid and t over range(width)**rank.
@@ -230,18 +228,16 @@ def grid_index(
     stride b tile into patches, merge groups or windows; width b and stride 1
     lay out the taps of a b-wide circular filter at every position; stride b
     and width 1 or b give stride-b polyphase components, or where a scatter
-    puts them.  `taps_first` gives the (taps, positions) transpose,
-    contiguous, for gathers that reduce or loop over the taps.
+    puts them.
     """
-    index = _grid_index(grid, width, stride, offset, taps_first)
+    index = _grid_index(grid, width, stride, offset)
     index.setflags(write=False)
     return index
 
 
-def _grid_index(grid, width, stride, offset, taps_first) -> np.ndarray:
+def _grid_index(grid, width, stride, offset) -> np.ndarray:
     """`grid_index`, built anew and writeable."""
-    index = _offset_grid(grid, width, stride, np.array([offset], dtype=np.int64), False)[0]
-    return np.ascontiguousarray(index.T if taps_first else index)
+    return _offset_grid(grid, width, stride, np.array([offset], dtype=np.int64), False)[0]
 
 
 def _offset_grid(grid: tuple[int, ...], width: int, stride: int, offsets: np.ndarray, stacked):
@@ -285,16 +281,16 @@ class Layout:
     built on first use and kept for as long as `layout` caches the layout.
 
     `coarse` is the grid a stride-`size` subsample leaves and `phases` the
-    (size**rank, rank) table of polyphase offsets, row-major.  The arrays
-    are writeable because NumPy's `take` copies a read-only index on every
-    call; they stay private, as the ops gather through them and return
-    fresh arrays only, and nothing writes to them.
+    read-only (size**rank, rank) table of polyphase offsets, row-major.  The
+    index arrays are writeable because NumPy's `take` copies a read-only
+    index on every call; they stay private, as the ops gather through them
+    and return fresh arrays only, and nothing writes to them.
     """
 
     def __init__(self, grid: tuple[int, ...], size: int, channels: int):
         self.grid, self.size, self.channels = grid, size, channels
         self.coarse = tuple(g // size for g in grid)
-        self.phases = np.array(list(product(range(size), repeat=len(grid))), dtype=np.int64)
+        self.phases = freeze(list(product(range(size), repeat=len(grid))), np.int64)
 
     @cached_property
     def taps(self) -> np.ndarray:
@@ -303,7 +299,8 @@ class Layout:
         channel c at tap `tap` (row-major) of the size-wide circular filter
         anchored at position n.  With one channel, row t is the rotation of
         the grid by the t-th tap offset."""
-        taps, c = _grid_index(self.grid, self.size, 1, (0,) * len(self.grid), True), self.channels
+        taps = np.ascontiguousarray(_grid_index(self.grid, self.size, 1, (0,) * len(self.grid)).T)
+        c = self.channels
         if c == 1:
             return taps
         index = np.empty((len(taps), c, taps.shape[1]), dtype=np.int64)
@@ -313,17 +310,22 @@ class Layout:
         return index.reshape(-1, taps.shape[1])
 
     @cached_property
+    def tiles(self) -> np.ndarray:
+        """(coarse positions, size**rank): row j holds the grid positions of
+        the size-wide block anchored at coarse position j, row-major."""
+        return _grid_index(self.grid, self.size, self.size, (0,) * len(self.grid))
+
+    @cached_property
     def components(self) -> np.ndarray:
-        """(phases, coarse positions): row p holds the grid positions of the
-        stride-`size` polyphase component at phases[p]; its transpose tiles
-        the grid into size-wide blocks anchored at 0."""
-        return _grid_index(self.grid, self.size, self.size, (0,) * len(self.grid), True)
+        """(phases, coarse positions), the tiling's transpose: row p holds the
+        grid positions of the stride-`size` polyphase component at phases[p]."""
+        return np.ascontiguousarray(self.tiles.T)
 
     @cached_property
     def untile(self) -> np.ndarray:
         """Inverse of the tiling: grid position k sits at row untile[k] of the
         blocks laid out one after another."""
-        return np.argsort(self.components.T.ravel())
+        return np.argsort(self.tiles.ravel())
 
 
 @lru_cache(maxsize=64)

@@ -174,10 +174,9 @@ def token(x, cfg: PatchEmbedConfig) -> TokenMatrix:
     """Fixed-grid tokenization: patches anchored at offset 0, projected."""
     stack = _signal_stack(x, cfg)
     b, *shape, c = stack.shape
-    grid = layout(tuple(shape), cfg.patch_len, "patch_len", c).coarse
-    index = grid_index(tuple(shape), cfg.patch_len, cfg.patch_len, (0,) * len(shape))
-    rows = stack.reshape(b, -1, c).take(index, axis=1).reshape(b, prod(grid), -1)
-    return TokenMatrix._fresh(project_rows(rows, cfg.embed), grid)
+    lay = layout(tuple(shape), cfg.patch_len, "patch_len", c)
+    rows = stack.reshape(b, -1, c).take(lay.tiles, axis=1).reshape(b, len(lay.tiles), -1)
+    return TokenMatrix._fresh(project_rows(rows, cfg.embed), lay.coarse)
 
 
 def _full_rate_embed(stack: np.ndarray, taps: np.ndarray, embed: np.ndarray) -> np.ndarray:
@@ -212,7 +211,7 @@ def a_token(x, cfg: PatchEmbedConfig) -> tuple[TokenMatrix, SelectionTrace]:
     comps = _full_rate_embed(stack, lay.taps, cfg.embed).take(lay.components, axis=1)
     scores = _token_energy(comps.reshape(-1, *comps.shape[2:]), cfg.invariant_fn)
     offsets, sub, tied = best_phase(comps, scores.reshape(b, -1), lay.phases)
-    return TokenMatrix._fresh(sub, lay.coarse), SelectionTrace._fresh(TOKEN, offsets, tied)
+    return TokenMatrix._fresh(sub, lay.coarse), SelectionTrace.single(TOKEN, offsets, tied)
 
 
 def lemma1_sides(x, cfg: PatchEmbedConfig, off, axis: int = 0) -> tuple[np.ndarray, np.ndarray]:

@@ -53,13 +53,15 @@ class SelectionTrace:
     entries: list[TraceEntry] = field(default_factory=list)
 
     @classmethod
-    def _fresh(cls, kind: str, offsets: np.ndarray, tied: np.ndarray) -> SelectionTrace:
-        """One adaptive op's trace of the (B, rank) int64 offsets and (B,) bool
-        tie flags it just computed: the entry is built in place, unchecked, as
-        ops call this every run."""
+    def single(cls, kind: str, offsets, tied) -> SelectionTrace:
+        """One adaptive op's trace; its entry is built in place, as ops call this every run."""
+        if kind not in _KINDS:
+            raise ValueError(f"unknown trace kind {kind!r}")
         entry = object.__new__(TraceEntry)
-        vars(entry).update(kind=kind, offsets=offsets, tied=tied)
-        return cls(len(tied), [entry])
+        vars(entry).update(
+            kind=kind, offsets=np.asarray(offsets, dtype=np.int64), tied=np.asarray(tied, dtype=bool)
+        )
+        return cls(len(entry.tied), [entry])
 
     def of_kind(self, kind: str) -> list[TraceEntry]:
         return [e for e in self.entries if e.kind == kind]

@@ -743,5 +743,5 @@ def test_ablation_equals_trial_by_trial_search(seed, budget):
 
 
 def test_trace_of_one_sample_round_trips():
-    trace = SelectionTrace._fresh(WSA, np.array([(2, 1)]), np.array([True]))
+    trace = SelectionTrace.single(WSA, [(2, 1)], [True])
     assert trace.size == 1 and trace.rows(0, 1) == trace

@@ -85,7 +85,7 @@ def full_rate(x, cfg):
     here, as the patch layout expands it for grids the patches tile."""
     stack = x.data if isinstance(x, SignalBatch) else x.data[np.newaxis]
     b, *shape, c = stack.shape
-    taps = grid_index(tuple(shape), cfg.patch_len, 1, (0,) * len(shape), True)
+    taps = grid_index(tuple(shape), cfg.patch_len, 1, (0,) * len(shape)).T
     columns = (c * taps[:, np.newaxis] + np.arange(c)[:, np.newaxis]).reshape(-1, taps.shape[1])
     return _full_rate_embed(stack, columns, cfg.embed).reshape(b, *shape, -1)
 
@@ -287,10 +287,9 @@ def test_best_phase_equals_blocks_layout(grid, score):
 
 def test_cached_indices_are_shared_and_read_only():
     indices = [
-        ((4, 8), 2, 1, (0, 0), True),  # filter taps, taps first
-        ((16,), 4, 1, (0,), True),
-        ((8, 4), 2, 2, (0, 0), True),  # polyphase components
-        ((16,), 4, 4, (0,), True),
+        ((4, 8), 2, 1, (0, 0)),  # filter taps
+        ((8, 4), 2, 2, (0, 0)),  # tiles, whose transpose is the polyphase components
+        ((16,), 4, 4, (0,)),
         ((8, 16), 4, 1, (0, 0)),  # full-rate patches
         ((8, 16), 4, 4, (3, 1)),  # patches at an offset
         ((4, 8), 1, 2, (1, 3)),  # a decoder scatter
@@ -305,12 +304,15 @@ def test_cached_indices_are_shared_and_read_only():
 
 def test_layout_indices_are_shared_and_gathered_without_a_copy():
     # `take` copies a read-only index on every call, so the layouts' indices
-    # stay writeable; nothing writes to them.
+    # stay writeable; nothing writes to them.  The phase table is only read
+    # through fancy indexing, which copies anyway, so it stays read-only.
     lay = layout((6, 9), 3, "patch_len", 2)
     assert lay is layout((6, 9), 3, "patch_len", 2)
-    for name in ("taps", "components", "untile"):
+    for name in ("taps", "tiles", "components", "untile"):
         index = getattr(lay, name)
         assert index is getattr(lay, name) and index.flags.writeable
+    with pytest.raises(ValueError):
+        lay.phases[0, 0] = 1
     signal = np.arange(54 * 2.0)
     tracemalloc.start()
     cols = signal.take(lay.taps, axis=0)
@@ -323,24 +325,23 @@ def test_layout_indices_equal_the_cached_grid_indices():
     for grid, size in (((16,), 4), ((4, 8), 2), ((6, 6), 3)):
         zero = (0,) * len(grid)
         lay = layout(grid, size, "window")
-        assert same(lay.taps, grid_index(grid, size, 1, zero, True))
-        assert same(lay.components, grid_index(grid, size, size, zero, True))
-        assert same(lay.components.T, grid_index(grid, size, size, zero))
+        assert same(lay.taps, grid_index(grid, size, 1, zero).T)
+        assert same(lay.tiles, grid_index(grid, size, size, zero))
+        assert same(lay.components, lay.tiles.T) and lay.components.flags.c_contiguous
         assert same(lay.phases, np.array(list(product(range(size), repeat=len(grid)))))
         assert lay.coarse == tuple(g // size for g in grid)
     # With C channels, tap row t * C + c is channel c of tap t's rotation.
-    taps, lay = grid_index((6, 4), 2, 1, (0, 0), True), layout((6, 4), 2, "patch_len", 3)
+    taps, lay = grid_index((6, 4), 2, 1, (0, 0)).T, layout((6, 4), 2, "patch_len", 3)
     assert same(lay.taps[3 * 3 + 2], 3 * taps[3] + 2)
     assert same(lay.taps, (3 * taps[:, np.newaxis] + np.arange(3)[:, np.newaxis]).reshape(-1, 24))
 
 
 def test_tap_index_rows_are_rotations_in_row_major_order():
-    index = grid_index((4, 8), 2, 1, (0, 0), taps_first=True)
-    assert index.shape == (4, 32)
+    index = layout((4, 8), 2, "window").taps
+    assert index.shape == (4, 32) and index.flags.c_contiguous
     positions = np.arange(32)
     for row, delta in zip(index, product(range(2), repeat=2)):
         assert np.array_equal(row, roll_grid(positions, (4, 8), delta))
-    assert same(grid_index((4, 8), 2, 1, (0, 0)), np.ascontiguousarray(index.T))
 
 
 # ------------------------------------------------------------------- layouts --
@@ -410,10 +411,13 @@ def test_layout_checks_raise_on_every_call_and_leave_valid_calls_right(rank):
 def test_no_op_output_shares_memory_with_a_layout(rank):
     for name, call, keys in layout_op_calls(rank, *LAYOUT_GRIDS[rank][0]):
         outputs = result_arrays(call())
-        cached = [a for k in keys for a in vars(layout(*k)).values() if isinstance(a, np.ndarray)]
+        named = [(n, a) for k in keys for n, a in vars(layout(*k)).items()]
+        cached = [a for _, a in named if isinstance(a, np.ndarray)]
         assert cached, name
         assert not any(np.shares_memory(out, arr) for out in outputs for arr in cached), name
-        assert all(arr.flags.writeable for arr in cached), name
+        # Only the phase table is read-only: `take` copies no index.
+        flags = [(n, a.flags.writeable) for n, a in named if isinstance(a, np.ndarray)]
+        assert all(writeable != (n == "phases") for n, writeable in flags), name
 
 
 @pytest.mark.parametrize("rank", [1, 2])
@@ -421,10 +425,11 @@ def test_grid_index_stays_read_only_beside_the_layouts(rank):
     (grid, _), _ = LAYOUT_GRIDS[rank]
     zero = (0,) * rank
     lay = layout(grid, 4, "window")
-    for args in ((grid, 4, 1, zero, True), (grid, 4, 4, zero, True), (grid, 1, 1, zero)):
+    for args in ((grid, 4, 1, zero), (grid, 4, 4, zero), (grid, 1, 1, zero)):
         index = grid_index(*args)
         assert not index.flags.writeable and index is grid_index(*args)
-        assert not any(np.shares_memory(index, a) for a in (lay.taps, lay.components, lay.untile))
+        arrays = (lay.taps, lay.tiles, lay.components, lay.untile)
+        assert not any(np.shares_memory(index, a) for a in arrays)
 
 
 # ------------------------------------------------------------------- decoder --

@@ -147,8 +147,6 @@ def test_grid_index_equals_roll_oracle(grid):
         expect = roll_oracle(grid, width, stride, off)
         index = grid_index(grid, width, stride, off)
         assert index.shape == expect.shape and np.array_equal(index, expect)
-        taps = grid_index(grid, width, stride, off, taps_first=True)
-        assert taps.flags.c_contiguous and np.array_equal(taps, expect.T)
 
 
 @pytest.mark.parametrize("grid", [(12,), (4, 8), (8, 4), (6, 6)])
@@ -156,8 +154,8 @@ def test_grid_index_tiles_and_phases_equal_reshape_transpose(grid):
     for b in (b for b in (1, 2, 3, 4) if all(g % b == 0 for g in grid)):
         zero = (0,) * len(grid)
         assert np.array_equal(grid_index(grid, b, b, zero), tile_oracle(grid, b))
-        # Taps first, row t is the stride-b component at the t-th phase.
-        phases = grid_index(grid, b, b, zero, taps_first=True)
+        # Transposed, row t is the stride-b component at the t-th phase.
+        phases = grid_index(grid, b, b, zero).T
         positions = np.arange(math.prod(grid)).reshape(grid)
         for row, phase in zip(phases, product(range(b), repeat=len(grid))):
             component = positions[tuple(slice(p, None, b) for p in phase)]

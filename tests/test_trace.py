@@ -15,6 +15,8 @@ def test_entry_normalizes_offsets():
 def test_entry_rejects_unknown_kind():
     with pytest.raises(ValueError):
         TraceEntry("pool", [(0,)], [False])
+    with pytest.raises(ValueError):
+        SelectionTrace.single("pool", [(0,)], [False])
 
 
 def test_trace_queries():
@@ -31,8 +33,7 @@ def test_trace_queries():
     assert t.of_kind(WSA) == [TraceEntry(WSA, [(2,)], [True])]
     assert t.tied.tolist() == [True]
     assert t.any_tied is True
-    fresh = SelectionTrace._fresh(WSA, np.array([(2,)]), np.array([True]))
-    assert fresh == SelectionTrace(1, t.of_kind(WSA))
+    assert SelectionTrace.single(WSA, [(2,)], [True]) == SelectionTrace(1, t.of_kind(WSA))
 
 
 def test_trace_samples_and_tie_flags():
