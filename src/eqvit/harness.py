@@ -33,8 +33,9 @@ claim1, claim2 and apmerge run inputs and their shifts as one op call
 equal the base output at the rotation the two selections predict
 (`numerics.predicted_rotation`).  The end2end check and the ablation search
 compare shift pairs through `metrics.compare_shift_pairs`, one encoder pass
-(`metrics.pass_pairs` pairs) per end2end batch; the metrics suite's scores
-summarise its columns, and s_cons_zeropad a zero-padded pass of each batch.
+per end2end batch of `metrics.pass_pairs` inputs, each with its (shift_a,
+shift_b) pair; the metrics suite's scores summarise its columns, and
+s_cons_zeropad a zero-padded pass of each batch.
 """
 
 from __future__ import annotations
@@ -526,9 +527,9 @@ def _shift_pairs(columns: dict, model: Model | None = None, zero_pad: bool = Fal
     check_value("end2end check", check, one_of("classify", "both"), ConfigError)
     model = model or build_model(ModelConfig.from_dict(columns["model_config"]))
     xs = SignalBatch(columns["input"]).data
-    offs = (as_offsets(columns[k], model.config.rank) for k in ("shift_a", "shift_b"))
+    offs = np.stack([as_offsets(columns[k], model.config.rank) for k in ("shift_a", "shift_b")], 1)
     dense = check == "both" and not zero_pad
-    return compare_shift_pairs(model, xs, *(o[:, np.newaxis] for o in offs), zero_pad, dense)
+    return compare_shift_pairs(model, xs, offs[:, np.newaxis], zero_pad, dense)
 
 
 def _end2end_verdict(check: str, same_label, agreement, logit_div, map_div, tied):

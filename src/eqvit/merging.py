@@ -15,19 +15,17 @@ sample, and `unpool` reads that trace back.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import prod
 
 import numpy as np
 
-from .errors import ParameterError, ShapeError, TraceError
+from .errors import ShapeError, TraceError
 from .numerics import NORM_ORDER, POSITIVE, check_value
 from .numerics import (
     best_phase,
     layout,
     lp_norm,
+    place_rows,
     project_rows,
-    scatter_index,
-    scatter_rows,
     weight_array,
 )
 from .tokenizer import TokenMatrix
@@ -105,10 +103,9 @@ def aps(
     factor x factor) phases; each is scored by the lp norm pooled over all
     its entries and channels.  Exact ties resolve to the lowest row-major
     phase and are flagged.  Each sample selects its own; the trace holds
-    one phase per sample.
+    one phase per sample.  `layout` checks `factor` and `lp_norm` checks
+    `energy_p`, by the `POSITIVE` and `NORM_ORDER` rules (ParameterError).
     """
-    if factor < 1:
-        raise ParameterError(f"factor must be >= 1, got {factor}")
     data = tokens.data
     lay = layout(tokens.grid_shape, factor, "factor")
     comps = data.take(lay.components, axis=1)  # (B, phases, positions, D)
@@ -158,5 +155,4 @@ def unpool(tokens: TokenMatrix, trace: SelectionTrace, factor: int, target_grid)
     # offset; rotations commute, so one scatter lands them in place.
     for entry in trace.of_kind(WSA):
         phases = phases + entry.offsets
-    out = scatter_rows(stack, prod(target_grid), scatter_index(target_grid, factor, phases))
-    return TokenMatrix._fresh(out, target_grid)
+    return TokenMatrix._fresh(place_rows(stack, target_grid, factor, phases), target_grid)

@@ -6,8 +6,9 @@ shifted inputs, rotate the maps back, and compare argmax labels everywhere.
 s_cons_zeropad repeats the label check with standard zero-filling shifts,
 where circular reasoning no longer applies and scores drop below 1.
 Every score reads `compare_shift_pairs`, which runs both shifts of each pair
-through a built `Model`, one gather shifting a pass of pairs, each map decoded
-already rotated back; the harness's end2end check, its ablation search and
+side by side through a built `Model`, one gather shifting a pass of pairs, each
+map decoded already rotated back (its shift added to the decoder's one
+placement offset); the harness's end2end check, its ablation search and
 `replay` read the same comparison; its metrics suite summarises end2end's
 columns and a zero-padded comparison of the same batches (`pair_report`).
 """
@@ -139,45 +140,45 @@ def pass_pairs(cfg: ModelConfig) -> int:
     return max(1, max(size for _, size in sizes) // (2 * encoder)) * MAX_BATCH // 2
 
 
-def compare_shift_pairs(model: Model, inputs, offs_a, offs_b, zero_pad=False, dense=True):
+def compare_shift_pairs(model: Model, inputs, offsets, zero_pad=False, dense=True):
     """Pair (i, j) is input i of an (N, *shape, C) stack of checked signals shifted
-    (`shift_stack`) by offs_a[i, j] and by offs_b[i, j], both (N, K, rank); an
-    encoder pass takes `pass_pairs` pairs, and maps are decoded `MAX_BATCH` samples
-    at a time, each rotated back by its shift.  Per pair, in pair order: whether
-    the labels agree, the fraction of positions whose argmax agrees, the logit and
-    map divergences, and whether either shift tied.  Without `dense` nothing is
-    decoded (encoder and head only), and the fraction and map divergence are None.
+    (`shift_stack`) by offsets[i, j, 0] and by offsets[i, j, 1], from (N, K, 2, rank)
+    `offsets` as `ShiftSampler.sample_pairs` draws them.  Sample 2p is pair p's
+    first shift and sample 2p + 1 its second, so every even slice of samples holds
+    whole pairs: an encoder pass takes `pass_pairs` pairs, and maps are decoded
+    `MAX_BATCH` samples at a time, each rotated back by its shift.  Per pair, in
+    pair order: whether the labels agree, the fraction of positions whose argmax
+    agrees, the logit and map divergences, and whether either shift tied.  Without
+    `dense` nothing is decoded (encoder and head only), and the fraction and map
+    divergence are None.
     """
-    cfg, half = model.config, MAX_BATCH // 2
+    cfg = model.config
     if not len(inputs):
         raise ParameterError("no shift pairs to compare")
     if inputs.shape[1:] != (*cfg.input_shape, cfg.channels):
         raise ShapeError(f"inputs of shape {inputs.shape[1:]} do not match the model's")
-    offsets = np.concatenate([np.reshape(o, (-1, cfg.rank)) for o in (offs_a, offs_b)])
-    pairs = len(offsets) // 2
-    # Sample j is pair j mod P, which shifts input (j mod P) // K.  In pass
-    # order each slice of `half` pairs runs as its a shifts, then its b shifts.
-    sample = np.arange(2 * pairs)
-    order = np.argsort(sample % pairs // half * 2 + sample // pairs, kind="stable")
-    source = order % pairs // (pairs // len(inputs))
+    shape = np.shape(offsets)
+    if 0 in shape or shape[:1] + shape[2:] != (len(inputs), 2, cfg.rank):
+        raise ShapeError(f"offsets of shape {shape} are not ({len(inputs)}, K >= 1, 2, {cfg.rank})")
+    per_input, offsets = 2 * shape[1], np.reshape(offsets, (-1, cfg.rank))
     heads, agreement, map_div, step = [], [], [], 2 * pass_pairs(cfg)
-    for start in range(0, 2 * pairs, step):
-        rows = order[start : start + step]
-        shifted = shift_stack(inputs[source[start : start + step]], offsets[rows], zero_pad)
-        tokens, trace = pipeline._encode(model, SignalBatch._fresh(shifted))
+    for start in range(0, len(offsets), step):
+        shifts = offsets[start : start + step]
+        xs = inputs[np.arange(start, start + len(shifts)) // per_input]
+        tokens, trace = pipeline._encode(model, SignalBatch._fresh(shift_stack(xs, shifts, zero_pad)))
         heads.append((*pipeline._head(model, tokens), trace.tied))
-        for lo in range(0, len(rows) if dense else 0, MAX_BATCH):
-            hi = min(lo + MAX_BATCH, len(rows))
+        for lo in range(0, len(shifts) if dense else 0, MAX_BATCH):
+            hi = min(lo + MAX_BATCH, len(shifts))
             part = TokenMatrix._fresh(tokens.data[lo:hi], tokens.grid_shape)
-            maps = pipeline._decode(cfg, part, trace.rows(lo, hi), offsets[rows[lo:hi]])
-            a, b = np.split(maps.reshape(hi - lo, -1, maps.shape[-1]), 2)
+            maps = pipeline._decode(cfg, part, trace.rows(lo, hi), shifts[lo:hi])
+            maps = maps.reshape(hi - lo, -1, maps.shape[-1])
+            a, b = maps[0::2], maps[1::2]
             agreement.append(np.mean(np.argmax(a, -1) == np.argmax(b, -1), axis=-1))
             map_div.append(max_abs_rows(a, b))
     logits, labels, tied = (np.concatenate(c) for c in zip(*heads))
-    a, b = np.split(np.argsort(order), 2)  # where each pair's shifts ran
     agreement, map_div = (np.concatenate(c) if dense else None for c in (agreement, map_div))
-    same_label, logit_div = labels[a] == labels[b], max_abs_rows(logits[a], logits[b])
-    return same_label, agreement, logit_div, map_div, tied[a] | tied[b]
+    same_label, logit_div = labels[0::2] == labels[1::2], max_abs_rows(logits[0::2], logits[1::2])
+    return same_label, agreement, logit_div, map_div, tied[0::2] | tied[1::2]
 
 
 def pair_report(metric: str, same_label, agreement, logit_div, map_div, tied):
@@ -193,8 +194,7 @@ def _report(model: Model, inputs, sampler: ShiftSampler, zero_pad: bool, metric:
     sampler.check_shape(model.config.input_shape)  # `compare_shift_pairs` checks the inputs'
     offsets, dense = sampler.sample_pairs(len(inputs)), metric == "mascc"
     stack = real_array([x.data for x in inputs], "inputs")
-    columns = compare_shift_pairs(model, stack, offsets[:, :, 0], offsets[:, :, 1], zero_pad, dense)
-    return pair_report(metric, *columns)
+    return pair_report(metric, *compare_shift_pairs(model, stack, offsets, zero_pad, dense))
 
 
 def c_cons(model: Model, inputs, sampler: ShiftSampler) -> ConsistencyReport:

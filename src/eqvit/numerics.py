@@ -115,12 +115,6 @@ def weight_array(values, name: str, ndims: tuple[int, ...] = (2,)) -> np.ndarray
     return freeze(arr)
 
 
-def require_norm_order(p, name: str = "energy_p") -> None:
-    """An lp norm order is a finite number >= 1; NaN and inf are not."""
-    if not 1 <= p < np.inf:
-        raise ParameterError(f"{name} must be a finite number >= 1, got {p}")
-
-
 def as_offsets(offs, rank: int) -> np.ndarray:
     """(B, rank) int64 array of a sequence of B offsets, each a bare int
     (rank-1 grids only) or one integer per grid axis.  Only an integer dtype
@@ -328,15 +322,18 @@ class Layout:
         return np.argsort(self.tiles.ravel())
 
 
-@lru_cache(maxsize=64)
+@lru_cache(maxsize=64, typed=True)
 def layout(grid: tuple[int, ...], size: int, name: str, channels: int = 1) -> Layout:
     """The cached `Layout` of an op of `size` (named `name` in errors) on
-    `grid`, for arrays of `channels` entries per position.  A grid that
-    `size` does not divide raises ShapeError on every call: errors are not cached."""
+    `grid`, for arrays of `channels` entries per position.  A `size` that is
+    not an integer >= 1 raises ParameterError, and one that does not divide
+    the grid ShapeError, on every call: errors are not cached, and the cache
+    is typed, so 2.0 or True never reads the layout of 2 or 1."""
+    check_value(name, size, POSITIVE)
     for g in grid:
         if g % size:
             raise ShapeError(f"grid axis {g} is not divisible by {name} {size}")
-    return Layout(grid, size, channels)
+    return Layout(grid, int(size), channels)
 
 
 def rotate_rows(stack: np.ndarray, grid: tuple[int, ...], offsets: np.ndarray) -> np.ndarray:
@@ -347,12 +344,16 @@ def rotate_rows(stack: np.ndarray, grid: tuple[int, ...], offsets: np.ndarray) -
     return stack.reshape(b * m, c).take(index, axis=0)
 
 
-def scatter_index(grid: tuple[int, ...], b: int, offsets: np.ndarray) -> np.ndarray:
-    """(B, prod(grid) // b**rank) flat positions (offsets[i] + b * position)
-    mod grid, positions row-major over the coarse grid: where the inverse of
-    sample i's polyphase selection followed by a rotation puts each row.  An
-    offset below b is the phase the rows were selected at."""
-    return offset_index(grid, 1, b, offsets).reshape(len(offsets), -1)
+def place_rows(stack: np.ndarray, grid: tuple[int, ...], stride: int, offsets) -> np.ndarray:
+    """Zero-filled (B, prod(grid), C) stack with row j of sample i of the
+    (B, M, C) `stack` at flat position (offsets[i] + stride * j) mod grid, j
+    row-major over the coarse grid: where the inverse of sample i's stride
+    polyphase selection followed by a rotation puts each row.  An offset
+    below the stride is the phase the rows were selected at."""
+    n = len(stack)
+    out = np.zeros((n, prod(grid), stack.shape[-1]))
+    out[np.arange(n)[:, np.newaxis], offset_index(grid, 1, stride, offsets).reshape(n, -1)] = stack
+    return out
 
 
 def predicted_rotation(base, shifted, shifts, b: int, in_grid, out_grid):
@@ -366,15 +367,6 @@ def predicted_rotation(base, shifted, shifts, b: int, in_grid, out_grid):
     in_grid, out_grid = np.asarray(in_grid), np.asarray(out_grid)
     d = np.asarray(shifted) + shifts % in_grid - np.asarray(base)
     return (d % b == 0).all(axis=-1), d // (in_grid // out_grid) % out_grid
-
-
-def scatter_rows(stack: np.ndarray, rows: int, index: np.ndarray) -> np.ndarray:
-    """Zero-filled (B, rows, C) stack with the rows of sample i of the
-    (B, M, C) `stack` at positions index[i]."""
-    n = len(stack)
-    out = np.zeros((n, rows, stack.shape[-1]))
-    out[np.arange(n)[:, np.newaxis], index] = stack
-    return out
 
 
 def best_phase(
@@ -418,6 +410,14 @@ def sorted_sum(values: np.ndarray) -> np.ndarray:
     return np.add.reduce(values, axis=-1)
 
 
+@lru_cache(maxsize=16, typed=True)
+def _norm_root(p) -> float:
+    """1 / p for an lp norm order p, which must meet `NORM_ORDER`: as in
+    `layout`, a bad order raises on every call and a good one is checked once."""
+    check_value("lp_norm order p", p, NORM_ORDER)
+    return 1.0 / p
+
+
 def lp_norm(values, p: float, axis: int | None = None):
     """lp norm (sum_i |v_i|^p)^(1/p) over all entries of `values` (a float),
     or along the last axis (axis=-1).
@@ -426,14 +426,13 @@ def lp_norm(values, p: float, axis: int | None = None):
     for any permutation of the input.  Adaptive selections compare these
     norms across rotated views and rely on that exactness.
     """
-    require_norm_order(p, "lp_norm order p")
+    root = _norm_root(p)
     if axis not in (None, -1):
         raise ParameterError(f"lp_norm reduces all entries or the last axis, not {axis}")
     powers = np.abs(np.asarray(values, dtype=np.float64), order="C")
     if powers.size == 0:
         raise ShapeError("lp_norm of an empty array")
     powers **= p
-    root = 1.0 / p
     if axis is None:
         return float(sorted_sum(powers.reshape(-1))) ** root
     total = sorted_sum(powers)

@@ -5,18 +5,20 @@ Two heads over one encoder:
   classify      tokenize -> [window attention -> patch merge] x depth
                 -> full self-attention with position bias -> mean pool
                 -> linear head
-  encode_decode same encoder, then a decoder that scatters features back
-                through the recorded merge phases and window offsets to a
-                zero-filled map at the input resolution.
+  encode_decode same encoder, then a decoder that puts each final token
+                where its recorded token offset, window offsets and merge
+                phases compose to, in a zero-filled map at the input
+                resolution.
   forward       both heads from one encoder pass, for one input or a batch.
 
 The encoder runs on a `SignalBatch` of B inputs, one `GridSignal` being the
 batch of one, with one selection per sample; each sample's outputs are
 bit-identical to its run alone.  Every adaptive op appends one entry of
 per-sample offsets and tie flags to its `SelectionTrace`, and the decoder
-reads it as it is.  The heads (`classify`, `encode_decode` and `forward`)
-return one sample's results unstacked for a `GridSignal`, and stacked per
-sample for a `SignalBatch`.
+sums those offsets into one placement offset per sample: one scatter per
+decode.  The heads (`classify`, `encode_decode` and `forward`) return one
+sample's results unstacked for a `GridSignal`, and stacked per sample for a
+`SignalBatch`.
 
 Every adaptive block can be swapped for its fixed baseline through a config
 switch, which is how the ablation suites demonstrate that each one is
@@ -28,6 +30,8 @@ from __future__ import annotations
 import dataclasses
 import math
 from dataclasses import dataclass
+from itertools import accumulate
+from operator import mul
 
 import numpy as np
 
@@ -47,7 +51,7 @@ from .errors import ConfigError, ShapeError
 from .merging import MergeConfig, a_pmerge, pmerge
 from .numerics import GRID_SHAPE, NORM_ORDER, POSITIVE, GridSignal, SignalBatch, check_value
 from .numerics import int_in, is_int, names_from, one_of, positive_ints, require_finite
-from .numerics import scatter_index, scatter_rows, weight_array
+from .numerics import place_rows, weight_array
 from .tokenizer import (
     INVARIANT_FNS,
     PatchEmbedConfig,
@@ -156,7 +160,7 @@ class ModelConfig:
                 if g % p:
                     raise ConfigError(f"stage {s}: grid {grid} not divisible by factor {p}")
             grids.append(tuple(g // p for g in grid))
-        # Not a field: fixed by the fields above, and read on every decode.
+        # Not a field: fixed by the fields above; `stage_grids` returns it.
         object.__setattr__(self, "_grids", tuple(grids))
         name, size = max(self.array_sizes() + self.activation_sizes(), key=lambda item: item[1])
         if size > MAX_ELEMENTS:
@@ -350,31 +354,24 @@ def _decode(cfg: ModelConfig, tokens: TokenMatrix, trace: SelectionTrace, shifts
     (B, *input_shape, D); with (B, rank) `shifts`, sample i's map lands
     rotated back by shifts[i], as `rotate_rows` by -shifts[i] would give it.
 
-    The trace holds, each read by its kind, a token offset if a_token ran,
-    and per stage a window offset if a_wsa ran and a merge phase if a_pmerge
-    ran (a fixed merge keeps phase 0).  Each stage's `unpool` scatters
-    through an index and fills every other row with zeros, so the chain of
-    scatters is one scatter through the composed index: final token j lands
-    at token_index[stage_0[stage_1[... j]]].
+    Each inverse is a polyphase placement, as in `unpool`, so their chain is
+    one: final token j lands at (O + S j) mod input_shape, S = patch_len *
+    prod(merge_factors), and O the token offset plus each stage's window
+    offset and merge phase times patch_len * (the factors before it).  The
+    trace holds a token offset if a_token ran, and per stage a window offset
+    if a_wsa ran and a merge phase if a_pmerge ran; the k-th window or merge
+    entry is stage k's, and a fixed op's offset is 0.
     """
-    batch = trace.size
-    zero = np.zeros((batch, cfg.rank), dtype=np.int64)
-    by_kind = {TOKEN: [zero], WSA: [], MERGE: []}
+    strides = list(accumulate(cfg.merge_factors, mul, initial=cfg.patch_len))
+    units = {TOKEN: iter((1,)), WSA: iter(strides), MERGE: iter(strides)}
+    if shifts is None:
+        offsets = np.zeros((trace.size, cfg.rank), dtype=np.int64)
+    else:  # taken mod the grid first, so any int64 shift adds without overflow
+        offsets = shifts % cfg.input_shape
     for entry in trace.entries:
-        by_kind[entry.kind].append(entry.offsets)
-    token_offsets = by_kind[TOKEN][-1]
-    if shifts is not None:  # `scatter_index` takes the offsets mod the grid
-        token_offsets = token_offsets + shifts % cfg.input_shape
-    index = scatter_index(cfg.input_shape, cfg.patch_len, token_offsets)
-    windows = by_kind[WSA] or [zero] * cfg.depth
-    phases = by_kind[MERGE] or [zero] * cfg.depth
-    rows = np.arange(batch)[:, np.newaxis]
-    for s, grid in enumerate(cfg._grids[:-1]):
-        # A stage's window offset and merge phase add up, as in `unpool`.
-        offsets = windows[s] + phases[s]
-        index = index[rows, scatter_index(grid, cfg.merge_factors[s], offsets)]
-    out = scatter_rows(tokens.data, math.prod(cfg.input_shape), index)
-    return out.reshape(batch, *cfg.input_shape, -1)
+        offsets = offsets + next(units[entry.kind]) * entry.offsets
+    out = place_rows(tokens.data, cfg.input_shape, strides[-1], offsets)
+    return out.reshape(trace.size, *cfg.input_shape, -1)
 
 
 def classify(model: Model, x) -> tuple[np.ndarray, int | np.ndarray, SelectionTrace]:
@@ -390,11 +387,11 @@ def classify(model: Model, x) -> tuple[np.ndarray, int | np.ndarray, SelectionTr
 def encode_decode(model: Model, x) -> tuple[np.ndarray, SelectionTrace]:
     """Per-position feature map at input resolution, plus the trace.
 
-    The decoder walks the stages in reverse: each merge is undone by
-    scattering into the recorded phase (phase 0 for the baseline), each
-    window alignment by rotating the grid back.  Finally each token's
-    features land at its patch anchor; all other positions stay zero.  A
-    `SignalBatch` gets the (B, *shape, D) stack of maps, as from `forward`.
+    The decoder undoes every merge (at the recorded phase, 0 for the
+    baseline), window alignment and patch anchor at once: each final token's
+    features land where those offsets compose to, and all other positions
+    stay zero.  A `SignalBatch` gets the (B, *shape, D) stack of maps, as
+    from `forward`.
     """
     tokens, trace = _encode(model, x)
     maps = _decode(model.config, tokens, trace)

@@ -439,6 +439,9 @@ DECODER_CONFIGS = {
     "2d": ModelConfig(input_shape=(16, 32), windows=2, merge_factors=2),
     "1d-depth0": ModelConfig(depth=0, windows=(), merge_factors=()),
     "2d-depth0": ModelConfig(input_shape=(8, 8), depth=0, windows=(), merge_factors=()),
+    # Unequal factors: a stage's offset scaled by another stage's stride lands wrong.
+    "1d-factors-3-2": ModelConfig(input_shape=(96,), windows=2, merge_factors=(3, 2)),
+    "2d-factors-2-3": ModelConfig(input_shape=(24, 24), patch_len=2, windows=2, merge_factors=(2, 3)),
 }
 
 
@@ -458,3 +461,10 @@ def test_composed_decode_equals_unpool_chain(name, off):
         assert same(_decode(cfg, tokens, trace), decode_chain(cfg, tokens, trace))
     if cfg.a_token:  # the batch really mixes offsets
         assert len({tuple(o) for o in trace.of_kind("token")[0].offsets.tolist()}) > 1
+    # Shifts, negative and beyond the grid too, rotate each map back as
+    # `rotate_rows` by -shift does.
+    grid, g = cfg.input_shape, cfg.input_shape[0]
+    shifts = np.array([(s, 3 - s)[: cfg.rank] for s in (-1, -g - 5, 2 * g + 3, 0, 5, 2**62 + 1)])
+    maps = _decode(cfg, tokens, trace).reshape(len(shifts), -1, tokens.data.shape[-1])
+    want = rotate_rows(maps, grid, -shifts).reshape(len(shifts), *grid, -1)
+    assert same(_decode(cfg, tokens, trace, shifts), want)

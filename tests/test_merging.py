@@ -199,6 +199,26 @@ def test_aps_validation():
         aps(col([1, 2, 3]), 2)
 
 
+RANK_TOKENS = {1: col(np.arange(8.0)), 2: TokenMatrix(np.arange(32.0).reshape(16, 2), (4, 4))}
+
+
+@pytest.mark.parametrize("rank", sorted(RANK_TOKENS))
+def test_aps_checks_factor_and_norm_order_by_the_config_rules(rank):
+    # A float, a bool or a NumPy integer factor is what it is, not the int it
+    # equals, whichever layout was cached first.
+    t = RANK_TOKENS[rank]
+    out, _ = aps(t, 2)
+    for factor in (2.0, True, 1.0, -1, "2"):
+        with pytest.raises(ParameterError, match="factor must be an integer >= 1"):
+            aps(t, factor)
+    for p in (True, 0.5, float("nan"), float("inf"), "2"):
+        with pytest.raises(ParameterError, match="order p must be a finite number >= 1"):
+            aps(t, 2, p)
+    wide, _ = aps(t, np.int64(2))
+    assert wide.grid_shape == out.grid_shape and all(type(g) is int for g in wide.grid_shape)
+    assert np.array_equal(wide.data, out.data)
+
+
 # ---------------------------------------------------------------- a_pmerge --
 
 

@@ -135,7 +135,7 @@ def test_zeropad_stack_rejects_negative_offsets():
     model = build_model(ModelConfig())
     inputs = np.ones((1, 64, 2))
     with pytest.raises(ParameterError):
-        compare_shift_pairs(model, inputs, np.array([[[-1]]]), np.array([[[0]]]), zero_pad=True)
+        compare_shift_pairs(model, inputs, np.array([[[[-1], [0]]]]), zero_pad=True)
     # A circular shift takes any offset, mod the grid.
     assert np.array_equal(shift_stack(stack, np.array([[0, 1], [2, -1]])), stack)
 
@@ -315,9 +315,9 @@ def test_compare_shift_pairs_equals_per_pair_reference(cfg, zero_pad):
     inputs = synthetic_inputs(cfg.input_shape, cfg.channels, pairs, seed=2)
     rng = np.random.default_rng(3)
     offs = rng.integers(0, max(cfg.input_shape), size=(2, pairs, 1, cfg.rank))
-    stack = np.stack([x.data for x in inputs])
-    dense = compare_shift_pairs(model, stack, *offs, zero_pad=zero_pad)
-    labels_only = compare_shift_pairs(model, stack, *offs, zero_pad=zero_pad, dense=False)
+    stack, pair_offs = np.stack([x.data for x in inputs]), np.moveaxis(offs, 0, 2)
+    dense = compare_shift_pairs(model, stack, pair_offs, zero_pad=zero_pad)
+    labels_only = compare_shift_pairs(model, stack, pair_offs, zero_pad=zero_pad, dense=False)
     expected = [
         pair_reference(model, x, tuple(a[0]), tuple(b[0]), zero_pad)
         for x, a, b in zip(inputs, *offs.tolist())
@@ -331,6 +331,13 @@ def test_compare_shift_pairs_equals_per_pair_reference(cfg, zero_pad):
     assert any(e[4] for e in expected) and not all(e[4] for e in expected)
 
 
+def test_compare_shift_pairs_takes_offsets_as_the_sampler_draws_them():
+    model, inputs = build_model(ModelConfig()), np.ones((2, 64, 2))
+    for shape in ((2, 3, 1), (2, 0, 2, 1), (1, 3, 2, 1), (2, 3, 2, 2), (2, 3, 3, 1)):
+        with pytest.raises(ShapeError, match="offsets of shape"):
+            compare_shift_pairs(model, inputs, np.zeros(shape, dtype=np.int64))
+
+
 def test_offsets_near_the_int64_ends_act_mod_the_grid():
     # Circular shifts take any offset mod the grid, and a zero-padded shift past
     # the end clears the signal, with no overflow and no wrap loop on the way.
@@ -341,8 +348,8 @@ def test_offsets_near_the_int64_ends_act_mod_the_grid():
     top = np.iinfo(np.int64).max // g * g
     far = (small[0] + top - g, small[1] - top)
     for dense in (True, False):
-        got = compare_shift_pairs(model, stack, *far, dense=dense)
-        want = compare_shift_pairs(model, stack, *small, dense=dense)
+        got = compare_shift_pairs(model, stack, np.stack(far, axis=2), dense=dense)
+        want = compare_shift_pairs(model, stack, np.moveaxis(small, 0, 2), dense=dense)
         assert [None if c is None else c.tolist() for c in got] == [
             None if c is None else c.tolist() for c in want
         ]

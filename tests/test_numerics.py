@@ -23,7 +23,7 @@ from eqvit.merging import MergeConfig
 from eqvit.metrics import ShiftSampler
 from eqvit.numerics import SignalBatch, argmax_rows, as_offsets, freeze, grid_index, layout
 from eqvit.numerics import offset_index, predicted_rotation, project_rows, rotate_rows
-from eqvit.numerics import scatter_index, weight_array
+from eqvit.numerics import place_rows, weight_array
 from eqvit.pipeline import ModelConfig
 from eqvit.tokenizer import PatchEmbedConfig, TokenMatrix
 
@@ -254,17 +254,19 @@ def test_offset_index_takes_offsets_at_the_int64_ends(grid, width, stride):
 
 
 @pytest.mark.parametrize("grid", [(7,), (3, 5)])
-def test_rotate_rows_and_scatter_index_per_sample(grid):
+def test_rotate_rows_and_place_rows_per_sample(grid):
     rng = np.random.default_rng(4)
     stack = rng.uniform(-1, 1, (5, math.prod(grid), 3))
     offsets = rng.integers(-9, 9, (5, len(grid)))
     rows = rotate_rows(stack, grid, offsets)
+    # Placing at stride 1 undoes the rotation.
+    assert np.array_equal(place_rows(rows, grid, 1, offsets), stack)
     for i in range(5):
         index = grid_index(grid, 1, 1, tuple(offsets[i]))[:, 0]
         assert np.array_equal(rows[i], stack[i].take(index, axis=0))
         assert np.array_equal(rotate_rows(stack[i : i + 1], grid, offsets[i : i + 1])[0], rows[i])
-        one = scatter_index(grid, 1, offsets[i : i + 1])
-        assert np.array_equal(scatter_index(grid, 1, offsets)[i], one[0])
+        one = place_rows(rows[i : i + 1], grid, 1, offsets[i : i + 1])
+        assert np.array_equal(place_rows(rows, grid, 1, offsets)[i], one[0])
 
 
 def test_signal_batch_checks_the_stack_once():
@@ -343,7 +345,7 @@ def test_lp_norm_examples():
 
 
 def test_lp_norm_validates():
-    for p in (0.5, math.nan, math.inf):
+    for p in (0.5, math.nan, math.inf, True):
         with pytest.raises(ParameterError):
             lp_norm([1, 2], p)
     with pytest.raises(ShapeError):

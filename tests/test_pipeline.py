@@ -421,7 +421,7 @@ def test_forward_overhead_stays_out(monkeypatch, shape):
 # encode_decode).  A ceiling: lower is fine, and Python versions that inline
 # comprehensions count fewer.  NumPy's own frames are not counted, so the
 # figures do not depend on the NumPy version.
-FRAME_BUDGET = {(64,): (71, 79), (32, 32): (75, 83)}
+FRAME_BUDGET = {(64,): (69, 72), (32, 32): (73, 76)}
 
 
 def eqvit_frames(fn, *args) -> int:

@@ -8,9 +8,10 @@ and tie flags on every case below.  It imports the package from the `src/`
 directory next to this file's `tools/` directory.
 
 The grid covers both grid ranks, odd token grids (5 x 7 and 15), windows 1
-to 4, the three position-bias kinds, every window and token energy, norm
-orders 1, 2, 2.5 and 3 (at rank 2, the "sum" window score and the l1 and
-l2.5 norms too), and every subset of the adaptive switches.  Each model runs
+to 4, unequal merge factors per stage ((3, 2) at rank 1, (2, 3) at rank 2),
+the three position-bias kinds, every window and token energy, norm orders
+1, 2, 2.5 and 3 (at rank 2, the "sum" window score and the l1 and l2.5
+norms too), and every subset of the adaptive switches.  Each model runs
 one sample alone and one batch of 7 that holds shifted copies, a zero input,
 an impulse, an all negative-zero input and an input with signed zeros mixed
 into random values.
@@ -46,6 +47,8 @@ CONFIGS = (
          window_energy_fn="sum"),
     dict(input_shape=(24, 24), patch_len=2, windows=3, merge_factors=2, energy_p=2.5,
          token_energy="max_l2"),
+    dict(input_shape=(96,), windows=2, merge_factors=(3, 2)),
+    dict(input_shape=(24, 24), patch_len=2, windows=2, merge_factors=(2, 3)),
 )
 
 
