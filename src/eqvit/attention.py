@@ -20,7 +20,7 @@ from functools import cached_property, lru_cache
 import numpy as np
 
 from .errors import ParameterError, ShapeError
-from .numerics import NORM_ORDER, POSITIVE, argmax_rows, check_value, freeze, layout
+from .numerics import NORM_ORDER, POSITIVE, best_phase, check_value, freeze, layout
 from .numerics import offset_index, one_of, real_array, require_finite, softmax_in_place
 from .numerics import sorted_sum, weight_array
 from .tokenizer import TokenMatrix
@@ -250,8 +250,7 @@ def a_wsa(
     """
     energies = window_energy(tokens, cfg)
     lay = layout(tokens.grid_shape, cfg.window, "window")
-    # A polyphase selection, as `best_phase` makes, without its winning component.
     phased = energies.reshape(len(energies), -1).take(lay.components, axis=1)
-    idx, tied = argmax_rows(_window_score(phased, cfg.energy_fn))
-    offsets = lay.phases[idx]
-    return wsa(tokens, cfg, params, rpe, offsets), SelectionTrace.single(WSA, offsets, tied)
+    # Only the offsets are used: the window scores sort `phased` in place.
+    _, trace = best_phase(phased, _window_score(phased, cfg.energy_fn), lay.phases, WSA)
+    return wsa(tokens, cfg, params, rpe, trace.entries[0].offsets), trace

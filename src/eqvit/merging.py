@@ -107,11 +107,15 @@ def aps(
     `energy_p`, by the `POSITIVE` and `NORM_ORDER` rules (ParameterError).
     """
     data = tokens.data
-    lay = layout(tokens.grid_shape, factor, "factor")
+    try:
+        lay = layout(tokens.grid_shape, factor, "factor")
+    except TypeError:  # unhashable: the cache refused it before its check ran
+        check_value("factor", factor, POSITIVE)
+        raise
     comps = data.take(lay.components, axis=1)  # (B, phases, positions, D)
-    scores = lp_norm(comps.reshape(comps.shape[0] * comps.shape[1], -1), energy_p, axis=-1)
-    phases, comp, tied = best_phase(comps, scores.reshape(len(data), -1), lay.phases)
-    return TokenMatrix._fresh(comp, lay.coarse), SelectionTrace.single(MERGE, phases, tied)
+    scores = lp_norm(comps.reshape(*comps.shape[:2], -1), energy_p, axis=-1)
+    comp, trace = best_phase(comps, scores, lay.phases, MERGE)
+    return TokenMatrix._fresh(comp, lay.coarse), trace
 
 
 def a_pmerge(tokens: TokenMatrix, cfg: MergeConfig) -> tuple[TokenMatrix, SelectionTrace]:

@@ -3,8 +3,8 @@
 Everything downstream reduces to a handful of operations defined here:
 one grid index behind every rotation, tiling, filter-tap and polyphase
 layout, each adaptive op's `Layout` of those indices cached per grid and
-size, polyphase selection, row-wise softmax, order-stable sums and lp norms,
-and a deterministic argmax.  Each grid operation is written
+size, row-wise softmax, order-stable sums and lp norms, and `best_phase`:
+each adaptive op's one selection and trace entry.  Each grid operation is written
 once for any grid rank, and the selecting ones once for a stack of samples
 (a leading sample axis, one selection per sample): one signal is the stack
 of one.  All functions are pure; arrays held by the wrapper types are frozen
@@ -26,6 +26,7 @@ from math import prod
 import numpy as np
 
 from .errors import ParameterError, ShapeError
+from .trace import SelectionTrace
 
 # Per-axis integer offsets for circular shifts.
 Offset = tuple[int, ...]
@@ -328,7 +329,8 @@ def layout(grid: tuple[int, ...], size: int, name: str, channels: int = 1) -> La
     `grid`, for arrays of `channels` entries per position.  A `size` that is
     not an integer >= 1 raises ParameterError, and one that does not divide
     the grid ShapeError, on every call: errors are not cached, and the cache
-    is typed, so 2.0 or True never reads the layout of 2 or 1."""
+    is typed, so 2.0 or True never reads the layout of 2 or 1.  An unhashable
+    `size` fails in the cache with TypeError, before the check."""
     check_value(name, size, POSITIVE)
     for g in grid:
         if g % size:
@@ -369,16 +371,17 @@ def predicted_rotation(base, shifted, shifts, b: int, in_grid, out_grid):
     return (d % b == 0).all(axis=-1), d // (in_grid // out_grid) % out_grid
 
 
-def best_phase(
-    comps: np.ndarray, scores: np.ndarray, phases: np.ndarray
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Polyphase selection, one per sample, from the (B, P, ...) stack of each
-    sample's P components and their (B, P) scores.  Returns (offsets
-    (B, rank) from the (P, rank) `phases` table, winning components
-    (B, ...), tied (B,)): exact ties resolve to the lowest phase and are flagged.
-    """
-    idx, tied = argmax_rows(scores)
-    return phases[idx], comps[np.arange(len(idx)), idx], tied
+def best_phase(comps: np.ndarray, scores: np.ndarray, phases: np.ndarray, kind: str):
+    """The polyphase selection of every adaptive op, one per sample: from the
+    (B, P, ...) stack of each sample's P components and their (B, P) scores,
+    (winning components (B, ...), the op's trace of `kind` holding each
+    winner's offset from the (P, rank) `phases` table).  An exact tie, two
+    equal largest scores, resolves to the lowest phase and is flagged; a NaN
+    score sorts last, is the argmax and ties nothing; with P = 1 nothing ties."""
+    idx, ranked = scores.argmax(axis=-1), scores.copy()
+    ranked.sort(axis=-1)
+    tied = ranked[:, -1] == ranked[:, -2] if len(phases) > 1 else np.zeros(len(idx), bool)
+    return comps[np.arange(len(idx)), idx], SelectionTrace.single(kind, phases[idx], tied)
 
 
 def softmax_rows(matrix: np.ndarray) -> np.ndarray:
@@ -426,7 +429,11 @@ def lp_norm(values, p: float, axis: int | None = None):
     for any permutation of the input.  Adaptive selections compare these
     norms across rotated views and rely on that exactness.
     """
-    root = _norm_root(p)
+    try:
+        root = _norm_root(p)
+    except TypeError:  # unhashable: the cache refused it before its check ran
+        check_value("lp_norm order p", p, NORM_ORDER)
+        raise
     if axis not in (None, -1):
         raise ParameterError(f"lp_norm reduces all entries or the last axis, not {axis}")
     powers = np.abs(np.asarray(values, dtype=np.float64), order="C")
@@ -489,15 +496,3 @@ def project_columns(cols: np.ndarray, matrix: np.ndarray) -> np.ndarray:
     k, m, b = cols.shape
     out = np.einsum("kd,kx->dx", matrix, cols.reshape(k, m * b))
     return np.ascontiguousarray(out.reshape(-1, m, b).transpose(2, 1, 0))
-
-
-def argmax_rows(scores: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Per row of (B, n) scores: the argmax (lowest index on exact ties) and
-    whether another entry ties it exactly."""
-    if scores.shape[-1] < 2:
-        return scores.argmax(axis=-1), np.zeros(len(scores), dtype=bool)
-    # The maximum ties exactly when the two largest entries are equal; a NaN
-    # sorts last, is the argmax, and equals nothing, so nothing ties it.
-    ranked = scores.copy()
-    ranked.sort(axis=-1)
-    return scores.argmax(axis=-1), ranked[:, -1] == ranked[:, -2]

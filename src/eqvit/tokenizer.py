@@ -162,6 +162,7 @@ def reshape_patches(x: GridSignal, patch_len: int, off=None) -> np.ndarray:
     Each row flattens a patch row-major over (position, channel).  Rows
     enumerate patches row-major over the token grid.
     """
+    check_value("patch_len", patch_len, POSITIVE)  # before the cache, which hashes it
     grid = layout(x.shape, patch_len, "patch_len", x.channels).coarse
     offs = (0,) * x.rank if off is None else tuple(as_offsets([off], x.rank)[0].tolist())
     if any(not 0 <= o < patch_len for o in offs):
@@ -205,13 +206,12 @@ def a_token(x, cfg: PatchEmbedConfig) -> tuple[TokenMatrix, SelectionTrace]:
     one offset per sample.
     """
     stack = _signal_stack(x, cfg)
-    b, *shape, c = stack.shape
+    _, *shape, c = stack.shape
     lay = layout(tuple(shape), cfg.patch_len, "patch_len", c)
     # (B, phases, positions, D): each sample's polyphase components.
     comps = _full_rate_embed(stack, lay.taps, cfg.embed).take(lay.components, axis=1)
-    scores = _token_energy(comps.reshape(-1, *comps.shape[2:]), cfg.invariant_fn)
-    offsets, sub, tied = best_phase(comps, scores.reshape(b, -1), lay.phases)
-    return TokenMatrix._fresh(sub, lay.coarse), SelectionTrace.single(TOKEN, offsets, tied)
+    sub, trace = best_phase(comps, _token_energy(comps, cfg.invariant_fn), lay.phases, TOKEN)
+    return TokenMatrix._fresh(sub, lay.coarse), trace
 
 
 def lemma1_sides(x, cfg: PatchEmbedConfig, off, axis: int = 0) -> tuple[np.ndarray, np.ndarray]:

@@ -54,7 +54,7 @@ class SelectionTrace:
 
     @classmethod
     def single(cls, kind: str, offsets, tied) -> SelectionTrace:
-        """One adaptive op's trace; its entry is built in place, as ops call this every run."""
+        """One adaptive op's trace, its entry built in place: `best_phase` calls this every run."""
         if kind not in _KINDS:
             raise ValueError(f"unknown trace kind {kind!r}")
         entry = object.__new__(TraceEntry)

@@ -20,7 +20,7 @@ from eqvit.attention import AttentionParams, RpeTable, WINDOW_FNS, WindowConfig,
 from eqvit.attention import window_energy, wsa
 from eqvit.errors import ShapeError
 from eqvit.merging import MergeConfig, a_pmerge, aps, pmerge, pmerge_conv_fullrate, unpool
-from eqvit.numerics import SignalBatch, argmax_rows, best_phase, grid_index, layout, lp_norm
+from eqvit.numerics import SignalBatch, best_phase, grid_index, layout, lp_norm
 from eqvit.numerics import project_rows, rotate_rows
 from eqvit.pipeline import ModelConfig, _decode, _encode, build_model
 from eqvit.tokenizer import INVARIANT_FNS, PatchEmbedConfig, TokenMatrix, _full_rate_embed
@@ -128,7 +128,10 @@ def best_phase_blocks(stack, b, rank, score):
     order = [0, *range(2, 2 * rank + 1, 2), *range(1, 2 * rank, 2), 2 * rank + 1]
     phases = b**rank
     comps = stack.reshape(n, *split, c).transpose(order).reshape(n * phases, -1, c)
-    idx, tied = argmax_rows(score(comps).reshape(n, phases))
+    scores = score(comps).reshape(n, phases)
+    # The first maximum wins; a sample ties when another phase scores it exactly.
+    idx = np.array([int(np.flatnonzero(row == row.max())[0]) for row in scores])
+    tied = np.array([np.count_nonzero(row == row.max()) > 1 for row in scores])
     table = np.array(list(product(range(b), repeat=rank)), dtype=np.int64).reshape(-1, rank)
     return table[idx], comps.take(idx + phases * np.arange(n), axis=0), tied
 
@@ -280,9 +283,11 @@ def test_best_phase_equals_blocks_layout(grid, score):
         for n in (1, len(stack)):
             comps = stack[:n].reshape(n, -1, channels).take(lay.components, axis=1)
             scores = SCORES[score](comps.reshape(-1, *comps.shape[2:])).reshape(n, -1)
-            got = best_phase(comps, scores, lay.phases)
+            won, trace = best_phase(comps, scores, lay.phases, MERGE)
+            (entry,) = trace.entries
             expect = best_phase_blocks(stack[:n], b, len(grid), SCORES[score])
-            assert all(same(g, e) for g, e in zip(got, expect))
+            got = (entry.offsets, won, entry.tied)
+            assert trace.size == n and all(same(g, e) for g, e in zip(got, expect))
 
 
 def test_cached_indices_are_shared_and_read_only():

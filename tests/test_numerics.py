@@ -6,6 +6,7 @@ independent of the vectorized implementations they pin down.
 
 import json
 import math
+import re
 import warnings
 from itertools import product
 
@@ -19,13 +20,14 @@ from eqvit.attention import RpeTable
 from eqvit.attention import AttentionParams, WindowConfig
 from eqvit.errors import ConfigError, ParameterError, ShapeError
 from eqvit.harness import SuiteConfig
-from eqvit.merging import MergeConfig
+from eqvit.merging import MergeConfig, aps
 from eqvit.metrics import ShiftSampler
-from eqvit.numerics import SignalBatch, argmax_rows, as_offsets, freeze, grid_index, layout
+from eqvit.numerics import SignalBatch, as_offsets, best_phase, freeze, grid_index, layout
 from eqvit.numerics import offset_index, predicted_rotation, project_rows, rotate_rows
 from eqvit.numerics import place_rows, weight_array
 from eqvit.pipeline import ModelConfig
-from eqvit.tokenizer import PatchEmbedConfig, TokenMatrix
+from eqvit.tokenizer import PatchEmbedConfig, TokenMatrix, reshape_patches
+from eqvit.trace import MERGE, WSA
 
 
 def shift_oracle(data: np.ndarray, offs) -> np.ndarray:
@@ -401,19 +403,41 @@ def test_project_rows_stacks_take_one_or_b_matrices():
         project_rows(rows, rng.uniform(-1, 1, (3, 3, 2)))
 
 
-# ------------------------------------------------------------------ argmax --
+# -------------------------------------------------------------- best_phase --
 
 
-def test_argmax_examples():
-    idx, _ = argmax_rows(np.array([[1.0, 3, 2], [5, 5, 1], [-2, -1, -1]]))
-    assert idx.tolist() == [1, 0, 1]
+def select(scores, phases=None, kind=MERGE):
+    """`best_phase` on (B, P) scores whose components are their phase
+    numbers: (each sample's winning component, the one trace entry)."""
+    scores = np.asarray(scores, dtype=np.float64)
+    b, p = scores.shape
+    phases = np.arange(p)[:, np.newaxis] if phases is None else phases
+    won, trace = best_phase(np.tile(np.arange(p), (b, 1)), scores, phases, kind)
+    (entry,) = trace.entries
+    assert trace.size == b and entry.kind == kind
+    return won, entry
 
 
-def test_argmax_tie_flag():
-    idx, tied = argmax_rows(np.array([[1.0, 3, 2], [5, 5, 1]]))
-    assert idx.tolist() == [1, 0] and tied.tolist() == [False, True]
-    idx, tied = argmax_rows(np.array([[2.0]]))
-    assert idx.tolist() == [0] and tied.tolist() == [False]
+def test_best_phase_examples():
+    won, entry = select([[1.0, 3, 2], [5, 5, 1], [-2, -1, -1]])
+    assert won.tolist() == [1, 0, 1] and entry.offsets.tolist() == [[1], [0], [1]]
+    # Offsets are the winners' rows of the phase table, at rank 2 too.
+    won, entry = select([[0.0, 1, 3, 2], [4, 0, 0, 0]], layout((4, 4), 2, "size").phases, WSA)
+    assert won.tolist() == [2, 0] and entry.offsets.tolist() == [[1, 0], [0, 0]]
+
+
+def test_best_phase_tie_flag():
+    # A sample ties when its two largest scores are equal, and keeps the lowest phase.
+    won, entry = select([[1.0, 3, 2], [5, 5, 1], [1, 2, 2], [2, 2, 2]])
+    assert won.tolist() == [1, 0, 1, 0] and entry.tied.tolist() == [False, True, True, True]
+    won, entry = select([[2.0], [2.0]])  # one phase ties nothing
+    assert won.tolist() == [0, 0] and entry.tied.tolist() == [False, False]
+
+
+def test_best_phase_nan_scores_win_and_never_tie():
+    # A NaN is the argmax, sorts last and equals nothing, two NaNs included.
+    won, entry = select([[1.0, np.nan, 2], [np.nan, np.nan, 0], [3, 3, np.nan]])
+    assert won.tolist() == [1, 0, 2] and entry.tied.tolist() == [False, False, False]
 
 
 # ------------------------------------------------------- wrappers / freeze --
@@ -550,6 +574,41 @@ def test_norm_orders_take_numbers_but_not_bools(make):
     assert make(1.5).energy_p == 1.5 and make(2).energy_p == 2
     with pytest.raises(ParameterError):
         make(True)
+
+
+# Every op that takes a size or a norm order bare, not from a config class, as
+# a call on a rank-1 or rank-2 grid with that argument set, and the words of
+# its rule.  The ops cache by these arguments, and a cache refuses an
+# unhashable one with a TypeError before any rule is checked.
+BARE_ARGUMENTS = {
+    "aps factor": (
+        lambda grid, v: aps(TokenMatrix(np.ones((np.prod(grid), 2)), grid), v),
+        "factor must be an integer >= 1",
+    ),
+    "aps energy_p": (
+        lambda grid, v: aps(TokenMatrix(np.ones((np.prod(grid), 2)), grid), 2, v),
+        "lp_norm order p must be a finite number >= 1",
+    ),
+    "lp_norm p": (
+        lambda grid, v: lp_norm(np.ones((*grid, 2)), v, axis=-1),
+        "lp_norm order p must be a finite number >= 1",
+    ),
+    "reshape_patches patch_len": (
+        lambda grid, v: reshape_patches(GridSignal(np.ones((*grid, 2))), v),
+        "patch_len must be an integer >= 1",
+    ),
+}
+UNHASHABLE = {"list": [2], "list of floats": [2.0], "array": np.array([2])}
+
+
+@pytest.mark.parametrize("argument", sorted(BARE_ARGUMENTS))
+@pytest.mark.parametrize("value", sorted(UNHASHABLE))
+@pytest.mark.parametrize("grid", [(8,), (4, 4)])
+def test_bare_arguments_refuse_unhashable_values_by_their_rules(argument, value, grid):
+    make, words = BARE_ARGUMENTS[argument]
+    make(grid, 2)
+    with pytest.raises(ParameterError, match=re.escape(words)):
+        make(grid, UNHASHABLE[value])
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])

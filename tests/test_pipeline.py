@@ -13,11 +13,11 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import eqvit
-from eqvit import GridSignal, attention, circular_shift, pipeline
+from eqvit import GridSignal, attention, circular_shift, merging, numerics, pipeline
 from eqvit.errors import ConfigError, ParameterError, ShapeError
 from eqvit.numerics import SignalBatch
 from eqvit.pipeline import SWITCHES, ModelConfig, build_model, classify, encode_decode, forward
-from eqvit.tokenizer import TokenMatrix, a_token
+from eqvit.tokenizer import PatchEmbedConfig, TokenMatrix, a_token
 from eqvit.trace import MERGE, TOKEN, WSA
 
 
@@ -421,7 +421,7 @@ def test_forward_overhead_stays_out(monkeypatch, shape):
 # encode_decode).  A ceiling: lower is fine, and Python versions that inline
 # comprehensions count fewer.  NumPy's own frames are not counted, so the
 # figures do not depend on the NumPy version.
-FRAME_BUDGET = {(64,): (69, 72), (32, 32): (73, 76)}
+FRAME_BUDGET = {(64,): (66, 69), (32, 32): (70, 73)}
 
 
 def eqvit_frames(fn, *args) -> int:
@@ -485,6 +485,42 @@ def test_forward_calls_every_traced_layer(monkeypatch, shape):
     forward(model, rand_input(model.config, 15))
     missing = [n for names in TRACED_LAYERS.values() for n in names if not calls[n]]
     assert not missing
+
+
+def tied_choices(rank: int) -> dict:
+    """Each adaptive op's one trace entry on a constant input, where every
+    candidate scores the same, at patch, window and merge size 2."""
+    rng = np.random.default_rng(16)
+    grid, dim = (8,) if rank == 1 else (4, 4), 3
+    tokens = TokenMatrix(np.ones((int(np.prod(grid)), dim)), grid)
+    embed = rng.uniform(-1, 1, (2**rank, dim))
+    params = attention.AttentionParams(*rng.uniform(-1, 1, (3, dim, dim)))
+    traces = {
+        TOKEN: a_token(GridSignal(np.ones((*grid, 1))), PatchEmbedConfig(2, embed))[1],
+        WSA: attention.a_wsa(tokens, attention.WindowConfig(2), params)[1],
+        MERGE: merging.aps(tokens, 2)[1],
+    }
+    return {kind: trace.entries[0] for kind, trace in traces.items()}
+
+
+@pytest.mark.parametrize("rank", [1, 2])
+def test_every_selection_goes_through_best_phase(monkeypatch, rank):
+    # Unpatched, each op keeps the lowest phase of a tie and flags it.
+    for entry in tied_choices(rank).values():
+        assert entry.offsets.tolist() == [[0] * rank] and entry.tied.tolist() == [True]
+    # A highest-index tie-break bound wherever an eqvit module holds
+    # best_phase, as test_forward_calls_every_traced_layer binds the traced
+    # layers, moves all three ops to the last phase: one patch point.
+    original = numerics.best_phase
+
+    def last_on_ties(comps, scores, phases, kind):
+        return original(comps[:, ::-1], scores[:, ::-1].copy(), phases[::-1], kind)
+
+    for name, module in list(sys.modules.items()):
+        if name.startswith("eqvit.") and getattr(module, "best_phase", None) is original:
+            monkeypatch.setattr(module, "best_phase", last_on_ties)
+    for entry in tied_choices(rank).values():
+        assert entry.offsets.tolist() == [[1] * rank] and entry.tied.tolist() == [True]
 
 
 # ----------------------------------------------------------- encode_decode --
