@@ -9,7 +9,8 @@ model and writes a JSON report plus a replay file (the first counterexample,
 or a sentinel that says whether the run passed).  `prove` is `run` restricted
 to the exhaustive/oracle suites with size knobs.  `replay` re-executes a
 recorded counterexample.  Exit codes: 0 all assertions passed, 1 a property failed
-(or a replayed counterexample still reproduces), 2 bad configuration.
+(or a replayed counterexample still reproduces), 2 bad configuration, 3
+standard output closed before every line was printed (as by `| head -1`).
 
 The model seed may also come from the environment variable EQVIT_SEED; an
 explicit --seed wins over it.  No other setting has an environment override.
@@ -36,6 +37,10 @@ from .harness import (
 from .pipeline import SWITCHES, ModelConfig
 
 ENV_SEED = "EQVIT_SEED"
+
+# The exit code of a command whose standard output closed early; the files a
+# run writes are written all the same.
+STDOUT_CLOSED = 3
 
 
 def _dump(doc: dict) -> str:
@@ -79,32 +84,48 @@ def _check_writable(out: Path) -> None:
             raise ConfigError(f"cannot write {path}: it is a directory or is not writable")
 
 
+def _emit(lines: list[str], code: int) -> int:
+    """Print `lines` and return `code`, or `STDOUT_CLOSED` if standard output
+    was closed before they were all written."""
+    try:
+        print(*lines, sep="\n")
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # Later writes, and the flush at exit, go nowhere instead of raising again.
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return STDOUT_CLOSED
+    return code
+
+
 def _execute(sc: SuiteConfig, out: Path) -> int:
     _check_writable(out)
     report, results = run_suites(sc)
-    for r in results:
-        print(
-            f"suite {r.name}: {r.trials} trials, {r.passes} passed, "
-            f"{r.failures} failed, max_divergence={r.max_divergence:.3e}, "
-            f"ties={r.tie_count}"
-        )
+    lines = [
+        f"suite {r.name}: {r.trials} trials, {r.passes} passed, "
+        f"{r.failures} failed, max_divergence={r.max_divergence:.3e}, "
+        f"ties={r.tie_count}"
+        for r in results
+    ]
     out.write_text(_dump(report))
-    print(f"report written to {out}")
+    lines.append(f"report written to {out}")
 
     failing = [r for r in results if r.failures]
     first_cx = next((r.counterexample for r in failing if r.counterexample), None)
     replay_doc = first_cx if first_cx is not None else sentinel(sc, [r.name for r in failing])
     replay_file = _replay_path(out)
     replay_file.write_text(_dump(replay_doc))
-    print(f"replay file written to {replay_file}")
+    lines.append(f"replay file written to {replay_file}")
 
     # Found ablation counterexamples are successes, but keep them replayable.
     for r in results:
         if r.name == "ablation" and r.counterexample is not None and not r.failures:
             path = _replay_path(out, "ablation.replay")
             path.write_text(_dump(r.counterexample))
-            print(f"ablation counterexample written to {path}")
-    return 1 if failing else 0
+            lines.append(f"ablation counterexample written to {path}")
+    # Every file is written before the one output boundary.
+    return _emit(lines, 1 if failing else 0)
 
 
 def _cmd_run(args) -> int:
@@ -128,8 +149,7 @@ def _cmd_replay(args) -> int:
     except (OSError, json.JSONDecodeError) as err:
         raise ConfigError(f"cannot read replay file {args.file}: {err}") from err
     code, line = replay_document(doc)
-    print(line)
-    return code
+    return _emit([line], code)
 
 
 @cache

@@ -436,10 +436,9 @@ def _claim2_check(columns: dict, parts=None):
 
 
 def _merge_size(grid: tuple, d: int, p: int) -> int:
-    """Merge taps, full-rate output and merge embed of one (prod(grid), d) token
-    matrix merged at stride p to width 2d."""
-    m, taps = prod(grid), p ** len(grid)
-    return max(taps * m * d, m * 2 * d, taps * d * 2 * d)
+    """Projected merge taps (at least the full-rate output) and merge embed of
+    one (prod(grid), d) token matrix merged at stride p to width 2d."""
+    return p ** len(grid) * 2 * d * max(prod(grid), d)
 
 
 def _claim3_batches(sc: SuiteConfig):

@@ -4,6 +4,8 @@ Strided patch merging concatenates every group of P consecutive tokens
 (rank 2: P x P tiles) and projects the result.  The same map equals a
 stride-P subsample of a full-rate circular convolution, which is what the
 full-rate form computes: project the group anchored at every grid position.
+It projects each token once by every tap's share of the projection and
+then gathers, for each position, the projections its group's taps read.
 Polyphase selection then keeps whichever of the P (or P x P) downsampling
 phases carries the most energy, so a rotation of the token grid changes
 which phase wins instead of changing the values.  Every op runs on the
@@ -79,19 +81,23 @@ def pmerge_conv_fullrate(tokens: TokenMatrix, cfg: MergeConfig) -> TokenMatrix:
     Output row n projects the P-group anchored at grid position n, i.e. each
     embed column acts as a stride-1 circular filter over the tokens.  A
     stride-P, phase-0 subsample of the result reproduces pmerge.
+
+    Each token is projected once by every tap's row block of the merge
+    projection, the blocks side by side; one gather then moves each tap's
+    projections to the positions whose group reads that token at that tap,
+    (B, taps, M, D~), and the taps are summed in row-major order.  Moving
+    projected rows gives the bits of projecting moved rows (`project_rows`),
+    so the result stays exact under grid rotation.
     """
     data, embed = tokens.data, cfg.embed
-    index = _check_merge(data, tokens.grid_shape, cfg).taps
-    d = data.shape[-1]
-    # One gather lays out every tap: in-group positions row-major, each a
-    # rotation of the grid, (B, taps, M, D).  Each tap is
-    # projected by its own row block of the merge projection and accumulated
-    # in a fixed order, which keeps the result exact under grid rotation.
-    taps = data.take(index, axis=1)
-    out = np.zeros((*data.shape[:-1], embed.shape[-1]))
-    for i in range(len(index)):
-        out += project_rows(taps[:, i], embed[..., i * d : (i + 1) * d, :])
-    return TokenMatrix._fresh(out, tokens.grid_shape)
+    index = _check_merge(data, tokens.grid_shape, cfg).tap_rows
+    lead, taps, d, out = embed.shape[:-2], len(index), data.shape[-1], embed.shape[-1]
+    # (..., taps * D, D~) to (..., D, taps * D~): tap t's block in columns t * D~ onward.
+    blocks = embed.reshape(*lead, taps, d, out).swapaxes(-3, -2).reshape(*lead, d, taps * out)
+    # Row n * taps + t of each sample: token n projected by tap t's block.
+    moved = project_rows(data, blocks).reshape(len(data), -1, out).take(index, axis=1)
+    # An outer-axis reduce adds whole tap planes in order onto +0.0.
+    return TokenMatrix._fresh(np.add.reduce(moved, axis=1, initial=0.0), tokens.grid_shape)
 
 
 def aps(

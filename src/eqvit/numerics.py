@@ -287,14 +287,10 @@ class Layout:
         self.coarse = tuple(g // size for g in grid)
         self.phases = freeze(list(product(range(size), repeat=len(grid))), np.int64)
 
-    @cached_property
-    def taps(self) -> np.ndarray:
-        """(size**rank * channels, positions) index into the flat rows of a
-        row-major (*grid, channels) array: entry (tap * channels + c, n) is
-        channel c at tap `tap` (row-major) of the size-wide circular filter
-        anchored at position n.  With one channel, row t is the rotation of
-        the grid by the t-th tap offset."""
-        taps = np.ascontiguousarray(_grid_index(self.grid, self.size, 1, (0,) * len(self.grid)).T)
+    def _taps(self, anchors=slice(None)) -> np.ndarray:
+        """`taps` built anew, its columns the filters anchored at `anchors`."""
+        taps = _grid_index(self.grid, self.size, 1, (0,) * len(self.grid))[anchors]
+        taps = np.ascontiguousarray(taps.T)
         c = self.channels
         if c == 1:
             return taps
@@ -303,6 +299,34 @@ class Layout:
             np.multiply(taps, c, out=index[:, k])
             index[:, k] += k
         return index.reshape(-1, taps.shape[1])
+
+    @cached_property
+    def taps(self) -> np.ndarray:
+        """(size**rank * channels, positions) index into the flat rows of a
+        row-major (*grid, channels) array: entry (tap * channels + c, n) is
+        channel c at tap `tap` (row-major) of the size-wide circular filter
+        anchored at position n.  With one channel, row t is the rotation of
+        the grid by the t-th tap offset."""
+        return self._taps()
+
+    @cached_property
+    def phase_taps(self) -> np.ndarray:
+        """`taps` with its columns in polyphase order: column p * coarse
+        positions + j is the filter anchored at components[p, j], so what is
+        gathered through it splits into (phases, coarse positions) by a reshape."""
+        return self._taps(self.components.ravel())
+
+    @cached_property
+    def tap_rows(self) -> np.ndarray:
+        """(size**rank, positions) index into the (positions * size**rank)
+        rows of a stack of every position projected by every tap's weights,
+        position-major: entry (t, n) is row k * size**rank + t, tap t's
+        weights applied to the position k that tap t of the filter anchored
+        at n reads (on one channel, k = taps[t, n])."""
+        rows, count = _grid_index(self.grid, self.size, 1, (0,) * len(self.grid)), len(self.phases)
+        rows *= count
+        rows += np.arange(count)
+        return np.ascontiguousarray(rows.T)
 
     @cached_property
     def tiles(self) -> np.ndarray:

@@ -206,7 +206,7 @@ class ModelConfig:
         for grid, d, w, p in zip(self.stage_grids(), dims, self.windows, self.merge_factors):
             m = math.prod(grid)
             sizes.append(("window attention logits", n * m * w**rank))
-            sizes.append(("merge taps", n * p**rank * m * d))
+            sizes.append(("projected merge taps", n * p**rank * m * 2 * d))
         if self.depth:
             sizes.append(("global attention matrix", n * math.prod(self.stage_grids()[-1]) ** 2))
         return sizes

@@ -182,7 +182,9 @@ def token(x, cfg: PatchEmbedConfig) -> TokenMatrix:
 
 def _full_rate_embed(stack: np.ndarray, taps: np.ndarray, embed: np.ndarray) -> np.ndarray:
     """Project the patch anchored at every grid position of a (B, *grid, C)
-    stack, shape (B, positions, D); `taps` is the patch layout's tap index.
+    stack, shape (B, positions, D), positions in the column order of `taps`:
+    the patch layout's tap index (grid order) or its `phase_taps` (polyphase
+    order, which `a_token` takes).
 
     All candidate offsets are strided slices of this one product, so the
     candidates seen for an input and for its shift are gathers of bitwise
@@ -208,8 +210,10 @@ def a_token(x, cfg: PatchEmbedConfig) -> tuple[TokenMatrix, SelectionTrace]:
     stack = _signal_stack(x, cfg)
     _, *shape, c = stack.shape
     lay = layout(tuple(shape), cfg.patch_len, "patch_len", c)
-    # (B, phases, positions, D): each sample's polyphase components.
-    comps = _full_rate_embed(stack, lay.taps, cfg.embed).take(lay.components, axis=1)
+    # Embedded in polyphase order, so (B, phases, positions, D) by a reshape:
+    # each sample's polyphase components.
+    embedded = _full_rate_embed(stack, lay.phase_taps, cfg.embed)
+    comps = embedded.reshape(len(stack), *lay.components.shape, -1)
     sub, trace = best_phase(comps, _token_energy(comps, cfg.invariant_fn), lay.phases, TOKEN)
     return TokenMatrix._fresh(sub, lay.coarse), trace
 

@@ -481,3 +481,28 @@ def test_module_entry_point(tmp_path):
     assert proc.returncode == 0, proc.stderr
     assert "suite claim3" in proc.stdout
     assert out.exists()
+
+
+def test_closed_stdout_exits_three_and_still_writes_the_files(tmp_path):
+    # Exit 1 means a property failed; a reader that stops early is not that.
+    src = str(Path(eqvit.__file__).parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    env = {**os.environ, "PYTHONPATH": path}
+    out = tmp_path / "report.json"
+    commands = [
+        ["run", "--suite", "claim1", "--suite", "apmerge", "--trials", "3", "--out", str(out)],
+        ["replay", str(tmp_path / "report.replay.json")],
+    ]
+    for argv in commands:
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "eqvit", *argv],
+            stdout=subprocess.PIPE,
+            stderr=subprocess.PIPE,
+            env=env,
+        )
+        proc.stdout.close()  # before the child can print anything
+        err = proc.stderr.read().decode()
+        assert proc.wait() == cli.STDOUT_CLOSED != 1, err
+        assert "Traceback" not in err and "Exception" not in err
+    assert json.loads(out.read_text())["suites"]
+    assert json.loads((tmp_path / "report.replay.json").read_text())["kind"] == "sentinel"

@@ -6,7 +6,9 @@ rotations and tilings spelled by `np.roll` and reshape/transpose.  They are
 kept here as oracles only; every comparison is on `tobytes()`, so a -0.0
 where the loop gave 0.0 counts as a difference.  The column projection of
 the full-rate embedding is held to the row layout it replaced and to a
-plain loop over k, and anchored window attention to rotate-then-`wsa`.
+plain loop over k, its polyphase order to the grid order gathered into
+components, the merge that projects before it moves to the per-tap loop,
+and anchored window attention to rotate-then-`wsa`.
 """
 
 import tracemalloc
@@ -25,7 +27,7 @@ from eqvit.numerics import project_rows, rotate_rows
 from eqvit.pipeline import ModelConfig, _decode, _encode, build_model
 from eqvit.tokenizer import INVARIANT_FNS, PatchEmbedConfig, TokenMatrix, _full_rate_embed
 from eqvit.tokenizer import a_token, lemma1_sides, reshape_patches, token
-from eqvit.trace import MERGE, SelectionTrace, TraceEntry
+from eqvit.trace import MERGE, TOKEN, SelectionTrace, TraceEntry
 
 GRIDS = [(16,), (4, 4), (4, 8), (8, 4)]
 
@@ -174,19 +176,36 @@ def test_window_energy_equals_tap_loop(grid):
             assert same(window_energy(tokens, cfg), window_energy_loop(tokens, cfg))
 
 
-@pytest.mark.parametrize("grid", GRIDS)
+# Position counts that are no multiple of a SIMD width, so each einsum lane
+# loop along the positions ends in a tail.
+ODD_SHAPES = [(6,), (10,), (6, 10), (10, 6)]
+
+
+@pytest.mark.parametrize("grid", GRIDS + ODD_SHAPES)
 def test_pmerge_conv_fullrate_equals_shift_project_loop(grid):
+    # Every factor that divides the grid, with tokens of -0.0 among mixed signed zeros.
     rng = np.random.default_rng(2)
     d, rank = 3, len(grid)
-    cases = token_cases(grid, d, rng)
-    for factor in (1, 2, 4):
-        cfg = MergeConfig(factor, rng.uniform(-0.5, 0.5, (factor**rank * d, 5)))
-        batch = cases[-1]
+    mats = [*samples(rng, grid, d), np.full((*grid, d), -0.0)]
+    stack = np.stack(mats).reshape(len(mats), -1, d)
+    for factor in (f for f in range(1, min(grid) + 1) if not any(g % f for g in grid)):
+        shared = MergeConfig(factor, rng.uniform(-0.5, 0.5, (factor**rank * d, 5)))
         # One merge projection per sample of the batch, as the apmerge suite runs it.
-        stacked = MergeConfig(factor, rng.uniform(-0.5, 0.5, (len(batch.data), *cfg.embed.shape)))
-        for tokens, merge in [*((t, cfg) for t in cases), (batch, stacked)]:
-            got = pmerge_conv_fullrate(tokens, merge).data
-            assert same(got, pmerge_conv_fullrate_loop(tokens, merge))
+        stacked = MergeConfig(factor, rng.uniform(-0.5, 0.5, (len(mats), *shared.embed.shape)))
+        for cfg in (shared, stacked):
+            expect = pmerge_conv_fullrate_loop(TokenMatrix(stack, grid), cfg)
+            assert same(pmerge_conv_fullrate(TokenMatrix(stack, grid), cfg).data, expect)
+            # Reversed, each sample keeps its own projection.
+            flipped = MergeConfig(factor, cfg.embed[::-1] if cfg.embed.ndim == 3 else cfg.embed)
+            got = pmerge_conv_fullrate(TokenMatrix(stack[::-1], grid), flipped).data
+            assert same(got, expect[::-1])
+            # Each sample alone, with its own projection.
+            for i, tokens in enumerate(stack):
+                alone = MergeConfig(factor, cfg.embed[i] if cfg.embed.ndim == 3 else cfg.embed)
+                got = pmerge_conv_fullrate(TokenMatrix(tokens, grid), alone).data
+                assert same(got[0], expect[i])
+            # Tokens of -0.0 merge to +0.0, as the loop's sum onto zeros gives.
+            assert not np.signbit(expect[-1]).any()
 
 
 @pytest.mark.parametrize("shape", [(64,), (16, 16), (8, 16), (16, 8)])
@@ -200,11 +219,6 @@ def test_full_rate_embed_equals_stacked_index(shape):
         assert same(full_rate(SignalBatch(stack), cfg), expect)
         for i, x in enumerate(signals):
             assert same(full_rate(x, cfg)[0], expect[i])
-
-
-# Position counts that are no multiple of a SIMD width, so each einsum lane
-# loop along the positions ends in a tail.
-ODD_SHAPES = [(6,), (10,), (6, 10), (10, 6)]
 
 
 @pytest.mark.parametrize("shape", ODD_SHAPES)
@@ -222,6 +236,25 @@ def test_column_projection_has_the_row_and_k_loop_bits(shape, channels):
             assert same(full_rate(SignalBatch(batch), cfg), order)
         for i, x in enumerate(signals):
             assert same(full_rate(x, cfg)[0], expect[i])
+
+
+@pytest.mark.parametrize("shape", ODD_SHAPES + [(16,), (8, 16)])
+@pytest.mark.parametrize("channels", [1, 2])
+def test_polyphase_order_embedding_is_the_grid_order_one_gathered(shape, channels):
+    rng = np.random.default_rng(11)
+    for patch_len in (p for p in (1, 2, 3, 4) if not any(g % p for g in shape)):
+        k = patch_len ** len(shape) * channels
+        cfg = PatchEmbedConfig(patch_len, rng.uniform(-0.5, 0.5, (k, 5)))
+        stack = np.stack([*samples(rng, shape, channels), np.full((*shape, channels), -0.0)])
+        lay = layout(shape, patch_len, "patch_len", channels)
+        grid_order = _full_rate_embed(stack, lay.taps, cfg.embed).take(lay.components, axis=1)
+        phase_order = _full_rate_embed(stack, lay.phase_taps, cfg.embed)
+        assert same(phase_order.reshape(grid_order.shape), grid_order)
+        # a_token selects from those components as it did from the gathered ones.
+        sub, trace = a_token(SignalBatch(stack), cfg)
+        scores = INVARIANT_FNS[cfg.invariant_fn](grid_order)
+        won, expect = best_phase(grid_order, scores, lay.phases, TOKEN)
+        assert same(sub.data, won) and same(trace.entries[0].offsets, expect.entries[0].offsets)
 
 
 @pytest.mark.parametrize("shape", ODD_SHAPES)
@@ -313,7 +346,7 @@ def test_layout_indices_are_shared_and_gathered_without_a_copy():
     # through fancy indexing, which copies anyway, so it stays read-only.
     lay = layout((6, 9), 3, "patch_len", 2)
     assert lay is layout((6, 9), 3, "patch_len", 2)
-    for name in ("taps", "tiles", "components", "untile"):
+    for name in ("taps", "phase_taps", "tap_rows", "tiles", "components", "untile"):
         index = getattr(lay, name)
         assert index is getattr(lay, name) and index.flags.writeable
     with pytest.raises(ValueError):
@@ -335,10 +368,16 @@ def test_layout_indices_equal_the_cached_grid_indices():
         assert same(lay.components, lay.tiles.T) and lay.components.flags.c_contiguous
         assert same(lay.phases, np.array(list(product(range(size), repeat=len(grid)))))
         assert lay.coarse == tuple(g // size for g in grid)
+        # Polyphase order: the columns permuted by the components.
+        assert same(lay.phase_taps, lay.taps[:, lay.components.ravel()])
+        # Merge rows: tap t of position n's group is row n * taps + t.
+        t = size ** len(grid)
+        assert same(lay.tap_rows, lay.taps * t + np.arange(t)[:, np.newaxis])
     # With C channels, tap row t * C + c is channel c of tap t's rotation.
     taps, lay = grid_index((6, 4), 2, 1, (0, 0)).T, layout((6, 4), 2, "patch_len", 3)
     assert same(lay.taps[3 * 3 + 2], 3 * taps[3] + 2)
     assert same(lay.taps, (3 * taps[:, np.newaxis] + np.arange(3)[:, np.newaxis]).reshape(-1, 24))
+    assert same(lay.phase_taps, lay.taps[:, lay.components.ravel()])
 
 
 def test_tap_index_rows_are_rotations_in_row_major_order():
@@ -425,6 +464,20 @@ def test_no_op_output_shares_memory_with_a_layout(rank):
         assert all(writeable != (n == "phases") for n, writeable in flags), name
 
 
+@pytest.mark.parametrize("shape", [(64,), (32, 32)])
+def test_a_forward_keeps_no_grid_order_tap_index(shape):
+    # a_token and the merges gather through their polyphase-order and merge
+    # indices, built without caching the grid-order one beside them.
+    cfg = ModelConfig(input_shape=shape)
+    model = build_model(cfg)
+    layout.cache_clear()
+    _encode(model, GridSignal(np.ones((*shape, cfg.channels))))
+    patch = layout(shape, cfg.patch_len, "patch_len", cfg.channels)
+    merges = [layout(g, p, "factor") for g, p in zip(cfg.stage_grids(), cfg.merge_factors)]
+    assert "phase_taps" in vars(patch) and all("tap_rows" in vars(m) for m in merges)
+    assert not any("taps" in vars(lay) for lay in (patch, *merges))
+
+
 @pytest.mark.parametrize("rank", [1, 2])
 def test_grid_index_stays_read_only_beside_the_layouts(rank):
     (grid, _), _ = LAYOUT_GRIDS[rank]
@@ -433,7 +486,7 @@ def test_grid_index_stays_read_only_beside_the_layouts(rank):
     for args in ((grid, 4, 1, zero), (grid, 4, 4, zero), (grid, 1, 1, zero)):
         index = grid_index(*args)
         assert not index.flags.writeable and index is grid_index(*args)
-        arrays = (lay.taps, lay.tiles, lay.components, lay.untile)
+        arrays = (lay.taps, lay.phase_taps, lay.tap_rows, lay.tiles, lay.components, lay.untile)
         assert not any(np.shares_memory(index, a) for a in arrays)
 
 

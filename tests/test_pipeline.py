@@ -421,7 +421,7 @@ def test_forward_overhead_stays_out(monkeypatch, shape):
 # encode_decode).  A ceiling: lower is fine, and Python versions that inline
 # comprehensions count fewer.  NumPy's own frames are not counted, so the
 # figures do not depend on the NumPy version.
-FRAME_BUDGET = {(64,): (66, 69), (32, 32): (70, 73)}
+FRAME_BUDGET = {(64,): (64, 67), (32, 32): (64, 67)}
 
 
 def eqvit_frames(fn, *args) -> int:
