@@ -8,21 +8,8 @@ and by randomized property tests at desk scale.
 """
 
 from .errors import ConfigError, ParameterError, ShapeError, TraceError
-from .numerics import (
-    GridSignal,
-    circular_shift,
-    lp_norm,
-    softmax_rows,
-)
-from .tokenizer import (
-    INVARIANT_FNS,
-    PatchEmbedConfig,
-    TokenMatrix,
-    a_token,
-    lemma1_oracle,
-    reshape_patches,
-    token,
-)
+from .numerics import GridSignal, circular_shift, lp_norm
+from .tokenizer import INVARIANT_FNS, PatchEmbedConfig, TokenMatrix, a_token, token
 from .attention import (
     AttentionParams,
     RpeTable,
@@ -42,7 +29,6 @@ from .metrics import (
     c_cons,
     mascc,
     s_cons_zeropad,
-    shift_zeropad,
     synthetic_inputs,
 )
 from .trace import SelectionTrace, TraceEntry

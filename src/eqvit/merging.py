@@ -17,6 +17,7 @@ sample, and `unpool` reads that trace back.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -50,6 +51,12 @@ class MergeConfig:
         check_value("factor", self.factor, POSITIVE)
         check_value("energy_p", self.energy_p, NORM_ORDER)
         object.__setattr__(self, "embed", weight_array(self.embed, "embed", (2, 3)))
+
+    @cached_property
+    def tap_blocks(self) -> dict[int, np.ndarray]:
+        """Per tap count T, `embed` as `pmerge_conv_fullrate` reads it, laid out
+        once, read-only: (..., D, T * D~), tap t's row block in columns t * D~ onward."""
+        return {}
 
 
 def _check_merge(data: np.ndarray, grid: tuple[int, ...], cfg: MergeConfig):
@@ -92,10 +99,12 @@ def pmerge_conv_fullrate(tokens: TokenMatrix, cfg: MergeConfig) -> TokenMatrix:
     data, embed = tokens.data, cfg.embed
     index = _check_merge(data, tokens.grid_shape, cfg).tap_rows
     lead, taps, d, out = embed.shape[:-2], len(index), data.shape[-1], embed.shape[-1]
-    # (..., taps * D, D~) to (..., D, taps * D~): tap t's block in columns t * D~ onward.
-    blocks = embed.reshape(*lead, taps, d, out).swapaxes(-3, -2).reshape(*lead, d, taps * out)
+    if taps not in cfg.tap_blocks:
+        blocks = embed.reshape(*lead, taps, d, out).swapaxes(-3, -2).reshape(*lead, d, taps * out)
+        blocks.setflags(write=False)
+        cfg.tap_blocks[taps] = blocks
     # Row n * taps + t of each sample: token n projected by tap t's block.
-    moved = project_rows(data, blocks).reshape(len(data), -1, out).take(index, axis=1)
+    moved = project_rows(data, cfg.tap_blocks[taps]).reshape(len(data), -1, out).take(index, axis=1)
     # An outer-axis reduce adds whole tap planes in order onto +0.0.
     return TokenMatrix._fresh(np.add.reduce(moved, axis=1, initial=0.0), tokens.grid_shape)
 
@@ -119,7 +128,7 @@ def aps(
         check_value("factor", factor, POSITIVE)
         raise
     comps = data.take(lay.components, axis=1)  # (B, phases, positions, D)
-    scores = lp_norm(comps.reshape(*comps.shape[:2], -1), energy_p, axis=-1)
+    scores = lp_norm(comps.reshape(*comps.shape[:2], -1), energy_p)
     comp, trace = best_phase(comps, scores, lay.phases, MERGE)
     return TokenMatrix._fresh(comp, lay.coarse), trace
 

@@ -22,7 +22,7 @@ import numpy as np
 
 from . import pipeline
 from .errors import ParameterError, ShapeError
-from .numerics import POSITIVE, GridSignal, SignalBatch, as_offsets, check_value, ints_in, is_int
+from .numerics import POSITIVE, GridSignal, SignalBatch, check_value, ints_in, is_int
 from .numerics import max_abs_rows, real_array, rotate_rows
 from .pipeline import MAX_BATCH, Model, ModelConfig
 from .tokenizer import TokenMatrix
@@ -124,11 +124,6 @@ def shift_stack(stack: np.ndarray, offsets: np.ndarray, zero_pad: bool = False) 
         past = np.indices(grid) >= np.reshape(grid, (-1, *ones)) - offsets.reshape(b, -1, *ones)
         out[past.any(axis=1)] = 0.0
     return out
-
-
-def shift_zeropad(x: GridSignal, off) -> GridSignal:
-    """Standard (non-circular) shift: out[n] = x[n + off], zeros past the end."""
-    return GridSignal._fresh(shift_stack(x.data[np.newaxis], as_offsets([off], x.rank), True)[0])
 
 
 def pass_pairs(cfg: ModelConfig) -> int:

@@ -408,16 +408,9 @@ def best_phase(comps: np.ndarray, scores: np.ndarray, phases: np.ndarray, kind: 
     return comps[np.arange(len(idx)), idx], SelectionTrace.single(kind, phases[idx], tied)
 
 
-def softmax_rows(matrix: np.ndarray) -> np.ndarray:
-    """Softmax over the last axis (ndim >= 2) with max subtraction for overflow safety."""
-    m = np.array(matrix, dtype=np.float64)
-    if m.ndim < 2:
-        raise ShapeError(f"softmax_rows expects ndim >= 2, got ndim={m.ndim}")
-    return softmax_in_place(m)
-
-
 def softmax_in_place(m: np.ndarray) -> np.ndarray:
-    """`softmax_rows` of a float64 array the caller owns, computed in its place."""
+    """Softmax over the last axis of a float64 array the caller owns, computed
+    in its place, with max subtraction for overflow safety."""
     m -= np.maximum.reduce(m, axis=-1, keepdims=True)
     np.exp(m, out=m)
     m /= np.add.reduce(m, axis=-1, keepdims=True)
@@ -445,12 +438,11 @@ def _norm_root(p) -> float:
     return 1.0 / p
 
 
-def lp_norm(values, p: float, axis: int | None = None):
-    """lp norm (sum_i |v_i|^p)^(1/p) over all entries of `values` (a float),
-    or along the last axis (axis=-1).
+def lp_norm(values, p: float) -> np.ndarray:
+    """lp norms (sum_i |v_i|^p)^(1/p) along the last axis of `values`.
 
-    The powers are summed by `sorted_sum`, so the result is bit-identical
-    for any permutation of the input.  Adaptive selections compare these
+    The powers are summed by `sorted_sum`, so each norm is bit-identical
+    for any permutation of its row.  Adaptive selections compare these
     norms across rotated views and rely on that exactness.
     """
     try:
@@ -458,17 +450,13 @@ def lp_norm(values, p: float, axis: int | None = None):
     except TypeError:  # unhashable: the cache refused it before its check ran
         check_value("lp_norm order p", p, NORM_ORDER)
         raise
-    if axis not in (None, -1):
-        raise ParameterError(f"lp_norm reduces all entries or the last axis, not {axis}")
     powers = np.abs(np.asarray(values, dtype=np.float64), order="C")
     if powers.size == 0:
         raise ShapeError("lp_norm of an empty array")
     powers **= p
-    if axis is None:
-        return float(sorted_sum(powers.reshape(-1))) ** root
     total = sorted_sum(powers)
-    # Each root is a Python float power, as for one norm: the array power has
-    # fast paths of its own (sqrt for 1/2) that may round differently.
+    # Each root is a Python float power: the array power has fast paths of
+    # its own (sqrt for 1/2) that may round differently.
     return np.array([t**root for t in total.ravel().tolist()]).reshape(total.shape)
 
 
@@ -488,14 +476,12 @@ def project_rows(rows: np.ndarray, matrix: np.ndarray) -> np.ndarray:
 
     A (B, M, K) stack of rows takes one (K, D) matrix for every sample, or a
     (B, K, D) stack with one matrix per sample; each sample gets the bits of
-    its own (M, K) call.  Its inner loop runs along D, so with few token
+    its call as a stack of one.  Its inner loop runs along D, so with few token
     dimensions and many rows `project_columns` on the transposed layout gives
     the same bits faster.
     """
     r = np.asarray(rows, dtype=np.float64)
     m = np.asarray(matrix, dtype=np.float64)
-    if r.ndim == m.ndim == 2 and r.shape[1] == m.shape[0]:
-        return np.einsum("mk,kd->md", r, m)
     stacked = m.ndim == 3 and len(m) == len(r)
     if r.ndim != 3 or not (m.ndim == 2 or stacked) or r.shape[2] != m.shape[-2]:
         raise ShapeError(f"cannot project rows of shape {r.shape} with a {m.shape} matrix")

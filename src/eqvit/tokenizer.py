@@ -29,7 +29,6 @@ from .numerics import (
     as_offsets,
     best_phase,
     freeze,
-    grid_index,
     layout,
     offset_index,
     project_columns,
@@ -109,12 +108,6 @@ class TokenMatrix:
         """View of the tokens shaped (B, *grid_shape, D)."""
         return self.data.reshape(len(self.data), *self.grid_shape, self.dim)
 
-    def shift(self, off) -> TokenMatrix:
-        """Circularly rotate the token grid: out[k] = self[(k + off) mod G],
-        the same offset for every sample."""
-        index = grid_index(self.grid_shape, 1, 1, tuple(as_offsets([off], self.rank)[0].tolist()))
-        return TokenMatrix._fresh(self.data.take(index[:, 0], axis=1), self.grid_shape)
-
 
 @dataclass(frozen=True)
 class PatchEmbedConfig:
@@ -154,21 +147,6 @@ def _signal_stack(x, cfg: PatchEmbedConfig) -> np.ndarray:
             f"patches have {expect} entries"
         )
     return stack
-
-
-def reshape_patches(x: GridSignal, patch_len: int, off=None) -> np.ndarray:
-    """Patch matrix of the signal shifted by `off`, one patch per row.
-
-    Each row flattens a patch row-major over (position, channel).  Rows
-    enumerate patches row-major over the token grid.
-    """
-    check_value("patch_len", patch_len, POSITIVE)  # before the cache, which hashes it
-    grid = layout(x.shape, patch_len, "patch_len", x.channels).coarse
-    offs = (0,) * x.rank if off is None else tuple(as_offsets([off], x.rank)[0].tolist())
-    if any(not 0 <= o < patch_len for o in offs):
-        raise ParameterError(f"offset {offs} outside [0, {patch_len})")
-    index = grid_index(x.shape, patch_len, patch_len, offs)
-    return x.data.reshape(-1, x.channels).take(index, axis=0).reshape(prod(grid), -1)
 
 
 def token(x, cfg: PatchEmbedConfig) -> TokenMatrix:
@@ -245,10 +223,3 @@ def lemma1_sides(x, cfg: PatchEmbedConfig, off, axis: int = 0) -> tuple[np.ndarr
     right = right[np.arange(b)[:, np.newaxis], rotation]
     sides = stack.reshape(-1, c).take(np.stack([left, right]), axis=0)
     return tuple(project_rows(side.reshape(b, prod(grid), -1), cfg.embed) for side in sides)
-
-
-def lemma1_oracle(x: GridSignal, cfg: PatchEmbedConfig, off, axis: int = 0) -> bool:
-    """Exact interchange of a unit signal shift with offset tokenization:
-    True when both `lemma1_sides` are bitwise equal."""
-    left, right = lemma1_sides(x, cfg, [off], axis)
-    return bool(np.array_equal(left, right))

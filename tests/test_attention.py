@@ -23,6 +23,7 @@ from eqvit.attention import (
 from eqvit.errors import ParameterError, ShapeError
 from eqvit.tokenizer import TokenMatrix
 from eqvit.trace import WSA
+from reference import rotated
 
 
 def sa_oracle(t: np.ndarray, params: AttentionParams, bias=None) -> np.ndarray:
@@ -200,19 +201,19 @@ def test_adaptive_bias_commutes_with_rotation():
         rpe = RpeTable("adaptive", rng.uniform(-1, 1, m))
         base = sa(TokenMatrix(t, (m,)), params, rpe)
         for r in range(m):
-            out = sa(TokenMatrix(t, (m,)).shift(r), params, rpe)
-            assert np.max(np.abs(out.data - base.shift(r).data)) <= 1e-12
+            out = sa(rotated(TokenMatrix(t, (m,)), r), params, rpe)
+            assert np.max(np.abs(out.data - rotated(base, r).data)) <= 1e-12
 
 
 def test_original_bias_breaks_under_rotation():
     rng = np.random.default_rng(12)
     m = 6
-    t = rng.uniform(-1, 1, (m, 4))
+    t = TokenMatrix(rng.uniform(-1, 1, (m, 4)), (m,))
     params = rand_params(rng, 4)
     rpe = RpeTable("original", rng.uniform(-1, 1, 2 * m - 1))
-    base = sa(TokenMatrix(t, (m,)), params, rpe)
+    base = sa(t, params, rpe)
     worst = max(
-        np.max(np.abs(sa(TokenMatrix(t, (m,)).shift(r), params, rpe).data - base.shift(r).data))
+        np.max(np.abs(sa(rotated(t, r), params, rpe).data - rotated(base, r).data))
         for r in range(1, m)
     )
     assert worst > 1e-6
@@ -241,7 +242,7 @@ def test_window_energy_rotates_bit_exactly():
     cfg = WindowConfig(2)
     base = window_energy(t, cfg)
     for r in range(8):
-        assert np.array_equal(window_energy(t.shift(r), cfg), np.roll(base, -r))
+        assert np.array_equal(window_energy(rotated(t, r), cfg), np.roll(base, -r))
 
 
 @pytest.mark.parametrize("name", sorted(WINDOW_FNS))
@@ -337,7 +338,7 @@ def test_a_wsa_selects_highest_energy_anchor():
     # score max 5.
     assert trace.entries[0].kind == WSA
     assert trace.entries[0].offsets.tolist() == [[1]]
-    assert np.array_equal(out.data, wsa(t.shift(1), WindowConfig(2), params).data)
+    assert np.array_equal(out.data, wsa(rotated(t, 1), WindowConfig(2), params).data)
 
 
 def test_a_wsa_constant_tokens_tie_to_anchor_zero():
@@ -362,11 +363,11 @@ def test_a_wsa_aligns_under_rotation():
         t = TokenMatrix(rng.uniform(-1, 1, (m, 3)), (m,))
         shift = int(rng.integers(0, m))
         base, tb = a_wsa(t, cfg, params, rpe)
-        out, ts = a_wsa(t.shift(shift), cfg, params, rpe)
+        out, ts = a_wsa(rotated(t, shift), cfg, params, rpe)
         if tb.any_tied or ts.any_tied:
             continue
         best = min(
-            np.max(np.abs(out.data - base.shift(r).data)) for r in range(0, m, w)
+            np.max(np.abs(out.data - rotated(base, r).data)) for r in range(0, m, w)
         )
         assert best <= 1e-12
 
@@ -377,9 +378,9 @@ def test_a_wsa_aligns_rank2():
     cfg = WindowConfig(2)
     t = TokenMatrix(rng.uniform(-1, 1, (16, 3)), (4, 4))
     base, _ = a_wsa(t, cfg, params)
-    out, _ = a_wsa(t.shift((1, 3)), cfg, params)
+    out, _ = a_wsa(rotated(t, (1, 3)), cfg, params)
     best = min(
-        np.max(np.abs(out.data - base.shift((rh, rw)).data))
+        np.max(np.abs(out.data - rotated(base, (rh, rw)).data))
         for rh in range(0, 4, 2)
         for rw in range(0, 4, 2)
     )
@@ -392,7 +393,7 @@ def test_a_wsa_single_window_degenerates_to_sa():
     params = rand_params(rng, 3)
     out, trace = a_wsa(t, WindowConfig(4), params)
     off = int(trace.entries[0].offsets[0, 0])
-    assert np.array_equal(out.data, sa(t.shift(off), params).data)
+    assert np.array_equal(out.data, sa(rotated(t, off), params).data)
 
 
 # ---------------------------------------------------------------- configs --

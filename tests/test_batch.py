@@ -36,7 +36,6 @@ from eqvit.metrics import (
     c_cons,
     mascc,
     s_cons_zeropad,
-    shift_zeropad,
     synthetic_inputs,
 )
 from eqvit.numerics import SignalBatch, layout, lp_norm, project_rows
@@ -48,10 +47,10 @@ from eqvit.tokenizer import (
     _full_rate_embed,
     a_token,
     lemma1_sides,
-    reshape_patches,
     token,
 )
 from eqvit.trace import WSA, SelectionTrace
+from reference import reshape_patches, rotated, zero_pad_shift
 from trials import batches_of, trial_payloads
 
 
@@ -160,9 +159,9 @@ def test_lemma1_sides_batch_equals_singles(shape, patch, axis):
         advanced = tuple((o + u) % patch for o, u in zip(off, unit))
         carry = tuple((o + u) // patch for o, u in zip(off, unit))
         shifted = reshape_patches(circular_shift(x, unit), patch, off)
-        assert same(one_left, project_rows(shifted, cfg.embed))
-        rows = project_rows(reshape_patches(x, patch, advanced), cfg.embed)
-        assert same(one_right, TokenMatrix(rows, grid).shift(carry).data[0])
+        assert same(one_left, project_rows(shifted[np.newaxis], cfg.embed)[0])
+        rows = project_rows(reshape_patches(x, patch, advanced)[np.newaxis], cfg.embed)
+        assert same(one_right, rotated(TokenMatrix(rows, grid), carry).data[0])
         assert same(one_left, one_right)
 
 
@@ -211,7 +210,7 @@ def test_scorers_reduce_rows_like_single_calls():
             sums = WINDOW_FNS["sum"](stack)
             assert all(same(sums[i], WINDOW_FNS["sum"](r)) for i, r in enumerate(rows))
             for p in (1.0, 2.0, 3.0):
-                norms = lp_norm(stack, p, axis=-1)
+                norms = lp_norm(stack, p)
                 assert all(same(norms[i], lp_norm(r, p)) for i, r in enumerate(rows))
         # The token energies score each (M, D) matrix of a strided stack as it alone.
         mats = rng.uniform(-3, 3, (4, n, 5)) * 10.0 ** rng.uniform(-3, 3, (4, 1, 1))
@@ -296,7 +295,6 @@ def test_one_sample_is_a_stack_of_one(shape):
     merged, trace = a_pmerge(t, merge)
     outputs = {
         "TokenMatrix": t,
-        "TokenMatrix.shift": t.shift((1,) * rank),
         "token": token(x, cfg),
         "a_token": a_token(x, cfg)[0],
         "sa": sa(t, params),
@@ -370,7 +368,7 @@ def reference_row(name, results, tolerance):
 
 def best_alignment(shifted: TokenMatrix, base: TokenMatrix, step: int = 1) -> float:
     candidates = product(*(range(0, g, step) for g in base.grid_shape))
-    return min(max_abs(shifted.data, base.shift(r).data) for r in candidates)
+    return min(max_abs(shifted.data, rotated(base, r).data) for r in candidates)
 
 
 def claim1_reference(sc):
@@ -385,7 +383,7 @@ def claim2_reference(sc):
     for payload, (wcfg, params, rpe) in trial_payloads("claim2", sc):
         t = TokenMatrix(payload["t"], tuple(payload["grid"]))
         base, tb = a_wsa(t, wcfg, params, rpe)
-        out, ts = a_wsa(t.shift(tuple(payload["shift"])), wcfg, params, rpe)
+        out, ts = a_wsa(rotated(t, tuple(payload["shift"])), wcfg, params, rpe)
         yield payload, best_alignment(out, base, wcfg.window), True, tb.any_tied or ts.any_tied
 
 
@@ -409,7 +407,7 @@ def apmerge_reference(sc):
         t = TokenMatrix(payload["t"], tuple(payload["grid"]))
         cfg = MergeConfig(payload["factor"], payload["embed"], payload["energy_p"])
         base, tb = a_pmerge(t, cfg)
-        out, ts = a_pmerge(t.shift(tuple(payload["shift"])), cfg)
+        out, ts = a_pmerge(rotated(t, tuple(payload["shift"])), cfg)
         yield payload, best_alignment(out, base), True, tb.any_tied or ts.any_tied
 
 
@@ -594,7 +592,7 @@ def metric_references(model, inputs, sampler):
     """Per-trial (agreement, divergence, tied) of each metric, one sample at a time."""
     return {
         "c_cons": label_reference(model, inputs, sampler, circular_shift),
-        "s_cons_zeropad": label_reference(model, inputs, sampler, shift_zeropad),
+        "s_cons_zeropad": label_reference(model, inputs, sampler, zero_pad_shift),
         "mascc": mascc_reference(model, inputs, sampler),
     }
 

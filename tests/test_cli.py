@@ -1,5 +1,7 @@
 """CLI behavior: exit codes, report/replay files, seed resolution."""
 
+import contextlib
+import io
 import json
 import os
 import re
@@ -10,11 +12,14 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import eqvit
 from eqvit import cli
 from eqvit.cli import ENV_SEED, main
-from eqvit.harness import PROOF_SUITES, SUITES, _counterexample
+from eqvit.harness import PROOF_SUITES, PROPERTIES, SUITES, SuiteConfig, _counterexample, sentinel
+from eqvit.pipeline import ModelConfig
 from trials import first_payload
 
 
@@ -494,15 +499,76 @@ def test_closed_stdout_exits_three_and_still_writes_the_files(tmp_path):
         ["replay", str(tmp_path / "report.replay.json")],
     ]
     for argv in commands:
-        proc = subprocess.Popen(
+        with subprocess.Popen(
             [sys.executable, "-m", "eqvit", *argv],
             stdout=subprocess.PIPE,
             stderr=subprocess.PIPE,
             env=env,
-        )
-        proc.stdout.close()  # before the child can print anything
-        err = proc.stderr.read().decode()
-        assert proc.wait() == cli.STDOUT_CLOSED != 1, err
+        ) as proc:  # leaving closes both pipes and waits for the child
+            proc.stdout.close()  # before the child can print anything
+            err = proc.stderr.read().decode()
+        assert proc.returncode == cli.STDOUT_CLOSED != 1, err
         assert "Traceback" not in err and "Exception" not in err
     assert json.loads(out.read_text())["suites"]
     assert json.loads((tmp_path / "report.replay.json").read_text())["kind"] == "sentinel"
+
+
+# ---------------------------------------------------------- boundary fuzz --
+# Documents as a run writes them, damaged, through `main` in process: every
+# outcome is an exit code of 0, 1 or 2, never an exception.
+
+_CONFIGS = [
+    ModelConfig().to_dict(),
+    ModelConfig(input_shape=(32, 32)).to_dict(),
+    ModelConfig(input_shape=(96,), windows=2, merge_factors=(3, 2)).to_dict(),
+]
+# Values of another JSON type than a field's own, non-finite and too-large
+# numbers, and nested lists.
+_SWAPS = [
+    None, True, 2, 2.5, "4", {"a": 1}, [], [[4]], [[64], 2],
+    float("nan"), float("inf"), float("-inf"), 2**63, -(2**63),
+]
+_REPLAYS = [
+    *(cli._dump(_counterexample(name, 0.0, 1.0, first_payload(name))) for name in PROPERTIES),
+    cli._dump(sentinel(SuiteConfig())),
+    cli._dump(sentinel(SuiteConfig(), ["end2end"])),
+]
+_FUZZ = settings(max_examples=100, derandomize=True, database=None, deadline=None)
+
+
+@pytest.fixture(scope="module")
+def fuzz_dir(tmp_path_factory):
+    return tmp_path_factory.mktemp("fuzz")
+
+
+def quiet_main(argv) -> int:
+    """`main` with its printed lines discarded."""
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        return main(argv)
+
+
+@_FUZZ
+@given(data=st.data())
+def test_damaged_model_config_exits_zero_one_or_two(fuzz_dir, data):
+    doc = dict(data.draw(st.sampled_from(_CONFIGS)))
+    for key in data.draw(st.lists(st.sampled_from(sorted(doc)), min_size=1, max_size=2, unique=True)):
+        if data.draw(st.booleans()):
+            del doc[key]
+        else:
+            doc[key] = data.draw(st.sampled_from(_SWAPS))
+    path = fuzz_dir / "model.json"
+    path.write_text(json.dumps(doc))
+    argv = ["run", "--config", str(path), "--suite", "end2end", "--trials", "1"]
+    assert quiet_main([*argv, "--out", str(fuzz_dir / "report.json")]) in (0, 1, 2)
+
+
+@_FUZZ
+@given(data=st.data())
+def test_truncated_replay_file_exits_zero_one_or_two(fuzz_dir, data):
+    text = data.draw(st.sampled_from(_REPLAYS))
+    path = fuzz_dir / "damaged.replay.json"
+    path.write_text(text[: data.draw(st.integers(0, len(text)))])
+    code = quiet_main(["replay", str(path)])
+    assert code in (0, 1, 2)
+    if code == 1:  # only a whole counterexample or "fail" sentinel reproduces
+        assert json.loads(path.read_text()) == json.loads(text)

@@ -26,7 +26,7 @@ from eqvit.numerics import SignalBatch, best_phase, grid_index, layout, lp_norm
 from eqvit.numerics import project_rows, rotate_rows
 from eqvit.pipeline import ModelConfig, _decode, _encode, build_model
 from eqvit.tokenizer import INVARIANT_FNS, PatchEmbedConfig, TokenMatrix, _full_rate_embed
-from eqvit.tokenizer import a_token, lemma1_sides, reshape_patches, token
+from eqvit.tokenizer import a_token, lemma1_sides, token
 from eqvit.trace import MERGE, TOKEN, SelectionTrace, TraceEntry
 
 GRIDS = [(16,), (4, 4), (4, 8), (8, 4)]
@@ -299,7 +299,7 @@ def test_anchored_wsa_equals_rotate_then_wsa(grid, w):
 
 
 SCORES = {
-    "aps": lambda comps: lp_norm(comps.reshape(len(comps), -1), 2.0, axis=-1),
+    "aps": lambda comps: lp_norm(comps.reshape(len(comps), -1), 2.0),
     **{f"token-{name}": fn for name, fn in INVARIANT_FNS.items()},
     **{f"window-{name}": lambda comps, fn=fn: fn(comps[..., 0]) for name, fn in WINDOW_FNS.items()},
 }
@@ -408,11 +408,9 @@ def layout_op_calls(rank, tokens_grid, signal_grid):
     merge = MergeConfig(size, rng.uniform(-0.5, 0.5, (size**rank * d, 2 * d)), 3.0)
     patch_key = (signal_grid, size, "patch_len", 2)
     window_key, merge_key = (tokens_grid, size, "window"), (tokens_grid, size, "factor")
-    one = GridSignal(x.data[0])
     return [
         ("a_token", lambda: a_token(x, patch), [patch_key]),
         ("token", lambda: token(x, patch), [patch_key]),
-        ("reshape_patches", lambda: reshape_patches(one, size, (1,) * rank), [patch_key]),
         ("lemma1_sides", lambda: lemma1_sides(x, patch, [(1,) * rank, (3,) * rank]), [patch_key]),
         ("window_energy", lambda: window_energy(tokens, window), [window_key]),
         ("wsa", lambda: wsa(tokens, window, params, rpe), [window_key]),

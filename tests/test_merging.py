@@ -12,6 +12,7 @@ from eqvit.errors import ParameterError, ShapeError, TraceError
 from eqvit.merging import MergeConfig, a_pmerge, aps, pmerge, pmerge_conv_fullrate, unpool
 from eqvit.tokenizer import TokenMatrix
 from eqvit.trace import MERGE, WSA, SelectionTrace, TraceEntry
+from reference import rotated
 
 
 def pmerge_oracle_1d(t: np.ndarray, p: int, e: np.ndarray) -> np.ndarray:
@@ -85,9 +86,9 @@ def test_pmerge_is_not_shift_equivariant():
     t = TokenMatrix(rng.uniform(-1, 1, (8, 2)), (8,))
     cfg = MergeConfig(2, rng.uniform(-1, 1, (4, 3)))
     base = pmerge(t, cfg)
-    shifted = pmerge(t.shift(1), cfg)
+    shifted = pmerge(rotated(t, 1), cfg)
     worst = min(
-        np.max(np.abs(shifted.data - base.shift(r).data)) for r in range(base.data.shape[-2])
+        np.max(np.abs(shifted.data - rotated(base, r).data)) for r in range(base.data.shape[-2])
     )
     assert worst > 1e-6
 
@@ -154,8 +155,27 @@ def test_fullrate_rotates_bit_exactly():
     cfg = MergeConfig(2, rng.uniform(-1, 1, (4, 3)))
     base = pmerge_conv_fullrate(t, cfg)
     for r in range(8):
-        out = pmerge_conv_fullrate(t.shift(r), cfg)
-        assert np.array_equal(out.data, base.shift(r).data)
+        out = pmerge_conv_fullrate(rotated(t, r), cfg)
+        assert np.array_equal(out.data, rotated(base, r).data)
+
+
+def test_fullrate_lays_out_its_projection_once_per_tap_count():
+    # One 8-row projection merges D = 4 tokens on a line (2 taps) and D = 2
+    # tokens on a plane (4 taps): each layout is built once, read-only, and
+    # every call gives what a fresh config gives.
+    rng = np.random.default_rng(9)
+    cfg = MergeConfig(2, rng.uniform(-1, 1, (8, 3)))
+    line = TokenMatrix(rng.uniform(-1, 1, (8, 4)), (8,))
+    plane = TokenMatrix(rng.uniform(-1, 1, (16, 2)), (4, 4))
+    for t in (line, plane, line, plane):
+        fresh = pmerge_conv_fullrate(t, MergeConfig(2, cfg.embed))
+        assert pmerge_conv_fullrate(t, cfg).data.tobytes() == fresh.data.tobytes()
+    assert sorted(cfg.tap_blocks) == [2, 4]
+    assert cfg.tap_blocks[2].shape == (4, 6) and cfg.tap_blocks[4].shape == (2, 12)
+    assert not any(blocks.flags.writeable for blocks in cfg.tap_blocks.values())
+    blocks = cfg.tap_blocks[2]
+    pmerge_conv_fullrate(line, cfg)
+    assert cfg.tap_blocks[2] is blocks
 
 
 # --------------------------------------------------------------------- aps --
@@ -175,10 +195,10 @@ def test_aps_constant_ties_to_phase_zero():
 
 def test_aps_selection_follows_shift():
     base, _ = aps(col([4, 1, 2, 3]), 2)
-    out, trace = aps(col([4, 1, 2, 3]).shift(1), 2)
+    out, trace = aps(rotated(col([4, 1, 2, 3]), 1), 2)
     assert trace.entries[0].offsets.tolist() == [[1]]
     assert sorted(out.data[0, :, 0]) == sorted(base.data[0, :, 0])
-    assert np.array_equal(out.data, base.shift(1).data)
+    assert np.array_equal(out.data, rotated(base, 1).data)
 
 
 def test_aps_rank2_phases():
@@ -252,11 +272,11 @@ def test_a_pmerge_unit_shift_contract():
     for _ in range(25):
         t = TokenMatrix(rng.uniform(-1, 1, (8, 2)), (8,))
         base, tb = a_pmerge(t, cfg)
-        out, ts = a_pmerge(t.shift(1), cfg)
+        out, ts = a_pmerge(rotated(t, 1), cfg)
         if tb.any_tied or ts.any_tied:
             continue
         assert np.array_equal(out.data, base.data) or np.array_equal(
-            out.data, base.shift(1).data
+            out.data, rotated(base, 1).data
         )
 
 
@@ -267,11 +287,11 @@ def test_a_pmerge_aligns_exactly_rank2():
         t = TokenMatrix(rng.uniform(-1, 1, (36, 2)), (6, 6))
         shift = tuple(int(s) for s in rng.integers(0, 6, size=2))
         base, tb = a_pmerge(t, cfg)
-        out, ts = a_pmerge(t.shift(shift), cfg)
+        out, ts = a_pmerge(rotated(t, shift), cfg)
         if tb.any_tied or ts.any_tied:
             continue
         assert any(
-            np.array_equal(out.data, base.shift((rh, rw)).data)
+            np.array_equal(out.data, rotated(base, (rh, rw)).data)
             for rh in range(3)
             for rw in range(3)
         )
@@ -310,7 +330,7 @@ def test_unpool_unwinds_window_offsets_in_reverse():
     out = unpool(z, merge_trace((0,), wsa_offsets=[(1,), (2,)]), 2, 4)
     scatter = np.zeros((4, 1))
     scatter[0::2] = z.data
-    expected = TokenMatrix(scatter, (4,)).shift((-2,)).shift((-1,))
+    expected = rotated(rotated(TokenMatrix(scatter, (4,)), (-2,)), (-1,))
     assert np.array_equal(out.data, expected.data)
 
 

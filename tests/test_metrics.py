@@ -14,10 +14,10 @@ from eqvit.metrics import (
     pass_pairs,
     s_cons_zeropad,
     shift_stack,
-    shift_zeropad,
     synthetic_inputs,
 )
 from eqvit.pipeline import SWITCHES, ModelConfig, build_model, classify, encode_decode
+from reference import zero_pad_shift
 
 
 def sig(values) -> GridSignal:
@@ -75,26 +75,26 @@ def test_sampler_validation():
         ShiftSampler(max_offset=(-1,))
 
 
-# ----------------------------------------------------------- shift_zeropad --
+# ------------------------------------------------------ zero-padded shifts --
 
 
 def test_zeropad_drops_wrapped_entries():
-    out = shift_zeropad(sig([1, 2, 3, 4]), 1)
+    out = zero_pad_shift(sig([1, 2, 3, 4]), 1)
     assert np.array_equal(out.data[:, 0], [2, 3, 4, 0])
 
 
 def test_zeropad_zero_offset_is_identity():
     x = sig([1, 2, 3, 4])
-    assert np.array_equal(shift_zeropad(x, 0).data, x.data)
+    assert np.array_equal(zero_pad_shift(x, 0).data, x.data)
 
 
 def test_zeropad_full_shift_clears_signal():
-    assert np.all(shift_zeropad(sig([1, 2, 3]), 3).data == 0)
+    assert np.all(zero_pad_shift(sig([1, 2, 3]), 3).data == 0)
 
 
 def test_zeropad_rank2():
     x = GridSignal(np.arange(9, dtype=float).reshape(3, 3, 1))
-    out = shift_zeropad(x, (1, 2))
+    out = zero_pad_shift(x, (1, 2))
     expected = np.zeros((3, 3))
     expected[0, 0] = 5
     expected[1, 0] = 8
@@ -103,7 +103,7 @@ def test_zeropad_rank2():
 
 def test_zeropad_rejects_negative_offsets():
     with pytest.raises(ParameterError):
-        shift_zeropad(sig([1, 2]), -1)
+        shift_stack(sig([1, 2]).data[np.newaxis], np.array([[-1]]), zero_pad=True)
 
 
 @pytest.mark.parametrize("shape", [(7,), (4, 5)])
@@ -121,7 +121,7 @@ def test_zeropad_stack_pads_with_positive_zeros(shape):
         for a, (g, o) in enumerate(zip(shape, off)):
             axis = np.arange(g) + o < g
             inside &= axis.reshape([g if b == a else 1 for b in range(len(shape))])
-        assert np.array_equal(got, shift_zeropad(GridSignal(x), tuple(off)).data)
+        assert np.array_equal(got, zero_pad_shift(GridSignal(x), tuple(off)).data)
         assert not np.signbit(got[~inside]).any() and np.all(got[~inside] == 0.0)
         rolled = np.roll(x, tuple(-o for o in off), axis=tuple(range(len(shape))))
         assert np.array_equal(np.signbit(got[inside]), np.signbit(rolled[inside]))
@@ -287,7 +287,7 @@ def test_synthetic_inputs_deterministic():
 
 def pair_reference(model, x, off_a, off_b, zero_pad):
     """One pair, each shift alone through the one-sample heads, maps rolled back."""
-    shift = shift_zeropad if zero_pad else circular_shift
+    shift = zero_pad_shift if zero_pad else circular_shift
     axes = tuple(range(x.rank))
     (logits_a, label_a, trace_a), (logits_b, label_b, trace_b) = (
         classify(model, shift(x, off)) for off in (off_a, off_b)

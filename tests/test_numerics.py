@@ -15,7 +15,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from eqvit import GridSignal, circular_shift, lp_norm, softmax_rows
+from eqvit import GridSignal, circular_shift, lp_norm
 from eqvit.attention import RpeTable
 from eqvit.attention import AttentionParams, WindowConfig
 from eqvit.errors import ConfigError, ParameterError, ShapeError
@@ -24,9 +24,9 @@ from eqvit.merging import MergeConfig, aps
 from eqvit.metrics import ShiftSampler
 from eqvit.numerics import SignalBatch, as_offsets, best_phase, freeze, grid_index, layout
 from eqvit.numerics import offset_index, predicted_rotation, project_rows, rotate_rows
-from eqvit.numerics import place_rows, weight_array
+from eqvit.numerics import place_rows, softmax_in_place, weight_array
 from eqvit.pipeline import ModelConfig
-from eqvit.tokenizer import PatchEmbedConfig, TokenMatrix, reshape_patches
+from eqvit.tokenizer import PatchEmbedConfig, TokenMatrix
 from eqvit.trace import MERGE, WSA
 
 
@@ -286,21 +286,26 @@ def test_signal_batch_checks_the_stack_once():
         SignalBatch(data)
 
 
-# ------------------------------------------------------------ softmax_rows --
+# -------------------------------------------------------- softmax_in_place --
+
+
+def softmax(values) -> np.ndarray:
+    """`softmax_in_place` on a float64 copy of `values`."""
+    return softmax_in_place(np.array(values, dtype=np.float64))
 
 
 def test_softmax_symmetric_row():
-    assert np.array_equal(softmax_rows(np.array([[0.0, 0.0]])), [[0.5, 0.5]])
+    assert np.array_equal(softmax(np.array([[0.0, 0.0]])), [[0.5, 0.5]])
 
 
 def test_softmax_survives_large_entries():
-    out = softmax_rows(np.array([[1000.0, 1000.0]]))
+    out = softmax(np.array([[1000.0, 1000.0]]))
     assert np.all(np.isfinite(out))
     assert np.array_equal(out, [[0.5, 0.5]])
 
 
 def test_softmax_log3_example():
-    out = softmax_rows(np.array([[0.0, math.log(3.0)]]))
+    out = softmax(np.array([[0.0, math.log(3.0)]]))
     assert np.allclose(out, [[0.25, 0.75]], atol=1e-12, rtol=0)
 
 
@@ -312,7 +317,7 @@ def test_softmax_log3_example():
     ).filter(lambda rows: len({len(r) for r in rows}) == 1)
 )
 def test_softmax_rows_sum_to_one(rows):
-    out = softmax_rows(np.array(rows))
+    out = softmax(np.array(rows))
     assert np.max(np.abs(out.sum(axis=1) - 1.0)) <= 1e-12
 
 
@@ -321,20 +326,15 @@ def test_softmax_rows_sum_to_one(rows):
     st.floats(-100, 100),
 )
 def test_softmax_invariant_to_row_constant(row, c):
-    base = softmax_rows(np.array([row]))
-    shifted = softmax_rows(np.array([row]) + c)
+    base = softmax(np.array([row]))
+    shifted = softmax(np.array([row]) + c)
     assert np.max(np.abs(base - shifted)) <= 1e-12
 
 
 def test_softmax_stack_matches_each_matrix_bit_for_bit():
     stack = np.random.default_rng(4).uniform(-30, 30, (5, 4, 7))
-    out = softmax_rows(stack)
-    assert all(np.array_equal(out[i], softmax_rows(stack[i])) for i in range(5))
-
-
-def test_softmax_requires_matrix():
-    with pytest.raises(ShapeError):
-        softmax_rows(np.zeros(3))
+    out = softmax(stack)
+    assert all(np.array_equal(out[i], softmax(stack[i])) for i in range(5))
 
 
 # ----------------------------------------------------------------- lp_norm --
@@ -344,6 +344,8 @@ def test_lp_norm_examples():
     assert lp_norm([3, 4], 2) == 5.0
     assert lp_norm([0, 0, 0], 3) == 0.0
     assert lp_norm([1, 1, 1, 1], 1) == 4.0
+    # Along the last axis: one norm per row.
+    assert lp_norm([[[3, 4], [0, 0]], [[1, 1], [6, 8]]], 2).tolist() == [[5.0, 0.0], [2**0.5, 10.0]]
 
 
 def test_lp_norm_validates():
@@ -374,17 +376,19 @@ def test_project_rows_commutes_with_row_permutation(m, k, d, seed):
     # The exactness contract every adaptive selection depends on: permuting
     # input rows permutes output rows bit-for-bit.
     rng = np.random.default_rng(seed)
-    rows = rng.uniform(-1, 1, (m, k))
+    rows = rng.uniform(-1, 1, (1, m, k))
     mat = rng.uniform(-1, 1, (k, d))
     perm = rng.permutation(m)
-    assert np.array_equal(project_rows(rows[perm], mat), project_rows(rows, mat)[perm])
+    assert np.array_equal(project_rows(rows[:, perm], mat), project_rows(rows, mat)[:, perm])
 
 
 def test_project_rows_checks_shapes():
     with pytest.raises(ShapeError):
         project_rows(np.zeros(3), np.zeros((3, 2)))
     with pytest.raises(ShapeError):
-        project_rows(np.zeros((2, 3)), np.zeros((4, 2)))
+        project_rows(np.zeros((1, 2, 3)), np.zeros((4, 2)))
+    with pytest.raises(ShapeError):  # one (M, K) matrix of rows is a stack of one
+        project_rows(np.zeros((2, 3)), np.zeros((3, 2)))
 
 
 def test_project_rows_stacks_take_one_or_b_matrices():
@@ -393,8 +397,8 @@ def test_project_rows_stacks_take_one_or_b_matrices():
     shared = project_rows(rows, mats[0])
     per_sample = project_rows(rows, mats)
     for i in range(3):
-        assert project_rows(rows[i], mats[0]).tobytes() == shared[i].tobytes()
-        assert project_rows(rows[i], mats[i]).tobytes() == per_sample[i].tobytes()
+        assert project_rows(rows[i : i + 1], mats[0]).tobytes() == shared[i].tobytes()
+        assert project_rows(rows[i : i + 1], mats[i]).tobytes() == per_sample[i].tobytes()
     with pytest.raises(ShapeError):
         project_rows(rows, mats[:2])  # one matrix per sample
     with pytest.raises(ShapeError):
@@ -590,12 +594,8 @@ BARE_ARGUMENTS = {
         "lp_norm order p must be a finite number >= 1",
     ),
     "lp_norm p": (
-        lambda grid, v: lp_norm(np.ones((*grid, 2)), v, axis=-1),
+        lambda grid, v: lp_norm(np.ones((*grid, 2)), v),
         "lp_norm order p must be a finite number >= 1",
-    ),
-    "reshape_patches patch_len": (
-        lambda grid, v: reshape_patches(GridSignal(np.ones((*grid, 2))), v),
-        "patch_len must be an integer >= 1",
     ),
 }
 UNHASHABLE = {"list": [2], "list of floats": [2.0], "array": np.array([2])}
