@@ -5,8 +5,9 @@ rotated alike on every sample, and one signal's zero-filling shift."""
 import numpy as np
 
 from eqvit import GridSignal, TokenMatrix
+from eqvit.errors import ParameterError
 from eqvit.metrics import shift_stack
-from eqvit.numerics import as_offsets, grid_index, rotate_rows
+from eqvit.numerics import POSITIVE, as_offsets, check_value, grid_index, layout, rotate_rows
 
 
 def reshape_patches(x: GridSignal, patch_len: int, off=None) -> np.ndarray:
@@ -14,9 +15,14 @@ def reshape_patches(x: GridSignal, patch_len: int, off=None) -> np.ndarray:
     patch per row.
 
     Each row flattens a patch row-major over (position, channel).  Rows
-    enumerate patches row-major over the token grid.
+    enumerate patches row-major over the token grid.  `patch_len` meets the
+    package's rules for a patch length, and each offset lies in [0, patch_len).
     """
+    check_value("patch_len", patch_len, POSITIVE)  # before the layout cache, which hashes it
+    layout(x.shape, patch_len, "patch_len", x.channels)
     offs = (0,) * x.rank if off is None else tuple(as_offsets([off], x.rank)[0].tolist())
+    if any(not 0 <= o < patch_len for o in offs):
+        raise ParameterError(f"offset {offs} outside [0, {patch_len})")
     index = grid_index(x.shape, patch_len, patch_len, offs)
     return x.data.reshape(-1, x.channels).take(index, axis=0).reshape(len(index), -1)
 

@@ -28,6 +28,7 @@ from eqvit.numerics import place_rows, softmax_in_place, weight_array
 from eqvit.pipeline import ModelConfig
 from eqvit.tokenizer import PatchEmbedConfig, TokenMatrix
 from eqvit.trace import MERGE, WSA
+from reference import reshape_patches
 
 
 def shift_oracle(data: np.ndarray, offs) -> np.ndarray:
@@ -582,7 +583,8 @@ def test_norm_orders_take_numbers_but_not_bools(make):
 
 # Every op that takes a size or a norm order bare, not from a config class, as
 # a call on a rank-1 or rank-2 grid with that argument set, and the words of
-# its rule.  The ops cache by these arguments, and a cache refuses an
+# its rule; the tests' patch reference checks its patch_len by the package's
+# rule too.  The ops cache by these arguments, and a cache refuses an
 # unhashable one with a TypeError before any rule is checked.
 BARE_ARGUMENTS = {
     "aps factor": (
@@ -596,6 +598,10 @@ BARE_ARGUMENTS = {
     "lp_norm p": (
         lambda grid, v: lp_norm(np.ones((*grid, 2)), v),
         "lp_norm order p must be a finite number >= 1",
+    ),
+    "reshape_patches patch_len": (
+        lambda grid, v: reshape_patches(GridSignal(np.ones((*grid, 2))), v),
+        "patch_len must be an integer >= 1",
     ),
 }
 UNHASHABLE = {"list": [2], "list of floats": [2.0], "array": np.array([2])}

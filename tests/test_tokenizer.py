@@ -70,7 +70,9 @@ def test_reshape_examples():
 def test_reshape_patch_len_one_rotates_rows():
     x = sig1([7, 8, 9])
     assert np.array_equal(reshape_patches(x, 1, 0), [[7], [8], [9]])
-    assert np.array_equal(reshape_patches(x, 1, 1), [[8], [9], [7]])
+    # Offsets must stay inside [0, L), so L=1 admits only the identity.
+    with pytest.raises(ParameterError):
+        reshape_patches(x, 1, 1)
 
 
 def test_reshape_matches_oracles():
@@ -81,6 +83,13 @@ def test_reshape_matches_oracles():
     x2 = GridSignal(rng.uniform(-1, 1, (4, 6, 2)))
     for offs in [(0, 0), (1, 1), (0, 1)]:
         assert np.array_equal(reshape_patches(x2, 2, offs), reshape_oracle_2d(x2.data, 2, offs))
+
+
+def test_reshape_validates():
+    with pytest.raises(ShapeError):
+        reshape_patches(sig1([1, 2, 3, 4, 5, 6]), 4)
+    with pytest.raises(ParameterError):
+        reshape_patches(sig1([1, 2, 3, 4]), 2, 2)
 
 
 # ------------------------------------------------------------------- token --
@@ -258,6 +267,12 @@ def test_token_matrix_grid_round_trip():
     t = TokenMatrix(np.arange(12.0).reshape(6, 2), (2, 3))
     assert t.data.shape == (1, 6, 2) and t.grid().shape == (1, 2, 3, 2)
     assert t.rank == 2 and t.data.shape[-2] == 6 and t.dim == 2
+    assert np.array_equal(rotated(t, (2, 3)).data, t.data)
+
+
+def test_token_matrix_shift_matches_roll():
+    t = TokenMatrix(np.arange(8.0).reshape(4, 2), (4,))
+    assert np.array_equal(rotated(t, 1).data[0], np.roll(t.data[0], -1, axis=0))
 
 
 def test_token_matrix_validation():
