@@ -20,9 +20,8 @@ from functools import cached_property, lru_cache
 import numpy as np
 
 from .errors import ParameterError, ShapeError
-from .numerics import NORM_ORDER, POSITIVE, best_phase, check_value, freeze, layout
-from .numerics import offset_index, one_of, real_array, require_finite, softmax_in_place
-from .numerics import sorted_sum, weight_array
+from .numerics import NORM_ORDER, POSITIVE, best_phase, check_value, checked_array, layout
+from .numerics import offset_index, one_of, softmax_in_place, sorted_sum
 from .tokenizer import TokenMatrix
 from .trace import WSA, SelectionTrace
 
@@ -42,14 +41,9 @@ def _window_score(energies: np.ndarray, name: str) -> np.ndarray:
     return np.sqrt(sorted_sum(np.square(energies)))
 
 
-# Window scoring functionals, reducing the last axis (one candidate's
-# energies, or a stack of them); each is exactly invariant to any permutation
-# of the candidate energies so scores transfer bit-for-bit across shifts.
-# The caller's energies are copied, as `_window_score` sorts its input.
-WINDOW_FNS = {
-    name: lambda v, name=name: _window_score(np.array(v, order="C"), name)
-    for name in ("max", "sum", "l2")
-}
+# The names `_window_score` takes; each functional is exactly invariant to any
+# permutation of the candidate energies, so scores transfer bit-for-bit across shifts.
+WINDOW_FNS = ("max", "sum", "l2")
 
 
 @dataclass(frozen=True)
@@ -61,7 +55,7 @@ class AttentionParams:
     e_v: np.ndarray
 
     def __post_init__(self):
-        mats = {name: weight_array(getattr(self, name), name) for name in ("e_q", "e_k", "e_v")}
+        mats = {name: checked_array(getattr(self, name), name) for name in ("e_q", "e_k", "e_v")}
         if not (mats["e_q"].shape == mats["e_k"].shape == mats["e_v"].shape):
             raise ShapeError("projection matrices must share one D x D' shape")
         for name, arr in mats.items():
@@ -90,11 +84,7 @@ class RpeTable:
             if self.table is not None:
                 raise ParameterError("kind 'none' carries no table")
             return
-        arr = real_array(self.table, "rpe table")
-        if arr.ndim not in (1, 2):
-            raise ShapeError("rpe table must be rank 1 or 2")
-        require_finite(arr, "rpe table")
-        object.__setattr__(self, "table", freeze(arr))
+        object.__setattr__(self, "table", checked_array(self.table, "rpe table", (1, 2)))
 
     @cached_property
     def grid(self) -> tuple[int, ...] | None:

@@ -196,8 +196,8 @@ class SuiteConfig:
         """Inputs the end2end or the metrics suite draws for its trials."""
         return -(-self.suite_trials(name) // SHIFT_PAIRS)
 
-    def rng(self, name: str) -> np.random.Generator:
-        return np.random.default_rng([self.seed, _SEED_INDEX[name]])
+    def rng(self, name: str, *salt: int) -> np.random.Generator:
+        return np.random.default_rng([self.seed, _SEED_INDEX[name], *salt])
 
     def derived_seed(self, name: str, salt: int) -> int:
         seq = np.random.SeedSequence([self.seed, _SEED_INDEX[name], salt])
@@ -625,7 +625,7 @@ def run_metrics(sc: SuiteConfig) -> SuiteResult:
 def _ablation_search(sc: SuiteConfig, switch: str, budget: int) -> tuple[dict, dict | None]:
     cfg = dataclasses.replace(ABLATION_SEARCH_MODEL, seed=sc.seed).disable(switch)
     model = build_model(cfg)
-    rng = np.random.default_rng([sc.seed, _SEED_INDEX["ablation"], SWITCHES.index(switch)])
+    rng = sc.rng("ablation", SWITCHES.index(switch))
     shape, channels = cfg.input_shape, cfg.channels
     fixed = {"model_config": cfg.to_dict(), "check": "classify"}
     # Chunks double from one trial, so a counterexample found early costs

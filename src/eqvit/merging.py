@@ -25,11 +25,11 @@ from .errors import ShapeError, TraceError
 from .numerics import NORM_ORDER, POSITIVE, check_value
 from .numerics import (
     best_phase,
+    checked_array,
     layout,
     lp_norm,
     place_rows,
     project_rows,
-    weight_array,
 )
 from .tokenizer import TokenMatrix
 from .trace import MERGE, WSA, SelectionTrace
@@ -50,7 +50,7 @@ class MergeConfig:
     def __post_init__(self):
         check_value("factor", self.factor, POSITIVE)
         check_value("energy_p", self.energy_p, NORM_ORDER)
-        object.__setattr__(self, "embed", weight_array(self.embed, "embed", (2, 3)))
+        object.__setattr__(self, "embed", checked_array(self.embed, "embed", (2, 3)))
 
     @cached_property
     def tap_blocks(self) -> dict[int, np.ndarray]:

@@ -8,11 +8,12 @@ each adaptive op's one selection and trace entry.  Each grid operation is writte
 once for any grid rank, and the selecting ones once for a stack of samples
 (a leading sample axis, one selection per sample): one signal is the stack
 of one.  All functions are pure; arrays held by the wrapper types are frozen
-so results can be shared without defensive copies.  Values are converted
-and checked once, at the boundary (`GridSignal`, `SignalBatch`, the weight
-classes), by `real_array` and `require_finite`; offsets by `as_offsets`; and
-the scalar fields of every config class by one vocabulary of rules, each
-(check, the words of what it requires), applied by `check_value`.
+so results can be shared without defensive copies.  Outside values are
+converted and checked once, at the boundary: every array (signals, batches,
+token matrices, bias tables, weights) by one rule, `checked_array`; offsets
+by `as_offsets`; and the scalar fields of every config class by one
+vocabulary of rules, each (check, the words of what it requires), applied
+by `check_value`.
 """
 
 from __future__ import annotations
@@ -105,9 +106,10 @@ def require_finite(arr: np.ndarray, name: str) -> None:
         raise ParameterError(f"{name} must contain only finite entries")
 
 
-def weight_array(values, name: str, ndims: tuple[int, ...] = (2,)) -> np.ndarray:
-    """`values` as a frozen float64 weight array: a matrix (or any rank in
-    `ndims`), no axis of length 0, every entry finite."""
+def checked_array(values, name: str, ndims: tuple[int, ...] = (2,)) -> np.ndarray:
+    """`values` as a frozen float64 array of a rank in `ndims`, no axis of
+    length 0, every entry finite: the one check of every outside array.  A
+    wrong form raises ShapeError, a non-finite entry ParameterError."""
     arr = real_array(values, name)
     if arr.ndim not in ndims or 0 in arr.shape:
         ranks = " or ".join(map(str, ndims))
@@ -146,16 +148,7 @@ class GridSignal:
     data: np.ndarray
 
     def __post_init__(self):
-        object.__setattr__(self, "data", _signal_data(self.data, 0))
-
-    @classmethod
-    def _fresh(cls, data: np.ndarray) -> GridSignal:
-        """Wrap a float64 array an op just computed from checked signals:
-        frozen in place, unchecked."""
-        data.setflags(write=False)
-        signal = object.__new__(cls)
-        vars(signal)["data"] = data
-        return signal
+        object.__setattr__(self, "data", checked_array(self.data, "signal", (2, 3)))
 
     @property
     def shape(self) -> tuple[int, ...]:
@@ -170,21 +163,6 @@ class GridSignal:
         return self.data.shape[-1]
 
 
-def _signal_data(values, lead: int) -> np.ndarray:
-    """`values` as frozen float64 signal data, (*grid, channels) with grid
-    rank 1 or 2 after `lead` leading axes, every axis non-empty, every entry finite."""
-    arr = real_array(values, "signal")
-    if arr.ndim - lead not in (2, 3):
-        lead_axes = "B, " * lead
-        raise ShapeError(
-            f"expected ({lead_axes}*grid, channels) with grid rank 1 or 2, got ndim={arr.ndim}"
-        )
-    if min(arr.shape) < 1:
-        raise ShapeError("every axis must have length >= 1")
-    require_finite(arr, "signal")
-    return freeze(arr)
-
-
 @dataclass(frozen=True)
 class SignalBatch:
     """B signals of one shape as a (B, *grid, channels) stack, checked once
@@ -194,7 +172,7 @@ class SignalBatch:
     data: np.ndarray
 
     def __post_init__(self):
-        object.__setattr__(self, "data", _signal_data(self.data, 1))
+        object.__setattr__(self, "data", checked_array(self.data, "signal batch", (3, 4)))
 
     @classmethod
     def _fresh(cls, data: np.ndarray) -> SignalBatch:
@@ -207,9 +185,9 @@ class SignalBatch:
 
 def circular_shift(signal: GridSignal, off) -> GridSignal:
     """Rotate grid indices: out[n] = signal[(n + off) mod shape], per axis."""
-    index = grid_index(signal.shape, 1, 1, tuple(as_offsets([off], signal.rank)[0].tolist()))
-    rows = signal.data.reshape(-1, signal.channels).take(index, axis=0)
-    return GridSignal._fresh(rows.reshape(signal.data.shape))
+    stack = signal.data.reshape(1, -1, signal.channels)
+    rows = rotate_rows(stack, signal.shape, as_offsets([off], signal.rank))
+    return GridSignal(rows.reshape(signal.data.shape))
 
 
 @lru_cache(maxsize=1024)
@@ -290,10 +268,7 @@ class Layout:
     def _taps(self, anchors=slice(None)) -> np.ndarray:
         """`taps` built anew, its columns the filters anchored at `anchors`."""
         taps = _grid_index(self.grid, self.size, 1, (0,) * len(self.grid))[anchors]
-        taps = np.ascontiguousarray(taps.T)
-        c = self.channels
-        if c == 1:
-            return taps
+        taps, c = np.ascontiguousarray(taps.T), self.channels
         index = np.empty((len(taps), c, taps.shape[1]), dtype=np.int64)
         for k in range(c):  # in place, so the build holds no second copy
             np.multiply(taps, c, out=index[:, k])

@@ -51,7 +51,7 @@ from .errors import ConfigError, ShapeError
 from .merging import MergeConfig, a_pmerge, pmerge
 from .numerics import GRID_SHAPE, NORM_ORDER, POSITIVE, GridSignal, SignalBatch, check_value
 from .numerics import int_in, is_int, names_from, one_of, positive_ints, require_finite
-from .numerics import place_rows, weight_array
+from .numerics import checked_array, place_rows
 from .tokenizer import (
     INVARIANT_FNS,
     PatchEmbedConfig,
@@ -264,7 +264,7 @@ class ModelWeights:
     head: np.ndarray
 
     def __post_init__(self):
-        object.__setattr__(self, "head", weight_array(self.head, "head"))
+        object.__setattr__(self, "head", checked_array(self.head, "head"))
         object.__setattr__(self, "stages", tuple(self.stages))
 
 

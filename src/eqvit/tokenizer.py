@@ -28,15 +28,12 @@ from .numerics import (
     SignalBatch,
     as_offsets,
     best_phase,
-    freeze,
+    checked_array,
     layout,
     offset_index,
     project_columns,
     project_rows,
-    real_array,
-    require_finite,
     sorted_sum,
-    weight_array,
 )
 from .trace import TOKEN, SelectionTrace
 
@@ -54,11 +51,8 @@ def _token_energy(tokens: np.ndarray, name: str) -> np.ndarray:
     return np.maximum.reduce(norms, axis=-1) if name == "max_l2" else sorted_sum(norms)
 
 
-# Token energies of a (B, M, D) stack, one score per sample.
-INVARIANT_FNS = {
-    name: lambda t, name=name: _token_energy(np.ascontiguousarray(t), name)
-    for name in ("sum_l2", "max_l2", "sum_l1")
-}
+# The names `_token_energy` takes.
+INVARIANT_FNS = ("sum_l2", "max_l2", "sum_l1")
 
 
 @dataclass(frozen=True)
@@ -75,16 +69,13 @@ class TokenMatrix:
     grid_shape: tuple[int, ...]
 
     def __post_init__(self):
-        arr = real_array(self.data, "token matrix")
-        if arr.ndim not in (2, 3):
-            raise ShapeError(f"token matrix must be (M, D) or (B, M, D), got ndim={arr.ndim}")
-        require_finite(arr, "token matrix")
+        arr = checked_array(self.data, "token matrix", (2, 3))
         grid = tuple(self.grid_shape) if isinstance(self.grid_shape, list) else self.grid_shape
         check_value("token grid shape", grid, GRID_SHAPE, ShapeError)
         grid = tuple(map(int, grid))
         if prod(grid) != arr.shape[-2]:
             raise ShapeError(f"grid {grid} does not hold {arr.shape[-2]} tokens")
-        object.__setattr__(self, "data", freeze(arr[np.newaxis] if arr.ndim == 2 else arr))
+        object.__setattr__(self, "data", arr[np.newaxis] if arr.ndim == 2 else arr)
         object.__setattr__(self, "grid_shape", grid)
 
     @classmethod
@@ -123,12 +114,8 @@ class PatchEmbedConfig:
 
     def __post_init__(self):
         check_value("patch_len", self.patch_len, POSITIVE)
-        object.__setattr__(self, "embed", weight_array(self.embed, "embed"))
+        object.__setattr__(self, "embed", checked_array(self.embed, "embed"))
         check_value("invariant_fn", self.invariant_fn, one_of(*INVARIANT_FNS))
-
-    @property
-    def dim(self) -> int:
-        return self.embed.shape[1]
 
 
 def _signal_stack(x, cfg: PatchEmbedConfig) -> np.ndarray:

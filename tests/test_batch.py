@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from eqvit import GridSignal, circular_shift, harness
-from eqvit.attention import AttentionParams, RpeTable, WINDOW_FNS, WindowConfig, a_wsa, sa
+from eqvit.attention import AttentionParams, RpeTable, WindowConfig, _window_score, a_wsa, sa
 from eqvit.attention import window_energy, wsa
 from eqvit.harness import (
     ABLATION_SEARCH_MODEL,
@@ -45,6 +45,7 @@ from eqvit.tokenizer import (
     PatchEmbedConfig,
     TokenMatrix,
     _full_rate_embed,
+    _token_energy,
     a_token,
     lemma1_sides,
     token,
@@ -205,19 +206,21 @@ def test_scorers_reduce_rows_like_single_calls():
     rng = np.random.default_rng(3)
     for n in (1, 3, 8, 9, 17, 130):
         rows = rng.uniform(0, 3, (6, n)) * 10.0 ** rng.uniform(-3, 3, (6, 1))
-        # A strided stack must reduce each row as that row alone.
+        # A strided stack must reduce each row as that row alone; the scores
+        # take a C-contiguous copy, as `_window_score` sorts in place.
         for stack in (rows, np.asfortranarray(rows)):
-            sums = WINDOW_FNS["sum"](stack)
-            assert all(same(sums[i], WINDOW_FNS["sum"](r)) for i, r in enumerate(rows))
+            sums = _window_score(stack.copy(), "sum")
+            assert all(same(sums[i], _window_score(r.copy(), "sum")) for i, r in enumerate(rows))
             for p in (1.0, 2.0, 3.0):
                 norms = lp_norm(stack, p)
                 assert all(same(norms[i], lp_norm(r, p)) for i, r in enumerate(rows))
         # The token energies score each (M, D) matrix of a strided stack as it alone.
         mats = rng.uniform(-3, 3, (4, n, 5)) * 10.0 ** rng.uniform(-3, 3, (4, 1, 1))
         for stack in (mats, np.asfortranarray(mats), mats.transpose(0, 2, 1).swapaxes(1, 2)):
-            for fn in INVARIANT_FNS.values():
-                scores = fn(stack)
-                assert all(same(scores[i], fn(m)) for i, m in enumerate(mats))
+            for name in INVARIANT_FNS:
+                scores = _token_energy(stack.copy(), name)
+                singles = [_token_energy(m.copy(), name) for m in mats]
+                assert all(same(scores[i], s) for i, s in enumerate(singles))
 
 
 MODELS = [

@@ -547,15 +547,21 @@ def quiet_main(argv) -> int:
         return main(argv)
 
 
-@_FUZZ
-@given(data=st.data())
-def test_damaged_model_config_exits_zero_one_or_two(fuzz_dir, data):
-    doc = dict(data.draw(st.sampled_from(_CONFIGS)))
-    for key in data.draw(st.lists(st.sampled_from(sorted(doc)), min_size=1, max_size=2, unique=True)):
+def damage(doc: dict, data) -> None:
+    """Delete one or two of `doc`'s keys, or swap in values from `_SWAPS`."""
+    keys = st.lists(st.sampled_from(sorted(doc)), min_size=1, max_size=2, unique=True)
+    for key in data.draw(keys):
         if data.draw(st.booleans()):
             del doc[key]
         else:
             doc[key] = data.draw(st.sampled_from(_SWAPS))
+
+
+@_FUZZ
+@given(data=st.data())
+def test_damaged_model_config_exits_zero_one_or_two(fuzz_dir, data):
+    doc = dict(data.draw(st.sampled_from(_CONFIGS)))
+    damage(doc, data)
     path = fuzz_dir / "model.json"
     path.write_text(json.dumps(doc))
     argv = ["run", "--config", str(path), "--suite", "end2end", "--trials", "1"]
@@ -572,3 +578,21 @@ def test_truncated_replay_file_exits_zero_one_or_two(fuzz_dir, data):
     assert code in (0, 1, 2)
     if code == 1:  # only a whole counterexample or "fail" sentinel reproduces
         assert json.loads(path.read_text()) == json.loads(text)
+
+
+@_FUZZ
+@given(data=st.data())
+def test_damaged_replay_file_exits_zero_one_or_two(fuzz_dir, data):
+    doc = json.loads(data.draw(st.sampled_from(_REPLAYS)))
+    where = st.sampled_from(["top", "payload", "both"]) if "payload" in doc else st.just("top")
+    where = data.draw(where)
+    if where != "top":  # first, as damage at the top level may drop the payload
+        damage(doc["payload"], data)
+    if where != "payload":
+        damage(doc, data)
+    path = fuzz_dir / "damaged.replay.json"
+    path.write_text(json.dumps(doc))
+    code = quiet_main(["replay", str(path)])
+    assert code in (0, 1, 2)
+    if code == 1:  # only a counterexample or a "fail" sentinel reproduces
+        assert doc.get("kind") == "counterexample" or doc.get("status") == "fail"

@@ -19,13 +19,14 @@ import pytest
 
 from eqvit import GridSignal, circular_shift
 from eqvit.attention import AttentionParams, RpeTable, WINDOW_FNS, WindowConfig, a_wsa
-from eqvit.attention import window_energy, wsa
+from eqvit.attention import _window_score, window_energy, wsa
 from eqvit.errors import ShapeError
 from eqvit.merging import MergeConfig, a_pmerge, aps, pmerge, pmerge_conv_fullrate, unpool
 from eqvit.numerics import SignalBatch, best_phase, grid_index, layout, lp_norm
 from eqvit.numerics import project_rows, rotate_rows
 from eqvit.pipeline import ModelConfig, _decode, _encode, build_model
 from eqvit.tokenizer import INVARIANT_FNS, PatchEmbedConfig, TokenMatrix, _full_rate_embed
+from eqvit.tokenizer import _token_energy
 from eqvit.tokenizer import a_token, lemma1_sides, token
 from eqvit.trace import MERGE, TOKEN, SelectionTrace, TraceEntry
 
@@ -105,16 +106,16 @@ def full_rate_patches(stack, patch_len):
 def full_rate_embed_stacked(stack, cfg):
     """The row layout: project_rows on the (B, positions, K) patch rows."""
     rows = full_rate_patches(stack, cfg.patch_len)
-    return project_rows(rows, cfg.embed).reshape(*stack.shape[:-1], cfg.dim)
+    return project_rows(rows, cfg.embed).reshape(*stack.shape[:-1], cfg.embed.shape[1])
 
 
 def full_rate_embed_k_loop(stack, cfg):
     """Every product added on its own, in order of k, onto a 0.0 start."""
     rows = full_rate_patches(stack, cfg.patch_len)
-    out = np.zeros((*rows.shape[:-1], cfg.dim))
+    out = np.zeros((*rows.shape[:-1], cfg.embed.shape[1]))
     for k in range(rows.shape[-1]):
         out += rows[..., k, np.newaxis] * cfg.embed[k]
-    return out.reshape(*stack.shape[:-1], cfg.dim)
+    return out.reshape(*stack.shape[:-1], cfg.embed.shape[1])
 
 
 def wsa_rotated(tokens, cfg, params, rpe, anchors):
@@ -252,7 +253,7 @@ def test_polyphase_order_embedding_is_the_grid_order_one_gathered(shape, channel
         assert same(phase_order.reshape(grid_order.shape), grid_order)
         # a_token selects from those components as it did from the gathered ones.
         sub, trace = a_token(SignalBatch(stack), cfg)
-        scores = INVARIANT_FNS[cfg.invariant_fn](grid_order)
+        scores = _token_energy(grid_order, cfg.invariant_fn)
         won, expect = best_phase(grid_order, scores, lay.phases, TOKEN)
         assert same(sub.data, won) and same(trace.entries[0].offsets, expect.entries[0].offsets)
 
@@ -266,9 +267,9 @@ def test_column_projection_commutes_with_rotation(shape):
         cfg = PatchEmbedConfig(patch_len, rng.uniform(-0.5, 0.5, (patch_len ** len(shape) * 2, 5)))
         for data in samples(rng, shape, 2):
             x = GridSignal(data)
-            full = full_rate(x, cfg).reshape(-1, cfg.dim)
+            full = full_rate(x, cfg).reshape(-1, cfg.embed.shape[1])
             for delta in product(*(range(n) for n in shape)):
-                got = full_rate(circular_shift(x, delta), cfg).reshape(-1, cfg.dim)
+                got = full_rate(circular_shift(x, delta), cfg).reshape(-1, cfg.embed.shape[1])
                 assert same(got, roll_grid(full, shape, delta, axis=0))
 
 
@@ -300,8 +301,9 @@ def test_anchored_wsa_equals_rotate_then_wsa(grid, w):
 
 SCORES = {
     "aps": lambda comps: lp_norm(comps.reshape(len(comps), -1), 2.0),
-    **{f"token-{name}": fn for name, fn in INVARIANT_FNS.items()},
-    **{f"window-{name}": lambda comps, fn=fn: fn(comps[..., 0]) for name, fn in WINDOW_FNS.items()},
+    # Each score takes a C-contiguous copy, as `_window_score` sorts in place.
+    **{f"token-{n}": lambda c, n=n: _token_energy(c.copy(), n) for n in INVARIANT_FNS},
+    **{f"window-{n}": lambda c, n=n: _window_score(c[..., 0].copy(), n) for n in WINDOW_FNS},
 }
 
 

@@ -12,7 +12,7 @@ from itertools import product
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import given
 from hypothesis import strategies as st
 
 from eqvit import GridSignal, circular_shift, lp_norm
@@ -24,7 +24,7 @@ from eqvit.merging import MergeConfig, aps
 from eqvit.metrics import ShiftSampler
 from eqvit.numerics import SignalBatch, as_offsets, best_phase, freeze, grid_index, layout
 from eqvit.numerics import offset_index, predicted_rotation, project_rows, rotate_rows
-from eqvit.numerics import place_rows, softmax_in_place, weight_array
+from eqvit.numerics import checked_array, place_rows, softmax_in_place
 from eqvit.pipeline import ModelConfig
 from eqvit.tokenizer import PatchEmbedConfig, TokenMatrix
 from eqvit.trace import MERGE, WSA
@@ -484,8 +484,10 @@ BOUNDARIES = {
     "SignalBatch": SignalBatch,
     "TokenMatrix": lambda values: TokenMatrix(values, (4,)),
     "RpeTable": lambda values: RpeTable("adaptive", values),
-    "weight_array": lambda values: weight_array(values, "weights", (1, 2, 3)),
+    "checked_array": lambda values: checked_array(values, "weights", (1, 2, 3)),
 }
+# The shape a boundary takes where (4, 2) is not one.
+ACCEPTED_SHAPES = {"SignalBatch": (1, 4, 2)}
 NOT_REAL_ARRAYS = {
     "ragged": [np.zeros((4, 2)), np.zeros((8, 2))],
     "string": "abc",
@@ -506,6 +508,22 @@ def test_boundaries_reject_values_that_are_not_real_arrays(boundary, values):
         warnings.simplefilter("error")
         with pytest.raises(ShapeError):
             BOUNDARIES[boundary](NOT_REAL_ARRAYS[values])
+
+
+@pytest.mark.parametrize("boundary", sorted(BOUNDARIES))
+def test_boundaries_reject_non_finite_entries_and_empty_axes(boundary):
+    # One rule at every boundary: the form is a ShapeError, and an array of
+    # an accepted form that holds a non-finite entry a ParameterError.
+    make, shape = BOUNDARIES[boundary], ACCEPTED_SHAPES.get(boundary, (4, 2))
+    make(np.ones(shape))
+    for bad in (np.nan, np.inf, -np.inf):
+        values = np.ones(shape)
+        values.flat[3] = bad
+        with pytest.raises(ParameterError, match="finite"):
+            make(values)
+    for axis in range(len(shape)):
+        with pytest.raises(ShapeError):
+            make(np.ones(shape[:axis] + (0,) + shape[axis + 1 :]))
 
 
 # Every integer field of a class that takes outside values, as a call with
