@@ -221,7 +221,7 @@ def wsa(
     index = offset_index(grid, w, w, anchors, stacked=True).reshape(-1, len(lay.phases))
     windows = data.reshape(n * m, -1).take(index, axis=0)
     rows = _attend(windows, params, rpe, (w,) * rank).reshape(n, m, -1)
-    return TokenMatrix._fresh(rows.take(lay.untile, axis=1), grid)
+    return TokenMatrix._fresh(rows if lay.in_order else rows.take(lay.untile, axis=1), grid)
 
 
 def a_wsa(
@@ -241,6 +241,7 @@ def a_wsa(
     energies = window_energy(tokens, cfg)
     lay = layout(tokens.grid_shape, cfg.window, "window")
     phased = energies.reshape(len(energies), -1).take(lay.components, axis=1)
-    # Only the offsets are used: the window scores sort `phased` in place.
-    _, trace = best_phase(phased, _window_score(phased, cfg.energy_fn), lay.phases, WSA)
+    # Only the offsets are wanted, so no components are passed: the window
+    # scores sort `phased` in place.
+    _, trace = best_phase(None, _window_score(phased, cfg.energy_fn), lay.phases, WSA)
     return wsa(tokens, cfg, params, rpe, trace.entries[0].offsets), trace

@@ -21,7 +21,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
-from itertools import product
+from itertools import product, repeat
 from math import prod
 
 import numpy as np
@@ -76,8 +76,16 @@ def names_from(*names: str):
     return lambda v: isinstance(v, tuple) and all(map(one_of(*names)[0], v)), f"names from {names}"
 
 
+# The largest lp norm order.  Up to it, |v|**p stays a finite, normal float64
+# for every |v| in [2**-15, 2**16); near 2**63 every power overflows to inf or
+# underflows to 0, and every score ties.
+MAX_NORM_ORDER = 64
+
 POSITIVE = (int_in(1), "an integer >= 1")
-NORM_ORDER = (lambda v: is_finite_number(v) and v >= 1, "a finite number >= 1")
+NORM_ORDER = (
+    lambda v: is_finite_number(v) and 1 <= v <= MAX_NORM_ORDER,
+    f"a finite number >= 1 and <= {MAX_NORM_ORDER}",
+)
 FINITE = (is_finite_number, "finite")
 GRID_SHAPE = (lambda v: positive_ints(v) and len(v) in (1, 2), "1 or 2 integers >= 1")
 
@@ -242,11 +250,19 @@ def offset_index(
     """(B, positions, width**rank) stack whose sample i is
     `grid_index(grid, width, stride, offsets[i])`, for (B, rank) offsets;
     `stacked` adds i * prod(grid), indexing the rows of all B samples at once.
-    One sample reads the cached index; more are built as `grid_index` builds
-    one, with the sample axis in front of every per-axis table."""
+    One sample reads a cached index of its own, writeable so that `take` does
+    not copy it, and private: callers read it and never write to it.  More
+    are built as `grid_index` builds one, with the sample axis in front of
+    every per-axis table."""
     if len(offsets) == 1:
-        return grid_index(grid, width, stride, tuple(offsets[0].tolist()))[np.newaxis]
+        return _sample_index(grid, width, stride, tuple(offsets[0].tolist()))
     return _offset_grid(grid, width, stride, offsets, stacked)
+
+
+@lru_cache(maxsize=1024)
+def _sample_index(grid: tuple[int, ...], width: int, stride: int, offset: Offset) -> np.ndarray:
+    """`offset_index` of one sample: `grid_index`'s entries in an array apart from it."""
+    return _offset_grid(grid, width, stride, np.array([offset], dtype=np.int64), False)
 
 
 class Layout:
@@ -257,7 +273,10 @@ class Layout:
     read-only (size**rank, rank) table of polyphase offsets, row-major.  The
     index arrays are writeable because NumPy's `take` copies a read-only
     index on every call; they stay private, as the ops gather through them
-    and return fresh arrays only, and nothing writes to them.
+    and return fresh arrays only, and nothing writes to them.  `in_order`
+    says whether the tiling already lists the grid in order, so that
+    `untile` is the identity: every rank-1 layout, and any whose size spans
+    its grid.
     """
 
     def __init__(self, grid: tuple[int, ...], size: int, channels: int):
@@ -321,6 +340,10 @@ class Layout:
         blocks laid out one after another."""
         return np.argsort(self.tiles.ravel())
 
+    @cached_property
+    def in_order(self) -> bool:
+        return np.array_equal(self.untile, np.arange(len(self.untile)))
+
 
 @lru_cache(maxsize=64, typed=True)
 def layout(grid: tuple[int, ...], size: int, name: str, channels: int = 1) -> Layout:
@@ -370,17 +393,34 @@ def predicted_rotation(base, shifted, shifts, b: int, in_grid, out_grid):
     return (d % b == 0).all(axis=-1), d // (in_grid // out_grid) % out_grid
 
 
-def best_phase(comps: np.ndarray, scores: np.ndarray, phases: np.ndarray, kind: str):
+# One sample's tie flag, untied and tied, shared read-only by its traces.
+_FLAGS = (freeze([False], bool), freeze([True], bool))
+
+
+def best_phase(comps: np.ndarray | None, scores: np.ndarray, phases: np.ndarray, kind: str):
     """The polyphase selection of every adaptive op, one per sample: from the
     (B, P, ...) stack of each sample's P components and their (B, P) scores,
     (winning components (B, ...), the op's trace of `kind` holding each
     winner's offset from the (P, rank) `phases` table).  An exact tie, two
     equal largest scores, resolves to the lowest phase and is flagged; a NaN
-    score sorts last, is the argmax and ties nothing; with P = 1 nothing ties."""
+    score sorts last, is the argmax and ties nothing; with P = 1 nothing ties.
+    A caller that needs only the offsets passes `comps` None and gets None.
+
+    One sample (B = 1) takes its winner as a slice, a view of `comps`, its
+    offsets as a view of the read-only `phases` and its tie flag from two
+    shared read-only arrays; more samples are gathered."""
+    if len(scores) == 1:
+        i, row = int(scores.argmax()), scores[0].tolist()
+        # `count` matches the winner itself by identity, so a NaN winner
+        # counts once: it ties nothing, as in the sort below.
+        tied = _FLAGS[row.count(row[i]) > 1]
+        won = None if comps is None else comps[:, i]
+        return won, SelectionTrace.single(kind, phases[i : i + 1], tied)
     idx, ranked = scores.argmax(axis=-1), scores.copy()
     ranked.sort(axis=-1)
     tied = ranked[:, -1] == ranked[:, -2] if len(phases) > 1 else np.zeros(len(idx), bool)
-    return comps[np.arange(len(idx)), idx], SelectionTrace.single(kind, phases[idx], tied)
+    won = None if comps is None else comps[np.arange(len(idx)), idx]
+    return won, SelectionTrace.single(kind, phases[idx], tied)
 
 
 def softmax_in_place(m: np.ndarray) -> np.ndarray:
@@ -430,9 +470,9 @@ def lp_norm(values, p: float) -> np.ndarray:
         raise ShapeError("lp_norm of an empty array")
     powers **= p
     total = sorted_sum(powers)
-    # Each root is a Python float power: the array power has fast paths of
-    # its own (sqrt for 1/2) that may round differently.
-    return np.array([t**root for t in total.ravel().tolist()]).reshape(total.shape)
+    # Each root is Python's float power (`pow`): the array power has fast
+    # paths of its own (sqrt for 1/2) that may round differently.
+    return np.array(list(map(pow, total.ravel().tolist(), repeat(root)))).reshape(total.shape)
 
 
 def max_abs_rows(a: np.ndarray, b: np.ndarray) -> np.ndarray:

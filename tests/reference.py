@@ -1,10 +1,14 @@
 """References the tests hold the package to that the package does not
 compute on its own: the patch matrix a tokenization projects, a token grid
-rotated alike on every sample, and one signal's zero-filling shift."""
+rotated alike on every sample, one signal's zero-filling shift, and window
+attention one window at a time."""
+
+from itertools import product
 
 import numpy as np
 
 from eqvit import GridSignal, TokenMatrix
+from eqvit.attention import AttentionParams, sa
 from eqvit.errors import ParameterError
 from eqvit.metrics import shift_stack
 from eqvit.numerics import POSITIVE, as_offsets, check_value, grid_index, layout, rotate_rows
@@ -39,3 +43,16 @@ def zero_pad_shift(x: GridSignal, off) -> GridSignal:
     out[n] = x[n + off], zeros past the end."""
     offsets = as_offsets([off], x.rank)
     return GridSignal(shift_stack(x.data[np.newaxis], offsets, zero_pad=True)[0])
+
+
+def wsa_window_loop(t: TokenMatrix, w: int, params: AttentionParams, rpe) -> np.ndarray:
+    """wsa as one `sa` call per window, rows gathered and scattered by explicit index."""
+    out = np.zeros((t.data.shape[-2], params.e_q.shape[1]))
+    for anchor in product(*(range(0, g, w) for g in t.grid_shape)):
+        cells = [
+            tuple(a + d for a, d in zip(anchor, delta))
+            for delta in product(range(w), repeat=t.rank)
+        ]
+        rows = [int(np.ravel_multi_index(c, t.grid_shape)) for c in cells]
+        out[rows] = sa(TokenMatrix(t.data[0, rows], (w,) * t.rank), params, rpe).data[0]
+    return out

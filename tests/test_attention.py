@@ -24,7 +24,7 @@ from eqvit.attention import (
 from eqvit.errors import ParameterError, ShapeError
 from eqvit.tokenizer import TokenMatrix
 from eqvit.trace import WSA
-from reference import rotated
+from reference import rotated, wsa_window_loop
 
 
 def sa_oracle(t: np.ndarray, params: AttentionParams, bias=None) -> np.ndarray:
@@ -279,19 +279,6 @@ def test_wsa_identical_windows_identical_outputs():
     t = TokenMatrix(np.vstack([block, block]), (4,))
     out = wsa(t, WindowConfig(2), rand_params(rng, 3)).data[0]
     assert np.array_equal(out[:2], out[2:])
-
-
-def wsa_window_loop(t: TokenMatrix, w: int, params: AttentionParams, rpe) -> np.ndarray:
-    """wsa as one `sa` call per window, rows gathered and scattered by explicit index."""
-    out = np.zeros((t.data.shape[-2], params.e_q.shape[1]))
-    for anchor in product(*(range(0, g, w) for g in t.grid_shape)):
-        cells = [
-            tuple(a + d for a, d in zip(anchor, delta))
-            for delta in product(range(w), repeat=t.rank)
-        ]
-        rows = [int(np.ravel_multi_index(c, t.grid_shape)) for c in cells]
-        out[rows] = sa(TokenMatrix(t.data[0, rows], (w,) * t.rank), params, rpe).data[0]
-    return out
 
 
 @pytest.mark.parametrize("kind", ["none", "original", "adaptive"])

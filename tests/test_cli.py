@@ -1,6 +1,7 @@
 """CLI behavior: exit codes, report/replay files, seed resolution."""
 
 import contextlib
+import dataclasses
 import io
 import json
 import os
@@ -19,6 +20,7 @@ import eqvit
 from eqvit import cli
 from eqvit.cli import ENV_SEED, main
 from eqvit.harness import PROOF_SUITES, PROPERTIES, SUITES, SuiteConfig, _counterexample, sentinel
+from eqvit.numerics import MAX_NORM_ORDER
 from eqvit.pipeline import ModelConfig
 from trials import first_payload
 
@@ -246,6 +248,34 @@ def test_non_finite_energy_p_is_a_config_error(tmp_path, capsys, value):
     assert code == 2
     assert capsys.readouterr().err.startswith("error: energy_p must be a finite number")
     assert not out.exists()
+
+
+def test_norm_order_past_its_bound_is_a_config_error(tmp_path, capsys):
+    # Every |v|**p at p = 2**63 overflows or underflows, so every trial tied
+    # and the run passed having asserted nothing.
+    big = 2**63
+    bad = tmp_path / "bad.json"
+    bad.write_text('{"energy_p": %d}' % big)
+    code, out = run_cli(tmp_path, "--config", str(bad), "--suite", "end2end", "--trials", "5")
+    assert code == 2 and not out.exists()
+    words = f"energy_p must be a finite number >= 1 and <= {MAX_NORM_ORDER}, got {big}"
+    assert capsys.readouterr().err == f"error: {words}\n"
+    e2e = first_payload("end2end")
+    payloads = {
+        "end2end": {**e2e, "model_config": {**e2e["model_config"], "energy_p": big}},
+        "claim2": {**first_payload("claim2"), "energy_p": big},
+        "apmerge": {**first_payload("apmerge"), "energy_p": big},
+    }
+    for suite, payload in payloads.items():
+        path = tmp_path / f"{suite}.replay.json"
+        path.write_text(json.dumps(_counterexample(suite, 0.0, 1.0, payload)))
+        assert main(["replay", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and words in err and "Traceback" not in err
+    # The bound itself is a norm order the suites run with.
+    ok = tmp_path / "ok.json"
+    ok.write_text('{"energy_p": %d}' % MAX_NORM_ORDER)
+    assert run_cli(tmp_path, "--config", str(ok), "--suite", "end2end", "--trials", "5")[0] == 0
 
 
 @pytest.mark.parametrize(
@@ -580,19 +610,64 @@ def test_truncated_replay_file_exits_zero_one_or_two(fuzz_dir, data):
         assert json.loads(path.read_text()) == json.loads(text)
 
 
-@_FUZZ
-@given(data=st.data())
-def test_damaged_replay_file_exits_zero_one_or_two(fuzz_dir, data):
-    doc = json.loads(data.draw(st.sampled_from(_REPLAYS)))
-    where = st.sampled_from(["top", "payload", "both"]) if "payload" in doc else st.just("top")
-    where = data.draw(where)
-    if where != "top":  # first, as damage at the top level may drop the payload
-        damage(doc["payload"], data)
-    if where != "payload":
-        damage(doc, data)
-    path = fuzz_dir / "damaged.replay.json"
-    path.write_text(json.dumps(doc))
-    code = quiet_main(["replay", str(path)])
-    assert code in (0, 1, 2)
-    if code == 1:  # only a counterexample or a "fail" sentinel reproduces
-        assert doc.get("kind") == "counterexample" or doc.get("status") == "fail"
+def nudge(doc: dict, data) -> None:
+    """Damage that keeps a counterexample valid up to its suite's check: a
+    finite `divergence` or `tolerance` swapped for another finite number, a
+    payload array replaced by another finite array of its shape and dtype
+    kind, or a shift or `m` moved within its range."""
+    payload = doc["payload"]
+    floats = [k for k, v in payload.items() if isinstance(v, list) and np.asarray(v).dtype.kind == "f"]
+    shifts = [k for k in ("shift", "shift_a", "shift_b", "m") if k in payload]
+    key = data.draw(st.sampled_from(["divergence", "tolerance", *floats, *shifts]))
+    if key in ("divergence", "tolerance"):
+        doc[key] = data.draw(st.floats(allow_nan=False, allow_infinity=False))
+    elif key in floats:
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+        payload[key] = rng.uniform(-1, 1, np.shape(payload[key])).tolist()
+    else:  # m counts patch offsets below l; a shift any rotation of its grid
+        high = payload["l"] - 1 if key == "m" else 63
+        moved = st.integers(0, high)
+        value = payload[key]
+        payload[key] = [data.draw(moved) for _ in value] if isinstance(value, list) else data.draw(moved)
+
+
+# The least share of the derandomized examples below whose replay reaches
+# its suite's check (42 of 100 when written); invalid damage stops before it.
+REACHES_CHECK = 0.3
+
+
+def test_damaged_replay_file_exits_zero_one_or_two(fuzz_dir, monkeypatch):
+    checks = []
+    for name, prop in PROPERTIES.items():
+
+        def counted(*args, check=prop.check, **kwargs):
+            checks.append(check)
+            return check(*args, **kwargs)
+
+        monkeypatch.setitem(PROPERTIES, name, dataclasses.replace(prop, check=counted))
+    reached = []
+
+    @_FUZZ
+    @given(data=st.data())
+    def replay_damaged(data):
+        doc = json.loads(data.draw(st.sampled_from(_REPLAYS)))
+        if "payload" in doc and data.draw(st.booleans()):
+            nudge(doc, data)
+        else:
+            where = st.sampled_from(["top", "payload", "both"]) if "payload" in doc else st.just("top")
+            where = data.draw(where)
+            if where != "top":  # first, as damage at the top level may drop the payload
+                damage(doc["payload"], data)
+            if where != "payload":
+                damage(doc, data)
+        path = fuzz_dir / "damaged.replay.json"
+        path.write_text(json.dumps(doc))
+        before = len(checks)
+        code = quiet_main(["replay", str(path)])
+        reached.append(len(checks) > before)
+        assert code in (0, 1, 2)
+        if code == 1:  # only a counterexample or a "fail" sentinel reproduces
+            assert doc.get("kind") == "counterexample" or doc.get("status") == "fail"
+
+    replay_damaged()
+    assert sum(reached) >= REACHES_CHECK * len(reached), (sum(reached), len(reached))

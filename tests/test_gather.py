@@ -23,12 +23,13 @@ from eqvit.attention import _window_score, window_energy, wsa
 from eqvit.errors import ShapeError
 from eqvit.merging import MergeConfig, a_pmerge, aps, pmerge, pmerge_conv_fullrate, unpool
 from eqvit.numerics import SignalBatch, best_phase, grid_index, layout, lp_norm
-from eqvit.numerics import project_rows, rotate_rows
+from eqvit.numerics import offset_index, project_rows, rotate_rows
 from eqvit.pipeline import ModelConfig, _decode, _encode, build_model
 from eqvit.tokenizer import INVARIANT_FNS, PatchEmbedConfig, TokenMatrix, _full_rate_embed
 from eqvit.tokenizer import _token_energy
 from eqvit.tokenizer import a_token, lemma1_sides, token
 from eqvit.trace import MERGE, TOKEN, SelectionTrace, TraceEntry
+from reference import wsa_window_loop
 
 GRIDS = [(16,), (4, 4), (4, 8), (8, 4)]
 
@@ -276,6 +277,16 @@ def test_column_projection_commutes_with_rotation(shape):
 @pytest.mark.parametrize("grid", [(16,), (4, 8), (8, 4)])
 @pytest.mark.parametrize("w", [2, 4])
 def test_anchored_wsa_equals_rotate_then_wsa(grid, w):
+    check_anchored_wsa(grid, w)
+
+
+@pytest.mark.parametrize("grid, w", [((16,), 16), ((4, 4), 4), ((4, 4), 2)])
+def test_anchored_wsa_on_windows_spanning_their_grid(grid, w):
+    # Tilings wsa puts back without a gather, and a rank-2 one that needs it.
+    check_anchored_wsa(grid, w)
+
+
+def check_anchored_wsa(grid, w):
     rng = np.random.default_rng(8)
     rank, d = len(grid), 3
     params = AttentionParams(*(rng.uniform(-0.5, 0.5, (d, d)) for _ in range(3)))
@@ -289,6 +300,14 @@ def test_anchored_wsa_equals_rotate_then_wsa(grid, w):
             for a in anchors:
                 got = wsa(tokens, cfg, params, rpe, np.array([a]))
                 assert same(got.data, wsa_rotated(tokens, cfg, params, rpe, [a]).data)
+        # One sample at an anchor is its row of the batch at that anchor, and
+        # equals the window loop on its rotated grid.
+        for a in anchors:
+            rows = wsa(batch, cfg, params, rpe, np.array([a] * len(batch.data))).data
+            for i, tokens in enumerate(singles):
+                assert same(wsa(tokens, cfg, params, rpe, np.array([a])).data[0], rows[i])
+                turned = TokenMatrix(rotate_rows(tokens.data, grid, np.array([a])), grid)
+                assert np.array_equal(rows[i], wsa_window_loop(turned, w, params, rpe))
         mixed = [anchors[(5 * i + 1) % len(anchors)] for i in range(len(batch.data))]
         assert len(set(mixed)) == len(mixed)
         got = wsa(batch, cfg, params, rpe, np.array(mixed))
@@ -344,8 +363,8 @@ def test_cached_indices_are_shared_and_read_only():
 
 def test_layout_indices_are_shared_and_gathered_without_a_copy():
     # `take` copies a read-only index on every call, so the layouts' indices
-    # stay writeable; nothing writes to them.  The phase table is only read
-    # through fancy indexing, which copies anyway, so it stays read-only.
+    # stay writeable; nothing writes to them.  The phase table stays
+    # read-only: one sample's trace offsets are views of it.
     lay = layout((6, 9), 3, "patch_len", 2)
     assert lay is layout((6, 9), 3, "patch_len", 2)
     for name in ("taps", "phase_taps", "tap_rows", "tiles", "components", "untile"):
@@ -359,6 +378,50 @@ def test_layout_indices_are_shared_and_gathered_without_a_copy():
     peak = tracemalloc.get_traced_memory()[1]
     tracemalloc.stop()
     assert peak < 2 * cols.nbytes
+
+
+@pytest.mark.parametrize(
+    "grid, size, in_order",
+    [((16,), 4, True), ((16,), 16, True), ((4, 4), 4, True), ((4, 4), 2, False),
+     ((4, 8), 4, False), ((8, 8), 1, True), ((6, 9), 3, False)],
+)
+def test_a_tiling_in_grid_order_has_the_identity_as_its_inverse(grid, size, in_order):
+    # Every rank-1 tiling lists the grid in order, as does a block that spans
+    # it; wsa skips its inverse there.  `untile` stays an index either way.
+    lay = layout(grid, size, "window")
+    assert lay.in_order is in_order
+    assert same(lay.untile, np.argsort(lay.tiles.ravel()))
+    assert same(lay.tiles.ravel(), np.arange(np.prod(grid))) is in_order
+
+
+def test_one_sample_offset_index_is_private_and_grid_index_unchanged():
+    # One sample's index is a cached array of its own, writeable so that
+    # `take` need not copy it; the public `grid_index` stays read-only.
+    cases = [((16,), 4, 4, (1,)), ((4, 8), 2, 2, (1, 3)), ((8, 4), 1, 1, (5, 2)), ((64,), 1, 8, (3,))]
+    public = {args: grid_index(*args) for args in cases}
+    kept = {args: index.copy() for args, index in public.items()}
+    for grid, width, stride, off in cases:
+        one = offset_index(grid, width, stride, np.array([off]))
+        assert one is offset_index(grid, width, stride, np.array([off]), stacked=True)
+        assert one.flags.writeable and not np.shares_memory(one, public[grid, width, stride, off])
+        assert same(one[0], public[grid, width, stride, off])
+    # A 512 KiB rotation: `take` copies the public index, not the private one.
+    grid, values = (256, 256), np.arange(256 * 256.0)
+    for index, copied in ((offset_index(grid, 1, 1, np.array([(5, 2)])), False),
+                          (grid_index(grid, 1, 1, (5, 2)), True)):
+        tracemalloc.start()
+        rows = values.take(index, axis=0)
+        peak = tracemalloc.get_traced_memory()[1]
+        tracemalloc.stop()
+        assert (peak >= 2 * rows.nbytes) is copied
+    for shape in ((64,), (32, 32)):
+        model = build_model(ModelConfig(input_shape=shape))
+        x = GridSignal(np.random.default_rng(3).uniform(-1, 1, (*shape, model.config.channels)))
+        model.encode_decode(x)
+        model.classify(x)
+    for args, index in public.items():
+        assert grid_index(*args) is index and not index.flags.writeable
+        assert same(index, kept[args])
 
 
 def test_layout_indices_equal_the_cached_grid_indices():

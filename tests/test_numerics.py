@@ -445,6 +445,56 @@ def test_best_phase_nan_scores_win_and_never_tie():
     assert won.tolist() == [1, 0, 2] and entry.tied.tolist() == [False, False, False]
 
 
+def score_rows(p: int) -> np.ndarray:
+    """(B, p) scores: random, then exact ties at the top and below it, NaN
+    alone, twice and beside a tie, and 0.0 tied with -0.0."""
+    rng = np.random.default_rng(18)
+    rows = [rng.uniform(-1, 1, p), np.full(p, 0.5), np.full(p, np.nan), np.full(p, -0.0)]
+    if p > 1:
+        for k in range(p):
+            tie = rng.uniform(-1, 0, p)
+            tie[[k, (k + 1) % p]] = 0.25  # a tie at the top, ending on every phase
+            rows.append(tie)
+            below = np.linspace(1.0, 2.0, p)
+            below[k] = below[(k + 1) % p] = -1.0  # a tie that is not the top
+            rows.append(below)
+            nan = rng.uniform(-1, 1, p)
+            nan[k] = np.nan
+            rows.append(nan)
+        rows += [np.r_[np.nan, np.nan, np.zeros(p - 2)], np.r_[np.zeros(p - 1), np.nan]]
+        rows.append(np.r_[0.0, -0.0, np.full(p - 2, -1.0)])
+    return np.stack(rows)
+
+
+@pytest.mark.parametrize("grid, size", [((8,), 1), ((8,), 2), ((8,), 4), ((4, 4), 2)])
+def test_best_phase_on_one_sample_is_its_row_of_a_batch(grid, size):
+    phases = layout(grid, size, "size").phases
+    scores = score_rows(len(phases))
+    comps = np.random.default_rng(19).uniform(-1, 1, (len(scores), len(phases), 3, 2))
+    comps[:, :, 0, 0] = -0.0
+    won, trace = best_phase(comps, scores, phases, MERGE)
+    (entry,) = trace.entries
+    assert entry.tied.any() or len(phases) == 1
+    for i in range(len(scores)):
+        one, alone = best_phase(comps[i : i + 1], scores[i : i + 1], phases, MERGE)
+        (got,) = alone.entries
+        assert alone.size == 1 and got.kind == MERGE
+        assert one.tobytes() == won[i : i + 1].tobytes() and one.shape == won[i : i + 1].shape
+        assert np.array_equal(got.offsets, entry.offsets[i : i + 1])
+        assert got.offsets.dtype == np.int64 and got.tied.dtype == bool
+        assert got.tied.tolist() == entry.tied[i : i + 1].tolist()
+        # Views of the caller's components and of the read-only phase table.
+        assert np.shares_memory(one, comps) and np.shares_memory(got.offsets, phases)
+        for flags in (got.offsets, got.tied):
+            with pytest.raises(ValueError):
+                flags[0] = 1
+        # Without components only the trace comes back, the same one.
+        none, offsets_only = best_phase(None, scores[i : i + 1], phases, MERGE)
+        assert none is None and offsets_only.entries == alone.entries
+    none, offsets_only = best_phase(None, scores, phases, MERGE)
+    assert none is None and offsets_only.entries == trace.entries
+
+
 # ------------------------------------------------------- wrappers / freeze --
 
 

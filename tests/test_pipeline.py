@@ -15,7 +15,7 @@ from hypothesis import strategies as st
 import eqvit
 from eqvit import GridSignal, attention, circular_shift, merging, numerics, pipeline
 from eqvit.errors import ConfigError, ParameterError, ShapeError
-from eqvit.numerics import SignalBatch
+from eqvit.numerics import MAX_NORM_ORDER, SignalBatch
 from eqvit.pipeline import SWITCHES, ModelConfig, build_model, classify, encode_decode, forward
 from eqvit.tokenizer import PatchEmbedConfig, TokenMatrix, a_token
 from eqvit.trace import MERGE, TOKEN, WSA
@@ -136,7 +136,7 @@ def test_from_dict_returns_or_raises_config_error(doc):
                 ModelConfig(**doc)
         return
     assert ModelConfig(**doc) == cfg
-    assert math.isfinite(cfg.energy_p) and cfg.energy_p >= 1
+    assert math.isfinite(cfg.energy_p) and 1 <= cfg.energy_p <= MAX_NORM_ORDER
     assert ModelConfig.from_dict(cfg.to_dict()) == cfg
 
 
@@ -421,7 +421,7 @@ def test_forward_overhead_stays_out(monkeypatch, shape):
 # encode_decode).  A ceiling: lower is fine, and Python versions that inline
 # comprehensions count fewer.  NumPy's own frames are not counted, so the
 # figures do not depend on the NumPy version.
-FRAME_BUDGET = {(64,): (64, 67), (32, 32): (64, 67)}
+FRAME_BUDGET = {(64,): (62, 65), (32, 32): (62, 65)}
 
 
 def eqvit_frames(fn, *args) -> int:
@@ -514,7 +514,9 @@ def test_every_selection_goes_through_best_phase(monkeypatch, rank):
     original = numerics.best_phase
 
     def last_on_ties(comps, scores, phases, kind):
-        return original(comps[:, ::-1], scores[:, ::-1].copy(), phases[::-1], kind)
+        # a_wsa wants only the offsets and passes no components.
+        flipped = None if comps is None else comps[:, ::-1]
+        return original(flipped, scores[:, ::-1].copy(), phases[::-1], kind)
 
     for name, module in list(sys.modules.items()):
         if name.startswith("eqvit.") and getattr(module, "best_phase", None) is original:

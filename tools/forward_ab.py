@@ -1,0 +1,162 @@
+"""Same-process A/B of one-sample forwards in two checkouts: bits, then time.
+
+    python3 tools/forward_ab.py PARENT_DIR [CHANGE_DIR] [--rounds 40] [--calls 200]
+
+PARENT_DIR and CHANGE_DIR are checkouts of this repository; CHANGE_DIR
+defaults to the one holding this file.  Each one's `src/eqvit` is imported
+under a module name of its own (`eqvit_parent`, `eqvit_change`), so both
+run in one warm interpreter and host load falls on both alike.
+
+First it checks that both give the same logits, labels, decoded maps, trace
+offsets and tie flags, bit for bit, on a fixed input set: on the default
+1-D model and the 32x32 one, a random input, two shifts of it, a zero
+input and an impulse, each alone through `classify` and `encode_decode` and
+all five as one batch through `forward`.  Any difference exits 1.
+
+Then, per model, it times alternating rounds: a round runs `--calls`
+shifted inputs, each through `classify` and then `encode_decode` (one
+shift, as the benchmark's forward workloads make it), on one side and then
+on the other, the side that goes first alternating per round.  It prints,
+per side, the minimum and the 10th percentile over rounds of the mean time
+of one shift, and the number of rounds in which the change was faster.
+A missing package exits 2.
+"""
+
+from __future__ import annotations
+
+import os
+
+# Pin BLAS and OpenMP pools before NumPy loads, as the benchmark does.
+for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ[_var] = "1"
+
+import argparse
+import importlib
+import importlib.util
+import sys
+import time
+from pathlib import Path
+
+import numpy as np
+
+HERE = Path(__file__).resolve().parent.parent
+SHAPES = ((64,), (32, 32))
+SIDES = ("parent", "change")
+
+
+def load(checkout: Path, name: str):
+    """The pipeline module of `checkout`'s src/eqvit, imported as package `name`."""
+    package = checkout / "src" / "eqvit"
+    spec = importlib.util.spec_from_file_location(
+        name, package / "__init__.py", submodule_search_locations=[str(package)]
+    )
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[name] = module
+    spec.loader.exec_module(module)
+    return importlib.import_module(f"{name}.pipeline")
+
+
+def signals(shape: tuple[int, ...], channels: int, count: int) -> list[np.ndarray]:
+    """A random input, `count` - 1 circular shifts of it, all fixed by the shape."""
+    rng = np.random.default_rng(sum(shape))
+    base = rng.uniform(-1, 1, (*shape, channels))
+    axes = tuple(range(len(shape)))
+    shifts = [tuple(int(rng.integers(0, n)) for n in shape) for _ in range(count - 1)]
+    return [base] + [np.roll(base, [-s for s in shift], axis=axes) for shift in shifts]
+
+
+def outputs(pipeline, model, arrays: list[np.ndarray]) -> list[np.ndarray]:
+    """Every array the fixed input set gives: one-sample heads, then one batch."""
+    out = []
+    for a in arrays:
+        x = pipeline.GridSignal(a)
+        logits, label, trace = pipeline.classify(model, x)
+        maps, dtrace = pipeline.encode_decode(model, x)
+        out += [logits, np.asarray(label), maps]
+        out += [v for t in (trace, dtrace) for e in t.entries for v in (e.offsets, e.tied)]
+    logits, labels, maps, trace = pipeline.forward(model, pipeline.SignalBatch(arrays))
+    out += [logits, labels, maps]
+    out += [v for e in trace.entries for v in (e.offsets, e.tied)]
+    return out
+
+
+def same_bits(a: np.ndarray, b: np.ndarray) -> bool:
+    a, b = np.ascontiguousarray(a), np.ascontiguousarray(b)
+    return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+def check_bits(pipelines: dict, models: dict) -> bool:
+    ok = True
+    for shape in SHAPES:
+        channels = models["parent", shape].config.channels
+        arrays = signals(shape, channels, 3)
+        impulse = np.zeros_like(arrays[0])
+        impulse[(0,) * impulse.ndim] = 1.0
+        arrays += [np.zeros_like(arrays[0]), impulse]
+        got = {s: outputs(pipelines[s], models[s, shape], arrays) for s in SIDES}
+        same = len(got["parent"]) == len(got["change"]) and all(map(same_bits, *got.values()))
+        print(f"{shape}: {'identical' if same else 'DIFFERENT'} outputs on {len(arrays)} inputs")
+        ok &= same
+    return ok
+
+
+def one_round(pipeline, model, xs) -> float:
+    """Mean seconds of one shift, classify then encode_decode, over `xs`."""
+    start = time.perf_counter()
+    for x in xs:
+        pipeline.classify(model, x)
+        pipeline.encode_decode(model, x)
+    return (time.perf_counter() - start) / len(xs)
+
+
+def time_rounds(pipelines: dict, models: dict, shape, rounds: int, calls: int) -> dict:
+    arrays = signals(shape, models["parent", shape].config.channels, 16)
+    xs = {s: [pipelines[s].GridSignal(arrays[k % 16]) for k in range(calls)] for s in SIDES}
+    for s in SIDES:  # warm: layouts, bias tables, caches
+        one_round(pipelines[s], models[s, shape], xs[s][:16])
+    per_shift = {s: [] for s in SIDES}
+    for r in range(rounds):
+        for s in SIDES if r % 2 == 0 else SIDES[::-1]:
+            per_shift[s].append(one_round(pipelines[s], models[s, shape], xs[s]))
+    return {s: np.asarray(v) * 1e6 for s, v in per_shift.items()}
+
+
+def main(argv=None) -> int:
+    ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    ap.add_argument("parent", type=Path)
+    ap.add_argument("change", type=Path, nargs="?", default=HERE)
+    ap.add_argument("--rounds", type=int, default=40)
+    ap.add_argument("--calls", type=int, default=200)
+    args = ap.parse_args(argv)
+    if args.rounds < 1 or args.calls < 1:
+        ap.error("--rounds and --calls must be at least 1")
+    paths = {"parent": args.parent.resolve(), "change": args.change.resolve()}
+    for path in paths.values():
+        if not (path / "src" / "eqvit" / "__init__.py").is_file():
+            ap.error(f"no eqvit package at {path / 'src' / 'eqvit'}")
+    pipelines = {s: load(paths[s], f"eqvit_{s}") for s in SIDES}
+    models = {
+        (s, shape): p.build_model(p.ModelConfig(input_shape=shape))
+        for s, p in pipelines.items()
+        for shape in SHAPES
+    }
+    for s in SIDES:
+        print(f"{s}: {paths[s]}")
+    if not check_bits(pipelines, models):
+        return 1
+    print(f"us per shift (classify + encode_decode), {args.rounds} rounds of {args.calls}")
+    for shape in SHAPES:
+        t = time_rounds(pipelines, models, shape, args.rounds, args.calls)
+        wins = int((t["change"] < t["parent"]).sum())
+        low = {s: (t[s].min(), np.percentile(t[s], 10)) for s in SIDES}
+        ratio = low["change"][0] / low["parent"][0] - 1
+        print(
+            f"{shape}: min {low['parent'][0]:.1f} -> {low['change'][0]:.1f} ({ratio:+.1%}), "
+            f"p10 {low['parent'][1]:.1f} -> {low['change'][1]:.1f}, "
+            f"change faster in {wins} of {args.rounds} rounds"
+        )
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
