@@ -708,14 +708,15 @@ def replay(document: dict) -> tuple[int, str]:
 
     A sentinel exits 0 if its run passed and 1 if it failed; any other
     status, or suites that are not a non-empty list of suite names, raises
-    ConfigError.  A counterexample's payload reruns through
-    its suite's check (ablation and metrics: the end2end check).  In order:
-    a NaN divergence raises ConfigError, a tied trial (never asserted)
-    exits 0, an infinite divergence raises ConfigError, and otherwise
-    `_passes` decides: 0 passes, 1 fails.  A malformed document, a payload
-    without a key the check reads, or a payload value the check rejects
-    raises ConfigError: each value is checked where the check takes it in,
-    by the class or conversion that takes it.
+    ConfigError.  A counterexample's payload reruns through its suite's
+    check (ablation and metrics: the end2end check), held to that suite's
+    own tolerance: a file recording another raises ConfigError first.  In
+    order: a NaN divergence raises ConfigError, a tied trial (never
+    asserted) exits 0, an infinite divergence raises ConfigError, and
+    otherwise `_passes` decides: 0 passes, 1 fails.  A malformed document,
+    a payload without a key the check reads, or a payload value the check
+    rejects raises ConfigError: each value is checked where the check
+    takes it in, by the class or conversion that takes it.
     """
     if not isinstance(document, dict):
         raise ConfigError(f"replay file must hold a JSON object, not {type(document).__name__}")
@@ -734,12 +735,14 @@ def replay(document: dict) -> tuple[int, str]:
     prop = PROPERTIES.get("end2end" if suite in ("ablation", "metrics") else str(suite))
     if prop is None:
         raise ConfigError(f"replay file names unknown suite {suite!r}")
-    for key in ("tolerance", "divergence"):
-        check_value(f"replay file {key!r}", document.get(key), FINITE, ConfigError)
+    own = (lambda v: FINITE[0](v) and v == prop.tolerance,
+           f"finite and {suite}'s {prop.tolerance!r}")
+    for key, rule in (("tolerance", own), ("divergence", FINITE)):
+        check_value(f"replay file {key!r}", document.get(key), rule, ConfigError)
     payload = document.get("payload")
     if not isinstance(payload, dict):
         raise ConfigError("replay file needs a payload object")
-    recorded, tolerance = float(document["divergence"]), float(document["tolerance"])
+    recorded = float(document["divergence"])
     try:
         # Payloads scaled toward the float range overflow inside the ops; the
         # outcome below says what that means, so NumPy's warnings are noise.
@@ -755,10 +758,10 @@ def replay(document: dict) -> tuple[int, str]:
         raise ConfigError(f"{suite} payload cannot be checked: its divergence is {div}")
     if tied:
         return 0, f"{suite}: trial is tied (divergence {div:.6e}); tied trials are not asserted"
-    if _passes(div, agree, tolerance):
-        return 0, f"{suite}: divergence {div:.6e} no longer exceeds tolerance {tolerance:.1e}"
+    if _passes(div, agree, prop.tolerance):
+        return 0, f"{suite}: divergence {div:.6e} no longer exceeds tolerance {prop.tolerance:.1e}"
     return 1, (
         f"{suite}: reproduced divergence {div:.6e} "
-        f"(recorded {recorded:.6e}, drift {abs(div - recorded):.3e}, tolerance {tolerance:.1e}"
+        f"(recorded {recorded:.6e}, drift {abs(div - recorded):.3e}, tolerance {prop.tolerance:.1e}"
         f"{'' if agree else ', labels or selections disagree'})"
     )

@@ -1,19 +1,20 @@
 """Double-precision kernel for signals on circular grids.
 
 Everything downstream reduces to a handful of operations defined here:
-one grid index behind every rotation, tiling, filter-tap and polyphase
-layout, each adaptive op's `Layout` of those indices cached per grid and
-size, row-wise softmax, order-stable sums and lp norms, and `best_phase`:
-each adaptive op's one selection and trace entry.  Each grid operation is written
-once for any grid rank, and the selecting ones once for a stack of samples
-(a leading sample axis, one selection per sample): one signal is the stack
-of one.  All functions are pure; arrays held by the wrapper types are frozen
-so results can be shared without defensive copies.  Outside values are
-converted and checked once, at the boundary: every array (signals, batches,
-token matrices, bias tables, weights) by one rule, `checked_array`; offsets
-by `as_offsets`; and the scalar fields of every config class by one
-vocabulary of rules, each (check, the words of what it requires), applied
-by `check_value`.
+one index builder, `offset_index`, behind every rotation, tiling,
+filter-tap and polyphase layout, each adaptive op's `Layout` of those
+indices cached per grid and size, row-wise softmax, order-stable sums and
+lp norms, and `best_phase`: each adaptive op's one selection and trace
+entry.  Each grid operation is written once for any grid rank, and the
+selecting ones once for a stack of samples (a leading sample axis, one
+selection per sample): one signal is the stack of one.  All functions are
+pure.  Cached indices are private and writeable; arrays handed to callers
+(wrapped values, the phase table) are frozen, so results can be shared
+without defensive copies.  Outside values are converted and checked once,
+at the boundary: every array (signals, batches, token matrices, bias
+tables, weights) by one rule, `checked_array`; offsets by `as_offsets`;
+and the scalar fields of every config class by one vocabulary of rules,
+each (check, the words of what it requires), applied by `check_value`.
 """
 
 from __future__ import annotations
@@ -28,10 +29,6 @@ import numpy as np
 
 from .errors import ParameterError, ShapeError
 from .trace import SelectionTrace
-
-# Per-axis integer offsets for circular shifts.
-Offset = tuple[int, ...]
-
 
 def freeze(values, dtype=np.float64) -> np.ndarray:
     """Copy `values` into a read-only float64 array."""
@@ -198,32 +195,8 @@ def circular_shift(signal: GridSignal, off) -> GridSignal:
     return GridSignal(rows.reshape(signal.data.shape))
 
 
-@lru_cache(maxsize=1024)
-def grid_index(grid: tuple[int, ...], width: int, stride: int, offset: Offset) -> np.ndarray:
-    """Read-only (prod(grid) // stride**rank, width**rank) index of row-major
-    grid positions: entry (j, t) is (offset + stride * j + t) mod grid per
-    axis, j row-major over the coarse grid and t over range(width)**rank.
-
-    Every layout the package moves values through is one gather by it:
-    width 1 and stride 1 rotate (gathering rolls by -offset); width b and
-    stride b tile into patches, merge groups or windows; width b and stride 1
-    lay out the taps of a b-wide circular filter at every position; stride b
-    and width 1 or b give stride-b polyphase components, or where a scatter
-    puts them.
-    """
-    index = _grid_index(grid, width, stride, offset)
-    index.setflags(write=False)
-    return index
-
-
-def _grid_index(grid, width, stride, offset) -> np.ndarray:
-    """`grid_index`, built anew and writeable."""
-    return _offset_grid(grid, width, stride, np.array([offset], dtype=np.int64), False)[0]
-
-
 def _offset_grid(grid: tuple[int, ...], width: int, stride: int, offsets: np.ndarray, stacked):
-    """(B, positions, width**rank): `grid_index`'s entries for each of B offsets, plus
-    i * prod(grid) for sample i if `stacked`; a wrapping gather per axis, summed."""
+    """`offset_index`, built anew: a wrapping gather per axis, summed."""
     rank, n = len(grid), len(offsets)
     lead = (n, *(1,) * (2 * rank))
     index = prod(grid) * np.arange(n).reshape(lead) if stacked else 0
@@ -247,36 +220,43 @@ def _axis_table(grid: tuple[int, ...], a: int, width: int, stride: int):
 def offset_index(
     grid: tuple[int, ...], width: int, stride: int, offsets: np.ndarray, stacked: bool = False
 ) -> np.ndarray:
-    """(B, positions, width**rank) stack whose sample i is
-    `grid_index(grid, width, stride, offsets[i])`, for (B, rank) offsets;
-    `stacked` adds i * prod(grid), indexing the rows of all B samples at once.
-    One sample reads a cached index of its own, writeable so that `take` does
+    """(B, positions, width**rank) index of row-major grid positions for
+    (B, rank) offsets: entry (i, j, t) is (offsets[i] + stride * j + t) mod
+    grid per axis, j row-major over the coarse grid and t over
+    range(width)**rank; `stacked` adds i * prod(grid), indexing the rows of
+    all B samples at once.
+
+    Every layout the package moves values through is one gather by it:
+    width 1 and stride 1 rotate (gathering rolls by -offset); width b and
+    stride b tile into patches, merge groups or windows; width b and stride 1
+    lay out the taps of a b-wide circular filter at every position; stride b
+    and width 1 or b give stride-b polyphase components, or where a scatter
+    puts them.  One sample's index is cached, writeable so that `take` does
     not copy it, and private: callers read it and never write to it.  More
-    are built as `grid_index` builds one, with the sample axis in front of
-    every per-axis table."""
+    samples are built anew, the sample axis in front of every per-axis table."""
     if len(offsets) == 1:
         return _sample_index(grid, width, stride, tuple(offsets[0].tolist()))
     return _offset_grid(grid, width, stride, offsets, stacked)
 
 
 @lru_cache(maxsize=1024)
-def _sample_index(grid: tuple[int, ...], width: int, stride: int, offset: Offset) -> np.ndarray:
-    """`offset_index` of one sample: `grid_index`'s entries in an array apart from it."""
+def _sample_index(grid: tuple[int, ...], width: int, stride: int, offset: tuple) -> np.ndarray:
+    """`offset_index` of one sample at `offset`, a tuple of ints, cached."""
     return _offset_grid(grid, width, stride, np.array([offset], dtype=np.int64), False)
 
 
 class Layout:
     """The indices an op of `size` moves values through on one grid, each
-    built on first use and kept for as long as `layout` caches the layout.
+    built on first use by `_offset_grid` at offset 0 (the first row of
+    `phases`) and kept for as long as `layout` caches the layout.
 
     `coarse` is the grid a stride-`size` subsample leaves and `phases` the
     read-only (size**rank, rank) table of polyphase offsets, row-major.  The
-    index arrays are writeable because NumPy's `take` copies a read-only
-    index on every call; they stay private, as the ops gather through them
-    and return fresh arrays only, and nothing writes to them.  `in_order`
-    says whether the tiling already lists the grid in order, so that
-    `untile` is the identity: every rank-1 layout, and any whose size spans
-    its grid.
+    index arrays are built anew, not taken from `offset_index`'s cache, as
+    `tap_rows` writes into its build; then they stay writeable, as `take`
+    copies a read-only index, and private.  `in_order` says whether the
+    tiling already lists the grid in order, so that `untile` is the
+    identity: every rank-1 layout, and any whose size spans its grid.
     """
 
     def __init__(self, grid: tuple[int, ...], size: int, channels: int):
@@ -284,9 +264,13 @@ class Layout:
         self.coarse = tuple(g // size for g in grid)
         self.phases = freeze(list(product(range(size), repeat=len(grid))), np.int64)
 
+    def _grid(self, stride: int) -> np.ndarray:
+        """`offset_index` of width `size` at offset 0, built anew."""
+        return _offset_grid(self.grid, self.size, stride, self.phases[:1], False)[0]
+
     def _taps(self, anchors=slice(None)) -> np.ndarray:
         """`taps` built anew, its columns the filters anchored at `anchors`."""
-        taps = _grid_index(self.grid, self.size, 1, (0,) * len(self.grid))[anchors]
+        taps = self._grid(1)[anchors]
         taps, c = np.ascontiguousarray(taps.T), self.channels
         index = np.empty((len(taps), c, taps.shape[1]), dtype=np.int64)
         for k in range(c):  # in place, so the build holds no second copy
@@ -317,7 +301,7 @@ class Layout:
         position-major: entry (t, n) is row k * size**rank + t, tap t's
         weights applied to the position k that tap t of the filter anchored
         at n reads (on one channel, k = taps[t, n])."""
-        rows, count = _grid_index(self.grid, self.size, 1, (0,) * len(self.grid)), len(self.phases)
+        rows, count = self._grid(1), len(self.phases)
         rows *= count
         rows += np.arange(count)
         return np.ascontiguousarray(rows.T)
@@ -326,7 +310,7 @@ class Layout:
     def tiles(self) -> np.ndarray:
         """(coarse positions, size**rank): row j holds the grid positions of
         the size-wide block anchored at coarse position j, row-major."""
-        return _grid_index(self.grid, self.size, self.size, (0,) * len(self.grid))
+        return self._grid(self.size)
 
     @cached_property
     def components(self) -> np.ndarray:

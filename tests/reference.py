@@ -1,7 +1,8 @@
 """References the tests hold the package to that the package does not
 compute on its own: the patch matrix a tokenization projects, a token grid
 rotated alike on every sample, one signal's zero-filling shift, and window
-attention one window at a time."""
+attention one window at a time; and `index_at`, the package's index at one
+offset, which the tests hold to oracles of their own."""
 
 from itertools import product
 
@@ -11,7 +12,15 @@ from eqvit import GridSignal, TokenMatrix
 from eqvit.attention import AttentionParams, sa
 from eqvit.errors import ParameterError
 from eqvit.metrics import shift_stack
-from eqvit.numerics import POSITIVE, as_offsets, check_value, grid_index, layout, rotate_rows
+from eqvit.numerics import POSITIVE, as_offsets, check_value, layout, offset_index, rotate_rows
+
+
+def index_at(grid: tuple[int, ...], width: int, stride: int, offset) -> np.ndarray:
+    """(positions, width**rank) `offset_index` at one offset: entry (j, t) is
+    (offset + stride * j + t) mod grid per axis, j row-major over the coarse
+    grid and t over range(width)**rank.  A view of the package's cached
+    one-sample index: read it, never write to it."""
+    return offset_index(grid, width, stride, np.array([offset], dtype=np.int64))[0]
 
 
 def reshape_patches(x: GridSignal, patch_len: int, off=None) -> np.ndarray:
@@ -27,7 +36,7 @@ def reshape_patches(x: GridSignal, patch_len: int, off=None) -> np.ndarray:
     offs = (0,) * x.rank if off is None else tuple(as_offsets([off], x.rank)[0].tolist())
     if any(not 0 <= o < patch_len for o in offs):
         raise ParameterError(f"offset {offs} outside [0, {patch_len})")
-    index = grid_index(x.shape, patch_len, patch_len, offs)
+    index = index_at(x.shape, patch_len, patch_len, offs)
     return x.data.reshape(-1, x.channels).take(index, axis=0).reshape(len(index), -1)
 
 

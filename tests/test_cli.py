@@ -22,7 +22,7 @@ from eqvit.cli import ENV_SEED, main
 from eqvit.harness import PROOF_SUITES, PROPERTIES, SUITES, SuiteConfig, _counterexample, sentinel
 from eqvit.numerics import MAX_NORM_ORDER
 from eqvit.pipeline import ModelConfig
-from trials import first_payload
+from trials import counterexample_of, first_payload
 
 
 def run_cli(tmp_path, *argv):
@@ -268,7 +268,7 @@ def test_norm_order_past_its_bound_is_a_config_error(tmp_path, capsys):
     }
     for suite, payload in payloads.items():
         path = tmp_path / f"{suite}.replay.json"
-        path.write_text(json.dumps(_counterexample(suite, 0.0, 1.0, payload)))
+        path.write_text(json.dumps(counterexample_of(suite, payload)))
         assert main(["replay", str(path)]) == 2
         err = capsys.readouterr().err
         assert err.startswith("error: ") and words in err and "Traceback" not in err
@@ -290,6 +290,24 @@ def test_replay_rejects_non_finite_numbers(tmp_path, capsys, key, value):
     assert value in path.read_text()
     assert main(["replay", str(path)]) == 2
     assert capsys.readouterr().err.startswith(f"error: replay file {key!r} must be finite")
+
+
+@pytest.mark.parametrize("tolerance", [-1.0, 1e300])
+def test_replay_requires_its_suites_own_tolerance(tmp_path, capsys, monkeypatch, tolerance):
+    # Read from the file, -1.0 would make a passing claim1 trial a reproduced
+    # failure and 1e300 any failure a pass; either is bad configuration, found
+    # before the suite's check runs.
+    checks, prop = [], PROPERTIES["claim1"]
+    counted = dataclasses.replace(prop, check=lambda *a: checks.append(a) or prop.check(*a))
+    monkeypatch.setitem(PROPERTIES, "claim1", counted)
+    path = tmp_path / "moved.replay.json"
+    path.write_text(json.dumps(_counterexample("claim1", tolerance, 0.0, first_payload("claim1"))))
+    assert main(["replay", str(path)]) == 2 and not checks
+    want = f"error: replay file 'tolerance' must be finite and claim1's 0.0, got {tolerance!r}\n"
+    assert capsys.readouterr().err == want
+    # At the suite's own tolerance the same trial reaches the check and passes.
+    path.write_text(json.dumps(counterexample_of("claim1", first_payload("claim1"))))
+    assert main(["replay", str(path)]) == 0 and len(checks) == 1
 
 
 @pytest.mark.parametrize(
@@ -411,7 +429,7 @@ def test_replay_rejects_empty_weight_matrices(tmp_path, capsys, suite, keys):
     for key in keys:
         payload[key] = [[]] * len(payload[key])
     path = tmp_path / "empty.replay.json"
-    path.write_text(json.dumps(_counterexample(suite, 0.0, 1.0, payload)))
+    path.write_text(json.dumps(counterexample_of(suite, payload)))
     assert main(["replay", str(path)]) == 2
     err = capsys.readouterr().err
     assert err.startswith(f"error: {suite} payload") and "Traceback" not in err
@@ -423,7 +441,7 @@ def test_replay_rejects_overflowing_payload(tmp_path, capsys):
     payload = first_payload("claim2")
     payload["t"] = payload["t"] * 1e200
     path = tmp_path / "big.replay.json"
-    path.write_text(json.dumps(_counterexample("claim2", 0.0, 1.0, payload)))
+    path.write_text(json.dumps(counterexample_of("claim2", payload)))
     assert main(["replay", str(path)]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: claim2 payload") and "Traceback" not in err
@@ -448,7 +466,7 @@ def test_overflowing_replays_emit_no_warnings(tmp_path, capsys, suite, key, scal
     payload = first_payload(suite)
     payload[key] = payload[key] * scale
     path = tmp_path / "big.replay.json"
-    path.write_text(json.dumps(_counterexample(suite, 0.0, 1.0, payload)))
+    path.write_text(json.dumps(counterexample_of(suite, payload)))
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         assert main(["replay", str(path)]) == code
@@ -559,7 +577,7 @@ _SWAPS = [
     float("nan"), float("inf"), float("-inf"), 2**63, -(2**63),
 ]
 _REPLAYS = [
-    *(cli._dump(_counterexample(name, 0.0, 1.0, first_payload(name))) for name in PROPERTIES),
+    *(cli._dump(counterexample_of(name, first_payload(name))) for name in PROPERTIES),
     cli._dump(sentinel(SuiteConfig())),
     cli._dump(sentinel(SuiteConfig(), ["end2end"])),
 ]
@@ -612,9 +630,10 @@ def test_truncated_replay_file_exits_zero_one_or_two(fuzz_dir, data):
 
 def nudge(doc: dict, data) -> None:
     """Damage that keeps a counterexample valid up to its suite's check: a
-    finite `divergence` or `tolerance` swapped for another finite number, a
-    payload array replaced by another finite array of its shape and dtype
-    kind, or a shift or `m` moved within its range."""
+    finite `divergence` swapped for another finite number, a payload array
+    replaced by another finite array of its shape and dtype kind, or a shift
+    or `m` moved within its range; or a `tolerance` swapped for another finite
+    number, which replay refuses before the check unless it is the suite's own."""
     payload = doc["payload"]
     floats = [k for k, v in payload.items() if isinstance(v, list) and np.asarray(v).dtype.kind == "f"]
     shifts = [k for k in ("shift", "shift_a", "shift_b", "m") if k in payload]
@@ -632,7 +651,8 @@ def nudge(doc: dict, data) -> None:
 
 
 # The least share of the derandomized examples below whose replay reaches
-# its suite's check (42 of 100 when written); invalid damage stops before it.
+# its suite's check (40 of 100; 42 before a recorded tolerance had to be the
+# suite's own); invalid damage stops before it.
 REACHES_CHECK = 0.3
 
 

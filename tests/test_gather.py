@@ -1,14 +1,18 @@
 """Cached gather plans against the per-tap loops they replace.
 
 Each reference below is the loop the package ran before its taps, phases or
-decoder stages became one gather (or scatter) through `grid_index`, with its
-rotations and tilings spelled by `np.roll` and reshape/transpose.  They are
-kept here as oracles only; every comparison is on `tobytes()`, so a -0.0
+decoder stages became one gather (or scatter) through `offset_index`, with
+its rotations and tilings spelled by `np.roll` and reshape/transpose.  They
+are kept here as oracles only; every comparison is on `tobytes()`, so a -0.0
 where the loop gave 0.0 counts as a difference.  The column projection of
 the full-rate embedding is held to the row layout it replaced and to a
 plain loop over k, its polyphase order to the grid order gathered into
 components, the merge that projects before it moves to the per-tap loop,
-and anchored window attention to rotate-then-`wsa`.
+and anchored window attention to rotate-then-`wsa`.  One policy holds for
+every index: cached ones (one sample's `offset_index`, each `Layout`'s
+arrays) are private and writeable, so that `take` does not copy them, and
+stay as built; arrays handed to callers (the phase table, op outputs) are
+read-only.
 """
 
 import tracemalloc
@@ -22,14 +26,15 @@ from eqvit.attention import AttentionParams, RpeTable, WINDOW_FNS, WindowConfig,
 from eqvit.attention import _window_score, window_energy, wsa
 from eqvit.errors import ShapeError
 from eqvit.merging import MergeConfig, a_pmerge, aps, pmerge, pmerge_conv_fullrate, unpool
-from eqvit.numerics import SignalBatch, best_phase, grid_index, layout, lp_norm
+from eqvit import numerics
+from eqvit.numerics import Layout, SignalBatch, best_phase, layout, lp_norm
 from eqvit.numerics import offset_index, project_rows, rotate_rows
-from eqvit.pipeline import ModelConfig, _decode, _encode, build_model
+from eqvit.pipeline import ModelConfig, _decode, _encode, build_model, forward
 from eqvit.tokenizer import INVARIANT_FNS, PatchEmbedConfig, TokenMatrix, _full_rate_embed
 from eqvit.tokenizer import _token_energy
 from eqvit.tokenizer import a_token, lemma1_sides, token
 from eqvit.trace import MERGE, TOKEN, SelectionTrace, TraceEntry
-from reference import wsa_window_loop
+from reference import index_at, wsa_window_loop
 
 GRIDS = [(16,), (4, 4), (4, 8), (8, 4)]
 
@@ -89,7 +94,7 @@ def full_rate(x, cfg):
     here, as the patch layout expands it for grids the patches tile."""
     stack = x.data if isinstance(x, SignalBatch) else x.data[np.newaxis]
     b, *shape, c = stack.shape
-    taps = grid_index(tuple(shape), cfg.patch_len, 1, (0,) * len(shape)).T
+    taps = index_at(tuple(shape), cfg.patch_len, 1, (0,) * len(shape)).T
     columns = (c * taps[:, np.newaxis] + np.arange(c)[:, np.newaxis]).reshape(-1, taps.shape[1])
     return _full_rate_embed(stack, columns, cfg.embed).reshape(b, *shape, -1)
 
@@ -344,23 +349,6 @@ def test_best_phase_equals_blocks_layout(grid, score):
             assert trace.size == n and all(same(g, e) for g, e in zip(got, expect))
 
 
-def test_cached_indices_are_shared_and_read_only():
-    indices = [
-        ((4, 8), 2, 1, (0, 0)),  # filter taps
-        ((8, 4), 2, 2, (0, 0)),  # tiles, whose transpose is the polyphase components
-        ((16,), 4, 4, (0,)),
-        ((8, 16), 4, 1, (0, 0)),  # full-rate patches
-        ((8, 16), 4, 4, (3, 1)),  # patches at an offset
-        ((4, 8), 1, 2, (1, 3)),  # a decoder scatter
-        ((16,), 1, 1, (5,)),  # a rotation
-    ]
-    for args in indices:
-        index = grid_index(*args)
-        assert index is grid_index(*args)
-        with pytest.raises(ValueError):
-            index.flat[0] = 1
-
-
 def test_layout_indices_are_shared_and_gathered_without_a_copy():
     # `take` copies a read-only index on every call, so the layouts' indices
     # stay writeable; nothing writes to them.  The phase table stays
@@ -394,42 +382,91 @@ def test_a_tiling_in_grid_order_has_the_identity_as_its_inverse(grid, size, in_o
     assert same(lay.tiles.ravel(), np.arange(np.prod(grid))) is in_order
 
 
-def test_one_sample_offset_index_is_private_and_grid_index_unchanged():
-    # One sample's index is a cached array of its own, writeable so that
-    # `take` need not copy it; the public `grid_index` stays read-only.
-    cases = [((16,), 4, 4, (1,)), ((4, 8), 2, 2, (1, 3)), ((8, 4), 1, 1, (5, 2)), ((64,), 1, 8, (3,))]
-    public = {args: grid_index(*args) for args in cases}
-    kept = {args: index.copy() for args, index in public.items()}
-    for grid, width, stride, off in cases:
-        one = offset_index(grid, width, stride, np.array([off]))
-        assert one is offset_index(grid, width, stride, np.array([off]), stacked=True)
-        assert one.flags.writeable and not np.shares_memory(one, public[grid, width, stride, off])
-        assert same(one[0], public[grid, width, stride, off])
-    # A 512 KiB rotation: `take` copies the public index, not the private one.
-    grid, values = (256, 256), np.arange(256 * 256.0)
-    for index, copied in ((offset_index(grid, 1, 1, np.array([(5, 2)])), False),
-                          (grid_index(grid, 1, 1, (5, 2)), True)):
-        tracemalloc.start()
-        rows = values.take(index, axis=0)
-        peak = tracemalloc.get_traced_memory()[1]
-        tracemalloc.stop()
-        assert (peak >= 2 * rows.nbytes) is copied
+# One offset each: filter taps; tiles, whose transpose is the polyphase
+# components; full-rate patches; patches at an offset; a decoder scatter; a rotation.
+ONE_OFFSET = [((4, 8), 2, 1, (0, 0)), ((8, 4), 2, 2, (0, 0)), ((16,), 4, 4, (0,)),
+              ((8, 16), 4, 1, (0, 0)), ((8, 16), 4, 4, (3, 1)), ((4, 8), 1, 2, (1, 3)),
+              ((16,), 1, 1, (5,))]
+
+
+def test_one_offset_indices_are_shared_and_writeable():
+    # One sample's index is cached writeable, as `take` copies a read-only
+    # index on every call, and shared by every op that gathers through it.
+    for grid, width, stride, off in ONE_OFFSET:
+        index = offset_index(grid, width, stride, np.array([off]))
+        assert index.flags.writeable
+        for stacked in (False, True):
+            assert offset_index(grid, width, stride, np.array([off]), stacked) is index
+
+
+def test_take_through_a_one_sample_index_does_not_copy():
+    # A 512 KiB rotation: `take` reads the cached index without copying it.
+    index, values = offset_index((256, 256), 1, 1, np.array([(5, 2)])), np.arange(256 * 256.0)
+    tracemalloc.start()
+    rows = values.take(index, axis=0)
+    peak = tracemalloc.get_traced_memory()[1]
+    tracemalloc.stop()
+    assert peak < 2 * rows.nbytes
+
+
+@pytest.mark.parametrize("rank", [1, 2])
+def test_layouts_share_no_memory_with_the_offset_index(rank):
+    # A layout builds its offset-0 indices anew, apart from one sample's.
+    (grid, _), _ = LAYOUT_GRIDS[rank]
+    lay, zero = layout(grid, 4, "window"), np.zeros((1, rank), np.int64)
+    arrays = (lay.taps, lay.phase_taps, lay.tap_rows, lay.tiles, lay.components, lay.untile)
+    for width, stride in ((4, 1), (4, 4), (1, 1)):
+        index = offset_index(grid, width, stride, zero)
+        assert not any(np.shares_memory(index, a) for a in arrays)
+
+
+def test_cached_indices_are_never_written(monkeypatch):
+    # Cached indices are writeable and shared by every op, so nothing may
+    # write to them: each one-sample index and layout array that forwards at
+    # both ranks read equals, after a second round, a fresh build taken after
+    # the first.
+    cached, built, sample_index = {}, [], numerics._sample_index
+
+    def recorded(*args):
+        cached[args] = sample_index(*args)
+        return cached[args]
+
+    class Recorded(Layout):
+        def __init__(self, *args):
+            super().__init__(*args)
+            built.append(self)
+
+    monkeypatch.setattr(numerics, "_sample_index", recorded)
+    monkeypatch.setattr(numerics, "Layout", Recorded)
+    layout.cache_clear()
+    runs = []
     for shape in ((64,), (32, 32)):
         model = build_model(ModelConfig(input_shape=shape))
         x = GridSignal(np.random.default_rng(3).uniform(-1, 1, (*shape, model.config.channels)))
-        model.encode_decode(x)
-        model.classify(x)
-    for args, index in public.items():
-        assert grid_index(*args) is index and not index.flags.writeable
-        assert same(index, kept[args])
+        runs.append((model, x, SignalBatch([x.data, circular_shift(x, (1,) * x.rank).data])))
+
+    def forwards():
+        for model, x, batch in runs:
+            model.classify(x)
+            model.encode_decode(x)
+            forward(model, batch)
+
+    forwards()
+    kept = [(index, sample_index.__wrapped__(*args)) for args, index in cached.items()]
+    for lay in built:
+        new = Layout(lay.grid, lay.size, lay.channels)
+        kept += [(a, getattr(new, k)) for k, a in vars(lay).items() if isinstance(a, np.ndarray)]
+    forwards()
+    assert cached and built and all(same(a, copy) for a, copy in kept)
+    layout.cache_clear()
 
 
 def test_layout_indices_equal_the_cached_grid_indices():
     for grid, size in (((16,), 4), ((4, 8), 2), ((6, 6), 3)):
         zero = (0,) * len(grid)
         lay = layout(grid, size, "window")
-        assert same(lay.taps, grid_index(grid, size, 1, zero).T)
-        assert same(lay.tiles, grid_index(grid, size, size, zero))
+        assert same(lay.taps, index_at(grid, size, 1, zero).T)
+        assert same(lay.tiles, index_at(grid, size, size, zero))
         assert same(lay.components, lay.tiles.T) and lay.components.flags.c_contiguous
         assert same(lay.phases, np.array(list(product(range(size), repeat=len(grid)))))
         assert lay.coarse == tuple(g // size for g in grid)
@@ -439,7 +476,7 @@ def test_layout_indices_equal_the_cached_grid_indices():
         t = size ** len(grid)
         assert same(lay.tap_rows, lay.taps * t + np.arange(t)[:, np.newaxis])
     # With C channels, tap row t * C + c is channel c of tap t's rotation.
-    taps, lay = grid_index((6, 4), 2, 1, (0, 0)).T, layout((6, 4), 2, "patch_len", 3)
+    taps, lay = index_at((6, 4), 2, 1, (0, 0)).T, layout((6, 4), 2, "patch_len", 3)
     assert same(lay.taps[3 * 3 + 2], 3 * taps[3] + 2)
     assert same(lay.taps, (3 * taps[:, np.newaxis] + np.arange(3)[:, np.newaxis]).reshape(-1, 24))
     assert same(lay.phase_taps, lay.taps[:, lay.components.ravel()])
@@ -539,18 +576,6 @@ def test_a_forward_keeps_no_grid_order_tap_index(shape):
     merges = [layout(g, p, "factor") for g, p in zip(cfg.stage_grids(), cfg.merge_factors)]
     assert "phase_taps" in vars(patch) and all("tap_rows" in vars(m) for m in merges)
     assert not any("taps" in vars(lay) for lay in (patch, *merges))
-
-
-@pytest.mark.parametrize("rank", [1, 2])
-def test_grid_index_stays_read_only_beside_the_layouts(rank):
-    (grid, _), _ = LAYOUT_GRIDS[rank]
-    zero = (0,) * rank
-    lay = layout(grid, 4, "window")
-    for args in ((grid, 4, 1, zero), (grid, 4, 4, zero), (grid, 1, 1, zero)):
-        index = grid_index(*args)
-        assert not index.flags.writeable and index is grid_index(*args)
-        arrays = (lay.taps, lay.phase_taps, lay.tap_rows, lay.tiles, lay.components, lay.untile)
-        assert not any(np.shares_memory(index, a) for a in arrays)
 
 
 # ------------------------------------------------------------------- decoder --

@@ -37,7 +37,7 @@ from eqvit.metrics import pass_pairs
 from eqvit.numerics import rotate_rows
 from eqvit.pipeline import ModelConfig
 from eqvit.tokenizer import TokenMatrix
-from trials import batch_of, first_payload, trial_payloads
+from trials import batch_of, counterexample_of, first_payload, trial_payloads
 
 SMALL = SuiteConfig(trials=20, lemma_n=(4, 8), lemma_l=(1, 2))
 
@@ -298,7 +298,7 @@ def test_replay_rejects_non_finite_document_numbers(key, value):
 @pytest.mark.parametrize("suite, key", [("apmerge", "energy_p"), ("claim2", "energy_p")])
 @pytest.mark.parametrize("value", [float("nan"), float("inf")])
 def test_replay_rejects_non_finite_payload_numbers(suite, key, value):
-    doc = _counterexample(suite, 0.0, 1.0, {**first_payload(suite), key: value})
+    doc = counterexample_of(suite, {**first_payload(suite), key: value})
     with pytest.raises(ConfigError, match="must be a finite number"):
         replay(doc)
 
@@ -643,12 +643,13 @@ def test_every_sentinel_a_run_writes_replays_as_its_verdict():
 
 
 @pytest.mark.parametrize("name", list(PROPERTIES))
-def test_first_payload_replays_with_zero_drift(name):
+def test_first_payload_replays_with_zero_drift(name, monkeypatch):
     prop = PROPERTIES[name]
     payload, shared = trial_payloads(name, SuiteConfig(trials=1))[0]
     divs, _, _ = prop.check(prop.columns(payload), shared)
     div = float(divs[0])
-    # A tolerance below the divergence makes replay reproduce and report drift.
+    # A suite tolerance below the divergence makes replay reproduce and report drift.
+    monkeypatch.setitem(PROPERTIES, name, dataclasses.replace(prop, tolerance=div - 1.0))
     doc = json.loads(json.dumps(_counterexample(name, div - 1.0, div, payload)))
     code, line = replay(doc)
     assert code == 1
@@ -681,30 +682,33 @@ def test_rows_replay_through_payload_and_columns_bit_for_bit(name):
 
 
 @pytest.mark.parametrize(
-    "doc",
+    "doc, match",
     [
-        [],
-        {"kind": "counterexample", "suite": "claim1", "tolerance": 0.0, "divergence": 1.0},
-        {"kind": "counterexample", "suite": "claim1", "tolerance": "0", "divergence": 1.0,
-         "payload": {}},
-        {"kind": "counterexample", "suite": "claim1", "tolerance": 0.0, "divergence": 1.0,
-         "payload": {"l": 4}},
-        {"kind": "counterexample", "suite": "ablation", "tolerance": 0.0, "divergence": 1.0,
-         "payload": {**end2end_payload(ModelConfig()), "check": "decode"}},
-        {"kind": "counterexample", "suite": "end2end", "tolerance": 0.0, "divergence": 1.0,
-         "payload": {**end2end_payload(ModelConfig()), "shift_a": [1, 2]}},
-        {"kind": "counterexample", "suite": "end2end", "tolerance": 0.0, "divergence": 1.0,
-         "payload": {**end2end_payload(ModelConfig()), "input": [[float("nan"), 0.0]] * 64}},
-        {"kind": "counterexample", "suite": "claim2", "tolerance": 0.0, "divergence": 1.0,
-         "payload": {**first_payload("claim2"), "window": 2.5}},
-        {"kind": "counterexample", "suite": "end2end", "tolerance": 0.0, "divergence": 1.0,
-         "payload": {**end2end_payload(ModelConfig()), "shift_a": [[0]]}},
-        {"kind": "counterexample", "suite": "apmerge", "tolerance": 0.0, "divergence": 1.0,
-         "payload": {**first_payload("apmerge"), "grid": [[16]]}},
+        ([], "must hold a JSON object"),
+        ({"kind": "counterexample", "suite": "claim1", "tolerance": 0.0, "divergence": 1.0},
+         "needs a payload object"),
+        ({"kind": "counterexample", "suite": "claim1", "tolerance": "0", "divergence": 1.0,
+          "payload": {}}, "'tolerance' must be finite"),
+        # The rest are written at the suite's own tolerance, so each reaches its payload.
+        (counterexample_of("claim1", {"l": 4}), "lacks key 'embed'"),
+        (counterexample_of("ablation", {**end2end_payload(ModelConfig()), "check": "decode"}),
+         "check must be one of"),
+        (counterexample_of("end2end", {**end2end_payload(ModelConfig()), "shift_a": [1, 2]}),
+         r"offsets of shape \(1, 2\)"),
+        (counterexample_of("end2end", {**end2end_payload(ModelConfig()),
+                                       "input": [[float("nan"), 0.0]] * 64}),
+         "only finite entries"),
+        (counterexample_of("claim2", {**first_payload("claim2"), "window": 2.5}),
+         "window must be an integer"),
+        (counterexample_of("end2end", {**end2end_payload(ModelConfig()), "shift_a": [[0]]}),
+         r"offsets of shape \(1, 1, 1\)"),
+        (counterexample_of("apmerge", {**first_payload("apmerge"), "grid": [[16]]}),
+         "token grid shape"),
     ],
+    ids=[f"doc{i}" for i in range(10)],
 )
-def test_replay_rejects_malformed_counterexamples(doc):
-    with pytest.raises(ConfigError):
+def test_replay_rejects_malformed_counterexamples(doc, match):
+    with pytest.raises(ConfigError, match=match):
         replay(doc)
 
 
@@ -739,7 +743,7 @@ def _taken_in_place_of(key, written, value) -> bool:
 def test_replay_rejects_each_wrong_kind_of_payload_value(suite, kind):
     # Each key of the suite's first payload, alone replaced by a value of the
     # wrong kind, is bad configuration, wherever the value is checked.
-    written = json.loads(json.dumps(_counterexample(suite, 0.0, 1.0, first_payload(suite))))
+    written = json.loads(json.dumps(counterexample_of(suite, first_payload(suite))))
     for key, value in written["payload"].items():
         wrong = WRONG_KINDS[kind](value)
         if _taken_in_place_of(key, value, wrong):
@@ -755,7 +759,7 @@ def test_replay_names_a_missing_payload_key(suite):
     for key in written:
         payload = {k: v for k, v in written.items() if k != key}
         with pytest.raises(ConfigError, match=f"lacks key.*{key!r}"):
-            replay(_counterexample(suite, 0.0, 1.0, payload))
+            replay(counterexample_of(suite, payload))
 
 
 def test_replay_reproduces_crafted_failure_with_zero_drift():
@@ -822,7 +826,7 @@ def test_replay_passes_once_config_is_fixed():
 # one way: a value replaced by arbitrary JSON, one (nested) list entry set to
 # an edge number, or a (nested) list truncated.
 _WRITTEN = {
-    name: json.dumps(_counterexample(name, 0.0, 1.0, first_payload(name))) for name in PROPERTIES
+    name: json.dumps(counterexample_of(name, first_payload(name))) for name in PROPERTIES
 }
 _JSON = st.recursive(
     st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=3),

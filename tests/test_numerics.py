@@ -22,13 +22,13 @@ from eqvit.errors import ConfigError, ParameterError, ShapeError
 from eqvit.harness import SuiteConfig
 from eqvit.merging import MergeConfig, aps
 from eqvit.metrics import ShiftSampler
-from eqvit.numerics import SignalBatch, as_offsets, best_phase, freeze, grid_index, layout
+from eqvit.numerics import SignalBatch, as_offsets, best_phase, freeze, layout
 from eqvit.numerics import offset_index, predicted_rotation, project_rows, rotate_rows
 from eqvit.numerics import checked_array, place_rows, softmax_in_place
 from eqvit.pipeline import ModelConfig
 from eqvit.tokenizer import PatchEmbedConfig, TokenMatrix
 from eqvit.trace import MERGE, WSA
-from reference import reshape_patches
+from reference import index_at, reshape_patches
 
 
 def shift_oracle(data: np.ndarray, offs) -> np.ndarray:
@@ -106,16 +106,9 @@ def test_rotation_gather_equals_roll_at_every_offset(grid):
     for off in np.ndindex(*(2 * g + 1 for g in grid)):
         off = tuple(o - g for o, g in zip(off, grid))  # -g .. g on each axis
         rolled = np.roll(rows.reshape(*grid, 4), [-o for o in off], axis=axes)
-        index = grid_index(grid, 1, 1, off)
+        index = index_at(grid, 1, 1, off)
         assert index.shape == (len(rows), 1)
         assert np.array_equal(rows[index[:, 0]], rolled.reshape(rows.shape))
-
-
-def test_rotation_index_is_cached_read_only():
-    index = grid_index((4, 4), 1, 1, (1, 2))
-    assert index is grid_index((4, 4), 1, 1, (1, 2))
-    with pytest.raises(ValueError):
-        index[0] = 3
 
 
 def roll_oracle(grid, width, stride, off) -> np.ndarray:
@@ -148,7 +141,7 @@ def test_grid_index_equals_roll_oracle(grid):
     strides = [s for s in (1, 2, 3, 4) if all(g % s == 0 for g in grid)]
     for stride, width, off in product(strides, (1, 2, 3, 4), offsets):
         expect = roll_oracle(grid, width, stride, off)
-        index = grid_index(grid, width, stride, off)
+        index = index_at(grid, width, stride, off)
         assert index.shape == expect.shape and np.array_equal(index, expect)
 
 
@@ -156,9 +149,9 @@ def test_grid_index_equals_roll_oracle(grid):
 def test_grid_index_tiles_and_phases_equal_reshape_transpose(grid):
     for b in (b for b in (1, 2, 3, 4) if all(g % b == 0 for g in grid)):
         zero = (0,) * len(grid)
-        assert np.array_equal(grid_index(grid, b, b, zero), tile_oracle(grid, b))
+        assert np.array_equal(index_at(grid, b, b, zero), tile_oracle(grid, b))
         # Transposed, row t is the stride-b component at the t-th phase.
-        phases = grid_index(grid, b, b, zero).T
+        phases = index_at(grid, b, b, zero).T
         positions = np.arange(math.prod(grid)).reshape(grid)
         for row, phase in zip(phases, product(range(b), repeat=len(grid))):
             component = positions[tuple(slice(p, None, b) for p in phase)]
@@ -235,11 +228,11 @@ def test_as_offsets_takes_ints_or_one_int_per_axis():
 )
 @pytest.mark.parametrize("n", [1, 2, 5])
 def test_offset_index_stacks_grid_index(grid, width, stride, n):
-    # Offsets past the grid and negative ones wrap as grid_index wraps them.
+    # Offsets past the grid and negative ones wrap as one offset's index wraps them.
     rng = np.random.default_rng(n)
     offsets = rng.integers(-2 * max(grid), 2 * max(grid), (n, len(grid)))
     index = offset_index(grid, width, stride, offsets)
-    expect = np.stack([grid_index(grid, width, stride, tuple(o)) for o in offsets.tolist()])
+    expect = np.stack([index_at(grid, width, stride, tuple(o)) for o in offsets.tolist()])
     assert index.dtype == expect.dtype and np.array_equal(index, expect)
 
 
@@ -250,10 +243,10 @@ def test_offset_index_takes_offsets_at_the_int64_ends(grid, width, stride):
     info = np.iinfo(np.int64)
     offsets = np.array([[info.max] * len(grid), [info.min] * len(grid), [2**62 + 5, -7][: len(grid)]])
     reduced = [tuple(o % g for o, g in zip(off, grid)) for off in offsets.tolist()]
-    expect = np.stack([grid_index(grid, width, stride, r) for r in reduced])
+    expect = np.stack([index_at(grid, width, stride, r) for r in reduced])
     assert np.array_equal(offset_index(grid, width, stride, offsets), expect)
     for off, want in zip(offsets.tolist(), expect):
-        assert np.array_equal(grid_index(grid, width, stride, tuple(off)), want)
+        assert np.array_equal(index_at(grid, width, stride, tuple(off)), want)
 
 
 @pytest.mark.parametrize("grid", [(7,), (3, 5)])
@@ -265,7 +258,7 @@ def test_rotate_rows_and_place_rows_per_sample(grid):
     # Placing at stride 1 undoes the rotation.
     assert np.array_equal(place_rows(rows, grid, 1, offsets), stack)
     for i in range(5):
-        index = grid_index(grid, 1, 1, tuple(offsets[i]))[:, 0]
+        index = index_at(grid, 1, 1, tuple(offsets[i]))[:, 0]
         assert np.array_equal(rows[i], stack[i].take(index, axis=0))
         assert np.array_equal(rotate_rows(stack[i : i + 1], grid, offsets[i : i + 1])[0], rows[i])
         one = place_rows(rows[i : i + 1], grid, 1, offsets[i : i + 1])
@@ -711,7 +704,7 @@ def test_blocks_layout_and_inverse():
     for grid, b in (((6,), 3), ((4, 8), 2), ((8, 4), 4), ((2, 6), 2), ((6, 6), 3)):
         arr = rng.uniform(-1, 1, (*grid, 3))
         rows = arr.reshape(-1, 3)
-        stack = rows.take(grid_index(grid, b, b, (0,) * len(grid)), axis=0)
+        stack = rows.take(index_at(grid, b, b, (0,) * len(grid)), axis=0)
         anchors = product(*(range(0, g, b) for g in grid))
         for k, anchor in enumerate(anchors):
             for i, delta in enumerate(product(range(b), repeat=len(grid))):

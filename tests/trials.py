@@ -30,6 +30,14 @@ def first_payload(name: str) -> dict:
     return trial_payloads(name, SuiteConfig(trials=1))[0][0]
 
 
+def counterexample_of(name: str, payload: dict) -> dict:
+    """A counterexample of suite `name` as a run writes one: at the suite's
+    own tolerance (ablation's and metrics' is end2end's), which replay
+    requires, and divergence 1.0."""
+    prop = PROPERTIES["end2end" if name in ("ablation", "metrics") else name]
+    return harness._counterexample(name, prop.tolerance, 1.0, payload)
+
+
 def batch_of(name: str, payloads: list[dict]) -> dict:
     """The columns of one batch of `payloads`, which differ only in their rows."""
     rows = PROPERTIES[name].rows

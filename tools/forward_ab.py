@@ -8,10 +8,9 @@ under a module name of its own (`eqvit_parent`, `eqvit_change`), so both
 run in one warm interpreter and host load falls on both alike.
 
 First it checks that both give the same logits, labels, decoded maps, trace
-offsets and tie flags, bit for bit, on a fixed input set: on the default
-1-D model and the 32x32 one, a random input, two shifts of it, a zero
-input and an impulse, each alone through `classify` and `encode_decode` and
-all five as one batch through `forward`.  Any difference exits 1.
+offsets and tie flags, bit for bit: it prints each one's digest of the
+forward grid of `tools/forward_digest.py` (`digest`), and differing
+digests exit 1.
 
 Then, per model, it times alternating rounds: a round runs `--calls`
 shifted inputs, each through `classify` and then `encode_decode` (one
@@ -31,7 +30,6 @@ for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
     os.environ[_var] = "1"
 
 import argparse
-import importlib
 import importlib.util
 import sys
 import time
@@ -39,13 +37,15 @@ from pathlib import Path
 
 import numpy as np
 
+from forward_digest import digest
+
 HERE = Path(__file__).resolve().parent.parent
 SHAPES = ((64,), (32, 32))
 SIDES = ("parent", "change")
 
 
 def load(checkout: Path, name: str):
-    """The pipeline module of `checkout`'s src/eqvit, imported as package `name`."""
+    """`checkout`'s src/eqvit, imported as package `name`."""
     package = checkout / "src" / "eqvit"
     spec = importlib.util.spec_from_file_location(
         name, package / "__init__.py", submodule_search_locations=[str(package)]
@@ -53,7 +53,7 @@ def load(checkout: Path, name: str):
     module = importlib.util.module_from_spec(spec)
     sys.modules[name] = module
     spec.loader.exec_module(module)
-    return importlib.import_module(f"{name}.pipeline")
+    return module
 
 
 def signals(shape: tuple[int, ...], channels: int, count: int) -> list[np.ndarray]:
@@ -63,41 +63,6 @@ def signals(shape: tuple[int, ...], channels: int, count: int) -> list[np.ndarra
     axes = tuple(range(len(shape)))
     shifts = [tuple(int(rng.integers(0, n)) for n in shape) for _ in range(count - 1)]
     return [base] + [np.roll(base, [-s for s in shift], axis=axes) for shift in shifts]
-
-
-def outputs(pipeline, model, arrays: list[np.ndarray]) -> list[np.ndarray]:
-    """Every array the fixed input set gives: one-sample heads, then one batch."""
-    out = []
-    for a in arrays:
-        x = pipeline.GridSignal(a)
-        logits, label, trace = pipeline.classify(model, x)
-        maps, dtrace = pipeline.encode_decode(model, x)
-        out += [logits, np.asarray(label), maps]
-        out += [v for t in (trace, dtrace) for e in t.entries for v in (e.offsets, e.tied)]
-    logits, labels, maps, trace = pipeline.forward(model, pipeline.SignalBatch(arrays))
-    out += [logits, labels, maps]
-    out += [v for e in trace.entries for v in (e.offsets, e.tied)]
-    return out
-
-
-def same_bits(a: np.ndarray, b: np.ndarray) -> bool:
-    a, b = np.ascontiguousarray(a), np.ascontiguousarray(b)
-    return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
-
-
-def check_bits(pipelines: dict, models: dict) -> bool:
-    ok = True
-    for shape in SHAPES:
-        channels = models["parent", shape].config.channels
-        arrays = signals(shape, channels, 3)
-        impulse = np.zeros_like(arrays[0])
-        impulse[(0,) * impulse.ndim] = 1.0
-        arrays += [np.zeros_like(arrays[0]), impulse]
-        got = {s: outputs(pipelines[s], models[s, shape], arrays) for s in SIDES}
-        same = len(got["parent"]) == len(got["change"]) and all(map(same_bits, *got.values()))
-        print(f"{shape}: {'identical' if same else 'DIFFERENT'} outputs on {len(arrays)} inputs")
-        ok &= same
-    return ok
 
 
 def one_round(pipeline, model, xs) -> float:
@@ -134,15 +99,18 @@ def main(argv=None) -> int:
     for path in paths.values():
         if not (path / "src" / "eqvit" / "__init__.py").is_file():
             ap.error(f"no eqvit package at {path / 'src' / 'eqvit'}")
-    pipelines = {s: load(paths[s], f"eqvit_{s}") for s in SIDES}
+    packages = {s: load(paths[s], f"eqvit_{s}") for s in SIDES}
+    pipelines = {s: p.pipeline for s, p in packages.items()}
     models = {
         (s, shape): p.build_model(p.ModelConfig(input_shape=shape))
         for s, p in pipelines.items()
         for shape in SHAPES
     }
-    for s in SIDES:
-        print(f"{s}: {paths[s]}")
-    if not check_bits(pipelines, models):
+    digests = {s: digest(packages[s]) for s in SIDES}
+    for s, (sha, calls) in digests.items():
+        print(f"{s}: {paths[s]}\n  {sha}  {calls} forward calls")
+    if digests["parent"] != digests["change"]:
+        print("DIFFERENT outputs: the digests differ")
         return 1
     print(f"us per shift (classify + encode_decode), {args.rounds} rounds of {args.calls}")
     for shape in SHAPES:

@@ -4,8 +4,10 @@
 
 Run it on two checkouts to check that a change keeps every output bit for
 bit: equal digests mean equal logits, labels, decoded maps, trace offsets
-and tie flags on every case below.  It imports the package from the `src/`
-directory next to this file's `tools/` directory.
+and tie flags on every case below.  Run as a script, it imports the package
+from the `src/` directory next to this file's `tools/` directory;
+`digest(package)` runs the grid through any imported copy of the package,
+as `tools/forward_ab.py` does for two checkouts in one process.
 
 The grid covers both grid ranks, odd token grids (5 x 7 and 15), windows 1
 to 4, unequal merge factors per stage ((3, 2) at rank 1, (2, 3) at rank 2),
@@ -24,14 +26,9 @@ import sys
 from itertools import combinations
 from pathlib import Path
 
+import numpy as np
+
 SRC = Path(__file__).resolve().parent.parent / "src"
-sys.path.insert(0, str(SRC))
-
-import numpy as np  # noqa: E402
-
-from eqvit import GridSignal, circular_shift  # noqa: E402
-from eqvit.numerics import SignalBatch  # noqa: E402
-from eqvit.pipeline import SWITCHES, ModelConfig, build_model, forward  # noqa: E402
 
 CONFIGS = (
     dict(),
@@ -52,24 +49,25 @@ CONFIGS = (
 )
 
 
-def inputs(cfg: ModelConfig) -> tuple[GridSignal, SignalBatch]:
-    """One random input, and a batch of 7 with the special cases."""
+def inputs(package, cfg):
+    """One random input of `package`'s GridSignal, and a SignalBatch of 7
+    with the special cases."""
     rng = np.random.default_rng(sum(cfg.input_shape))
     shape = (*cfg.input_shape, cfg.channels)
-    x = GridSignal(rng.uniform(-1, 1, shape))
+    x = package.GridSignal(rng.uniform(-1, 1, shape))
     impulse = np.zeros(shape)
     impulse[(0,) * len(shape)] = 1.0
     mixed = np.where(rng.uniform(size=shape) < 0.5, -0.0, rng.uniform(-1, 1, shape))
     batch = [
         x.data,
-        circular_shift(x, (1,) * cfg.rank).data,
-        circular_shift(x, tuple(range(3, 3 + cfg.rank))).data,
+        package.circular_shift(x, (1,) * cfg.rank).data,
+        package.circular_shift(x, tuple(range(3, 3 + cfg.rank))).data,
         np.zeros(shape),
         impulse,
         np.full(shape, -0.0),
         mixed,
     ]
-    return x, SignalBatch(batch)
+    return x, package.numerics.SignalBatch(batch)
 
 
 def update(digest, *arrays) -> None:
@@ -79,23 +77,31 @@ def update(digest, *arrays) -> None:
         digest.update(a.tobytes())
 
 
-def main() -> None:
-    digest = hashlib.sha256()
-    cases = 0
+def digest(package) -> tuple[str, int]:
+    """(sha256 hex digest, forward calls) over the grid, run through
+    `package`, an imported eqvit package under any module name."""
+    pipeline, sha, cases = package.pipeline, hashlib.sha256(), 0
     for overrides in CONFIGS:
-        base = ModelConfig(**overrides)
-        for k in range(len(SWITCHES) + 1):
-            for off in combinations(SWITCHES, k):
-                model = build_model(base.disable(*off))
-                x, batch = inputs(model.config)
-                for sample in (x, batch):
-                    logits, labels, maps, trace = forward(model, sample)
-                    update(digest, logits, np.asarray(labels), maps)
+        base = pipeline.ModelConfig(**overrides)
+        for k in range(len(pipeline.SWITCHES) + 1):
+            for off in combinations(pipeline.SWITCHES, k):
+                model = pipeline.build_model(base.disable(*off))
+                for sample in inputs(package, model.config):
+                    logits, labels, maps, trace = pipeline.forward(model, sample)
+                    update(sha, logits, np.asarray(labels), maps)
                     for entry in trace:
-                        digest.update(entry.kind.encode())
-                        update(digest, entry.offsets, entry.tied)
+                        sha.update(entry.kind.encode())
+                        update(sha, entry.offsets, entry.tied)
                     cases += 1
-    print(f"{digest.hexdigest()}  {cases} forward calls")
+    return sha.hexdigest(), cases
+
+
+def main() -> None:
+    sys.path.insert(0, str(SRC))
+    import eqvit
+
+    sha, calls = digest(eqvit)
+    print(f"{sha}  {calls} forward calls")
 
 
 if __name__ == "__main__":
