@@ -21,7 +21,7 @@ import numpy as np
 
 from .errors import ParameterError, ShapeError
 from .numerics import NORM_ORDER, POSITIVE, best_phase, check_value, checked_array, layout
-from .numerics import offset_index, one_of, softmax_in_place, sorted_sum
+from .numerics import offset_index, one_of, sorted_sum
 from .tokenizer import TokenMatrix
 from .trace import WSA, SelectionTrace
 
@@ -30,19 +30,9 @@ ORIGINAL = "original"
 ADAPTIVE = "adaptive"
 
 
-def _window_score(energies: np.ndarray, name: str) -> np.ndarray:
-    """The window scoring functional `name` ("max", "sum" or "l2") over the
-    last axis of a C-contiguous float array the caller owns, which the sums
-    sort in place (`sorted_sum`)."""
-    if name == "max":
-        return np.maximum.reduce(energies, axis=-1)
-    if name == "sum":
-        return sorted_sum(energies)
-    return np.sqrt(sorted_sum(np.square(energies)))
-
-
-# The names `_window_score` takes; each functional is exactly invariant to any
-# permutation of the candidate energies, so scores transfer bit-for-bit across shifts.
+# The window scoring functionals `a_wsa` takes by name: the maximum, the sum
+# or the l2 norm of an anchor's window energies.  Each is exactly invariant to
+# any permutation of the energies, so scores transfer bit-for-bit across shifts.
 WINDOW_FNS = ("max", "sum", "l2")
 
 
@@ -144,7 +134,11 @@ def _bias_index(grid: tuple[int, ...], kind: str) -> np.ndarray:
 def _attend(x: np.ndarray, params: AttentionParams, rpe: RpeTable | None, grid) -> np.ndarray:
     """Attention within each (M, D) set of a stack on one `grid`, bias built once.
     The stacked `@` runs one GEMM per set, bit-identical to that set alone, so
-    the leading axes (samples, windows) never enter a GEMM's M dimension."""
+    the leading axes (samples, windows) never enter a GEMM's M dimension; and
+    BLAS gives a row of `x @ W` the same bits wherever it sits in its set
+    (tests/test_attention.py::test_blas_gives_a_row_of_x_at_w_its_bits_wherever_it_sits
+    checks both on the default models' shapes, at one BLAS thread and at two).
+    The softmax over keys subtracts each row's maximum for overflow safety."""
     e_q = params.e_q
     if x.shape[-1] != len(e_q):
         raise ShapeError(f"tokens of dim {x.shape[-1]} vs projections of dim {len(e_q)}")
@@ -152,7 +146,10 @@ def _attend(x: np.ndarray, params: AttentionParams, rpe: RpeTable | None, grid) 
     logits *= params.scale
     if rpe is not None and rpe.kind != NONE:
         logits += position_bias(rpe, grid)
-    return softmax_in_place(logits) @ (x @ params.e_v)
+    logits -= np.maximum.reduce(logits, axis=-1, keepdims=True)
+    np.exp(logits, out=logits)
+    logits /= np.add.reduce(logits, axis=-1, keepdims=True)
+    return logits @ (x @ params.e_v)
 
 
 def sa(tokens: TokenMatrix, params: AttentionParams, rpe: RpeTable | None = None) -> TokenMatrix:
@@ -233,15 +230,21 @@ def a_wsa(
     """Window self-attention aligned to the best-energy window anchor.
 
     Scores each of the W (rank 2: W x W) candidate anchors by applying the
-    configured functional to the window energies sampled at that phase and
-    runs wsa on the windows anchored at the winner.  The output lives on the
-    grid rotated to that anchor; the chosen offset of each sample is
-    recorded.
+    configured functional (`WINDOW_FNS`) to the window energies sampled at
+    that phase and runs wsa on the windows anchored at the winner.  The
+    output lives on the grid rotated to that anchor; the chosen offset of
+    each sample is recorded.
     """
     energies = window_energy(tokens, cfg)
-    lay = layout(tokens.grid_shape, cfg.window, "window")
+    lay, name = layout(tokens.grid_shape, cfg.window, "window"), cfg.energy_fn
     phased = energies.reshape(len(energies), -1).take(lay.components, axis=1)
-    # Only the offsets are wanted, so no components are passed: the window
-    # scores sort `phased` in place.
-    _, trace = best_phase(None, _window_score(phased, cfg.energy_fn), lay.phases, WSA)
+    # The sums sort `phased`, a gather of their own, in place.
+    if name == "max":
+        scores = np.maximum.reduce(phased, axis=-1)
+    elif name == "sum":
+        scores = sorted_sum(phased)
+    else:
+        scores = np.sqrt(sorted_sum(np.square(phased)))
+    # Only the offsets are wanted, so no components are passed.
+    _, trace = best_phase(None, scores, lay, WSA)
     return wsa(tokens, cfg, params, rpe, trace.entries[0].offsets), trace

@@ -98,8 +98,9 @@ def pmerge_conv_fullrate(tokens: TokenMatrix, cfg: MergeConfig) -> TokenMatrix:
     """
     data, embed = tokens.data, cfg.embed
     index = _check_merge(data, tokens.grid_shape, cfg).tap_rows
-    lead, taps, d, out = embed.shape[:-2], len(index), data.shape[-1], embed.shape[-1]
+    taps, out = len(index), embed.shape[-1]
     if taps not in cfg.tap_blocks:
+        lead, d = embed.shape[:-2], data.shape[-1]
         blocks = embed.reshape(*lead, taps, d, out).swapaxes(-3, -2).reshape(*lead, d, taps * out)
         blocks.setflags(write=False)
         cfg.tap_blocks[taps] = blocks
@@ -128,8 +129,8 @@ def aps(
         check_value("factor", factor, POSITIVE)
         raise
     comps = data.take(lay.components, axis=1)  # (B, phases, positions, D)
-    scores = lp_norm(comps.reshape(*comps.shape[:2], -1), energy_p)
-    comp, trace = best_phase(comps, scores, lay.phases, MERGE)
+    scores = lp_norm(comps.reshape(len(data), len(lay.phases), -1), energy_p)
+    comp, trace = best_phase(comps, scores, lay, MERGE)
     return TokenMatrix._fresh(comp, lay.coarse), trace
 
 

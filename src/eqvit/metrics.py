@@ -15,8 +15,8 @@ columns and a zero-padded comparison of the same batches (`pair_report`).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
-from statistics import fmean
 
 import numpy as np
 
@@ -91,7 +91,10 @@ class ConsistencyReport:
 
     @property
     def aggregate(self) -> float:
-        return fmean(self.agreement.tolist())
+        # The bits of `statistics.fmean`, which is fsum / n for a list,
+        # without importing `statistics` (and `fractions` and `decimal`).
+        values = self.agreement.tolist()
+        return math.fsum(values) / len(values)
 
     @property
     def max_divergence(self) -> float:

@@ -3,18 +3,19 @@
 Everything downstream reduces to a handful of operations defined here:
 one index builder, `offset_index`, behind every rotation, tiling,
 filter-tap and polyphase layout, each adaptive op's `Layout` of those
-indices cached per grid and size, row-wise softmax, order-stable sums and
-lp norms, and `best_phase`: each adaptive op's one selection and trace
-entry.  Each grid operation is written once for any grid rank, and the
-selecting ones once for a stack of samples (a leading sample axis, one
-selection per sample): one signal is the stack of one.  All functions are
-pure.  Cached indices are private and writeable; arrays handed to callers
-(wrapped values, the phase table) are frozen, so results can be shared
-without defensive copies.  Outside values are converted and checked once,
-at the boundary: every array (signals, batches, token matrices, bias
-tables, weights) by one rule, `checked_array`; offsets by `as_offsets`;
-and the scalar fields of every config class by one vocabulary of rules,
-each (check, the words of what it requires), applied by `check_value`.
+indices cached per grid and size, order-stable sums and lp norms, and
+`best_phase`: each adaptive op's one selection and trace entry.  Each
+grid operation is written once for any grid rank, and the selecting ones
+once for a stack of samples (a leading sample axis, one selection per
+sample): one signal is the stack of one.  All functions are pure.  Cached
+indices are private and writeable; arrays handed to callers (wrapped
+values, the phase table, one-sample trace entries) are frozen, so results
+can be shared without defensive copies.  Outside values are converted and
+checked once, at the boundary: every array (signals, batches, token
+matrices, bias tables, weights) by one rule, `checked_array`; offsets by
+`as_offsets`; and the scalar fields of every config class by one
+vocabulary of rules, each (check, the words of what it requires), applied
+by `check_value`.
 """
 
 from __future__ import annotations
@@ -28,7 +29,7 @@ from math import prod
 import numpy as np
 
 from .errors import ParameterError, ShapeError
-from .trace import SelectionTrace
+from .trace import SelectionTrace, TraceEntry
 
 def freeze(values, dtype=np.float64) -> np.ndarray:
     """Copy `values` into a read-only float64 array."""
@@ -257,12 +258,15 @@ class Layout:
     copies a read-only index, and private.  `in_order` says whether the
     tiling already lists the grid in order, so that `untile` is the
     identity: every rank-1 layout, and any whose size spans its grid.
+    `entries` caches the one-sample trace entries `best_phase` hands out,
+    by (kind, phase, tied).
     """
 
     def __init__(self, grid: tuple[int, ...], size: int, channels: int):
         self.grid, self.size, self.channels = grid, size, channels
         self.coarse = tuple(g // size for g in grid)
         self.phases = freeze(list(product(range(size), repeat=len(grid))), np.int64)
+        self.entries: dict[tuple[str, int, bool], TraceEntry] = {}
 
     def _grid(self, stride: int) -> np.ndarray:
         """`offset_index` of width `size` at offset 0, built anew."""
@@ -358,9 +362,9 @@ def place_rows(stack: np.ndarray, grid: tuple[int, ...], stride: int, offsets) -
     row-major over the coarse grid: where the inverse of sample i's stride
     polyphase selection followed by a rotation puts each row.  An offset
     below the stride is the phase the rows were selected at."""
-    n = len(stack)
-    out = np.zeros((n, prod(grid), stack.shape[-1]))
-    out[np.arange(n)[:, np.newaxis], offset_index(grid, 1, stride, offsets).reshape(n, -1)] = stack
+    n, c = len(stack), stack.shape[-1]
+    out = np.zeros((n, prod(grid), c))
+    out.reshape(-1, c)[offset_index(grid, 1, stride, offsets, stacked=True)[..., 0]] = stack
     return out
 
 
@@ -381,39 +385,35 @@ def predicted_rotation(base, shifted, shifts, b: int, in_grid, out_grid):
 _FLAGS = (freeze([False], bool), freeze([True], bool))
 
 
-def best_phase(comps: np.ndarray | None, scores: np.ndarray, phases: np.ndarray, kind: str):
+def best_phase(comps: np.ndarray | None, scores: np.ndarray, lay: Layout, kind: str):
     """The polyphase selection of every adaptive op, one per sample: from the
     (B, P, ...) stack of each sample's P components and their (B, P) scores,
     (winning components (B, ...), the op's trace of `kind` holding each
-    winner's offset from the (P, rank) `phases` table).  An exact tie, two
-    equal largest scores, resolves to the lowest phase and is flagged; a NaN
-    score sorts last, is the argmax and ties nothing; with P = 1 nothing ties.
-    A caller that needs only the offsets passes `comps` None and gets None.
+    winner's offset from the (P, rank) table `lay.phases`).  An exact tie,
+    two equal largest scores, resolves to the lowest phase and is flagged; a
+    NaN score sorts last, is the argmax and ties nothing; with P = 1 nothing
+    ties.  A caller that needs only the offsets passes `comps` None and gets
+    None.
 
-    One sample (B = 1) takes its winner as a slice, a view of `comps`, its
-    offsets as a view of the read-only `phases` and its tie flag from two
-    shared read-only arrays; more samples are gathered."""
+    One sample (B = 1) takes its winner as a slice, a view of `comps`, and
+    its trace entry from `lay.entries`, built on first use from a read-only
+    row of the phase table and one of two shared read-only tie flags; more
+    samples are gathered."""
     if len(scores) == 1:
         i, row = int(scores.argmax()), scores[0].tolist()
         # `count` matches the winner itself by identity, so a NaN winner
         # counts once: it ties nothing, as in the sort below.
-        tied = _FLAGS[row.count(row[i]) > 1]
-        won = None if comps is None else comps[:, i]
-        return won, SelectionTrace.single(kind, phases[i : i + 1], tied)
+        tied = row.count(row[i]) > 1
+        entry = lay.entries.get((kind, i, tied))
+        if entry is None:
+            entry = TraceEntry(kind, lay.phases[i : i + 1], _FLAGS[tied])
+            lay.entries[kind, i, tied] = entry
+        return (None if comps is None else comps[:, i]), SelectionTrace(1, [entry])
     idx, ranked = scores.argmax(axis=-1), scores.copy()
     ranked.sort(axis=-1)
-    tied = ranked[:, -1] == ranked[:, -2] if len(phases) > 1 else np.zeros(len(idx), bool)
+    tied = ranked[:, -1] == ranked[:, -2] if len(lay.phases) > 1 else np.zeros(len(idx), bool)
     won = None if comps is None else comps[np.arange(len(idx)), idx]
-    return won, SelectionTrace.single(kind, phases[idx], tied)
-
-
-def softmax_in_place(m: np.ndarray) -> np.ndarray:
-    """Softmax over the last axis of a float64 array the caller owns, computed
-    in its place, with max subtraction for overflow safety."""
-    m -= np.maximum.reduce(m, axis=-1, keepdims=True)
-    np.exp(m, out=m)
-    m /= np.add.reduce(m, axis=-1, keepdims=True)
-    return m
+    return won, SelectionTrace(len(idx), [TraceEntry(kind, lay.phases[idx], tied)])
 
 
 def sorted_sum(values: np.ndarray) -> np.ndarray:
@@ -476,7 +476,7 @@ def project_rows(rows: np.ndarray, matrix: np.ndarray) -> np.ndarray:
     A (B, M, K) stack of rows takes one (K, D) matrix for every sample, or a
     (B, K, D) stack with one matrix per sample; each sample gets the bits of
     its call as a stack of one.  Its inner loop runs along D, so with few token
-    dimensions and many rows `project_columns` on the transposed layout gives
+    dimensions and many rows the transposed layout `a_token` embeds in gives
     the same bits faster.
     """
     r = np.asarray(rows, dtype=np.float64)
@@ -488,20 +488,3 @@ def project_rows(rows: np.ndarray, matrix: np.ndarray) -> np.ndarray:
         return np.einsum("bmk,bkd->bmd", r, m)
     return np.einsum("mk,kd->md", r.reshape(-1, r.shape[2]), m).reshape(*r.shape[:2], -1)
 
-
-def project_columns(cols: np.ndarray, matrix: np.ndarray) -> np.ndarray:
-    """Projection of (K, M, B) columns, sample axis last, by a (K, D) matrix:
-    the (B, M, D) stack `project_rows` gives for each sample's (M, K) rows,
-    bit for bit.
-
-    The einsum below reduces over k in the same order as the row form, from
-    0.0, one product added at a time, so every output entry gets the same
-    bits; only its inner loop runs along the M * B columns, the long axis,
-    instead of along D.  Every column is one lane of that loop, tail
-    included, so where a row sits (its position, its sample, the batch
-    size) does not change its bits (tests/test_gather.py checks this against
-    a sequential loop over k).  The result is copied back to (B, M, D).
-    """
-    k, m, b = cols.shape
-    out = np.einsum("kd,kx->dx", matrix, cols.reshape(k, m * b))
-    return np.ascontiguousarray(out.reshape(-1, m, b).transpose(2, 1, 0))

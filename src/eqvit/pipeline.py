@@ -365,11 +365,16 @@ def _decode(cfg: ModelConfig, tokens: TokenMatrix, trace: SelectionTrace, shifts
     strides = list(accumulate(cfg.merge_factors, mul, initial=cfg.patch_len))
     units = {TOKEN: iter((1,)), WSA: iter(strides), MERGE: iter(strides)}
     if shifts is None:
-        offsets = np.zeros((trace.size, cfg.rank), dtype=np.int64)
+        base = np.zeros((trace.size, len(cfg.input_shape)), dtype=np.int64)
     else:  # taken mod the grid first, so any int64 shift adds without overflow
-        offsets = shifts % cfg.input_shape
+        base = shifts % cfg.input_shape
+    weights, terms = [1], [base]
     for entry in trace.entries:
-        offsets = offsets + next(units[entry.kind]) * entry.offsets
+        weights.append(next(units[entry.kind]))
+        terms.append(entry.offsets)
+    # Each term a (B * rank) row, weighted by its unit and summed in one dot.
+    terms = np.concatenate(terms).reshape(len(weights), -1)
+    offsets = np.dot(weights, terms).reshape(base.shape)
     out = place_rows(tokens.data, cfg.input_shape, strides[-1], offsets)
     return out.reshape(trace.size, *cfg.input_shape, -1)
 

@@ -31,7 +31,6 @@ from .numerics import (
     checked_array,
     layout,
     offset_index,
-    project_columns,
     project_rows,
     sorted_sum,
 )
@@ -84,7 +83,7 @@ class TokenMatrix:
         frozen in place, unchecked."""
         data.setflags(write=False)
         tokens = object.__new__(cls)
-        vars(tokens).update(data=data, grid_shape=grid_shape)
+        tokens.__dict__.update(data=data, grid_shape=grid_shape)
         return tokens
 
     @property
@@ -145,25 +144,6 @@ def token(x, cfg: PatchEmbedConfig) -> TokenMatrix:
     return TokenMatrix._fresh(project_rows(rows, cfg.embed), lay.coarse)
 
 
-def _full_rate_embed(stack: np.ndarray, taps: np.ndarray, embed: np.ndarray) -> np.ndarray:
-    """Project the patch anchored at every grid position of a (B, *grid, C)
-    stack, shape (B, positions, D), positions in the column order of `taps`:
-    the patch layout's tap index (grid order) or its `phase_taps` (polyphase
-    order, which `a_token` takes).
-
-    All candidate offsets are strided slices of this one product, so the
-    candidates seen for an input and for its shift are gathers of bitwise
-    identical values.  One gather lays the patches out as (K, positions, B)
-    columns, entry k = tap * C + channel of a position's patch, taps in
-    row-major order, and `project_columns` contracts them: the bits of
-    `project_rows` on the (positions, K) patch rows of each sample, with the
-    inner loop along positions and samples instead of along D.
-    """
-    # Samples last: one gather serves the batch, and each k is one contiguous row.
-    signal = np.ascontiguousarray(stack.reshape(len(stack), -1).T)
-    return project_columns(signal.take(taps, axis=0), embed)
-
-
 def a_token(x, cfg: PatchEmbedConfig) -> tuple[TokenMatrix, SelectionTrace]:
     """Energy-aligned tokenization.
 
@@ -171,15 +151,30 @@ def a_token(x, cfg: PatchEmbedConfig) -> tuple[TokenMatrix, SelectionTrace]:
     functional and tokenizes at the best one; exact score ties resolve to
     the lowest row-major offset and are flagged in the trace, which holds
     one offset per sample.
+
+    The patch anchored at every grid position is projected once, so all
+    candidate offsets are strided slices of one product, and the candidates
+    seen for an input and for its shift are gathers of bitwise identical
+    values.  One gather through `Layout.phase_taps` lays the patches out as
+    (K, positions, B) columns, entry k = tap * C + channel of a position's
+    patch, positions in polyphase order.  The einsum reduces over k in the
+    order `project_rows` does, from 0.0, one product added at a time, so
+    every entry gets the bits of `project_rows` on that sample's patch rows;
+    only its inner loop runs along the M * B columns, the long axis, instead
+    of along D.  Every column is one lane of that loop, tail included, so
+    where a patch sits (its position, its sample, the batch size) does not
+    change its bits.  The (D, phases, positions, B) product is copied to
+    each sample's (phases, positions, D) components.
     """
     stack = _signal_stack(x, cfg)
-    _, *shape, c = stack.shape
+    b, *shape, c = stack.shape
     lay = layout(tuple(shape), cfg.patch_len, "patch_len", c)
-    # Embedded in polyphase order, so (B, phases, positions, D) by a reshape:
-    # each sample's polyphase components.
-    embedded = _full_rate_embed(stack, lay.phase_taps, cfg.embed)
-    comps = embedded.reshape(len(stack), *lay.components.shape, -1)
-    sub, trace = best_phase(comps, _token_energy(comps, cfg.invariant_fn), lay.phases, TOKEN)
+    # Samples last: one gather serves the batch, and each k is one contiguous row.
+    cols = np.ascontiguousarray(stack.reshape(b, -1).T).take(lay.phase_taps, axis=0)
+    embedded = np.einsum("kd,kx->dx", cfg.embed, cols.reshape(len(cols), -1))
+    comps = embedded.reshape(-1, *lay.components.shape, b).transpose(3, 1, 2, 0)
+    comps = np.ascontiguousarray(comps)
+    sub, trace = best_phase(comps, _token_energy(comps, cfg.invariant_fn), lay, TOKEN)
     return TokenMatrix._fresh(sub, lay.coarse), trace
 
 

@@ -52,17 +52,6 @@ class SelectionTrace:
     size: int = 1
     entries: list[TraceEntry] = field(default_factory=list)
 
-    @classmethod
-    def single(cls, kind: str, offsets, tied) -> SelectionTrace:
-        """One adaptive op's trace, its entry built in place: `best_phase` calls this every run."""
-        if kind not in _KINDS:
-            raise ValueError(f"unknown trace kind {kind!r}")
-        entry, trace = object.__new__(TraceEntry), object.__new__(cls)
-        tied = np.asarray(tied, dtype=bool)
-        vars(entry).update(kind=kind, offsets=np.asarray(offsets, dtype=np.int64), tied=tied)
-        vars(trace).update(size=len(tied), entries=[entry])
-        return trace
-
     def of_kind(self, kind: str) -> list[TraceEntry]:
         return [e for e in self.entries if e.kind == kind]
 

@@ -1,8 +1,10 @@
 """References the tests hold the package to that the package does not
 compute on its own: the patch matrix a tokenization projects, a token grid
 rotated alike on every sample, one signal's zero-filling shift, and window
-attention one window at a time; and `index_at`, the package's index at one
-offset, which the tests hold to oracles of their own."""
+attention one window at a time; the steps the ops compute inline, each on
+its own (an attention softmax, a window score, the full-rate patch
+embedding); and `index_at`, the package's index at one offset, which the
+tests hold to oracles of their own."""
 
 from itertools import product
 
@@ -13,6 +15,7 @@ from eqvit.attention import AttentionParams, sa
 from eqvit.errors import ParameterError
 from eqvit.metrics import shift_stack
 from eqvit.numerics import POSITIVE, as_offsets, check_value, layout, offset_index, rotate_rows
+from eqvit.numerics import sorted_sum
 
 
 def index_at(grid: tuple[int, ...], width: int, stride: int, offset) -> np.ndarray:
@@ -65,3 +68,38 @@ def wsa_window_loop(t: TokenMatrix, w: int, params: AttentionParams, rpe) -> np.
         rows = [int(np.ravel_multi_index(c, t.grid_shape)) for c in cells]
         out[rows] = sa(TokenMatrix(t.data[0, rows], (w,) * t.rank), params, rpe).data[0]
     return out
+
+
+def softmax_rows(values) -> np.ndarray:
+    """Softmax over the last axis of a float64 copy of `values`, with max
+    subtraction for overflow safety: the weights `sa` and `wsa` attend with."""
+    m = np.array(values, dtype=np.float64)
+    m -= np.maximum.reduce(m, axis=-1, keepdims=True)
+    np.exp(m, out=m)
+    m /= np.add.reduce(m, axis=-1, keepdims=True)
+    return m
+
+
+def window_score(energies, name: str) -> np.ndarray:
+    """The window scoring functional `name` (one of `WINDOW_FNS`: "max",
+    "sum" or "l2") over the last axis of a C-contiguous float copy of
+    `energies`, as `a_wsa` scores each candidate anchor."""
+    energies = np.array(energies, dtype=np.float64, order="C")
+    if name == "max":
+        return np.maximum.reduce(energies, axis=-1)
+    if name == "sum":
+        return sorted_sum(energies)
+    return np.sqrt(sorted_sum(np.square(energies)))
+
+
+def full_rate_embed(stack: np.ndarray, taps: np.ndarray, embed: np.ndarray) -> np.ndarray:
+    """The patch anchored at every grid position of a (B, *grid, C) stack,
+    projected, (B, positions, D), positions in the column order of `taps`:
+    a patch layout's `taps` (grid order) or `phase_taps` (polyphase order,
+    which `a_token` embeds in).  The column layout `a_token` computes: one
+    gather to (K, positions, B) columns and one einsum along them."""
+    signal = np.ascontiguousarray(stack.reshape(len(stack), -1).T)
+    cols = signal.take(taps, axis=0)
+    k, m, b = cols.shape
+    out = np.einsum("kd,kx->dx", embed, cols.reshape(k, m * b))
+    return np.ascontiguousarray(out.reshape(-1, m, b).transpose(2, 1, 0))

@@ -1,10 +1,17 @@
 """Attention: dense oracle, position-bias tables, window alignment.
 
 sa_oracle recomputes attention with explicit per-row softmax loops; the bias
-table tests enumerate every (i, j) pair against the lookup rule.
+table tests enumerate every (i, j) pair against the lookup rule.  The steps
+the ops compute inline, the softmax and the window scores, are held to
+their references in tests/reference.py bit for bit.
 """
 
+import json
+import os
+import subprocess
+import sys
 from itertools import product
+from math import prod
 
 import numpy as np
 import pytest
@@ -14,7 +21,6 @@ from eqvit.attention import (
     RpeTable,
     WINDOW_FNS,
     WindowConfig,
-    _window_score,
     a_wsa,
     position_bias,
     sa,
@@ -22,9 +28,11 @@ from eqvit.attention import (
     wsa,
 )
 from eqvit.errors import ParameterError, ShapeError
+from eqvit.numerics import best_phase, layout
+from eqvit.pipeline import MAX_BATCH, ModelConfig
 from eqvit.tokenizer import TokenMatrix
 from eqvit.trace import WSA
-from reference import rotated, wsa_window_loop
+from reference import rotated, softmax_rows, window_score, wsa_window_loop
 
 
 def sa_oracle(t: np.ndarray, params: AttentionParams, bias=None) -> np.ndarray:
@@ -250,8 +258,66 @@ def test_window_energy_rotates_bit_exactly():
 def test_window_scorers_ignore_permutation(name):
     rng = np.random.default_rng(14)
     v = rng.uniform(0, 3, 9)
-    # `_window_score` sorts what it scores in place: each call gets a copy.
-    assert _window_score(v.copy(), name) == _window_score(v[rng.permutation(9)], name)
+    assert window_score(v, name) == window_score(v[rng.permutation(9)], name)
+
+
+@pytest.mark.parametrize("name", sorted(WINDOW_FNS))
+@pytest.mark.parametrize("grid, w", [((16,), 4), ((8,), 2), ((4, 4), 2), ((8, 4), 4)])
+def test_a_wsa_scores_each_anchor_by_its_window_functional(name, grid, w):
+    # Each sample's anchor and tie flag are best_phase's on the reference
+    # scores of its window energies, in a batch and alone; the constant
+    # tokens tie every anchor (and "sum" adds every window at every anchor,
+    # so it may tie them all).
+    rng = np.random.default_rng(16)
+    m, d = int(np.prod(grid)), 3
+    mats = [rng.uniform(-1, 1, (m, d)) * 10.0 ** rng.uniform(-2, 2) for _ in range(6)]
+    mats.append(np.full((m, d), 0.5))
+    tokens = TokenMatrix(np.stack(mats), grid)
+    cfg, params = WindowConfig(w, 2.0, name), rand_params(rng, d)
+    lay = layout(grid, w, "window")
+    energies = window_energy(tokens, cfg).reshape(len(mats), -1)
+    scores = window_score(energies.take(lay.components, axis=1), name)
+    _, expect = best_phase(None, scores, lay, WSA)
+    (entry,) = expect.entries
+    assert entry.tied[-1]
+    _, trace = a_wsa(tokens, cfg, params)
+    assert trace.entries == expect.entries
+    for i, mat in enumerate(mats):
+        _, alone = a_wsa(TokenMatrix(mat, grid), cfg, params)
+        assert alone.entries == expect.rows(i, i + 1).entries
+
+
+def attend_reference(x: np.ndarray, params: AttentionParams, bias=None) -> np.ndarray:
+    """Attention over each (M, D) set of a stack, weighted by `softmax_rows`."""
+    logits = (x @ params.e_q) @ (x @ params.e_k).swapaxes(-1, -2)
+    logits *= params.scale
+    if bias is not None:
+        logits += bias
+    return softmax_rows(logits) @ (x @ params.e_v)
+
+
+@pytest.mark.parametrize("kind", ["none", "adaptive", "original"])
+def test_sa_and_wsa_weight_by_the_reference_softmax(kind):
+    # Token scales up to 1e3 give logits far past exp's range: only the
+    # max subtraction keeps the weights finite.
+    rng = np.random.default_rng(17)
+    grid, w, d = (4, 4), 2, 4
+    data = rng.uniform(-1, 1, (5, 16, d)) * 10.0 ** np.arange(-1, 4)[:, None, None]
+    tokens, params = TokenMatrix(data, grid), rand_params(rng, d)
+
+    def table(g):
+        shape = g if kind == "adaptive" else tuple(2 * n - 1 for n in g)
+        return RpeTable(kind, rng.uniform(-1, 1, shape)) if kind != "none" else RpeTable(kind)
+
+    rpe, window_rpe = table(grid), table((w, w))
+    out = sa(tokens, params, rpe).data
+    assert np.isfinite(out).all()
+    assert out.tobytes() == attend_reference(data, params, rpe.bias).tobytes()
+    # wsa at anchor 0: the same, in each window of the tiling, put back in grid order.
+    lay = layout(grid, w, "window")
+    windows = attend_reference(data.take(lay.tiles, axis=1), params, window_rpe.bias)
+    expect = windows.reshape(5, 16, -1).take(lay.untile, axis=1)
+    assert wsa(tokens, WindowConfig(w), params, window_rpe).data.tobytes() == expect.tobytes()
 
 
 # --------------------------------------------------------------- wsa/a_wsa --
@@ -409,3 +475,54 @@ def test_window_config_validation():
             WindowConfig(2, energy_p=p)
     with pytest.raises(ParameterError):
         WindowConfig(2, energy_fn="median")
+
+
+# ------------------------------------------------------- the BLAS assumption --
+
+# Run in a fresh interpreter, so that OPENBLAS_NUM_THREADS takes effect: for
+# each (sets, M, D), a random stack x and (D, D) matrix W, and every way a row
+# of x @ W could lose its bits, one line per failure.
+BLAS_ROWS = """
+import json, sys
+import numpy as np
+for sets, m, d in json.loads(sys.argv[1]):
+    rng = np.random.default_rng([sets, m, d])
+    x, w = rng.uniform(-1, 1, (sets, m, d)), rng.uniform(-0.5, 0.5, (d, d))
+    out, perm = x @ w, rng.permutation(m)
+    if (x[:, perm] @ w).tobytes() != out[:, perm].tobytes():
+        print(f"{(sets, m, d)}: rows permuted in every set")
+    for s in range(sets):
+        if (x[s] @ w).tobytes() != out[s].tobytes():
+            print(f"{(sets, m, d)}: set {s} alone")
+        if (x[s][perm] @ w).tobytes() != out[s][perm].tobytes():
+            print(f"{(sets, m, d)}: set {s} permuted")
+"""
+
+
+def stacked_projection_shapes() -> list[tuple[int, int, int]]:
+    """(sets, tokens per set, D) of every stacked `x @ W` `_attend` runs on
+    the default models at (64,) and 32x32: each stage's window sets and the
+    global set, for one sample and for `MAX_BATCH`."""
+    shapes = []
+    for input_shape in ((64,), (32, 32)):
+        cfg = ModelConfig(input_shape=input_shape)
+        grids, dims = cfg.stage_grids(), cfg.stage_dims()
+        m = [w**cfg.rank for w in cfg.windows]
+        sets = [(prod(g) // k, k, d) for g, d, k in zip(grids, dims, m)]
+        sets.append((1, prod(grids[-1]), dims[-1]))
+        shapes += [(b * n, m, d) for n, m, d in sets for b in (1, MAX_BATCH)]
+    return shapes
+
+
+@pytest.mark.parametrize("threads", ["1", "2"])
+def test_blas_gives_a_row_of_x_at_w_its_bits_wherever_it_sits(threads):
+    # What `_attend`'s exactness rests on: permuting the rows of a set
+    # permutes the rows of its product, and a set's product has the same bits
+    # alone as inside a stack, at one BLAS thread and at two.
+    env = {**os.environ, "OPENBLAS_NUM_THREADS": threads, "OMP_NUM_THREADS": threads}
+    shapes = json.dumps(stacked_projection_shapes())
+    run = subprocess.run(
+        [sys.executable, "-c", BLAS_ROWS, shapes], env=env, capture_output=True, text=True
+    )
+    assert run.returncode == 0, run.stderr
+    assert run.stdout == ""

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from eqvit import GridSignal, circular_shift, harness
-from eqvit.attention import AttentionParams, RpeTable, WindowConfig, _window_score, a_wsa, sa
+from eqvit.attention import AttentionParams, RpeTable, WindowConfig, a_wsa, sa
 from eqvit.attention import window_energy, wsa
 from eqvit.harness import (
     ABLATION_SEARCH_MODEL,
@@ -44,14 +44,13 @@ from eqvit.tokenizer import (
     INVARIANT_FNS,
     PatchEmbedConfig,
     TokenMatrix,
-    _full_rate_embed,
     _token_energy,
     a_token,
     lemma1_sides,
     token,
 )
-from eqvit.trace import WSA, SelectionTrace
-from reference import reshape_patches, rotated, zero_pad_shift
+from eqvit.trace import WSA, SelectionTrace, TraceEntry
+from reference import full_rate_embed, reshape_patches, rotated, window_score, zero_pad_shift
 from trials import batches_of, trial_payloads
 
 
@@ -135,10 +134,10 @@ def test_tokenizer_batch_equals_singles(shape, patch, energy):
     assert_batch_equals_singles(a_token(signal_batch(xs), cfg), [a_token(x, cfg) for x in xs])
     taps = layout(shape, patch, "patch_len", 2).taps
     tokens = token(signal_batch(xs), cfg)
-    full = _full_rate_embed(signal_batch(xs).data, taps, cfg.embed)
+    full = full_rate_embed(signal_batch(xs).data, taps, cfg.embed)
     for i, x in enumerate(xs):
         assert same(tokens.data[i], token(x, cfg).data[0])
-        assert same(full[i], _full_rate_embed(x.data[np.newaxis], taps, cfg.embed)[0])
+        assert same(full[i], full_rate_embed(x.data[np.newaxis], taps, cfg.embed)[0])
 
 
 @pytest.mark.parametrize(
@@ -206,11 +205,11 @@ def test_scorers_reduce_rows_like_single_calls():
     rng = np.random.default_rng(3)
     for n in (1, 3, 8, 9, 17, 130):
         rows = rng.uniform(0, 3, (6, n)) * 10.0 ** rng.uniform(-3, 3, (6, 1))
-        # A strided stack must reduce each row as that row alone; the scores
-        # take a C-contiguous copy, as `_window_score` sorts in place.
+        # A strided stack must reduce each row as that row alone; the window
+        # score sorts a C-contiguous copy, as `a_wsa` sorts its own gather.
         for stack in (rows, np.asfortranarray(rows)):
-            sums = _window_score(stack.copy(), "sum")
-            assert all(same(sums[i], _window_score(r.copy(), "sum")) for i, r in enumerate(rows))
+            sums = window_score(stack, "sum")
+            assert all(same(sums[i], window_score(r, "sum")) for i, r in enumerate(rows))
             for p in (1.0, 2.0, 3.0):
                 norms = lp_norm(stack, p)
                 assert all(same(norms[i], lp_norm(r, p)) for i, r in enumerate(rows))
@@ -744,5 +743,5 @@ def test_ablation_equals_trial_by_trial_search(seed, budget):
 
 
 def test_trace_of_one_sample_round_trips():
-    trace = SelectionTrace.single(WSA, [(2, 1)], [True])
+    trace = SelectionTrace(1, [TraceEntry(WSA, [(2, 1)], [True])])
     assert trace.size == 1 and trace.rows(0, 1) == trace

@@ -5,14 +5,15 @@ decoder stages became one gather (or scatter) through `offset_index`, with
 its rotations and tilings spelled by `np.roll` and reshape/transpose.  They
 are kept here as oracles only; every comparison is on `tobytes()`, so a -0.0
 where the loop gave 0.0 counts as a difference.  The column projection of
-the full-rate embedding is held to the row layout it replaced and to a
-plain loop over k, its polyphase order to the grid order gathered into
-components, the merge that projects before it moves to the per-tap loop,
-and anchored window attention to rotate-then-`wsa`.  One policy holds for
-every index: cached ones (one sample's `offset_index`, each `Layout`'s
-arrays) are private and writeable, so that `take` does not copy them, and
-stay as built; arrays handed to callers (the phase table, op outputs) are
-read-only.
+the full-rate embedding (`full_rate_embed`, the layout `a_token` computes
+inline) is held to the row layout it replaced and to a plain loop over k,
+its polyphase order to the grid order gathered into components, and
+`a_token` to it at every phase; the merge that projects before it moves
+is held to the per-tap loop, and anchored window attention to
+rotate-then-`wsa`.  One policy holds for every index: cached ones (one
+sample's `offset_index`, each `Layout`'s arrays) are private and
+writeable, so that `take` does not copy them, and stay as built; arrays
+handed to callers (the phase table, op outputs) are read-only.
 """
 
 import tracemalloc
@@ -23,18 +24,18 @@ import pytest
 
 from eqvit import GridSignal, circular_shift
 from eqvit.attention import AttentionParams, RpeTable, WINDOW_FNS, WindowConfig, a_wsa
-from eqvit.attention import _window_score, window_energy, wsa
+from eqvit.attention import window_energy, wsa
 from eqvit.errors import ShapeError
 from eqvit.merging import MergeConfig, a_pmerge, aps, pmerge, pmerge_conv_fullrate, unpool
 from eqvit import numerics
 from eqvit.numerics import Layout, SignalBatch, best_phase, layout, lp_norm
 from eqvit.numerics import offset_index, project_rows, rotate_rows
 from eqvit.pipeline import ModelConfig, _decode, _encode, build_model, forward
-from eqvit.tokenizer import INVARIANT_FNS, PatchEmbedConfig, TokenMatrix, _full_rate_embed
+from eqvit.tokenizer import INVARIANT_FNS, PatchEmbedConfig, TokenMatrix
 from eqvit.tokenizer import _token_energy
 from eqvit.tokenizer import a_token, lemma1_sides, token
 from eqvit.trace import MERGE, TOKEN, SelectionTrace, TraceEntry
-from reference import index_at, wsa_window_loop
+from reference import full_rate_embed, index_at, window_score, wsa_window_loop
 
 GRIDS = [(16,), (4, 4), (4, 8), (8, 4)]
 
@@ -89,14 +90,15 @@ def pmerge_conv_fullrate_loop(tokens, cfg):
 
 
 def full_rate(x, cfg):
-    """The package's full-rate embedding of a GridSignal or SignalBatch,
-    (B, *grid, D), on any grid: the tap index is expanded over the channels
-    here, as the patch layout expands it for grids the patches tile."""
+    """The column projection's full-rate embedding of a GridSignal or
+    SignalBatch, (B, *grid, D), on any grid: the tap index is expanded over
+    the channels here, as the patch layout expands it for grids the patches
+    tile."""
     stack = x.data if isinstance(x, SignalBatch) else x.data[np.newaxis]
     b, *shape, c = stack.shape
     taps = index_at(tuple(shape), cfg.patch_len, 1, (0,) * len(shape)).T
     columns = (c * taps[:, np.newaxis] + np.arange(c)[:, np.newaxis]).reshape(-1, taps.shape[1])
-    return _full_rate_embed(stack, columns, cfg.embed).reshape(b, *shape, -1)
+    return full_rate_embed(stack, columns, cfg.embed).reshape(b, *shape, -1)
 
 
 def full_rate_patches(stack, patch_len):
@@ -252,16 +254,28 @@ def test_polyphase_order_embedding_is_the_grid_order_one_gathered(shape, channel
     for patch_len in (p for p in (1, 2, 3, 4) if not any(g % p for g in shape)):
         k = patch_len ** len(shape) * channels
         cfg = PatchEmbedConfig(patch_len, rng.uniform(-0.5, 0.5, (k, 5)))
-        stack = np.stack([*samples(rng, shape, channels), np.full((*shape, channels), -0.0)])
+        noise, *rest = samples(rng, shape, channels)
+        # The noise at every shift below the patch length, so that each phase wins.
+        axes = tuple(range(len(shape)))
+        deltas = product(range(patch_len), repeat=len(axes))
+        shifted = [np.roll(noise, d, axis=axes) for d in deltas]
+        stack = np.stack([*shifted, *rest, np.full((*shape, channels), -0.0)])
         lay = layout(shape, patch_len, "patch_len", channels)
-        grid_order = _full_rate_embed(stack, lay.taps, cfg.embed).take(lay.components, axis=1)
-        phase_order = _full_rate_embed(stack, lay.phase_taps, cfg.embed)
+        grid_order = full_rate_embed(stack, lay.taps, cfg.embed).take(lay.components, axis=1)
+        phase_order = full_rate_embed(stack, lay.phase_taps, cfg.embed)
         assert same(phase_order.reshape(grid_order.shape), grid_order)
-        # a_token selects from those components as it did from the gathered ones.
-        sub, trace = a_token(SignalBatch(stack), cfg)
+        # a_token selects from those components as it did from the gathered
+        # ones, for the batch and for each sample alone.
         scores = _token_energy(grid_order, cfg.invariant_fn)
-        won, expect = best_phase(grid_order, scores, lay.phases, TOKEN)
-        assert same(sub.data, won) and same(trace.entries[0].offsets, expect.entries[0].offsets)
+        won, expect = best_phase(grid_order, scores, lay, TOKEN)
+        (entry,) = expect.entries
+        assert len(np.unique(entry.offsets, axis=0)) == len(lay.phases)
+        sub, trace = a_token(SignalBatch(stack), cfg)
+        assert same(sub.data, won) and same(trace.entries[0].offsets, entry.offsets)
+        for i, x in enumerate(stack):
+            one, alone = a_token(GridSignal(x), cfg)
+            assert same(one.data[0], won[i])
+            assert same(alone.entries[0].offsets[0], entry.offsets[i])
 
 
 @pytest.mark.parametrize("shape", ODD_SHAPES)
@@ -325,9 +339,9 @@ def check_anchored_wsa(grid, w):
 
 SCORES = {
     "aps": lambda comps: lp_norm(comps.reshape(len(comps), -1), 2.0),
-    # Each score takes a C-contiguous copy, as `_window_score` sorts in place.
+    # Each token score takes a C-contiguous copy, as the window scores do.
     **{f"token-{n}": lambda c, n=n: _token_energy(c.copy(), n) for n in INVARIANT_FNS},
-    **{f"window-{n}": lambda c, n=n: _window_score(c[..., 0].copy(), n) for n in WINDOW_FNS},
+    **{f"window-{n}": lambda c, n=n: window_score(c[..., 0], n) for n in WINDOW_FNS},
 }
 
 
@@ -342,7 +356,7 @@ def test_best_phase_equals_blocks_layout(grid, score):
         for n in (1, len(stack)):
             comps = stack[:n].reshape(n, -1, channels).take(lay.components, axis=1)
             scores = SCORES[score](comps.reshape(-1, *comps.shape[2:])).reshape(n, -1)
-            won, trace = best_phase(comps, scores, lay.phases, MERGE)
+            won, trace = best_phase(comps, scores, lay, MERGE)
             (entry,) = trace.entries
             expect = best_phase_blocks(stack[:n], b, len(grid), SCORES[score])
             got = (entry.offsets, won, entry.tied)

@@ -1,8 +1,12 @@
 """Every imported name is used: a walk over the syntax tree of each module of
 the package, its tests and its tools, standard library only.  A package
-`__init__` re-exports what it imports and is exempt."""
+`__init__` re-exports what it imports and is exempt.  And importing the
+package loads no standard module it does not need at every start."""
 
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -37,3 +41,16 @@ def test_the_walk_finds_an_unused_import():
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: str(p.relative_to(ROOT)))
 def test_every_imported_name_is_used(path):
     assert unused_imports(path.read_text()) == []
+
+
+def test_importing_the_package_loads_no_statistics():
+    # `statistics` imports `fractions` and `decimal`: milliseconds of every
+    # CLI start, for one mean.  Counted past what NumPy itself loads.
+    code = (
+        "import sys, numpy; before = set(sys.modules); import eqvit; "
+        "print(sorted({'statistics', 'fractions', 'decimal'} & (set(sys.modules) - before)))"
+    )
+    env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.strip() == "[]"

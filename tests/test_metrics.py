@@ -1,5 +1,7 @@
 """Consistency metrics: samplers, zero-pad shifts, scores on real models."""
 
+import statistics
+
 import numpy as np
 import pytest
 
@@ -161,6 +163,15 @@ def test_report_aggregates():
     assert set(rep.summary()) == {
         "metric", "trials", "aggregate", "max_divergence", "tie_count",
     }
+
+
+def test_report_aggregate_is_the_float_mean_of_its_agreement():
+    # The bits `statistics.fmean` gives, which the report bytes were written with.
+    rng = np.random.default_rng(41)
+    for n in (1, 2, 3, 7, 200, 1000):
+        for agreement in (rng.integers(0, 2, n).astype(float), rng.uniform(0, 1, n)):
+            rep = ConsistencyReport("mascc", agreement, np.zeros(n), np.zeros(n, bool))
+            assert rep.aggregate == statistics.fmean(agreement.tolist())
 
 
 # ------------------------------------------------- models that must score 1 --

@@ -24,11 +24,11 @@ from eqvit.merging import MergeConfig, aps
 from eqvit.metrics import ShiftSampler
 from eqvit.numerics import SignalBatch, as_offsets, best_phase, freeze, layout
 from eqvit.numerics import offset_index, predicted_rotation, project_rows, rotate_rows
-from eqvit.numerics import checked_array, place_rows, softmax_in_place
+from eqvit.numerics import checked_array, place_rows
 from eqvit.pipeline import ModelConfig
 from eqvit.tokenizer import PatchEmbedConfig, TokenMatrix
 from eqvit.trace import MERGE, WSA
-from reference import index_at, reshape_patches
+from reference import index_at, reshape_patches, softmax_rows
 
 
 def shift_oracle(data: np.ndarray, offs) -> np.ndarray:
@@ -280,26 +280,23 @@ def test_signal_batch_checks_the_stack_once():
         SignalBatch(data)
 
 
-# -------------------------------------------------------- softmax_in_place --
-
-
-def softmax(values) -> np.ndarray:
-    """`softmax_in_place` on a float64 copy of `values`."""
-    return softmax_in_place(np.array(values, dtype=np.float64))
+# ---------------------------------------------------------------- softmax --
+# The attention softmax, computed inline by `_attend`, on its own: the
+# reference that tests/test_attention.py holds `sa` and `wsa` to bit for bit.
 
 
 def test_softmax_symmetric_row():
-    assert np.array_equal(softmax(np.array([[0.0, 0.0]])), [[0.5, 0.5]])
+    assert np.array_equal(softmax_rows(np.array([[0.0, 0.0]])), [[0.5, 0.5]])
 
 
 def test_softmax_survives_large_entries():
-    out = softmax(np.array([[1000.0, 1000.0]]))
+    out = softmax_rows(np.array([[1000.0, 1000.0]]))
     assert np.all(np.isfinite(out))
     assert np.array_equal(out, [[0.5, 0.5]])
 
 
 def test_softmax_log3_example():
-    out = softmax(np.array([[0.0, math.log(3.0)]]))
+    out = softmax_rows(np.array([[0.0, math.log(3.0)]]))
     assert np.allclose(out, [[0.25, 0.75]], atol=1e-12, rtol=0)
 
 
@@ -311,7 +308,7 @@ def test_softmax_log3_example():
     ).filter(lambda rows: len({len(r) for r in rows}) == 1)
 )
 def test_softmax_rows_sum_to_one(rows):
-    out = softmax(np.array(rows))
+    out = softmax_rows(np.array(rows))
     assert np.max(np.abs(out.sum(axis=1) - 1.0)) <= 1e-12
 
 
@@ -320,15 +317,15 @@ def test_softmax_rows_sum_to_one(rows):
     st.floats(-100, 100),
 )
 def test_softmax_invariant_to_row_constant(row, c):
-    base = softmax(np.array([row]))
-    shifted = softmax(np.array([row]) + c)
+    base = softmax_rows(np.array([row]))
+    shifted = softmax_rows(np.array([row]) + c)
     assert np.max(np.abs(base - shifted)) <= 1e-12
 
 
 def test_softmax_stack_matches_each_matrix_bit_for_bit():
     stack = np.random.default_rng(4).uniform(-30, 30, (5, 4, 7))
-    out = softmax(stack)
-    assert all(np.array_equal(out[i], softmax(stack[i])) for i in range(5))
+    out = softmax_rows(stack)
+    assert all(np.array_equal(out[i], softmax_rows(stack[i])) for i in range(5))
 
 
 # ----------------------------------------------------------------- lp_norm --
@@ -404,13 +401,14 @@ def test_project_rows_stacks_take_one_or_b_matrices():
 # -------------------------------------------------------------- best_phase --
 
 
-def select(scores, phases=None, kind=MERGE):
+def select(scores, lay=None, kind=MERGE):
     """`best_phase` on (B, P) scores whose components are their phase
-    numbers: (each sample's winning component, the one trace entry)."""
+    numbers, on the phase table of `lay` (by default the P phases of a
+    1-D grid of P): (each sample's winning component, the one trace entry)."""
     scores = np.asarray(scores, dtype=np.float64)
     b, p = scores.shape
-    phases = np.arange(p)[:, np.newaxis] if phases is None else phases
-    won, trace = best_phase(np.tile(np.arange(p), (b, 1)), scores, phases, kind)
+    lay = layout((p,), p, "size") if lay is None else lay
+    won, trace = best_phase(np.tile(np.arange(p), (b, 1)), scores, lay, kind)
     (entry,) = trace.entries
     assert trace.size == b and entry.kind == kind
     return won, entry
@@ -420,7 +418,7 @@ def test_best_phase_examples():
     won, entry = select([[1.0, 3, 2], [5, 5, 1], [-2, -1, -1]])
     assert won.tolist() == [1, 0, 1] and entry.offsets.tolist() == [[1], [0], [1]]
     # Offsets are the winners' rows of the phase table, at rank 2 too.
-    won, entry = select([[0.0, 1, 3, 2], [4, 0, 0, 0]], layout((4, 4), 2, "size").phases, WSA)
+    won, entry = select([[0.0, 1, 3, 2], [4, 0, 0, 0]], layout((4, 4), 2, "size"), WSA)
     assert won.tolist() == [2, 0] and entry.offsets.tolist() == [[1, 0], [0, 0]]
 
 
@@ -461,31 +459,44 @@ def score_rows(p: int) -> np.ndarray:
 
 @pytest.mark.parametrize("grid, size", [((8,), 1), ((8,), 2), ((8,), 4), ((4, 4), 2)])
 def test_best_phase_on_one_sample_is_its_row_of_a_batch(grid, size):
-    phases = layout(grid, size, "size").phases
+    lay = layout(grid, size, "size")
+    phases = lay.phases
     scores = score_rows(len(phases))
     comps = np.random.default_rng(19).uniform(-1, 1, (len(scores), len(phases), 3, 2))
     comps[:, :, 0, 0] = -0.0
-    won, trace = best_phase(comps, scores, phases, MERGE)
-    (entry,) = trace.entries
-    assert entry.tied.any() or len(phases) == 1
-    for i in range(len(scores)):
-        one, alone = best_phase(comps[i : i + 1], scores[i : i + 1], phases, MERGE)
-        (got,) = alone.entries
-        assert alone.size == 1 and got.kind == MERGE
-        assert one.tobytes() == won[i : i + 1].tobytes() and one.shape == won[i : i + 1].shape
-        assert np.array_equal(got.offsets, entry.offsets[i : i + 1])
-        assert got.offsets.dtype == np.int64 and got.tied.dtype == bool
-        assert got.tied.tolist() == entry.tied[i : i + 1].tolist()
-        # Views of the caller's components and of the read-only phase table.
-        assert np.shares_memory(one, comps) and np.shares_memory(got.offsets, phases)
-        for flags in (got.offsets, got.tied):
-            with pytest.raises(ValueError):
-                flags[0] = 1
-        # Without components only the trace comes back, the same one.
-        none, offsets_only = best_phase(None, scores[i : i + 1], phases, MERGE)
-        assert none is None and offsets_only.entries == alone.entries
-    none, offsets_only = best_phase(None, scores, phases, MERGE)
-    assert none is None and offsets_only.entries == trace.entries
+    # Two kinds on one layout, each twice: a sample's entry is built on first
+    # use and read from `lay.entries` after, one per phase, kind and tie flag.
+    for kind in (MERGE, WSA, MERGE, WSA):
+        won, trace = best_phase(comps, scores, lay, kind)
+        (entry,) = trace.entries
+        assert entry.tied.any() or len(phases) == 1
+        for i in range(len(scores)):
+            one, alone = best_phase(comps[i : i + 1], scores[i : i + 1], lay, kind)
+            (got,) = alone.entries
+            assert alone.size == 1 and got.kind == kind
+            assert one.tobytes() == won[i : i + 1].tobytes() and one.shape == won[i : i + 1].shape
+            assert np.array_equal(got.offsets, entry.offsets[i : i + 1])
+            assert got.offsets.dtype == np.int64 and got.tied.dtype == bool
+            assert got.tied.tolist() == entry.tied[i : i + 1].tolist()
+            # Views of the caller's components and of the read-only phase table.
+            assert np.shares_memory(one, comps) and np.shares_memory(got.offsets, phases)
+            for flags in (got.offsets, got.tied):
+                with pytest.raises(ValueError):
+                    flags[0] = 1
+            # Without components only the trace comes back, with the same entry.
+            none, offsets_only = best_phase(None, scores[i : i + 1], lay, kind)
+            assert none is None and offsets_only.entries[0] is got
+            assert offsets_only is not alone and offsets_only.entries is not alone.entries
+        none, offsets_only = best_phase(None, scores, lay, kind)
+        assert none is None and offsets_only.entries == trace.entries
+
+
+def test_best_phase_rejects_an_unknown_kind():
+    # Every call, one sample or more: a failed entry is never cached.
+    lay = layout((8,), 2, "size")
+    for scores in ([[1.0, 2.0]], [[1.0, 2.0]], [[1.0, 2.0], [2.0, 1.0]]):
+        with pytest.raises(ValueError, match="unknown trace kind"):
+            best_phase(None, np.array(scores), lay, "pool")
 
 
 # ------------------------------------------------------- wrappers / freeze --

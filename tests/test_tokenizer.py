@@ -16,14 +16,13 @@ from eqvit.tokenizer import (
     INVARIANT_FNS,
     PatchEmbedConfig,
     TokenMatrix,
-    _full_rate_embed,
     _token_energy,
     a_token,
     lemma1_sides,
     token,
 )
 from eqvit.trace import TOKEN
-from reference import reshape_patches, rotated
+from reference import full_rate_embed, reshape_patches, rotated
 
 
 def reshape_oracle_1d(data: np.ndarray, l: int, m: int) -> np.ndarray:
@@ -223,7 +222,12 @@ def test_full_rate_embed_equals_roll_and_concatenate(shape, l):
     patches = np.concatenate(blocks, axis=-1)
     rolled = np.einsum("mk,kd->md", patches.reshape(-1, patches.shape[-1]), cfg.embed)
     taps = layout(shape, l, "patch_len", 2).taps
-    assert np.array_equal(_full_rate_embed(x.data[np.newaxis], taps, cfg.embed)[0], rolled)
+    assert np.array_equal(full_rate_embed(x.data[np.newaxis], taps, cfg.embed)[0], rolled)
+    # a_token keeps that embedding's rows at its chosen phase, bit for bit.
+    tokens, trace = a_token(x, cfg)
+    phase = trace.entries[0].offsets[0]
+    grid = rolled.reshape(*shape, -1)[tuple(slice(o, None, l) for o in phase)]
+    assert np.array_equal(tokens.data, grid.reshape(tokens.data.shape))
 
 
 # ------------------------------------------------------------ lemma1_sides --

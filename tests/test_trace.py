@@ -13,10 +13,9 @@ def test_entry_normalizes_offsets():
 
 
 def test_entry_rejects_unknown_kind():
+    # `best_phase` builds every entry through this check (tests/test_numerics.py).
     with pytest.raises(ValueError):
         TraceEntry("pool", [(0,)], [False])
-    with pytest.raises(ValueError):
-        SelectionTrace.single("pool", [(0,)], [False])
 
 
 def test_trace_queries():
@@ -33,7 +32,8 @@ def test_trace_queries():
     assert t.of_kind(WSA) == [TraceEntry(WSA, [(2,)], [True])]
     assert t.tied.tolist() == [True]
     assert t.any_tied is True
-    assert SelectionTrace.single(WSA, [(2,)], [True]) == SelectionTrace(1, t.of_kind(WSA))
+    one = SelectionTrace(1, [TraceEntry(WSA, [(2,)], [True])])
+    assert one == SelectionTrace(1, t.of_kind(WSA))
 
 
 def test_trace_samples_and_tie_flags():

@@ -18,7 +18,9 @@ shift, as the benchmark's forward workloads make it), on one side and then
 on the other, the side that goes first alternating per round.  It prints,
 per side, the minimum and the 10th percentile over rounds of the mean time
 of one shift, and the number of rounds in which the change was faster.
-A missing package exits 2.
+Beside the times it prints each side's Python frames in its own package
+files per warm one-sample `classify` and `encode_decode`, the count
+tests/test_pipeline.py's FRAME_BUDGET bounds.  A missing package exits 2.
 """
 
 from __future__ import annotations
@@ -65,6 +67,24 @@ def signals(shape: tuple[int, ...], channels: int, count: int) -> list[np.ndarra
     return [base] + [np.roll(base, [-s for s in shift], axis=axes) for shift in shifts]
 
 
+def frames(package, fn, *args) -> int:
+    """Python frames `fn(*args)` runs in `package`'s own source files."""
+    root = str(Path(package.__file__).parent) + os.sep
+    count = 0
+
+    def profile(frame, event, arg):
+        nonlocal count
+        if event == "call" and frame.f_code.co_filename.startswith(root):
+            count += 1
+
+    sys.setprofile(profile)
+    try:
+        fn(*args)
+    finally:
+        sys.setprofile(None)
+    return count
+
+
 def one_round(pipeline, model, xs) -> float:
     """Mean seconds of one shift, classify then encode_decode, over `xs`."""
     start = time.perf_counter()
@@ -74,16 +94,22 @@ def one_round(pipeline, model, xs) -> float:
     return (time.perf_counter() - start) / len(xs)
 
 
-def time_rounds(pipelines: dict, models: dict, shape, rounds: int, calls: int) -> dict:
+def time_rounds(packages: dict, models: dict, shape, rounds: int, calls: int):
+    """(us per shift per round, (classify, encode_decode) frames), per side."""
     arrays = signals(shape, models["parent", shape].config.channels, 16)
+    pipelines = {s: packages[s].pipeline for s in SIDES}
     xs = {s: [pipelines[s].GridSignal(arrays[k % 16]) for k in range(calls)] for s in SIDES}
     for s in SIDES:  # warm: layouts, bias tables, caches
         one_round(pipelines[s], models[s, shape], xs[s][:16])
+    counts = {}
+    for s in SIDES:
+        heads = (pipelines[s].classify, pipelines[s].encode_decode)
+        counts[s] = tuple(frames(packages[s], f, models[s, shape], xs[s][0]) for f in heads)
     per_shift = {s: [] for s in SIDES}
     for r in range(rounds):
         for s in SIDES if r % 2 == 0 else SIDES[::-1]:
             per_shift[s].append(one_round(pipelines[s], models[s, shape], xs[s]))
-    return {s: np.asarray(v) * 1e6 for s, v in per_shift.items()}
+    return {s: np.asarray(v) * 1e6 for s, v in per_shift.items()}, counts
 
 
 def main(argv=None) -> int:
@@ -100,10 +126,9 @@ def main(argv=None) -> int:
         if not (path / "src" / "eqvit" / "__init__.py").is_file():
             ap.error(f"no eqvit package at {path / 'src' / 'eqvit'}")
     packages = {s: load(paths[s], f"eqvit_{s}") for s in SIDES}
-    pipelines = {s: p.pipeline for s, p in packages.items()}
     models = {
         (s, shape): p.build_model(p.ModelConfig(input_shape=shape))
-        for s, p in pipelines.items()
+        for s, p in packages.items()
         for shape in SHAPES
     }
     digests = {s: digest(packages[s]) for s in SIDES}
@@ -112,16 +137,20 @@ def main(argv=None) -> int:
     if digests["parent"] != digests["change"]:
         print("DIFFERENT outputs: the digests differ")
         return 1
-    print(f"us per shift (classify + encode_decode), {args.rounds} rounds of {args.calls}")
+    print(
+        f"us per shift (classify + encode_decode), {args.rounds} rounds of {args.calls}; "
+        "package frames per one-sample (classify, encode_decode)"
+    )
     for shape in SHAPES:
-        t = time_rounds(pipelines, models, shape, args.rounds, args.calls)
+        t, counts = time_rounds(packages, models, shape, args.rounds, args.calls)
         wins = int((t["change"] < t["parent"]).sum())
         low = {s: (t[s].min(), np.percentile(t[s], 10)) for s in SIDES}
         ratio = low["change"][0] / low["parent"][0] - 1
         print(
             f"{shape}: min {low['parent'][0]:.1f} -> {low['change'][0]:.1f} ({ratio:+.1%}), "
             f"p10 {low['parent'][1]:.1f} -> {low['change'][1]:.1f}, "
-            f"change faster in {wins} of {args.rounds} rounds"
+            f"change faster in {wins} of {args.rounds} rounds; "
+            f"frames {counts['parent']} -> {counts['change']}"
         )
     return 0
 
