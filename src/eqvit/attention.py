@@ -14,14 +14,14 @@ SelectionTrace), the trace one per-sample entry.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
 
 import numpy as np
 
 from .errors import ParameterError, ShapeError
-from .numerics import NORM_ORDER, POSITIVE, best_phase, check_value, checked_array, layout
-from .numerics import offset_index, one_of, sorted_sum
+from .numerics import NORM_ORDER, POSITIVE, Layout, best_phase, check_value, checked_array
+from .numerics import layout, offset_index, one_of, sorted_sum
 from .tokenizer import TokenMatrix
 from .trace import WSA, SelectionTrace
 
@@ -30,10 +30,12 @@ ORIGINAL = "original"
 ADAPTIVE = "adaptive"
 
 
-# The window scoring functionals `a_wsa` takes by name: the maximum, the sum
-# or the l2 norm of an anchor's window energies.  Each is exactly invariant to
-# any permutation of the energies, so scores transfer bit-for-bit across shifts.
-WINDOW_FNS = ("max", "sum", "l2")
+# The window scoring functionals `a_wsa` takes by name: the maximum or the l2
+# norm of an anchor's window energies.  Each is exactly invariant to any
+# permutation of the energies, so scores transfer bit-for-bit across shifts.
+# Their sum is not offered: a partition's energies add up to one total at
+# every anchor, so it would tie almost every selection.
+WINDOW_FNS = ("max", "l2")
 
 
 @dataclass(frozen=True)
@@ -165,11 +167,20 @@ class WindowConfig:
     window: int
     energy_p: float = 2.0
     energy_fn: str = "max"
+    # Per token grid, the window `Layout`, kept by `_window_layout`.
+    layouts: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         check_value("window", self.window, POSITIVE)
         check_value("energy_p", self.energy_p, NORM_ORDER)
         check_value("energy_fn", self.energy_fn, one_of(*WINDOW_FNS))
+
+
+def _window_layout(grid: tuple[int, ...], cfg: WindowConfig) -> Layout:
+    """`cfg`'s window `Layout` on `grid`, once `layout` has checked it, kept in
+    `cfg.layouts` for the ops' later calls; a failed check keeps nothing."""
+    lay = cfg.layouts[grid] = layout(grid, cfg.window, "window")
+    return lay
 
 
 def window_energy(tokens: TokenMatrix, cfg: WindowConfig) -> np.ndarray:
@@ -181,7 +192,7 @@ def window_energy(tokens: TokenMatrix, cfg: WindowConfig) -> np.ndarray:
     grid bit-exactly.  Shape (B, *grid), one grid per sample.
     """
     data, grid, p = tokens.data, tokens.grid_shape, cfg.energy_p
-    taps = layout(grid, cfg.window, "window").taps
+    taps = (cfg.layouts.get(grid) or _window_layout(grid, cfg)).taps
     norms = np.add.reduce(np.abs(data) ** p, axis=-1) ** (1.0 / p)
     # The tap axis is an outer axis of the gather, so the reduction adds one
     # whole tap at a time, in order, onto the 0.0 start: the bits of a
@@ -210,7 +221,7 @@ def wsa(
     tokens: both gather the same windows, here in one gather.
     """
     data, grid, w = tokens.data, tokens.grid_shape, cfg.window
-    lay = layout(grid, w, "window")
+    lay = cfg.layouts.get(grid) or _window_layout(grid, cfg)
     rank, n, m = len(grid), len(data), data.shape[1]
     anchors = np.zeros((n, rank), np.int64) if anchors is None else np.asarray(anchors)
     if anchors.shape != (n, rank):
@@ -235,15 +246,12 @@ def a_wsa(
     output lives on the grid rotated to that anchor; the chosen offset of
     each sample is recorded.
     """
-    energies = window_energy(tokens, cfg)
-    lay, name = layout(tokens.grid_shape, cfg.window, "window"), cfg.energy_fn
+    energies, grid = window_energy(tokens, cfg), tokens.grid_shape
+    lay = cfg.layouts.get(grid) or _window_layout(grid, cfg)
     phased = energies.reshape(len(energies), -1).take(lay.components, axis=1)
-    # The sums sort `phased`, a gather of their own, in place.
-    if name == "max":
+    if cfg.energy_fn == "max":
         scores = np.maximum.reduce(phased, axis=-1)
-    elif name == "sum":
-        scores = sorted_sum(phased)
-    else:
+    else:  # "l2": the sum sorts the squares, an array of its own, in place
         scores = np.sqrt(sorted_sum(np.square(phased)))
     # Only the offsets are wanted, so no components are passed.
     _, trace = best_phase(None, scores, lay, WSA)

@@ -16,21 +16,13 @@ sample, and `unpool` reads that trace back.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from functools import cached_property
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from .errors import ShapeError, TraceError
-from .numerics import NORM_ORDER, POSITIVE, check_value
-from .numerics import (
-    best_phase,
-    checked_array,
-    layout,
-    lp_norm,
-    place_rows,
-    project_rows,
-)
+from .numerics import NORM_ORDER, POSITIVE, Layout, best_phase, check_value, checked_array
+from .numerics import layout, lp_norm, place_rows, project_rows
 from .tokenizer import TokenMatrix
 from .trace import MERGE, WSA, SelectionTrace
 
@@ -40,36 +32,45 @@ class MergeConfig:
     """Merge stride P, the (P**rank * D) x D~ projection, and the norm order.
 
     `embed` may also be a (B, P**rank * D, D~) stack, one projection per
-    sample of B token matrices.
+    sample of B token matrices.  The merges check a config against a token
+    stack once per (grid, stack shape) and keep what the check fixed, so
+    later calls only compute; a failed check keeps nothing and raises again.
     """
 
     factor: int
     embed: np.ndarray
     energy_p: float = 2.0
+    # Kept by `_check_merge`: per (token grid, token stack shape), the merge
+    # `Layout`; per tap count T, `embed` as `pmerge_conv_fullrate` reads it,
+    # read-only, (..., D, T * D~), tap t's row block in columns t * D~ onward.
+    layouts: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+    tap_blocks: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         check_value("factor", self.factor, POSITIVE)
         check_value("energy_p", self.energy_p, NORM_ORDER)
         object.__setattr__(self, "embed", checked_array(self.embed, "embed", (2, 3)))
 
-    @cached_property
-    def tap_blocks(self) -> dict[int, np.ndarray]:
-        """Per tap count T, `embed` as `pmerge_conv_fullrate` reads it, laid out
-        once, read-only: (..., D, T * D~), tap t's row block in columns t * D~ onward."""
-        return {}
 
-
-def _check_merge(data: np.ndarray, grid: tuple[int, ...], cfg: MergeConfig):
-    """Check that `cfg` merges tokens `data` on `grid`; the grid's merge `Layout`."""
+def _check_merge(data: np.ndarray, grid: tuple[int, ...], cfg: MergeConfig) -> Layout:
+    """Check that `cfg` merges tokens `data` on `grid`; the grid's merge
+    `Layout`, kept in `cfg.layouts` once the check has passed, beside the
+    embed's tap blocks.  A failed check keeps nothing."""
     lay, embed = layout(grid, cfg.factor, "factor"), cfg.embed
-    expect = len(lay.phases) * data.shape[-1]
-    if embed.shape[-2] != expect:
+    taps, d, out = len(lay.phases), data.shape[-1], embed.shape[-1]
+    if embed.shape[-2] != taps * d:
         raise ShapeError(
             f"merge embed expects rows of width {embed.shape[-2]}, "
-            f"token groups have {expect} entries"
+            f"token groups have {taps * d} entries"
         )
     if embed.ndim == 3 and len(embed) != len(data):
         raise ShapeError(f"{len(embed)} merge embeds for tokens of shape {data.shape}")
+    if taps not in cfg.tap_blocks:
+        lead = embed.shape[:-2]
+        blocks = embed.reshape(*lead, taps, d, out).swapaxes(-3, -2).reshape(*lead, d, taps * out)
+        blocks.setflags(write=False)
+        cfg.tap_blocks[taps] = blocks
+    cfg.layouts[grid, data.shape] = lay
     return lay
 
 
@@ -77,7 +78,7 @@ def pmerge(tokens: TokenMatrix, cfg: MergeConfig) -> TokenMatrix:
     """Strided patch merging: project each non-overlapping P-group, flattened
     row-major over (position, channel)."""
     data, grid = tokens.data, tokens.grid_shape
-    lay = _check_merge(data, grid, cfg)
+    lay = cfg.layouts.get((grid, data.shape)) or _check_merge(data, grid, cfg)
     rows = data.take(lay.tiles, axis=1).reshape(len(data), len(lay.tiles), -1)
     return TokenMatrix._fresh(project_rows(rows, cfg.embed), lay.coarse)
 
@@ -96,18 +97,13 @@ def pmerge_conv_fullrate(tokens: TokenMatrix, cfg: MergeConfig) -> TokenMatrix:
     projected rows gives the bits of projecting moved rows (`project_rows`),
     so the result stays exact under grid rotation.
     """
-    data, embed = tokens.data, cfg.embed
-    index = _check_merge(data, tokens.grid_shape, cfg).tap_rows
-    taps, out = len(index), embed.shape[-1]
-    if taps not in cfg.tap_blocks:
-        lead, d = embed.shape[:-2], data.shape[-1]
-        blocks = embed.reshape(*lead, taps, d, out).swapaxes(-3, -2).reshape(*lead, d, taps * out)
-        blocks.setflags(write=False)
-        cfg.tap_blocks[taps] = blocks
+    data, grid = tokens.data, tokens.grid_shape
+    index = (cfg.layouts.get((grid, data.shape)) or _check_merge(data, grid, cfg)).tap_rows
+    projected = project_rows(data, cfg.tap_blocks[len(index)])
     # Row n * taps + t of each sample: token n projected by tap t's block.
-    moved = project_rows(data, cfg.tap_blocks[taps]).reshape(len(data), -1, out).take(index, axis=1)
+    moved = projected.reshape(len(data), -1, cfg.embed.shape[-1]).take(index, axis=1)
     # An outer-axis reduce adds whole tap planes in order onto +0.0.
-    return TokenMatrix._fresh(np.add.reduce(moved, axis=1, initial=0.0), tokens.grid_shape)
+    return TokenMatrix._fresh(np.add.reduce(moved, axis=1, initial=0.0), grid)
 
 
 def aps(

@@ -10,7 +10,13 @@ once for a stack of samples (a leading sample axis, one selection per
 sample): one signal is the stack of one.  All functions are pure.  Cached
 indices are private and writeable; arrays handed to callers (wrapped
 values, the phase table, one-sample trace entries) are frozen, so results
-can be shared without defensive copies.  Outside values are converted and
+can be shared without defensive copies.  An op checks what its frozen
+config and the token grid fix once per (config, grid, token dim), keeps the
+result (a config's `layouts`, or a cache keyed by the checked shapes and
+sizes, as `layout` and `_projection` are), and after that only computes; a
+failed check keeps nothing, so a bad call raises alike on every call.  No
+key is a value a caller can change: configs are frozen, their arrays
+read-only.  Outside values are converted and
 checked once, at the boundary: every array (signals, batches, token
 matrices, bias tables, weights) by one rule, `checked_array`; offsets by
 `as_offsets`; and the scalar fields of every config class by one
@@ -183,7 +189,7 @@ class SignalBatch:
     @classmethod
     def _fresh(cls, data: np.ndarray) -> SignalBatch:
         """Wrap a float64 stack computed from checked signals: frozen in place, unchecked."""
-        data.setflags(write=False)
+        data.setflags(False)
         batch = object.__new__(cls)
         vars(batch)["data"] = data
         return batch
@@ -249,7 +255,8 @@ def _sample_index(grid: tuple[int, ...], width: int, stride: int, offset: tuple)
 class Layout:
     """The indices an op of `size` moves values through on one grid, each
     built on first use by `_offset_grid` at offset 0 (the first row of
-    `phases`) and kept for as long as `layout` caches the layout.
+    `phases`) and kept for as long as `layout`, or a config's `layouts`,
+    holds the layout.
 
     `coarse` is the grid a stride-`size` subsample leaves and `phases` the
     read-only (size**rank, rank) table of polyphase offsets, row-major.  The
@@ -481,10 +488,17 @@ def project_rows(rows: np.ndarray, matrix: np.ndarray) -> np.ndarray:
     """
     r = np.asarray(rows, dtype=np.float64)
     m = np.asarray(matrix, dtype=np.float64)
-    stacked = m.ndim == 3 and len(m) == len(r)
-    if r.ndim != 3 or not (m.ndim == 2 or stacked) or r.shape[2] != m.shape[-2]:
-        raise ShapeError(f"cannot project rows of shape {r.shape} with a {m.shape} matrix")
-    if stacked:
-        return np.einsum("bmk,bkd->bmd", r, m)
-    return np.einsum("mk,kd->md", r.reshape(-1, r.shape[2]), m).reshape(*r.shape[:2], -1)
+    spec, shape, out = _projection(r.shape, m.shape)
+    return np.einsum(spec, r.reshape(shape), m).reshape(out)
+
+
+@lru_cache(maxsize=64)
+def _projection(rows: tuple[int, ...], matrix: tuple[int, ...]) -> tuple[str, tuple, tuple]:
+    """(einsum, the rows' shape it takes, the result's shape) of `project_rows`
+    on arrays of these shapes, checked once; a mismatch raises on every call."""
+    stacked = len(matrix) == 3 and matrix[:1] == rows[:1]
+    if len(rows) != 3 or not (len(matrix) == 2 or stacked) or rows[2] != matrix[-2]:
+        raise ShapeError(f"cannot project rows of shape {rows} with a {matrix} matrix")
+    out = (*rows[:2], matrix[-1])
+    return ("bmk,bkd->bmd", rows, out) if stacked else ("mk,kd->md", (-1, rows[2]), out)
 

@@ -35,31 +35,15 @@ from operator import mul
 
 import numpy as np
 
-from .attention import (
-    ADAPTIVE,
-    NONE,
-    ORIGINAL,
-    AttentionParams,
-    RpeTable,
-    WINDOW_FNS,
-    WindowConfig,
-    a_wsa,
-    sa,
-    wsa,
-)
+from .attention import ADAPTIVE, NONE, ORIGINAL, WINDOW_FNS, AttentionParams, RpeTable
+from .attention import WindowConfig, a_wsa, sa, wsa
 from .errors import ConfigError, ShapeError
 from .merging import MergeConfig, a_pmerge, pmerge
 from .numerics import GRID_SHAPE, NORM_ORDER, POSITIVE, GridSignal, SignalBatch, check_value
 from .numerics import int_in, is_int, names_from, one_of, positive_ints, require_finite
-from .numerics import checked_array, place_rows
-from .tokenizer import (
-    INVARIANT_FNS,
-    PatchEmbedConfig,
-    TokenMatrix,
-    a_token,
-    token,
-)
-from .trace import MERGE, TOKEN, WSA, SelectionTrace
+from .numerics import checked_array, freeze, place_rows
+from .tokenizer import INVARIANT_FNS, PatchEmbedConfig, TokenMatrix, a_token, token
+from .trace import SelectionTrace
 
 SWITCHES = ("a_token", "a_wsa", "a_pmerge", "adaptive_rpe")
 
@@ -160,8 +144,13 @@ class ModelConfig:
                 if g % p:
                     raise ConfigError(f"stage {s}: grid {grid} not divisible by factor {p}")
             grids.append(tuple(g // p for g in grid))
-        # Not a field: fixed by the fields above; `stage_grids` returns it.
+        # Not fields: fixed by the fields above.  `stage_grids` returns the grids;
+        # `_decode` weighs the base and the token offset by 1, a stage's entries by its stride.
         object.__setattr__(self, "_grids", tuple(grids))
+        strides = list(accumulate(self.merge_factors, mul, initial=self.patch_len))
+        units = [1] * (1 + self.a_token)
+        units += [s for s in strides[:-1] for _ in range(self.a_wsa + self.a_pmerge)]
+        object.__setattr__(self, "_units", (freeze(units, np.int64), strides[-1]))
         name, size = max(self.array_sizes() + self.activation_sizes(), key=lambda item: item[1])
         if size > MAX_ELEMENTS:
             raise ConfigError(f"the {name} would hold {size} entries, more than {MAX_ELEMENTS}")
@@ -358,24 +347,21 @@ def _decode(cfg: ModelConfig, tokens: TokenMatrix, trace: SelectionTrace, shifts
     one: final token j lands at (O + S j) mod input_shape, S = patch_len *
     prod(merge_factors), and O the token offset plus each stage's window
     offset and merge phase times patch_len * (the factors before it).  The
-    trace holds a token offset if a_token ran, and per stage a window offset
-    if a_wsa ran and a merge phase if a_pmerge ran; the k-th window or merge
-    entry is stage k's, and a fixed op's offset is 0.
+    trace is the encoder's under `cfg`: a token offset if a_token is on, and
+    per stage a window offset if a_wsa is on and a merge phase if a_pmerge is
+    on, so `cfg` fixes each entry's unit once; a fixed op's offset is 0.
     """
-    strides = list(accumulate(cfg.merge_factors, mul, initial=cfg.patch_len))
-    units = {TOKEN: iter((1,)), WSA: iter(strides), MERGE: iter(strides)}
+    units, stride = cfg._units
     if shifts is None:
         base = np.zeros((trace.size, len(cfg.input_shape)), dtype=np.int64)
     else:  # taken mod the grid first, so any int64 shift adds without overflow
         base = shifts % cfg.input_shape
-    weights, terms = [1], [base]
+    terms = [base]
     for entry in trace.entries:
-        weights.append(next(units[entry.kind]))
         terms.append(entry.offsets)
     # Each term a (B * rank) row, weighted by its unit and summed in one dot.
-    terms = np.concatenate(terms).reshape(len(weights), -1)
-    offsets = np.dot(weights, terms).reshape(base.shape)
-    out = place_rows(tokens.data, cfg.input_shape, strides[-1], offsets)
+    offsets = np.dot(units, np.concatenate(terms).reshape(len(units), -1)).reshape(base.shape)
+    out = place_rows(tokens.data, cfg.input_shape, stride, offsets)
     return out.reshape(trace.size, *cfg.input_shape, -1)
 
 

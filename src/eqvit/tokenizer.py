@@ -16,24 +16,15 @@ sample gets its own selection, bit-identical to its call alone, and the
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from math import prod
 
 import numpy as np
 
 from .errors import ParameterError, ShapeError
-from .numerics import GRID_SHAPE, POSITIVE, check_value, one_of
-from .numerics import (
-    GridSignal,
-    SignalBatch,
-    as_offsets,
-    best_phase,
-    checked_array,
-    layout,
-    offset_index,
-    project_rows,
-    sorted_sum,
-)
+from .numerics import GRID_SHAPE, POSITIVE, GridSignal, Layout, SignalBatch, as_offsets
+from .numerics import best_phase, check_value, checked_array, layout, offset_index, one_of
+from .numerics import project_rows, sorted_sum
 from .trace import TOKEN, SelectionTrace
 
 
@@ -81,9 +72,10 @@ class TokenMatrix:
     def _fresh(cls, data: np.ndarray, grid_shape: tuple[int, ...]) -> TokenMatrix:
         """Wrap a C-contiguous (B, M, D) float64 stack an op just computed:
         frozen in place, unchecked."""
-        data.setflags(write=False)
+        data.setflags(False)  # write=False: the keyword form parses at twice the cost
         tokens = object.__new__(cls)
-        tokens.__dict__.update(data=data, grid_shape=grid_shape)
+        fields = tokens.__dict__
+        fields["data"], fields["grid_shape"] = data, grid_shape
         return tokens
 
     @property
@@ -110,6 +102,8 @@ class PatchEmbedConfig:
     patch_len: int
     embed: np.ndarray
     invariant_fn: str = "sum_l2"
+    # Per signal (*grid, channels), the patch `Layout`, kept by `_signal_stack`.
+    layouts: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         check_value("patch_len", self.patch_len, POSITIVE)
@@ -117,29 +111,34 @@ class PatchEmbedConfig:
         check_value("invariant_fn", self.invariant_fn, one_of(*INVARIANT_FNS))
 
 
-def _signal_stack(x, cfg: PatchEmbedConfig) -> np.ndarray:
+def _signal_stack(x, cfg: PatchEmbedConfig) -> tuple[np.ndarray, Layout]:
     """(B, *grid, C) stack of a `SignalBatch`, or of one `GridSignal` as the
-    batch of one; checks that the embed fits the patches."""
+    batch of one, and its patch `Layout`.  The first call per (*grid, C)
+    checks that the embed fits the patches and that `layout` takes the grid,
+    then keeps the layout in `cfg.layouts`; a failed check keeps nothing."""
     if isinstance(x, GridSignal):
         stack = x.data[np.newaxis]
     elif isinstance(x, SignalBatch):
         stack = x.data
     else:
         raise ShapeError(f"expected a GridSignal or a SignalBatch, got {type(x).__name__}")
-    expect = cfg.patch_len ** (stack.ndim - 2) * stack.shape[-1]
-    if cfg.embed.shape[0] != expect:
-        raise ShapeError(
-            f"embed expects rows of width {cfg.embed.shape[0]}, "
-            f"patches have {expect} entries"
-        )
-    return stack
+    lay = cfg.layouts.get(stack.shape[1:])
+    if lay is None:
+        expect = cfg.patch_len ** (stack.ndim - 2) * stack.shape[-1]
+        if cfg.embed.shape[0] != expect:
+            raise ShapeError(
+                f"embed expects rows of width {cfg.embed.shape[0]}, "
+                f"patches have {expect} entries"
+            )
+        *grid, c = stack.shape[1:]
+        lay = cfg.layouts[stack.shape[1:]] = layout(tuple(grid), cfg.patch_len, "patch_len", c)
+    return stack, lay
 
 
 def token(x, cfg: PatchEmbedConfig) -> TokenMatrix:
     """Fixed-grid tokenization: patches anchored at offset 0, projected."""
-    stack = _signal_stack(x, cfg)
-    b, *shape, c = stack.shape
-    lay = layout(tuple(shape), cfg.patch_len, "patch_len", c)
+    stack, lay = _signal_stack(x, cfg)
+    b, c = len(stack), stack.shape[-1]
     rows = stack.reshape(b, -1, c).take(lay.tiles, axis=1).reshape(b, len(lay.tiles), -1)
     return TokenMatrix._fresh(project_rows(rows, cfg.embed), lay.coarse)
 
@@ -166,9 +165,8 @@ def a_token(x, cfg: PatchEmbedConfig) -> tuple[TokenMatrix, SelectionTrace]:
     change its bits.  The (D, phases, positions, B) product is copied to
     each sample's (phases, positions, D) components.
     """
-    stack = _signal_stack(x, cfg)
-    b, *shape, c = stack.shape
-    lay = layout(tuple(shape), cfg.patch_len, "patch_len", c)
+    stack, lay = _signal_stack(x, cfg)
+    b = len(stack)
     # Samples last: one gather serves the batch, and each k is one contiguous row.
     cols = np.ascontiguousarray(stack.reshape(b, -1).T).take(lay.phase_taps, axis=0)
     embedded = np.einsum("kd,kx->dx", cfg.embed, cols.reshape(len(cols), -1))
@@ -186,10 +184,9 @@ def lemma1_sides(x, cfg: PatchEmbedConfig, off, axis: int = 0) -> tuple[np.ndarr
     grid rotated by the carry along `axis`.  `off` holds one offset per
     sample of `x`, and each side is a (B, M, D) stack.
     """
-    stack = _signal_stack(x, cfg)
+    stack, lay = _signal_stack(x, cfg)
     b, *shape, c = stack.shape
-    shape, l = tuple(shape), cfg.patch_len
-    grid = layout(shape, l, "patch_len", c).coarse
+    shape, l, grid = tuple(shape), cfg.patch_len, lay.coarse
     if not 0 <= axis < len(shape):
         raise ParameterError(f"axis {axis} out of range for rank {len(shape)}")
     offs = as_offsets(off, len(shape))

@@ -81,14 +81,12 @@ def softmax_rows(values) -> np.ndarray:
 
 
 def window_score(energies, name: str) -> np.ndarray:
-    """The window scoring functional `name` (one of `WINDOW_FNS`: "max",
-    "sum" or "l2") over the last axis of a C-contiguous float copy of
-    `energies`, as `a_wsa` scores each candidate anchor."""
+    """The window scoring functional `name` (one of `WINDOW_FNS`: "max" or
+    "l2") over the last axis of a C-contiguous float copy of `energies`, as
+    `a_wsa` scores each candidate anchor."""
     energies = np.array(energies, dtype=np.float64, order="C")
     if name == "max":
         return np.maximum.reduce(energies, axis=-1)
-    if name == "sum":
-        return sorted_sum(energies)
     return np.sqrt(sorted_sum(np.square(energies)))
 
 

@@ -266,8 +266,7 @@ def test_window_scorers_ignore_permutation(name):
 def test_a_wsa_scores_each_anchor_by_its_window_functional(name, grid, w):
     # Each sample's anchor and tie flag are best_phase's on the reference
     # scores of its window energies, in a batch and alone; the constant
-    # tokens tie every anchor (and "sum" adds every window at every anchor,
-    # so it may tie them all).
+    # tokens tie every anchor.
     rng = np.random.default_rng(16)
     m, d = int(np.prod(grid)), 3
     mats = [rng.uniform(-1, 1, (m, d)) * 10.0 ** rng.uniform(-2, 2) for _ in range(6)]
@@ -473,15 +472,18 @@ def test_window_config_validation():
     for p in (0.5, np.nan, np.inf):
         with pytest.raises(ParameterError):
             WindowConfig(2, energy_p=p)
-    with pytest.raises(ParameterError):
-        WindowConfig(2, energy_fn="median")
+    for name in ("median", "sum"):  # a sum scores every anchor's partition alike
+        with pytest.raises(ParameterError):
+            WindowConfig(2, energy_fn=name)
 
 
 # ------------------------------------------------------- the BLAS assumption --
 
 # Run in a fresh interpreter, so that OPENBLAS_NUM_THREADS takes effect: for
 # each (sets, M, D), a random stack x and (D, D) matrix W, and every way a row
-# of x @ W could lose its bits, one line per failure.
+# of x @ W could lose its bits, one line per failure; then the per-set
+# products `_attend` stacks after it, queries times transposed keys and
+# softmax weights times values, each set's alone against inside the stack.
 BLAS_ROWS = """
 import json, sys
 import numpy as np
@@ -491,11 +493,17 @@ for sets, m, d in json.loads(sys.argv[1]):
     out, perm = x @ w, rng.permutation(m)
     if (x[:, perm] @ w).tobytes() != out[:, perm].tobytes():
         print(f"{(sets, m, d)}: rows permuted in every set")
+    keys, weights = rng.uniform(-1, 1, (sets, m, d)), rng.uniform(0, 1, (sets, m, m))
+    logits, mixed = out @ keys.swapaxes(-1, -2), weights @ x
     for s in range(sets):
         if (x[s] @ w).tobytes() != out[s].tobytes():
             print(f"{(sets, m, d)}: set {s} alone")
         if (x[s][perm] @ w).tobytes() != out[s][perm].tobytes():
             print(f"{(sets, m, d)}: set {s} permuted")
+        if (out[s] @ keys[s].T).tobytes() != logits[s].tobytes():
+            print(f"{(sets, m, d)}: set {s} q @ k^T alone")
+        if (weights[s] @ x[s]).tobytes() != mixed[s].tobytes():
+            print(f"{(sets, m, d)}: set {s} weights @ v alone")
 """
 
 
@@ -517,8 +525,9 @@ def stacked_projection_shapes() -> list[tuple[int, int, int]]:
 @pytest.mark.parametrize("threads", ["1", "2"])
 def test_blas_gives_a_row_of_x_at_w_its_bits_wherever_it_sits(threads):
     # What `_attend`'s exactness rests on: permuting the rows of a set
-    # permutes the rows of its product, and a set's product has the same bits
-    # alone as inside a stack, at one BLAS thread and at two.
+    # permutes the rows of its product, and each set's product, of `x @ W`,
+    # `q @ k^T` and `weights @ v` alike, has the same bits alone as inside a
+    # stack, at one BLAS thread and at two.
     env = {**os.environ, "OPENBLAS_NUM_THREADS": threads, "OMP_NUM_THREADS": threads}
     shapes = json.dumps(stacked_projection_shapes())
     run = subprocess.run(

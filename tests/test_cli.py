@@ -278,6 +278,17 @@ def test_norm_order_past_its_bound_is_a_config_error(tmp_path, capsys):
     assert run_cli(tmp_path, "--config", str(ok), "--suite", "end2end", "--trials", "5")[0] == 0
 
 
+def test_sum_window_functional_is_a_config_error(tmp_path, capsys):
+    # A partition's window energies sum to one total at every anchor, so a
+    # "sum" score tied most selections and left their end2end pairs unasserted.
+    bad = tmp_path / "bad.json"
+    bad.write_text('{"window_energy_fn": "sum"}')
+    code, out = run_cli(tmp_path, "--config", str(bad), "--suite", "end2end", "--trials", "5")
+    assert code == 2 and not out.exists()
+    words = "window_energy_fn must be one of ('max', 'l2'), got 'sum'"
+    assert capsys.readouterr().err == f"error: {words}\n"
+
+
 @pytest.mark.parametrize(
     "key, value", [("tolerance", "NaN"), ("tolerance", "Infinity"), ("divergence", "-Infinity")]
 )

@@ -24,7 +24,7 @@ import pytest
 
 from eqvit import GridSignal, circular_shift
 from eqvit.attention import AttentionParams, RpeTable, WINDOW_FNS, WindowConfig, a_wsa
-from eqvit.attention import window_energy, wsa
+from eqvit.attention import position_bias, sa, window_energy, wsa
 from eqvit.errors import ShapeError
 from eqvit.merging import MergeConfig, a_pmerge, aps, pmerge, pmerge_conv_fullrate, unpool
 from eqvit import numerics
@@ -434,11 +434,23 @@ def test_layouts_share_no_memory_with_the_offset_index(rank):
         assert not any(np.shares_memory(index, a) for a in arrays)
 
 
+def config_caches(model) -> list:
+    """Every layout and array a model's configs keep: the patch, window and
+    merge layouts, the merges' tap blocks and the decoder's units."""
+    w = model.weights
+    kept = [*w.patch.layouts.values(), model.config._units[0]]
+    for sw in w.stages:
+        kept += [*sw.window.layouts.values(), *sw.merge.layouts.values()]
+        kept += sw.merge.tap_blocks.values()
+    return kept
+
+
 def test_cached_indices_are_never_written(monkeypatch):
     # Cached indices are writeable and shared by every op, so nothing may
     # write to them: each one-sample index and layout array that forwards at
     # both ranks read equals, after a second round, a fresh build taken after
-    # the first.
+    # the first.  The configs keep those layouts, not builds of their own,
+    # and their own arrays stay as built too.
     cached, built, sample_index = {}, [], numerics._sample_index
 
     def recorded(*args):
@@ -467,9 +479,13 @@ def test_cached_indices_are_never_written(monkeypatch):
 
     forwards()
     kept = [(index, sample_index.__wrapped__(*args)) for args, index in cached.items()]
+    held = [item for model, _, _ in runs for item in config_caches(model)]
+    layouts = [item for item in held if isinstance(item, Layout)]
+    assert layouts and all(any(lay is b for b in built) for lay in layouts)
     for lay in built:
         new = Layout(lay.grid, lay.size, lay.channels)
         kept += [(a, getattr(new, k)) for k, a in vars(lay).items() if isinstance(a, np.ndarray)]
+    kept += [(a, a.copy()) for a in held if isinstance(a, np.ndarray)]
     forwards()
     assert cached and built and all(same(a, copy) for a, copy in kept)
     layout.cache_clear()
@@ -518,7 +534,7 @@ def layout_op_calls(rank, tokens_grid, signal_grid):
     tokens = TokenMatrix(rng.uniform(-1, 1, (2, int(np.prod(tokens_grid)), d)), tokens_grid)
     x = SignalBatch(rng.uniform(-1, 1, (2, *signal_grid, 2)))
     patch = PatchEmbedConfig(size, rng.uniform(-0.5, 0.5, (size**rank * 2, 5)))
-    window = WindowConfig(size, energy_fn="sum")
+    window = WindowConfig(size, energy_fn="max")
     params = AttentionParams(*(rng.uniform(-0.5, 0.5, (d, d)) for _ in range(3)))
     rpe = RpeTable("adaptive", rng.uniform(-0.5, 0.5, (size,) * rank))
     merge = MergeConfig(size, rng.uniform(-0.5, 0.5, (size**rank * d, 2 * d)), 3.0)
@@ -576,6 +592,151 @@ def test_no_op_output_shares_memory_with_a_layout(rank):
         # Only the phase table is read-only: `take` copies no index.
         flags = [(n, a.flags.writeable) for n, a in named if isinstance(a, np.ndarray)]
         assert all(writeable != (n == "phases") for n, writeable in flags), name
+
+
+# Per rank: two token grids that window 4 and merge factor 2 divide (at rank
+# 2 of one token count in two layouts), and one that window 4 does not divide.
+CHECK_GRIDS = {1: ((8,), (16,), (6,)), 2: ((4, 8), (8, 4), (4, 6))}
+
+
+def op_configs(rank: int) -> dict:
+    """Configs the checked ops take, equal for equal `rank` on every call."""
+    rng = np.random.default_rng(30 + rank)
+    d = 3
+    return {
+        "d": d,
+        "patch": PatchEmbedConfig(2, rng.uniform(-0.5, 0.5, (2**rank * 2, 5))),
+        "window": WindowConfig(4),
+        "params": AttentionParams(*(rng.uniform(-0.5, 0.5, (d, d)) for _ in range(3))),
+        "rpe": RpeTable("adaptive", rng.uniform(-0.5, 0.5, (4,) * rank)),
+        "merge": MergeConfig(2, rng.uniform(-0.5, 0.5, (2**rank * d, 2 * d))),
+        "matrix": rng.uniform(-0.5, 0.5, (d, 4)),
+    }
+
+
+def checked_op_calls(rank: int, cfg: dict) -> list:
+    """(name, bad call, good call) per public op that checks a config, an rpe
+    table or a projection against its input once: the bad call fails that
+    check, and the good one, through the same configs, passes it."""
+    rng = np.random.default_rng(40 + rank)
+    good_grid, _, bad_grid = CHECK_GRIDS[rank]
+    d, window, params, rpe, merge = (cfg[k] for k in ("d", "window", "params", "rpe", "merge"))
+
+    def tokens(grid, dim=d):
+        return TokenMatrix(rng.uniform(-1, 1, (1, int(np.prod(grid)), dim)), grid)
+
+    good, bad_window, wide = tokens(good_grid), tokens(bad_grid), tokens(good_grid, d + 1)
+    signal = SignalBatch(rng.uniform(-1, 1, (2, *(2 * g for g in good_grid), 2)))
+    # Three channels do not fit an embed of two-channel patches.
+    bad_signal = SignalBatch(rng.uniform(-1, 1, (2, *(2 * g for g in good_grid), 3)))
+    other_rpe = RpeTable("adaptive", rng.uniform(-0.5, 0.5, (2,) * rank))
+    rows, patch, matrix = rng.uniform(-1, 1, (1, 5, d)), cfg["patch"], cfg["matrix"]
+    return [
+        ("token", lambda: token(bad_signal, patch), lambda: token(signal, patch)),
+        ("a_token", lambda: a_token(bad_signal, patch), lambda: a_token(signal, patch)),
+        (
+            "lemma1_sides",
+            lambda: lemma1_sides(bad_signal, patch, [(1,) * rank] * 2),
+            lambda: lemma1_sides(signal, patch, [(1,) * rank] * 2),
+        ),
+        (
+            "window_energy",
+            lambda: window_energy(bad_window, window),
+            lambda: window_energy(good, window),
+        ),
+        (
+            "wsa",
+            lambda: wsa(bad_window, window, params, rpe),
+            lambda: wsa(good, window, params, rpe),
+        ),
+        ("a_wsa", lambda: a_wsa(bad_window, window, params), lambda: a_wsa(good, window, params)),
+        (
+            "wsa, rpe for another window",
+            lambda: wsa(good, window, params, other_rpe),
+            lambda: wsa(good, window, params, rpe),
+        ),
+        ("sa", lambda: sa(good, params, rpe), lambda: sa(tokens((4,) * rank), params, rpe)),
+        (
+            "position_bias",
+            lambda: position_bias(rpe, good_grid),
+            lambda: position_bias(rpe, (4,) * rank),
+        ),
+        ("pmerge", lambda: pmerge(wide, merge), lambda: pmerge(good, merge)),
+        (
+            "pmerge_conv_fullrate",
+            lambda: pmerge_conv_fullrate(wide, merge),
+            lambda: pmerge_conv_fullrate(good, merge),
+        ),
+        ("a_pmerge", lambda: a_pmerge(wide, merge), lambda: a_pmerge(good, merge)),
+        (
+            "project_rows",
+            lambda: project_rows(rows, matrix.T),
+            lambda: project_rows(rows, matrix),
+        ),
+    ]
+
+
+def raised(call) -> tuple[type, str]:
+    with pytest.raises(Exception) as info:
+        call()
+    return type(info.value), str(info.value)
+
+
+@pytest.mark.parametrize("rank", [1, 2])
+def test_a_failed_check_keeps_nothing(rank):
+    # A check that kept its result before it passed would let the repeated
+    # bad call through: each raises as it did the first time, and a good call
+    # through the same configs afterwards gives a fresh config's bits.
+    calls, fresh = (checked_op_calls(rank, op_configs(rank)) for _ in range(2))
+    for (name, bad, good), (_, _, fresh_good) in zip(calls, fresh):
+        first = raised(bad)
+        assert first[0] is ShapeError and raised(bad) == first, name
+        got, want = result_arrays(good()), result_arrays(fresh_good())
+        assert len(got) == len(want) and all(same(g, w) for g, w in zip(got, want)), name
+        assert raised(bad) == first, name
+
+
+@pytest.mark.parametrize("rank", [1, 2])
+def test_one_config_keeps_a_layout_and_a_check_per_grid_and_dim(rank):
+    # One config on two grids of one token count (rank 2: two layouts), and
+    # one merge on two token dims (a line of D = 2 * d, a plane of D = d):
+    # each call gives a fresh config's bits, and a dim or grid that does not
+    # fit still raises after others that do.
+    *grids, bad_grid = CHECK_GRIDS[rank]
+    cfg, rng = op_configs(rank), np.random.default_rng(50)
+    window, params, rpe = cfg["window"], cfg["params"], cfg["rpe"]
+    for grid in grids * 2:
+        t = TokenMatrix(rng.uniform(-1, 1, (2, int(np.prod(grid)), cfg["d"])), grid)
+        fresh = op_configs(rank)
+        for op, args, fresh_args in (
+            (a_wsa, (window, params, rpe), (fresh["window"], fresh["params"], fresh["rpe"])),
+            (a_pmerge, (cfg["merge"],), (fresh["merge"],)),
+            (pmerge, (cfg["merge"],), (fresh["merge"],)),
+        ):
+            got, want = result_arrays(op(t, *args)), result_arrays(op(t, *fresh_args))
+            assert all(same(g, w) for g, w in zip(got, want)), (op.__name__, grid)
+        signal = SignalBatch(rng.uniform(-1, 1, (2, *(2 * g for g in grid), 2)))
+        got, want = a_token(signal, cfg["patch"]), a_token(signal, fresh["patch"])
+        assert all(same(g, w) for g, w in zip(result_arrays(got), result_arrays(want)))
+    assert sorted(window.layouts) == sorted(grids)
+    with pytest.raises(ShapeError, match="is not divisible by window 4"):
+        a_wsa(TokenMatrix(np.ones((int(np.prod(bad_grid)), 3)), bad_grid), window, params)
+    # One merge on a line of dim 6 and a plane of dim 3, and one patch embed
+    # on a line of 2 channels and a plane of 1; then a dim and a channel count
+    # that fit neither.
+    merge = MergeConfig(2, rng.uniform(-0.5, 0.5, (12, 5)))
+    line = TokenMatrix(rng.uniform(-1, 1, (16, 6)), (16,))
+    plane = TokenMatrix(rng.uniform(-1, 1, (16, 3)), (4, 4))
+    for t in (line, plane, line, plane):
+        fresh = pmerge_conv_fullrate(t, MergeConfig(2, merge.embed))
+        assert same(pmerge_conv_fullrate(t, merge).data, fresh.data)
+    with pytest.raises(ShapeError, match="merge embed expects rows of width 12"):
+        pmerge_conv_fullrate(TokenMatrix(rng.uniform(-1, 1, (16, 3)), (16,)), merge)
+    patch = PatchEmbedConfig(2, rng.uniform(-0.5, 0.5, (4, 5)))
+    for x in (SignalBatch(np.ones((1, 16, 2))), SignalBatch(np.ones((1, 8, 8, 1)))):
+        assert same(token(x, patch).data, token(x, PatchEmbedConfig(2, patch.embed)).data)
+    with pytest.raises(ShapeError, match="embed expects rows of width 4, patches have 2"):
+        token(SignalBatch(np.ones((1, 16, 1))), patch)
 
 
 @pytest.mark.parametrize("shape", [(64,), (32, 32)])

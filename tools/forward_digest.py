@@ -12,7 +12,7 @@ as `tools/forward_ab.py` does for two checkouts in one process.
 The grid covers both grid ranks, odd token grids (5 x 7 and 15), windows 1
 to 4, unequal merge factors per stage ((3, 2) at rank 1, (2, 3) at rank 2),
 the three position-bias kinds, every window and token energy, norm orders
-1, 2, 2.5 and 3 (at rank 2, the "sum" window score and the l1 and l2.5
+1, 2, 2.5 and 3 (at rank 2, the "l2" window score and the l1 and l2.5
 norms too), and every subset of the adaptive switches.  Each model runs
 one sample alone and one batch of 7 that holds shifted copies, a zero input,
 an impulse, an all negative-zero input and an input with signed zeros mixed
@@ -32,7 +32,7 @@ SRC = Path(__file__).resolve().parent.parent / "src"
 
 CONFIGS = (
     dict(),
-    dict(rpe_kind="original", energy_p=3.0, window_energy_fn="sum", token_energy="max_l2"),
+    dict(rpe_kind="original", energy_p=3.0, window_energy_fn="l2", token_energy="max_l2"),
     dict(rpe_kind="none", window_energy_fn="l2", token_energy="sum_l1", seed=5),
     dict(input_shape=(60,), patch_len=4, depth=1, windows=3, merge_factors=3),
     dict(input_shape=(36,), patch_len=2, depth=2, windows=3, merge_factors=3, rpe_kind="original"),
@@ -41,7 +41,7 @@ CONFIGS = (
     dict(input_shape=(16, 16), patch_len=2, windows=2, merge_factors=2, rpe_kind="original"),
     dict(input_shape=(12, 12), patch_len=1, depth=1, windows=3, merge_factors=2, rpe_kind="none"),
     dict(input_shape=(16, 16), patch_len=2, windows=2, merge_factors=2, energy_p=1.0,
-         window_energy_fn="sum"),
+         window_energy_fn="l2"),
     dict(input_shape=(24, 24), patch_len=2, windows=3, merge_factors=2, energy_p=2.5,
          token_energy="max_l2"),
     dict(input_shape=(96,), windows=2, merge_factors=(3, 2)),
