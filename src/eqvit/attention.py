@@ -9,7 +9,7 @@ window anchor with the highest pooled token energy so that they cover the
 same tokens regardless of how the input was shifted.  Every op runs on the
 (B, M, D) stack a `TokenMatrix` holds, one signal being the stack of one.
 The adaptive one picks an anchor per sample and returns (tokens,
-SelectionTrace), the trace one per-sample entry.
+TraceEntry): the anchors, on the token grid at stride window.
 """
 
 from __future__ import annotations
@@ -23,7 +23,7 @@ from .errors import ParameterError, ShapeError
 from .numerics import NORM_ORDER, POSITIVE, Layout, best_phase, check_value, checked_array
 from .numerics import layout, offset_index, one_of, sorted_sum
 from .tokenizer import TokenMatrix
-from .trace import WSA, SelectionTrace
+from .trace import WSA, TraceEntry
 
 NONE = "none"
 ORIGINAL = "original"
@@ -237,7 +237,7 @@ def a_wsa(
     cfg: WindowConfig,
     params: AttentionParams,
     rpe: RpeTable | None = None,
-) -> tuple[TokenMatrix, SelectionTrace]:
+) -> tuple[TokenMatrix, TraceEntry]:
     """Window self-attention aligned to the best-energy window anchor.
 
     Scores each of the W (rank 2: W x W) candidate anchors by applying the
@@ -254,5 +254,5 @@ def a_wsa(
     else:  # "l2": the sum sorts the squares, an array of its own, in place
         scores = np.sqrt(sorted_sum(np.square(phased)))
     # Only the offsets are wanted, so no components are passed.
-    _, trace = best_phase(None, scores, lay, WSA)
-    return wsa(tokens, cfg, params, rpe, trace.entries[0].offsets), trace
+    _, entry = best_phase(None, scores, lay, WSA)
+    return wsa(tokens, cfg, params, rpe, entry.offsets), entry

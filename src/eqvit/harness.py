@@ -362,16 +362,17 @@ def _lemma1_check(columns: dict, cfg: PatchEmbedConfig | None = None):
     return max_abs_rows(left, right), np.ones(n, bool), np.zeros(n, bool)
 
 
-def _shift_pair(rows: np.ndarray, grid: tuple, shift, stride: int, op, *args):
+def _shift_pair(rows: np.ndarray, grid: tuple, shift, op, *args):
     """claim1, claim2 and apmerge check: (B, prod(grid), C) inputs and their
     rotations by the `shift` column as one token matrix through one
     `op(tokens, *args)` call.  Per input: the divergence from the base output
-    at the rotation the trace predicts (`predicted_rotation`), congruent, tied."""
+    at the rotation the op's trace entry predicts at its stride
+    (`predicted_rotation`), congruent, tied."""
     n, shifts = len(rows), as_offsets(shift, len(grid))
     both = np.concatenate([rows, rotate_rows(rows, grid, shifts)])
-    out, trace = op(TokenMatrix._fresh(both, grid), *args)
-    phi, tied, stack, coarse = trace.entries[0].offsets, trace.tied, out.data, out.grid_shape
-    congruent, rotation = predicted_rotation(phi[:n], phi[n:], shifts, stride, grid, coarse)
+    out, entry = op(TokenMatrix._fresh(both, grid), *args)
+    phi, tied, stack, coarse = entry.offsets, entry.tied, out.data, out.grid_shape
+    congruent, rotation = predicted_rotation(phi[:n], phi[n:], shifts, entry.stride, grid, coarse)
     div = max_abs_rows(stack[n:], rotate_rows(stack[:n], coarse, rotation))
     return div, congruent, tied[:n] | tied[n:]
 
@@ -398,7 +399,7 @@ def _claim1_check(columns: dict, cfg: PatchEmbedConfig | None = None):
     cfg = cfg or PatchEmbedConfig(columns["l"], columns["embed"], columns["invariant_fn"])
     xs = SignalBatch(columns["x"]).data
     rows = xs.reshape(len(xs), -1, xs.shape[-1])
-    return _shift_pair(rows, xs.shape[1:-1], columns["shift"], cfg.patch_len, _token_rows, cfg)
+    return _shift_pair(rows, xs.shape[1:-1], columns["shift"], _token_rows, cfg)
 
 
 def _window_attention(columns: dict) -> tuple[WindowConfig, AttentionParams, RpeTable]:
@@ -432,7 +433,7 @@ def _claim2_check(columns: dict, parts=None):
     """The token matrices and their shifts as one `a_wsa` batch."""
     wcfg, params, rpe = parts or _window_attention(columns)
     t, shift = _token_batch(columns), columns["shift"]
-    return _shift_pair(t.data, t.grid_shape, shift, wcfg.window, a_wsa, wcfg, params, rpe)
+    return _shift_pair(t.data, t.grid_shape, shift, a_wsa, wcfg, params, rpe)
 
 
 def _merge_size(grid: tuple, d: int, p: int) -> int:
@@ -499,7 +500,7 @@ def _apmerge_check(columns: dict, _shared=None):
     """The token matrices and their shifts as one `a_pmerge` batch."""
     t, embeds = _token_batch(columns), _stacked(columns, "embed", 3)
     cfg = MergeConfig(columns["factor"], np.concatenate([embeds, embeds]), columns["energy_p"])
-    return _shift_pair(t.data, t.grid_shape, columns["shift"], cfg.factor, a_pmerge, cfg)
+    return _shift_pair(t.data, t.grid_shape, columns["shift"], a_pmerge, cfg)
 
 
 def _end2end_batches(sc: SuiteConfig, name: str = "end2end"):

@@ -10,8 +10,8 @@ Polyphase selection then keeps whichever of the P (or P x P) downsampling
 phases carries the most energy, so a rotation of the token grid changes
 which phase wins instead of changing the values.  Every op runs on the
 (B, M, D) stack a `TokenMatrix` holds, one signal being the stack of one.
-`aps` and `a_pmerge` return (tokens, SelectionTrace) with one phase per
-sample, and `unpool` reads that trace back.
+`aps` and `a_pmerge` return (tokens, TraceEntry) with one phase per
+sample, and `unpool` reads a trace of such entries back.
 """
 
 from __future__ import annotations
@@ -24,7 +24,7 @@ from .errors import ShapeError, TraceError
 from .numerics import NORM_ORDER, POSITIVE, Layout, best_phase, check_value, checked_array
 from .numerics import layout, lp_norm, place_rows, project_rows
 from .tokenizer import TokenMatrix
-from .trace import MERGE, WSA, SelectionTrace
+from .trace import MERGE, WSA, SelectionTrace, TraceEntry
 
 
 @dataclass(frozen=True)
@@ -108,14 +108,14 @@ def pmerge_conv_fullrate(tokens: TokenMatrix, cfg: MergeConfig) -> TokenMatrix:
 
 def aps(
     tokens: TokenMatrix, factor: int, energy_p: float = 2.0
-) -> tuple[TokenMatrix, SelectionTrace]:
+) -> tuple[TokenMatrix, TraceEntry]:
     """Keep the stride-`factor` polyphase component with the largest norm.
 
     Components are the strided subgrids at each of the factor (rank 2:
     factor x factor) phases; each is scored by the lp norm pooled over all
     its entries and channels.  Exact ties resolve to the lowest row-major
-    phase and are flagged.  Each sample selects its own; the trace holds
-    one phase per sample.  `layout` checks `factor` and `lp_norm` checks
+    phase and are flagged.  Each sample selects its own; the trace entry
+    holds one phase per sample.  `layout` checks `factor` and `lp_norm` checks
     `energy_p`, by the `POSITIVE` and `NORM_ORDER` rules (ParameterError).
     """
     data = tokens.data
@@ -126,11 +126,11 @@ def aps(
         raise
     comps = data.take(lay.components, axis=1)  # (B, phases, positions, D)
     scores = lp_norm(comps.reshape(len(data), len(lay.phases), -1), energy_p)
-    comp, trace = best_phase(comps, scores, lay, MERGE)
-    return TokenMatrix._fresh(comp, lay.coarse), trace
+    comp, entry = best_phase(comps, scores, lay, MERGE)
+    return TokenMatrix._fresh(comp, lay.coarse), entry
 
 
-def a_pmerge(tokens: TokenMatrix, cfg: MergeConfig) -> tuple[TokenMatrix, SelectionTrace]:
+def a_pmerge(tokens: TokenMatrix, cfg: MergeConfig) -> tuple[TokenMatrix, TraceEntry]:
     """Patch merging with energy-selected downsampling phase.
 
     Runs the full-rate convolution form and keeps the polyphase component

@@ -35,7 +35,7 @@ from math import prod
 import numpy as np
 
 from .errors import ParameterError, ShapeError
-from .trace import SelectionTrace, TraceEntry
+from .trace import TraceEntry
 
 def freeze(values, dtype=np.float64) -> np.ndarray:
     """Copy `values` into a read-only float64 array."""
@@ -395,17 +395,17 @@ _FLAGS = (freeze([False], bool), freeze([True], bool))
 def best_phase(comps: np.ndarray | None, scores: np.ndarray, lay: Layout, kind: str):
     """The polyphase selection of every adaptive op, one per sample: from the
     (B, P, ...) stack of each sample's P components and their (B, P) scores,
-    (winning components (B, ...), the op's trace of `kind` holding each
-    winner's offset from the (P, rank) table `lay.phases`).  An exact tie,
-    two equal largest scores, resolves to the lowest phase and is flagged; a
-    NaN score sorts last, is the argmax and ties nothing; with P = 1 nothing
-    ties.  A caller that needs only the offsets passes `comps` None and gets
-    None.
+    (winning components (B, ...), the op's `TraceEntry` of `kind` holding
+    each winner's offset from the (P, rank) table `lay.phases`, on `lay.grid`
+    at stride `lay.size`).  An exact tie, two equal largest scores, resolves
+    to the lowest phase and is flagged; a NaN score sorts last, is the argmax
+    and ties nothing; with P = 1 nothing ties.  A caller that needs only the
+    offsets passes `comps` None and gets None.
 
     One sample (B = 1) takes its winner as a slice, a view of `comps`, and
-    its trace entry from `lay.entries`, built on first use from a read-only
-    row of the phase table and one of two shared read-only tie flags; more
-    samples are gathered."""
+    its entry from `lay.entries`, built on first use from a read-only row of
+    the phase table and one of two shared read-only tie flags; more samples
+    are gathered."""
     if len(scores) == 1:
         i, row = int(scores.argmax()), scores[0].tolist()
         # `count` matches the winner itself by identity, so a NaN winner
@@ -413,14 +413,14 @@ def best_phase(comps: np.ndarray | None, scores: np.ndarray, lay: Layout, kind: 
         tied = row.count(row[i]) > 1
         entry = lay.entries.get((kind, i, tied))
         if entry is None:
-            entry = TraceEntry(kind, lay.phases[i : i + 1], _FLAGS[tied])
+            entry = TraceEntry(kind, lay.phases[i : i + 1], _FLAGS[tied], lay.grid, lay.size)
             lay.entries[kind, i, tied] = entry
-        return (None if comps is None else comps[:, i]), SelectionTrace(1, [entry])
+        return (None if comps is None else comps[:, i]), entry
     idx, ranked = scores.argmax(axis=-1), scores.copy()
     ranked.sort(axis=-1)
     tied = ranked[:, -1] == ranked[:, -2] if len(lay.phases) > 1 else np.zeros(len(idx), bool)
     won = None if comps is None else comps[np.arange(len(idx)), idx]
-    return won, SelectionTrace(len(idx), [TraceEntry(kind, lay.phases[idx], tied)])
+    return won, TraceEntry(kind, lay.phases[idx], tied, lay.grid, lay.size)
 
 
 def sorted_sum(values: np.ndarray) -> np.ndarray:

@@ -13,12 +13,12 @@ Two heads over one encoder:
 
 The encoder runs on a `SignalBatch` of B inputs, one `GridSignal` being the
 batch of one, with one selection per sample; each sample's outputs are
-bit-identical to its run alone.  Every adaptive op appends one entry of
-per-sample offsets and tie flags to its `SelectionTrace`, and the decoder
-sums those offsets into one placement offset per sample: one scatter per
-decode.  The heads (`classify`, `encode_decode` and `forward`) return one
-sample's results unstacked for a `GridSignal`, and stacked per sample for a
-`SignalBatch`.
+bit-identical to its run alone.  Every adaptive op returns one entry of
+per-sample offsets and tie flags, with the grid it selected on, and the
+encoder collects them in a `SelectionTrace`; the decoder sums those offsets
+into one placement offset per sample: one scatter per decode.  The heads
+(`classify`, `encode_decode` and `forward`) return one sample's results
+unstacked for a `GridSignal`, and stacked per sample for a `SignalBatch`.
 
 Every adaptive block can be swapped for its fixed baseline through a config
 switch, which is how the ablation suites demonstrate that each one is
@@ -30,8 +30,6 @@ from __future__ import annotations
 import dataclasses
 import math
 from dataclasses import dataclass
-from itertools import accumulate
-from operator import mul
 
 import numpy as np
 
@@ -41,7 +39,7 @@ from .errors import ConfigError, ShapeError
 from .merging import MergeConfig, a_pmerge, pmerge
 from .numerics import GRID_SHAPE, NORM_ORDER, POSITIVE, GridSignal, SignalBatch, check_value
 from .numerics import int_in, is_int, names_from, one_of, positive_ints, require_finite
-from .numerics import checked_array, freeze, place_rows
+from .numerics import checked_array, place_rows
 from .tokenizer import INVARIANT_FNS, PatchEmbedConfig, TokenMatrix, a_token, token
 from .trace import SelectionTrace
 
@@ -144,13 +142,8 @@ class ModelConfig:
                 if g % p:
                     raise ConfigError(f"stage {s}: grid {grid} not divisible by factor {p}")
             grids.append(tuple(g // p for g in grid))
-        # Not fields: fixed by the fields above.  `stage_grids` returns the grids;
-        # `_decode` weighs the base and the token offset by 1, a stage's entries by its stride.
+        # Not a field: fixed by the fields above, and returned by `stage_grids`.
         object.__setattr__(self, "_grids", tuple(grids))
-        strides = list(accumulate(self.merge_factors, mul, initial=self.patch_len))
-        units = [1] * (1 + self.a_token)
-        units += [s for s in strides[:-1] for _ in range(self.a_wsa + self.a_pmerge)]
-        object.__setattr__(self, "_units", (freeze(units, np.int64), strides[-1]))
         name, size = max(self.array_sizes() + self.activation_sizes(), key=lambda item: item[1])
         if size > MAX_ELEMENTS:
             raise ConfigError(f"the {name} would hold {size} entries, more than {MAX_ELEMENTS}")
@@ -305,20 +298,20 @@ def _encode(model: Model, x) -> tuple[TokenMatrix, SelectionTrace]:
         )
     entries = []
     if cfg.a_token:
-        tokens, tr = a_token(x, weights.patch)
-        entries += tr.entries
+        tokens, entry = a_token(x, weights.patch)
+        entries.append(entry)
     else:
         tokens = token(x, weights.patch)
 
     for sw in weights.stages:
         if cfg.a_wsa:
-            tokens, tr = a_wsa(tokens, sw.window, sw.attn, sw.rpe)
-            entries += tr.entries
+            tokens, entry = a_wsa(tokens, sw.window, sw.attn, sw.rpe)
+            entries.append(entry)
         else:
             tokens = wsa(tokens, sw.window, sw.attn, sw.rpe)
         if cfg.a_pmerge:
-            tokens, tr = a_pmerge(tokens, sw.merge)
-            entries += tr.entries
+            tokens, entry = a_pmerge(tokens, sw.merge)
+            entries.append(entry)
         else:
             tokens = pmerge(tokens, sw.merge)
 
@@ -344,25 +337,26 @@ def _decode(cfg: ModelConfig, tokens: TokenMatrix, trace: SelectionTrace, shifts
     rotated back by shifts[i], as `rotate_rows` by -shifts[i] would give it.
 
     Each inverse is a polyphase placement, as in `unpool`, so their chain is
-    one: final token j lands at (O + S j) mod input_shape, S = patch_len *
-    prod(merge_factors), and O the token offset plus each stage's window
-    offset and merge phase times patch_len * (the factors before it).  The
-    trace is the encoder's under `cfg`: a token offset if a_token is on, and
-    per stage a window offset if a_wsa is on and a merge phase if a_pmerge is
-    on, so `cfg` fixes each entry's unit once; a fixed op's offset is 0.
+    one: final token j lands at (O + S j) mod input_shape, S the input grid
+    over the final token grid, and O the sum of every entry's offsets, each
+    weighted by the input grid over the entry's own grid (1 for the token
+    offset, patch_len * the factors before it for a stage's).  A fixed op
+    records no entry: its offset is 0.
     """
-    units, stride = cfg._units
+    grid = cfg.input_shape
     if shifts is None:
-        base = np.zeros((trace.size, len(cfg.input_shape)), dtype=np.int64)
+        base = np.zeros((trace.size, len(grid)), dtype=np.int64)
     else:  # taken mod the grid first, so any int64 shift adds without overflow
-        base = shifts % cfg.input_shape
-    terms = [base]
+        base = shifts % grid
+    # Every grid divides the input grid by one ratio on all axes, so each term,
+    # a (B * rank) row, has one unit, and the terms add in one dot.
+    units, terms = [1], [base]
     for entry in trace.entries:
+        units.append(grid[0] // entry.grid[0])
         terms.append(entry.offsets)
-    # Each term a (B * rank) row, weighted by its unit and summed in one dot.
     offsets = np.dot(units, np.concatenate(terms).reshape(len(units), -1)).reshape(base.shape)
-    out = place_rows(tokens.data, cfg.input_shape, stride, offsets)
-    return out.reshape(trace.size, *cfg.input_shape, -1)
+    out = place_rows(tokens.data, grid, grid[0] // tokens.grid_shape[0], offsets)
+    return out.reshape(trace.size, *grid, -1)
 
 
 def classify(model: Model, x) -> tuple[np.ndarray, int | np.ndarray, SelectionTrace]:

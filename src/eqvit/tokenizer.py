@@ -11,7 +11,7 @@ own results skip that (`TokenMatrix._fresh`) and the encoder checks its output.
 Every op takes one `GridSignal` or a `SignalBatch` of B signals, and every
 `TokenMatrix` holds a (B, M, D) stack: one signal is the batch of one.  Each
 sample gets its own selection, bit-identical to its call alone, and the
-`SelectionTrace` of `a_token` holds one offset and tie flag per sample.
+entry `a_token` returns holds one offset and tie flag per sample.
 """
 
 from __future__ import annotations
@@ -25,7 +25,7 @@ from .errors import ParameterError, ShapeError
 from .numerics import GRID_SHAPE, POSITIVE, GridSignal, Layout, SignalBatch, as_offsets
 from .numerics import best_phase, check_value, checked_array, layout, offset_index, one_of
 from .numerics import project_rows, sorted_sum
-from .trace import TOKEN, SelectionTrace
+from .trace import TOKEN, TraceEntry
 
 
 def _token_energy(tokens: np.ndarray, name: str) -> np.ndarray:
@@ -143,13 +143,13 @@ def token(x, cfg: PatchEmbedConfig) -> TokenMatrix:
     return TokenMatrix._fresh(project_rows(rows, cfg.embed), lay.coarse)
 
 
-def a_token(x, cfg: PatchEmbedConfig) -> tuple[TokenMatrix, SelectionTrace]:
+def a_token(x, cfg: PatchEmbedConfig) -> tuple[TokenMatrix, TraceEntry]:
     """Energy-aligned tokenization.
 
     Scores every circular patch offset with the configured invariant
     functional and tokenizes at the best one; exact score ties resolve to
-    the lowest row-major offset and are flagged in the trace, which holds
-    one offset per sample.
+    the lowest row-major offset and are flagged in the trace entry, which
+    holds one offset per sample.
 
     The patch anchored at every grid position is projected once, so all
     candidate offsets are strided slices of one product, and the candidates
@@ -172,8 +172,8 @@ def a_token(x, cfg: PatchEmbedConfig) -> tuple[TokenMatrix, SelectionTrace]:
     embedded = np.einsum("kd,kx->dx", cfg.embed, cols.reshape(len(cols), -1))
     comps = embedded.reshape(-1, *lay.components.shape, b).transpose(3, 1, 2, 0)
     comps = np.ascontiguousarray(comps)
-    sub, trace = best_phase(comps, _token_energy(comps, cfg.invariant_fn), lay, TOKEN)
-    return TokenMatrix._fresh(sub, lay.coarse), trace
+    sub, entry = best_phase(comps, _token_energy(comps, cfg.invariant_fn), lay, TOKEN)
+    return TokenMatrix._fresh(sub, lay.coarse), entry
 
 
 def lemma1_sides(x, cfg: PatchEmbedConfig, off, axis: int = 0) -> tuple[np.ndarray, np.ndarray]:

@@ -1,16 +1,17 @@
 """Selection traces: the offset decisions made by adaptive ops.
 
-Each adaptive op appends exactly one entry when it runs: per sample of its
-input, the chosen (rank,) offset and whether that choice was an exact tie.
-One input is the size-1 case of a batch, so there is one format for both.
-The decoder side of the pipeline replays entries in reverse to put features
-back on the input grid, and the suites read the per-sample tie flags;
+Each adaptive op returns one entry with its tokens: per sample of its input,
+the chosen (rank,) offset and whether that choice was an exact tie, plus the
+`grid` the offsets index and the `stride` of the op's phases on it.  One
+input is the size-1 case of a batch, so there is one format for both.  A
+`SelectionTrace` holds one encoder run's entries, which the decoder composes
+into one offset per sample, and the suites read the per-sample tie flags;
 `rows(i, i + 1)` is the trace sample i gets when run alone.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -23,17 +24,20 @@ _KINDS = (TOKEN, WSA, MERGE)
 
 @dataclass(frozen=True, eq=False)
 class TraceEntry:
-    """One adaptive op over B samples: (B, rank) int64 offsets, (B,) tie flags."""
+    """One op over B samples: (B, rank) int64 offsets on `grid` at `stride`, (B,) tie flags."""
 
     kind: str
     offsets: np.ndarray
     tied: np.ndarray
+    grid: tuple[int, ...]
+    stride: int
 
     def __post_init__(self):
         if self.kind not in _KINDS:
             raise ValueError(f"unknown trace kind {self.kind!r}")
         object.__setattr__(self, "offsets", np.asarray(self.offsets, dtype=np.int64))
         object.__setattr__(self, "tied", np.asarray(self.tied, dtype=bool))
+        object.__setattr__(self, "grid", tuple(map(int, self.grid)))
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, TraceEntry):
@@ -42,6 +46,7 @@ class TraceEntry:
             self.kind == other.kind
             and np.array_equal(self.offsets, other.offsets)
             and np.array_equal(self.tied, other.tied)
+            and (self.grid, self.stride) == (other.grid, other.stride)
         )
 
 
@@ -68,7 +73,7 @@ class SelectionTrace:
 
     def rows(self, start: int, stop: int) -> SelectionTrace:
         """The trace samples start to stop (at most `size`) get when run alone."""
-        cut = [TraceEntry(e.kind, e.offsets[start:stop], e.tied[start:stop]) for e in self.entries]
+        cut = [replace(e, offsets=e.offsets[start:stop], tied=e.tied[start:stop]) for e in self]
         return SelectionTrace(stop - start, cut)
 
     def __iter__(self):

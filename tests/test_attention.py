@@ -31,7 +31,7 @@ from eqvit.errors import ParameterError, ShapeError
 from eqvit.numerics import best_phase, layout
 from eqvit.pipeline import MAX_BATCH, ModelConfig
 from eqvit.tokenizer import TokenMatrix
-from eqvit.trace import WSA
+from eqvit.trace import WSA, SelectionTrace
 from reference import rotated, softmax_rows, window_score, wsa_window_loop
 
 
@@ -277,13 +277,13 @@ def test_a_wsa_scores_each_anchor_by_its_window_functional(name, grid, w):
     energies = window_energy(tokens, cfg).reshape(len(mats), -1)
     scores = window_score(energies.take(lay.components, axis=1), name)
     _, expect = best_phase(None, scores, lay, WSA)
-    (entry,) = expect.entries
-    assert entry.tied[-1]
-    _, trace = a_wsa(tokens, cfg, params)
-    assert trace.entries == expect.entries
+    assert expect.tied[-1] and (expect.grid, expect.stride) == (grid, w)
+    _, entry = a_wsa(tokens, cfg, params)
+    assert entry == expect
+    trace = SelectionTrace(len(mats), [expect])
     for i, mat in enumerate(mats):
         _, alone = a_wsa(TokenMatrix(mat, grid), cfg, params)
-        assert alone.entries == expect.rows(i, i + 1).entries
+        assert trace.rows(i, i + 1).entries == [alone]
 
 
 def attend_reference(x: np.ndarray, params: AttentionParams, bias=None) -> np.ndarray:
@@ -386,11 +386,11 @@ def test_a_wsa_selects_highest_energy_anchor():
     rng = np.random.default_rng(19)
     t = norm_tokens([1, 5, 5, 1])
     params = rand_params(rng, 1)
-    out, trace = a_wsa(t, WindowConfig(2), params)
+    out, entry = a_wsa(t, WindowConfig(2), params)
     # Anchor 0 windows score max 3; anchor 1 windows (tokens {1,2}, {3,0})
     # score max 5.
-    assert trace.entries[0].kind == WSA
-    assert trace.entries[0].offsets.tolist() == [[1]]
+    assert entry.kind == WSA
+    assert entry.offsets.tolist() == [[1]]
     assert np.array_equal(out.data, wsa(rotated(t, 1), WindowConfig(2), params).data)
 
 
@@ -400,9 +400,9 @@ def test_a_wsa_constant_tokens_tie_to_anchor_zero():
     cfg = WindowConfig(2)
     for grid in ((8,), (4, 4)):
         t = TokenMatrix(np.ones((int(np.prod(grid)), 3)), grid)
-        out, trace = a_wsa(t, cfg, params)
-        assert trace.entries[0].offsets.tolist() == [[0] * len(grid)]
-        assert trace.entries[0].tied.tolist() == [True]
+        out, entry = a_wsa(t, cfg, params)
+        assert entry.offsets.tolist() == [[0] * len(grid)]
+        assert entry.tied.tolist() == [True]
         assert np.array_equal(out.data, wsa(t, cfg, params).data)
 
 
@@ -417,7 +417,7 @@ def test_a_wsa_aligns_under_rotation():
         shift = int(rng.integers(0, m))
         base, tb = a_wsa(t, cfg, params, rpe)
         out, ts = a_wsa(rotated(t, shift), cfg, params, rpe)
-        if tb.any_tied or ts.any_tied:
+        if tb.tied.any() or ts.tied.any():
             continue
         best = min(
             np.max(np.abs(out.data - rotated(base, r).data)) for r in range(0, m, w)
@@ -444,8 +444,8 @@ def test_a_wsa_single_window_degenerates_to_sa():
     rng = np.random.default_rng(22)
     t = TokenMatrix(rng.uniform(-1, 1, (4, 3)), (4,))
     params = rand_params(rng, 3)
-    out, trace = a_wsa(t, WindowConfig(4), params)
-    off = int(trace.entries[0].offsets[0, 0])
+    out, entry = a_wsa(t, WindowConfig(4), params)
+    off = int(entry.offsets[0, 0])
     assert np.array_equal(out.data, sa(rotated(t, off), params).data)
 
 

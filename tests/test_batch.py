@@ -74,12 +74,13 @@ def signal_batch(xs) -> SignalBatch:
 
 
 def assert_batch_equals_singles(batched, singles):
-    """A batched (tokens, trace) result against the one-sample results."""
-    tokens, trace = batched
+    """A batched (tokens, trace entry) result against the one-sample results."""
+    tokens, entry = batched
     assert len(tokens.data) == len(singles) and len(singles[0][0].data) == 1
-    for i, (one, one_trace) in enumerate(singles):
+    trace = SelectionTrace(len(singles), [entry])
+    for i, (one, one_entry) in enumerate(singles):
         assert same(tokens.data[i], one.data[0])
-        assert trace.rows(i, i + 1) == one_trace
+        assert trace.rows(i, i + 1).entries == [one_entry]
 
 
 TOKEN_GRIDS = [(16,), (4, 4), (4, 8), (32, 32)]
@@ -116,13 +117,14 @@ def test_token_ops_batch_equals_singles(grid):
         for op in (pmerge, pmerge_conv_fullrate):
             out = op(batch, merge)
             assert all(same(out.data[i], op(t, merge).data[0]) for i, t in enumerate(mats))
-        merged, trace = a_pmerge(batch, merge)
+        merged, entry = a_pmerge(batch, merge)
         singles = [a_pmerge(t, merge) for t in mats]
-        assert_batch_equals_singles((merged, trace), singles)
+        assert_batch_equals_singles((merged, entry), singles)
         assert_batch_equals_singles(aps(batch, p, energy_p), [aps(t, p, energy_p) for t in mats])
-        restored = unpool(merged, trace, p, grid)
-        for i, (one, one_trace) in enumerate(singles):
-            assert same(restored.data[i], unpool(one, one_trace, p, grid).data[0])
+        restored = unpool(merged, SelectionTrace(len(mats), [entry]), p, grid)
+        for i, (one, one_entry) in enumerate(singles):
+            alone = unpool(one, SelectionTrace(1, [one_entry]), p, grid)
+            assert same(restored.data[i], alone.data[0])
 
 
 @pytest.mark.parametrize("shape, patch", [((16,), 4), ((8, 8), 2), ((16, 32), 4), ((32, 32), 4)])
@@ -294,7 +296,7 @@ def test_one_sample_is_a_stack_of_one(shape):
     t = TokenMatrix(rng.uniform(-1, 1, (int(np.prod(grid)), d)), grid)
     params = AttentionParams(*(rng.uniform(-0.5, 0.5, (d, d)) for _ in range(3)))
     merge = MergeConfig(2, rng.uniform(-0.5, 0.5, (2**rank * d, d)))
-    merged, trace = a_pmerge(t, merge)
+    merged, entry = a_pmerge(t, merge)
     outputs = {
         "TokenMatrix": t,
         "token": token(x, cfg),
@@ -306,7 +308,7 @@ def test_one_sample_is_a_stack_of_one(shape):
         "pmerge_conv_fullrate": pmerge_conv_fullrate(t, merge),
         "aps": aps(t, 2)[0],
         "a_pmerge": merged,
-        "unpool": unpool(merged, trace, 2, grid),
+        "unpool": unpool(merged, SelectionTrace(1, [entry]), 2, grid),
     }
     for name, out in outputs.items():
         assert out.data.ndim == 3 and len(out.data) == 1, name
@@ -378,7 +380,7 @@ def claim1_reference(sc):
         x = GridSignal(payload["x"])
         base, tb = a_token(x, cfg)
         out, ts = a_token(circular_shift(x, payload["shift"]), cfg)
-        yield payload, best_alignment(out, base), True, tb.any_tied or ts.any_tied
+        yield payload, best_alignment(out, base), True, tb.tied.any() or ts.tied.any()
 
 
 def claim2_reference(sc):
@@ -386,7 +388,8 @@ def claim2_reference(sc):
         t = TokenMatrix(payload["t"], tuple(payload["grid"]))
         base, tb = a_wsa(t, wcfg, params, rpe)
         out, ts = a_wsa(rotated(t, tuple(payload["shift"])), wcfg, params, rpe)
-        yield payload, best_alignment(out, base, wcfg.window), True, tb.any_tied or ts.any_tied
+        tied = tb.tied.any() or ts.tied.any()
+        yield payload, best_alignment(out, base, wcfg.window), True, tied
 
 
 def lemma1_reference(sc):
@@ -410,7 +413,7 @@ def apmerge_reference(sc):
         cfg = MergeConfig(payload["factor"], payload["embed"], payload["energy_p"])
         base, tb = a_pmerge(t, cfg)
         out, ts = a_pmerge(rotated(t, tuple(payload["shift"])), cfg)
-        yield payload, best_alignment(out, base), True, tb.any_tied or ts.any_tied
+        yield payload, best_alignment(out, base), True, tb.tied.any() or ts.tied.any()
 
 
 def end2end_reference(payload, model):
@@ -743,5 +746,5 @@ def test_ablation_equals_trial_by_trial_search(seed, budget):
 
 
 def test_trace_of_one_sample_round_trips():
-    trace = SelectionTrace(1, [TraceEntry(WSA, [(2, 1)], [True])])
+    trace = SelectionTrace(1, [TraceEntry(WSA, [(2, 1)], [True], (4, 4), 2)])
     assert trace.size == 1 and trace.rows(0, 1) == trace

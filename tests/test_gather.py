@@ -34,7 +34,7 @@ from eqvit.pipeline import ModelConfig, _decode, _encode, build_model, forward
 from eqvit.tokenizer import INVARIANT_FNS, PatchEmbedConfig, TokenMatrix
 from eqvit.tokenizer import _token_energy
 from eqvit.tokenizer import a_token, lemma1_sides, token
-from eqvit.trace import MERGE, TOKEN, SelectionTrace, TraceEntry
+from eqvit.trace import MERGE, TOKEN, WSA, SelectionTrace, TraceEntry
 from reference import full_rate_embed, index_at, window_score, wsa_window_loop
 
 GRIDS = [(16,), (4, 4), (4, 8), (8, 4)]
@@ -169,7 +169,8 @@ def decode_chain(cfg, tokens, trace):
     for s in reversed(range(cfg.depth)):
         stage = entries[s * per_stage : (s + 1) * per_stage]
         if not cfg.a_pmerge:
-            stage.append(TraceEntry(MERGE, zero, np.zeros(batch, dtype=bool)))
+            no_phase = np.zeros(batch, dtype=bool)
+            stage.append(TraceEntry(MERGE, zero, no_phase, grids[s], cfg.merge_factors[s]))
         feats = unpool(feats, SelectionTrace(batch, stage), cfg.merge_factors[s], grids[s])
     return scatter_phases(feats.data, cfg.input_shape, cfg.patch_len, token_offsets)
 
@@ -267,15 +268,14 @@ def test_polyphase_order_embedding_is_the_grid_order_one_gathered(shape, channel
         # a_token selects from those components as it did from the gathered
         # ones, for the batch and for each sample alone.
         scores = _token_energy(grid_order, cfg.invariant_fn)
-        won, expect = best_phase(grid_order, scores, lay, TOKEN)
-        (entry,) = expect.entries
+        won, entry = best_phase(grid_order, scores, lay, TOKEN)
         assert len(np.unique(entry.offsets, axis=0)) == len(lay.phases)
-        sub, trace = a_token(SignalBatch(stack), cfg)
-        assert same(sub.data, won) and same(trace.entries[0].offsets, entry.offsets)
+        sub, got = a_token(SignalBatch(stack), cfg)
+        assert same(sub.data, won) and same(got.offsets, entry.offsets)
         for i, x in enumerate(stack):
             one, alone = a_token(GridSignal(x), cfg)
             assert same(one.data[0], won[i])
-            assert same(alone.entries[0].offsets[0], entry.offsets[i])
+            assert same(alone.offsets[0], entry.offsets[i])
 
 
 @pytest.mark.parametrize("shape", ODD_SHAPES)
@@ -356,11 +356,10 @@ def test_best_phase_equals_blocks_layout(grid, score):
         for n in (1, len(stack)):
             comps = stack[:n].reshape(n, -1, channels).take(lay.components, axis=1)
             scores = SCORES[score](comps.reshape(-1, *comps.shape[2:])).reshape(n, -1)
-            won, trace = best_phase(comps, scores, lay, MERGE)
-            (entry,) = trace.entries
+            won, entry = best_phase(comps, scores, lay, MERGE)
             expect = best_phase_blocks(stack[:n], b, len(grid), SCORES[score])
             got = (entry.offsets, won, entry.tied)
-            assert trace.size == n and all(same(g, e) for g, e in zip(got, expect))
+            assert all(same(g, e) for g, e in zip(got, expect))
 
 
 def test_layout_indices_are_shared_and_gathered_without_a_copy():
@@ -436,9 +435,9 @@ def test_layouts_share_no_memory_with_the_offset_index(rank):
 
 def config_caches(model) -> list:
     """Every layout and array a model's configs keep: the patch, window and
-    merge layouts, the merges' tap blocks and the decoder's units."""
+    merge layouts and the merges' tap blocks."""
     w = model.weights
-    kept = [*w.patch.layouts.values(), model.config._units[0]]
+    kept = [*w.patch.layouts.values()]
     for sw in w.stages:
         kept += [*sw.window.layouts.values(), *sw.merge.layouts.values()]
         kept += sw.merge.tap_blocks.values()
@@ -560,8 +559,8 @@ def result_arrays(result) -> list:
         return [a for r in result for a in result_arrays(r)]
     if isinstance(result, TokenMatrix):
         return [result.data]
-    if isinstance(result, SelectionTrace):
-        return [a for e in result for a in (e.offsets, e.tied)]
+    if isinstance(result, TraceEntry):
+        return [result.offsets, result.tied]
     return [result]
 
 
@@ -764,6 +763,32 @@ DECODER_CONFIGS = {
     "1d-factors-3-2": ModelConfig(input_shape=(96,), windows=2, merge_factors=(3, 2)),
     "2d-factors-2-3": ModelConfig(input_shape=(24, 24), patch_len=2, windows=2, merge_factors=(2, 3)),
 }
+
+
+@pytest.mark.parametrize("name", sorted(DECODER_CONFIGS))
+@pytest.mark.parametrize(
+    "off", [c for k in range(4) for c in combinations(("a_token", "a_wsa", "a_pmerge"), k)]
+)
+def test_trace_entries_name_their_ops_grid_and_stride(name, off):
+    # The decoder weighs each entry by the input grid over the entry's grid,
+    # so each must name the grid its op selected on and that op's stride:
+    # the input grid and patch length for the token offset, and stage s's
+    # grid with its window or merge factor for that stage's entries.
+    cfg = DECODER_CONFIGS[name].disable(*off)
+    expect = [(TOKEN, cfg.input_shape, cfg.patch_len)] if cfg.a_token else []
+    for grid, w, p in zip(cfg.stage_grids(), cfg.windows, cfg.merge_factors):
+        expect += [(WSA, grid, w)] if cfg.a_wsa else []
+        expect += [(MERGE, grid, p)] if cfg.a_pmerge else []
+    model, rng = build_model(cfg), np.random.default_rng(6)
+    x = rng.standard_normal((3, *cfg.input_shape, cfg.channels))
+
+    def named(trace):
+        return [(e.kind, e.grid, e.stride) for e in trace]
+
+    for inputs in (GridSignal(x[0]), SignalBatch(x)):
+        _, trace = _encode(model, inputs)
+        assert named(trace) == expect
+        assert all(named(trace.rows(i, i + 1)) == expect for i in range(trace.size))
 
 
 @pytest.mark.parametrize("name", sorted(DECODER_CONFIGS))

@@ -433,6 +433,19 @@ def _rank2_payloads(suite: str) -> list[dict]:
     ]
 
 
+def _check_batches(suite: str, rank: int) -> list:
+    """(columns, shared) of the suite's rank-`rank` batches over 48 trials;
+    8x8 ones of `_rank2_payloads` for claim1 and claim2 at rank 2."""
+    prop = PROPERTIES[suite]
+    if rank == 2 and suite != "apmerge":
+        return [(batch_of(suite, _rank2_payloads(suite)), None)]
+    return [
+        (columns, shared)
+        for _, columns, shared in prop.batches(SuiteConfig(trials=48))
+        if _rank(prop.payload(columns, 0)) == rank
+    ]
+
+
 @pytest.mark.parametrize("suite", ["claim1", "claim2", "apmerge"])
 @pytest.mark.parametrize("rank", [1, 2])
 def test_checks_fail_outputs_off_the_predicted_rotation(rolled_ops, suite, rank):
@@ -440,16 +453,8 @@ def test_checks_fail_outputs_off_the_predicted_rotation(rolled_ops, suite, rank)
     # trial whose base and shifted outputs were rolled apart fails, at both
     # ranks, and one whose rolls match still passes.
     prop = PROPERTIES[suite]
-    if rank == 2 and suite != "apmerge":
-        batches = [(batch_of(suite, _rank2_payloads(suite)), None)]
-    else:
-        batches = [
-            (columns, shared)
-            for _, columns, shared in prop.batches(SuiteConfig(trials=48))
-            if _rank(prop.payload(columns, 0)) == rank
-        ]
     failed = passed = 0
-    for columns, shared in batches:
+    for columns, shared in _check_batches(suite, rank):
         rolled_ops.clear()
         divs, agrees, tieds = prop.check(columns, shared)
         rolls, n = np.concatenate(rolled_ops), len(divs)
@@ -461,6 +466,40 @@ def test_checks_fail_outputs_off_the_predicted_rotation(rolled_ops, suite, rank)
             assert ok != apart
             failed, passed = failed + apart, passed + (not apart)
     assert failed >= 5 and passed >= 1
+
+
+@pytest.fixture
+def moved_phases(monkeypatch):
+    """The harness's a_token, a_wsa and a_pmerge, each moving the recorded
+    offset of every shifted input (the second half of a check's batch) by one
+    phase along the first axis, mod its entry's stride, and leaving the
+    outputs as they were: a selection that did not move with the shift."""
+
+    def wrap(op):
+        def moved(*args):
+            out, entry = op(*args)
+            offsets, n = entry.offsets.copy(), len(entry.offsets) // 2
+            offsets[n:, 0] = (offsets[n:, 0] + 1) % entry.stride
+            return out, dataclasses.replace(entry, offsets=offsets)
+
+        return moved
+
+    for name in ("a_token", "a_wsa", "a_pmerge"):
+        monkeypatch.setattr(harness, name, wrap(getattr(harness, name)))
+
+
+@pytest.mark.parametrize("suite", ["claim1", "claim2", "apmerge"])
+@pytest.mark.parametrize("rank", [1, 2])
+def test_checks_fail_selections_that_did_not_move_with_the_shift(moved_phases, suite, rank):
+    # Each check reads the stride of its op's trace entry: a shifted input's
+    # offset one phase away from where the shift moved the base's is no
+    # multiple of it away, so every untied trial fails, its outputs untouched.
+    prop, untied = PROPERTIES[suite], 0
+    for columns, shared in _check_batches(suite, rank):
+        _, agrees, tieds = prop.check(columns, shared)
+        assert not np.asarray(agrees)[~tieds].any()
+        untied += int(np.count_nonzero(~tieds))
+    assert untied >= 5
 
 
 # ---------------------------------------------------------------- end2end --

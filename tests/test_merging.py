@@ -182,21 +182,23 @@ def test_fullrate_lays_out_its_projection_once_per_tap_count():
 
 
 def test_aps_selects_larger_component():
-    out, trace = aps(col([4, 1, 2, 3]), 2)
-    assert trace.entries[0].offsets.tolist() == [[0]] and not trace.any_tied
+    out, entry = aps(col([4, 1, 2, 3]), 2)
+    assert entry.offsets.tolist() == [[0]] and not entry.tied.any()
     assert np.array_equal(out.data[0, :, 0], [4, 2])
+    # The phases index the grid aps selected on, at stride factor.
+    assert (entry.grid, entry.stride) == ((4,), 2)
 
 
 def test_aps_constant_ties_to_phase_zero():
-    out, trace = aps(col([2, 2, 2, 2]), 2)
-    assert trace.entries[0].offsets.tolist() == [[0]] and trace.any_tied
+    out, entry = aps(col([2, 2, 2, 2]), 2)
+    assert entry.offsets.tolist() == [[0]] and entry.tied.all()
     assert np.array_equal(out.data[0, :, 0], [2, 2])
 
 
 def test_aps_selection_follows_shift():
     base, _ = aps(col([4, 1, 2, 3]), 2)
-    out, trace = aps(rotated(col([4, 1, 2, 3]), 1), 2)
-    assert trace.entries[0].offsets.tolist() == [[1]]
+    out, entry = aps(rotated(col([4, 1, 2, 3]), 1), 2)
+    assert entry.offsets.tolist() == [[1]]
     assert sorted(out.data[0, :, 0]) == sorted(base.data[0, :, 0])
     assert np.array_equal(out.data, rotated(base, 1).data)
 
@@ -204,8 +206,8 @@ def test_aps_selection_follows_shift():
 def test_aps_rank2_phases():
     rng = np.random.default_rng(9)
     t = TokenMatrix(rng.uniform(-1, 1, (16, 2)), (4, 4))
-    out, trace = aps(t, 2)
-    (phase,) = trace.entries[0].offsets.tolist()
+    out, entry = aps(t, 2)
+    (phase,) = entry.offsets.tolist()
     assert out.grid_shape == (2, 2)
     assert tuple(phase) in {(h, w) for h in range(2) for w in range(2)}
     comp = t.grid()[0][phase[0] :: 2, phase[1] :: 2]
@@ -246,9 +248,9 @@ def test_a_pmerge_factor_one_is_projection():
     rng = np.random.default_rng(10)
     t = rng.uniform(-1, 1, (4, 2))
     e = rng.uniform(-1, 1, (2, 3))
-    out, trace = a_pmerge(TokenMatrix(t, (4,)), MergeConfig(1, e))
-    assert trace.entries[0].kind == MERGE
-    assert trace.entries[0].offsets.tolist() == [[0]]
+    out, entry = a_pmerge(TokenMatrix(t, (4,)), MergeConfig(1, e))
+    assert entry.kind == MERGE
+    assert entry.offsets.tolist() == [[0]]
     assert np.allclose(out.data, t @ e, atol=1e-12, rtol=0)
 
 
@@ -262,7 +264,7 @@ def test_a_pmerge_same_phase_same_selection():
     b = np.roll(a, -2, axis=0)
     _, tr_a = a_pmerge(TokenMatrix(a, (8,)), cfg)
     _, tr_b = a_pmerge(TokenMatrix(b, (8,)), cfg)
-    assert tr_a.entries[0] == tr_b.entries[0]
+    assert tr_a == tr_b
 
 
 def test_a_pmerge_unit_shift_contract():
@@ -273,7 +275,7 @@ def test_a_pmerge_unit_shift_contract():
         t = TokenMatrix(rng.uniform(-1, 1, (8, 2)), (8,))
         base, tb = a_pmerge(t, cfg)
         out, ts = a_pmerge(rotated(t, 1), cfg)
-        if tb.any_tied or ts.any_tied:
+        if tb.tied.any() or ts.tied.any():
             continue
         assert np.array_equal(out.data, base.data) or np.array_equal(
             out.data, rotated(base, 1).data
@@ -288,7 +290,7 @@ def test_a_pmerge_aligns_exactly_rank2():
         shift = tuple(int(s) for s in rng.integers(0, 6, size=2))
         base, tb = a_pmerge(t, cfg)
         out, ts = a_pmerge(rotated(t, shift), cfg)
-        if tb.any_tied or ts.any_tied:
+        if tb.tied.any() or ts.tied.any():
             continue
         assert any(
             np.array_equal(out.data, rotated(base, (rh, rw)).data)
@@ -301,8 +303,10 @@ def test_a_pmerge_aligns_exactly_rank2():
 
 
 def merge_trace(phase, wsa_offsets=()) -> SelectionTrace:
-    entries = [TraceEntry(WSA, [o], [False]) for o in wsa_offsets]
-    entries.append(TraceEntry(MERGE, [phase], [False]))
+    # On the 4 (rank 2: 4 x 4) grid the tests unpool to, at stride 2.
+    grid = (4,) * len(phase)
+    entries = [TraceEntry(WSA, [o], [False], grid, 2) for o in wsa_offsets]
+    entries.append(TraceEntry(MERGE, [phase], [False], grid, 2))
     return SelectionTrace(1, entries)
 
 
@@ -316,9 +320,9 @@ def test_unpool_scatter_examples():
 def test_unpool_inverts_aps():
     rng = np.random.default_rng(14)
     y = TokenMatrix(rng.uniform(-1, 1, (8, 3)), (8,))
-    comp, trace = aps(y, 2)
-    phase = trace.entries[0].offsets[0]
-    restored = unpool(comp, trace, 2, (8,))
+    comp, entry = aps(y, 2)
+    phase = entry.offsets[0]
+    restored = unpool(comp, SelectionTrace(1, [entry]), 2, (8,))
     assert np.array_equal(restored.grid()[0][phase[0] :: 2], comp.grid()[0])
     mask = np.ones(8, dtype=bool)
     mask[phase[0] :: 2] = False
@@ -347,7 +351,7 @@ def test_unpool_trace_errors():
     z = col([1, 2])
     with pytest.raises(TraceError):
         unpool(z, SelectionTrace(), 2, 4)
-    two = SelectionTrace(1, [TraceEntry(MERGE, [(p,)], [False]) for p in (0, 1)])
+    two = SelectionTrace(1, [TraceEntry(MERGE, [(p,)], [False], (4,), 2) for p in (0, 1)])
     with pytest.raises(TraceError):
         unpool(z, two, 2, 4)
     with pytest.raises(TraceError):
@@ -361,7 +365,7 @@ def test_unpool_trace_errors():
 def test_merge_outputs_are_read_only():
     rng = np.random.default_rng(16)
     t = TokenMatrix(rng.uniform(-1, 1, (8, 3)), (8,))
-    merged, trace = a_pmerge(t, MergeConfig(2, rng.uniform(-0.5, 0.5, (6, 6))))
-    for out in (merged, unpool(merged, trace, 2, (8,))):
+    merged, entry = a_pmerge(t, MergeConfig(2, rng.uniform(-0.5, 0.5, (6, 6))))
+    for out in (merged, unpool(merged, SelectionTrace(1, [entry]), 2, (8,))):
         with pytest.raises(ValueError):
             out.data[0, 0] = 1.0

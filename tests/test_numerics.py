@@ -404,13 +404,13 @@ def test_project_rows_stacks_take_one_or_b_matrices():
 def select(scores, lay=None, kind=MERGE):
     """`best_phase` on (B, P) scores whose components are their phase
     numbers, on the phase table of `lay` (by default the P phases of a
-    1-D grid of P): (each sample's winning component, the one trace entry)."""
+    1-D grid of P): (each sample's winning component, the trace entry)."""
     scores = np.asarray(scores, dtype=np.float64)
     b, p = scores.shape
     lay = layout((p,), p, "size") if lay is None else lay
-    won, trace = best_phase(np.tile(np.arange(p), (b, 1)), scores, lay, kind)
-    (entry,) = trace.entries
-    assert trace.size == b and entry.kind == kind
+    won, entry = best_phase(np.tile(np.arange(p), (b, 1)), scores, lay, kind)
+    assert len(entry.offsets) == b and entry.kind == kind
+    assert (entry.grid, entry.stride) == (lay.grid, lay.size)
     return won, entry
 
 
@@ -467,13 +467,12 @@ def test_best_phase_on_one_sample_is_its_row_of_a_batch(grid, size):
     # Two kinds on one layout, each twice: a sample's entry is built on first
     # use and read from `lay.entries` after, one per phase, kind and tie flag.
     for kind in (MERGE, WSA, MERGE, WSA):
-        won, trace = best_phase(comps, scores, lay, kind)
-        (entry,) = trace.entries
+        won, entry = best_phase(comps, scores, lay, kind)
         assert entry.tied.any() or len(phases) == 1
+        assert (entry.grid, entry.stride) == (grid, size)
         for i in range(len(scores)):
-            one, alone = best_phase(comps[i : i + 1], scores[i : i + 1], lay, kind)
-            (got,) = alone.entries
-            assert alone.size == 1 and got.kind == kind
+            one, got = best_phase(comps[i : i + 1], scores[i : i + 1], lay, kind)
+            assert got.kind == kind and (got.grid, got.stride) == (grid, size)
             assert one.tobytes() == won[i : i + 1].tobytes() and one.shape == won[i : i + 1].shape
             assert np.array_equal(got.offsets, entry.offsets[i : i + 1])
             assert got.offsets.dtype == np.int64 and got.tied.dtype == bool
@@ -483,12 +482,11 @@ def test_best_phase_on_one_sample_is_its_row_of_a_batch(grid, size):
             for flags in (got.offsets, got.tied):
                 with pytest.raises(ValueError):
                     flags[0] = 1
-            # Without components only the trace comes back, with the same entry.
+            # Without components only the entry comes back, the same one.
             none, offsets_only = best_phase(None, scores[i : i + 1], lay, kind)
-            assert none is None and offsets_only.entries[0] is got
-            assert offsets_only is not alone and offsets_only.entries is not alone.entries
+            assert none is None and offsets_only is got
         none, offsets_only = best_phase(None, scores, lay, kind)
-        assert none is None and offsets_only.entries == trace.entries
+        assert none is None and offsets_only == entry
 
 
 def test_best_phase_rejects_an_unknown_kind():

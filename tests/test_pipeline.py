@@ -496,12 +496,11 @@ def tied_choices(rank: int) -> dict:
     tokens = TokenMatrix(np.ones((int(np.prod(grid)), dim)), grid)
     embed = rng.uniform(-1, 1, (2**rank, dim))
     params = attention.AttentionParams(*rng.uniform(-1, 1, (3, dim, dim)))
-    traces = {
+    return {
         TOKEN: a_token(GridSignal(np.ones((*grid, 1))), PatchEmbedConfig(2, embed))[1],
         WSA: attention.a_wsa(tokens, attention.WindowConfig(2), params)[1],
         MERGE: merging.aps(tokens, 2)[1],
     }
-    return {kind: trace.entries[0] for kind, trace in traces.items()}
 
 
 @pytest.mark.parametrize("rank", [1, 2])
@@ -565,8 +564,8 @@ def test_depth_zero_decoder_scatters_tokens():
     x = rand_input(cfg, 9)
     out, trace = model.encode_decode(x)
     assert len(trace.entries) == 1
-    tokens, tr = a_token(x, model.weights.patch)
-    off = int(tr.entries[0].offsets[0, 0])
+    tokens, entry = a_token(x, model.weights.patch)
+    off = int(entry.offsets[0, 0])
     expected = np.zeros((16, cfg.embed_dim))
     expected[off :: cfg.patch_len] = tokens.data
     assert np.array_equal(out, expected)

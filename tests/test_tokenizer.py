@@ -136,26 +136,28 @@ def test_token_is_not_shift_equivariant():
 
 
 def test_a_token_picks_higher_energy_offset():
-    tokens, trace = a_token(sig1([1, 2, 3, 4, 5, 6]), column_picker())
+    tokens, entry = a_token(sig1([1, 2, 3, 4, 5, 6]), column_picker())
     # Offset 0 scores 1+3+5, offset 1 scores 2+4+6.
     assert np.array_equal(tokens.data[0], [[2], [4], [6]])
-    assert trace.entries[0].kind == TOKEN
-    assert trace.entries[0].offsets.tolist() == [[1]]
-    assert trace.entries[0].tied.tolist() == [False]
+    assert entry.kind == TOKEN
+    assert entry.offsets.tolist() == [[1]]
+    assert entry.tied.tolist() == [False]
+    # The offsets index the signal grid, at the patch length's phases.
+    assert (entry.grid, entry.stride) == ((6,), 2)
 
 
 def test_a_token_output_is_shift_stable():
     x = sig1([1, 2, 3, 4, 5, 6])
     base, _ = a_token(x, column_picker())
-    out, trace = a_token(circular_shift(x, 1), column_picker())
-    assert trace.entries[0].offsets.tolist() == [[0]]
+    out, entry = a_token(circular_shift(x, 1), column_picker())
+    assert entry.offsets.tolist() == [[0]]
     assert np.array_equal(out.data, base.data)
 
 
 def test_a_token_constant_input_ties_to_offset_zero():
-    _, trace = a_token(sig1([3, 3, 3, 3]), column_picker())
-    assert trace.entries[0].offsets.tolist() == [[0]]
-    assert trace.entries[0].tied.tolist() == [True]
+    _, entry = a_token(sig1([3, 3, 3, 3]), column_picker())
+    assert entry.offsets.tolist() == [[0]]
+    assert entry.tied.tolist() == [True]
 
 
 def test_a_token_alignment_is_bit_exact_rank1():
@@ -167,7 +169,7 @@ def test_a_token_alignment_is_bit_exact_rank1():
             shift = int(rng.integers(0, 12))
             base, tb = a_token(x, cfg)
             out, ts = a_token(circular_shift(x, shift), cfg)
-            if tb.any_tied or ts.any_tied:
+            if tb.tied.any() or ts.tied.any():
                 continue
             assert any(
                 np.array_equal(out.data, rotated(base, r).data) for r in range(base.data.shape[-2])
@@ -182,7 +184,7 @@ def test_a_token_alignment_is_bit_exact_rank2():
         shift = tuple(int(s) for s in rng.integers(0, 8, size=2))
         base, tb = a_token(x, cfg)
         out, ts = a_token(circular_shift(x, shift), cfg)
-        if tb.any_tied or ts.any_tied:
+        if tb.tied.any() or ts.tied.any():
             continue
         assert any(
             np.array_equal(out.data, rotated(base, (rh, rw)).data)
@@ -224,8 +226,8 @@ def test_full_rate_embed_equals_roll_and_concatenate(shape, l):
     taps = layout(shape, l, "patch_len", 2).taps
     assert np.array_equal(full_rate_embed(x.data[np.newaxis], taps, cfg.embed)[0], rolled)
     # a_token keeps that embedding's rows at its chosen phase, bit for bit.
-    tokens, trace = a_token(x, cfg)
-    phase = trace.entries[0].offsets[0]
+    tokens, entry = a_token(x, cfg)
+    phase = entry.offsets[0]
     grid = rolled.reshape(*shape, -1)[tuple(slice(o, None, l) for o in phase)]
     assert np.array_equal(tokens.data, grid.reshape(tokens.data.shape))
 
