@@ -5,11 +5,10 @@ relative distance and breaks under circular rotation of the tokens; the
 circular table indexes distance mod M, is circulant, and commutes with
 rotation.  Window attention runs independent self-attention per
 non-overlapping block; the adaptive variant tiles the blocks from the
-window anchor with the highest pooled token energy so that they cover the
-same tokens regardless of how the input was shifted.  Every op runs on the
-(B, M, D) stack a `TokenMatrix` holds, one signal being the stack of one.
-The adaptive one picks an anchor per sample and returns (tokens,
-TraceEntry): the anchors, on the token grid at stride window.
+window anchor with the highest pooled token energy, so that they cover the
+same tokens however the input was shifted.  Every op runs on the (B, M, D)
+stack of a `TokenMatrix`; the adaptive one returns (tokens, TraceEntry):
+each sample's anchor, on the token grid at stride window.
 """
 
 from __future__ import annotations
@@ -21,7 +20,7 @@ import numpy as np
 
 from .errors import ParameterError, ShapeError
 from .numerics import NORM_ORDER, POSITIVE, Layout, best_phase, check_value, checked_array
-from .numerics import layout, offset_index, one_of, sorted_sum
+from .numerics import freeze, layout, offset_index, one_of, sorted_sum
 from .tokenizer import TokenMatrix
 from .trace import WSA, TraceEntry
 
@@ -40,7 +39,8 @@ WINDOW_FNS = ("max", "l2")
 
 @dataclass(frozen=True)
 class AttentionParams:
-    """Query/key/value projections, all D x D', plus the derived scale."""
+    """Query/key/value projections, all D x D', plus what `_attend` derives
+    from them once: the scale and `qkv`, the three side by side."""
 
     e_q: np.ndarray
     e_k: np.ndarray
@@ -57,14 +57,17 @@ class AttentionParams:
     def scale(self) -> float:
         return 1.0 / np.sqrt(self.e_q.shape[1])
 
+    @cached_property
+    def qkv(self) -> np.ndarray:
+        """The read-only (D, 3D') concatenation [e_q | e_k | e_v]."""
+        return freeze(np.concatenate((self.e_q, self.e_k, self.e_v), axis=1))
+
 
 @dataclass(frozen=True)
 class RpeTable:
-    """Relative position bias table.
-
-    kind "none" carries no table.  For a token grid of shape G the table is
-    G-shaped for the circular kind and (2G - 1)-shaped per axis for the
-    conventional kind (rank 2 uses the same rule on both axes).
+    """Relative position bias table.  Kind "none" carries none; for a token
+    grid of shape G, the circular kind's table is G-shaped and the
+    conventional kind's (2G - 1)-shaped, on every axis alike.
     """
 
     kind: str
@@ -82,11 +85,9 @@ class RpeTable:
     def grid(self) -> tuple[int, ...] | None:
         """The token grid the table fits, or None for kind 'none' and for a
         conventional table with an even axis, which fits no grid."""
-        if self.kind == NONE:
-            return None
         if self.kind == ADAPTIVE:
             return self.table.shape
-        if any(s % 2 == 0 for s in self.table.shape):
+        if self.kind == NONE or any(s % 2 == 0 for s in self.table.shape):
             return None
         return tuple((s + 1) // 2 for s in self.table.shape)
 
@@ -95,9 +96,7 @@ class RpeTable:
         """Read-only bias matrix over every token pair of `grid`, built once."""
         if self.grid is None:
             return None
-        bias = self.table.take(_bias_index(self.grid, self.kind))
-        bias.setflags(write=False)
-        return bias
+        return freeze(self.table.take(_bias_index(self.grid, self.kind)))
 
 
 def position_bias(rpe: RpeTable, grid_shape: tuple[int, ...]) -> np.ndarray | None:
@@ -105,10 +104,9 @@ def position_bias(rpe: RpeTable, grid_shape: tuple[int, ...]) -> np.ndarray | No
     table's read-only `bias`, built once.
 
     Entry (i, j) reads the table at the per-axis distance from token j to
-    token i.  The circular kind wraps each distance mod G, so its table is
-    G-shaped and the bias circulant, which is what makes self-attention
-    commute with token rotation.  The conventional kind offsets each signed
-    distance by G - 1 into a (2G - 1)-shaped table.
+    token i.  The circular kind wraps each distance mod G: its table is
+    G-shaped and the bias circulant, so self-attention commutes with token
+    rotation.  The conventional kind offsets each signed distance by G - 1.
     """
     if rpe.kind == NONE:
         return None
@@ -128,30 +126,30 @@ def _bias_index(grid: tuple[int, ...], kind: str) -> np.ndarray:
         shape, dist = grid, dist % sizes
     else:
         shape, dist = tuple(2 * g - 1 for g in grid), dist + sizes - 1
-    index = np.ravel_multi_index(tuple(dist), shape)
-    index.setflags(write=False)
-    return index
+    return freeze(np.ravel_multi_index(tuple(dist), shape), np.int64)
 
 
 def _attend(x: np.ndarray, params: AttentionParams, rpe: RpeTable | None, grid) -> np.ndarray:
-    """Attention within each (M, D) set of a stack on one `grid`, bias built once.
+    """Attention within each (M, D) set of a stack on one `grid`, bias built
+    once, queries, keys and values sliced from one product, `x @ params.qkv`.
     The stacked `@` runs one GEMM per set, bit-identical to that set alone, so
     the leading axes (samples, windows) never enter a GEMM's M dimension; and
     BLAS gives a row of `x @ W` the same bits wherever it sits in its set
     (tests/test_attention.py::test_blas_gives_a_row_of_x_at_w_its_bits_wherever_it_sits
-    checks both on the default models' shapes, at one BLAS thread and at two).
-    The softmax over keys subtracts each row's maximum for overflow safety."""
-    e_q = params.e_q
-    if x.shape[-1] != len(e_q):
-        raise ShapeError(f"tokens of dim {x.shape[-1]} vs projections of dim {len(e_q)}")
-    logits = (x @ e_q) @ (x @ params.e_k).swapaxes(-1, -2)
+    checks both on the default models' shapes, W of width D' and 3D', at one
+    BLAS thread and at two).  The softmax subtracts each row's maximum."""
+    d = params.e_q.shape[1]
+    if x.shape[-1] != len(params.e_q):
+        raise ShapeError(f"tokens of dim {x.shape[-1]} vs projections of dim {len(params.e_q)}")
+    qkv = x @ params.qkv
+    logits = qkv[..., :d] @ qkv[..., d : 2 * d].swapaxes(-1, -2)
     logits *= params.scale
     if rpe is not None and rpe.kind != NONE:
         logits += position_bias(rpe, grid)
     logits -= np.maximum.reduce(logits, axis=-1, keepdims=True)
     np.exp(logits, out=logits)
     logits /= np.add.reduce(logits, axis=-1, keepdims=True)
-    return logits @ (x @ params.e_v)
+    return logits @ qkv[..., 2 * d :]
 
 
 def sa(tokens: TokenMatrix, params: AttentionParams, rpe: RpeTable | None = None) -> TokenMatrix:
@@ -179,8 +177,7 @@ class WindowConfig:
 def _window_layout(grid: tuple[int, ...], cfg: WindowConfig) -> Layout:
     """`cfg`'s window `Layout` on `grid`, once `layout` has checked it, kept in
     `cfg.layouts` for the ops' later calls; a failed check keeps nothing."""
-    lay = cfg.layouts[grid] = layout(grid, cfg.window, "window")
-    return lay
+    return cfg.layouts.setdefault(grid, layout(grid, cfg.window, "window"))
 
 
 def window_energy(tokens: TokenMatrix, cfg: WindowConfig) -> np.ndarray:

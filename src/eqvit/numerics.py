@@ -397,15 +397,15 @@ def best_phase(comps: np.ndarray | None, scores: np.ndarray, lay: Layout, kind: 
     (B, P, ...) stack of each sample's P components and their (B, P) scores,
     (winning components (B, ...), the op's `TraceEntry` of `kind` holding
     each winner's offset from the (P, rank) table `lay.phases`, on `lay.grid`
-    at stride `lay.size`).  An exact tie, two equal largest scores, resolves
-    to the lowest phase and is flagged; a NaN score sorts last, is the argmax
-    and ties nothing; with P = 1 nothing ties.  A caller that needs only the
-    offsets passes `comps` None and gets None.
+    at stride `lay.size`), the winners a C-contiguous copy, so `comps` may
+    be a view that no output keeps alive.  An exact tie, two equal largest
+    scores, resolves to the lowest phase and is flagged; a NaN score sorts
+    last, is the argmax and ties nothing; with P = 1 nothing ties.  A caller
+    that needs only the offsets passes `comps` None and gets None.
 
-    One sample (B = 1) takes its winner as a slice, a view of `comps`, and
-    its entry from `lay.entries`, built on first use from a read-only row of
-    the phase table and one of two shared read-only tie flags; more samples
-    are gathered."""
+    One sample (B = 1) copies its winner from a slice and takes its entry
+    from `lay.entries`, built on first use from a read-only row of the phase
+    table and one of two shared read-only tie flags."""
     if len(scores) == 1:
         i, row = int(scores.argmax()), scores[0].tolist()
         # `count` matches the winner itself by identity, so a NaN winner
@@ -415,11 +415,11 @@ def best_phase(comps: np.ndarray | None, scores: np.ndarray, lay: Layout, kind: 
         if entry is None:
             entry = TraceEntry(kind, lay.phases[i : i + 1], _FLAGS[tied], lay.grid, lay.size)
             lay.entries[kind, i, tied] = entry
-        return (None if comps is None else comps[:, i]), entry
+        return (None if comps is None else comps[:, i].copy()), entry
     idx, ranked = scores.argmax(axis=-1), scores.copy()
     ranked.sort(axis=-1)
     tied = ranked[:, -1] == ranked[:, -2] if len(lay.phases) > 1 else np.zeros(len(idx), bool)
-    won = None if comps is None else comps[np.arange(len(idx)), idx]
+    won = None if comps is None else np.ascontiguousarray(comps[np.arange(len(idx)), idx])
     return won, TraceEntry(kind, lay.phases[idx], tied, lay.grid, lay.size)
 
 

@@ -28,17 +28,25 @@ from .numerics import project_rows, sorted_sum
 from .trace import TOKEN, TraceEntry
 
 
-def _token_energy(tokens: np.ndarray, name: str) -> np.ndarray:
-    """One score per (M, D) matrix of a C-contiguous stack: the sum
-    ("sum_l2") or the maximum ("max_l2") of its rows' l2 norms, or the sum of
-    their l1 norms ("sum_l1").  Each is exactly invariant to any permutation
-    of the rows; the sums go through `sorted_sum` on the norms, a temporary
-    of its own."""
+def _token_energy(columns: np.ndarray, name: str) -> np.ndarray:
+    """(B, ...) scores of the token matrices of a (D, ..., M, B) stack of
+    columns, as `a_token` embeds them: the sum ("sum_l2") or the maximum
+    ("max_l2") of the M tokens' l2 norms, or the sum of their l1 norms
+    ("sum_l1"), each exactly invariant to any permutation of the tokens.
+    Each norm reduces down d a row at a time, each column one lane of that
+    loop, so its bits do not depend on where it sits or what sits beside it."""
+    flat, b = columns.reshape(len(columns), -1), columns.shape[-1]
+    # A lone column would reduce along d, not as a lane: it gets a twin.
+    lanes = flat if flat.shape[1] > 1 else np.repeat(flat, 2, axis=1)
     if name == "sum_l1":
-        norms = np.add.reduce(np.abs(tokens), axis=-1)
+        norms = np.add.reduce(np.abs(lanes), axis=0)
     else:
-        norms = np.sqrt(np.einsum("...md,...md->...m", tokens, tokens))
-    return np.maximum.reduce(norms, axis=-1) if name == "max_l2" else sorted_sum(norms)
+        norms = np.sqrt(np.einsum("dx,dx->x", lanes, lanes))
+    # A (B, ..., M) view, the sample axis in front; the sums sort a copy.
+    norms = norms[: flat.shape[1]].reshape(-1, b).T.reshape(b, *columns.shape[1:-1])
+    if name == "max_l2":
+        return np.maximum.reduce(norms, axis=-1)
+    return sorted_sum(np.ascontiguousarray(norms))
 
 
 # The names `_token_energy` takes.
@@ -70,8 +78,8 @@ class TokenMatrix:
 
     @classmethod
     def _fresh(cls, data: np.ndarray, grid_shape: tuple[int, ...]) -> TokenMatrix:
-        """Wrap a C-contiguous (B, M, D) float64 stack an op just computed:
-        frozen in place, unchecked."""
+        """Wrap a C-contiguous (B, M, D) float64 stack an op just computed, no
+        view into a larger temporary: frozen in place, unchecked."""
         data.setflags(False)  # write=False: the keyword form parses at twice the cost
         tokens = object.__new__(cls)
         fields = tokens.__dict__
@@ -156,23 +164,22 @@ def a_token(x, cfg: PatchEmbedConfig) -> tuple[TokenMatrix, TraceEntry]:
     seen for an input and for its shift are gathers of bitwise identical
     values.  One gather through `Layout.phase_taps` lays the patches out as
     (K, positions, B) columns, entry k = tap * C + channel of a position's
-    patch, positions in polyphase order.  The einsum reduces over k in the
-    order `project_rows` does, from 0.0, one product added at a time, so
-    every entry gets the bits of `project_rows` on that sample's patch rows;
-    only its inner loop runs along the M * B columns, the long axis, instead
-    of along D.  Every column is one lane of that loop, tail included, so
-    where a patch sits (its position, its sample, the batch size) does not
-    change its bits.  The (D, phases, positions, B) product is copied to
-    each sample's (phases, positions, D) components.
+    patch, positions in polyphase order.  The einsum reduces over k as
+    `project_rows` does, one product added at a time from 0.0, but its
+    inner loop runs along the M * B columns, not along D: every column is
+    one lane of it, tail included, so where a patch sits (its position,
+    its sample, the batch size) does not change its bits.  The candidates
+    are scored in that (D, phases, positions, B) layout, and `best_phase`
+    copies only each sample's winning phase out of a view of it.
     """
     stack, lay = _signal_stack(x, cfg)
     b = len(stack)
     # Samples last: one gather serves the batch, and each k is one contiguous row.
     cols = np.ascontiguousarray(stack.reshape(b, -1).T).take(lay.phase_taps, axis=0)
     embedded = np.einsum("kd,kx->dx", cfg.embed, cols.reshape(len(cols), -1))
-    comps = embedded.reshape(-1, *lay.components.shape, b).transpose(3, 1, 2, 0)
-    comps = np.ascontiguousarray(comps)
-    sub, entry = best_phase(comps, _token_energy(comps, cfg.invariant_fn), lay, TOKEN)
+    columns = embedded.reshape(-1, *lay.components.shape, b)
+    scores = _token_energy(columns, cfg.invariant_fn)
+    sub, entry = best_phase(columns.transpose(3, 1, 2, 0), scores, lay, TOKEN)
     return TokenMatrix._fresh(sub, lay.coarse), entry
 
 

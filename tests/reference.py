@@ -90,6 +90,12 @@ def window_score(energies, name: str) -> np.ndarray:
     return np.sqrt(sorted_sum(np.square(energies)))
 
 
+def token_columns(stack: np.ndarray) -> np.ndarray:
+    """The C-contiguous (D, ..., M, B) columns of a (B, ..., M, D) stack of
+    token matrices: the layout `a_token` embeds in and scores."""
+    return np.ascontiguousarray(np.swapaxes(stack, 0, -1))
+
+
 def full_rate_embed(stack: np.ndarray, taps: np.ndarray, embed: np.ndarray) -> np.ndarray:
     """The patch anchored at every grid position of a (B, *grid, C) stack,
     projected, (B, positions, D), positions in the column order of `taps`:

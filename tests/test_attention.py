@@ -480,29 +480,34 @@ def test_window_config_validation():
 # ------------------------------------------------------- the BLAS assumption --
 
 # Run in a fresh interpreter, so that OPENBLAS_NUM_THREADS takes effect: for
-# each (sets, M, D), a random stack x and (D, D) matrix W, and every way a row
-# of x @ W could lose its bits, one line per failure; then the per-set
-# products `_attend` stacks after it, queries times transposed keys and
-# softmax weights times values, each set's alone against inside the stack.
+# each (sets, M, D), a random stack x, a (D, D) matrix W and a (D, 3D) one,
+# the width of `AttentionParams.qkv`, and every way a row of x @ W could lose
+# its bits, one line per failure; then the per-set products `_attend` stacks
+# after the fused one, queries times transposed keys and softmax weights times
+# values, taken as it takes them, slices of that product, each set's alone
+# against inside the stack.
 BLAS_ROWS = """
 import json, sys
 import numpy as np
 for sets, m, d in json.loads(sys.argv[1]):
     rng = np.random.default_rng([sets, m, d])
-    x, w = rng.uniform(-1, 1, (sets, m, d)), rng.uniform(-0.5, 0.5, (d, d))
-    out, perm = x @ w, rng.permutation(m)
-    if (x[:, perm] @ w).tobytes() != out[:, perm].tobytes():
-        print(f"{(sets, m, d)}: rows permuted in every set")
-    keys, weights = rng.uniform(-1, 1, (sets, m, d)), rng.uniform(0, 1, (sets, m, m))
-    logits, mixed = out @ keys.swapaxes(-1, -2), weights @ x
+    x, perm = rng.uniform(-1, 1, (sets, m, d)), rng.permutation(m)
+    for w in (rng.uniform(-0.5, 0.5, (d, d)), rng.uniform(-0.5, 0.5, (d, 3 * d))):
+        out, at = x @ w, f"{(sets, m, d)} @ {w.shape}"
+        if (x[:, perm] @ w).tobytes() != out[:, perm].tobytes():
+            print(f"{at}: rows permuted in every set")
+        for s in range(sets):
+            if (x[s] @ w).tobytes() != out[s].tobytes():
+                print(f"{at}: set {s} alone")
+            if (x[s][perm] @ w).tobytes() != out[s][perm].tobytes():
+                print(f"{at}: set {s} permuted")
+    queries, keys, values = out[..., :d], out[..., d : 2 * d], out[..., 2 * d :]
+    weights = rng.uniform(0, 1, (sets, m, m))
+    logits, mixed = queries @ keys.swapaxes(-1, -2), weights @ values
     for s in range(sets):
-        if (x[s] @ w).tobytes() != out[s].tobytes():
-            print(f"{(sets, m, d)}: set {s} alone")
-        if (x[s][perm] @ w).tobytes() != out[s][perm].tobytes():
-            print(f"{(sets, m, d)}: set {s} permuted")
-        if (out[s] @ keys[s].T).tobytes() != logits[s].tobytes():
+        if (queries[s] @ keys[s].T).tobytes() != logits[s].tobytes():
             print(f"{(sets, m, d)}: set {s} q @ k^T alone")
-        if (weights[s] @ x[s]).tobytes() != mixed[s].tobytes():
+        if (weights[s] @ values[s]).tobytes() != mixed[s].tobytes():
             print(f"{(sets, m, d)}: set {s} weights @ v alone")
 """
 
@@ -525,9 +530,10 @@ def stacked_projection_shapes() -> list[tuple[int, int, int]]:
 @pytest.mark.parametrize("threads", ["1", "2"])
 def test_blas_gives_a_row_of_x_at_w_its_bits_wherever_it_sits(threads):
     # What `_attend`'s exactness rests on: permuting the rows of a set
-    # permutes the rows of its product, and each set's product, of `x @ W`,
-    # `q @ k^T` and `weights @ v` alike, has the same bits alone as inside a
-    # stack, at one BLAS thread and at two.
+    # permutes the rows of its product, of `x @ W` at width D and at the
+    # fused width 3D alike, and each set's product, of `x @ W`, `q @ k^T`
+    # and `weights @ v` alike, has the same bits alone as inside a stack, at
+    # one BLAS thread and at two.
     env = {**os.environ, "OPENBLAS_NUM_THREADS": threads, "OMP_NUM_THREADS": threads}
     shapes = json.dumps(stacked_projection_shapes())
     run = subprocess.run(

@@ -50,7 +50,8 @@ from eqvit.tokenizer import (
     token,
 )
 from eqvit.trace import WSA, SelectionTrace, TraceEntry
-from reference import full_rate_embed, reshape_patches, rotated, window_score, zero_pad_shift
+from reference import full_rate_embed, reshape_patches, rotated, token_columns, window_score
+from reference import zero_pad_shift
 from trials import batches_of, trial_payloads
 
 
@@ -215,13 +216,22 @@ def test_scorers_reduce_rows_like_single_calls():
             for p in (1.0, 2.0, 3.0):
                 norms = lp_norm(stack, p)
                 assert all(same(norms[i], lp_norm(r, p)) for i, r in enumerate(rows))
-        # The token energies score each (M, D) matrix of a strided stack as it alone.
-        mats = rng.uniform(-3, 3, (4, n, 5)) * 10.0 ** rng.uniform(-3, 3, (4, 1, 1))
-        for stack in (mats, np.asfortranarray(mats), mats.transpose(0, 2, 1).swapaxes(1, 2)):
+        # The token energies score each (M, D) matrix of a stack of columns,
+        # the layout `a_token` scores in, as that matrix alone: in a batch of
+        # B, beside the other phases of its sample, and at any column, as the
+        # batch's order only moves a matrix's columns.  D 5 and 9 leave SIMD tails.
+        for d in (5, 9):
+            mats = rng.uniform(-3, 3, (4, 3, n, d)) * 10.0 ** rng.uniform(-3, 3, (4, 3, 1, 1))
             for name in INVARIANT_FNS:
-                scores = _token_energy(stack.copy(), name)
-                singles = [_token_energy(m.copy(), name) for m in mats]
-                assert all(same(scores[i], s) for i, s in enumerate(singles))
+                scores = _token_energy(token_columns(mats), name)
+                assert scores.shape == (4, 3)
+                for i, m in enumerate(mats):
+                    assert same(scores[i], _token_energy(token_columns(m[np.newaxis]), name)[0])
+                    for p, phase in enumerate(m):
+                        alone = _token_energy(token_columns(phase[np.newaxis]), name)
+                        assert same(scores[i, p : p + 1], alone)
+                order = rng.permutation(4)
+                assert same(_token_energy(token_columns(mats[order]), name), scores[order])
 
 
 MODELS = [
@@ -315,6 +325,47 @@ def test_one_sample_is_a_stack_of_one(shape):
     assert window_energy(t, WindowConfig(2)).shape == (1, *grid)
     sides = lemma1_sides(x, cfg, [(0,) * rank])
     assert all(side.shape == (1, *t.data.shape[1:]) for side in sides)
+
+
+def owns_its_memory(data: np.ndarray) -> bool:
+    """Whether `data` is no view into a larger array: it, or every array
+    it views, holds its bytes and no more."""
+    root = data
+    while isinstance(root.base, np.ndarray):
+        root = root.base
+    return root.nbytes == data.nbytes
+
+
+@pytest.mark.parametrize("shape", [(64,), (32, 32)])
+@pytest.mark.parametrize("count", [1, 3])
+def test_op_outputs_are_fresh_stacks(shape, count):
+    # What `TokenMatrix._fresh` wraps unchecked: every op's output is a
+    # C-contiguous float64 (B, M, D) stack that no larger temporary holds, so
+    # freezing it freezes all of it and it keeps nothing else alive.
+    model = build_model(ModelConfig(input_shape=shape))
+    weights, (first, last) = model.weights, model.weights.stages
+    data = np.random.default_rng(9).uniform(-1, 1, (count, *shape, 2))
+    x = GridSignal(data[0]) if count == 1 else SignalBatch(data)
+    tokens = token(x, weights.patch)
+    merged, entry = a_pmerge(tokens, first.merge)
+    trace, factor = SelectionTrace(count, [entry]), first.merge.factor
+    final = pmerge(pmerge(tokens, first.merge), last.merge)
+    outputs = {
+        "token": tokens,
+        "a_token": a_token(x, weights.patch)[0],
+        "wsa": wsa(tokens, first.window, first.attn, first.rpe),
+        "a_wsa": a_wsa(tokens, first.window, first.attn, first.rpe)[0],
+        "sa": sa(final, weights.global_attn, weights.global_rpe),
+        "pmerge": pmerge(tokens, first.merge),
+        "pmerge_conv_fullrate": pmerge_conv_fullrate(tokens, first.merge),
+        "aps": aps(tokens, factor)[0],
+        "a_pmerge": merged,
+        "unpool": unpool(merged, trace, factor, tokens.grid_shape),
+    }
+    for name, out in outputs.items():
+        out = out.data
+        assert out.ndim == 3 and len(out) == count and out.dtype == np.float64, name
+        assert out.flags.c_contiguous and owns_its_memory(out), name
 
 
 def test_signal_batches_need_one_shape():

@@ -35,7 +35,7 @@ from eqvit.tokenizer import INVARIANT_FNS, PatchEmbedConfig, TokenMatrix
 from eqvit.tokenizer import _token_energy
 from eqvit.tokenizer import a_token, lemma1_sides, token
 from eqvit.trace import MERGE, TOKEN, WSA, SelectionTrace, TraceEntry
-from reference import full_rate_embed, index_at, window_score, wsa_window_loop
+from reference import full_rate_embed, index_at, token_columns, window_score, wsa_window_loop
 
 GRIDS = [(16,), (4, 4), (4, 8), (8, 4)]
 
@@ -267,7 +267,7 @@ def test_polyphase_order_embedding_is_the_grid_order_one_gathered(shape, channel
         assert same(phase_order.reshape(grid_order.shape), grid_order)
         # a_token selects from those components as it did from the gathered
         # ones, for the batch and for each sample alone.
-        scores = _token_energy(grid_order, cfg.invariant_fn)
+        scores = _token_energy(token_columns(grid_order), cfg.invariant_fn)
         won, entry = best_phase(grid_order, scores, lay, TOKEN)
         assert len(np.unique(entry.offsets, axis=0)) == len(lay.phases)
         sub, got = a_token(SignalBatch(stack), cfg)
@@ -339,8 +339,8 @@ def check_anchored_wsa(grid, w):
 
 SCORES = {
     "aps": lambda comps: lp_norm(comps.reshape(len(comps), -1), 2.0),
-    # Each token score takes a C-contiguous copy, as the window scores do.
-    **{f"token-{n}": lambda c, n=n: _token_energy(c.copy(), n) for n in INVARIANT_FNS},
+    # Each token score takes its stack as columns, as `a_token` scores them.
+    **{f"token-{n}": lambda c, n=n: _token_energy(token_columns(c), n) for n in INVARIANT_FNS},
     **{f"window-{n}": lambda c, n=n: window_score(c[..., 0], n) for n in WINDOW_FNS},
 }
 

@@ -5,6 +5,7 @@ the tests' vectorized patch reference is pinned by independent code.
 """
 
 from itertools import product
+from math import prod
 
 import numpy as np
 import pytest
@@ -22,7 +23,7 @@ from eqvit.tokenizer import (
     token,
 )
 from eqvit.trace import TOKEN
-from reference import full_rate_embed, reshape_patches, rotated
+from reference import full_rate_embed, reshape_patches, rotated, token_columns
 
 
 def reshape_oracle_1d(data: np.ndarray, l: int, m: int) -> np.ndarray:
@@ -194,11 +195,18 @@ def test_a_token_alignment_is_bit_exact_rank2():
 
 
 @pytest.mark.parametrize("name", sorted(INVARIANT_FNS))
-def test_energy_functionals_ignore_grid_rotation(name):
+@pytest.mark.parametrize("grid", [(6,), (7,), (3, 4), (4, 4)])
+@pytest.mark.parametrize("dim", [4, 5, 9])
+def test_energy_functionals_ignore_grid_rotation(name, grid, dim):
+    # Scored as columns, the layout `a_token` scores in: every rotation of the
+    # grid gets the same bits, scored alone and inside a stack of all of them.
     rng = np.random.default_rng(19)
-    tokens = TokenMatrix(rng.uniform(-1, 1, (6, 4)), (6,))
-    scores = {_token_energy(rotated(tokens, r).data[0].copy(), name) for r in range(6)}
+    tokens = TokenMatrix(rng.uniform(-1, 1, (prod(grid), dim)), grid)
+    turns = np.stack([rotated(tokens, r).data[0] for r in product(*map(range, grid))])
+    scores = {_token_energy(token_columns(t[np.newaxis]), name).tobytes() for t in turns}
     assert len(scores) == 1
+    stacked = _token_energy(token_columns(turns), name)
+    assert {s.tobytes() for s in stacked[:, np.newaxis]} == scores
 
 
 def test_a_token_energy_choices_all_align():
