@@ -8,7 +8,7 @@ and by randomized property tests at desk scale.
 """
 
 from .errors import ConfigError, ParameterError, ShapeError, TraceError
-from .numerics import GridSignal, circular_shift, lp_norm
+from .numerics import GridSignal, lp_norm
 from .tokenizer import INVARIANT_FNS, PatchEmbedConfig, TokenMatrix, a_token, token
 from .attention import (
     AttentionParams,

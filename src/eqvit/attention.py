@@ -223,7 +223,7 @@ def wsa(
     anchors = np.zeros((n, rank), np.int64) if anchors is None else np.asarray(anchors)
     if anchors.shape != (n, rank):
         raise ShapeError(f"{anchors.shape} anchors for {n} samples on a rank-{rank} grid")
-    index = offset_index(grid, w, w, anchors, stacked=True).reshape(-1, len(lay.phases))
+    index = offset_index(grid, w, w, anchors).reshape(-1, len(lay.phases))
     windows = data.reshape(n * m, -1).take(index, axis=0)
     rows = _attend(windows, params, rpe, (w,) * rank).reshape(n, m, -1)
     return TokenMatrix._fresh(rows if lay.in_order else rows.take(lay.untile, axis=1), grid)

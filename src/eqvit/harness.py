@@ -53,13 +53,13 @@ from .attention import ADAPTIVE, AttentionParams, RpeTable, WindowConfig, a_wsa
 from .errors import ConfigError, ParameterError, ShapeError, TraceError
 from .merging import MergeConfig, a_pmerge, pmerge, pmerge_conv_fullrate
 from .metrics import ShiftSampler, c_cons, compare_shift_pairs, pair_report, pass_pairs
-from .metrics import synthetic_inputs
+from .metrics import shift_stack, synthetic_inputs
 from .numerics import FINITE, SignalBatch, as_offsets, check_value, is_int, max_abs_rows
 from .numerics import names_from, one_of, positive_ints, predicted_rotation, real_array
 from .numerics import rotate_rows
 from .pipeline import FIELD_RULES, MAX_BATCH, MAX_ELEMENTS, SWITCH_NAMES, SWITCHES, Model
 from .pipeline import ModelConfig, build_model
-from .tokenizer import PatchEmbedConfig, TokenMatrix, a_token, lemma1_sides
+from .tokenizer import PatchEmbedConfig, TokenMatrix, a_token, token
 
 SUITES = ("lemma1", "claim1", "claim2", "claim3", "apmerge", "end2end", "metrics", "ablation")
 PROOF_SUITES = SUITES[:4]
@@ -348,18 +348,26 @@ def _lemma1_batches(sc: SuiteConfig):
 
 
 def _lemma1_entries(n: int, l: int, channels: int, dim: int) -> list[tuple[str, int]]:
-    """(name, entries) of the largest arrays one (n, channels) lemma1 input
-    adds to a batch at patch length l: its gathered sides (both sides' patch
-    rows, twice the input) and one side's (n / l, dim) projection."""
+    """(name, entries) of the largest arrays one (n, channels) lemma1 input adds to a batch
+    at patch length l: its two sides' signals or patch rows, and one side's tokens."""
     return [("gathered sides", 2 * n * channels), ("projected side", n // l * dim)]
 
 
 def _lemma1_check(columns: dict, cfg: PatchEmbedConfig | None = None):
-    """Both sides of the interchange for every input as one `lemma1_sides` batch."""
+    """The interchange for every input as one `token` batch: tokenized at
+    offset m after a unit shift along axis 0 (rotated by m + e0), and at
+    (m + e0) mod l with its token grid rotated by the carry (m + e0) // l."""
     cfg = cfg or PatchEmbedConfig(columns["l"], columns["embed"])
-    left, right = lemma1_sides(SignalBatch(columns["x"]), cfg, columns["m"])
-    n = len(left)
-    return max_abs_rows(left, right), np.ones(n, bool), np.zeros(n, bool)
+    xs, l = SignalBatch(columns["x"]).data, cfg.patch_len
+    n, grid = len(xs), xs.shape[1:-1]
+    offs = as_offsets(columns["m"], len(grid))
+    if ((offs < 0) | (offs >= l)).any():
+        raise ParameterError(f"offsets {offs.tolist()} outside [0, {l})")
+    moved = offs + np.eye(len(grid), dtype=np.int64)[0]
+    both = shift_stack(np.concatenate([xs, xs]), np.concatenate([moved, moved % l]))
+    tokens = token(SignalBatch._fresh(both), cfg)
+    right = rotate_rows(tokens.data[n:], tokens.grid_shape, moved // l)
+    return max_abs_rows(tokens.data[:n], right), np.ones(n, bool), np.zeros(n, bool)
 
 
 def _shift_pair(rows: np.ndarray, grid: tuple, shift, op, *args):

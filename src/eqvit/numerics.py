@@ -195,18 +195,11 @@ class SignalBatch:
         return batch
 
 
-def circular_shift(signal: GridSignal, off) -> GridSignal:
-    """Rotate grid indices: out[n] = signal[(n + off) mod shape], per axis."""
-    stack = signal.data.reshape(1, -1, signal.channels)
-    rows = rotate_rows(stack, signal.shape, as_offsets([off], signal.rank))
-    return GridSignal(rows.reshape(signal.data.shape))
-
-
-def _offset_grid(grid: tuple[int, ...], width: int, stride: int, offsets: np.ndarray, stacked):
+def _offset_grid(grid: tuple[int, ...], width: int, stride: int, offsets: np.ndarray):
     """`offset_index`, built anew: a wrapping gather per axis, summed."""
     rank, n = len(grid), len(offsets)
     lead = (n, *(1,) * (2 * rank))
-    index = prod(grid) * np.arange(n).reshape(lead) if stacked else 0
+    index = prod(grid) * np.arange(n).reshape(lead)
     for a, (g, o) in enumerate(zip(grid, offsets.T)):
         # Reduced first: `take` wraps an index by adding or subtracting g in a loop.
         steps, values = _axis_table(grid, a, width, stride)
@@ -224,14 +217,11 @@ def _axis_table(grid: tuple[int, ...], a: int, width: int, stride: int):
     return freeze(steps, np.int64), freeze(prod(grid[a + 1 :]) * np.arange(g), np.int64)
 
 
-def offset_index(
-    grid: tuple[int, ...], width: int, stride: int, offsets: np.ndarray, stacked: bool = False
-) -> np.ndarray:
-    """(B, positions, width**rank) index of row-major grid positions for
-    (B, rank) offsets: entry (i, j, t) is (offsets[i] + stride * j + t) mod
-    grid per axis, j row-major over the coarse grid and t over
-    range(width)**rank; `stacked` adds i * prod(grid), indexing the rows of
-    all B samples at once.
+def offset_index(grid: tuple[int, ...], width: int, stride: int, offsets: np.ndarray) -> np.ndarray:
+    """(B, positions, width**rank) index of the rows of B stacked row-major
+    grids for (B, rank) offsets: entry (i, j, t) is i * prod(grid) plus
+    (offsets[i] + stride * j + t) mod grid per axis, j row-major over the
+    coarse grid and t over range(width)**rank.
 
     Every layout the package moves values through is one gather by it:
     width 1 and stride 1 rotate (gathering rolls by -offset); width b and
@@ -243,13 +233,13 @@ def offset_index(
     samples are built anew, the sample axis in front of every per-axis table."""
     if len(offsets) == 1:
         return _sample_index(grid, width, stride, tuple(offsets[0].tolist()))
-    return _offset_grid(grid, width, stride, offsets, stacked)
+    return _offset_grid(grid, width, stride, offsets)
 
 
 @lru_cache(maxsize=1024)
 def _sample_index(grid: tuple[int, ...], width: int, stride: int, offset: tuple) -> np.ndarray:
     """`offset_index` of one sample at `offset`, a tuple of ints, cached."""
-    return _offset_grid(grid, width, stride, np.array([offset], dtype=np.int64), False)
+    return _offset_grid(grid, width, stride, np.array([offset], dtype=np.int64))
 
 
 class Layout:
@@ -277,7 +267,7 @@ class Layout:
 
     def _grid(self, stride: int) -> np.ndarray:
         """`offset_index` of width `size` at offset 0, built anew."""
-        return _offset_grid(self.grid, self.size, stride, self.phases[:1], False)[0]
+        return _offset_grid(self.grid, self.size, stride, self.phases[:1])[0]
 
     def _taps(self, anchors=slice(None)) -> np.ndarray:
         """`taps` built anew, its columns the filters anchored at `anchors`."""
@@ -359,7 +349,7 @@ def rotate_rows(stack: np.ndarray, grid: tuple[int, ...], offsets: np.ndarray) -
     """Per-sample rotation of a (B, prod(grid), C) stack: sample i gets
     out[k] = stack[i, (k + offsets[i]) mod grid], offsets of shape (B, rank)."""
     b, m, c = stack.shape
-    index = offset_index(grid, 1, 1, offsets, stacked=True).reshape(b, m)
+    index = offset_index(grid, 1, 1, offsets).reshape(b, m)
     return stack.reshape(b * m, c).take(index, axis=0)
 
 
@@ -371,7 +361,7 @@ def place_rows(stack: np.ndarray, grid: tuple[int, ...], stride: int, offsets) -
     below the stride is the phase the rows were selected at."""
     n, c = len(stack), stack.shape[-1]
     out = np.zeros((n, prod(grid), c))
-    out.reshape(-1, c)[offset_index(grid, 1, stride, offsets, stacked=True)[..., 0]] = stack
+    out.reshape(-1, c)[offset_index(grid, 1, stride, offsets)[..., 0]] = stack
     return out
 
 

@@ -17,15 +17,21 @@ entry `a_token` returns holds one offset and tie flag per sample.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import partial
 from math import prod
 
 import numpy as np
 
-from .errors import ParameterError, ShapeError
-from .numerics import GRID_SHAPE, POSITIVE, GridSignal, Layout, SignalBatch, as_offsets
-from .numerics import best_phase, check_value, checked_array, layout, offset_index, one_of
+from .errors import ShapeError
+from .numerics import GRID_SHAPE, POSITIVE, GridSignal, Layout, SignalBatch
+from .numerics import best_phase, check_value, checked_array, layout, one_of
 from .numerics import project_rows, sorted_sum
 from .trace import TOKEN, TraceEntry
+
+
+# `LANES[X == 1](flat)`: (K, X) columns, one lane each down k; a lone one, which NumPy
+# reduces along k, is twinned.  No function of ours: that adds two frames a forward.
+LANES = {False: np.asarray, True: partial(np.repeat, repeats=2, axis=1)}
 
 
 def _token_energy(columns: np.ndarray, name: str) -> np.ndarray:
@@ -36,8 +42,7 @@ def _token_energy(columns: np.ndarray, name: str) -> np.ndarray:
     Each norm reduces down d a row at a time, each column one lane of that
     loop, so its bits do not depend on where it sits or what sits beside it."""
     flat, b = columns.reshape(len(columns), -1), columns.shape[-1]
-    # A lone column would reduce along d, not as a lane: it gets a twin.
-    lanes = flat if flat.shape[1] > 1 else np.repeat(flat, 2, axis=1)
+    lanes = LANES[flat.shape[1] == 1](flat)
     if name == "sum_l1":
         norms = np.add.reduce(np.abs(lanes), axis=0)
     else:
@@ -167,7 +172,7 @@ def a_token(x, cfg: PatchEmbedConfig) -> tuple[TokenMatrix, TraceEntry]:
     patch, positions in polyphase order.  The einsum reduces over k as
     `project_rows` does, one product added at a time from 0.0, but its
     inner loop runs along the M * B columns, not along D: every column is
-    one lane of it, tail included, so where a patch sits (its position,
+    one lane of it (`LANES`), tail included, so where a patch sits (its position,
     its sample, the batch size) does not change its bits.  The candidates
     are scored in that (D, phases, positions, B) layout, and `best_phase`
     copies only each sample's winning phase out of a view of it.
@@ -176,36 +181,9 @@ def a_token(x, cfg: PatchEmbedConfig) -> tuple[TokenMatrix, TraceEntry]:
     b = len(stack)
     # Samples last: one gather serves the batch, and each k is one contiguous row.
     cols = np.ascontiguousarray(stack.reshape(b, -1).T).take(lay.phase_taps, axis=0)
-    embedded = np.einsum("kd,kx->dx", cfg.embed, cols.reshape(len(cols), -1))
-    columns = embedded.reshape(-1, *lay.components.shape, b)
+    flat = cols.reshape(len(cols), -1)
+    embedded = np.einsum("kd,kx->dx", cfg.embed, LANES[flat.shape[1] == 1](flat))
+    columns = embedded[:, : flat.shape[1]].reshape(-1, *lay.components.shape, b)
     scores = _token_energy(columns, cfg.invariant_fn)
     sub, entry = best_phase(columns.transpose(3, 1, 2, 0), scores, lay, TOKEN)
     return TokenMatrix._fresh(sub, lay.coarse), entry
-
-
-def lemma1_sides(x, cfg: PatchEmbedConfig, off, axis: int = 0) -> tuple[np.ndarray, np.ndarray]:
-    """Both sides of the unit-shift/tokenization interchange.
-
-    Left: the once-shifted signal tokenized at patch offset `off`.  Right:
-    the original tokenized at the cyclically advanced offset, with the token
-    grid rotated by the carry along `axis`.  `off` holds one offset per
-    sample of `x`, and each side is a (B, M, D) stack.
-    """
-    stack, lay = _signal_stack(x, cfg)
-    b, *shape, c = stack.shape
-    shape, l, grid = tuple(shape), cfg.patch_len, lay.coarse
-    if not 0 <= axis < len(shape):
-        raise ParameterError(f"axis {axis} out of range for rank {len(shape)}")
-    offs = as_offsets(off, len(shape))
-    if len(offs) != b:
-        raise ShapeError(f"{len(offs)} offsets for {b} signals")
-    if ((offs < 0) | (offs >= l)).any():
-        raise ParameterError(f"offsets {offs.tolist()} outside [0, {l})")
-    moved = offs + np.eye(len(shape), dtype=np.int64)[axis]
-    # Each side's (B, M, L**rank) positions of its patch rows in the stacked signals.
-    left = offset_index(shape, l, l, moved, stacked=True)
-    rotation = offset_index(grid, 1, 1, moved // l)[..., 0]
-    right = offset_index(shape, l, l, moved % l, stacked=True)
-    right = right[np.arange(b)[:, np.newaxis], rotation]
-    sides = stack.reshape(-1, c).take(np.stack([left, right]), axis=0)
-    return tuple(project_rows(side.reshape(b, prod(grid), -1), cfg.embed) for side in sides)

@@ -1,10 +1,10 @@
 """References the tests hold the package to that the package does not
 compute on its own: the patch matrix a tokenization projects, a token grid
-rotated alike on every sample, one signal's zero-filling shift, and window
-attention one window at a time; the steps the ops compute inline, each on
-its own (an attention softmax, a window score, the full-rate patch
-embedding); and `index_at`, the package's index at one offset, which the
-tests hold to oracles of their own."""
+rotated alike on every sample, one signal's circular shift (by `np.roll`)
+and its zero-filling shift, and window attention one window at a time; the
+steps the ops compute inline, each on its own (an attention softmax, a
+window score, the full-rate patch embedding); and `index_at`, the
+package's index at one offset, which the tests hold to oracles of their own."""
 
 from itertools import product
 
@@ -48,6 +48,14 @@ def rotated(tokens: TokenMatrix, off) -> TokenMatrix:
     out[k] = tokens[(k + off) mod grid]."""
     offsets = np.repeat(as_offsets([off], tokens.rank), len(tokens.data), axis=0)
     return TokenMatrix(rotate_rows(tokens.data, tokens.grid_shape, offsets), tokens.grid_shape)
+
+
+def rolled(x: GridSignal, off) -> GridSignal:
+    """One signal shifted circularly through `np.roll`, apart from the
+    package's gathers: out[n] = x[(n + off) mod shape], `off` a bare int
+    (rank 1) or one int per axis."""
+    offs = np.atleast_1d(off)
+    return GridSignal(np.roll(x.data, (-offs).tolist(), axis=tuple(range(len(offs)))))
 
 
 def zero_pad_shift(x: GridSignal, off) -> GridSignal:

@@ -8,7 +8,7 @@ from itertools import product
 import numpy as np
 import pytest
 
-from eqvit import GridSignal, circular_shift, harness
+from eqvit import GridSignal, harness
 from eqvit.attention import WINDOW_FNS, AttentionParams, RpeTable, WindowConfig, a_wsa, sa
 from eqvit.attention import window_energy, wsa
 from eqvit.harness import (
@@ -46,13 +46,12 @@ from eqvit.tokenizer import (
     TokenMatrix,
     _token_energy,
     a_token,
-    lemma1_sides,
     token,
 )
 from eqvit.trace import WSA, SelectionTrace, TraceEntry
 from reference import full_rate_embed, reshape_patches, rotated, token_columns, window_score
-from reference import zero_pad_shift
-from trials import batches_of, trial_payloads
+from reference import rolled, zero_pad_shift
+from trials import batches_of, lemma1_check, swapped_token, trial_payloads
 
 
 def same(a, b) -> bool:
@@ -143,42 +142,54 @@ def test_tokenizer_batch_equals_singles(shape, patch, energy):
         assert same(full[i], full_rate_embed(x.data[np.newaxis], taps, cfg.embed)[0])
 
 
+@pytest.mark.parametrize("shape", [(1,), (1, 1)])
+@pytest.mark.parametrize("energy", ["sum_l2", "max_l2", "sum_l1"])
+def test_tokenizer_on_one_position_batch_equals_singles(shape, energy):
+    # One patch of one entry per channel and one token dimension: one sample
+    # alone gives `a_token`'s embedding a lone column, which must reduce as
+    # a lane, as it does in a batch.
+    rng = np.random.default_rng(12)
+    for c in (3, 5, 9, 17):
+        xs = [GridSignal(a) for a in samples(rng, shape, 5, c)]
+        cfg = PatchEmbedConfig(1, rng.uniform(-1, 1, (c, 1)), energy)
+        assert_batch_equals_singles(a_token(signal_batch(xs), cfg), [a_token(x, cfg) for x in xs])
+        tokens = token(signal_batch(xs), cfg)
+        assert all(same(tokens.data[i], token(x, cfg).data[0]) for i, x in enumerate(xs))
+
+
 @pytest.mark.parametrize(
-    "shape, patch, axis",
-    [((12,), 3, 0), ((8,), 1, 0), ((8, 8), 2, 0), ((8, 8), 2, 1), ((4, 8), 4, 1)],
+    "shape, patch", [((12,), 3), ((8,), 1), ((8, 8), 2), ((8, 4), 2), ((4, 8), 4)]
 )
-def test_lemma1_sides_batch_equals_singles(shape, patch, axis):
+@pytest.mark.parametrize("tokenizer", ["token", "swapped"])
+def test_lemma1_check_batch_equals_singles(monkeypatch, shape, patch, tokenizer):
+    # Each input's verdict is its own, whatever shares its batch: through
+    # `token`, exact, and through a faulty one that fails where the carry
+    # rotates a token grid (not on (4, 8), whose carry axis holds one token).
     rng = np.random.default_rng(6)
-    xs = [GridSignal(a) for a in samples(rng, shape, 6, 2)]
+    xs = np.stack(samples(rng, shape, 6, 2))
     cfg = PatchEmbedConfig(patch, rng.uniform(-0.5, 0.5, (patch ** len(shape) * 2, 5)))
-    offs = [tuple(rng.integers(0, patch, len(shape)).tolist()) for _ in xs]
-    left, right = lemma1_sides(signal_batch(xs), cfg, offs, axis)
-    unit = tuple(int(a == axis) for a in range(len(shape)))
-    grid = tuple(n // patch for n in shape)
-    for i, (x, off) in enumerate(zip(xs, offs)):
-        one_left, one_right = (side[0] for side in lemma1_sides(x, cfg, [off], axis))
-        assert same(left[i], one_left) and same(right[i], one_right)
-        # Each side as its definition composes it from the public ops.
-        advanced = tuple((o + u) % patch for o, u in zip(off, unit))
-        carry = tuple((o + u) // patch for o, u in zip(off, unit))
-        shifted = reshape_patches(circular_shift(x, unit), patch, off)
-        assert same(one_left, project_rows(shifted[np.newaxis], cfg.embed)[0])
-        rows = project_rows(reshape_patches(x, patch, advanced)[np.newaxis], cfg.embed)
-        assert same(one_right, rotated(TokenMatrix(rows, grid), carry).data[0])
-        assert same(one_left, one_right)
+    every = list(product(range(patch), repeat=len(shape)))
+    offs = [every[i % len(every)] for i in range(len(xs))]
+    if tokenizer == "swapped":
+        monkeypatch.setattr(harness, "token", swapped_token)
+    batch = lemma1_check(xs, cfg, offs)
+    for i, off in enumerate(offs):
+        alone = lemma1_check(xs[i : i + 1], cfg, [off])
+        assert all(same(column[i : i + 1], one) for column, one in zip(batch, alone))
+    assert (batch[0] == 0.0).all() == (tokenizer == "token" or shape == (4, 8))
 
 
-def test_lemma1_sides_checks_offsets():
-    xs = SignalBatch(np.zeros((2, 8, 2)))
-    cfg = PatchEmbedConfig(2, np.ones((4, 3)))
+def test_lemma1_check_checks_offsets():
+    xs, cfg = np.zeros((2, 8, 2)), PatchEmbedConfig(2, np.ones((4, 3)))
+    for offsets in ([0, 2], [-1, 0], [(0,), (5,)]):
+        with pytest.raises(ParameterError, match="outside"):
+            lemma1_check(xs, cfg, offsets)
+    # One offset per axis, as the grid has; an int per input is rank 1's.
+    for offsets in ([(0, 0), (1, 0)], [[0, 1, 0]], [0.0, 1.0]):
+        with pytest.raises(ShapeError):
+            lemma1_check(xs, cfg, offsets)
     with pytest.raises(ShapeError):
-        lemma1_sides(xs, cfg, [0])
-    with pytest.raises(ParameterError):
-        lemma1_sides(xs, cfg, [0, 2])
-    with pytest.raises(ParameterError):
-        lemma1_sides(GridSignal(np.zeros((8, 2))), cfg, [-1])
-    with pytest.raises(ParameterError):
-        lemma1_sides(xs, cfg, [0, 1], axis=1)
+        lemma1_check(np.zeros((2, 8, 8, 2)), PatchEmbedConfig(2, np.ones((8, 3))), [0, 1])
 
 
 @pytest.mark.parametrize("grid", [(8,), (12,), (4, 4), (8, 8)])
@@ -323,8 +334,8 @@ def test_one_sample_is_a_stack_of_one(shape):
     for name, out in outputs.items():
         assert out.data.ndim == 3 and len(out.data) == 1, name
     assert window_energy(t, WindowConfig(2)).shape == (1, *grid)
-    sides = lemma1_sides(x, cfg, [(0,) * rank])
-    assert all(side.shape == (1, *t.data.shape[1:]) for side in sides)
+    columns = lemma1_check(x.data[np.newaxis], cfg, [(0,) * rank])
+    assert all(column.shape == (1,) for column in columns)
 
 
 def owns_its_memory(data: np.ndarray) -> bool:
@@ -430,7 +441,7 @@ def claim1_reference(sc):
     for payload, cfg in trial_payloads("claim1", sc):
         x = GridSignal(payload["x"])
         base, tb = a_token(x, cfg)
-        out, ts = a_token(circular_shift(x, payload["shift"]), cfg)
+        out, ts = a_token(rolled(x, payload["shift"]), cfg)
         yield payload, best_alignment(out, base), True, tb.tied.any() or ts.tied.any()
 
 
@@ -444,8 +455,13 @@ def claim2_reference(sc):
 
 
 def lemma1_reference(sc):
+    # Each side as its definition composes it: the unit-shifted input's patches
+    # at offset m, and the input's at (m + 1) mod l, rotated by the carry.
     for payload, cfg in trial_payloads("lemma1", sc):
-        left, right = lemma1_sides(GridSignal(payload["x"]), cfg, [payload["m"]])
+        x, l, m = GridSignal(payload["x"]), cfg.patch_len, payload["m"]
+        left = project_rows(reshape_patches(rolled(x, 1), l, m)[np.newaxis], cfg.embed)
+        right = project_rows(reshape_patches(x, l, (m + 1) % l)[np.newaxis], cfg.embed)
+        right = rotated(TokenMatrix(right, (x.shape[0] // l,)), (m + 1) // l).data
         yield payload, max_abs(left, right), True, False
 
 
@@ -471,13 +487,13 @@ def end2end_reference(payload, model):
     """One trial through the one-sample heads, as the suite read before batching."""
     x = GridSignal(payload["input"])
     off_a, off_b = tuple(payload["shift_a"]), tuple(payload["shift_b"])
-    logits_a, label_a, trace_a = classify(model, circular_shift(x, off_a))
-    logits_b, label_b, trace_b = classify(model, circular_shift(x, off_b))
+    logits_a, label_a, trace_a = classify(model, rolled(x, off_a))
+    logits_b, label_b, trace_b = classify(model, rolled(x, off_b))
     div, agree = max_abs(logits_a, logits_b), label_a == label_b
     if payload["check"] == "both":
         axes = tuple(range(x.rank))
-        back_a = np.roll(encode_decode(model, circular_shift(x, off_a))[0], off_a, axis=axes)
-        back_b = np.roll(encode_decode(model, circular_shift(x, off_b))[0], off_b, axis=axes)
+        back_a = np.roll(encode_decode(model, rolled(x, off_a))[0], off_a, axis=axes)
+        back_b = np.roll(encode_decode(model, rolled(x, off_b))[0], off_b, axis=axes)
         div = max(div, max_abs(back_a, back_b))
         agree = agree and bool(np.all(np.argmax(back_a, -1) == np.argmax(back_b, -1)))
     return div, agree, trace_a.any_tied or trace_b.any_tied
@@ -636,8 +652,8 @@ def mascc_reference(model, inputs, sampler):
         axes = tuple(range(x.rank))
         for pair in sampler.sample_pairs(len(inputs))[i]:
             off_a, off_b = (tuple(int(o) for o in p) for p in pair)
-            map_a, trace_a = encode_decode(model, circular_shift(x, off_a))
-            map_b, trace_b = encode_decode(model, circular_shift(x, off_b))
+            map_a, trace_a = encode_decode(model, rolled(x, off_a))
+            map_b, trace_b = encode_decode(model, rolled(x, off_b))
             back_a, back_b = np.roll(map_a, off_a, axis=axes), np.roll(map_b, off_b, axis=axes)
             agree = float(np.mean(np.argmax(back_a, -1) == np.argmax(back_b, -1)))
             records.append((agree, max_abs(back_a, back_b), trace_a.any_tied or trace_b.any_tied))
@@ -647,7 +663,7 @@ def mascc_reference(model, inputs, sampler):
 def metric_references(model, inputs, sampler):
     """Per-trial (agreement, divergence, tied) of each metric, one sample at a time."""
     return {
-        "c_cons": label_reference(model, inputs, sampler, circular_shift),
+        "c_cons": label_reference(model, inputs, sampler, rolled),
         "s_cons_zeropad": label_reference(model, inputs, sampler, zero_pad_shift),
         "mascc": mascc_reference(model, inputs, sampler),
     }

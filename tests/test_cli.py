@@ -429,6 +429,18 @@ def test_replay_of_rank2_claim1_counterexample_runs(tmp_path, capsys):
     assert capsys.readouterr().out.startswith("claim1: ")
 
 
+@pytest.mark.parametrize("m", ["l", -1])
+def test_replay_of_a_lemma1_offset_outside_the_patch_exits_two(tmp_path, capsys, m):
+    # The check refuses m outside [0, l) with ParameterError: bad configuration.
+    payload = first_payload("lemma1")
+    payload["m"] = payload["l"] if m == "l" else m
+    path = tmp_path / "m.replay.json"
+    path.write_text(json.dumps(counterexample_of("lemma1", payload)))
+    assert main(["replay", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: lemma1 payload") and "outside" in err and "Traceback" not in err
+
+
 @pytest.mark.parametrize(
     "suite, keys",
     [("lemma1", ["embed"]), ("claim1", ["embed"]), ("claim2", ["e_q", "e_k", "e_v"]),

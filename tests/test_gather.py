@@ -22,7 +22,7 @@ from itertools import combinations, product
 import numpy as np
 import pytest
 
-from eqvit import GridSignal, circular_shift
+from eqvit import GridSignal
 from eqvit.attention import AttentionParams, RpeTable, WINDOW_FNS, WindowConfig, a_wsa
 from eqvit.attention import position_bias, sa, window_energy, wsa
 from eqvit.errors import ShapeError
@@ -33,9 +33,11 @@ from eqvit.numerics import offset_index, project_rows, rotate_rows
 from eqvit.pipeline import ModelConfig, _decode, _encode, build_model, forward
 from eqvit.tokenizer import INVARIANT_FNS, PatchEmbedConfig, TokenMatrix
 from eqvit.tokenizer import _token_energy
-from eqvit.tokenizer import a_token, lemma1_sides, token
+from eqvit.tokenizer import a_token, token
 from eqvit.trace import MERGE, TOKEN, WSA, SelectionTrace, TraceEntry
-from reference import full_rate_embed, index_at, token_columns, window_score, wsa_window_loop
+from reference import full_rate_embed, index_at, rolled, token_columns, window_score
+from reference import wsa_window_loop
+from trials import lemma1_check
 
 GRIDS = [(16,), (4, 4), (4, 8), (8, 4)]
 
@@ -289,7 +291,7 @@ def test_column_projection_commutes_with_rotation(shape):
             x = GridSignal(data)
             full = full_rate(x, cfg).reshape(-1, cfg.embed.shape[1])
             for delta in product(*(range(n) for n in shape)):
-                got = full_rate(circular_shift(x, delta), cfg).reshape(-1, cfg.embed.shape[1])
+                got = full_rate(rolled(x, delta), cfg).reshape(-1, cfg.embed.shape[1])
                 assert same(got, roll_grid(full, shape, delta, axis=0))
 
 
@@ -408,8 +410,7 @@ def test_one_offset_indices_are_shared_and_writeable():
     for grid, width, stride, off in ONE_OFFSET:
         index = offset_index(grid, width, stride, np.array([off]))
         assert index.flags.writeable
-        for stacked in (False, True):
-            assert offset_index(grid, width, stride, np.array([off]), stacked) is index
+        assert offset_index(grid, width, stride, np.array([off])) is index
 
 
 def test_take_through_a_one_sample_index_does_not_copy():
@@ -468,7 +469,7 @@ def test_cached_indices_are_never_written(monkeypatch):
     for shape in ((64,), (32, 32)):
         model = build_model(ModelConfig(input_shape=shape))
         x = GridSignal(np.random.default_rng(3).uniform(-1, 1, (*shape, model.config.channels)))
-        runs.append((model, x, SignalBatch([x.data, circular_shift(x, (1,) * x.rank).data])))
+        runs.append((model, x, SignalBatch([x.data, rolled(x, (1,) * x.rank).data])))
 
     def forwards():
         for model, x, batch in runs:
@@ -542,7 +543,7 @@ def layout_op_calls(rank, tokens_grid, signal_grid):
     return [
         ("a_token", lambda: a_token(x, patch), [patch_key]),
         ("token", lambda: token(x, patch), [patch_key]),
-        ("lemma1_sides", lambda: lemma1_sides(x, patch, [(1,) * rank, (3,) * rank]), [patch_key]),
+        ("lemma1", lambda: lemma1_check(x.data, patch, [(1,) * rank, (3,) * rank]), [patch_key]),
         ("window_energy", lambda: window_energy(tokens, window), [window_key]),
         ("wsa", lambda: wsa(tokens, window, params, rpe), [window_key]),
         ("a_wsa", lambda: a_wsa(tokens, window, params, rpe), [window_key]),
@@ -634,9 +635,9 @@ def checked_op_calls(rank: int, cfg: dict) -> list:
         ("token", lambda: token(bad_signal, patch), lambda: token(signal, patch)),
         ("a_token", lambda: a_token(bad_signal, patch), lambda: a_token(signal, patch)),
         (
-            "lemma1_sides",
-            lambda: lemma1_sides(bad_signal, patch, [(1,) * rank] * 2),
-            lambda: lemma1_sides(signal, patch, [(1,) * rank] * 2),
+            "lemma1",
+            lambda: lemma1_check(bad_signal.data, patch, [(1,) * rank] * 2),
+            lambda: lemma1_check(signal.data, patch, [(1,) * rank] * 2),
         ),
         (
             "window_energy",
@@ -801,7 +802,7 @@ def test_composed_decode_equals_unpool_chain(name, off):
     rng = np.random.default_rng(5)
     x = GridSignal(rng.standard_normal((*cfg.input_shape, cfg.channels)))
     shifts = [(0,) * cfg.rank, (1,) * cfg.rank, (3,) * cfg.rank, (6,) * cfg.rank, (7,) * cfg.rank]
-    batch = SignalBatch([circular_shift(x, s).data for s in shifts] + [np.zeros(x.data.shape)])
+    batch = SignalBatch([rolled(x, s).data for s in shifts] + [np.zeros(x.data.shape)])
     for inputs in (x, batch):
         tokens, trace = _encode(model, inputs)
         assert same(_decode(cfg, tokens, trace), decode_chain(cfg, tokens, trace))

@@ -5,7 +5,7 @@ import statistics
 import numpy as np
 import pytest
 
-from eqvit import GridSignal, circular_shift
+from eqvit import GridSignal
 from eqvit.errors import ParameterError, ShapeError
 from eqvit.metrics import (
     ConsistencyReport,
@@ -19,7 +19,7 @@ from eqvit.metrics import (
     synthetic_inputs,
 )
 from eqvit.pipeline import SWITCHES, ModelConfig, build_model, classify, encode_decode
-from reference import zero_pad_shift
+from reference import rolled, zero_pad_shift
 
 
 def sig(values) -> GridSignal:
@@ -298,7 +298,7 @@ def test_synthetic_inputs_deterministic():
 
 def pair_reference(model, x, off_a, off_b, zero_pad):
     """One pair, each shift alone through the one-sample heads, maps rolled back."""
-    shift = zero_pad_shift if zero_pad else circular_shift
+    shift = zero_pad_shift if zero_pad else rolled
     axes = tuple(range(x.rank))
     (logits_a, label_a, trace_a), (logits_b, label_b, trace_b) = (
         classify(model, shift(x, off)) for off in (off_a, off_b)

@@ -15,13 +15,13 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from eqvit import GridSignal, circular_shift, lp_norm
+from eqvit import GridSignal, lp_norm
 from eqvit.attention import RpeTable
 from eqvit.attention import AttentionParams, WindowConfig
 from eqvit.errors import ConfigError, ParameterError, ShapeError
 from eqvit.harness import SuiteConfig
 from eqvit.merging import MergeConfig, aps
-from eqvit.metrics import ShiftSampler
+from eqvit.metrics import ShiftSampler, shift_stack
 from eqvit.numerics import SignalBatch, as_offsets, best_phase, freeze, layout
 from eqvit.numerics import offset_index, predicted_rotation, project_rows, rotate_rows
 from eqvit.numerics import checked_array, place_rows
@@ -45,30 +45,41 @@ def sig1(values) -> GridSignal:
     return GridSignal(np.asarray(values, dtype=float)[..., np.newaxis])
 
 
-# ---------------------------------------------------------- circular_shift --
+# ------------------------------------------------------------- rotate_rows --
+# The circular shift of a stack of signals: rotate_rows on flat rows, and
+# shift_stack on (B, *grid, C) stacks, which rotates their rows.
+
+
+def rows1(values) -> np.ndarray:
+    """A (1, N, 1) stack of one one-channel signal."""
+    return np.asarray(values, dtype=float).reshape(1, -1, 1)
 
 
 def test_shift_unit_example():
-    out = circular_shift(sig1([1, 2, 3, 4]), 1)
-    assert np.array_equal(out.data[:, 0], [2, 3, 4, 1])
+    out = rotate_rows(rows1([1, 2, 3, 4]), (4,), np.array([[1]]))
+    assert np.array_equal(out[0, :, 0], [2, 3, 4, 1])
 
 
 def test_shift_zero_is_identity():
-    x = sig1([1, 2, 3, 4])
-    assert np.array_equal(circular_shift(x, 0).data, x.data)
+    x = rows1([1, 2, 3, 4])
+    assert np.array_equal(rotate_rows(x, (4,), np.array([[0]])), x)
 
 
 def test_shift_wraps_modulo_length():
-    x = sig1([1, 2, 3, 4])
-    assert np.array_equal(circular_shift(x, 5).data, circular_shift(x, 1).data)
-    assert np.array_equal(circular_shift(x, -3).data, circular_shift(x, 1).data)
+    x = np.repeat(rows1([1, 2, 3, 4]), 3, axis=0)
+    out = rotate_rows(x, (4,), np.array([[5], [-3], [1]]))
+    assert np.array_equal(out[0], out[2]) and np.array_equal(out[1], out[2])
 
 
 def test_shift_matches_oracle_rank2():
+    # Every sample at its own offset, as a stack of signals and as flat rows.
     rng = np.random.default_rng(3)
-    x = GridSignal(rng.uniform(-1, 1, (4, 6, 2)))
-    for offs in [(0, 0), (1, 0), (3, 5), (-2, 7)]:
-        assert np.array_equal(circular_shift(x, offs).data, shift_oracle(x.data, offs))
+    offsets = np.array([(0, 0), (1, 0), (3, 5), (-2, 7)])
+    xs = rng.uniform(-1, 1, (len(offsets), 4, 6, 2))
+    out, rows = shift_stack(xs, offsets), xs.reshape(len(xs), -1, 2)
+    assert np.array_equal(out.reshape(rows.shape), rotate_rows(rows, (4, 6), offsets))
+    for x, offs, got in zip(xs, offsets.tolist(), out):
+        assert np.array_equal(got, shift_oracle(x, offs))
 
 
 @given(
@@ -77,25 +88,15 @@ def test_shift_matches_oracle_rank2():
     st.integers(-20, 20),
 )
 def test_shift_composes_additively(values, o1, o2):
-    x = sig1(values)
-    twice = circular_shift(circular_shift(x, o1), o2)
-    once = circular_shift(x, o1 + o2)
-    assert np.array_equal(twice.data, once.data)
+    x, grid = rows1(values), (len(values),)
+    twice = rotate_rows(rotate_rows(x, grid, np.array([[o1]])), grid, np.array([[o2]]))
+    assert np.array_equal(twice, rotate_rows(x, grid, np.array([[o1 + o2]])))
 
 
 @given(st.lists(st.floats(-1e6, 1e6), min_size=1, max_size=12))
 def test_shift_by_length_is_identity(values):
-    x = sig1(values)
-    assert np.array_equal(circular_shift(x, len(values)).data, x.data)
-
-
-def test_shift_offset_rank_checked():
-    x = sig1([1, 2, 3])
-    with pytest.raises(ShapeError):
-        circular_shift(x, (1, 2))
-    y = GridSignal(np.zeros((2, 2, 1)))
-    with pytest.raises(ShapeError):
-        circular_shift(y, 1)
+    x = rows1(values)
+    assert np.array_equal(rotate_rows(x, (len(values),), np.array([[len(values)]])), x)
 
 
 @pytest.mark.parametrize("grid", [(7,), (3, 5)])
@@ -217,7 +218,10 @@ def test_as_offsets_takes_ints_or_one_int_per_axis():
     assert as_offsets([[3], [4]], 1).tolist() == [[3], [4]]
     assert as_offsets([(1, 2), [3, 4]], 2).tolist() == [[1, 2], [3, 4]]
     assert as_offsets(np.array([[1, 2]]), 2).dtype == np.int64
-    for offs, rank in [([3], 2), ([(1, 2, 3)], 2), ([3, [4]], 1), ([[[0]]], 1), (["a"], 1)]:
+    # A shift's rank is checked where it comes in: an int per axis of a
+    # rank-2 grid, and no more ints than a rank-1 grid has axes.
+    for offs, rank in [([3], 2), ([(1, 2, 3)], 2), ([(1, 2)], 1), ([3, [4]], 1), ([[[0]]], 1),
+                       (["a"], 1)]:
         with pytest.raises(ShapeError):
             as_offsets(offs, rank)
 
@@ -228,11 +232,15 @@ def test_as_offsets_takes_ints_or_one_int_per_axis():
 )
 @pytest.mark.parametrize("n", [1, 2, 5])
 def test_offset_index_stacks_grid_index(grid, width, stride, n):
-    # Offsets past the grid and negative ones wrap as one offset's index wraps them.
+    # Offsets past the grid and negative ones wrap as one offset's index wraps
+    # them, and sample i indexes the rows of the i-th of the stacked grids.
     rng = np.random.default_rng(n)
     offsets = rng.integers(-2 * max(grid), 2 * max(grid), (n, len(grid)))
     index = offset_index(grid, width, stride, offsets)
-    expect = np.stack([index_at(grid, width, stride, tuple(o)) for o in offsets.tolist()])
+    expect = np.stack([
+        index_at(grid, width, stride, tuple(o)) + i * math.prod(grid)
+        for i, o in enumerate(offsets.tolist())
+    ])
     assert index.dtype == expect.dtype and np.array_equal(index, expect)
 
 
@@ -244,7 +252,8 @@ def test_offset_index_takes_offsets_at_the_int64_ends(grid, width, stride):
     offsets = np.array([[info.max] * len(grid), [info.min] * len(grid), [2**62 + 5, -7][: len(grid)]])
     reduced = [tuple(o % g for o, g in zip(off, grid)) for off in offsets.tolist()]
     expect = np.stack([index_at(grid, width, stride, r) for r in reduced])
-    assert np.array_equal(offset_index(grid, width, stride, offsets), expect)
+    rows = math.prod(grid) * np.arange(len(offsets)).reshape(-1, 1, 1)
+    assert np.array_equal(offset_index(grid, width, stride, offsets), expect + rows)
     for off, want in zip(offsets.tolist(), expect):
         assert np.array_equal(index_at(grid, width, stride, tuple(off)), want)
 
@@ -520,14 +529,12 @@ def test_best_phase_rejects_an_unknown_kind():
 
 
 @pytest.mark.parametrize("shape, off", [((7, 2), (3,)), ((4, 6, 3), (1, -2))])
-def test_circular_shift_result_is_read_only_and_equals_roll(shape, off):
-    x = GridSignal(np.random.default_rng(8).uniform(-1, 1, shape))
-    out = circular_shift(x, off)
-    rolled = np.roll(x.data, [-o for o in off], axis=tuple(range(len(off))))
-    assert np.array_equal(out.data, rolled)
-    with pytest.raises(ValueError):
-        out.data[0] = 1.0
-    assert not np.shares_memory(out.data, x.data)
+def test_shift_stack_result_equals_roll_and_is_fresh(shape, off):
+    x = np.random.default_rng(8).uniform(-1, 1, (1, *shape))
+    out = shift_stack(x, np.array([off]))
+    rolled = np.roll(x, [-o for o in off], axis=tuple(range(1, len(off) + 1)))
+    assert np.array_equal(out, rolled)
+    assert not np.shares_memory(out, x)
 
 
 def test_gridsignal_shapes_and_properties():
@@ -613,7 +620,7 @@ INTEGER_FIELDS = {
     "SuiteConfig.lemma_l": (lambda v: SuiteConfig(lemma_l=(v,)), ConfigError),
     "ModelConfig.channels": (lambda v: ModelConfig(channels=v), ConfigError),
     "ModelConfig.seed": (lambda v: ModelConfig(seed=v), ConfigError),
-    "circular_shift offset": (lambda v: circular_shift(GridSignal(np.zeros((8, 1))), v), ShapeError),
+    "as_offsets offset": (lambda v: as_offsets([v], 1), ShapeError),
 }
 # Each would pass as 4 where a plain int() conversion stood.
 NOT_INTEGERS = {"float": 2.5, "bool": True, "string": "4", "integral float": 4.0}

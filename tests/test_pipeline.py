@@ -14,12 +14,13 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import eqvit
-from eqvit import GridSignal, attention, circular_shift, merging, numerics, pipeline
+from eqvit import GridSignal, attention, merging, numerics, pipeline
 from eqvit.errors import ConfigError, ParameterError, ShapeError
 from eqvit.numerics import MAX_NORM_ORDER, SignalBatch
 from eqvit.pipeline import SWITCHES, ModelConfig, build_model, classify, encode_decode, forward
 from eqvit.tokenizer import PatchEmbedConfig, TokenMatrix, a_token
 from eqvit.trace import MERGE, TOKEN, WSA
+from reference import rolled
 
 
 def rand_input(cfg: ModelConfig, seed: int = 0) -> GridSignal:
@@ -286,7 +287,7 @@ def test_classifier_is_shift_invariant_all_offsets():
     logits0, label0, _ = model.classify(x)
     assert logits0.shape == (cfg.num_classes,)
     for off in range(64):
-        logits, label, _ = model.classify(circular_shift(x, off))
+        logits, label, _ = model.classify(rolled(x, off))
         assert label == label0
         assert np.max(np.abs(logits - logits0)) <= 1e-9
 
@@ -297,7 +298,7 @@ def test_classifier_is_shift_invariant_rank2():
     x = rand_input(cfg, 8)
     logits0, label0, _ = model.classify(x)
     for off in [(1, 0), (0, 1), (5, 11), (31, 17)]:
-        logits, label, _ = model.classify(circular_shift(x, off))
+        logits, label, _ = model.classify(rolled(x, off))
         assert label == label0
         assert np.max(np.abs(logits - logits0)) <= 1e-9
 
@@ -308,7 +309,7 @@ def test_zero_input_is_shift_fixed_and_tied():
     zero = GridSignal(np.zeros((64, 2)))
     logits0, _, trace = model.classify(zero)
     assert trace.any_tied
-    logits1, _, _ = model.classify(circular_shift(zero, 13))
+    logits1, _, _ = model.classify(rolled(zero, 13))
     assert np.array_equal(logits0, logits1)
 
 
@@ -320,7 +321,7 @@ def test_full_baseline_breaks_invariance():
     for _ in range(10):
         x = GridSignal(rng.uniform(-1, 1, (64, 2)))
         base, _, _ = model.classify(x)
-        out, _, _ = model.classify(circular_shift(x, 1))
+        out, _, _ = model.classify(rolled(x, 1))
         worst = max(worst, float(np.max(np.abs(out - base))))
     assert worst > 1e-6
 
@@ -544,7 +545,7 @@ def test_decoder_is_shift_equivariant():
     x = rand_input(cfg, 6)
     base, _ = model.encode_decode(x)
     for off in (1, 7, 33, 63):
-        out, _ = model.encode_decode(circular_shift(x, off))
+        out, _ = model.encode_decode(rolled(x, off))
         assert np.max(np.abs(np.roll(out, off, axis=0) - base)) <= 1e-9
 
 
@@ -554,7 +555,7 @@ def test_decoder_is_shift_equivariant_rank2():
     x = rand_input(cfg, 6)
     base, _ = model.encode_decode(x)
     for off in [(3, 0), (0, 9), (21, 30)]:
-        out, _ = model.encode_decode(circular_shift(x, off))
+        out, _ = model.encode_decode(rolled(x, off))
         assert np.max(np.abs(np.roll(out, off, axis=(0, 1)) - base)) <= 1e-9
 
 
@@ -578,7 +579,7 @@ def test_depth_zero_classifier_works():
     x = rand_input(cfg, 9)
     logits0, label0, _ = model.classify(x)
     for off in range(16):
-        logits, label, _ = model.classify(circular_shift(x, off))
+        logits, label, _ = model.classify(rolled(x, off))
         assert label == label0
         assert np.max(np.abs(logits - logits0)) <= 1e-9
 
@@ -589,5 +590,5 @@ def test_baseline_decoder_breaks_equivariance():
     x = rand_input(cfg, 3)
     base, trace = model.encode_decode(x)
     assert len(trace.entries) == 0
-    out, _ = model.encode_decode(circular_shift(x, 1))
+    out, _ = model.encode_decode(rolled(x, 1))
     assert np.max(np.abs(np.roll(out, 1, axis=0) - base)) > 1e-6

@@ -10,8 +10,9 @@ from math import prod
 import numpy as np
 import pytest
 
-from eqvit import GridSignal, circular_shift
+from eqvit import GridSignal, harness
 from eqvit.errors import ParameterError, ShapeError
+from eqvit.harness import SuiteConfig
 from eqvit.numerics import layout
 from eqvit.tokenizer import (
     INVARIANT_FNS,
@@ -19,11 +20,11 @@ from eqvit.tokenizer import (
     TokenMatrix,
     _token_energy,
     a_token,
-    lemma1_sides,
     token,
 )
 from eqvit.trace import TOKEN
-from reference import full_rate_embed, reshape_patches, rotated, token_columns
+from reference import full_rate_embed, reshape_patches, rolled, rotated, token_columns
+from trials import lemma1_check, swapped_token
 
 
 def reshape_oracle_1d(data: np.ndarray, l: int, m: int) -> np.ndarray:
@@ -126,7 +127,7 @@ def test_token_is_not_shift_equivariant():
     x = GridSignal(rng.uniform(-1, 1, (8, 1)))
     cfg = PatchEmbedConfig(2, rng.uniform(-1, 1, (2, 3)))
     base = token(x, cfg)
-    shifted = token(circular_shift(x, 1), cfg)
+    shifted = token(rolled(x, 1), cfg)
     worst = min(
         np.max(np.abs(shifted.data - rotated(base, r).data)) for r in range(base.data.shape[-2])
     )
@@ -150,7 +151,7 @@ def test_a_token_picks_higher_energy_offset():
 def test_a_token_output_is_shift_stable():
     x = sig1([1, 2, 3, 4, 5, 6])
     base, _ = a_token(x, column_picker())
-    out, entry = a_token(circular_shift(x, 1), column_picker())
+    out, entry = a_token(rolled(x, 1), column_picker())
     assert entry.offsets.tolist() == [[0]]
     assert np.array_equal(out.data, base.data)
 
@@ -169,7 +170,7 @@ def test_a_token_alignment_is_bit_exact_rank1():
             x = GridSignal(rng.uniform(-1, 1, (12, 2)))
             shift = int(rng.integers(0, 12))
             base, tb = a_token(x, cfg)
-            out, ts = a_token(circular_shift(x, shift), cfg)
+            out, ts = a_token(rolled(x, shift), cfg)
             if tb.tied.any() or ts.tied.any():
                 continue
             assert any(
@@ -184,7 +185,7 @@ def test_a_token_alignment_is_bit_exact_rank2():
         x = GridSignal(rng.uniform(-1, 1, (8, 8, 2)))
         shift = tuple(int(s) for s in rng.integers(0, 8, size=2))
         base, tb = a_token(x, cfg)
-        out, ts = a_token(circular_shift(x, shift), cfg)
+        out, ts = a_token(rolled(x, shift), cfg)
         if tb.tied.any() or ts.tied.any():
             continue
         assert any(
@@ -215,7 +216,7 @@ def test_a_token_energy_choices_all_align():
     for name in INVARIANT_FNS:
         cfg = PatchEmbedConfig(3, rng.uniform(-0.5, 0.5, (6, 4)), invariant_fn=name)
         base, _ = a_token(x, cfg)
-        out, _ = a_token(circular_shift(x, 5), cfg)
+        out, _ = a_token(rolled(x, 5), cfg)
         assert any(np.array_equal(out.data, rotated(base, r).data) for r in range(4))
 
 
@@ -240,38 +241,61 @@ def test_full_rate_embed_equals_roll_and_concatenate(shape, l):
     assert np.array_equal(tokens.data, grid.reshape(tokens.data.shape))
 
 
-# ------------------------------------------------------------ lemma1_sides --
+# ------------------------------------------------------------------ lemma1 --
+# Through the suite's own check, which tokenizes both sides with `token`.
+
+
+def assert_lemma1_exact(xs, cfg, offsets):
+    div, agree, tied = lemma1_check(np.asarray(xs), cfg, offsets)
+    assert div.tolist() == [0.0] * len(div) and agree.all() and not tied.any()
 
 
 def test_lemma1_examples():
     rng = np.random.default_rng(29)
     cfg8 = PatchEmbedConfig(2, rng.uniform(-1, 1, (4, 3)))
-    assert np.array_equal(*lemma1_sides(GridSignal(rng.uniform(-1, 1, (8, 2))), cfg8, [1]))
+    assert_lemma1_exact([rng.uniform(-1, 1, (8, 2))], cfg8, [1])
     cfg12 = PatchEmbedConfig(3, rng.uniform(-1, 1, (6, 3)))
-    assert np.array_equal(*lemma1_sides(GridSignal(rng.uniform(-1, 1, (12, 2))), cfg12, [2]))
+    assert_lemma1_exact([rng.uniform(-1, 1, (12, 2))], cfg12, [2])
     cfg1 = PatchEmbedConfig(1, rng.uniform(-1, 1, (2, 3)))
-    assert np.array_equal(*lemma1_sides(GridSignal(rng.uniform(-1, 1, (5, 2))), cfg1, [0]))
+    assert_lemma1_exact([rng.uniform(-1, 1, (5, 2))], cfg1, [0])
 
 
 def test_lemma1_holds_exhaustively_small():
     rng = np.random.default_rng(31)
     for n, l in [(4, 2), (6, 3), (8, 4), (6, 2)]:
         cfg = PatchEmbedConfig(l, rng.uniform(-1, 1, (l * 2, 3)))
-        for _ in range(5):
-            x = GridSignal(rng.uniform(-1, 1, (n, 2)))
-            for m in range(l):
-                assert np.array_equal(*lemma1_sides(x, cfg, [m]))
+        xs = rng.uniform(-1, 1, (5, n, 2))
+        for m in range(l):
+            assert_lemma1_exact(xs, cfg, [m] * len(xs))
 
 
-def test_lemma1_rank2_both_axes():
+@pytest.mark.parametrize("shape, l", [((8, 8), 2), ((8, 8), 4), ((12, 6), 2), ((12, 6), 3)])
+def test_lemma1_rank2_both_axes(shape, l):
+    # Every offset of the patch at once.  The check shifts along axis 0; on
+    # the transposed inputs that is axis 1 of the originals.
     rng = np.random.default_rng(37)
-    cfg = PatchEmbedConfig(2, rng.uniform(-1, 1, (4 * 2, 3)))
-    x = GridSignal(rng.uniform(-1, 1, (4, 6, 2)))
-    for axis in (0, 1):
-        for offs in [(0, 0), (1, 1), (1, 0)]:
-            assert np.array_equal(*lemma1_sides(x, cfg, [offs], axis=axis))
-    with pytest.raises(ParameterError):
-        lemma1_sides(x, cfg, [(0, 0)], axis=2)
+    cfg = PatchEmbedConfig(l, rng.uniform(-1, 1, (l * l * 2, 3)))
+    xs = rng.uniform(-1, 1, (3, *shape, 2))
+    offsets = list(product(range(l), repeat=2))
+    for inputs in (xs, xs.transpose(0, 2, 1, 3)):
+        assert_lemma1_exact(np.repeat(inputs, len(offsets), axis=0), cfg, offsets * len(xs))
+
+
+def test_lemma1_fails_a_token_that_depends_on_position(monkeypatch):
+    # lemma1 checks the tokenizer the model runs.  Only the carry at m = l - 1
+    # moves tokens between the sides, and on a grid of two tokens swapping
+    # them is that rotation: the swap fails there from three tokens on.
+    rng = np.random.default_rng(41)
+    cfg = PatchEmbedConfig(2, rng.uniform(-1, 1, (4, 3)))
+    xs = rng.uniform(-1, 1, (3, 8, 2))
+    monkeypatch.setattr(harness, "token", swapped_token)
+    div, agree, _ = lemma1_check(np.concatenate([xs, xs]), cfg, [0, 0, 0, 1, 1, 1])
+    assert div[:3].tolist() == [0.0] * 3 and (div[3:] > 0).all() and agree.all()
+    result = harness.run_lemma1(SuiteConfig(suites=("lemma1",), trials=5))
+    assert result.failures > 0 and result.counterexample is not None
+    assert harness.replay(result.counterexample)[0] == 1
+    monkeypatch.undo()
+    assert harness.replay(result.counterexample)[0] == 0
 
 
 # ------------------------------------------------------------- TokenMatrix --

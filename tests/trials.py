@@ -1,8 +1,12 @@
 """Per-trial views of the harness's batches: the payloads trial-by-trial
-references and replay tests start from."""
+references and replay tests start from; lemma1's check on inputs of a
+test's own, and a faulty `token` for it to catch."""
+
+import numpy as np
 
 from eqvit import harness
 from eqvit.harness import PROPERTIES, SuiteConfig
+from eqvit.tokenizer import TokenMatrix, token
 
 
 def batches_of(name: str, sc: SuiteConfig):
@@ -42,3 +46,20 @@ def batch_of(name: str, payloads: list[dict]) -> dict:
     """The columns of one batch of `payloads`, which differ only in their rows."""
     rows = PROPERTIES[name].rows
     return {k: [p[k] for p in payloads] if k in rows else v for k, v in payloads[0].items()}
+
+
+def lemma1_check(xs, cfg, offsets):
+    """lemma1's (divergence, agree, tied) columns for a (B, *grid, C) stack
+    of inputs at patch offsets `offsets` (m) through `cfg`, as the suite
+    checks a batch: `PROPERTIES["lemma1"].check`."""
+    columns = {"l": cfg.patch_len, "embed": cfg.embed, "m": offsets, "x": xs}
+    return PROPERTIES["lemma1"].check(columns, cfg)
+
+
+def swapped_token(x, cfg) -> TokenMatrix:
+    """`token` with every sample's first two tokens swapped (on a grid of
+    two or more): a tokenizer whose output depends on where a patch sits."""
+    tokens = token(x, cfg)
+    order = np.arange(tokens.data.shape[1])
+    order[:2] = order[:2][::-1]
+    return TokenMatrix(tokens.data[:, order], tokens.grid_shape)

@@ -51,17 +51,18 @@ CONFIGS = (
 
 def inputs(package, cfg):
     """One random input of `package`'s GridSignal, and a SignalBatch of 7
-    with the special cases."""
+    with the special cases: the input shifted by 1 and by 3 (rank 2: (3, 4))
+    as out[n] = x[n + shift], a zero, an impulse, -0.0 and signed zeros."""
     rng = np.random.default_rng(sum(cfg.input_shape))
-    shape = (*cfg.input_shape, cfg.channels)
+    shape, axes = (*cfg.input_shape, cfg.channels), tuple(range(cfg.rank))
     x = package.GridSignal(rng.uniform(-1, 1, shape))
     impulse = np.zeros(shape)
     impulse[(0,) * len(shape)] = 1.0
     mixed = np.where(rng.uniform(size=shape) < 0.5, -0.0, rng.uniform(-1, 1, shape))
     batch = [
         x.data,
-        package.circular_shift(x, (1,) * cfg.rank).data,
-        package.circular_shift(x, tuple(range(3, 3 + cfg.rank))).data,
+        np.roll(x.data, (-1,) * cfg.rank, axis=axes),
+        np.roll(x.data, (-3, -4)[: cfg.rank], axis=axes),
         np.zeros(shape),
         impulse,
         np.full(shape, -0.0),
