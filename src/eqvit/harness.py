@@ -24,10 +24,11 @@ row column from a stream of its own, `DRAW_BLOCK` trials at a time: a
 block's integers in one call per column, then a batch's arrays in one call
 per column; claim3 and apmerge group a block's trials by key first, so their
 batches come out of trial order.  Each check validates its batch once and
-runs it as one stack; the failing trial with the lowest index is the
-counterexample, and only its payload dict is built.  `replay` runs a payload
-through the same check as a batch of one, as the ablation search runs its
-chunks, so a replayed counterexample cannot drift from the suite that found it.
+runs it as one stack.  One iterator, `_verdicts`, judges each trial: a suite
+counts its verdicts and keeps the failing trial with the lowest index as
+counterexample (only its payload dict is built); the ablation search runs
+end2end's property on its own batches up to its first failure; `replay` runs
+a payload as a batch of one, so it cannot drift from the suite that found it.
 claim1, claim2 and apmerge run inputs and their shifts as one op call
 (`_shift_pair`): a shift's selection must move with it, and its output must
 equal the base output at the rotation the two selections predict
@@ -262,8 +263,8 @@ class Property:
     `shared` holds the objects built once per suite from the shared values, or
     None.  `check(columns, shared=None)` builds what it is not given, as replay
     does, and returns (divergence, agree, tied) arrays, one entry per row;
-    `agree` is False when labels or selections disagree.  `_passes` gives the
-    verdict; tied trials are counted, not asserted.  `payload(columns, k)` is
+    `agree` is False when labels or selections disagree.  `_verdicts` judges
+    each trial; tied trials are counted, not asserted.  `payload(columns, k)` is
     trial k alone, as a replay file holds it; `columns(payload)` its batch of one.
     """
 
@@ -279,10 +280,14 @@ class Property:
         return {key: [value] if key in self.rows else value for key, value in payload.items()}
 
 
-def _passes(div: float, agree: bool, tolerance: float) -> bool:
-    """Verdict on an untied trial in the suites, the ablation search and replay:
-    it agrees and its divergence is within tolerance (a NaN one is not)."""
-    return bool(agree) and div <= tolerance
+def _verdicts(prop: Property, batches):
+    """(trial index, divergence, agree, verdict, columns, row) per trial, each
+    batch checked as it is reached.  The verdict is None on a tied trial, never
+    asserted; else it passes if it agrees within tolerance (a NaN one does not)."""
+    for indices, columns, shared in batches:
+        results = (a.tolist() for a in prop.check(columns, shared))
+        for k, (i, div, agree, tied) in enumerate(zip(indices, *results)):
+            yield i, div, agree, None if tied else agree and div <= prop.tolerance, columns, k
 
 
 def _stacked(columns: dict, key: str, ndim: int) -> np.ndarray:
@@ -349,8 +354,8 @@ def _lemma1_batches(sc: SuiteConfig):
 
 def _lemma1_entries(n: int, l: int, channels: int, dim: int) -> list[tuple[str, int]]:
     """(name, entries) of the largest arrays one (n, channels) lemma1 input adds to a batch
-    at patch length l: its two sides' signals or patch rows, and one side's tokens."""
-    return [("gathered sides", 2 * n * channels), ("projected side", n // l * dim)]
+    at patch length l: its two sides' signals or patch rows, and both sides' tokens."""
+    return [("gathered sides", 2 * n * channels), ("projected side", 2 * (n // l) * dim)]
 
 
 def _lemma1_check(columns: dict, cfg: PatchEmbedConfig | None = None):
@@ -565,27 +570,28 @@ PROPERTIES = {
 }
 
 
-def _run_property(name: str, sc: SuiteConfig, prop: Property | None = None) -> SuiteResult:
+def _run_property(name: str, sc: SuiteConfig, prop: Property | None = None, search=False):
     """Run every trial of a property suite (`prop`, or its own) in batches;
-    keep the failing trial that comes first in trial order as counterexample."""
+    keep the failing trial that comes first in trial order as counterexample.
+    A `search` stops there, which needs batches in trial order."""
     prop = prop or PROPERTIES[name]
     trials = passes = ties = 0
     max_div = 0.0
     first = None  # (trial index, divergence, payload)
     # Counts and the maximum do not depend on the order batches run in:
     # divergences are never -0.0, and a NaN one never raises the maximum.
-    for indices, columns, shared in prop.batches(sc):
-        results = (a.tolist() for a in prop.check(columns, shared))
-        for k, (i, div, agree, tied) in enumerate(zip(indices, *results)):
-            trials += 1
-            if tied:
-                ties += 1
-                continue
-            max_div = max(max_div, div)
-            if _passes(div, agree, prop.tolerance):
-                passes += 1
-            elif first is None or i < first[0]:
-                first = (i, div, prop.payload(columns, k))
+    for i, div, _, verdict, columns, k in _verdicts(prop, prop.batches(sc)):
+        trials += 1
+        if verdict is None:
+            ties += 1
+            continue
+        max_div = max(max_div, div)
+        if verdict:
+            passes += 1
+        elif first is None or i < first[0]:
+            first = (i, div, prop.payload(columns, k))
+            if search:
+                break
     failures = trials - ties - passes
     worst = None if first is None else _counterexample(name, prop.tolerance, *first[1:])
     return SuiteResult(name, trials, passes, failures, max_div, ties, counterexample=worst)
@@ -631,65 +637,53 @@ def run_metrics(sc: SuiteConfig) -> SuiteResult:
 # -------------------------------------------------------------- ablation --
 
 
-def _ablation_search(sc: SuiteConfig, switch: str, budget: int) -> tuple[dict, dict | None]:
-    cfg = dataclasses.replace(ABLATION_SEARCH_MODEL, seed=sc.seed).disable(switch)
-    model = build_model(cfg)
-    rng = sc.rng("ablation", SWITCHES.index(switch))
-    shape, channels = cfg.input_shape, cfg.channels
+def _search_batches(sc: SuiteConfig, model: Model, switch: str):
+    """The ablation search's trials on `model`, built with `switch` off, in
+    batches that double from one trial, so a counterexample found early costs
+    little more than trial-by-trial search; the draws stay in trial order."""
+    cfg, rng = model.config, sc.rng("ablation", SWITCHES.index(switch))
+    shape, channels, budget = cfg.input_shape, cfg.channels, sc.suite_trials("ablation")
     fixed = {"model_config": cfg.to_dict(), "check": "classify"}
-    # Chunks double from one trial, so a counterexample found early costs
-    # little more than trial-by-trial search; the draws stay in trial order.
-    found, chunk = None, 1
-    used = ties = 0
-    while found is None and used < budget:
+    used, chunk = 0, 1
+    while used < budget:
         xs, shifts = np.empty((min(chunk, budget - used), *shape, channels)), ([], [])
         for x in xs:
             x[...] = rng.uniform(-1.0, 1.0, size=(*shape, channels))
             for column in shifts:
                 column.append([int(rng.integers(0, n // 2)) for n in shape])
         columns = {**fixed, "input": xs, "shift_a": shifts[0], "shift_b": shifts[1]}
-        results = (a.tolist() for a in _end2end_divergence(columns, model))
-        for k, (div, agree, tied) in enumerate(zip(*results)):
-            used += 1
-            if tied:
-                ties += 1
-            elif not _passes(div, agree, TOL_END2END):
-                payload = PROPERTIES["end2end"].payload(columns, k)
-                found = _counterexample("ablation", TOL_END2END, div, payload)
-                break
-        chunk = min(2 * chunk, pass_pairs(cfg))
-    summary = {"switch": switch, "found": found is not None, "trials": used, "ties": ties}
-    if found is not None:
-        summary["divergence"] = found["divergence"]
-        inputs = synthetic_inputs(shape, channels, 8, sc.derived_seed("ablation", 64))
-        sampler = ShiftSampler.for_shape(shape, 5, sc.derived_seed("ablation", 65))
-        summary["c_cons"] = c_cons(model, inputs, sampler).aggregate
-    return summary, found
+        yield range(used, used + len(xs)), columns, model
+        used, chunk = used + len(xs), min(2 * chunk, pass_pairs(cfg))
 
 
 def run_ablation(sc: SuiteConfig) -> SuiteResult:
-    budget = sc.suite_trials("ablation")
-    switches = sc.disable if sc.disable else SWITCHES
-    summaries = []
-    examples = []
-    trials = ties = 0
-    max_div = 0.0
-    for switch in switches:
-        summary, found = _ablation_search(sc, switch, budget)
-        summaries.append(summary)
-        trials += summary["trials"]
-        ties += summary["ties"]
+    """Per switch, end2end's property on the search model with that switch off,
+    searched up to its first counterexample; a switch passes when it has one."""
+    results, summaries = [], []
+    for switch in sc.disable if sc.disable else SWITCHES:
+        cfg = dataclasses.replace(ABLATION_SEARCH_MODEL, seed=sc.seed).disable(switch)
+        model = build_model(cfg)
+        batches = partial(_search_batches, model=model, switch=switch)
+        prop = dataclasses.replace(PROPERTIES["end2end"], batches=batches)
+        r = _run_property("ablation", sc, prop, search=True)
+        found = r.counterexample
+        summary = dict(switch=switch, found=found is not None, trials=r.trials, ties=r.tie_count)
         if found is not None:
-            examples.append(found)
-            max_div = max(max_div, found["divergence"])
-    failures = sum(1 for s in summaries if not s["found"])
+            summary["divergence"] = found["divergence"]
+            shape = cfg.input_shape
+            inputs = synthetic_inputs(shape, cfg.channels, 8, sc.derived_seed("ablation", 64))
+            sampler = ShiftSampler.for_shape(shape, 5, sc.derived_seed("ablation", 65))
+            summary["c_cons"] = c_cons(model, inputs, sampler).aggregate
+        results.append(r)
+        summaries.append(summary)
+    examples = [r.counterexample for r in results if r.counterexample is not None]
     return SuiteResult(
         name="ablation",
-        trials=trials,
-        passes=len(summaries) - failures,
-        failures=failures,
-        max_divergence=max_div,
-        tie_count=ties,
+        trials=sum(r.trials for r in results),
+        passes=len(examples),
+        failures=len(results) - len(examples),
+        max_divergence=max([0.0] + [found["divergence"] for found in examples]),
+        tie_count=sum(r.tie_count for r in results),
         extra={"search_model": ABLATION_SEARCH_MODEL.to_dict(), "switches": summaries},
         counterexample=examples[0] if examples else None,
     )
@@ -719,10 +713,11 @@ def replay(document: dict) -> tuple[int, str]:
     status, or suites that are not a non-empty list of suite names, raises
     ConfigError.  A counterexample's payload reruns through its suite's
     check (ablation and metrics: the end2end check), held to that suite's
-    own tolerance: a file recording another raises ConfigError first.  In
+    own tolerance: a file recording another raises ConfigError first.  Its
+    one trial is judged by `_verdicts`, as the suites judge theirs.  In
     order: a NaN divergence raises ConfigError, a tied trial (never
     asserted) exits 0, an infinite divergence raises ConfigError, and
-    otherwise `_passes` decides: 0 passes, 1 fails.  A malformed document,
+    otherwise the verdict decides: 0 passes, 1 fails.  A malformed document,
     a payload without a key the check reads, or a payload value the check
     rejects raises ConfigError: each value is checked where the check
     takes it in, by the class or conversion that takes it.
@@ -756,18 +751,17 @@ def replay(document: dict) -> tuple[int, str]:
         # Payloads scaled toward the float range overflow inside the ops; the
         # outcome below says what that means, so NumPy's warnings are noise.
         with np.errstate(over="ignore", invalid="ignore"):
-            divs, agrees, tieds = prop.check(prop.columns(payload))
+            [(_, div, agree, verdict, _, _)] = _verdicts(prop, [([0], prop.columns(payload), None)])
     except KeyError as err:
         raise ConfigError(f"{suite} payload lacks key {err}") from err
     except (ShapeError, ParameterError, TraceError) as err:
         raise ConfigError(f"{suite} payload cannot be checked: {err}") from err
-    div, agree, tied = float(divs[0]), bool(agrees[0]), bool(tieds[0])
     # NaN: the ops produced NaN.  inf: they overflowed on a trial the suites assert.
-    if np.isnan(div) or (np.isinf(div) and not tied):
+    if np.isnan(div) or (np.isinf(div) and verdict is not None):
         raise ConfigError(f"{suite} payload cannot be checked: its divergence is {div}")
-    if tied:
+    if verdict is None:
         return 0, f"{suite}: trial is tied (divergence {div:.6e}); tied trials are not asserted"
-    if _passes(div, agree, prop.tolerance):
+    if verdict:
         return 0, f"{suite}: divergence {div:.6e} no longer exceeds tolerance {prop.tolerance:.1e}"
     return 1, (
         f"{suite}: reproduced divergence {div:.6e} "

@@ -198,6 +198,8 @@ class SignalBatch:
 def _offset_grid(grid: tuple[int, ...], width: int, stride: int, offsets: np.ndarray):
     """`offset_index`, built anew: a wrapping gather per axis, summed."""
     rank, n = len(grid), len(offsets)
+    if offsets.shape[1:] != (rank,):  # zip below would drop or miss an axis
+        raise ShapeError(f"offsets of shape {offsets.shape} for a rank-{rank} grid")
     lead = (n, *(1,) * (2 * rank))
     index = prod(grid) * np.arange(n).reshape(lead)
     for a, (g, o) in enumerate(zip(grid, offsets.T)):

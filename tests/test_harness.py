@@ -3,6 +3,7 @@
 import dataclasses
 import json
 import tracemalloc
+from itertools import count
 from math import prod
 
 import numpy as np
@@ -20,7 +21,8 @@ from eqvit.harness import (
     SUITES,
     SuiteConfig,
     _counterexample,
-    _passes,
+    _run_property,
+    _verdicts,
     replay,
     run_ablation,
     run_apmerge,
@@ -81,18 +83,26 @@ def test_suite_config_rejects_bad_lemma1_sizes(sizes):
 
 
 def test_lemma1_input_bound_is_inclusive():
-    # At l = 2 the gathered (2, MAX_BATCH // 2, n / 2, 2 * 2) sides are the
+    # At l = 4 the gathered (2, MAX_BATCH // 2, n / 4, 4 * 2) sides are the
     # largest array the bound counts; here they hold exactly MAX_ELEMENTS entries.
     n = pipeline.MAX_ELEMENTS // (2 * (pipeline.MAX_BATCH // 2) * 2)
-    sc = SuiteConfig(suites=("lemma1",), lemma_n=(n,), lemma_l=(2,))
+    sc = SuiteConfig(suites=("lemma1",), lemma_n=(n,), lemma_l=(4,))
     assert max(size for _, size in sc.lemma1_sizes()) == pipeline.MAX_ELEMENTS
     with pytest.raises(ConfigError, match="gathered sides"):
-        SuiteConfig(suites=("lemma1",), lemma_n=(n + 2,), lemma_l=(2,))
+        SuiteConfig(suites=("lemma1",), lemma_n=(n + 4,), lemma_l=(4,))
+    # At l = 1 and 2 both sides' (MAX_BATCH // 2, n / l, 5) tokens are the
+    # largest: the last n accepted is the last whose tokens fit.
+    for l, last in [(1, 52428), (2, 104856)]:
+        sc = SuiteConfig(suites=("lemma1",), lemma_n=(last,), lemma_l=(l,))
+        size = max(size for _, size in sc.lemma1_sizes())
+        assert size <= pipeline.MAX_ELEMENTS < size + 2 * (pipeline.MAX_BATCH // 2) * 5
+        with pytest.raises(ConfigError, match="projected side"):
+            SuiteConfig(suites=("lemma1",), lemma_n=(last + l,), lemma_l=(l,))
 
 
 def test_lemma1_bound_counts_the_batch_not_the_input():
     # An (n, 2) input of exactly MAX_ELEMENTS entries passed the old bound;
-    # its batch's projected sides hold 20 times that.
+    # its batch's projected sides hold 40 times that.
     n = pipeline.MAX_ELEMENTS // 2
     with pytest.raises(ConfigError, match="projected side at n 2097152, l 1"):
         SuiteConfig(suites=("lemma1",), lemma_n=(n,), lemma_l=(1,))
@@ -100,17 +110,18 @@ def test_lemma1_bound_counts_the_batch_not_the_input():
     assert SuiteConfig(suites=("lemma1",), lemma_n=(4, n + 1), lemma_l=(2,)).lemma_n == (4, n + 1)
 
 
-def old_lemma1_rule(n: int, l: int) -> bool:
-    """Whether a lemma1 pair was accepted before batches were sized by memory:
-    eight (n, 2) inputs, their gathered sides and their projections fit."""
-    return n % l or max(2 * 8 * n * 2, 8 * (n // l) * 5) <= pipeline.MAX_ELEMENTS
+def lemma1_rule(n: int, l: int) -> bool:
+    """Whether a lemma1 pair is accepted: the gathered sides and both sides'
+    tokens of eight (n, 2) inputs fit."""
+    return n % l or max(2 * 8 * n * 2, 2 * 8 * (n // l) * 5) <= pipeline.MAX_ELEMENTS
 
 
 @pytest.mark.parametrize("l", [1, 2, 3, 4, 7])
 def test_lemma1_bound_accepts_what_it_accepted(l):
     edge = pipeline.MAX_ELEMENTS // 32
-    for n in [1, 4, 12, edge - 1, edge, edge + 1, edge + l, 2 * edge, 2097152, 10**9]:
-        accepted = old_lemma1_rule(n, l) and n % l == 0
+    ends = [52428, 52429, 104856, 104858]  # the last n accepted at l = 1 and 2, and the next
+    for n in [1, 4, 12, *ends, edge - 1, edge, edge + 1, edge + l, 2 * edge, 2097152, 10**9]:
+        accepted = lemma1_rule(n, l) and n % l == 0
         if accepted:
             SuiteConfig(suites=("lemma1",), lemma_n=(n,), lemma_l=(l,))
         else:
@@ -456,13 +467,12 @@ def test_checks_fail_outputs_off_the_predicted_rotation(rolled_ops, suite, rank)
     failed = passed = 0
     for columns, shared in _check_batches(suite, rank):
         rolled_ops.clear()
-        divs, agrees, tieds = prop.check(columns, shared)
-        rolls, n = np.concatenate(rolled_ops), len(divs)
+        verdicts = [v for _, _, _, v, _, _ in _verdicts(prop, [(count(), columns, shared)])]
+        rolls, n = np.concatenate(rolled_ops), len(verdicts)
         moved = (rolls[:n] != rolls[n:]).any(axis=-1)
-        for div, agree, tied, apart in zip(divs.tolist(), agrees, tieds, moved):
-            if tied:
+        for ok, apart in zip(verdicts, moved):
+            if ok is None:
                 continue
-            ok = _passes(div, agree, prop.tolerance)
             assert ok != apart
             failed, passed = failed + apart, passed + (not apart)
     assert failed >= 5 and passed >= 1
@@ -820,24 +830,37 @@ def test_replay_reproduces_crafted_failure_with_zero_drift():
     assert "drift 0.000e+00" in line
 
 
-@pytest.mark.parametrize(
-    "div, agree, tied, outcome",
-    [
-        (np.nan, True, True, ConfigError),  # the ops produced NaN
-        (np.inf, True, True, 0),  # overflowed, but tied trials are not asserted
-        (np.inf, True, False, ConfigError),
-        (0.0, False, False, 1),  # selections or labels disagree: the suites' failure
-        (0.5, True, False, 1),
-        (0.0, True, False, 0),
-    ],
-)
+# One trial's (divergence, agree, tied) and how `replay` ends on it.
+VERDICT_TABLE = [
+    (np.nan, True, True, ConfigError),  # the ops produced NaN
+    (np.inf, True, True, 0),  # overflowed, but tied trials are not asserted
+    (np.inf, True, False, ConfigError),
+    (np.nan, True, False, ConfigError),
+    (0.0, False, False, 1),  # selections or labels disagree: the suites' failure
+    (0.5, True, False, 1),
+    (0.0, True, False, 0),
+]
+
+
+def table_check(suite: str, row: int, div, agree, tied):
+    """A check of `suite`'s columns whose trial `row`, counting from the first
+    trial it is given, has (div, agree, tied), and whose other trials pass."""
+    seen, key = [0], PROPERTIES[suite].rows[0]
+
+    def check(columns, shared=None):
+        k = seen[0] + np.arange(len(columns[key]))
+        seen[0] += len(k)
+        at = k == row
+        return np.where(at, div, 0.0), np.where(at, agree, True), at & tied
+
+    return check
+
+
+@pytest.mark.parametrize("div, agree, tied, outcome", VERDICT_TABLE)
 def test_replay_verdict_order(monkeypatch, div, agree, tied, outcome):
     prop = PROPERTIES["claim1"]
     payload = first_payload("claim1")
-
-    def check(columns, shared=None):
-        return np.array([div]), np.array([agree]), np.array([tied])
-
+    check = table_check("claim1", 0, div, agree, tied)
     monkeypatch.setitem(PROPERTIES, "claim1", dataclasses.replace(prop, check=check))
     doc = _counterexample("claim1", 0.0, 1.0, payload)
     if outcome is ConfigError:
@@ -845,6 +868,34 @@ def test_replay_verdict_order(monkeypatch, div, agree, tied, outcome):
             replay(doc)
     else:
         assert replay(doc)[0] == outcome
+
+
+@pytest.mark.parametrize("row", range(len(VERDICT_TABLE)))
+def test_suites_and_the_ablation_share_the_verdict(monkeypatch, row):
+    # The replay table's row as trial `row` of a suite and of an ablation
+    # search, every other trial passing: a tied row is a tie and never a
+    # counterexample, a failing one is the suite's counterexample and ends
+    # the search there.
+    div, agree, tied, outcome = VERDICT_TABLE[row]
+    fails = not tied and outcome != 0
+    for suite in ("claim1", "end2end"):
+        check = table_check(suite, row, div, agree, tied)
+        monkeypatch.setitem(PROPERTIES, suite, dataclasses.replace(PROPERTIES[suite], check=check))
+    sc = SuiteConfig(trials=12, disable=("a_token",))
+    res = _run_property("claim1", sc)
+    assert (res.trials, res.tie_count, res.failures) == (12, int(tied), int(fails))
+    assert res.passes == 12 - tied - fails
+    assert res.max_divergence == (0.0 if tied or np.isnan(div) else div)
+    assert (res.counterexample is not None) == fails
+    abl = run_ablation(sc)
+    assert (abl.trials, abl.tie_count) == (row + 1 if fails else 12, int(tied))
+    assert (abl.passes, abl.failures) == (int(fails), int(not fails))
+    assert (abl.counterexample is not None) == fails
+    if fails:
+        found = _counterexample("claim1", 0.0, 0.0, trial_payloads("claim1", sc)[row][0])
+        assert res.counterexample["payload"] == found["payload"]
+        for ce in (res.counterexample, abl.counterexample):
+            assert np.array_equal(ce["divergence"], div, equal_nan=True)
 
 
 def test_replay_passes_once_config_is_fixed():

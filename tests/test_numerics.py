@@ -274,6 +274,23 @@ def test_rotate_rows_and_place_rows_per_sample(grid):
         assert np.array_equal(place_rows(rows, grid, 1, offsets)[i], one[0])
 
 
+@pytest.mark.parametrize("grid, width", [((4,), 2), ((4,), 3), ((4, 4), 1), ((4, 4), 3)])
+@pytest.mark.parametrize("samples", [1, 2])
+def test_offsets_of_another_rank_than_the_grid_are_refused(grid, width, samples):
+    # One sample goes through the cached index and more are built anew; at
+    # either, an offset of `width` entries on a grid of another rank neither
+    # drops an entry nor reaches NumPy's reshape.
+    offsets = np.ones((samples, width), dtype=np.int64)
+    stack = np.zeros((samples, math.prod(grid), 1))
+    for call in (
+        lambda: offset_index(grid, 2, 2, offsets),
+        lambda: rotate_rows(stack, grid, offsets),
+        lambda: place_rows(stack[:, : math.prod(grid) // 2 ** len(grid)], grid, 2, offsets),
+    ):
+        with pytest.raises(ShapeError, match=f"offsets of shape \\({samples}, {width}\\)"):
+            call()
+
+
 def test_signal_batch_checks_the_stack_once():
     batch = SignalBatch(np.zeros((3, 4, 2)))
     assert batch.data.shape == (3, 4, 2) and not batch.data.flags.writeable
